@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz fuzz-kernels fuzz-aggkernels bench bench-concurrency bench-idebench bench-kernels bench-aggkernels bench-shard chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels bench bench-concurrency bench-idebench bench-kernels bench-shard chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The engine and service packages at several GOMAXPROCS values: their
+# cancellation, admission and scheduling tests behave differently on one
+# core than on four, and tier-1 has to be green at all of them.
+test-cpus:
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
@@ -22,6 +28,15 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# The ROADMAP's tracked size: non-test Go lines of the engine and service
+# packages. A refactor that holds the benchmark and the fuzzers steady
+# should make this number go down.
+loc:
+	@total=0; for p in exec core server shard; do \
+		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
+		printf '%-16s %6d\n' internal/$$p $$n; total=$$((total+n)); \
+	done; printf '%-16s %6d\n' total $$total
+
 # Short exploratory fuzz of the SQL parser beyond the seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
@@ -32,9 +47,9 @@ fuzz:
 fuzz-kernels:
 	$(GO) test -fuzz=FuzzKernelVsGeneric -fuzztime=60s -run '^$$' ./internal/expr/
 
-# Differential fuzz of the typed aggregation kernels: random agg/group-by
-# queries over plain + dict/RLE twin tables (NaN/±Inf, int64 extremes,
-# fused and fallback WHERE shapes), oracle = sequential generic execution.
+# Differential fuzz of the execution pipeline: random agg/group-by queries
+# over plain + dict/RLE twin tables (NaN/±Inf, int64 extremes, compiling
+# and fallback WHERE shapes), oracle = the reference evaluator exec.Execute.
 fuzz-aggkernels:
 	$(GO) test -fuzz=FuzzAggKernelVsGeneric -fuzztime=60s -run '^$$' ./internal/exec/
 
@@ -53,17 +68,12 @@ bench-concurrency:
 bench-idebench:
 	$(GO) run ./cmd/experiments -run E31 -json BENCH_idebench.json
 
-# Regenerate the typed-kernel / compressed-column scan baseline (E33) —
-# kernel vs generic at 1%/10%/50% selectivity plus the dict/RLE encoded
-# comparisons — and refresh the committed JSON artifact.
+# Regenerate the pipeline-vs-reference-evaluator baseline and refresh the
+# committed JSON artifact: E33 writes the scan section (1%/10%/50%
+# selectivity, plus the dict/RLE encoded comparisons), E34 merges in the
+# aggregation section (scalar selectivity sweep, dict/int/RLE group-bys).
 bench-kernels:
 	$(GO) run ./cmd/experiments -run E33 -json BENCH_kernels.json
-
-# Regenerate the typed-aggregation baseline (E34) — generic vs predicate
-# kernels vs the fused filter→aggregate pipeline, scalar selectivity sweep
-# plus dict/int/RLE group-bys — merging the agg section into the committed
-# BENCH_kernels.json (E33's scan/encoded sections are preserved).
-bench-aggkernels:
 	$(GO) run ./cmd/experiments -run E34 -json BENCH_kernels.json
 
 # Regenerate the distributed scatter/gather baseline (E32) at full size —

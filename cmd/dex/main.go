@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dex [-load name=path.csv]... [-attach name=path.csv]... [-mode exact] [-parallel N] [-zonemap] [-kernels] [-agg-kernels] [-encode] [-timeout 500ms] [-e "SQL"]
+//	dex [-load name=path.csv]... [-attach name=path.csv]... [-mode exact] [-parallel N] [-timeout 500ms] [-e "SQL"]
 //
 // Without -e it reads statements from stdin (one per line). Shell commands:
 //
@@ -71,10 +71,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "engine seed")
 	parallel := flag.Int("parallel", 0, "worker parallelism for exact queries (0 = GOMAXPROCS, 1 = sequential)")
 	morsel := flag.Int("morsel", 0, "rows per parallel scheduling unit (0 = default)")
-	zonemap := flag.Bool("zonemap", true, "zone-map scan skipping on range predicates")
-	kernels := flag.Bool("kernels", true, "typed predicate kernels for specializable WHERE clauses")
-	aggKernels := flag.Bool("agg-kernels", true, "typed aggregation kernels and the fused filter\u2192aggregate pipeline")
-	encode := flag.Bool("encode", true, "dictionary/RLE-encode loaded columns when profitable")
 	timeout := flag.Duration("timeout", 0, "per-statement deadline, e.g. 500ms (0 = none)")
 	flag.Parse()
 
@@ -84,9 +80,8 @@ func main() {
 		os.Exit(1)
 	}
 	e := dex.New(dex.Options{
-		Seed:   *seed,
-		Exec:   dex.ExecOptions{Parallelism: *parallel, MorselSize: *morsel, ZoneMap: *zonemap, Kernels: *kernels, AggKernels: *aggKernels},
-		Encode: *encode,
+		Seed: *seed,
+		Exec: dex.ExecOptions{Parallelism: *parallel, MorselSize: *morsel},
 	})
 	for _, spec := range loads {
 		name, path, ok := strings.Cut(spec, "=")

@@ -93,10 +93,6 @@ func main() {
 	mode := flag.String("mode", "", "execution mode for every query (default exact)")
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "per-query deadline")
 	drainAt := flag.Duration("drain-at", 0, "initiate a drain (the SIGTERM path) at this offset (0 = no drain)")
-	zonemap := flag.Bool("zonemap", false, "enable zone-map scan skipping in the engine under test")
-	kernels := flag.Bool("kernels", false, "enable typed predicate kernels in the engine under test")
-	aggKernels := flag.Bool("agg-kernels", false, "enable typed aggregation kernels in the engine under test")
-	encode := flag.Bool("encode", false, "dictionary/RLE-encode the demo table at load")
 	flag.Var(&faults, "fault", "AT:SITE=SPEC[:FOR] schedule entry (repeatable; default standing schedule)")
 	jsonOut := flag.String("json", "", "write all reports as JSON to this file")
 	quiet := flag.Bool("quiet", false, "suppress the fault schedule narration")
@@ -127,10 +123,6 @@ func main() {
 			Timeout:          *timeout,
 			Faults:           schedule,
 			DrainAt:          *drainAt,
-			ZoneMap:          *zonemap,
-			Kernels:          *kernels,
-			AggKernels:       *aggKernels,
-			Encode:           *encode,
 		}
 		if !*quiet {
 			cfg.Log = log.New(os.Stderr, fmt.Sprintf("seed=%-3d ", seed), 0)

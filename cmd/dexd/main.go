@@ -7,7 +7,7 @@
 //	dexd [-addr :8080] [-load name=path.csv]... [-demo sales -rows 1000000]
 //	     [-max-inflight N] [-max-queue N] [-queue-timeout 2s]
 //	     [-default-timeout 30s] [-cache-rows 1000000]
-//	     [-parallel N] [-morsel N] [-zonemap] [-kernels] [-agg-kernels] [-encode] [-seed 1] [-drain-timeout 30s]
+//	     [-parallel N] [-morsel N] [-seed 1] [-drain-timeout 30s]
 //	     [-slowms 500] [-slow-ring 64] [-pprof] [-reqlog]
 //
 // Observability: /metrics serves Prometheus text exposition, /admin/slow
@@ -67,10 +67,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "engine + demo data seed")
 	parallel := flag.Int("parallel", 0, "worker parallelism for exact queries (0 = GOMAXPROCS)")
 	morsel := flag.Int("morsel", 0, "rows per parallel scheduling unit (0 = default)")
-	zonemap := flag.Bool("zonemap", true, "zone-map scan skipping on range predicates")
-	kernels := flag.Bool("kernels", true, "typed predicate kernels for specializable WHERE clauses")
-	aggKernels := flag.Bool("agg-kernels", true, "typed aggregation kernels and the fused filter\u2192aggregate pipeline")
-	encode := flag.Bool("encode", true, "dictionary/RLE-encode loaded columns when profitable")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 0, "max queries waiting for a slot (0 = 2x max-inflight, -1 = none)")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "longest wait in the admission queue")
@@ -126,10 +122,9 @@ func main() {
 
 	eng := core.New(core.Options{
 		Seed:         *seed,
-		Exec:         exec.ExecOptions{Parallelism: *parallel, MorselSize: *morsel, ZoneMap: *zonemap, Kernels: *kernels, AggKernels: *aggKernels},
+		Exec:         exec.ExecOptions{Parallelism: *parallel, MorselSize: *morsel},
 		Degrade:      *degrade,
 		DegradeGrace: *degradeGrace,
-		Encode:       *encode,
 	})
 	for _, spec := range loads {
 		name, path, ok := strings.Cut(spec, "=")

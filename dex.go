@@ -45,8 +45,10 @@ type ColumnProfile = core.ColumnProfile
 // Options configures an Engine.
 type Options = core.Options
 
-// ExecOptions tunes the morsel-driven parallel operators used by Exact
-// mode (Options.Exec): Parallelism 0 means GOMAXPROCS, 1 is sequential.
+// ExecOptions tunes the morsel-driven execution pipeline (Options.Exec):
+// Parallelism 0 means GOMAXPROCS, 1 runs inline. The zero value is the
+// full engine — zone maps, typed kernels and encoded columns are not
+// options.
 type ExecOptions = exec.ExecOptions
 
 // Mode selects how a query executes.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"time"
 
 	"dex/internal/exec"
 	"dex/internal/expr"
@@ -16,35 +15,31 @@ import (
 func init() {
 	register(Experiment{
 		ID:     "E34",
-		Title:  "Typed aggregation kernels and the fused filter→aggregate pipeline",
+		Title:  "Typed aggregation sinks: the pipeline vs the reference evaluator",
 		Source: "vectorized aggregation (MonetDB/X100, CIDR 2005); morsel-driven pipelining (HyPer, SIGMOD 2014)",
 		Run:    runE34,
 	})
 }
 
 // AggScalarCell is one selectivity point of the scalar-aggregate
-// comparison: generic accumulation, predicate kernels with generic
-// accumulation (the PR8 baseline), and the fused typed pipeline.
+// comparison: the boxed reference evaluator vs the pipeline's typed
+// per-morsel accumulation.
 type AggScalarCell struct {
-	Query            string  `json:"query"` // "sum-dense" or "sum-cmp"
-	Selectivity      float64 `json:"selectivity"`
-	GenericMS        float64 `json:"generic_ms"`
-	KernelsMS        float64 `json:"kernels_ms"` // predicate kernels only: the PR8 baseline
-	FusedMS          float64 `json:"fused_ms"`   // predicate + aggregation kernels, fused
-	SpeedupVsGeneric float64 `json:"speedup_vs_generic"`
-	SpeedupVsKernels float64 `json:"speedup_vs_kernels"`
-	FusedRowsPS      float64 `json:"fused_rows_per_sec"`
+	Query          string  `json:"query"` // "sum-dense" or "sum-cmp"
+	Selectivity    float64 `json:"selectivity"`
+	OracleMS       float64 `json:"oracle_ms"`
+	PipelineMS     float64 `json:"pipeline_ms"`
+	Speedup        float64 `json:"speedup"`
+	PipelineRowsPS float64 `json:"pipeline_rows_per_sec"`
 }
 
-// AggGroupCell is one group-by shape of the same three-arm comparison.
+// AggGroupCell is one group-by shape of the same two-arm comparison.
 type AggGroupCell struct {
-	Name             string  `json:"name"` // "dict-group", "int-group", "rle-group"
-	Groups           int     `json:"groups"`
-	GenericMS        float64 `json:"generic_ms"`
-	KernelsMS        float64 `json:"kernels_ms"`
-	FusedMS          float64 `json:"fused_ms"`
-	SpeedupVsGeneric float64 `json:"speedup_vs_generic"`
-	SpeedupVsKernels float64 `json:"speedup_vs_kernels"`
+	Name       string  `json:"name"` // "dict-group", "int-group", "rle-group"
+	Groups     int     `json:"groups"`
+	OracleMS   float64 `json:"oracle_ms"`
+	PipelineMS float64 `json:"pipeline_ms"`
+	Speedup    float64 `json:"speedup"`
 }
 
 // AggKernelBench is the E34 section of BENCH_kernels.json.
@@ -83,17 +78,15 @@ func writeKernelBench(w io.Writer, path string, res KernelBench) error {
 	return nil
 }
 
-// runE34 measures the typed aggregation kernels over the E33 table, three
-// arms per shape: generic sequential execution, predicate kernels with
-// generic accumulation (exactly the PR8 configuration — the filter is
-// vectorized but every accumulated value is boxed through storage.Value),
-// and the fused pipeline (typed per-morsel accumulation over pooled
-// selection buffers, no global selection vector, no boxing). Scalar SUMs
-// sweep the selectivity dial from dense to 1%; the group-bys compare the
+// runE34 measures the typed aggregation sinks over the E33 table, two arms
+// per shape: the reference evaluator (exec.Execute — every accumulated
+// value boxed through storage.Value, one string key per grouped row) and
+// the pipeline (typed per-morsel accumulation over pooled selection
+// buffers, no global selection vector, no boxing). Scalar SUMs sweep the
+// selectivity dial from dense to 1%; the group-bys compare the
 // dict-indexed, int-hashed and run-aware accumulators. The headline
-// expectation is >=2x over the PR8 baseline on low-selectivity SUM and on
-// the dictionary group-by, where per-row interface boxing dominates the
-// baseline profile.
+// expectation is >=2x on low-selectivity SUM and on the dictionary
+// group-by, where per-row interface boxing dominates the oracle's profile.
 func runE34(w io.Writer, cfg Config) error {
 	n := cfg.Scale(2_000_000, 100, 20_000)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -109,23 +102,11 @@ func runE34(w io.Writer, cfg Config) error {
 	if cfg.Quick {
 		reps = 3
 	}
-	generic := exec.ExecOptions{Parallelism: 1}
-	kernels := exec.ExecOptions{Parallelism: 1, Kernels: true}
-	fused := exec.ExecOptions{Parallelism: 1, Kernels: true, AggKernels: true}
-	measure := func(t *storage.Table, q exec.Query, opt exec.ExecOptions) (time.Duration, error) {
-		if _, err := exec.ExecuteOpts(t, q, opt); err != nil { // warm
-			return 0, err
-		}
-		return medianTime(reps, func() error {
-			_, e := exec.ExecuteOpts(t, q, opt)
-			return e
-		})
-	}
 	res := AggKernelBench{Rows: n, Seed: cfg.Seed}
-	fmt.Fprintf(w, "rows=%d reps=%d encoded: dict=%d rle=%d plain=%d (sequential)\n\n",
+	fmt.Fprintf(w, "rows=%d reps=%d encoded: dict=%d rle=%d plain=%d (one worker)\n\n",
 		n, reps, st.Dict, st.RLE, st.Plain)
 
-	scalarTbl := NewTable("query", "sel%", "generic", "kernels", "fused", "vs-generic", "vs-kernels", "Mrows/s")
+	scalarTbl := NewTable("query", "sel%", "oracle", "pipeline", "speedup", "Mrows/s")
 	scalars := []struct {
 		name string
 		sel  float64 // percent; <0 means no WHERE
@@ -147,36 +128,29 @@ func runE34(w io.Writer, cfg Config) error {
 			q.Where = expr.Cmp("v", expr.LT, storage.Float(sc.sel))
 			sel = sc.sel / 100
 		}
-		dg, err := measure(tab, q, generic)
+		dg, err := measureOracle(reps, tab, q)
 		if err != nil {
 			return err
 		}
-		dk, err := measure(tab, q, kernels)
-		if err != nil {
-			return err
-		}
-		df, err := measure(tab, q, fused)
+		df, err := measurePipeline(reps, tab, q)
 		if err != nil {
 			return err
 		}
 		cell := AggScalarCell{
-			Query:            sc.name,
-			Selectivity:      sel,
-			GenericMS:        float64(dg) / 1e6,
-			KernelsMS:        float64(dk) / 1e6,
-			FusedMS:          float64(df) / 1e6,
-			SpeedupVsGeneric: float64(dg) / float64(df),
-			SpeedupVsKernels: float64(dk) / float64(df),
-			FusedRowsPS:      float64(n) / df.Seconds(),
+			Query:          sc.name,
+			Selectivity:    sel,
+			OracleMS:       float64(dg) / 1e6,
+			PipelineMS:     float64(df) / 1e6,
+			Speedup:        float64(dg) / float64(df),
+			PipelineRowsPS: float64(n) / df.Seconds(),
 		}
 		res.Scalar = append(res.Scalar, cell)
-		scalarTbl.Row(sc.name, sel*100, dg, dk, df,
-			cell.SpeedupVsGeneric, cell.SpeedupVsKernels, cell.FusedRowsPS/1e6)
+		scalarTbl.Row(sc.name, sel*100, dg, df, cell.Speedup, cell.PipelineRowsPS/1e6)
 	}
 	scalarTbl.Fprint(w)
 
 	fmt.Fprintln(w)
-	groupTbl := NewTable("shape", "groups", "generic", "kernels", "fused", "vs-generic", "vs-kernels")
+	groupTbl := NewTable("shape", "groups", "oracle", "pipeline", "speedup")
 	groups := []struct {
 		name   string
 		tbl    *storage.Table
@@ -196,29 +170,23 @@ func runE34(w io.Writer, cfg Config) error {
 			},
 			GroupBy: []string{g.col},
 		}
-		dg, err := measure(g.tbl, q, generic)
+		dg, err := measureOracle(reps, g.tbl, q)
 		if err != nil {
 			return err
 		}
-		dk, err := measure(g.tbl, q, kernels)
-		if err != nil {
-			return err
-		}
-		df, err := measure(g.tbl, q, fused)
+		df, err := measurePipeline(reps, g.tbl, q)
 		if err != nil {
 			return err
 		}
 		cell := AggGroupCell{
-			Name:             g.name,
-			Groups:           g.groups,
-			GenericMS:        float64(dg) / 1e6,
-			KernelsMS:        float64(dk) / 1e6,
-			FusedMS:          float64(df) / 1e6,
-			SpeedupVsGeneric: float64(dg) / float64(df),
-			SpeedupVsKernels: float64(dk) / float64(df),
+			Name:       g.name,
+			Groups:     g.groups,
+			OracleMS:   float64(dg) / 1e6,
+			PipelineMS: float64(df) / 1e6,
+			Speedup:    float64(dg) / float64(df),
 		}
 		res.Group = append(res.Group, cell)
-		groupTbl.Row(g.name, g.groups, dg, dk, df, cell.SpeedupVsGeneric, cell.SpeedupVsKernels)
+		groupTbl.Row(g.name, g.groups, dg, df, cell.Speedup)
 	}
 	groupTbl.Fprint(w)
 

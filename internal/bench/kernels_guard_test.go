@@ -11,38 +11,26 @@ import (
 	"dex/internal/storage"
 )
 
-// TestKernelScanNeverSlower guards the kernel dispatch the way
-// TestParallelScanNeverSlower guards the morsel scheduler: a typed-kernel
-// filtered scan must never fall below 0.9x the generic path (kernel time at
-// most generic/0.9), at the mid selectivity where a branchy selection loop
-// would be at its worst. Best-of-reps timing plus a small absolute slack
-// absorbs scheduler jitter; the headline speedups are E33's to report, this
-// test only pins "the kernel path is never a regression".
-func TestKernelScanNeverSlower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-row timing guard skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing guard skipped under -race: instrumentation swamps the scan loop")
-	}
-	const rows = 1_000_000
-	rng := rand.New(rand.NewSource(33))
-	tab, err := kernelBenchTable(rng, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []struct {
-		name string
-		p    *expr.Pred
-	}{
-		{"cmp-10pct", expr.Cmp("v", expr.LT, storage.Float(10))},
-		{"between-10pct", expr.Between("v", storage.Float(50), storage.Float(60))},
-	}
-	bestOf := func(reps int, q exec.Query, opt exec.ExecOptions) time.Duration {
+// guardQuery is one shape of the never-slower guards.
+type guardQuery struct {
+	name string
+	tbl  *storage.Table
+	q    exec.Query
+}
+
+// requireNeverSlower guards the pipeline the way TestParallelScanNeverSlower
+// guards the morsel scheduler: on one worker it must never fall below 0.9x
+// the reference evaluator exec.Execute (pipeline time at most oracle/0.9).
+// Best-of-reps timing plus a small absolute slack absorbs scheduler jitter;
+// the headline speedups are E33's and E34's to report, the guards only pin
+// "the typed path is never a regression against the boxed one".
+func requireNeverSlower(t *testing.T, rows int, queries []guardQuery) {
+	t.Helper()
+	bestOf := func(reps int, fn func() error) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			if _, err := exec.ExecuteOpts(tab, q, opt); err != nil {
+			if err := fn(); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
@@ -52,22 +40,74 @@ func TestKernelScanNeverSlower(t *testing.T) {
 		return best
 	}
 	for _, qq := range queries {
-		q := exec.Query{
-			Select: []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}},
-			Where:  qq.p,
+		oracle := func() error { _, err := exec.Execute(qq.tbl, qq.q); return err }
+		pipeline := func() error {
+			_, err := exec.ExecuteOpts(qq.tbl, qq.q, exec.ExecOptions{Parallelism: 1})
+			return err
 		}
-		// Warm both paths so first-touch allocation biases neither.
-		bestOf(1, q, exec.ExecOptions{Parallelism: 1})
-		bestOf(1, q, exec.ExecOptions{Parallelism: 1, Kernels: true})
-		generic := bestOf(5, q, exec.ExecOptions{Parallelism: 1})
-		kernel := bestOf(5, q, exec.ExecOptions{Parallelism: 1, Kernels: true})
+		// Warm both so first-touch allocation biases neither.
+		bestOf(1, oracle)
+		bestOf(1, pipeline)
+		base := bestOf(5, oracle)
+		got := bestOf(5, pipeline)
 		const slack = 2 * time.Millisecond
-		limit := generic + generic/9 + slack // generic/0.9, plus jitter allowance
-		t.Logf("%s: rows=%d GOMAXPROCS=%d generic=%v kernel=%v limit=%v",
-			qq.name, rows, runtime.GOMAXPROCS(0), generic, kernel, limit)
-		if kernel > limit {
-			t.Errorf("%s: kernel scan %v exceeds 0.9x-floor limit %v (generic %v)",
-				qq.name, kernel, limit, generic)
+		limit := base + base/9 + slack // base/0.9, plus jitter allowance
+		t.Logf("%s: rows=%d GOMAXPROCS=%d oracle=%v pipeline=%v limit=%v",
+			qq.name, rows, runtime.GOMAXPROCS(0), base, got, limit)
+		if got > limit {
+			t.Errorf("%s: pipeline %v exceeds 0.9x-floor limit %v (oracle %v)", qq.name, got, limit, base)
 		}
 	}
+}
+
+// TestKernelScanNeverSlower holds the typed-kernel filtered scan to the
+// floor at the mid selectivity where a branchy selection loop would be at
+// its worst.
+func TestKernelScanNeverSlower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-row timing guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing guard skipped under -race: instrumentation swamps the scan loop")
+	}
+	const rows = 1_000_000
+	tab, err := kernelBenchTable(rand.New(rand.NewSource(33)), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}}
+	requireNeverSlower(t, rows, []guardQuery{
+		{"cmp-10pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(10))}},
+		{"between-10pct", tab, exec.Query{Select: sum, Where: expr.Between("v", storage.Float(50), storage.Float(60))}},
+	})
+}
+
+// TestAggKernelNeverSlower holds the typed sinks to the floor on the three
+// accumulator shapes — dense scalar, filtered scalar, dict group-by — so a
+// regression in any accumulator loop or in the per-morsel handoff trips it.
+func TestAggKernelNeverSlower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-row timing guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing guard skipped under -race: instrumentation swamps the accumulation loop")
+	}
+	const rows = 1_000_000
+	tab, err := kernelBenchTable(rand.New(rand.NewSource(34)), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encTab, _, err := storage.EncodeTable(tab, storage.EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}}
+	requireNeverSlower(t, rows, []guardQuery{
+		{"sum-dense", tab, exec.Query{Select: sum}},
+		{"sum-10pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(10))}},
+		{"group-dict", encTab, exec.Query{
+			Select:  []exec.SelectItem{{Col: "cat"}, {Col: "amount", Agg: exec.AggSum}},
+			GroupBy: []string{"cat"},
+		}},
+	})
 }

@@ -72,10 +72,6 @@ type Config struct {
 	DrainAt     time.Duration
 	Parallelism int
 	MorselSize  int
-	ZoneMap     bool        // enable zone-map scan skipping in the engine
-	Kernels     bool        // enable typed predicate kernels in the engine
-	AggKernels  bool        // enable typed aggregation kernels / fused pipeline
-	Encode      bool        // dictionary/RLE-encode the demo table at load
 	Log         *log.Logger // optional narration of the fault schedule
 	// Shards, when > 0, runs the server as a coordinator over an
 	// in-process worker fleet: sales queries scatter/gather, and two
@@ -180,9 +176,7 @@ func Run(cfg Config) (*Report, error) {
 		Seed:         cfg.Seed,
 		Degrade:      true,
 		DegradeGrace: time.Second,
-		Encode:       cfg.Encode,
-		Exec: exec.ExecOptions{Parallelism: cfg.Parallelism, MorselSize: cfg.MorselSize,
-			ZoneMap: cfg.ZoneMap, Kernels: cfg.Kernels, AggKernels: cfg.AggKernels},
+		Exec:         exec.ExecOptions{Parallelism: cfg.Parallelism, MorselSize: cfg.MorselSize},
 	})
 	sales, err := workload.Sales(rand.New(rand.NewSource(42)), cfg.Rows)
 	if err != nil {

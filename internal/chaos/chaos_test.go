@@ -75,8 +75,9 @@ func TestChaosInvariants(t *testing.T) {
 }
 
 // TestChaosCrackedMode sends the traffic through the adaptive-index path
-// with zone maps on, while faults fire in the two seams this mode adds:
-// the crack write-lock escalation and the zone-map build. The invariants
+// while faults fire in the two seams this mode adds: the crack write-lock
+// escalation and the zone-map build (non-crackable shapes fall back to a
+// pruned scan). The invariants
 // are the same — every query classified, no leaks — plus the adaptive
 // index must not be corrupted: faults there fail individual queries, never
 // future ones (a poisoned index would turn later queries into untyped
@@ -95,7 +96,6 @@ func TestChaosCrackedMode(t *testing.T) {
 				QueriesPerClient: 8,
 				Rows:             10_000,
 				Mode:             "cracked",
-				ZoneMap:          true,
 				Timeout:          120 * time.Millisecond,
 				Faults:           faults,
 			})
@@ -120,9 +120,8 @@ func TestChaosCrackedMode(t *testing.T) {
 	}
 }
 
-// TestChaosKernelEncoded sends the traffic through the typed-kernel scan
-// over an encoded (dictionary/RLE) demo table, while faults fire in the
-// two seams this PR adds: kernel dispatch (per query, mid-run) and column
+// TestChaosKernelEncoded fires faults in the pipeline's two compile-time
+// seams: kernel dispatch (per query, mid-run) and column
 // encoding (setup phase, via a negative-At event — an injected encode
 // error must fall back to the plain representation and the load must still
 // succeed). The standing invariants apply unchanged: every query
@@ -140,10 +139,6 @@ func TestChaosKernelEncoded(t *testing.T) {
 				Clients:          3,
 				QueriesPerClient: 8,
 				Rows:             10_000,
-				ZoneMap:          true,
-				Kernels:          true,
-				AggKernels:       true,
-				Encode:           true,
 				Timeout:          120 * time.Millisecond,
 				Faults:           faults,
 			})

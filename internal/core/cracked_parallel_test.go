@@ -56,12 +56,13 @@ func tablesMatch(a, b *storage.Table) error {
 	return nil
 }
 
-// TestCrackedParallelGatherParity pins the satellite fix: cracked-mode
-// queries route their post-gather stage through the configured parallel
-// operators, and the answers must match a sequential engine bit-for-bit
-// (modulo float association). A small morsel size makes even the gathered
-// subsets large enough to actually fan out.
-func TestCrackedParallelGatherParity(t *testing.T) {
+// TestCrackedParallelParity: cracked-mode queries run their post-probe
+// stage through the configured parallel pipeline, and the answers must
+// match a one-worker engine bit-for-bit (modulo float association). A
+// small morsel size makes even the probed selections large enough to
+// actually fan out. (The name keeps the CrackedParallel prefix CI's
+// concurrent-probe job selects on.)
+func TestCrackedParallelParity(t *testing.T) {
 	const rows = 30_000
 	seq := mkParEngine(t, rows, exec.ExecOptions{Parallelism: 1})
 	par := mkParEngine(t, rows, exec.ExecOptions{Parallelism: 8, MorselSize: 512})
@@ -95,7 +96,7 @@ func TestCrackedParallelGatherParity(t *testing.T) {
 // crack lock used to serialize — and checks every answer against exact
 // answers computed up front. Run with -race: correctness here plus the
 // detector is the evidence that per-index locking is sound end to end
-// (engine map access, index probe, parallel post-gather).
+// (engine map access, index probe, parallel post-probe pipeline).
 func TestConcurrentCrackedProbesMatchOracle(t *testing.T) {
 	const (
 		rows       = 20_000

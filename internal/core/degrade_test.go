@@ -104,3 +104,56 @@ func TestDegradeRefusals(t *testing.T) {
 		t.Fatalf("degrade off: err = %v, want DeadlineExceeded", err)
 	}
 }
+
+// expiresAfter is a context whose deadline fires after a fixed number of
+// Err checks, so a test can place the deadline between two online batches
+// without sleeping.
+type expiresAfter struct {
+	context.Context
+	checks int
+	err    error
+}
+
+func (c *expiresAfter) Err() error {
+	if c.checks--; c.checks < 0 {
+		return c.err
+	}
+	return nil
+}
+
+// TestOnlineAnswersAtTheDeadline is online mode's deadline contract: a
+// deadline that fires mid-run returns the current estimates and CIs as a
+// normal online answer, where a client cancellation at the same point
+// still returns its error.
+func TestOnlineAnswersAtTheDeadline(t *testing.T) {
+	eng := New(Options{Seed: 1, OnlineBatch: 256, OnlineRelCI: 1e-9})
+	sales, err := workload.Sales(rand.New(rand.NewSource(7)), 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Register(sales); err != nil {
+		t.Fatal(err)
+	}
+	q := mustParse(t, "SELECT region, avg(amount) FROM sales GROUP BY region")
+	// One check on entry, then one per batch: the context expires before
+	// the fourth batch of a run that would otherwise scan the whole table.
+	ctx := &expiresAfter{Context: context.Background(), checks: 4, err: context.DeadlineExceeded}
+	res, err := eng.ExecuteContext(ctx, "sales", q, Online)
+	if err != nil {
+		t.Fatalf("online query over its deadline: %v, want the estimates so far", err)
+	}
+	if res.NumRows() != 4 {
+		t.Fatalf("online groups at the deadline = %d", res.NumRows())
+	}
+	for r := 0; r < res.NumRows(); r++ {
+		row := res.Row(r)
+		est, ci, n := row[1].F, row[2].F, row[3].I
+		if math.IsNaN(est) || math.IsInf(ci, 0) || ci <= 0 || n <= 0 || n >= 20_000 {
+			t.Fatalf("row %v: want a finite positive ci95 over a partial sample", row)
+		}
+	}
+	ctx = &expiresAfter{Context: context.Background(), checks: 4, err: context.Canceled}
+	if _, err := eng.ExecuteContext(ctx, "sales", q, Online); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled online query: err = %v, want Canceled", err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -85,12 +86,12 @@ type Options struct {
 	OnlineBatch int
 	// CrackOptions configures the adaptive indexes.
 	CrackOptions crack.Options
-	// Exec tunes the morsel-driven parallel operators used by the Exact
-	// mode, the post-join query, and the post-gather stage of Cracked mode
-	// (the crack probe itself synchronizes inside the index; everything
-	// after the gather is ordinary parallel execution). The approximate
-	// modes — AQP, online aggregation — keep their sequential semantics:
-	// the sampling modes depend on a deterministic row visit order.
+	// Exec tunes the execution pipeline used by the Exact mode, the
+	// post-join query, and the post-probe stage of Cracked mode (the crack
+	// probe itself synchronizes inside the index; its row ids then feed the
+	// pipeline as a selection vector). The approximate modes — AQP, online
+	// aggregation — keep their sequential semantics: the sampling modes
+	// depend on a deterministic row visit order.
 	Exec exec.ExecOptions
 	// Degrade enables graceful degradation: an Exact or Cracked query that
 	// exceeds its deadline returns a sampled approximate answer tagged
@@ -102,13 +103,6 @@ type Options struct {
 	// DegradeGrace is the time budget for computing the approximate
 	// fallback answer after the exact deadline fired (default 2s).
 	DegradeGrace time.Duration
-	// Encode enables compressed column encodings at registration: columns
-	// the heuristics select (low-cardinality strings, clustered ints) are
-	// dictionary- or run-length-coded via storage.EncodeTable, unlocking
-	// the code-space and per-run predicate fast paths. Encoding is an
-	// optimization only — a failed encode keeps the plain table and the
-	// load still succeeds.
-	Encode bool
 }
 
 func (o *Options) fill() {
@@ -143,6 +137,7 @@ type Engine struct {
 	crackedF map[string]map[string]*crack.Index[float64]
 	samples  map[string]*aqp.Catalog
 	raw      map[string]*rawload.RawTable
+	rowVecs  [][]int // cracked mode's idle row-id vectors
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
 }
@@ -177,20 +172,20 @@ func New(opt Options) *Engine {
 	}
 }
 
-// Register adds an in-memory table, applying the column-encoding
-// heuristics first when Options.Encode is set. An encode error (for
-// example one injected at the storage/segment-encode seam) falls back to
-// the plain representation: encoding never fails a load.
+// Register adds an in-memory table in its encoded form: columns the
+// heuristics select (low-cardinality strings, clustered ints) are
+// dictionary- or run-length-coded, which is what the code-space predicate
+// kernels and the dense dict group-by run on. Encoding is an optimization
+// only — an encode error (for example one injected at the
+// storage/segment-encode seam) keeps the plain table and the load still
+// succeeds — and idempotent: an already-encoded table registers as is.
 func (e *Engine) Register(t *storage.Table) error {
-	return e.cat.Register(e.maybeEncode(t))
+	return e.cat.Register(encoded(t))
 }
 
-func (e *Engine) maybeEncode(t *storage.Table) *storage.Table {
-	if !e.opt.Encode {
-		return t
-	}
-	enc, _, err := storage.EncodeTable(t, storage.EncodeOptions{})
-	if err != nil {
+func encoded(t *storage.Table) *storage.Table {
+	enc, st, err := storage.EncodeTable(t, storage.EncodeOptions{})
+	if err != nil || st.Dict+st.RLE == 0 {
 		return t
 	}
 	return enc
@@ -201,7 +196,7 @@ func (e *Engine) maybeEncode(t *storage.Table) *storage.Table {
 // from the old data. Shard workers use it when a re-partition reassigns
 // their slice of a table.
 func (e *Engine) Replace(t *storage.Table) {
-	e.cat.Replace(e.maybeEncode(t))
+	e.cat.Replace(encoded(t))
 	e.mu.Lock()
 	delete(e.cracked, t.Name())
 	delete(e.crackedF, t.Name())
@@ -220,21 +215,19 @@ func (e *Engine) RowsScanned() int64 {
 
 // ZoneSkipped returns the engine's cumulative zone-map skip count: morsels
 // the pruner proved disjoint from a range predicate and never scanned.
-// Always 0 with zone maps off.
 func (e *Engine) ZoneSkipped() int64 {
 	return e.opt.Exec.ZoneSkipped.Load()
 }
 
 // AggKernelHits returns the engine's cumulative count of aggregate queries
-// answered by the typed accumulation kernels. Always 0 with agg kernels
-// off.
+// answered by the typed accumulation kernels.
 func (e *Engine) AggKernelHits() int64 {
 	return e.opt.Exec.AggKernelHits.Load()
 }
 
 // AggKernelFallbacks returns the cumulative count of aggregate queries
-// that requested agg kernels but fell back to generic accumulation
-// (multi-column groups, wide dictionaries, string inputs).
+// that fell back to generic accumulation (multi-column groups, wide
+// dictionaries, string inputs).
 func (e *Engine) AggKernelFallbacks() int64 {
 	return e.opt.Exec.AggKernelFallbacks.Load()
 }
@@ -497,9 +490,11 @@ func (e *Engine) degradedAnswer(parent context.Context, table string, q exec.Que
 }
 
 // ExecuteContext is Execute under a context. Cancellation points per mode:
-// Exact checks between morsels (and between morsel claims when parallel),
-// Cracked before and after the crack, Online between batches, Approx at the
-// mode boundaries (sample lookups are sub-millisecond once built).
+// Exact checks between morsel claims, Cracked before and after the crack
+// and then between morsel claims, Online between batches, Approx at the
+// mode boundaries (sample lookups are sub-millisecond once built). Online
+// mode treats an expired deadline as its stopping rule, not a failure:
+// once a batch is in, the estimates at the deadline are the answer.
 func (e *Engine) ExecuteContext(ctx context.Context, table string, q exec.Query, mode Mode) (*storage.Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -657,18 +652,23 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	// stats come from the probe's own critical section, so the span reflects
 	// the index state this query actually saw — not whatever a concurrent
 	// probe left behind by the time the span is annotated.
-	var rows []int
+	// The row-id vector is the engine's to reuse: a drill-down probe returns
+	// a large share of the table, and a fresh vector per query is most of
+	// what cracked mode would allocate. Nothing downstream keeps it (sinks
+	// fold it, a projection gathers through it).
+	rows := e.takeRowVec(t.NumRows())
+	defer func() { e.giveRowVec(rows) }()
 	var st crack.ProbeStats
 	if isFloat {
 		ix, ferr := e.crackIndexFloat(table, t, col)
 		if ferr == nil {
-			rows, st, ferr = ix.Probe(fLo, fHi)
+			rows, st, ferr = ix.ProbeAppend(rows, fLo, fHi)
 		}
 		err = ferr
 	} else {
 		ix, ierr := e.crackIndex(table, t, col)
 		if ierr == nil {
-			rows, st, ierr = ix.Probe(iLo, iHi)
+			rows, st, ierr = ix.ProbeAppend(rows, iLo, iHi)
 		}
 		err = ierr
 	}
@@ -684,15 +684,35 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	gsp := trace.FromContext(ctx).Child("gather")
-	gsp.SetInt("rows", int64(len(rows)))
-	sub := t.Gather(rows)
-	gsp.End()
-	// Post-gather execution reuses the configured operators: the gathered
-	// subset is an ordinary table, and the pool already gates small inputs
-	// to the sequential path.
-	q.Where = nil
-	return exec.ExecuteCtx(ctx, sub, q, e.opt.Exec)
+	// The probe's row ids are the pipeline's input selection: no sub-table
+	// is copied out, and the range predicate they answer is not re-evaluated.
+	return exec.ExecuteSel(ctx, t, rows, q, e.opt.Exec)
+}
+
+// takeRowVec returns an empty row-id vector for one cracked query over an
+// n-row table: a recycled one when there is one, else one no probe of that
+// table outgrows. A free list under the engine's lock rather than a
+// sync.Pool, whose per-P caches and GC sweeps make the hit rate — and so the
+// bytes a query allocates — differ from run to run.
+func (e *Engine) takeRowVec(n int) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if k := len(e.rowVecs); k > 0 {
+		v := e.rowVecs[k-1]
+		e.rowVecs = e.rowVecs[:k-1]
+		return v
+	}
+	return make([]int, 0, n)
+}
+
+// giveRowVec recycles v; one vector per core is kept, since more queries
+// than that do not run at once for long.
+func (e *Engine) giveRowVec(v []int) {
+	e.mu.Lock()
+	if len(e.rowVecs) < runtime.GOMAXPROCS(0) {
+		e.rowVecs = append(e.rowVecs, v[:0])
+	}
+	e.mu.Unlock()
 }
 
 // crackIndexFloat returns (building on demand) the float cracker index.

@@ -221,19 +221,27 @@ type ProbeStats struct {
 // probes), write-locked when it must reorganize. The error is non-nil only
 // when the crack/escalate failpoint is armed and fires.
 func (ix *Index[T]) Probe(lo, hi T) ([]int, ProbeStats, error) {
+	return ix.ProbeAppend(nil, lo, hi)
+}
+
+// ProbeAppend is Probe writing the row ids into dst's backing array, from
+// its start, when it is large enough: a caller that probes query after
+// query hands the previous result back and no probe allocates a
+// table-sized vector. The returned slice never aliases index state.
+func (ix *Index[T]) ProbeAppend(dst []int, lo, hi T) ([]int, ProbeStats, error) {
 	if lo >= hi {
 		ix.mu.RLock()
 		st := ix.statsLocked(LockRead)
 		ix.mu.RUnlock()
-		return nil, st, nil
+		return dst[:0], st, nil
 	}
-	if rows, st, ok := ix.tryReadProbe(lo, hi); ok {
+	if rows, st, ok := ix.tryReadProbe(dst, lo, hi); ok {
 		return rows, st, nil
 	}
 	if err := fpEscalate.Hit(); err != nil {
-		return nil, ProbeStats{Lock: LockWrite}, err
+		return dst[:0], ProbeStats{Lock: LockWrite}, err
 	}
-	rows, st := ix.writeProbe(lo, hi)
+	rows, st := ix.writeProbe(dst, lo, hi)
 	return rows, st, nil
 }
 
@@ -245,16 +253,16 @@ func (ix *Index[T]) Query(lo, hi T) []int {
 	if lo >= hi {
 		return nil
 	}
-	if rows, _, ok := ix.tryReadProbe(lo, hi); ok {
+	if rows, _, ok := ix.tryReadProbe(nil, lo, hi); ok {
 		return rows
 	}
-	rows, _ := ix.writeProbe(lo, hi)
+	rows, _ := ix.writeProbe(nil, lo, hi)
 	return rows
 }
 
 // tryReadProbe serves the probe entirely under the read lock when both
 // bounds are existing cuts; ok reports whether it could.
-func (ix *Index[T]) tryReadProbe(lo, hi T) ([]int, ProbeStats, bool) {
+func (ix *Index[T]) tryReadProbe(dst []int, lo, hi T) ([]int, ProbeStats, bool) {
 	ix.mu.RLock()
 	pa, oka := ix.lookupCut(lo)
 	pb, okb := ix.lookupCut(hi)
@@ -262,27 +270,31 @@ func (ix *Index[T]) tryReadProbe(lo, hi T) ([]int, ProbeStats, bool) {
 		ix.mu.RUnlock()
 		return nil, ProbeStats{}, false
 	}
-	rows := ix.collectLocked(pa, pb, lo, hi)
+	rows := ix.collectLocked(dst, pa, pb, lo, hi)
 	st := ix.statsLocked(LockRead)
 	ix.mu.RUnlock()
 	return rows, st, true
 }
 
 // writeProbe cracks at both bounds and collects rows under the write lock.
-func (ix *Index[T]) writeProbe(lo, hi T) ([]int, ProbeStats) {
+func (ix *Index[T]) writeProbe(dst []int, lo, hi T) ([]int, ProbeStats) {
 	ix.mu.Lock()
 	pa := ix.crackAt(lo)
 	pb := ix.crackAt(hi)
-	rows := ix.collectLocked(pa, pb, lo, hi)
+	rows := ix.collectLocked(dst, pa, pb, lo, hi)
 	st := ix.statsLocked(LockWrite)
 	ix.mu.Unlock()
 	return rows, st
 }
 
 // collectLocked gathers the live row ids at positions [pa, pb) plus the
-// pending inserts in [lo, hi). Caller holds at least the read lock.
-func (ix *Index[T]) collectLocked(pa, pb int, lo, hi T) []int {
-	out := make([]int, 0, pb-pa+len(ix.pending)/4)
+// pending inserts in [lo, hi) into dst[:0], replacing it when it is too
+// short. Caller holds at least the read lock.
+func (ix *Index[T]) collectLocked(dst []int, pa, pb int, lo, hi T) []int {
+	out := dst[:0]
+	if need := pb - pa + len(ix.pending)/4; cap(out) < need {
+		out = make([]int, 0, need)
+	}
 	for i := pa; i < pb; i++ {
 		if !ix.dead[ix.rows[i]] {
 			out = append(out, ix.rows[i])

@@ -121,6 +121,45 @@ func TestCountMatchesQueryLen(t *testing.T) {
 	}
 }
 
+// TestProbeAppendReusesTheCallersVector: a probe handed a vector with room
+// answers inside it, in the order Probe gives, and allocates none of its
+// own; one handed a short vector replaces it; an empty range truncates it.
+func TestProbeAppendReusesTheCallersVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	col := randCol(rng, 4000, 500)
+	ix, twin := New(col, Options{}), New(col, Options{})
+	buf := make([]int, 0, len(col))
+	for q := 0; q < 100; q++ {
+		lo := int64(rng.Intn(500))
+		hi := lo + int64(rng.Intn(120))
+		want, _, _ := twin.Probe(lo, hi)
+		got, _, err := ix.ProbeAppend(buf, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("probe %d [%d,%d): %d rows, Probe gives %d", q, lo, hi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("probe %d [%d,%d): row %d is %d, Probe gives %d", q, lo, hi, i, got[i], want[i])
+			}
+		}
+		if len(got) > 0 && &got[0] != &buf[:1][0] {
+			t.Fatalf("probe %d left the caller's vector for a new one", q)
+		}
+	}
+	if got, _, _ := ix.ProbeAppend(make([]int, 0, 1), 0, 500); len(got) != len(col) {
+		t.Fatalf("short vector: %d rows, want %d", len(got), len(col))
+	}
+	if got, _, _ := ix.ProbeAppend(buf[:3], 9, 9); len(got) != 0 {
+		t.Fatalf("empty range kept %d stale rows", len(got))
+	}
+	if n := testing.AllocsPerRun(20, func() { buf, _, _ = ix.ProbeAppend(buf, 100, 400) }); n != 0 {
+		t.Fatalf("a converged probe into a large enough vector allocated %v times", n)
+	}
+}
+
 func TestInsertsVisibleAndMerged(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	col := randCol(rng, 1000, 200)

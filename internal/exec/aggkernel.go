@@ -1,40 +1,27 @@
-// Typed aggregation kernels and the fused filter→aggregate pipeline.
-//
-// PR 8's predicate kernels stop at the selection vector: every qualifying
-// row still round-trips through boxed storage.Value in accumulateScalar,
-// and group-by renders a string key per row. This file extends the kernel
-// layer over the rest of the scan→aggregate pipeline:
+// Typed aggregation: the pipeline's typed sink (see pipeline.go).
 //
 //   - Scalar aggregates (SUM/COUNT/MIN/MAX/AVG) accumulate directly over
 //     raw int64/float64 column slices driven by selection vectors — zero
 //     Value boxing per row. NaN stays the engine's NULL (skipped), int
 //     MIN/MAX compares in the float64 domain exactly like Value.Compare,
-//     so results match the generic oracle bit for bit.
+//     so results match the reference evaluator bit for bit.
 //   - Group-by over a dict-encoded column indexes a dense per-code
 //     accumulator array (no hashing at all, distinct ≤ maxDictGroups);
 //     a plain or run-coded int column hashes raw int64 keys. String key
-//     building survives only in the generic multi-column/string fallback.
-//   - The channel-less handoff: when the WHERE clause also compiles (or is
-//     trivially true), filter and accumulate fuse per morsel — each worker
-//     runs the predicate kernel into a pooled selection buffer, feeds the
-//     buffer straight into its accumulator, and returns it to the pool.
-//     Aggregate queries never materialize the global selection vector.
+//     building survives only in the generic multi-column/string sink.
+//   - With no predicate the accumulators read the morsel's dense row range
+//     directly: no selection vector exists at all.
 //
 // Compilation never fails a query: any unsupported shape — including
 // invalid select lists — returns a nil kernel with a stable fallback
-// reason, and the generic operators produce their canonical results and
-// errors. The differential fuzzer and the parity matrix hold the two
-// paths equal.
+// reason, and the generic sink produces the canonical results and errors.
+// The differential fuzzer and the parity matrix hold both equal to Execute.
 package exec
 
 import (
 	"sort"
-	"sync/atomic"
 
-	"dex/internal/expr"
-	"dex/internal/par"
 	"dex/internal/storage"
-	"dex/internal/trace"
 )
 
 // maxDictGroups caps the dense per-code accumulator arrays of a
@@ -86,8 +73,8 @@ type aggKernel struct {
 }
 
 // compileAggKernel tries to bind the query's aggregation to typed kernels.
-// A nil kernel means "run the generic operators"; the reason string is the
-// stable fallback label the spans and counters record.
+// A nil kernel means "use the generic sink"; the reason string is the
+// stable fallback label the scan span records.
 func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 	ak := &aggKernel{mode: gmScalar}
 	var inputs []storage.Column
@@ -173,14 +160,13 @@ type aggItem struct {
 	has        []bool
 }
 
-// aggAcc is one typed accumulator instance: per-morsel on the scalar
-// parallel path, per-worker on the group path, exactly one on the
-// sequential paths.
+// aggAcc is one typed accumulator instance: one per morsel for scalar
+// aggregation, one per worker for group-by.
 type aggAcc struct {
 	ak     *aggKernel
 	items  []aggItem
 	nslots int
-	firsts []int             // per-slot first row id; gmDict: -1 = unseen
+	firsts []int             // per-slot first input position; gmDict: -1 = unseen
 	keys   []int64           // per-slot raw key (int-keyed modes)
 	slots  map[int64]int     // key → slot (int-keyed modes)
 	kcur   storage.RLECursor // group-key reader (gmRLE)
@@ -418,12 +404,12 @@ func (a *aggAcc) addRange(lo, hi int) {
 }
 
 // addSlot registers a new int-keyed group and grows every item's arrays.
-func (a *aggAcc) addSlot(k int64, row int) int {
+func (a *aggAcc) addSlot(k int64, first int) int {
 	s := a.nslots
 	a.nslots++
 	a.slots[k] = s
 	a.keys = append(a.keys, k)
-	a.firsts = append(a.firsts, row)
+	a.firsts = append(a.firsts, first)
 	for i := range a.items {
 		it := &a.items[i]
 		if it.count != nil {
@@ -489,41 +475,45 @@ func (it *aggItem) addF64(slot int, x float64) {
 }
 
 // addGroupSel routes the selected rows through the group keyer: dict codes
-// index slots directly, int keys resolve through the hash map.
-func (a *aggAcc) addGroupSel(sel []int) {
+// index slots directly, int keys resolve through the hash map. sel[i] sits
+// at input position base+i, which is what a new group records as its
+// first-seen position — not the row id, which ascends along a filtered
+// scan but not along a caller's (cracked) selection.
+func (a *aggAcc) addGroupSel(sel []int, base int) {
 	switch a.ak.mode {
 	case gmDict:
 		codes := a.ak.gcodes
-		for _, r := range sel {
+		for i, r := range sel {
 			slot := int(codes[r])
 			if a.firsts[slot] < 0 {
-				a.firsts[slot] = r
+				a.firsts[slot] = base + i
 			}
 			a.addRow(slot, r)
 		}
 	case gmI64:
 		keys := a.ak.gi64
-		for _, r := range sel {
+		for i, r := range sel {
 			k := keys[r]
 			slot, ok := a.slots[k]
 			if !ok {
-				slot = a.addSlot(k, r)
+				slot = a.addSlot(k, base+i)
 			}
 			a.addRow(slot, r)
 		}
 	case gmRLE:
-		for _, r := range sel {
+		for i, r := range sel {
 			k := a.kcur.At(r)
 			slot, ok := a.slots[k]
 			if !ok {
-				slot = a.addSlot(k, r)
+				slot = a.addSlot(k, base+i)
 			}
 			a.addRow(slot, r)
 		}
 	}
 }
 
-// addGroupRange is addGroupSel over a dense row range (no WHERE).
+// addGroupRange is addGroupSel over a dense row range (no WHERE), where
+// input position and row id coincide.
 func (a *aggAcc) addGroupRange(lo, hi int) {
 	switch a.ak.mode {
 	case gmDict:
@@ -597,9 +587,8 @@ func (a *aggAcc) keyValue(slot int) storage.Value {
 }
 
 // mergeGroupAccs folds per-worker accumulators into group entries ordered
-// by first-seen row id — the sequential insertion order, since row ids
-// strictly ascend along the selection. nil entries (workers that never
-// ran) are skipped.
+// by first-seen input position — the sequential insertion order. nil
+// entries (workers that never ran) are skipped.
 func mergeGroupAccs(ak *aggKernel, accs []*aggAcc) []*groupEntry {
 	var entries []*groupEntry
 	if ak.mode == gmDict {
@@ -664,306 +653,56 @@ func mergeGroupAccs(ak *aggKernel, accs []*aggAcc) []*groupEntry {
 	return entries
 }
 
-// executeAggKernel runs a compiled aggregate query end to end. When the
-// WHERE clause compiles too (or is trivially true) the pipeline fuses:
-// pooled selection buffers never leave their morsel and no global
-// selection vector exists. Otherwise the generic scan materializes the
-// selection and the typed accumulators consume it.
-func executeAggKernel(t *storage.Table, q Query, ak *aggKernel, pool *par.Pool, tr tracer, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
-	n := t.NumRows()
-	stageName := "aggregate"
-	if ak.mode != gmScalar {
-		stageName = "group_by"
-	}
-	dense := q.Where == nil || q.Where.Kind == expr.KTrue
-	var kern *expr.Kernel
-	kreason := ""
-	if !dense {
-		kern, kreason = expr.CompileKernel(t, q.Where)
-	}
-
-	var out *storage.Table
-	var err error
-	if dense || kern != nil {
-		if kern != nil {
-			if err := fpKernel.Hit(); err != nil {
-				return nil, err
-			}
-		}
-		var pruners []zonePruner
-		if opt.ZoneMap && kern != nil {
-			pruners, err = zonePruners(t, q.Where, pool.MorselSize())
-			if err != nil {
-				return nil, err
-			}
-		}
-		st := sp.Child(stageName)
-		var matched, zskipped int64
-		if ak.mode == gmScalar {
-			out, matched, zskipped, err = ak.scalarFused(t, q, kern, pruners, pool, tr)
-		} else {
-			out, matched, zskipped, err = ak.groupFused(t, q, kern, pruners, pool, tr)
-		}
-		if opt.ZoneSkipped != nil && zskipped > 0 {
-			opt.ZoneSkipped.Add(zskipped)
-		}
-		if st != nil {
-			st.SetInt("rows_in", int64(n))
-			st.SetInt("rows_matched", matched)
-			st.SetInt("morsels", int64(pool.Morsels(n)))
-			st.SetInt("workers", int64(pool.WorkersFor(n)))
-			st.SetBool("agg_kernel", true)
-			st.SetBool("fused", true)
-			if kern != nil {
-				st.SetBool("kernel", true)
-				st.SetInt("kernel_leaves", int64(kern.Leaves()))
-			}
-			if opt.ZoneMap {
-				st.SetInt("zone_skipped", zskipped)
-			}
-			if err == nil && ak.mode != gmScalar {
-				st.SetInt("groups", int64(out.NumRows()))
-			}
-			st.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The predicate doesn't specialize: scan generically into a
-		// materialized selection, then accumulate typed over it.
-		scanSp := sp.Child("scan")
-		sel, zskipped, serr := filterPar(t, q.Where, pool, tr, opt.ZoneMap)
-		if opt.ZoneSkipped != nil && zskipped > 0 {
-			opt.ZoneSkipped.Add(zskipped)
-		}
-		if scanSp != nil {
-			scanSp.SetInt("rows_in", int64(n))
-			scanSp.SetInt("rows_out", int64(len(sel)))
-			scanSp.SetInt("morsels", int64(pool.Morsels(n)))
-			scanSp.SetInt("workers", int64(pool.WorkersFor(n)))
-			if opt.ZoneMap {
-				scanSp.SetInt("zone_skipped", zskipped)
-			}
-			scanSp.SetBool("kernel", false)
-			scanSp.SetStr("kernel_fallback", kreason)
-			scanSp.End()
-		}
-		if serr != nil {
-			return nil, serr
-		}
-		st := sp.Child(stageName)
-		st.SetInt("rows_in", int64(len(sel)))
-		st.SetBool("agg_kernel", true)
-		st.SetBool("fused", false)
-		out, err = ak.aggregateSel(t, q, sel, pool, tr)
-		if err == nil && ak.mode != gmScalar {
-			st.SetInt("groups", int64(out.NumRows()))
-		}
-		st.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := tr.ctx.Err(); err != nil {
-		return nil, err
-	}
-	fsp := sp.Child("finish")
-	out, err = finish(out, q)
-	fsp.End()
-	return out, err
+// typedSink is the pipeline sink over a compiled aggKernel. Scalar partials
+// are morsel-indexed so the merge order — and the floating-point sum — is
+// deterministic for a given morsel size; group accumulators are
+// worker-local (dict mode: dense per-code arrays; int modes: raw-key hash),
+// merged and re-sorted by first-seen position.
+type typedSink struct {
+	ak       *aggKernel
+	t        *storage.Table
+	q        Query
+	m        int
+	partials [][]*aggState // scalar: per morsel
+	locals   []*aggAcc     // group-by: per worker
 }
 
-// scalarFused filters and accumulates per morsel with no selection vector
-// outliving its morsel. Partials are morsel-indexed so the merge order —
-// and the floating-point sum — is deterministic for a given morsel size,
-// matching scalarAggregatePar's contract.
-func (ak *aggKernel) scalarFused(t *storage.Table, q Query, kern *expr.Kernel, pruners []zonePruner, pool *par.Pool, tr tracer) (*storage.Table, int64, int64, error) {
-	n := t.NumRows()
-	m := pool.MorselSize()
-	if pool.WorkersFor(n) <= 1 && !tr.active() && len(pruners) == 0 {
-		if err := fpScan.Hit(); err != nil {
-			return nil, 0, 0, err
-		}
-		acc := ak.newAcc()
-		matched := int64(0)
-		if kern == nil {
-			acc.addRange(0, n)
-			matched = int64(n)
-		} else {
-			// One pooled buffer serves every morsel in turn: run the
-			// kernel, fold, reset — the whole channel-less handoff in
-			// three lines.
-			buf := getSel()
-			defer putSel(buf)
-			for lo := 0; lo < n; lo += m {
-				hi := lo + m
-				if hi > n {
-					hi = n
-				}
-				*buf = kern.Run(lo, hi, (*buf)[:0])
-				acc.addSel(*buf)
-				matched += int64(len(*buf))
-			}
-		}
-		out, err := buildScalarOutput(t, q, acc.states(0))
-		return out, matched, 0, err
-	}
-	partials := make([][]*aggState, storage.NumChunks(n, m))
-	var matched, skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(_, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
-			if pr.skip(lo / m) {
-				skipped.Add(1)
-				return nil
-			}
-		}
-		acc := ak.newAcc()
-		if kern == nil {
-			acc.addRange(lo, hi)
-			matched.Add(int64(hi - lo))
-			tr.count(hi - lo)
-		} else {
-			buf := getSel()
-			*buf = kern.Run(lo, hi, (*buf)[:0])
-			acc.addSel(*buf)
-			matched.Add(int64(len(*buf)))
-			tr.count(hi - lo + len(*buf))
-			putSel(buf)
-		}
-		partials[lo/m] = acc.states(0)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	states := newAggStates(q)
-	for _, p := range partials {
-		if p == nil { // pruned morsel: contributed nothing
-			continue
-		}
-		for i, st := range states {
-			if st != nil {
-				st.merge(p[i])
-			}
-		}
-	}
-	out, err := buildScalarOutput(t, q, states)
-	return out, matched.Load(), skipped.Load(), err
-}
-
-// groupFused is scalarFused's group-by twin: worker-local accumulators
-// (dict mode: dense per-code arrays; int modes: raw-key hash), merged and
-// re-sorted by first-seen row id.
-func (ak *aggKernel) groupFused(t *storage.Table, q Query, kern *expr.Kernel, pruners []zonePruner, pool *par.Pool, tr tracer) (*storage.Table, int64, int64, error) {
-	n := t.NumRows()
-	m := pool.MorselSize()
-	w := pool.WorkersFor(n)
-	if w < 1 {
-		w = 1
-	}
-	locals := make([]*aggAcc, w)
-	var matched, skipped atomic.Int64
-	err := pool.ForEachErrCtx(tr.ctx, n, func(worker, lo, hi int) error {
-		if ferr := fpScan.Hit(); ferr != nil {
-			return ferr
-		}
-		for _, pr := range pruners {
-			if pr.skip(lo / m) {
-				skipped.Add(1)
-				return nil
-			}
-		}
-		acc := locals[worker]
-		if acc == nil {
-			acc = ak.newAcc()
-			locals[worker] = acc
-		}
-		if kern == nil {
-			acc.addGroupRange(lo, hi)
-			matched.Add(int64(hi - lo))
-			tr.count(hi - lo)
-		} else {
-			buf := getSel()
-			*buf = kern.Run(lo, hi, (*buf)[:0])
-			acc.addGroupSel(*buf)
-			matched.Add(int64(len(*buf)))
-			tr.count(hi - lo + len(*buf))
-			putSel(buf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	out, err := buildGroupEntries(t, q, ak.inputs, mergeGroupAccs(ak, locals))
-	return out, matched.Load(), skipped.Load(), err
-}
-
-// aggregateSel runs the typed accumulators over an already-materialized
-// selection — the half-fused path behind uncompilable predicates. It
-// mirrors scalarAggregatePar/groupByPar's scheduling and merge order.
-func (ak *aggKernel) aggregateSel(t *storage.Table, q Query, sel []int, pool *par.Pool, tr tracer) (*storage.Table, error) {
-	m := pool.MorselSize()
+func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers int) *typedSink {
+	s := &typedSink{ak: ak, t: t, q: q, m: m}
 	if ak.mode == gmScalar {
-		if pool.WorkersFor(len(sel)) <= 1 {
-			acc := ak.newAcc()
-			if !tr.active() {
-				acc.addSel(sel)
-				return buildScalarOutput(t, q, acc.states(0))
-			}
-			for lo := 0; lo < len(sel); lo += m {
-				if err := tr.ctx.Err(); err != nil {
-					return nil, err
-				}
-				hi := lo + m
-				if hi > len(sel) {
-					hi = len(sel)
-				}
-				acc.addSel(sel[lo:hi])
-				tr.count(hi - lo)
-			}
-			return buildScalarOutput(t, q, acc.states(0))
-		}
-		partials := make([][]*aggState, storage.NumChunks(len(sel), m))
-		err := pool.ForEachCtx(tr.ctx, len(sel), func(_, lo, hi int) {
-			acc := ak.newAcc()
-			acc.addSel(sel[lo:hi])
-			partials[lo/m] = acc.states(0)
-			tr.count(hi - lo)
-		})
-		if err != nil {
-			return nil, err
-		}
-		states := newAggStates(q)
-		for _, p := range partials {
-			for i, st := range states {
-				if st != nil {
-					st.merge(p[i])
-				}
-			}
-		}
-		return buildScalarOutput(t, q, states)
+		s.partials = make([][]*aggState, morsels)
+	} else {
+		s.locals = make([]*aggAcc, workers)
 	}
-	w := pool.WorkersFor(len(sel))
-	if w < 1 {
-		w = 1
-	}
-	locals := make([]*aggAcc, w)
-	err := pool.ForEachCtx(tr.ctx, len(sel), func(worker, lo, hi int) {
-		acc := locals[worker]
-		if acc == nil {
-			acc = ak.newAcc()
-			locals[worker] = acc
+	return s
+}
+
+func (s *typedSink) consume(worker, lo, hi int, rows []int) {
+	if s.ak.mode == gmScalar {
+		acc := s.ak.newAcc()
+		if rows == nil {
+			acc.addRange(lo, hi)
+		} else {
+			acc.addSel(rows)
 		}
-		acc.addGroupSel(sel[lo:hi])
-		tr.count(hi - lo)
-	})
-	if err != nil {
-		return nil, err
+		s.partials[lo/s.m] = acc.states(0)
+		return
 	}
-	return buildGroupEntries(t, q, ak.inputs, mergeGroupAccs(ak, locals))
+	acc := s.locals[worker]
+	if acc == nil {
+		acc = s.ak.newAcc()
+		s.locals[worker] = acc
+	}
+	if rows == nil {
+		acc.addGroupRange(lo, hi)
+	} else {
+		acc.addGroupSel(rows, lo)
+	}
+}
+
+func (s *typedSink) finish() (*storage.Table, error) {
+	if s.ak.mode == gmScalar {
+		return mergeScalarPartials(s.t, s.q, s.partials)
+	}
+	return buildGroupEntries(s.t, s.q, s.ak.inputs, mergeGroupAccs(s.ak, s.locals))
 }

@@ -12,9 +12,9 @@ import (
 // The aggregation differential fuzzer, the FuzzKernelVsGeneric pattern one
 // layer up: every byte string decodes to twin tables (plain and dict/RLE
 // encoded forms of the same rows) plus an aggregate or group-by query, and
-// the typed aggregation path — fused, half-fused behind an uncompilable
-// predicate, sequential and parallel, over both representations — must
-// match the sequential generic oracle. Value pools carry the adversarial
+// the pipeline — typed filter or generic behind an uncompilable predicate,
+// typed sink or generic, inline and parallel, over both representations —
+// must match the reference evaluator Execute. Value pools carry the adversarial
 // cases: NaN/±Inf floats, int64 extremes, values straddling 2^53 (where
 // the typed min/max tie-breaking must mirror Value.Compare's float64
 // domain), empty tables and empty selections.
@@ -92,8 +92,8 @@ func afTables(t *testing.T, f *afReader) (plain, enc *storage.Table) {
 // the numeric and string columns, single-column groups over int / string /
 // clustered keys, occasionally a multi-column group (which exercises the
 // compile fallback), plus optional WHERE in three flavors — none (dense
-// fused), a specializable conjunction (fused), or an OR (half-fused: the
-// typed accumulators consume a materialized selection).
+// ranges straight into the sink), a specializable conjunction (typed
+// filter), or an OR (generic filter feeding the typed sink).
 func afQuery(f *afReader) Query {
 	var q Query
 	numAggs := []AggFunc{AggCount, AggSum, AggAvg, AggMin, AggMax}
@@ -143,12 +143,12 @@ func afQuery(f *afReader) Query {
 		return expr.Cmp(col, op, storage.Float(afFloats[f.draw(len(afFloats))]))
 	}
 	switch f.draw(4) {
-	case 0: // no WHERE: the dense fused path
+	case 0: // no WHERE: the dense path
 	case 1:
 		q.Where = leaf()
 	case 2:
 		q.Where = expr.And(leaf(), leaf())
-	default: // OR never compiles: typed accumulation over a materialized selection
+	default: // OR never compiles: typed accumulation behind the generic filter
 		q.Where = expr.Or(leaf(), leaf())
 	}
 	if len(q.GroupBy) > 0 && f.draw(3) == 0 {
@@ -158,6 +158,60 @@ func afQuery(f *afReader) Query {
 		q.Limit = 1 + f.draw(10)
 	}
 	return q
+}
+
+// sumSlack returns, per select item, the absolute slack a reassociated
+// float sum is allowed: 1e-9·Σ|x| over the item's whole input column, zero
+// for items that are not SUM/AVG. The value pools put ±9.2e18 next to 1 and
+// 42, so a group's SUM can cancel catastrophically: the sequential order
+// keeps the small addends, a worker-local partial that meets the huge pair
+// first absorbs them, and the two correct answers differ by far more than
+// any tolerance relative to the (tiny) result. Relative to the magnitude of
+// what was added, both are exact — that is the engine's documented
+// contract (association order of SUM/AVG partials), and which worker
+// claims which morsel decides the order on a multi-core host.
+func sumSlack(plain *storage.Table, q Query) []float64 {
+	slack := make([]float64, len(q.Select))
+	for i, item := range q.Select {
+		if item.Agg != AggSum && item.Agg != AggAvg {
+			continue
+		}
+		c, err := plain.ColumnByName(item.Col)
+		if err != nil {
+			continue
+		}
+		for r := 0; r < c.Len(); r++ {
+			if x := math.Abs(c.Value(r).AsFloat()); !math.IsInf(x, 0) && !math.IsNaN(x) {
+				slack[i] += 1e-9 * x
+			}
+		}
+	}
+	return slack
+}
+
+// requireSameAgg is requireSameTable with sumSlack applied to finite
+// SUM/AVG cells; every other cell (and every non-finite one) compares as
+// requireSameTable does.
+func requireSameAgg(t *testing.T, label string, slack []float64, a, b *storage.Table) {
+	t.Helper()
+	if a.Schema().String() != b.Schema().String() || a.NumRows() != b.NumRows() {
+		requireSameTable(t, label, a, b)
+	}
+	for r := 0; r < a.NumRows(); r++ {
+		for c := 0; c < a.NumCols(); c++ {
+			av, bv := a.Column(c).Value(r), b.Column(c).Value(r)
+			if valuesClose(av, bv) {
+				continue
+			}
+			finite := av.Typ == storage.TFloat && bv.Typ == storage.TFloat &&
+				!math.IsInf(av.F, 0) && !math.IsInf(bv.F, 0) && !math.IsNaN(av.F) && !math.IsNaN(bv.F)
+			if finite && math.Abs(av.F-bv.F) <= slack[c] {
+				continue
+			}
+			t.Fatalf("%s: cell [%d,%d] (%s) oracle=%v got=%v (slack %g)",
+				label, r, c, a.Schema()[c].Name, av, bv, slack[c])
+		}
+	}
 }
 
 func FuzzAggKernelVsGeneric(f *testing.F) {
@@ -172,15 +226,16 @@ func FuzzAggKernelVsGeneric(f *testing.F) {
 		plain, enc := afTables(t, fr)
 		q := afQuery(fr)
 		oracle, oracleErr := Execute(plain, q)
+		slack := sumSlack(plain, q)
 		arms := []struct {
 			name string
 			tbl  *storage.Table
 			opt  ExecOptions
 		}{
-			{"plain seq fused", plain, ExecOptions{Parallelism: 1, AggKernels: true}},
-			{"plain par fused+zone", plain, ExecOptions{Parallelism: 3, MorselSize: 16, ZoneMap: true, AggKernels: true}},
-			{"encoded par fused", enc, ExecOptions{Parallelism: 2, MorselSize: 8, AggKernels: true}},
-			{"encoded par fused+kernels", enc, ExecOptions{Parallelism: 4, MorselSize: 32, Kernels: true, AggKernels: true}},
+			{"plain inline", plain, ExecOptions{Parallelism: 1}},
+			{"plain par3 m16", plain, ExecOptions{Parallelism: 3, MorselSize: 16}},
+			{"encoded par2 m8", enc, ExecOptions{Parallelism: 2, MorselSize: 8}},
+			{"encoded par4 m32", enc, ExecOptions{Parallelism: 4, MorselSize: 32}},
 		}
 		for _, arm := range arms {
 			got, err := ExecuteOpts(arm.tbl, q, arm.opt)
@@ -191,7 +246,7 @@ func FuzzAggKernelVsGeneric(f *testing.F) {
 			if oracleErr != nil {
 				continue
 			}
-			requireSameTable(t, label, oracle, got)
+			requireSameAgg(t, label, slack, oracle, got)
 		}
 	})
 }

@@ -10,11 +10,13 @@ import (
 	"testing"
 
 	"dex/internal/expr"
+	"dex/internal/fault"
 	"dex/internal/storage"
 )
 
 // TestExecuteCtxParity checks ExecuteCtx with a live (but never fired)
-// context and a scan counter produces exactly the plain ExecuteOpts output.
+// context and a scan counter produces exactly the background-context
+// output, and that the counter moves.
 func TestExecuteCtxParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := randParityTable(rng, 5000, 0.1)
@@ -49,8 +51,16 @@ func TestExecuteCtxParity(t *testing.T) {
 }
 
 // TestExecuteCtxCancelled checks a cancelled context aborts execution with
-// ctx.Err() and stops the scan counter well short of the full input.
+// ctx.Err() and stops the scan counter well short of the full input. A
+// per-morsel scan delay keeps the query in flight long enough for the
+// canceller to land at any GOMAXPROCS; without it the pipeline can finish
+// all 256 morsels before the watcher goroutine is scheduled once.
 func TestExecuteCtxCancelled(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	if err := fault.Enable("exec/scan", "latency(1ms)"); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(12))
 	tbl := randParityTable(rng, 1<<18, 0)
 	q := Query{

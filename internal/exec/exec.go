@@ -148,10 +148,33 @@ func (q Query) String() string {
 	return b.String()
 }
 
-// Execute runs the query against the table sequentially and returns a
-// result table. ExecuteOpts selects the morsel-driven parallel operators.
+// Execute is the reference evaluator: sequential, boxed, one operator at a
+// time over a fully materialized selection vector. Nothing serves queries
+// through it — ExecuteCtx's pipeline does — it is the oracle the
+// differential fuzzers, the parity matrices and the benchmark's answer
+// check hold the pipeline equal to, so it shares only the leaf pieces
+// (aggState, groupTable, project, finish) with what it certifies.
 func Execute(t *storage.Table, q Query) (*storage.Table, error) {
-	return ExecuteOpts(t, q, ExecOptions{Parallelism: 1})
+	if len(q.Select) == 0 {
+		return nil, ErrEmptySelect
+	}
+	sel, err := expr.Filter(t, q.Where)
+	if err != nil {
+		return nil, err
+	}
+	var out *storage.Table
+	switch {
+	case len(q.GroupBy) > 0:
+		out, err = groupBy(t, sel, q)
+	case q.HasAggregates():
+		out, err = scalarAggregate(t, sel, q)
+	default:
+		out, err = project(t, sel, q)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return finish(out, q)
 }
 
 // Finish applies the post-aggregation tail of a query — HAVING, ORDER BY
@@ -164,8 +187,8 @@ func Finish(out *storage.Table, q Query) (*storage.Table, error) {
 }
 
 // finish applies the post-aggregation tail of a query — HAVING, ORDER BY
-// and LIMIT — to the operator output. These stages run sequentially in both
-// execution paths: they see at most the grouped output, which is small.
+// and LIMIT — to the operator output. These stages run sequentially: they
+// see at most the grouped output, which is small.
 func finish(out *storage.Table, q Query) (*storage.Table, error) {
 	var err error
 	if q.Having != nil {
@@ -356,9 +379,9 @@ func newAggStates(q Query) []*aggState {
 	return states
 }
 
-// accumulateScalar feeds rows sel[lo:hi] into the states.
-func accumulateScalar(inputs []storage.Column, states []*aggState, sel []int, lo, hi int) {
-	for _, row := range sel[lo:hi] {
+// accumulateScalar feeds the rows into the states.
+func accumulateScalar(inputs []storage.Column, states []*aggState, rows []int) {
+	for _, row := range rows {
 		for i, st := range states {
 			if inputs[i] == nil {
 				st.addCountOnly()
@@ -375,7 +398,7 @@ func scalarAggregate(t *storage.Table, sel []int, q Query) (*storage.Table, erro
 		return nil, err
 	}
 	states := newAggStates(q)
-	accumulateScalar(inputs, states, sel, 0, len(sel))
+	accumulateScalar(inputs, states, sel)
 	return buildScalarOutput(t, q, states)
 }
 
@@ -405,9 +428,9 @@ func buildScalarOutput(t *storage.Table, q Query, states []*aggState) (*storage.
 type groupEntry struct {
 	key    []storage.Value
 	states []*aggState
-	// first is the position in the selection vector of the group's first
-	// row. The parallel path sorts merged groups by it so output order
-	// matches the sequential first-seen order exactly.
+	// first is the input position of the group's first row. The pipeline
+	// sorts merged groups by it so output order matches the sequential
+	// first-seen order exactly.
 	first int
 }
 
@@ -448,8 +471,8 @@ func groupInputs(t *storage.Table, q Query) (groupCols, inputs []storage.Column,
 }
 
 // groupTable is one hash-aggregation table: entries keyed by the encoded
-// group key, with insertion order preserved. The sequential path builds a
-// single one; the parallel path builds one per worker and merges.
+// group key, with insertion order preserved. The reference evaluator builds
+// a single one; the pipeline's generic sink builds one per worker and merges.
 type groupTable struct {
 	groups map[string]*groupEntry
 	order  []string
@@ -481,21 +504,20 @@ func keyAppender(gc storage.Column) func(b []byte, row int) []byte {
 	}
 }
 
-// accumulate feeds rows sel[lo:hi] into the table. The recorded first-seen
-// position is the index into sel, which totally orders groups exactly as a
-// sequential scan of the whole selection vector would first meet them.
+// accumulate feeds the rows into the table. rows[i] sits at input position
+// base+i, the recorded first-seen position, which totally orders groups
+// exactly as a sequential scan of the whole input would first meet them.
 //
 // The key buffer is reused across rows, and the map probe goes through the
 // zero-copy string(keyBuf) lookup — a key string is allocated only when a
 // group is first seen.
-func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, sel []int, lo, hi int) {
+func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, rows []int, base int) {
 	appenders := make([]func(b []byte, row int) []byte, len(groupCols))
 	for i, gc := range groupCols {
 		appenders[i] = keyAppender(gc)
 	}
 	var keyBuf []byte
-	for idx := lo; idx < hi; idx++ {
-		row := sel[idx]
+	for idx, row := range rows {
 		keyBuf = keyBuf[:0]
 		for _, ap := range appenders {
 			keyBuf = ap(keyBuf, row)
@@ -508,7 +530,7 @@ func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, se
 			for i, gc := range groupCols {
 				key[i] = gc.Value(row)
 			}
-			e = &groupEntry{key: key, states: newAggStates(q), first: idx}
+			e = &groupEntry{key: key, states: newAggStates(q), first: base + idx}
 			gt.groups[k] = e
 			gt.order = append(gt.order, k)
 		}
@@ -553,7 +575,7 @@ func groupBy(t *storage.Table, sel []int, q Query) (*storage.Table, error) {
 		return nil, err
 	}
 	gt := newGroupTable()
-	gt.accumulate(groupCols, inputs, q, sel, 0, len(sel))
+	gt.accumulate(groupCols, inputs, q, sel, 0)
 	return buildGroupOutput(t, q, inputs, gt)
 }
 

@@ -1,0 +1,471 @@
+// The execution pipeline: every served query compiles to one plan and runs
+// through one morsel-driven driver (internal/par).
+//
+//	compile:  filter  = typed predicate kernel (expr.CompileKernel), else the
+//	                    generic expr.FilterRange; zone pruners whenever the
+//	                    WHERE clause yields a per-column interval
+//	          sink    = typed scalar / typed group accumulators (aggkernel.go),
+//	                    else the generic boxed scalar / group accumulators,
+//	                    else a projection
+//	per morsel: prune → filter into a pooled selection buffer → sink.consume
+//	then:       ordered merge (sink.finish) → HAVING / ORDER BY / LIMIT
+//
+// Compilation never fails a query for being unspecializable: a predicate or
+// aggregate shape the typed layer rejects selects the generic filter or sink
+// inside the same loop, and the stable fallback reason lands on the scan
+// span and the fallback counter. The input is either the dense row range
+// [0, n) plus the WHERE clause (ExecuteCtx) or a caller-supplied selection
+// vector that stands in for it (ExecuteSel — cracked mode hands over the
+// index probe's row ids).
+//
+// Parallel execution is semantically transparent: qualifying rows reach the
+// sink in input order within a morsel, scalar partials are morsel-indexed
+// and merged in morsel order (so a float SUM is deterministic for a given
+// morsel size, whatever the scheduling), aggregate states are a commutative
+// monoid under merge (NaN — the engine's NULL — is skipped), and merged
+// groups are re-sorted by the input position of their first row. Against
+// the sequential reference evaluator (Execute) the only observable
+// difference is the floating-point association order of SUM/AVG partials.
+//
+// The scheduler checks ctx between morsel claims, so a cancelled query
+// stops within one morsel per worker, and ExecOptions.Scanned advances
+// morsel by morsel while the query runs.
+package exec
+
+import (
+	"context"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"dex/internal/expr"
+	"dex/internal/fault"
+	"dex/internal/par"
+	"dex/internal/storage"
+	"dex/internal/trace"
+)
+
+// disableTrace skips the per-query span extraction entirely — the
+// pre-tracing baseline the overhead guard in trace_guard_test.go
+// compares against. Test-only; never set in production code.
+var disableTrace bool
+
+// fpScan injects scan-level faults, hit once per morsel. Latency policies
+// here are how tests make a query overrun its deadline on demand (and so
+// how the degradation contract in core is exercised).
+var fpScan = fault.Register("exec/scan")
+
+// fpKernel injects faults at the kernel-dispatch seam: hit once per query
+// whose WHERE clause compiles to a typed kernel, before any morsel runs.
+var fpKernel = fault.Register("exec/kernel-dispatch")
+
+// ExecOptions tunes query execution. The zero value is the full pipeline:
+// zone-map pruning, typed predicate kernels and typed aggregation are what
+// the engine does, not things a caller turns on.
+type ExecOptions struct {
+	// Parallelism is the number of workers: 0 means GOMAXPROCS, 1 runs the
+	// morsels inline on the calling goroutine.
+	Parallelism int
+	// MorselSize is the rows per scheduling unit (0 = par.DefaultMorselSize).
+	// Inputs that fit in a single morsel always run inline.
+	MorselSize int
+	// Scanned, when non-nil, is incremented live with the number of rows
+	// each pipeline stage visits (predicate evaluation and aggregate
+	// accumulation). Several queries may share one counter; it advances
+	// with morsel granularity while execution is in flight, so a stalled
+	// counter means a stalled (or cancelled) query.
+	Scanned *atomic.Int64
+	// ZoneSkipped, when non-nil, accumulates the number of morsels the
+	// zone-map pruner skipped. Like Scanned it may be shared across
+	// queries; /admin/stats and the shard Stats probe read it.
+	ZoneSkipped *atomic.Int64
+	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
+	// queries answered by the typed sinks vs the generic ones.
+	AggKernelHits      *atomic.Int64
+	AggKernelFallbacks *atomic.Int64
+	// Nothing reads these three; benchmark/target.go still names them. The follow-up benchmark PR drops that literal, then the fields.
+	ZoneMap, Kernels, AggKernels bool
+}
+
+// ExecuteOpts is ExecuteCtx under a background context.
+func ExecuteOpts(t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
+	return ExecuteCtx(context.Background(), t, q, opt)
+}
+
+// ExecuteCtx runs the query through the pipeline. Cancellation is checked
+// between morsel claims, so a cancelled or timed-out query returns
+// ctx.Err() within one morsel's worth of work per worker.
+func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
+	return execute(ctx, t, nil, q, opt)
+}
+
+// ExecuteSel runs the query over the rows of t listed in sel, in sel order.
+// The selection stands in for the WHERE clause — q.Where is not evaluated —
+// so an operator that already knows the qualifying positions (the cracker
+// index) feeds them straight to the sinks. Output order is that of Execute
+// over t.Gather(sel).
+func ExecuteSel(ctx context.Context, t *storage.Table, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+	if sel == nil {
+		sel = []int{} // non-nil marks selection input, even when empty
+	}
+	return execute(ctx, t, sel, q, opt)
+}
+
+func execute(ctx context.Context, t *storage.Table, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+	if len(q.Select) == 0 {
+		return nil, ErrEmptySelect
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// The span is extracted once per query, never per morsel; when the
+	// request is untraced sp is nil and every call on it is a no-op.
+	var sp *trace.Span
+	if !disableTrace {
+		sp = trace.FromContext(ctx)
+	}
+	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize})
+	p, err := compile(t, sel, q, pool, opt)
+	if err != nil {
+		return nil, err
+	}
+	out, err := p.run(ctx, pool, opt, sp)
+	if err != nil {
+		return nil, err
+	}
+	fsp := sp.Child("finish")
+	out, err = finish(out, q)
+	fsp.End()
+	return out, err
+}
+
+// sink is the consuming end of the pipeline: an aggregate accumulator that
+// sees each morsel's qualifying rows once.
+type sink interface {
+	// consume folds the qualifying rows of input positions [lo, hi) into
+	// the sink. rows lists them in input order and input position lo+i
+	// orders rows[i] among all rows (first-seen group order); a nil rows
+	// means every row of the dense range [lo, hi) qualifies, which only
+	// the typed sink is ever handed. Calls with the same worker id never
+	// overlap.
+	consume(worker, lo, hi int, rows []int)
+	// finish merges the per-morsel and per-worker state in input order and
+	// renders the pre-HAVING output table.
+	finish() (*storage.Table, error)
+}
+
+// plan is one query compiled against one table.
+type plan struct {
+	t *storage.Table
+	q Query
+	n int // input length: table rows, or len(sel)
+	// sel is the input selection; nil means the dense range [0, n).
+	sel []int
+	// where is the predicate still to evaluate; nil means every input row
+	// qualifies (no WHERE, a trivial one, or selection input).
+	where        *expr.Pred
+	kern         *expr.Kernel // typed filter; nil with where set = generic FilterRange
+	kernFallback string
+	pruners      []zonePruner
+	// sink is nil for a projection, which needs the merged selection
+	// rather than a per-morsel fold; stage names its span either way.
+	sink        sink
+	stage       string
+	typed       bool   // sink is the typed one: it reads dense ranges unmaterialized
+	aggFallback string // why it is not
+}
+
+func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptions) (*plan, error) {
+	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
+	aggregates := q.HasAggregates() || len(q.GroupBy) > 0
+	switch {
+	case sel != nil:
+		p.n = len(sel)
+	case q.Where != nil && q.Where.Kind != expr.KTrue:
+		p.where = q.Where
+		if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
+			if err := fpKernel.Hit(); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if p.pruners, err = zonePruners(t, p.where, pool.MorselSize()); err != nil {
+			return nil, err
+		}
+	case !aggregates:
+		// Projecting the whole table: the identity selection is the input.
+		p.sel, _ = expr.Filter(t, nil)
+	}
+	if !aggregates {
+		return p, nil
+	}
+	p.stage = "aggregate"
+	if len(q.GroupBy) > 0 {
+		p.stage = "group_by"
+	}
+	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
+	ak, reason := compileAggKernel(t, q)
+	if ak != nil {
+		p.sink, p.typed = newTypedSink(ak, t, q, pool.MorselSize(), morsels, workers), true
+		if opt.AggKernelHits != nil {
+			opt.AggKernelHits.Add(1)
+		}
+		return p, nil
+	}
+	// An invalid select list falls back too: the generic sink re-derives
+	// and reports the canonical error.
+	gs, err := newGenericSink(t, q, pool.MorselSize(), morsels, workers)
+	if err != nil {
+		return nil, err
+	}
+	p.sink, p.aggFallback = gs, reason
+	if opt.AggKernelFallbacks != nil {
+		opt.AggKernelFallbacks.Add(1)
+	}
+	return p, nil
+}
+
+// qualify returns the qualifying rows of input positions [lo, hi) in input
+// order. buf, when non-nil, is the pooled buffer backing rows, which the
+// caller must putSel once rows is dead. A nil rows (typed sink, no
+// predicate) means the whole range qualifies.
+func (p *plan) qualify(lo, hi int) (rows []int, buf *[]int, err error) {
+	switch {
+	case p.sel != nil:
+		return p.sel[lo:hi], nil, nil
+	case p.kern != nil:
+		buf = getSel()
+		*buf = p.kern.Run(lo, hi, *buf)
+	case p.where != nil:
+		generic, ferr := expr.FilterRange(p.t, p.where, lo, hi)
+		if ferr != nil {
+			return nil, nil, ferr
+		}
+		buf = getSel()
+		*buf = append(*buf, generic...)
+	case p.typed:
+		return nil, nil, nil
+	default:
+		buf = getSel()
+		for r := lo; r < hi; r++ {
+			*buf = append(*buf, r)
+		}
+	}
+	return *buf, buf, nil
+}
+
+// run is the one morsel driver: for each morsel prune → qualify → consume,
+// then the ordered merge. It is the only place query execution fans out.
+func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
+	m := pool.MorselSize()
+	projection := p.sink == nil
+	count := func(rows int) {
+		if opt.Scanned != nil {
+			opt.Scanned.Add(int64(rows))
+		}
+	}
+	// A projection parks each morsel's pooled buffer until the merge has
+	// copied the positions out; the sweep also covers the error and
+	// cancellation paths, so no buffer outlives the query.
+	var parts []*[]int
+	if projection && p.sel == nil {
+		parts = make([]*[]int, pool.Morsels(p.n))
+		defer func() {
+			for _, b := range parts {
+				if b != nil {
+					putSel(b)
+				}
+			}
+		}()
+	}
+	scanSp := sp.Child("scan")
+	var matched, skipped atomic.Int64
+	var err error
+	if projection && p.sel != nil {
+		matched.Store(int64(p.n)) // the selection is already the answer's row set
+	} else {
+		err = pool.ForEachErrCtx(ctx, p.n, func(worker, lo, hi int) error {
+			if ferr := fpScan.Hit(); ferr != nil {
+				return ferr
+			}
+			for _, pr := range p.pruners {
+				if pr.skip(lo / m) {
+					// Skipped morsels are not scanned: no rows touched, no
+					// progress counted — the live counter reflects real work.
+					skipped.Add(1)
+					return nil
+				}
+			}
+			rows, buf, ferr := p.qualify(lo, hi)
+			if ferr != nil {
+				return ferr
+			}
+			qualified := hi - lo
+			if rows != nil {
+				qualified = len(rows)
+			}
+			matched.Add(int64(qualified))
+			if p.where != nil {
+				count(hi - lo)
+			}
+			if projection {
+				parts[lo/m] = buf
+				return nil
+			}
+			p.sink.consume(worker, lo, hi, rows)
+			count(qualified)
+			if buf != nil {
+				putSel(buf)
+			}
+			return nil
+		})
+	}
+	if opt.ZoneSkipped != nil && skipped.Load() > 0 {
+		opt.ZoneSkipped.Add(skipped.Load())
+	}
+	if scanSp != nil {
+		scanSp.SetInt("rows_in", int64(p.n))
+		scanSp.SetInt("rows_out", matched.Load())
+		scanSp.SetInt("morsels", int64(pool.Morsels(p.n)))
+		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
+		if p.where != nil {
+			scanSp.SetInt("zone_skipped", skipped.Load())
+			scanSp.SetBool("kernel", p.kern != nil)
+			if p.kern != nil {
+				scanSp.SetInt("kernel_leaves", int64(p.kern.Leaves()))
+			} else {
+				scanSp.SetStr("kernel_fallback", p.kernFallback)
+			}
+		}
+		if !projection {
+			scanSp.SetBool("agg_kernel", p.typed)
+			if !p.typed {
+				scanSp.SetStr("agg_kernel_fallback", p.aggFallback)
+			}
+		}
+		scanSp.End()
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	st := sp.Child(p.stage)
+	defer st.End()
+	st.SetInt("rows_in", matched.Load())
+	if projection {
+		sel := p.sel
+		if sel == nil {
+			sel = make([]int, 0, matched.Load())
+			for _, b := range parts {
+				if b != nil {
+					sel = append(sel, *b...)
+				}
+			}
+		}
+		return project(p.t, sel, p.q)
+	}
+	out, err := p.sink.finish()
+	if err == nil && len(p.q.GroupBy) > 0 {
+		st.SetInt("groups", int64(out.NumRows()))
+	}
+	return out, err
+}
+
+// genericSink is the boxed fallback accumulator, built from the same
+// aggState and groupTable pieces as the reference evaluator: scalar
+// aggregation keeps one partial per morsel, group-by one hash table per
+// worker.
+type genericSink struct {
+	t         *storage.Table
+	q         Query
+	m         int
+	groupCols []storage.Column // nil for scalar aggregation
+	inputs    []storage.Column
+	partials  [][]*aggState // scalar: per morsel
+	locals    []*groupTable // group-by: per worker
+}
+
+func newGenericSink(t *storage.Table, q Query, m, morsels, workers int) (*genericSink, error) {
+	s := &genericSink{t: t, q: q, m: m}
+	var err error
+	if len(q.GroupBy) > 0 {
+		s.groupCols, s.inputs, err = groupInputs(t, q)
+		s.locals = make([]*groupTable, workers)
+	} else {
+		s.inputs, err = scalarInputs(t, q)
+		s.partials = make([][]*aggState, morsels)
+	}
+	return s, err
+}
+
+func (s *genericSink) consume(worker, lo, _ int, rows []int) {
+	if s.groupCols == nil {
+		states := newAggStates(s.q)
+		accumulateScalar(s.inputs, states, rows)
+		s.partials[lo/s.m] = states
+		return
+	}
+	if s.locals[worker] == nil {
+		s.locals[worker] = newGroupTable()
+	}
+	s.locals[worker].accumulate(s.groupCols, s.inputs, s.q, rows, lo)
+}
+
+func (s *genericSink) finish() (*storage.Table, error) {
+	if s.groupCols == nil {
+		return mergeScalarPartials(s.t, s.q, s.partials)
+	}
+	gt := newGroupTable()
+	for _, o := range s.locals {
+		if o != nil {
+			gt.merge(o)
+		}
+	}
+	sort.Slice(gt.order, func(a, b int) bool {
+		return gt.groups[gt.order[a]].first < gt.groups[gt.order[b]].first
+	})
+	return buildGroupOutput(s.t, s.q, s.inputs, gt)
+}
+
+// mergeScalarPartials folds morsel-indexed scalar partials, typed or
+// generic, in morsel order and renders the one-row output. A nil partial is
+// a pruned morsel: it contributed nothing.
+func mergeScalarPartials(t *storage.Table, q Query, partials [][]*aggState) (*storage.Table, error) {
+	states := newAggStates(q)
+	for _, p := range partials {
+		if p == nil {
+			continue
+		}
+		for i, st := range states {
+			st.merge(p[i])
+		}
+	}
+	return buildScalarOutput(t, q, states)
+}
+
+// selPool recycles per-morsel selection buffers across queries.
+var selPool = sync.Pool{
+	New: func() any {
+		s := make([]int, 0, par.DefaultMorselSize)
+		return &s
+	},
+}
+
+// selOutstanding counts pool buffers currently claimed; it must return to
+// its starting value after every query, cancelled or not (the leak test's
+// hook).
+var selOutstanding atomic.Int64
+
+func getSel() *[]int {
+	selOutstanding.Add(1)
+	buf := selPool.Get().(*[]int)
+	*buf = (*buf)[:0] // reset: stale rows from a prior query must be unreachable
+	return buf
+}
+
+func putSel(buf *[]int) {
+	selPool.Put(buf)
+	selOutstanding.Add(-1)
+}

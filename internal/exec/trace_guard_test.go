@@ -17,7 +17,7 @@ import (
 // not ask for a trace), the E26 parallel scan path must run within 2% of
 // the same path with the trace hooks compiled out entirely (disableTrace
 // short-circuits the one FromContext lookup and the nil-span calls).
-// Best-of-reps timing with a small absolute slack, like the other guards.
+// Interleaved best-of-reps timing with a small absolute slack.
 func TestTracingOffOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -38,31 +38,31 @@ func TestTracingOffOverheadBounded(t *testing.T) {
 	opt := ExecOptions{Parallelism: 4}
 	ctx := context.Background()
 
-	bestOf := func(reps int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := ExecuteCtx(ctx, sales, q, opt); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	run := func(off bool) time.Duration {
+		disableTrace = off
+		start := time.Now()
+		if _, err := ExecuteCtx(ctx, sales, q, opt); err != nil {
+			t.Fatal(err)
 		}
-		return best
+		return time.Since(start)
 	}
 
 	defer func() { disableTrace = false }()
 	// Warm both configurations so first-touch allocation biases neither.
-	disableTrace = true
-	bestOf(1)
-	disableTrace = false
-	bestOf(1)
-
-	disableTrace = true
-	base := bestOf(7)
-	disableTrace = false
-	hooked := bestOf(7)
+	run(true)
+	run(false)
+	// Alternate the two configurations and keep each one's best: a noisy
+	// stretch of the host (other packages' tests share the cores) then
+	// lands on both sides instead of on whichever was measured second.
+	base, hooked := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < 15; i++ {
+		if d := run(true); d < base {
+			base = d
+		}
+		if d := run(false); d < hooked {
+			hooked = d
+		}
+	}
 
 	const slack = 2 * time.Millisecond
 	limit := base + base/50 + slack // 1.02x plus absolute jitter allowance

@@ -38,7 +38,8 @@ func zoneSkipped(t *testing.T, tbl *storage.Table, q Query, opt ExecOptions) (*s
 // TestZoneMapParityProperty is the zone-map correctness harness: for random
 // tables (clustered and unclustered, NaN-polluted and clean) and random
 // queries — including the OR/NOT/string shapes pruning must ignore — the
-// zone-map-on output must equal the zone-map-off output exactly.
+// pruning pipeline's output must equal the reference evaluator's, which
+// never consults a zone map.
 func TestZoneMapParityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 150; iter++ {
@@ -60,10 +61,8 @@ func TestZoneMapParityProperty(t *testing.T) {
 		}
 		label := fmt.Sprintf("iter=%d rows=%d nan=%.2f par=%d morsel=%d q=%s",
 			iter, rows, nanFrac, opt.Parallelism, opt.MorselSize, q)
-		off, offErr := ExecuteOpts(tbl, q, opt)
-		zopt := opt
-		zopt.ZoneMap = true
-		on, onErr := ExecuteOpts(tbl, q, zopt)
+		off, offErr := Execute(tbl, q)
+		on, onErr := ExecuteOpts(tbl, q, opt)
 		if (offErr == nil) != (onErr == nil) {
 			t.Fatalf("%s: error mismatch off=%v on=%v", label, offErr, onErr)
 		}
@@ -95,13 +94,11 @@ func TestZoneMapSkipsClusteredMorsels(t *testing.T) {
 		),
 	}
 	opt := ExecOptions{Parallelism: 2, MorselSize: 256}
-	want, err := ExecuteOpts(sorted, q, opt)
+	want, err := Execute(sorted, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zopt := opt
-	zopt.ZoneMap = true
-	got, skipped := zoneSkipped(t, sorted, q, zopt)
+	got, skipped := zoneSkipped(t, sorted, q, opt)
 	requireSameTable(t, "clustered range scan", want, got)
 	morsels := int64(storage.NumChunks(10_000, 256))
 	if skipped < morsels/2 {
@@ -109,8 +106,8 @@ func TestZoneMapSkipsClusteredMorsels(t *testing.T) {
 	}
 	// The same query on the unclustered table prunes essentially nothing —
 	// and must still be correct.
-	gotU, skippedU := zoneSkipped(t, tbl, q, zopt)
-	wantU, err := ExecuteOpts(tbl, q, opt)
+	gotU, skippedU := zoneSkipped(t, tbl, q, opt)
+	wantU, err := Execute(tbl, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +134,10 @@ func TestZoneMapNonPrunableShapes(t *testing.T) {
 		expr.Cmp("s", expr.EQ, storage.String_("red")),
 		expr.Cmp("k", expr.NE, storage.Int(0)),
 	}
-	opt := ExecOptions{Parallelism: 2, MorselSize: 256, ZoneMap: true}
+	opt := ExecOptions{Parallelism: 2, MorselSize: 256}
 	for i, p := range preds {
 		q := Query{Select: []SelectItem{{Col: "k"}}, Where: p}
-		want, err := ExecuteOpts(sorted, q, ExecOptions{Parallelism: 2, MorselSize: 256})
+		want, err := Execute(sorted, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,20 +166,20 @@ func TestZoneMapMixedConjunction(t *testing.T) {
 			expr.Cmp("s", expr.EQ, storage.String_("green")),
 		),
 	}
-	want, err := ExecuteOpts(sorted, q, ExecOptions{Parallelism: 2, MorselSize: 256})
+	want, err := Execute(sorted, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, skipped := zoneSkipped(t, sorted, q, ExecOptions{Parallelism: 2, MorselSize: 256, ZoneMap: true})
+	got, skipped := zoneSkipped(t, sorted, q, ExecOptions{Parallelism: 2, MorselSize: 256})
 	requireSameTable(t, "mixed conjunction", want, got)
 	if skipped == 0 {
 		t.Error("no morsels skipped despite the clustered range conjunct")
 	}
 }
 
-// TestZoneMapBuildFaultFailsScan: an armed zonemap-build failpoint fails
-// the zone-map-on query with the injected error; the zone-map-off path
-// never touches the build and succeeds.
+// TestZoneMapBuildFaultFailsScan: an armed zonemap-build failpoint fails a
+// query whose predicate yields an interval with the injected error; a
+// predicate with no interval never touches the build and succeeds.
 func TestZoneMapBuildFaultFailsScan(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
@@ -195,11 +192,13 @@ func TestZoneMapBuildFaultFailsScan(t *testing.T) {
 	if err := fault.Enable("storage/zonemap-build", "error(1.0)"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ExecuteOpts(tbl, q, ExecOptions{Parallelism: 2, MorselSize: 256, ZoneMap: true})
+	opt := ExecOptions{Parallelism: 2, MorselSize: 256}
+	_, err := ExecuteOpts(tbl, q, opt)
 	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("zone-map-on under armed build fault: err = %v, want injected", err)
+		t.Fatalf("range predicate under armed build fault: err = %v, want injected", err)
 	}
-	if _, err := ExecuteOpts(tbl, q, ExecOptions{Parallelism: 2, MorselSize: 256}); err != nil {
-		t.Fatalf("zone-map-off under armed build fault: %v", err)
+	q.Where = expr.Cmp("k", expr.NE, storage.Int(0))
+	if _, err := ExecuteOpts(tbl, q, opt); err != nil {
+		t.Fatalf("interval-free predicate under armed build fault: %v", err)
 	}
 }

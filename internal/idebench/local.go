@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dex/internal/core"
-	"dex/internal/exec"
 	"dex/internal/server"
 	"dex/internal/shard"
 	"dex/internal/workload"
@@ -74,14 +73,7 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	} else if cfg.CacheRows < 0 {
 		cfg.CacheRows = 0
 	}
-	// Kernels and column encoding match the dexd defaults, so benchmark
-	// cells measure the engine configuration a real deployment runs.
-	eng := core.New(core.Options{
-		Seed:    cfg.Seed,
-		Degrade: true,
-		Encode:  true,
-		Exec:    exec.ExecOptions{ZoneMap: true, Kernels: true, AggKernels: true},
-	})
+	eng := core.New(core.Options{Seed: cfg.Seed, Degrade: true})
 	sales, err := workload.Sales(rand.New(rand.NewSource(cfg.Seed)), cfg.Rows)
 	if err != nil {
 		return nil, err

@@ -223,6 +223,12 @@ func (r *Runner) RunUntil(target float64, batch int) ([]Snapshot, error) {
 // aggregation is the engine's longest-running mode, and a cancelled request
 // must stop the scan at the next batch boundary rather than running to its
 // CI target. The snapshots accumulated so far are returned with ctx.Err().
+//
+// A deadline is not a cancellation: the point of online aggregation is to
+// have an answer whenever the user stops waiting. Once at least one batch
+// is in, an expired deadline is a stopping rule like the CI target — the
+// run ends normally and Estimates holds the answer at the deadline, its
+// confidence intervals as wide as the processed fraction makes them.
 func (r *Runner) RunUntilCtx(ctx context.Context, target float64, batch int) ([]Snapshot, error) {
 	if batch <= 0 {
 		return nil, ErrBadBatch
@@ -230,6 +236,9 @@ func (r *Runner) RunUntilCtx(ctx context.Context, target float64, batch int) ([]
 	var snaps []Snapshot
 	for !r.Done() {
 		if err := ctx.Err(); err != nil {
+			if len(snaps) > 0 && errors.Is(err, context.DeadlineExceeded) {
+				return snaps, nil
+			}
 			return snaps, err
 		}
 		ge, err := r.Step(batch)

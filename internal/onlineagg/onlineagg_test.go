@@ -1,6 +1,7 @@
 package onlineagg
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -335,5 +336,73 @@ func TestStridedWithPredicate(t *testing.T) {
 		if last[i].Est != truth[i].Est {
 			t.Errorf("count %s = %v, want %v", truth[i].Group.S, last[i].Est, truth[i].Est)
 		}
+	}
+}
+
+// expiresAfter is a context whose deadline "fires" after a fixed number of
+// Err checks — RunUntilCtx makes one per batch — so the deadline tests are
+// exact about how many batches ran and never sleep.
+type expiresAfter struct {
+	context.Context
+	checks int
+	err    error
+}
+
+func (c *expiresAfter) Err() error {
+	if c.checks--; c.checks < 0 {
+		return c.err
+	}
+	return nil
+}
+
+// TestRunUntilCtxDeadlineIsAStoppingRule pins online aggregation's promise:
+// a deadline that fires after at least one batch ends the run normally with
+// the estimates it has (finite CIs, partial progress); a deadline that
+// fires before any batch, and any client cancellation, still return the
+// context error.
+func TestRunUntilCtxDeadlineIsAStoppingRule(t *testing.T) {
+	tbl := mkData(t, 40000, 4)
+	q := aqp.Query{Agg: exec.AggAvg, Col: "x", GroupBy: "g"}
+	for _, tc := range []struct {
+		name    string
+		checks  int
+		err     error
+		wantErr error
+		batches int
+	}{
+		{"deadline after 3 batches", 3, context.DeadlineExceeded, nil, 3},
+		{"deadline before any batch", 0, context.DeadlineExceeded, context.DeadlineExceeded, 0},
+		{"cancel after 3 batches", 3, context.Canceled, context.Canceled, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(tbl, q, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &expiresAfter{Context: context.Background(), checks: tc.checks, err: tc.err}
+			// Target 0 never stops on its own: only the context can end the run early.
+			snaps, err := r.RunUntilCtx(ctx, 0, 500)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if len(snaps) != tc.batches {
+				t.Fatalf("%d batches ran, want %d", len(snaps), tc.batches)
+			}
+			if tc.wantErr != nil {
+				return
+			}
+			if p := r.Progress(); p <= 0 || p >= 1 {
+				t.Fatalf("progress at the deadline = %v, want a partial scan", p)
+			}
+			ests := r.Estimates()
+			if len(ests) != 4 {
+				t.Fatalf("%d group estimates at the deadline, want 4", len(ests))
+			}
+			for _, g := range ests {
+				if math.IsNaN(g.Est) || math.IsInf(g.CI, 0) || math.IsNaN(g.CI) || g.CI <= 0 {
+					t.Fatalf("group %v at the deadline: est=%v ci=%v, want a finite positive CI", g.Group, g.Est, g.CI)
+				}
+			}
+		})
 	}
 }

@@ -99,6 +99,15 @@ func RunLoad(ctx context.Context, cl *Client, cfg LoadConfig) (*LoadReport, erro
 			res := &results[c]
 			res.hist = metrics.NewLogHist()
 			id, err := cl.CreateSession(ctx)
+			var shed *RejectedError
+			if errors.As(err, &shed) {
+				// Shed at the door (503 draining): this user's whole
+				// session is load the server refused, not a harness
+				// failure — the same bucket a shed query lands in.
+				res.rejected++
+				res.dropped += int64(cfg.QueriesPerClient)
+				return
+			}
 			if err != nil {
 				res.err = fmt.Errorf("client %d: create session: %w", c, err)
 				return

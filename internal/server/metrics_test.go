@@ -18,7 +18,7 @@ import (
 // matching /admin/stats snapshot.
 func scrape(t *testing.T) (string, StatsSnapshot) {
 	t.Helper()
-	ts, cl, srv, _ := newTestService(t, 20_000, Config{CacheRows: 1 << 20}, exec.ExecOptions{Parallelism: 1, AggKernels: true})
+	ts, cl, srv, _ := newTestService(t, 20_000, Config{CacheRows: 1 << 20}, exec.ExecOptions{Parallelism: 1})
 	ctx := context.Background()
 	id, err := cl.CreateSession(ctx)
 	if err != nil {
@@ -143,6 +143,6 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 	// The workload's exact-mode aggregates run with agg kernels on, so the
 	// used counter must have moved — the series is live, not just present.
 	if snap.AggKernelHits == 0 {
-		t.Error("agg_kernel_hits still 0 after an aggregate workload with AggKernels on")
+		t.Error("agg_kernel_hits still 0 after an aggregate workload")
 	}
 }

@@ -36,7 +36,15 @@ func hasStage(sp *trace.SpanJSON, name string) bool {
 // durations sum to within 10% of the traced total — the stages account
 // for the query, they are not decoration.
 func TestServerTraceSpanTree(t *testing.T) {
+	defer fault.Reset()
 	_, cl, _, _ := newTestService(t, 200_000, Config{}, exec.ExecOptions{Parallelism: 2})
+	// A per-morsel delay makes the stages, not the microsecond gaps
+	// between them, the bulk of a query the pipeline otherwise finishes in
+	// a few milliseconds — the 90% cover below measures accounting, not
+	// how fast the scan is.
+	if err := fault.Enable("exec/scan", "latency(2ms)"); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	id, err := cl.CreateSession(ctx)
 	if err != nil {

@@ -297,3 +297,62 @@ func TestFleetPlacementRace(t *testing.T) {
 		return f.Coord.Coverage() == 1
 	})
 }
+
+// TestWorkersRunTheTypedPipeline is "by construction" for the fleet: a
+// worker is built from the zero engine options, and still its partition is
+// dictionary-coded and the benchmark's filtered group-by runs on the typed
+// sink — after the bootstrap Load+Partition and again after the healer
+// re-stages a blank restart. The typed group sink only compiles over a
+// *storage.DictColumn (a plain string column is the pinned "group column
+// type" fallback), so a hit with no fallback on each worker is the
+// assertion that the low-cardinality string column it holds is encoded.
+func TestWorkersRunTheTypedPipeline(t *testing.T) {
+	ctx := context.Background()
+	f, err := shard.StartLocalFleet(ctx, shard.FleetConfig{
+		Shards: 2, Rows: 8_000, Seed: 7,
+		Heal: true, HealInterval: 20 * time.Millisecond, RepartitionAfter: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := sqlparse.Parse("SELECT region, sum(amount) FROM sales WHERE amount >= 60 AND amount < 120 GROUP BY region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		type counts struct{ hits, falls int64 }
+		before := make([]counts, len(f.Workers))
+		for i, w := range f.Workers {
+			before[i] = counts{w.Engine().AggKernelHits(), w.Engine().AggKernelFallbacks()}
+		}
+		res, err := f.Coord.Execute(ctx, st.Table, st.Query, core.Exact)
+		if err != nil || res.Degraded {
+			t.Fatalf("%s: fleet query: err=%v degraded=%v", when, err, res.Degraded)
+		}
+		if res.Table.NumRows() != 4 {
+			t.Fatalf("%s: %d regions, want 4", when, res.Table.NumRows())
+		}
+		for i, w := range f.Workers {
+			hits := w.Engine().AggKernelHits() - before[i].hits
+			falls := w.Engine().AggKernelFallbacks() - before[i].falls
+			if hits < 1 || falls != 0 {
+				t.Fatalf("%s: worker %d agg_kernel hits=+%d fallbacks=+%d, want the typed dict sink", when, i, hits, falls)
+			}
+		}
+	}
+	check("after bootstrap")
+
+	f.KillShard(0)
+	if res, err := fleetCount(t, f); err != nil || !res.Degraded {
+		t.Fatalf("killed shard must degrade, not fail: err=%v degraded=%v", err, res.Degraded)
+	}
+	if err := f.RestartShard(0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "coverage to heal to 1.0", func() bool {
+		return f.Coord.Coverage() == 1
+	})
+	check("after heal re-stage")
+}

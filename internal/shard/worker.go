@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dex/internal/core"
-	"dex/internal/exec"
 	"dex/internal/fault"
 	"dex/internal/protocol"
 	"dex/internal/storage"
@@ -46,13 +45,12 @@ type Worker struct {
 // NewWorker builds an empty worker around a seeded engine. Degradation
 // stays off on workers: the fleet-level contract (partial results with a
 // coverage fraction) lives at the coordinator, and a silently sampled
-// shard partial would corrupt an exact merge. Zone maps and typed
-// kernels stay on: both are semantics-preserving scan optimizations
-// (certified bit-identical by the differential fuzzer), and their
-// counters feed the Stats probe.
+// shard partial would corrupt an exact merge. Everything else is the
+// engine dexd runs: partitions are encoded as they are registered, and
+// the pipeline's counters feed the Stats probe.
 func NewWorker(seed int64) *Worker {
 	return &Worker{
-		eng:    core.New(core.Options{Seed: seed, Exec: exec.ExecOptions{ZoneMap: true, Kernels: true, AggKernels: true}}),
+		eng:    core.New(core.Options{Seed: seed}),
 		staged: map[string]*storage.Table{},
 		kept:   map[string]int{},
 		shard:  -1,

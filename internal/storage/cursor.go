@@ -5,7 +5,8 @@
 // and jump only at morsel boundaries, so the cursor stays O(1) inside a
 // run, walks forward a few runs on short jumps, and re-seeks by binary
 // search only on long or backward jumps (workers claim morsels out of
-// order).
+// order, and a cracked-mode selection lists row ids in index order, not
+// ascending — correct at any position order, just not O(1)).
 package storage
 
 import "sort"
