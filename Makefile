@@ -28,14 +28,17 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The ROADMAP's tracked size: non-test Go lines of the engine and service
-# packages. A refactor that holds the benchmark and the fuzzers steady
-# should make this number go down.
+# The ROADMAP's tracked sizes: non-test Go lines of the engine and service
+# packages, then — totalled apart — of the estimator lane (AQP and online
+# aggregation). A refactor that holds the benchmark and the fuzzers steady
+# should make these numbers go down.
 loc:
-	@total=0; for p in exec core server shard; do \
-		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
-		printf '%-16s %6d\n' internal/$$p $$n; total=$$((total+n)); \
-	done; printf '%-16s %6d\n' total $$total
+	@for lane in "exec core server shard" "aqp onlineagg"; do \
+		total=0; for p in $$lane; do \
+			n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
+			printf '%-18s %6d\n' internal/$$p $$n; total=$$((total+n)); \
+		done; printf '%-18s %6d\n' total $$total; \
+	done
 
 # Short exploratory fuzz of the SQL parser beyond the seed corpus.
 fuzz:
@@ -85,11 +88,12 @@ bench-kernels:
 bench-shard:
 	$(GO) run ./cmd/experiments -run E32 -json BENCH_shard.json
 
-# Seeded chaos harness + cross-mode differential oracles under the race
-# detector, twice per seed (CI runs the same line with DEX_CHAOS_SEED
-# pinned per matrix job). `go run ./cmd/dexchaos` drives bigger schedules.
+# Seeded chaos harness + cross-mode differential oracles + concurrent
+# Online sessions under the race detector, twice per seed, on one core and
+# on four (CI runs the same line with DEX_CHAOS_SEED pinned per matrix
+# job). `go run ./cmd/dexchaos` drives bigger schedules.
 chaos:
-	$(GO) test -race -run 'Chaos|Oracle' -count=2 ./internal/chaos/ ./internal/exec/
+	$(GO) test -race -run 'Chaos|Oracle|ConcurrentOnline' -cpu 1,4 -count=2 ./internal/chaos/ ./internal/exec/ ./internal/core/
 
 # End-to-end observability smoke: builds dexd, boots it, drives a traced
 # session, validates /metrics exposition and /admin/slow, SIGTERM-drains.

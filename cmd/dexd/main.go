@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"math/rand"
@@ -49,7 +48,6 @@ import (
 	"dex/internal/protocol"
 	"dex/internal/server"
 	"dex/internal/shard"
-	"dex/internal/storage"
 	"dex/internal/workload"
 )
 
@@ -137,21 +135,7 @@ func main() {
 		logger.Printf("loaded table %q from %s", name, path)
 	}
 	if *demo != "" {
-		rng := rand.New(rand.NewSource(*seed))
-		var (
-			t   *storage.Table
-			err error
-		)
-		switch *demo {
-		case "sales":
-			t, err = workload.Sales(rng, *rows)
-		case "sky":
-			t, err = workload.SkyCatalog(rng, *rows)
-		case "ticks":
-			t, err = workload.Ticks(rng, *rows)
-		default:
-			err = fmt.Errorf("unknown -demo %q (sales|sky|ticks)", *demo)
-		}
+		t, err := workload.Demo(*demo, rand.New(rand.NewSource(*seed)), *rows)
 		if err == nil {
 			err = eng.Register(t)
 		}

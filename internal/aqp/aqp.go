@@ -71,152 +71,207 @@ func (g GroupEstimate) RelCI() float64 {
 
 // Exact computes the query on the full table; CIs are zero.
 func Exact(t *storage.Table, q Query) ([]GroupEstimate, error) {
-	weights := make([]float64, t.NumRows())
-	for i := range weights {
-		weights[i] = 1
-	}
-	res, err := estimate(t, weights, q, true)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res {
-		res[i].CI = 0
-	}
-	return res, nil
+	return OnView(t, nil, q)
 }
 
 // OnView computes estimates from a sampled view: view must hold the sampled
-// rows and weights[i] the expansion weight of view row i.
+// rows and weights[i] the expansion weight of view row i, which already
+// carries the scale — row i is one of len(weights) draws. Nil weights say
+// the view is the population itself: weight 1, no draws, zero intervals.
 func OnView(view *storage.Table, weights []float64, q Query) ([]GroupEstimate, error) {
-	return estimate(view, weights, q, false)
-}
-
-// estimate runs the shared estimation pipeline. With exact=true weights are
-// all 1 and CLT noise terms are still produced (the caller zeroes them).
-//
-// The estimator treats each sampled row i as one of k draws with per-draw
-// expansion estimate t_i = k * w_i * z_i (z_i is the measure for SUM, 1 for
-// COUNT, and 0 when row i fails the predicate or group). Estimates are
-// mean(t_i) with a CLT confidence interval — the Hansen-Hurwitz form, which
-// reduces to the classic N*mean(z) estimator for uniform samples. For AVG
-// the estimate is the weighted mean within the group with a per-group CLT
-// interval. MIN/MAX report the sample extreme with CI = +Inf.
-func estimate(view *storage.Table, weights []float64, q Query, exact bool) ([]GroupEstimate, error) {
-	if q.Agg == exec.AggNone {
-		return nil, fmt.Errorf("missing aggregate: %w", ErrBadQuery)
-	}
-	needCol := q.Agg != exec.AggCount
-	var mcol storage.Column
-	if needCol {
-		c, err := view.ColumnByName(q.Col)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type() == storage.TString && (q.Agg == exec.AggSum || q.Agg == exec.AggAvg) {
-			return nil, fmt.Errorf("%s over TEXT: %w", q.Agg, ErrUnsupportedAgg)
-		}
-		mcol = c
-	}
-	var gcol storage.Column
-	if q.GroupBy != "" {
-		c, err := view.ColumnByName(q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		gcol = c
+	est, err := NewEstimator(view, q)
+	if err != nil {
+		return nil, err
 	}
 	sel, err := expr.Filter(view, q.Where)
 	if err != nil {
 		return nil, err
 	}
-
-	k := float64(len(weights))
-	type acc struct {
-		group  storage.Value
-		sumY   float64 // sum of w_i * z_i
-		sumY2  float64 // sum of (w_i * z_i)^2
-		n      int
-		wsum   float64 // sum of weights (for AVG denominator)
-		xw     float64 // sum of w_i * x_i (AVG numerator)
-		stream metrics.Stream
-		min    float64
-		max    float64
-	}
-	groups := map[string]*acc{}
-	var order []string
 	for _, row := range sel {
-		key := ""
-		var gv storage.Value
-		if gcol != nil {
-			gv = gcol.Value(row)
-			key = gv.String()
+		w := 1.0
+		if weights != nil {
+			w = weights[row]
 		}
-		a, ok := groups[key]
-		if !ok {
-			a = &acc{group: gv, min: math.Inf(1), max: math.Inf(-1)}
-			groups[key] = a
-			order = append(order, key)
+		est.Add(est.Group(row), row, w)
+	}
+	return est.Estimates(float64(len(weights)), 1), nil
+}
+
+// Estimator is the one estimate accumulator of the middleware lane: AQP
+// over a stored sample, online aggregation over a shuffled prefix and index
+// striding over per-group prefixes all answer from a random sample with a
+// CLT interval, and differ only in who picks the rows and in the (k, scale)
+// they render with. Callers evaluate the predicate and Add the qualifying
+// rows; groups come back ordered by key.
+type Estimator struct {
+	agg    exec.AggFunc
+	mcol   storage.Column // nil for COUNT(*)
+	gcol   storage.Column // nil without GROUP BY
+	ids    map[string]int
+	groups []groupAcc // by id, in first-seen order
+	order  []int      // ids by ascending key; re-sorted once groups outgrow it
+}
+
+// groupAcc holds one group's sums over the rows added so far; a NULL
+// measure adds to none of them. A draw's contribution is y = w·x for SUM
+// and y = w for COUNT, so Σy is wx or wsum and only Σy² needs its own sum.
+type groupAcc struct {
+	key    string
+	val    storage.Value
+	n      int            // qualifying rows, NULL measures included
+	wsum   float64        // Σ w: COUNT, and AVG's denominator
+	wx     float64        // Σ w·x: SUM, and AVG's numerator
+	sumY2  float64        // Σ y²
+	stream metrics.Stream // the non-NULL measures: AVG interval, MIN, MAX
+}
+
+// NewEstimator validates q against t and returns an empty accumulator.
+func NewEstimator(t *storage.Table, q Query) (*Estimator, error) {
+	e := &Estimator{agg: q.Agg, ids: map[string]int{}}
+	switch q.Agg {
+	case exec.AggCount, exec.AggSum, exec.AggAvg, exec.AggMin, exec.AggMax:
+	case exec.AggNone:
+		return nil, fmt.Errorf("missing aggregate: %w", ErrBadQuery)
+	default:
+		return nil, fmt.Errorf("%v: %w", q.Agg, ErrUnsupportedAgg)
+	}
+	var err error
+	if q.Agg != exec.AggCount || (q.Col != "" && q.Col != "*") {
+		if e.mcol, err = t.ColumnByName(q.Col); err != nil {
+			return nil, err
 		}
-		w := weights[row]
-		z := 1.0
-		x := 0.0
-		if mcol != nil {
-			x = mcol.Value(row).AsFloat()
-		}
-		if q.Agg == exec.AggSum {
-			z = x
-		}
-		y := w * z
-		a.sumY += y
-		a.sumY2 += y * y
-		a.n++
-		a.wsum += w
-		a.xw += w * x
-		a.stream.Add(x)
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
+		if e.mcol.Type() == storage.TString && (q.Agg == exec.AggSum || q.Agg == exec.AggAvg) {
+			return nil, fmt.Errorf("%s over TEXT column %q: %w", q.Agg, q.Col, ErrUnsupportedAgg)
 		}
 	}
-	sort.Strings(order)
-	out := make([]GroupEstimate, 0, len(order))
-	for _, key := range order {
-		a := groups[key]
-		ge := GroupEstimate{Group: a.group, N: a.n}
-		switch q.Agg {
+	if q.GroupBy != "" {
+		if e.gcol, err = t.ColumnByName(q.GroupBy); err != nil {
+			return nil, err
+		}
+	}
+	if q.Where != nil {
+		if err := q.Where.Validate(t.Schema()); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// Group returns the id of row's group, registering the group on first
+// sight; ids are dense and count up in first-seen order.
+func (e *Estimator) Group(row int) int {
+	var val storage.Value
+	key := ""
+	if e.gcol != nil {
+		val = e.gcol.Value(row)
+		key = val.String()
+	}
+	id, ok := e.ids[key]
+	if !ok {
+		id = len(e.groups)
+		e.ids[key] = id
+		e.groups = append(e.groups, groupAcc{key: key, val: val})
+	}
+	return id
+}
+
+// Add folds one qualifying row, with expansion weight w, into the group
+// Group(row) returned as id. A NaN measure is the engine's NULL and follows
+// exec's rules: the row still belongs to its group (and counts for
+// COUNT(*)), but SUM, AVG, MIN, MAX and COUNT(col) ignore it.
+func (e *Estimator) Add(id, row int, w float64) {
+	a := &e.groups[id]
+	a.n++
+	x := 0.0
+	if e.mcol != nil {
+		v := e.mcol.Value(row)
+		if v.Typ == storage.TFloat && math.IsNaN(v.F) {
+			return
+		}
+		x = v.AsFloat()
+	}
+	y := w
+	if e.agg == exec.AggSum {
+		y = w * x
+	}
+	a.wsum += w
+	a.wx += w * x
+	a.sumY2 += y * y
+	a.stream.Add(x)
+}
+
+// Order returns the group ids by ascending key, the order Estimates lists
+// them in.
+func (e *Estimator) Order() []int {
+	if len(e.order) != len(e.groups) {
+		for id := len(e.order); id < len(e.groups); id++ {
+			e.order = append(e.order, id)
+		}
+		sort.Slice(e.order, func(i, j int) bool { return e.groups[e.order[i]].key < e.groups[e.order[j]].key })
+	}
+	return e.order
+}
+
+// Estimates renders every group with the same (k, scale); see EstimatesBy.
+func (e *Estimator) Estimates(k, scale float64) []GroupEstimate {
+	return e.EstimatesBy(func(int) (float64, float64) { return k, scale })
+}
+
+// EstimatesBy renders the current estimates, asking draws for each group's
+// (k, scale): the added rows are the qualifying ones among k random draws,
+// each standing for scale·w population rows. k = 0 says the rows are the
+// population itself, so every interval is zero.
+//
+//	AQP sample      k = sample rows        scale = 1 (w is the expansion weight)
+//	online prefix   k = m rows processed   scale = N/m
+//	index striding  k = m_g rows of g      scale = N_g/m_g, per group
+//
+// SUM and COUNT are the Hansen-Hurwitz estimator: draw i contributes
+// t_i = k·scale·y_i (0 when it fails the predicate, falls outside the group
+// or is NULL), the estimate is mean(t_i) = scale·Σy and the interval is the
+// CLT one over the k draws, zeros included. AVG is the weighted group mean
+// with the CLT interval of the group's own values (unbounded until there
+// are two); MIN and MAX report the sample extreme, whose error a sample
+// cannot bound.
+func (e *Estimator) EstimatesBy(draws func(id int) (k, scale float64)) []GroupEstimate {
+	out := make([]GroupEstimate, 0, len(e.groups))
+	for _, id := range e.Order() {
+		a := &e.groups[id]
+		k, scale := draws(id)
+		ge := GroupEstimate{Group: a.val, N: a.n}
+		switch e.agg {
 		case exec.AggCount, exec.AggSum:
-			ge.Est = a.sumY
-			if !exact && a.n > 1 {
-				// s^2 of the per-draw estimates, zeros included:
-				// sum(t^2) = k^2 * sumY2, mean(t) = sumY.
-				s2 := (k*k*a.sumY2 - k*a.sumY*a.sumY) / (k - 1)
+			sumY := a.wsum
+			if e.agg == exec.AggSum {
+				sumY = a.wx
+			}
+			ge.Est = scale * sumY
+			if k > 1 {
+				// s² of the t_i: Σt² = (k·scale)²·Σy², Σt = k·scale·Σy.
+				s2 := scale * scale * (k*k*a.sumY2 - k*sumY*sumY) / (k - 1)
 				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k)
 			}
 		case exec.AggAvg:
-			if a.wsum > 0 {
-				ge.Est = a.xw / a.wsum
-			} else {
-				ge.Est = math.NaN()
-			}
-			if !exact {
+			ge.Est = a.wx / a.wsum // NaN (NULL) for a group of NULLs, as exec
+			if k > 0 {
 				ge.CI = a.stream.MeanCI(metrics.Z95)
+				if a.stream.N() < 2 {
+					ge.CI = math.Inf(1)
+				}
 			}
-		case exec.AggMin:
-			ge.Est = a.min
-			if !exact {
+		default: // MIN, MAX
+			ge.Est = math.NaN()
+			if a.stream.N() > 0 {
+				ge.Est = a.stream.Min()
+				if e.agg == exec.AggMax {
+					ge.Est = a.stream.Max()
+				}
+			}
+			if k > 0 {
 				ge.CI = math.Inf(1)
 			}
-		case exec.AggMax:
-			ge.Est = a.max
-			if !exact {
-				ge.CI = math.Inf(1)
-			}
-		default:
-			return nil, fmt.Errorf("%v: %w", q.Agg, ErrUnsupportedAgg)
 		}
 		out = append(out, ge)
 	}
-	return out, nil
+	return out
 }

@@ -150,6 +150,42 @@ func TestMinMaxOnSampleUnbounded(t *testing.T) {
 	}
 }
 
+// TestSingleRowGroupIsNotCertain: one sampled row says nothing about a
+// group's spread. Its AVG interval is unbounded rather than zero, and its
+// SUM interval is the draw-level one — neither may read as converged.
+func TestSingleRowGroupIsNotCertain(t *testing.T) {
+	view, err := storage.FromColumns("v", storage.Schema{
+		{Name: "g", Type: storage.TString},
+		{Name: "x", Type: storage.TFloat},
+	}, []storage.Column{
+		storage.NewStringColumn([]string{"big", "big", "big", "one"}),
+		storage.NewFloatColumn([]float64{10, 12, 14, 50}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := []float64{25, 25, 25, 25}
+	for _, agg := range []exec.AggFunc{exec.AggAvg, exec.AggSum} {
+		est, err := OnView(view, weights, Query{Agg: agg, Col: "x", GroupBy: "g"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		big, one := est[0], est[1]
+		if one.Group.S != "one" || one.N != 1 {
+			t.Fatalf("%v groups = %+v", agg, est)
+		}
+		if math.IsInf(big.CI, 0) || big.CI <= 0 {
+			t.Errorf("%v three-row group CI = %v, want finite and positive", agg, big.CI)
+		}
+		if agg == exec.AggAvg && !math.IsInf(one.CI, 1) {
+			t.Errorf("AVG one-row group CI = %v, want +Inf", one.CI)
+		}
+		if agg == exec.AggSum && !(one.RelCI() > 1) {
+			t.Errorf("SUM one-row group rel CI = %v, want > 1", one.RelCI())
+		}
+	}
+}
+
 func TestEstimateWithPredicate(t *testing.T) {
 	tbl := mkSkewed(t, 10000, 8)
 	rng := rand.New(rand.NewSource(9))

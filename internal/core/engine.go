@@ -136,6 +136,7 @@ type Engine struct {
 	cracked  map[string]map[string]*crack.IntIndex
 	crackedF map[string]map[string]*crack.Index[float64]
 	samples  map[string]*aqp.Catalog
+	shuffles map[string][]int // Online mode's row order, one per table
 	raw      map[string]*rawload.RawTable
 	rowVecs  [][]int // cracked mode's idle row-id vectors
 	// pastSessions archives ended sessions for query recommendation.
@@ -168,6 +169,7 @@ func New(opt Options) *Engine {
 		cracked:  map[string]map[string]*crack.IntIndex{},
 		crackedF: map[string]map[string]*crack.Index[float64]{},
 		samples:  map[string]*aqp.Catalog{},
+		shuffles: map[string][]int{},
 		raw:      map[string]*rawload.RawTable{},
 	}
 }
@@ -192,15 +194,16 @@ func encoded(t *storage.Table) *storage.Table {
 }
 
 // Replace registers a table, overwriting any previous registration under
-// the same name and dropping derived state (crack indexes, samples) built
-// from the old data. Shard workers use it when a re-partition reassigns
-// their slice of a table.
+// the same name and dropping derived state (crack indexes, samples, the
+// online shuffle) built from the old data. Shard workers use it when a
+// re-partition reassigns their slice of a table.
 func (e *Engine) Replace(t *storage.Table) {
 	e.cat.Replace(encoded(t))
 	e.mu.Lock()
 	delete(e.cracked, t.Name())
 	delete(e.crackedF, t.Name())
 	delete(e.samples, t.Name())
+	delete(e.shuffles, t.Name())
 	e.mu.Unlock()
 }
 
@@ -933,15 +936,26 @@ func (e *Engine) executeOnline(ctx context.Context, table string, q exec.Query) 
 	if err != nil {
 		return nil, err
 	}
-	// The engine rand.Rand is shared state: concurrent sessions must not
-	// draw from it without holding the engine lock.
-	e.mu.Lock()
-	seed := e.rng.Int63()
-	e.mu.Unlock()
-	// The span covers runner construction too: the random-permutation
-	// setup dominates short online runs and must not vanish from traces.
+	// The table's shuffle is built by its first Online query and shared,
+	// read-only, by every later one; each query enters it at its own
+	// rotation, so prefixes differ from query to query while a fixed Seed
+	// still replays the same sequence. Both come from the engine rand.Rand
+	// — shared state, drawn under the engine lock. A shuffle of the wrong
+	// length belongs to a table Replace has since swapped out under a
+	// query that was already running; it is rebuilt, never indexed.
 	osp := trace.FromContext(ctx).Child("online")
-	r, err := onlineagg.New(t, aq, seed)
+	n := t.NumRows()
+	e.mu.Lock()
+	shuffle := e.shuffles[table]
+	built := len(shuffle) != n
+	if built {
+		shuffle = e.rng.Perm(n)
+		e.shuffles[table] = shuffle
+	}
+	start := int(e.rng.Int63() % int64(max(n, 1)))
+	e.mu.Unlock()
+	osp.SetBool("built", built)
+	r, err := onlineagg.NewShuffled(t, aq, shuffle, start)
 	if err != nil {
 		osp.End()
 		return nil, err

@@ -8,14 +8,11 @@ package onlineagg
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"dex/internal/aqp"
-	"dex/internal/exec"
-	"dex/internal/metrics"
+	"dex/internal/expr"
 	"dex/internal/storage"
 )
 
@@ -25,61 +22,35 @@ var (
 	ErrBadBatch = errors.New("onlineagg: batch must be positive")
 )
 
-// Runner incrementally evaluates one aggregate query over a random
-// permutation of the table. Each Step consumes a batch of rows in O(batch)
-// and the current estimates are available at any time.
+// Runner incrementally evaluates one aggregate query over a shuffle of the
+// table's rows. Each Step consumes a batch of rows in O(batch) and the
+// current estimates are available at any time; the estimator itself is
+// aqp's, fed the processed prefix.
 type Runner struct {
-	t     *storage.Table
-	q     aqp.Query
-	perm  []int
-	pos   int
-	mcol  storage.Column
-	gcol  storage.Column
-	accs  map[string]*groupAcc
-	order []string
+	t       *storage.Table
+	where   *expr.Pred
+	est     *aqp.Estimator
+	shuffle []int // a permutation of the row ids; read-only, may be shared
+	start   int   // position in shuffle of the first row consumed
+	pos     int   // rows consumed
 }
 
-type groupAcc struct {
-	group  storage.Value
-	sumY   float64 // sum over processed rows of z_i (zero outside group/pred)
-	sumY2  float64
-	stream metrics.Stream // measure values inside group (for AVG)
-	min    float64
-	max    float64
-	n      int
-}
-
-// New prepares a runner; the permutation is seeded deterministically.
+// New prepares a runner over its own permutation, seeded deterministically.
 func New(t *storage.Table, q aqp.Query, seed int64) (*Runner, error) {
-	if q.Agg == exec.AggNone {
-		return nil, fmt.Errorf("onlineagg: missing aggregate")
+	return NewShuffled(t, q, rand.New(rand.NewSource(seed)).Perm(t.NumRows()), 0)
+}
+
+// NewShuffled prepares a runner that walks shuffle — a uniformly random
+// permutation of t's row ids, which the runner only reads — from position
+// start, wrapping around. A window of a random permutation is a uniform
+// sample wherever it starts, so many runners can share one shuffle and
+// still see different prefixes by starting at different positions.
+func NewShuffled(t *storage.Table, q aqp.Query, shuffle []int, start int) (*Runner, error) {
+	est, err := aqp.NewEstimator(t, q)
+	if err != nil {
+		return nil, err
 	}
-	r := &Runner{t: t, q: q, accs: map[string]*groupAcc{}}
-	if q.Agg != exec.AggCount {
-		c, err := t.ColumnByName(q.Col)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type() == storage.TString && (q.Agg == exec.AggSum || q.Agg == exec.AggAvg) {
-			return nil, fmt.Errorf("onlineagg: %s over TEXT column %q", q.Agg, q.Col)
-		}
-		r.mcol = c
-	}
-	if q.GroupBy != "" {
-		c, err := t.ColumnByName(q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		r.gcol = c
-	}
-	if q.Where != nil {
-		if err := q.Where.Validate(t.Schema()); err != nil {
-			return nil, err
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	r.perm = rng.Perm(t.NumRows())
-	return r, nil
+	return &Runner{t: t, where: q.Where, est: est, shuffle: shuffle, start: start}, nil
 }
 
 // Processed returns how many rows have been consumed.
@@ -87,14 +58,14 @@ func (r *Runner) Processed() int { return r.pos }
 
 // Progress returns the fraction of the table consumed, in [0,1].
 func (r *Runner) Progress() float64 {
-	if len(r.perm) == 0 {
+	if len(r.shuffle) == 0 {
 		return 1
 	}
-	return float64(r.pos) / float64(len(r.perm))
+	return float64(r.pos) / float64(len(r.shuffle))
 }
 
 // Done reports whether the scan has consumed every row.
-func (r *Runner) Done() bool { return r.pos >= len(r.perm) }
+func (r *Runner) Done() bool { return r.pos >= len(r.shuffle) }
 
 // Step consumes up to batch more rows and returns the updated estimates.
 // After the final row the estimates are exact (CIs collapse to 0) and
@@ -106,103 +77,34 @@ func (r *Runner) Step(batch int) ([]aqp.GroupEstimate, error) {
 	if r.Done() {
 		return nil, ErrDone
 	}
+	n := len(r.shuffle)
 	end := r.pos + batch
-	if end > len(r.perm) {
-		end = len(r.perm)
+	if end > n {
+		end = n
 	}
 	for ; r.pos < end; r.pos++ {
-		row := r.perm[r.pos]
-		if r.q.Where != nil && !r.q.Where.Matches(r.t, row) {
-			continue
+		at := r.start + r.pos
+		if at >= n {
+			at -= n
 		}
-		key := ""
-		var gv storage.Value
-		if r.gcol != nil {
-			gv = r.gcol.Value(row)
-			key = gv.String()
-		}
-		a, ok := r.accs[key]
-		if !ok {
-			a = &groupAcc{group: gv, min: math.Inf(1), max: math.Inf(-1)}
-			r.accs[key] = a
-			r.order = append(r.order, key)
-			sort.Strings(r.order)
-		}
-		x := 0.0
-		if r.mcol != nil {
-			x = r.mcol.Value(row).AsFloat()
-		}
-		z := 1.0
-		if r.q.Agg == exec.AggSum {
-			z = x
-		}
-		a.sumY += z
-		a.sumY2 += z * z
-		a.n++
-		a.stream.Add(x)
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
+		row := r.shuffle[at]
+		if r.where == nil || r.where.Matches(r.t, row) {
+			r.est.Add(r.est.Group(row), row, 1)
 		}
 	}
 	return r.Estimates(), nil
 }
 
-// Estimates returns the current running estimates. SUM and COUNT scale the
-// processed prefix up to the full table (N/m factor) with CLT intervals
-// over the per-row draws; AVG reports the running group mean with its own
-// interval. When the scan is complete all intervals are zero.
+// Estimates returns the current running estimates: the m processed rows are
+// m draws, each standing for N/m rows of the table. When the scan is
+// complete they are the population and all intervals are zero.
 func (r *Runner) Estimates() []aqp.GroupEstimate {
-	N := float64(len(r.perm))
-	m := float64(r.pos)
-	done := r.Done()
-	out := make([]aqp.GroupEstimate, 0, len(r.order))
-	for _, key := range r.order {
-		a := r.accs[key]
-		ge := aqp.GroupEstimate{Group: a.group, N: a.n}
-		switch r.q.Agg {
-		case aqpCount, aqpSum:
-			scale := 1.0
-			if m > 0 {
-				scale = N / m
-			}
-			ge.Est = scale * a.sumY
-			if !done && m > 1 {
-				// Variance of per-row draws t_i = N*z_i, zeros included.
-				s2 := (N*N*a.sumY2 - (N*a.sumY)*(N*a.sumY)/m) / (m - 1)
-				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/m)
-			}
-		case aqpAvg:
-			ge.Est = a.stream.Mean()
-			if !done {
-				ge.CI = a.stream.MeanCI(metrics.Z95)
-			}
-		case aqpMin:
-			ge.Est = a.min
-			if !done {
-				ge.CI = math.Inf(1)
-			}
-		case aqpMax:
-			ge.Est = a.max
-			if !done {
-				ge.CI = math.Inf(1)
-			}
-		}
-		out = append(out, ge)
+	if r.Done() {
+		return r.est.Estimates(0, 1)
 	}
-	return out
+	m := float64(r.pos)
+	return r.est.Estimates(m, float64(len(r.shuffle))/m)
 }
-
-// Aliases keep the switch above terse.
-const (
-	aqpCount = exec.AggCount
-	aqpSum   = exec.AggSum
-	aqpAvg   = exec.AggAvg
-	aqpMin   = exec.AggMin
-	aqpMax   = exec.AggMax
-)
 
 // Snapshot is one point on the convergence curve RunUntil produces.
 type Snapshot struct {
@@ -214,7 +116,9 @@ type Snapshot struct {
 
 // RunUntil steps the runner in batches until every group's relative CI is
 // at or below target (or the scan completes), returning the full
-// convergence trajectory. A target <= 0 runs to completion.
+// convergence trajectory. A target <= 0 runs to completion, and so does a
+// query no processed row has qualified for yet: no estimate is not a
+// converged one.
 func (r *Runner) RunUntil(target float64, batch int) ([]Snapshot, error) {
 	return r.RunUntilCtx(context.Background(), target, batch)
 }
@@ -256,7 +160,7 @@ func (r *Runner) RunUntilCtx(ctx context.Context, target float64, batch int) ([]
 			}
 		}
 		snaps = append(snaps, Snapshot{Processed: r.pos, Groups: ge, MaxRelCI: worst})
-		if target > 0 && worst <= target && r.pos > 1 {
+		if target > 0 && worst <= target && len(ge) > 0 && r.pos > 1 {
 			break
 		}
 	}

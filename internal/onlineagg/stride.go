@@ -2,13 +2,9 @@ package onlineagg
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"dex/internal/aqp"
-	"dex/internal/exec"
-	"dex/internal/metrics"
 	"dex/internal/storage"
 )
 
@@ -19,26 +15,16 @@ import (
 // every group's estimate tightens at the same pace. Group totals are known
 // from the striding pass, so SUM/COUNT estimates are scaled per group.
 type StridedRunner struct {
-	t      *storage.Table
-	q      aqp.Query
-	mcol   storage.Column
-	groups []*strideGroup
-	byKey  map[string]*strideGroup
-	order  []string
-	cursor int // round-robin position
-	done   int // rows consumed
+	est    *aqp.Estimator
+	groups []strideGroup // by the estimator's group id
+	cursor int           // round-robin position, cycling the groups in key order
+	done   int           // rows consumed
 	total  int
 }
 
 type strideGroup struct {
-	key    storage.Value
-	rows   []int // shuffled member rows
-	next   int
-	stream metrics.Stream // measure values consumed
-	sumY   float64        // sum of z over consumed rows
-	sumY2  float64
-	min    float64
-	max    float64
+	rows []int // shuffled member rows
+	next int
 }
 
 // NewStrided prepares a strided runner. The query must have a GROUP BY
@@ -46,54 +32,29 @@ type strideGroup struct {
 // the predicate are excluded up front, which the striding pass can afford
 // since it reads the grouping column anyway).
 func NewStrided(t *storage.Table, q aqp.Query, seed int64) (*StridedRunner, error) {
-	if q.Agg == exec.AggNone {
-		return nil, fmt.Errorf("onlineagg: missing aggregate")
-	}
 	if q.GroupBy == "" {
 		return nil, fmt.Errorf("onlineagg: striding requires GROUP BY")
 	}
-	gcol, err := t.ColumnByName(q.GroupBy)
+	est, err := aqp.NewEstimator(t, q)
 	if err != nil {
 		return nil, err
 	}
-	var mcol storage.Column
-	if q.Agg != exec.AggCount {
-		c, err := t.ColumnByName(q.Col)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type() == storage.TString && (q.Agg == exec.AggSum || q.Agg == exec.AggAvg) {
-			return nil, fmt.Errorf("onlineagg: %s over TEXT column %q", q.Agg, q.Col)
-		}
-		mcol = c
-	}
-	if q.Where != nil {
-		if err := q.Where.Validate(t.Schema()); err != nil {
-			return nil, err
-		}
-	}
-	r := &StridedRunner{t: t, q: q, mcol: mcol, byKey: map[string]*strideGroup{}}
+	r := &StridedRunner{est: est}
 	for row := 0; row < t.NumRows(); row++ {
 		if q.Where != nil && !q.Where.Matches(t, row) {
 			continue
 		}
-		gv := gcol.Value(row)
-		key := gv.String()
-		g, ok := r.byKey[key]
-		if !ok {
-			g = &strideGroup{key: gv, min: math.Inf(1), max: math.Inf(-1)}
-			r.byKey[key] = g
-			r.order = append(r.order, key)
+		id := est.Group(row)
+		if id == len(r.groups) {
+			r.groups = append(r.groups, strideGroup{})
 		}
-		g.rows = append(g.rows, row)
+		r.groups[id].rows = append(r.groups[id].rows, row)
 		r.total++
 	}
-	sort.Strings(r.order)
 	rng := rand.New(rand.NewSource(seed))
-	for _, key := range r.order {
-		g := r.byKey[key]
-		rng.Shuffle(len(g.rows), func(i, j int) { g.rows[i], g.rows[j] = g.rows[j], g.rows[i] })
-		r.groups = append(r.groups, g)
+	for _, id := range est.Order() {
+		rows := r.groups[id].rows
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	}
 	return r, nil
 }
@@ -113,76 +74,33 @@ func (r *StridedRunner) Step(batch int) ([]aqp.GroupEstimate, error) {
 	if r.Done() {
 		return nil, ErrDone
 	}
+	order := r.est.Order()
 	consumed := 0
 	for consumed < batch && r.done < r.total {
-		g := r.groups[r.cursor%len(r.groups)]
+		id := order[r.cursor%len(order)]
 		r.cursor++
+		g := &r.groups[id]
 		if g.next >= len(g.rows) {
 			continue // exhausted group; round-robin skips it
 		}
-		row := g.rows[g.next]
+		r.est.Add(id, g.rows[g.next], 1)
 		g.next++
 		r.done++
 		consumed++
-		x := 0.0
-		if r.mcol != nil {
-			x = r.mcol.Value(row).AsFloat()
-		}
-		z := 1.0
-		if r.q.Agg == exec.AggSum {
-			z = x
-		}
-		g.sumY += z
-		g.sumY2 += z * z
-		g.stream.Add(x)
-		if x < g.min {
-			g.min = x
-		}
-		if x > g.max {
-			g.max = x
-		}
 	}
 	return r.Estimates(), nil
 }
 
-// Estimates returns the per-group running estimates. SUM and COUNT scale by
-// the group's own size (known from bucketing): est = (N_g/m_g)·sum_g, so
-// striding's distorted prefix proportions cannot bias the answers.
+// Estimates returns the per-group running estimates. Each group is its own
+// stratum: its m_g consumed rows are m_g draws from its N_g members (known
+// from bucketing), so est = (N_g/m_g)·sum_g and striding's distorted prefix
+// proportions cannot bias the answers. An exhausted group is exact.
 func (r *StridedRunner) Estimates() []aqp.GroupEstimate {
-	out := make([]aqp.GroupEstimate, 0, len(r.groups))
-	for _, g := range r.groups {
-		Ng := float64(len(g.rows))
-		mg := float64(g.next)
-		done := g.next >= len(g.rows)
-		ge := aqp.GroupEstimate{Group: g.key, N: g.next}
-		switch r.q.Agg {
-		case exec.AggCount, exec.AggSum:
-			scale := 1.0
-			if mg > 0 {
-				scale = Ng / mg
-			}
-			ge.Est = scale * g.sumY
-			if !done && mg > 1 {
-				s2 := (Ng*Ng*g.sumY2 - (Ng*g.sumY)*(Ng*g.sumY)/mg) / (mg - 1)
-				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/mg)
-			}
-		case exec.AggAvg:
-			ge.Est = g.stream.Mean()
-			if !done {
-				ge.CI = g.stream.MeanCI(metrics.Z95)
-			}
-		case exec.AggMin:
-			ge.Est = g.min
-			if !done {
-				ge.CI = math.Inf(1)
-			}
-		case exec.AggMax:
-			ge.Est = g.max
-			if !done {
-				ge.CI = math.Inf(1)
-			}
+	return r.est.EstimatesBy(func(id int) (k, scale float64) {
+		g := r.groups[id]
+		if g.next == 0 || g.next == len(g.rows) {
+			return 0, 1
 		}
-		out = append(out, ge)
-	}
-	return out
+		return float64(g.next), float64(len(g.rows)) / float64(g.next)
+	})
 }

@@ -757,22 +757,7 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "rows capped at 10M"})
 		return
 	}
-	rng := rand.New(rand.NewSource(req.Seed))
-	var (
-		t   *storage.Table
-		err error
-	)
-	switch req.Kind {
-	case "", "sales":
-		t, err = workload.Sales(rng, req.Rows)
-	case "sky":
-		t, err = workload.SkyCatalog(rng, req.Rows)
-	case "ticks":
-		t, err = workload.Ticks(rng, req.Rows)
-	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown demo kind %q (sales|sky|ticks)", req.Kind)})
-		return
-	}
+	t, err := workload.Demo(req.Kind, rand.New(rand.NewSource(req.Seed)), req.Rows)
 	if err == nil {
 		err = s.eng.Register(t)
 	}

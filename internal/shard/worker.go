@@ -247,17 +247,7 @@ func (w *Worker) handleLoad(m protocol.Load) (int64, error) {
 		if rows <= 0 {
 			rows = 100_000
 		}
-		rng := rand.New(rand.NewSource(m.Seed))
-		switch m.Kind {
-		case "", "sales":
-			t, err = workload.Sales(rng, rows)
-		case "sky":
-			t, err = workload.SkyCatalog(rng, rows)
-		case "ticks":
-			t, err = workload.Ticks(rng, rows)
-		default:
-			return 0, fmt.Errorf("unknown demo kind %q (sales|sky|ticks)", m.Kind)
-		}
+		t, err = workload.Demo(m.Kind, rand.New(rand.NewSource(m.Seed)), rows)
 	}
 	if err != nil {
 		return 0, err

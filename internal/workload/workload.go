@@ -212,6 +212,22 @@ func Ticks(rng *rand.Rand, n int) (*storage.Table, error) {
 	})
 }
 
+// Demo builds one of the synthetic demo tables by name — "sales" (also the
+// default for ""), "sky" or "ticks" — the one switch behind dexd's -demo
+// flag, the server's demo endpoint and a shard worker's synthetic load.
+func Demo(kind string, rng *rand.Rand, rows int) (*storage.Table, error) {
+	switch kind {
+	case "", "sales":
+		return Sales(rng, rows)
+	case "sky":
+		return SkyCatalog(rng, rows)
+	case "ticks":
+		return Ticks(rng, rows)
+	default:
+		return nil, fmt.Errorf("unknown demo kind %q (sales|sky|ticks)", kind)
+	}
+}
+
 // SeriesCollection builds n random-walk series of the given length for the
 // time-series indexing experiments.
 func SeriesCollection(rng *rand.Rand, n, length int) [][]float64 {

@@ -118,3 +118,15 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+func TestDemo(t *testing.T) {
+	for kind, table := range map[string]string{"": "sales", "sales": "sales", "sky": "sky", "ticks": "ticks"} {
+		tbl, err := Demo(kind, rand.New(rand.NewSource(6)), 50)
+		if err != nil || tbl.Name() != table || tbl.NumRows() != 50 {
+			t.Errorf("Demo(%q) = %v, %v, want 50 rows of %s", kind, tbl, err, table)
+		}
+	}
+	if _, err := Demo("nope", rand.New(rand.NewSource(6)), 50); err == nil {
+		t.Error("unknown demo kind should error")
+	}
+}
