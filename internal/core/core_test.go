@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"dex/internal/exec"
+	"dex/internal/sqlparse"
 	"dex/internal/storage"
 	"dex/internal/workload"
 )
@@ -271,26 +273,86 @@ func TestCrackedFloatColumn(t *testing.T) {
 	}
 }
 
+// crackEdgeTable is n rows of small values with the boundary cases mixed
+// in: int64s around 2^53 and at both int64 extremes in k; ±Inf and 10 %
+// NULLs (NaN) in x.
+func crackEdgeTable(t *testing.T, rng *rand.Rand, n int) *storage.Table {
+	t.Helper()
+	const p53 = 1 << 53
+	ints := []int64{p53 - 1, p53, p53 + 1, p53 + 2, math.MaxInt64, math.MinInt64}
+	floats := []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	k := make([]int64, n)
+	x := make([]float64, n)
+	for i := range k {
+		k[i] = rng.Int63n(20)
+		if rng.Intn(10) == 0 {
+			k[i] = ints[rng.Intn(len(ints))]
+		}
+		switch x[i] = rng.Float64(); rng.Intn(20) {
+		case 0, 1:
+			x[i] = math.NaN()
+		case 2:
+			x[i] = floats[rng.Intn(len(floats))]
+		}
+	}
+	tab, err := storage.FromColumns("edge", storage.Schema{
+		{Name: "k", Type: storage.TInt},
+		{Name: "x", Type: storage.TFloat},
+	}, []storage.Column{storage.NewIntColumn(k), storage.NewFloatColumn(x)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestCrackedBoundaryOperators: every operator and bound shape cracked mode
+// serves must answer what the reference evaluator answers — fractional
+// constants, FLOAT constants against int64s past 2^53 (which compare in
+// float64), ranges whose top is the type's maximum (MaxInt64, +Inf), and a
+// FLOAT column holding NULLs, which must also complete.
 func TestCrackedBoundaryOperators(t *testing.T) {
 	e := mkEngine(t, 3000)
-	// Mixed operators and fractional constants over the INT column.
+	if err := e.Register(crackEdgeTable(t, rand.New(rand.NewSource(5)), 5000)); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []string{
 		"SELECT count(*) FROM sales WHERE qty > 2 AND qty <= 7",
 		"SELECT count(*) FROM sales WHERE qty >= 2.5",
 		"SELECT count(*) FROM sales WHERE qty = 4",
 		"SELECT count(*) FROM sales WHERE amount > 110.5 AND amount <= 130.25",
 		"SELECT count(*) FROM sales WHERE amount = 120.5",
+		"SELECT count(*) FROM edge WHERE k > 9007199254740992.0",
+		"SELECT count(*) FROM edge WHERE k >= 9007199254740991.5 AND k < 9007199254740994.0",
+		"SELECT count(*) FROM edge WHERE k = 9007199254740992.0",
+		"SELECT count(*) FROM edge WHERE k >= 5",
+		"SELECT count(*) FROM edge WHERE k >= 9223372036854775807",
+		"SELECT count(*) FROM edge WHERE k <= 9223372036854775807 AND k > 3",
+		"SELECT count(*) FROM edge WHERE x >= 0.5",
+		"SELECT count(*) FROM edge WHERE x > 0.25 AND x <= 0.75",
+		"SELECT count(*) FROM edge WHERE x >= 0.125 AND x < 0.5",
+		"SELECT count(*) FROM edge WHERE x <= 0.5",
+		"SELECT count(*) FROM edge WHERE x > 2 AND x < 1",
 	} {
-		exact, err := e.SQL(q, Exact)
+		st, err := sqlparse.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cracked, err := e.SQL(q, Cracked)
+		tab, err := e.cat.Get(st.Table)
 		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+			t.Fatal(err)
 		}
-		if cracked.Row(0)[0].I != exact.Row(0)[0].I {
-			t.Errorf("%s: cracked %v != exact %v", q, cracked.Row(0)[0], exact.Row(0)[0])
+		want, err := exec.Execute(tab, st.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ { // round 1 probes existing cuts
+			got, err := e.SQL(q, Cracked)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if got.Row(0)[0].I != want.Row(0)[0].I {
+				t.Errorf("%s: cracked %v != exact %v", q, got.Row(0)[0], want.Row(0)[0])
+			}
 		}
 	}
 }

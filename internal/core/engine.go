@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -530,113 +529,31 @@ func (e *Engine) ExecuteContext(ctx context.Context, table string, q exec.Query,
 	}
 }
 
-// rangePred recognizes WHERE shapes the cracker can serve: a single
-// comparison or a conjunction of comparisons on one numeric column with
-// numeric constants. It normalizes the predicate into half-open bounds:
-// integer [iLo, iHi) for INT columns, float [fLo, fHi) for FLOAT columns.
-func rangePred(q exec.Query, schema storage.Schema) (col string, isFloat bool, iLo, iHi int64, fLo, fHi float64, ok bool) {
-	w := q.Where
-	if w == nil {
-		return "", false, 0, 0, 0, 0, false
-	}
-	var cmps []*expr.Pred
-	switch w.Kind {
-	case expr.KCmp:
-		cmps = []*expr.Pred{w}
-	case expr.KAnd:
-		for _, k := range w.Kids {
-			if k.Kind != expr.KCmp {
-				return "", false, 0, 0, 0, 0, false
-			}
-			cmps = append(cmps, k)
-		}
+// crackable returns the one-column interval that is the whole WHERE clause,
+// which a cracker probe can answer, or the stable reason there is none; the
+// crack span reports that reason as its fallback.
+func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
+	ivs, reason := expr.Intervals(schema, w)
+	switch {
+	case reason != "":
+	case len(ivs) == 0:
+		reason = "no range"
+	case len(ivs) > 1:
+		reason = "multi-column"
 	default:
-		return "", false, 0, 0, 0, 0, false
+		return ivs[0], ""
 	}
-	iLo, iHi = math.MinInt64, math.MaxInt64
-	fLo, fHi = math.Inf(-1), math.Inf(1)
-	for _, c := range cmps {
-		if col == "" {
-			col = c.Col
-			i := schema.Index(c.Col)
-			if i < 0 {
-				return "", false, 0, 0, 0, 0, false
-			}
-			switch schema[i].Type {
-			case storage.TInt:
-				isFloat = false
-			case storage.TFloat:
-				isFloat = true
-			default:
-				return "", false, 0, 0, 0, 0, false
-			}
-		} else if col != c.Col {
-			return "", false, 0, 0, 0, 0, false
-		}
-		if !c.Val.IsNumeric() {
-			return "", false, 0, 0, 0, 0, false
-		}
-		if isFloat {
-			v := c.Val.AsFloat()
-			switch c.Op {
-			case expr.GE:
-				fLo = math.Max(fLo, v)
-			case expr.GT:
-				fLo = math.Max(fLo, math.Nextafter(v, math.Inf(1)))
-			case expr.LT:
-				fHi = math.Min(fHi, v)
-			case expr.LE:
-				fHi = math.Min(fHi, math.Nextafter(v, math.Inf(1)))
-			case expr.EQ:
-				fLo = math.Max(fLo, v)
-				fHi = math.Min(fHi, math.Nextafter(v, math.Inf(1)))
-			default:
-				return "", false, 0, 0, 0, 0, false
-			}
-			continue
-		}
-		// Integer column: translate possibly fractional constants into
-		// integer half-open bounds. Constants beyond the int64 range would
-		// overflow the conversion and flip the range, so fall back to the
-		// exact path for them.
-		v := c.Val.AsFloat()
-		if v >= math.MaxInt64 || v <= math.MinInt64 {
-			return "", false, 0, 0, 0, 0, false
-		}
-		switch c.Op {
-		case expr.GE:
-			iLo = maxI(iLo, int64(math.Ceil(v)))
-		case expr.GT:
-			iLo = maxI(iLo, int64(math.Floor(v))+1)
-		case expr.LT:
-			iHi = minI(iHi, int64(math.Ceil(v)))
-		case expr.LE:
-			iHi = minI(iHi, int64(math.Floor(v))+1)
-		case expr.EQ:
-			if v != math.Trunc(v) {
-				return "", false, 0, 0, 0, 0, false // x = 2.5 over INT: empty, fall back
-			}
-			iLo = maxI(iLo, int64(v))
-			iHi = minI(iHi, int64(v)+1)
-		default:
-			return "", false, 0, 0, 0, 0, false
-		}
-	}
-	return col, isFloat, iLo, iHi, fLo, fHi, col != ""
+	return expr.Interval{}, reason
 }
 
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
+// probeInterval collects the rows with lo <= v <= hi into dst, above being
+// the least value over hi: a half-open probe [lo, above), or, when hi is the
+// type's maximum and nothing lies above it, a probe with no upper cut.
+func probeInterval[T int64 | float64](ix *crack.Index[T], dst []int, lo, above T, bounded bool) ([]int, crack.ProbeStats, error) {
+	if !bounded {
+		return ix.ProbeFrom(dst, lo)
 	}
-	return b
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return ix.ProbeAppend(dst, lo, above)
 }
 
 func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
@@ -644,12 +561,16 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	if err != nil {
 		return nil, err
 	}
-	col, isFloat, iLo, iHi, fLo, fHi, ok := rangePred(q, t.Schema())
-	if !ok {
-		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec) // fallback: not a crackable shape
-	}
+	// Every cracked-mode query opens the span, so one that did not crack
+	// says why.
 	csp := trace.FromContext(ctx).Child("crack")
-	csp.SetStr("col", col)
+	iv, reason := crackable(q.Where, t.Schema())
+	if reason != "" {
+		csp.SetStr("fallback", reason)
+		csp.End()
+		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
+	}
+	csp.SetStr("col", iv.Col)
 	// The probe synchronizes inside the index: boundary-aligned lookups
 	// share the index read lock, reorganizing ones take the write lock. The
 	// stats come from the probe's own critical section, so the span reflects
@@ -662,18 +583,18 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	rows := e.takeRowVec(t.NumRows())
 	defer func() { e.giveRowVec(rows) }()
 	var st crack.ProbeStats
-	if isFloat {
-		ix, ferr := e.crackIndexFloat(table, t, col)
-		if ferr == nil {
-			rows, st, ferr = ix.ProbeAppend(rows, fLo, fHi)
+	if iv.Float {
+		var ix *crack.Index[float64]
+		if ix, err = e.crackIndexFloat(table, t, iv.Col); err == nil {
+			above, bounded := iv.FloatAbove()
+			rows, st, err = probeInterval(ix, rows, iv.FLo, above, bounded)
 		}
-		err = ferr
 	} else {
-		ix, ierr := e.crackIndex(table, t, col)
-		if ierr == nil {
-			rows, st, ierr = ix.ProbeAppend(rows, iLo, iHi)
+		var ix *crack.IntIndex
+		if ix, err = e.crackIndex(table, t, iv.Col); err == nil {
+			above, bounded := iv.IntAbove()
+			rows, st, err = probeInterval(ix, rows, iv.ILo, above, bounded)
 		}
-		err = ierr
 	}
 	if err != nil {
 		csp.End()

@@ -136,18 +136,24 @@ type pendingIns[T cmp.Ordered] struct {
 type span struct{ lo, hi int }
 
 // New builds a cracker index over col. The slice is copied; original row
-// ids are the positions in col.
+// ids are the positions in col. A NaN — the engine's NULL — satisfies no
+// range, so its row is left out of the index: every probe is a range, and
+// a NaN pivot would compare neither below nor at-or-above and stall the
+// partition loop.
 func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 	opt.fill()
 	vals := make([]T, len(col))
-	copy(vals, col)
 	rows := make([]int, len(col))
-	for i := range rows {
-		rows[i] = i
+	n := 0
+	for i, v := range col {
+		if v == v {
+			vals[n], rows[n] = v, i
+			n++
+		}
 	}
 	return &Index[T]{
-		vals:    vals,
-		rows:    rows,
+		vals:    vals[:n],
+		rows:    rows[:n],
 		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		nextRow: len(col),
@@ -155,8 +161,8 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 	}
 }
 
-// Len returns the number of live values (cracked array plus pending,
-// minus tombstones).
+// Len returns the number of live indexed values (cracked array plus
+// pending, minus tombstones); NaN rows are not indexed.
 func (ix *Index[T]) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -235,13 +241,25 @@ func (ix *Index[T]) ProbeAppend(dst []int, lo, hi T) ([]int, ProbeStats, error) 
 		ix.mu.RUnlock()
 		return dst[:0], st, nil
 	}
-	if rows, st, ok := ix.tryReadProbe(dst, lo, hi); ok {
+	return ix.probe(dst, bounds[T]{lo: lo, hi: hi})
+}
+
+// ProbeFrom is ProbeAppend with no upper bound: the row ids whose value v
+// satisfies lo <= v, pending inserts included. It cracks at lo only, so it
+// reaches the largest value of the type (MaxInt64, +Inf), which no
+// half-open bound can include.
+func (ix *Index[T]) ProbeFrom(dst []int, lo T) ([]int, ProbeStats, error) {
+	return ix.probe(dst, bounds[T]{lo: lo, top: true})
+}
+
+func (ix *Index[T]) probe(dst []int, b bounds[T]) ([]int, ProbeStats, error) {
+	if rows, st, ok := ix.tryReadProbe(dst, b); ok {
 		return rows, st, nil
 	}
 	if err := fpEscalate.Hit(); err != nil {
 		return dst[:0], ProbeStats{Lock: LockWrite}, err
 	}
-	rows, st := ix.writeProbe(dst, lo, hi)
+	rows, st := ix.writeProbe(dst, b)
 	return rows, st, nil
 }
 
@@ -253,44 +271,59 @@ func (ix *Index[T]) Query(lo, hi T) []int {
 	if lo >= hi {
 		return nil
 	}
-	if rows, _, ok := ix.tryReadProbe(nil, lo, hi); ok {
+	b := bounds[T]{lo: lo, hi: hi}
+	if rows, _, ok := ix.tryReadProbe(nil, b); ok {
 		return rows
 	}
-	rows, _ := ix.writeProbe(nil, lo, hi)
+	rows, _ := ix.writeProbe(nil, b)
 	return rows
 }
 
-// tryReadProbe serves the probe entirely under the read lock when both
+// bounds is a probe's value range: lo <= v < hi, or lo <= v when top.
+type bounds[T cmp.Ordered] struct {
+	lo, hi T
+	top    bool
+}
+
+func (b bounds[T]) has(v T) bool { return v >= b.lo && (b.top || v < b.hi) }
+
+// tryReadProbe serves the probe entirely under the read lock when its
 // bounds are existing cuts; ok reports whether it could.
-func (ix *Index[T]) tryReadProbe(dst []int, lo, hi T) ([]int, ProbeStats, bool) {
+func (ix *Index[T]) tryReadProbe(dst []int, b bounds[T]) ([]int, ProbeStats, bool) {
 	ix.mu.RLock()
-	pa, oka := ix.lookupCut(lo)
-	pb, okb := ix.lookupCut(hi)
+	pa, oka := ix.lookupCut(b.lo)
+	pb, okb := len(ix.vals), true
+	if !b.top {
+		pb, okb = ix.lookupCut(b.hi)
+	}
 	if !oka || !okb {
 		ix.mu.RUnlock()
 		return nil, ProbeStats{}, false
 	}
-	rows := ix.collectLocked(dst, pa, pb, lo, hi)
+	rows := ix.collectLocked(dst, pa, pb, b)
 	st := ix.statsLocked(LockRead)
 	ix.mu.RUnlock()
 	return rows, st, true
 }
 
-// writeProbe cracks at both bounds and collects rows under the write lock.
-func (ix *Index[T]) writeProbe(dst []int, lo, hi T) ([]int, ProbeStats) {
+// writeProbe cracks at the bounds and collects rows under the write lock.
+func (ix *Index[T]) writeProbe(dst []int, b bounds[T]) ([]int, ProbeStats) {
 	ix.mu.Lock()
-	pa := ix.crackAt(lo)
-	pb := ix.crackAt(hi)
-	rows := ix.collectLocked(dst, pa, pb, lo, hi)
+	pa := ix.crackAt(b.lo)
+	pb := len(ix.vals)
+	if !b.top {
+		pb = ix.crackAt(b.hi)
+	}
+	rows := ix.collectLocked(dst, pa, pb, b)
 	st := ix.statsLocked(LockWrite)
 	ix.mu.Unlock()
 	return rows, st
 }
 
 // collectLocked gathers the live row ids at positions [pa, pb) plus the
-// pending inserts in [lo, hi) into dst[:0], replacing it when it is too
+// pending inserts inside b into dst[:0], replacing it when it is too
 // short. Caller holds at least the read lock.
-func (ix *Index[T]) collectLocked(dst []int, pa, pb int, lo, hi T) []int {
+func (ix *Index[T]) collectLocked(dst []int, pa, pb int, b bounds[T]) []int {
 	out := dst[:0]
 	if need := pb - pa + len(ix.pending)/4; cap(out) < need {
 		out = make([]int, 0, need)
@@ -301,7 +334,7 @@ func (ix *Index[T]) collectLocked(dst []int, pa, pb int, lo, hi T) []int {
 		}
 	}
 	for _, p := range ix.pending {
-		if p.val >= lo && p.val < hi && !ix.dead[p.row] {
+		if b.has(p.val) && !ix.dead[p.row] {
 			out = append(out, p.row)
 		}
 	}

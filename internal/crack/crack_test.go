@@ -1,6 +1,7 @@
 package crack
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -413,6 +414,67 @@ func TestFloatCracking(t *testing.T) {
 	ix.Flush()
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNaNIsNeverIndexed: a float column with NULLs (NaN) and +Inf cracks
+// to the answers a full scan gives under every variant — a NaN lies in no
+// range, whether it was in the column or inserted — and every probe
+// completes. ProbeFrom, the probe with no upper cut, reaches +Inf and the
+// pending inserts.
+func TestNaNIsNeverIndexed(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	col := make([]float64, 5000)
+	for i := range col {
+		switch col[i] = rng.Float64(); rng.Intn(20) {
+		case 0, 1:
+			col[i] = math.NaN()
+		case 2:
+			col[i] = math.Inf(1)
+		}
+	}
+	inserts := []float64{math.NaN(), 0.5, math.Inf(1), math.NaN(), 0.25}
+	live := append(append([]float64(nil), col...), inserts...)
+	full := NewFullScan(live)
+	for _, v := range []Variant{Standard, Stochastic, HybridSort} {
+		t.Run(v.String(), func(t *testing.T) {
+			ix := New(col, Options{Variant: v, StochasticMin: 64, SortMin: 64, MaxPending: 1 << 10, Seed: 1})
+			for _, x := range inserts {
+				ix.Insert(x)
+			}
+			for q := 0; q < 200; q++ {
+				a, b := rng.Float64(), rng.Float64()
+				lo, hi := min(a, b), max(a, b)
+				if got, want := ix.Query(lo, hi), full.Query(lo, hi); !sameSet(got, want) {
+					t.Fatalf("query %d [%v,%v): %d rows, full scan %d", q, lo, hi, len(got), len(want))
+				}
+				got, _, err := ix.ProbeFrom(nil, lo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := full.Query(lo, math.Inf(1))
+				for r, x := range live {
+					if math.IsInf(x, 1) {
+						want = append(want, r)
+					}
+				}
+				if !sameSet(got, want) {
+					t.Fatalf("probe %d [%v, +Inf]: %d rows, full scan %d", q, lo, len(got), len(want))
+				}
+			}
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			indexed := 0
+			for _, x := range live {
+				if !math.IsNaN(x) {
+					indexed++
+				}
+			}
+			if n := ix.Len(); n != indexed {
+				t.Fatalf("len %d, want the %d non-NaN values", n, indexed)
+			}
+		})
 	}
 }
 

@@ -13,12 +13,16 @@ var ErrInvariant = errors.New("crack: invariant violation")
 // Insert adds a value to the index, returning the new row id. The value
 // lands in the pending buffer; when the buffer exceeds MaxPending it is
 // ripple-merged into the cracked column, preserving all cuts — the
-// "merge gradually" strategy of updating a cracked database [30].
+// "merge gradually" strategy of updating a cracked database [30]. A NaN
+// takes a row id but, as in New, is never indexed.
 func (ix *Index[T]) Insert(v T) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	row := ix.nextRow
 	ix.nextRow++
+	if v != v {
+		return row
+	}
 	ix.pending = append(ix.pending, pendingIns[T]{val: v, row: row})
 	if len(ix.pending) >= ix.opt.MaxPending {
 		ix.mergePending()
@@ -26,7 +30,8 @@ func (ix *Index[T]) Insert(v T) int {
 	return row
 }
 
-// Delete tombstones a row id. It reports whether the row was live.
+// Delete tombstones the row id of an indexed (non-NaN) value. It reports
+// whether the row was live.
 func (ix *Index[T]) Delete(row int) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -5,58 +5,36 @@
 // time-ordered ticks, clustered fact tables — skipping compounds with
 // morsel parallelism and adaptive indexing.
 //
-// Pruning is strictly conservative: it extracts per-column closed
-// intervals only from comparison leaves of a top-level conjunction (a bare
-// comparison, or cmp AND cmp AND ...), and other conjuncts can only narrow
-// the result further. Anything else — OR, NOT, LIKE, cross-type values —
-// contributes no interval and prunes nothing.
+// Pruning is strictly conservative: the per-column intervals come from
+// expr.Intervals, which derives them only from the comparison leaves of the
+// top-level conjunction, exactly as the filter evaluates them; other
+// conjuncts can only narrow the result further. OR, NOT, LIKE, NE and
+// string comparisons contribute no interval and prune nothing.
 package exec
 
 import (
-	"math"
-
 	"dex/internal/expr"
 	"dex/internal/storage"
 )
 
-// zonePruner holds one column's zone map plus the predicate's closed
-// interval over it, in the column's native type so integer comparisons
-// never round through float64.
+// zonePruner is one column's zone map plus the predicate's interval over
+// it, in the column's native type so integer bounds never round through
+// float64.
 type zonePruner struct {
-	zm       *storage.ZoneMap
-	isFloat  bool
-	iLo, iHi int64
-	fLo, fHi float64
+	zm *storage.ZoneMap
+	iv expr.Interval
 }
 
-// skip reports whether morsel m cannot contain a qualifying row.
+// skip reports whether morsel m cannot contain a qualifying row. An empty
+// interval — an unsatisfiable conjunction — skips every morsel.
 func (zp zonePruner) skip(m int) bool {
-	if zp.isFloat {
-		return zp.zm.PruneFloat(m, zp.fLo, zp.fHi)
-	}
-	return zp.zm.PruneInt(m, zp.iLo, zp.iHi)
-}
-
-// conjuncts returns the comparison leaves pruning may use: the root when
-// it is a comparison, or the comparison children of a root AND (other
-// children are ignored — they only narrow further). Nil otherwise.
-func conjuncts(p *expr.Pred) []*expr.Pred {
-	if p == nil {
-		return nil
-	}
-	switch p.Kind {
-	case expr.KCmp:
-		return []*expr.Pred{p}
-	case expr.KAnd:
-		var out []*expr.Pred
-		for _, k := range p.Kids {
-			if k.Kind == expr.KCmp {
-				out = append(out, k)
-			}
-		}
-		return out
+	switch {
+	case zp.iv.Empty():
+		return true
+	case zp.iv.Float:
+		return zp.zm.PruneFloat(m, zp.iv.FLo, zp.iv.FHi)
 	default:
-		return nil
+		return zp.zm.PruneInt(m, zp.iv.ILo, zp.iv.IHi)
 	}
 }
 
@@ -65,126 +43,16 @@ func conjuncts(p *expr.Pred) []*expr.Pred {
 // given morsel size. A zone-map build failure (the storage/zonemap-build
 // failpoint, in practice) fails the scan.
 func zonePruners(t *storage.Table, p *expr.Pred, morsel int) ([]zonePruner, error) {
-	cmps := conjuncts(p)
-	if len(cmps) == 0 {
-		return nil, nil
-	}
-	schema := t.Schema()
+	ivs, _ := expr.Intervals(t.Schema(), p)
 	var out []zonePruner
-	done := map[string]bool{}
-	for _, c := range cmps {
-		if done[c.Col] {
-			continue
-		}
-		done[c.Col] = true
-		i := schema.Index(c.Col)
-		if i < 0 || !c.Val.IsNumeric() {
-			continue
-		}
-		var zp zonePruner
-		switch schema[i].Type {
-		case storage.TInt:
-			zp = zonePruner{iLo: math.MinInt64, iHi: math.MaxInt64}
-		case storage.TFloat:
-			zp = zonePruner{isFloat: true, fLo: math.Inf(-1), fHi: math.Inf(1)}
-		default:
-			continue
-		}
-		narrowed := false
-		for _, cc := range cmps {
-			if cc.Col == c.Col && cc.Val.IsNumeric() {
-				narrowed = zp.narrow(cc.Op, cc.Val.AsFloat()) || narrowed
-			}
-		}
-		if !narrowed {
-			continue
-		}
-		zm, err := t.ZoneMap(c.Col, morsel)
+	for _, iv := range ivs {
+		zm, err := t.ZoneMap(iv.Col, morsel)
 		if err != nil {
 			return nil, err
 		}
-		if zm == nil {
-			continue
+		if zm != nil {
+			out = append(out, zonePruner{zm: zm, iv: iv})
 		}
-		zp.zm = zm
-		out = append(out, zp)
 	}
 	return out, nil
-}
-
-// narrow tightens the pruner's closed interval with one comparison against
-// constant v, reporting whether it narrowed anything. All tightening is
-// conservative; NE and NaN constants narrow nothing.
-func (zp *zonePruner) narrow(op expr.Op, v float64) bool {
-	if math.IsNaN(v) {
-		return false
-	}
-	if zp.isFloat {
-		// Closed-interval envelope: every qualifying x satisfies
-		// lo <= x <= hi. Strict ops use the constant itself as the bound
-		// (x > v ⇒ x >= v), which is conservative — at worst one boundary
-		// morsel whose max equals v is scanned instead of skipped.
-		switch op {
-		case expr.GE, expr.GT:
-			if v > zp.fLo {
-				zp.fLo = v
-			}
-		case expr.LE, expr.LT:
-			if v < zp.fHi {
-				zp.fHi = v
-			}
-		case expr.EQ:
-			if v > zp.fLo {
-				zp.fLo = v
-			}
-			if v < zp.fHi {
-				zp.fHi = v
-			}
-		default:
-			return false
-		}
-		return true
-	}
-	// Integer column: translate the (possibly fractional) constant into an
-	// exact closed int64 interval. Constants at or beyond the int64 range
-	// would overflow the conversion; leave that side unbounded.
-	if v >= math.MaxInt64 || v <= math.MinInt64 {
-		return false
-	}
-	switch op {
-	case expr.GE: // x >= v  =>  x >= ceil(v)
-		zp.iLo = maxI64(zp.iLo, int64(math.Ceil(v)))
-	case expr.GT: // x > v   =>  x >= floor(v)+1
-		zp.iLo = maxI64(zp.iLo, int64(math.Floor(v))+1)
-	case expr.LE: // x <= v  =>  x <= floor(v)
-		zp.iHi = minI64(zp.iHi, int64(math.Floor(v)))
-	case expr.LT: // x < v   =>  x <= ceil(v)-1
-		zp.iHi = minI64(zp.iHi, int64(math.Ceil(v))-1)
-	case expr.EQ:
-		if v != math.Trunc(v) {
-			// x = 2.5 over INT matches nothing: the empty interval prunes
-			// every morsel, which is exactly the right answer.
-			zp.iLo, zp.iHi = 0, -1
-			return true
-		}
-		zp.iLo = maxI64(zp.iLo, int64(v))
-		zp.iHi = minI64(zp.iHi, int64(v))
-	default:
-		return false
-	}
-	return true
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,8 +40,22 @@ func zoneSkipped(t *testing.T, tbl *storage.Table, q Query, opt ExecOptions) (*s
 // tables (clustered and unclustered, NaN-polluted and clean) and random
 // queries — including the OR/NOT/string shapes pruning must ignore — the
 // pruning pipeline's output must equal the reference evaluator's, which
-// never consults a zone map.
+// never consults a zone map. Pinned inputs follow the random ones: morsels
+// of two rows holding only int64s past 2^53 (which compare in float64
+// against a FLOAT constant, so 2^53+1 equals 2^53.0), ±Inf and NULLs, and
+// unsatisfiable conjunctions.
 func TestZoneMapParityProperty(t *testing.T) {
+	check := func(label string, tbl *storage.Table, q Query, opt ExecOptions) {
+		t.Helper()
+		off, offErr := Execute(tbl, q)
+		on, onErr := ExecuteOpts(tbl, q, opt)
+		if (offErr == nil) != (onErr == nil) {
+			t.Fatalf("%s: error mismatch off=%v on=%v", label, offErr, onErr)
+		}
+		if offErr == nil {
+			requireSameTable(t, label, off, on)
+		}
+	}
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 150; iter++ {
 		rows := []int{0, 1, 13, 100, 1000}[rng.Intn(5)]
@@ -61,15 +76,36 @@ func TestZoneMapParityProperty(t *testing.T) {
 		}
 		label := fmt.Sprintf("iter=%d rows=%d nan=%.2f par=%d morsel=%d q=%s",
 			iter, rows, nanFrac, opt.Parallelism, opt.MorselSize, q)
-		off, offErr := Execute(tbl, q)
-		on, onErr := ExecuteOpts(tbl, q, opt)
-		if (offErr == nil) != (onErr == nil) {
-			t.Fatalf("%s: error mismatch off=%v on=%v", label, offErr, onErr)
-		}
-		if offErr != nil {
-			continue
-		}
-		requireSameTable(t, label, off, on)
+		check(label, tbl, q, opt)
+	}
+	const p53 = 1 << 53
+	edge, err := storage.FromColumns("edge", storage.Schema{
+		{Name: "k", Type: storage.TInt},
+		{Name: "x", Type: storage.TFloat},
+	}, []storage.Column{
+		storage.NewIntColumn([]int64{1, 2, p53 + 1, p53 + 1, math.MaxInt64, math.MinInt64}),
+		storage.NewFloatColumn([]float64{0, 1, math.Inf(1), math.Inf(1), math.NaN(), math.Inf(-1)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f53 := storage.Float(p53)
+	for _, p := range []*expr.Pred{
+		expr.Cmp("k", expr.LE, f53),
+		expr.Cmp("k", expr.EQ, f53),
+		expr.Cmp("k", expr.GE, f53),
+		expr.Cmp("k", expr.LT, storage.Float(p53+2)),
+		expr.And(expr.Cmp("k", expr.GT, storage.Int(0)), expr.Cmp("k", expr.LE, f53)),
+		expr.Cmp("k", expr.GE, storage.Int(math.MaxInt64)),
+		expr.Cmp("k", expr.LE, storage.Float(math.NaN())),
+		expr.Cmp("x", expr.GE, storage.Float(5)),
+		expr.Cmp("x", expr.LT, storage.Float(math.Inf(1))),
+		expr.Cmp("x", expr.LE, storage.Float(math.Inf(-1))),
+		expr.And(expr.Cmp("k", expr.GT, storage.Int(5)), expr.Cmp("k", expr.LT, storage.Int(3))),
+		expr.And(expr.Cmp("x", expr.GT, storage.Float(math.Inf(1))), expr.Cmp("k", expr.GE, storage.Int(0))),
+	} {
+		q := Query{Select: []SelectItem{{Col: "k"}, {Col: "x"}}, Where: p}
+		check(fmt.Sprintf("edge morsel=2 q=%s", q), edge, q, ExecOptions{Parallelism: 1, MorselSize: 2})
 	}
 }
 

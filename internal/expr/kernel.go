@@ -138,9 +138,9 @@ func CompileKernel(t *storage.Table, p *Pred) (*Kernel, string) {
 // range leaves, so BETWEEN-style conjunctions scan the column once instead
 // of once per bound. NE leaves are not contiguous ranges and stay unfused;
 // kI64AsF64 keeps its three-way-compare semantics and stays unfused too.
-// Fusion is exact: strict and equality bounds normalize to inclusive ones
-// (integers by ±1 with overflow producing an empty range, floats by
-// Nextafter with ±Inf/NaN producing an unsatisfiable NaN bound).
+// Fusion is exact: each leaf's inclusive bounds come from the interval rule
+// in interval.go (integers by ±1 with overflow producing an empty range,
+// floats by Nextafter with ±Inf/NaN producing an unsatisfiable NaN bound).
 // Same-column kRLE leaves fuse by a different mechanism — the extra
 // comparisons join the first leaf's per-run conjunction, so a range over a
 // run-length column still makes a single pass over the runs.
@@ -166,8 +166,8 @@ func fuseRanges(leaves []kernelLeaf) []kernelLeaf {
 			switch l.kind {
 			case kI64:
 				lo, hi := i64Bounds(l.op, l.iv)
-				merge.iv = maxI64(merge.iv, lo)
-				merge.iv2 = minI64(merge.iv2, hi)
+				merge.iv = max(merge.iv, lo)
+				merge.iv2 = min(merge.iv2, hi)
 			case kF64:
 				lo, hi := f64Bounds(l.op, l.fv)
 				// math.Max/Min propagate a NaN (unsatisfiable) bound.
@@ -193,83 +193,10 @@ func fuseRanges(leaves []kernelLeaf) []kernelLeaf {
 	return out
 }
 
-// i64Bounds rewrites one exact int64 comparison as an inclusive range.
-// An unsatisfiable comparison (x > MaxInt64, x < MinInt64) returns the
-// empty range lo > hi, which intersection preserves.
-func i64Bounds(op Op, v int64) (lo, hi int64) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	switch op {
-	case LT:
-		if v == math.MinInt64 {
-			return math.MaxInt64, math.MinInt64
-		}
-		hi = v - 1
-	case LE:
-		hi = v
-	case GT:
-		if v == math.MaxInt64 {
-			return math.MaxInt64, math.MinInt64
-		}
-		lo = v + 1
-	case GE:
-		lo = v
-	case EQ:
-		lo, hi = v, v
-	}
-	return lo, hi
-}
-
-// f64Bounds rewrites one raw float64 comparison as an inclusive range.
-// Strict bounds move to the adjacent representable double (exact), and a
-// comparison no value satisfies — x > +Inf, x < -Inf, any op against NaN —
-// yields a NaN bound.
-func f64Bounds(op Op, v float64) (lo, hi float64) {
-	lo, hi = math.Inf(-1), math.Inf(1)
-	switch op {
-	case LT:
-		hi = nextBelow(v)
-	case LE:
-		hi = v // v NaN: x <= NaN holds for no x, the range is already empty
-	case GT:
-		lo = nextAbove(v)
-	case GE:
-		lo = v
-	case EQ:
-		lo, hi = v, v
-	}
-	return lo, hi
-}
-
-func nextAbove(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 1) {
-		return math.NaN()
-	}
-	return math.Nextafter(v, math.Inf(1))
-}
-
-func nextBelow(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, -1) {
-		return math.NaN()
-	}
-	return math.Nextafter(v, math.Inf(-1))
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// flattenAnd collects the comparison leaves of a (possibly nested)
-// conjunction into out, returning a fallback reason for any other shape.
+// flattenAnd collects the comparison and LIKE leaves of a (possibly nested)
+// conjunction into out, returning a fallback reason for the first conjunct
+// of any other shape. It skips such a conjunct and keeps collecting, so the
+// leaves still describe a superset of the rows p admits.
 func flattenAnd(p *Pred, out *[]*Pred) string {
 	switch p.Kind {
 	case KCmp:
@@ -278,12 +205,13 @@ func flattenAnd(p *Pred, out *[]*Pred) string {
 	case KTrue:
 		return "" // neutral element of AND
 	case KAnd:
+		reason := ""
 		for _, kid := range p.Kids {
-			if reason := flattenAnd(kid, out); reason != "" {
-				return reason
+			if r := flattenAnd(kid, out); reason == "" {
+				reason = r
 			}
 		}
-		return ""
+		return reason
 	case KOr:
 		return "disjunction"
 	case KNot:

@@ -158,6 +158,19 @@ func FuzzKernelVsGeneric(f *testing.F) {
 			t.Fatalf("%s [%d,%d): generic plain %v != generic encoded %v",
 				p, lo, hi, oracle, oracleEnc)
 		}
+		// The interval rule: every row the oracle accepts lies inside the
+		// intervals, and when they are the whole predicate, exactly those do.
+		ivs, reason := Intervals(plain.Schema(), p)
+		next := 0
+		for r := lo; r < hi; r++ {
+			match := next < len(oracle) && oracle[next] == r
+			if match {
+				next++
+			}
+			if in := inIntervals(t, plain, ivs, r); match && !in || reason == "" && in != match {
+				t.Fatalf("%s row %d: oracle %v, in %+v %v (reason %q)", p, r, match, ivs, in, reason)
+			}
+		}
 		for _, tab := range []*storage.Table{plain, enc} {
 			k, reason := CompileKernel(tab, p)
 			if reason != "" {

@@ -135,7 +135,9 @@ func TestServerTraceSpanTree(t *testing.T) {
 }
 
 // TestServerTraceModes checks each execution mode contributes its
-// mode-specific stage span.
+// mode-specific stage span. Every cracked-mode query opens the crack span:
+// one the cracker serves names its column, one it cannot serve names the
+// stable reason it fell back to the pipeline instead.
 func TestServerTraceModes(t *testing.T) {
 	_, cl, _, _ := newTestService(t, 50_000, Config{}, exec.ExecOptions{Parallelism: 1})
 	ctx := context.Background()
@@ -149,10 +151,15 @@ func TestServerTraceModes(t *testing.T) {
 		mode  string
 		sql   string
 		stage string
+		attrs map[string]any // on the stage span; a crack span with no "fallback" here must have none
 	}{
-		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50", "crack"},
-		{"approx", "SELECT AVG(amount) FROM sales", "sample"},
-		{"online", "SELECT AVG(amount) FROM sales", "online"},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50", "crack", map[string]any{"col": "amount"}},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50 AND qty < 3", "crack", map[string]any{"fallback": "multi-column"}},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50 OR amount < 3", "crack", map[string]any{"fallback": "not an interval"}},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty <= 99999999999999999999", "crack", map[string]any{"fallback": "literal out of range"}},
+		{"cracked", "SELECT COUNT(*) FROM sales", "crack", map[string]any{"fallback": "no range"}},
+		{"approx", "SELECT AVG(amount) FROM sales", "sample", nil},
+		{"online", "SELECT AVG(amount) FROM sales", "online", nil},
 	}
 	for _, tc := range cases {
 		res, err := cl.Query(ctx, id, QueryRequest{SQL: tc.sql, Mode: tc.mode, Trace: true})
@@ -161,6 +168,15 @@ func TestServerTraceModes(t *testing.T) {
 		}
 		if res.Trace == nil || !hasStage(res.Trace, tc.stage) {
 			t.Fatalf("%s: span tree missing %q stage; have %v", tc.mode, tc.stage, stageNames(res.Trace))
+		}
+		sp := child(res.Trace, tc.stage)
+		for k, v := range tc.attrs {
+			if sp == nil || sp.Attrs[k] != v {
+				t.Errorf("%s: %q span %+v, want %s = %v", tc.sql, tc.stage, sp, k, v)
+			}
+		}
+		if sp != nil && sp.Attrs["fallback"] != nil && tc.attrs["fallback"] == nil {
+			t.Errorf("%s: crack span %+v reports a fallback", tc.sql, sp)
 		}
 	}
 }
