@@ -14,7 +14,7 @@ test:
 # cancellation, admission and scheduling tests behave differently on one
 # core than on four, and tier-1 has to be green at all of them.
 test-cpus:
-	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.

@@ -613,15 +613,16 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	return exec.ExecuteSel(ctx, t, rows, q, e.opt.Exec)
 }
 
-// takeRowVec returns an empty row-id vector for one cracked query over an
-// n-row table: a recycled one when there is one, else one no probe of that
-// table outgrows. A free list under the engine's lock rather than a
-// sync.Pool, whose per-P caches and GC sweeps make the hit rate — and so the
-// bytes a query allocates — differ from run to run.
+// takeRowVec returns an empty row-id vector with room for n row ids — a
+// cracked probe of an n-row table, an online batch of n rows: a recycled
+// one when the last one recycled is large enough, else a new one. A free
+// list under the engine's lock rather than a sync.Pool, whose per-P caches
+// and GC sweeps make the hit rate — and so the bytes a query allocates —
+// differ from run to run.
 func (e *Engine) takeRowVec(n int) []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if k := len(e.rowVecs); k > 0 {
+	if k := len(e.rowVecs); k > 0 && cap(e.rowVecs[k-1]) >= n {
 		v := e.rowVecs[k-1]
 		e.rowVecs = e.rowVecs[:k-1]
 		return v
@@ -881,8 +882,20 @@ func (e *Engine) executeOnline(ctx context.Context, table string, q exec.Query) 
 		osp.End()
 		return nil, err
 	}
-	snaps, err := r.RunUntilCtx(ctx, e.opt.OnlineRelCI, e.opt.OnlineBatch)
-	osp.SetInt("batches", int64(len(snaps)))
+	scratch := e.takeRowVec(min(n, e.opt.OnlineBatch))
+	defer e.giveRowVec(scratch)
+	r.UseScratch(scratch)
+	batches, err := r.Run(ctx, e.opt.OnlineRelCI, e.opt.OnlineBatch)
+	osp.SetInt("batches", int64(batches))
+	osp.SetInt("processed", int64(r.Processed()))
+	osp.SetInt("matched", int64(r.Matched()))
+	if aq.Where != nil {
+		reason := r.KernelFallback()
+		osp.SetBool("kernel", reason == "")
+		if reason != "" {
+			osp.SetStr("kernel_fallback", reason)
+		}
+	}
 	osp.End()
 	if err != nil {
 		return nil, err

@@ -200,8 +200,9 @@ func (p *Pred) Validate(schema storage.Schema) error {
 	return nil
 }
 
-// Matches reports whether row i of t satisfies the predicate.
-// Unknown columns evaluate to false.
+// Matches reports whether row i of t satisfies the predicate, exactly as
+// FilterRange decides it: it is the row-at-a-time evaluator for predicates
+// the kernel cannot compile. Unknown columns evaluate to false.
 func (p *Pred) Matches(t *storage.Table, i int) bool {
 	if p == nil {
 		return true
@@ -214,7 +215,7 @@ func (p *Pred) Matches(t *storage.Table, i int) bool {
 		if err != nil {
 			return false
 		}
-		return p.Op.apply(c.Value(i).Compare(p.Val))
+		return cmpVerdict(p.Op, c.Value(i), p.Val)
 	case KLike:
 		c, err := t.ColumnByName(p.Col)
 		if err != nil {
@@ -239,6 +240,21 @@ func (p *Pred) Matches(t *storage.Table, i int) bool {
 		return !p.Kids[0].Matches(t, i)
 	default:
 		return false
+	}
+}
+
+// cmpVerdict decides "v op val" with FilterRange's typed semantics: INT
+// against INT exactly in int64, a FLOAT against a numeric constant as a raw
+// float64 comparison (so a NaN, the engine's NULL, satisfies only <>), and
+// every other pairing by Value.Compare.
+func cmpVerdict(op Op, v, val storage.Value) bool {
+	switch {
+	case v.Typ == storage.TInt && val.Typ == storage.TInt:
+		return intVerdict(op, v.I, val.I)
+	case v.Typ == storage.TFloat && val.IsNumeric():
+		return floatVerdict(op, v.F, val.AsFloat())
+	default:
+		return op.apply(v.Compare(val))
 	}
 }
 

@@ -9,8 +9,9 @@
 // string columns, cross-type comparisons) report a fallback reason
 // and the caller uses the generic FilterRange path, which stays the
 // semantic oracle: for every input, Run(lo, hi, nil) must equal
-// FilterRange(t, p, lo, hi). The differential fuzzer in kernel_fuzz_test.go
-// enforces exactly that.
+// FilterRange(t, p, lo, hi), and Refine over candidates in any order must
+// keep exactly the rows FilterRange selects, in their given order. The
+// differential fuzzer in kernel_fuzz_test.go enforces exactly that.
 package expr
 
 import (
@@ -317,6 +318,25 @@ func intVerdict(op Op, x, v int64) bool {
 	}
 }
 
+// floatVerdict is the raw float64 comparison used by the FloatColumn fast
+// path: a NaN on either side satisfies NE and nothing else.
+func floatVerdict(op Op, x, v float64) bool {
+	switch op {
+	case LT:
+		return x < v
+	case LE:
+		return x <= v
+	case GT:
+		return x > v
+	case GE:
+		return x >= v
+	case EQ:
+		return x == v
+	default:
+		return x != v
+	}
+}
+
 // Run appends to sel the positions in [lo, hi) that satisfy the kernel, in
 // ascending order, and returns the extended slice. sel is typically a
 // pooled buffer sliced to length zero; Run never reads its prior contents.
@@ -341,6 +361,17 @@ func (k *Kernel) Run(lo, hi int, sel []int) []int {
 	for i := 1; i < len(k.leaves); i++ {
 		kept := k.leaves[i].refine(sel[base:])
 		sel = sel[:base+len(kept)]
+	}
+	return sel
+}
+
+// Refine keeps the candidate positions in sel that satisfy the kernel,
+// compacting in place, and returns the kept prefix in the candidates'
+// order. Unlike Run's ranges, the candidates may come in any order — a
+// window of a row shuffle, say — since every leaf reads by position.
+func (k *Kernel) Refine(sel []int) []int {
+	for i := range k.leaves {
+		sel = k.leaves[i].refine(sel)
 	}
 	return sel
 }
@@ -529,21 +560,7 @@ func (l *kernelLeaf) test(i int) bool {
 			return f < v || f > v
 		}
 	case kF64:
-		x, v := l.f64[i], l.fv
-		switch l.op {
-		case LT:
-			return x < v
-		case LE:
-			return x <= v
-		case GT:
-			return x > v
-		case GE:
-			return x >= v
-		case EQ:
-			return x == v
-		default:
-			return x != v
-		}
+		return floatVerdict(l.op, l.f64[i], l.fv)
 	case kDict:
 		return l.match[l.codes[i]]
 	default:
@@ -557,8 +574,9 @@ func (l *kernelLeaf) test(i int) bool {
 // reads. The common kinds use the same branch-free advance as scan.
 func (l *kernelLeaf) refine(sel []int) []int {
 	if l.kind == kRLE {
-		// Candidates ascend, so the cursor's forward walk covers them all;
-		// the verdict is recomputed only when the run changes.
+		// The cursor seeks, so candidates may come in any order: ascending
+		// ones (Run's) cost a short forward walk, others a binary search.
+		// The verdict is recomputed only when the run changes.
 		out := sel[:0]
 		cur := l.rle.Cursor()
 		last, ok := -1, false

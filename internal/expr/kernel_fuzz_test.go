@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dex/internal/storage"
@@ -171,7 +172,24 @@ func FuzzKernelVsGeneric(f *testing.F) {
 				t.Fatalf("%s row %d: oracle %v, in %+v %v (reason %q)", p, r, match, ivs, in, reason)
 			}
 		}
+		// Candidates in shuffled order, for the Refine invariant below.
+		perm := rand.New(rand.NewSource(int64(len(data)))).Perm(n)
 		for _, tab := range []*storage.Table{plain, enc} {
+			whole, err := FilterRange(tab, p, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]bool, n)
+			for _, r := range whole {
+				in[r] = true
+			}
+			// Matches is the fallback evaluator of the online lane: row by
+			// row it must decide exactly what FilterRange decides.
+			for r := 0; r < n; r++ {
+				if p.Matches(tab, r) != in[r] {
+					t.Fatalf("%s row %d: Matches %v, FilterRange %v", p, r, !in[r], in[r])
+				}
+			}
 			k, reason := CompileKernel(tab, p)
 			if reason != "" {
 				// Plain string columns and string constants against plain int
@@ -185,6 +203,22 @@ func FuzzKernelVsGeneric(f *testing.F) {
 			if got := k.Run(lo, hi, nil); !sameSel(got, oracle) {
 				t.Fatalf("%s [%d,%d): kernel %v != oracle %v", p, lo, hi, got, oracle)
 			}
+			requireRefineKeepsOrder(t, k, p, perm, in)
 		}
 	})
+}
+
+// requireRefineKeepsOrder refines a copy of the candidates cands and checks
+// it keeps exactly those whose in[] is set, in the candidates' order.
+func requireRefineKeepsOrder(t *testing.T, k *Kernel, p *Pred, cands []int, in []bool) {
+	t.Helper()
+	var want []int
+	for _, r := range cands {
+		if in[r] {
+			want = append(want, r)
+		}
+	}
+	if got := k.Refine(append([]int(nil), cands...)); !sameSel(got, want) {
+		t.Fatalf("%s: Refine(%v) = %v, want %v", p, cands, got, want)
+	}
 }

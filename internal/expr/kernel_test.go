@@ -57,7 +57,8 @@ func kernelTable(t *testing.T, rng *rand.Rand, n int) *storage.Table {
 var kernelOps = []Op{EQ, NE, LT, LE, GT, GE}
 
 // requireKernelParity compiles p against tab and checks Run against the
-// generic FilterRange oracle over several sub-ranges.
+// generic FilterRange oracle over several sub-ranges, and Refine over the
+// whole table's rows in shuffled order.
 func requireKernelParity(t *testing.T, tab *storage.Table, p *Pred) {
 	t.Helper()
 	k, reason := CompileKernel(tab, p)
@@ -75,6 +76,15 @@ func requireKernelParity(t *testing.T, tab *storage.Table, p *Pred) {
 			t.Fatalf("%s over [%d,%d): kernel %v != oracle %v", p, r[0], r[1], got, want)
 		}
 	}
+	whole, err := FilterRange(tab, p, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]bool, n)
+	for _, r := range whole {
+		in[r] = true
+	}
+	requireRefineKeepsOrder(t, k, p, rand.New(rand.NewSource(int64(n))).Perm(n), in)
 }
 
 func sameSel(a, b []int) bool {

@@ -26,13 +26,24 @@ var (
 // table's rows. Each Step consumes a batch of rows in O(batch) and the
 // current estimates are available at any time; the estimator itself is
 // aqp's, fed the processed prefix.
+//
+// A batch is a window of the shuffle (two slices where it wraps past the
+// end). With a WHERE, the window is copied into a scratch vector and the
+// compiled predicate kernel refines it in place, keeping shuffle order; a
+// predicate the kernel cannot compile is decided row by row with
+// Pred.Matches, which agrees with the kernel wherever both apply. The
+// survivors go to the estimator in one AddRows call.
 type Runner struct {
-	t       *storage.Table
-	where   *expr.Pred
-	est     *aqp.Estimator
-	shuffle []int // a permutation of the row ids; read-only, may be shared
-	start   int   // position in shuffle of the first row consumed
-	pos     int   // rows consumed
+	t        *storage.Table
+	kern     *expr.Kernel
+	where    *expr.Pred // decided row by row only when kern is nil
+	fallback string     // why the kernel did not compile
+	est      *aqp.Estimator
+	shuffle  []int // a permutation of the row ids; read-only, may be shared
+	start    int   // position in shuffle of the first row consumed
+	pos      int   // rows consumed
+	matched  int   // rows that satisfied the predicate
+	sel      []int // scratch a window is filtered in
 }
 
 // New prepares a runner over its own permutation, seeded deterministically.
@@ -50,11 +61,31 @@ func NewShuffled(t *storage.Table, q aqp.Query, shuffle []int, start int) (*Runn
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{t: t, where: q.Where, est: est, shuffle: shuffle, start: start}, nil
+	r := &Runner{t: t, est: est, shuffle: shuffle, start: start}
+	if q.Where != nil {
+		if r.kern, r.fallback = expr.CompileKernel(t, q.Where); r.kern == nil {
+			r.where = q.Where
+		}
+	}
+	return r, nil
 }
+
+// UseScratch lends the runner buf's storage for the vector each batch is
+// filtered in, so a caller running many queries can recycle one vector
+// across them; a buf too small for a batch is replaced. buf is the
+// runner's until its last Step or Run returns.
+func (r *Runner) UseScratch(buf []int) { r.sel = buf[:0] }
+
+// KernelFallback returns why the WHERE is decided row by row instead of
+// by the compiled predicate kernel, or "" when the kernel runs (or there is
+// no WHERE).
+func (r *Runner) KernelFallback() string { return r.fallback }
 
 // Processed returns how many rows have been consumed.
 func (r *Runner) Processed() int { return r.pos }
+
+// Matched returns how many consumed rows satisfied the predicate.
+func (r *Runner) Matched() int { return r.matched }
 
 // Progress returns the fraction of the table consumed, in [0,1].
 func (r *Runner) Progress() float64 {
@@ -77,33 +108,65 @@ func (r *Runner) Step(batch int) ([]aqp.GroupEstimate, error) {
 	if r.Done() {
 		return nil, ErrDone
 	}
-	n := len(r.shuffle)
-	end := r.pos + batch
-	if end > n {
-		end = n
-	}
-	for ; r.pos < end; r.pos++ {
-		at := r.start + r.pos
-		if at >= n {
-			at -= n
-		}
-		row := r.shuffle[at]
-		if r.where == nil || r.where.Matches(r.t, row) {
-			r.est.Add(r.est.Group(row), row, 1)
-		}
-	}
+	r.advance(batch)
 	return r.Estimates(), nil
+}
+
+// advance consumes the next min(batch, rows left) positions of the shuffle.
+func (r *Runner) advance(batch int) {
+	n := len(r.shuffle)
+	m := min(batch, n-r.pos)
+	a := r.start + r.pos
+	if a >= n {
+		a -= n
+	}
+	if b := a + m; b <= n {
+		r.feed(r.shuffle[a:b], m)
+	} else {
+		r.feed(r.shuffle[a:], m)
+		r.feed(r.shuffle[:b-n], m)
+	}
+	r.pos += m
+}
+
+// feed adds the rows of one window that satisfy the predicate, in shuffle
+// order; batch sizes the scratch vector they are filtered in.
+func (r *Runner) feed(rows []int, batch int) {
+	if r.kern != nil || r.where != nil {
+		if cap(r.sel) < len(rows) {
+			r.sel = make([]int, 0, batch)
+		}
+		sel := append(r.sel[:0], rows...)
+		if r.kern != nil {
+			sel = r.kern.Refine(sel)
+		} else {
+			k := 0
+			for _, row := range sel {
+				if r.where.Matches(r.t, row) {
+					sel[k] = row
+					k++
+				}
+			}
+			sel = sel[:k]
+		}
+		rows = sel
+	}
+	r.est.AddRows(rows, nil)
+	r.matched += len(rows)
 }
 
 // Estimates returns the current running estimates: the m processed rows are
 // m draws, each standing for N/m rows of the table. When the scan is
 // complete they are the population and all intervals are zero.
-func (r *Runner) Estimates() []aqp.GroupEstimate {
+func (r *Runner) Estimates() []aqp.GroupEstimate { return r.est.Estimates(r.draws()) }
+
+// draws returns the (k, scale) the processed prefix renders with.
+func (r *Runner) draws() (k, scale float64) {
 	if r.Done() {
-		return r.est.Estimates(0, 1)
+		return 0, 1
 	}
 	m := float64(r.pos)
-	return r.est.Estimates(m, float64(len(r.shuffle))/m)
+	return m, float64(len(r.shuffle)) / m
 }
 
 // Snapshot is one point on the convergence curve RunUntil produces.
@@ -134,35 +197,62 @@ func (r *Runner) RunUntil(target float64, batch int) ([]Snapshot, error) {
 // run ends normally and Estimates holds the answer at the deadline, its
 // confidence intervals as wide as the processed fraction makes them.
 func (r *Runner) RunUntilCtx(ctx context.Context, target float64, batch int) ([]Snapshot, error) {
-	if batch <= 0 {
-		return nil, ErrBadBatch
-	}
 	var snaps []Snapshot
+	_, err := r.run(ctx, target, batch, func(worst float64) {
+		snaps = append(snaps, Snapshot{Processed: r.pos, Groups: r.Estimates(), MaxRelCI: worst})
+	})
+	return snaps, err
+}
+
+// Run is RunUntilCtx without the trajectory: the same batches, stopping
+// rule and deadline rule, reporting only how many batches ran. Its stop
+// check renders no estimate slice, so a batch allocates nothing.
+func (r *Runner) Run(ctx context.Context, target float64, batch int) (int, error) {
+	return r.run(ctx, target, batch, nil)
+}
+
+// run is RunUntilCtx and Run; snap, when not nil, sees each batch's worst
+// relative interval.
+func (r *Runner) run(ctx context.Context, target float64, batch int, snap func(worst float64)) (int, error) {
+	if batch <= 0 {
+		return 0, ErrBadBatch
+	}
+	batches := 0
 	for !r.Done() {
 		if err := ctx.Err(); err != nil {
-			if len(snaps) > 0 && errors.Is(err, context.DeadlineExceeded) {
-				return snaps, nil
+			if batches > 0 && errors.Is(err, context.DeadlineExceeded) {
+				return batches, nil
 			}
-			return snaps, err
+			return batches, err
 		}
-		ge, err := r.Step(batch)
-		if err != nil {
-			return snaps, err
+		r.advance(batch)
+		batches++
+		worst := r.worstRelCI()
+		if snap != nil {
+			snap(worst)
 		}
-		worst := 0.0
-		for _, g := range ge {
-			rel := g.RelCI()
-			if math.IsInf(rel, 1) && g.Est == 0 {
-				continue
-			}
-			if rel > worst {
-				worst = rel
-			}
-		}
-		snaps = append(snaps, Snapshot{Processed: r.pos, Groups: ge, MaxRelCI: worst})
-		if target > 0 && worst <= target && len(ge) > 0 && r.pos > 1 {
+		if target > 0 && worst <= target && r.est.Len() > 0 && r.pos > 1 {
 			break
 		}
 	}
-	return snaps, nil
+	return batches, nil
+}
+
+// worstRelCI returns the worst relative interval over the groups, skipping
+// a group whose estimate is zero with an unbounded interval. Groups are
+// rendered one at a time, unordered: the maximum does not depend on order.
+func (r *Runner) worstRelCI() float64 {
+	k, scale := r.draws()
+	worst := 0.0
+	for id := range r.est.Len() {
+		g := r.est.Estimate(id, k, scale)
+		rel := g.RelCI()
+		if math.IsInf(rel, 1) && g.Est == 0 {
+			continue
+		}
+		if rel > worst {
+			worst = rel
+		}
+	}
+	return worst
 }

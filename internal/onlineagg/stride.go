@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dex/internal/aqp"
+	"dex/internal/expr"
 	"dex/internal/storage"
 )
 
@@ -39,17 +40,16 @@ func NewStrided(t *storage.Table, q aqp.Query, seed int64) (*StridedRunner, erro
 	if err != nil {
 		return nil, err
 	}
-	r := &StridedRunner{est: est}
-	for row := 0; row < t.NumRows(); row++ {
-		if q.Where != nil && !q.Where.Matches(t, row) {
-			continue
-		}
-		id := est.Group(row)
+	sel, err := expr.Filter(t, q.Where)
+	if err != nil {
+		return nil, err
+	}
+	r := &StridedRunner{est: est, total: len(sel)}
+	for i, id := range est.GroupIDs(sel) {
 		if id == len(r.groups) {
 			r.groups = append(r.groups, strideGroup{})
 		}
-		r.groups[id].rows = append(r.groups[id].rows, row)
-		r.total++
+		r.groups[id].rows = append(r.groups[id].rows, sel[i])
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, id := range est.Order() {
@@ -66,7 +66,9 @@ func (r *StridedRunner) Processed() int { return r.done }
 func (r *StridedRunner) Done() bool { return r.done >= r.total }
 
 // Step consumes up to batch rows round-robin across the groups and returns
-// the updated estimates.
+// the updated estimates. The round-robin only counts each group's share;
+// each group's rows then go to the estimator as one slice, in the order
+// the round-robin would have taken them.
 func (r *StridedRunner) Step(batch int) ([]aqp.GroupEstimate, error) {
 	if batch <= 0 {
 		return nil, ErrBadBatch
@@ -75,18 +77,21 @@ func (r *StridedRunner) Step(batch int) ([]aqp.GroupEstimate, error) {
 		return nil, ErrDone
 	}
 	order := r.est.Order()
-	consumed := 0
-	for consumed < batch && r.done < r.total {
+	take := make([]int, len(r.groups))
+	for consumed := 0; consumed < batch && r.done < r.total; {
 		id := order[r.cursor%len(order)]
 		r.cursor++
-		g := &r.groups[id]
-		if g.next >= len(g.rows) {
+		if r.groups[id].next+take[id] >= len(r.groups[id].rows) {
 			continue // exhausted group; round-robin skips it
 		}
-		r.est.Add(id, g.rows[g.next], 1)
-		g.next++
+		take[id]++
 		r.done++
 		consumed++
+	}
+	for id, m := range take {
+		g := &r.groups[id]
+		r.est.AddRows(g.rows[g.next:g.next+m], nil)
+		g.next += m
 	}
 	return r.Estimates(), nil
 }

@@ -160,6 +160,9 @@ func TestServerTraceModes(t *testing.T) {
 		{"cracked", "SELECT COUNT(*) FROM sales", "crack", map[string]any{"fallback": "no range"}},
 		{"approx", "SELECT AVG(amount) FROM sales", "sample", nil},
 		{"online", "SELECT AVG(amount) FROM sales", "online", nil},
+		{"online", "SELECT AVG(amount) FROM sales WHERE amount > 50", "online", map[string]any{"kernel": true}},
+		{"online", "SELECT AVG(amount) FROM sales WHERE amount > 50 OR qty < 3", "online",
+			map[string]any{"kernel": false, "kernel_fallback": "disjunction"}},
 	}
 	for _, tc := range cases {
 		res, err := cl.Query(ctx, id, QueryRequest{SQL: tc.sql, Mode: tc.mode, Trace: true})
@@ -177,6 +180,18 @@ func TestServerTraceModes(t *testing.T) {
 		}
 		if sp != nil && sp.Attrs["fallback"] != nil && tc.attrs["fallback"] == nil {
 			t.Errorf("%s: crack span %+v reports a fallback", tc.sql, sp)
+		}
+		// An online span counts the rows its batches read and the ones that
+		// qualified; without a WHERE it names no kernel.
+		if tc.stage == "online" {
+			processed, _ := sp.Attrs["processed"].(float64)
+			matched, ok := sp.Attrs["matched"].(float64)
+			if processed <= 0 || !ok || matched > processed {
+				t.Errorf("%s: online span %+v, want processed > 0 and matched <= processed", tc.sql, sp)
+			}
+			if tc.attrs == nil && sp.Attrs["kernel"] != nil {
+				t.Errorf("%s: online span %+v names a kernel without a WHERE", tc.sql, sp)
+			}
 		}
 	}
 }
