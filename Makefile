@@ -18,8 +18,12 @@ test-cpus:
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
+# The engine packages run again at one and four cores: per-worker
+# accumulators and the pooled selection and slot vectors interleave
+# differently when goroutines cannot overlap.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core
 
 vet:
 	$(GO) vet ./...

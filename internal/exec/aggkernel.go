@@ -5,10 +5,14 @@
 //     Value boxing per row. NaN stays the engine's NULL (skipped), int
 //     MIN/MAX compares in the float64 domain exactly like Value.Compare,
 //     so results match the reference evaluator bit for bit.
-//   - Group-by over a dict-encoded column indexes a dense per-code
-//     accumulator array (no hashing at all, distinct ≤ maxDictGroups);
-//     a plain or run-coded int column hashes raw int64 keys. String key
-//     building survives only in the generic multi-column/string sink.
+//   - Group-by runs a column at a time, two passes per morsel. The slot
+//     pass maps each qualifying row to its accumulator slot once, into a
+//     pooled []int32: dict codes are the slots (distinct ≤ maxDictGroups,
+//     no hashing; a dense range reads the code slice in place), raw int64
+//     keys cost one map probe per row, run-coded keys one per run. The
+//     item pass then runs one tight loop per select item over (slots,
+//     rows). String key building survives only in the generic
+//     multi-column/string sink.
 //   - With no predicate the accumulators read the morsel's dense row range
 //     directly: no selection vector exists at all.
 //
@@ -147,17 +151,20 @@ func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 
 // aggItem holds one select item's accumulators as per-slot parallel arrays
 // (slot 0 for scalar aggregation, one slot per group otherwise). Only the
-// arrays the (kind, fn) pair actually reads are allocated; addSlot grows
+// arrays the (kind, fn) pair actually reads are allocated; grow extends
 // exactly those. Semantics mirror aggState.add: NaN skipped before any
-// counting, first value wins ties, int MIN/MAX compared as float64.
+// counting, int MIN/MAX compared as float64, and a MIN/MAX slot remembers
+// the input position of its extreme so merges can break ties on it.
 type aggItem struct {
-	spec       aggSpec
-	cur        storage.RLECursor // aiRLE input reader
-	count      []int64
-	sum        []float64
-	imin, imax []int64
-	fmin, fmax []float64
-	has        []bool
+	spec  aggSpec
+	cur   storage.RLECursor // aiRLE input reader
+	sg    float64           // MIN/MAX: +1 keeps the least value, -1 the greatest
+	count []int64
+	sum   []float64
+	iext  []int64   // MIN/MAX over int input: the extreme so far
+	fext  []float64 // MIN/MAX over float input: the extreme so far
+	at    []int     // MIN/MAX: input position of the extreme
+	has   []bool
 }
 
 // aggAcc is one typed accumulator instance: one per morsel for scalar
@@ -167,8 +174,9 @@ type aggAcc struct {
 	items  []aggItem
 	nslots int
 	firsts []int             // per-slot first input position; gmDict: -1 = unseen
+	unseen int               // gmDict: slots not yet seen
 	keys   []int64           // per-slot raw key (int-keyed modes)
-	slots  map[int64]int     // key → slot (int-keyed modes)
+	slots  map[int64]int32   // key → slot (int-keyed modes)
 	kcur   storage.RLECursor // group-key reader (gmRLE)
 }
 
@@ -189,85 +197,63 @@ func (ak *aggKernel) newAcc() *aggAcc {
 		for i := range a.firsts {
 			a.firsts[i] = -1
 		}
+		a.unseen = slots
 	case gmI64:
-		a.slots = make(map[int64]int)
+		a.slots = make(map[int64]int32)
 	case gmRLE:
-		a.slots = make(map[int64]int)
+		a.slots = make(map[int64]int32)
 		a.kcur = ak.grle.Cursor()
 	}
 	a.items = make([]aggItem, len(ak.specs))
 	for i, spec := range ak.specs {
 		it := &a.items[i]
 		it.spec = spec
-		switch spec.kind {
-		case aiNone:
-		case aiCount:
+		if spec.kind == aiRLE {
+			it.cur = spec.rle.Cursor()
+		}
+		switch {
+		case spec.kind == aiNone:
+		case spec.kind == aiCount || spec.fn == AggCount:
 			it.count = make([]int64, slots)
-		case aiI64, aiRLE:
-			if spec.kind == aiRLE {
-				it.cur = spec.rle.Cursor()
+		case spec.fn == AggMin || spec.fn == AggMax:
+			it.sg = 1
+			if spec.fn == AggMax {
+				it.sg = -1
 			}
-			switch spec.fn {
-			case AggMin, AggMax:
-				it.imin = make([]int64, slots)
-				it.imax = make([]int64, slots)
-				it.has = make([]bool, slots)
-			default: // SUM/AVG
-				it.count = make([]int64, slots)
-				it.sum = make([]float64, slots)
+			if spec.kind == aiF64 {
+				it.fext = make([]float64, slots)
+			} else {
+				it.iext = make([]int64, slots)
 			}
-		case aiF64:
-			switch spec.fn {
-			case AggCount:
-				it.count = make([]int64, slots)
-			case AggMin, AggMax:
-				it.fmin = make([]float64, slots)
-				it.fmax = make([]float64, slots)
-				it.has = make([]bool, slots)
-			default: // SUM/AVG
-				it.count = make([]int64, slots)
-				it.sum = make([]float64, slots)
-			}
+			it.at = make([]int, slots)
+			it.has = make([]bool, slots)
+		default: // SUM/AVG
+			it.count = make([]int64, slots)
+			it.sum = make([]float64, slots)
 		}
 	}
 	return a
 }
 
-// minmaxI64 updates an int slot. Comparisons run in the float64 domain —
-// exactly Value.Compare's rule — so values straddling 2^53 keep the same
-// winner (the first seen among float-equal values) as the generic path.
-func (it *aggItem) minmaxI64(slot int, x int64) {
-	if !it.has[slot] {
-		it.imin[slot], it.imax[slot], it.has[slot] = x, x, true
-		return
-	}
-	fx := float64(x)
-	if fx < float64(it.imin[slot]) {
-		it.imin[slot] = x
-	}
-	if fx > float64(it.imax[slot]) {
-		it.imax[slot] = x
+// offer hands x, met at input position pos, to MIN/MAX slot s of an item
+// whose extremes are ext (it.iext or it.fext). Ints compare in the float64
+// domain — exactly Value.Compare's rule — and only a strictly better value
+// replaces the extreme, so among values that tie yet differ (int64
+// neighbours past 2^53, -0 and +0) the first offered wins. An accumulator
+// meets its rows in ascending input position, so that is the earliest one,
+// as in the sequential evaluator. Scaling by it.sg (±1) is exact, so MAX
+// ties exactly where MIN does. The caller has already dropped NaN.
+func offer[T int64 | float64](it *aggItem, ext []T, s int, x T, pos int) {
+	if !it.has[s] || it.sg*float64(x) < it.sg*float64(ext[s]) {
+		ext[s], it.at[s], it.has[s] = x, pos, true
 	}
 }
 
-// minmaxF64 updates a float slot; the caller has already dropped NaN.
-func (it *aggItem) minmaxF64(slot int, x float64) {
-	if !it.has[slot] {
-		it.fmin[slot], it.fmax[slot], it.has[slot] = x, x, true
-		return
-	}
-	if x < it.fmin[slot] {
-		it.fmin[slot] = x
-	}
-	if x > it.fmax[slot] {
-		it.fmax[slot] = x
-	}
-}
-
-// addSel accumulates the selected rows into slot 0 (scalar aggregation).
-// These are the hot loops: one pass over the selection per item, nothing
-// boxed, the fn/kind dispatch hoisted out of the loop.
-func (a *aggAcc) addSel(sel []int) {
+// addSel accumulates the selected rows into slot 0 (scalar aggregation);
+// sel[i] sits at input position base+i. These are the hot loops: one pass
+// over the selection per item, nothing boxed, the fn/kind dispatch hoisted
+// out of the loop.
+func (a *aggAcc) addSel(sel []int, base int) {
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.spec.kind {
@@ -277,8 +263,8 @@ func (a *aggAcc) addSel(sel []int) {
 			v := it.spec.i64
 			switch it.spec.fn {
 			case AggMin, AggMax:
-				for _, r := range sel {
-					it.minmaxI64(0, v[r])
+				for j, r := range sel {
+					offer(it, it.iext, 0, v[r], base+j)
 				}
 			default:
 				sum := it.sum[0]
@@ -300,9 +286,9 @@ func (a *aggAcc) addSel(sel []int) {
 				}
 				it.count[0] = c
 			case AggMin, AggMax:
-				for _, r := range sel {
+				for j, r := range sel {
 					if x := v[r]; x == x {
-						it.minmaxF64(0, x)
+						offer(it, it.fext, 0, x, base+j)
 					}
 				}
 			default:
@@ -318,8 +304,8 @@ func (a *aggAcc) addSel(sel []int) {
 		case aiRLE:
 			switch it.spec.fn {
 			case AggMin, AggMax:
-				for _, r := range sel {
-					it.minmaxI64(0, it.cur.At(r))
+				for j, r := range sel {
+					offer(it, it.iext, 0, it.cur.At(r), base+j)
 				}
 			default:
 				sum := it.sum[0]
@@ -347,8 +333,8 @@ func (a *aggAcc) addRange(lo, hi int) {
 			v := it.spec.i64[lo:hi]
 			switch it.spec.fn {
 			case AggMin, AggMax:
-				for _, x := range v {
-					it.minmaxI64(0, x)
+				for j, x := range v {
+					offer(it, it.iext, 0, x, lo+j)
 				}
 			default:
 				sum := it.sum[0]
@@ -370,9 +356,9 @@ func (a *aggAcc) addRange(lo, hi int) {
 				}
 				it.count[0] = c
 			case AggMin, AggMax:
-				for _, x := range v {
+				for j, x := range v {
 					if x == x {
-						it.minmaxF64(0, x)
+						offer(it, it.fext, 0, x, lo+j)
 					}
 				}
 			default:
@@ -388,8 +374,8 @@ func (a *aggAcc) addRange(lo, hi int) {
 		case aiRLE:
 			switch it.spec.fn {
 			case AggMin, AggMax:
-				it.spec.rle.ForEachRun(lo, hi, func(x int64, _, _ int) {
-					it.minmaxI64(0, x)
+				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, _ int) {
+					offer(it, it.iext, 0, x, rlo)
 				})
 			default:
 				sum, c := it.sum[0], it.count[0]
@@ -403,146 +389,239 @@ func (a *aggAcc) addRange(lo, hi int) {
 	}
 }
 
-// addSlot registers a new int-keyed group and grows every item's arrays.
-func (a *aggAcc) addSlot(k int64, first int) int {
-	s := a.nslots
+// addGroups folds one morsel into a group accumulator in two passes: the
+// slot pass maps every qualifying row to its slot once, then the item pass
+// runs one loop per select item. rows lists the qualifying rows of input
+// positions [lo, hi); nil means the whole dense range.
+func (a *aggAcc) addGroups(lo, hi int, rows []int) {
+	if rows != nil && len(rows) == 0 {
+		return
+	}
+	slots, buf := a.slotPass(lo, hi, rows)
+	a.fold(slots, rows, lo)
+	if buf != nil {
+		slotPool.Put(buf)
+	}
+}
+
+// slotPass returns each qualifying row's slot, in row order; rows[i] sits at
+// input position base+i, and nil rows means the dense range [base, hi). It
+// is the only place a group keyer lives: dict codes are the slots (a dense
+// range hands back the code slice itself, no copy), int keys cost one map
+// probe per row, run-coded keys one probe per run. New groups are registered
+// with their first-seen input position, and every item's arrays grow to
+// cover them before the item pass. buf, when non-nil, is the pooled vector
+// backing slots, which the caller returns to slotPool.
+func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32) {
+	ak := a.ak
+	if ak.mode == gmDict && rows == nil {
+		slots = ak.gcodes[base:hi]
+	} else {
+		n := hi - base
+		if rows != nil {
+			n = len(rows)
+		}
+		buf = getSlots(n)
+		slots = *buf
+	}
+	switch ak.mode {
+	case gmDict:
+		if rows != nil {
+			codes := ak.gcodes
+			for i, r := range rows {
+				slots[i] = codes[r]
+			}
+		}
+		a.markFirsts(slots, base)
+		return slots, buf
+	case gmI64:
+		keys := ak.gi64
+		if rows == nil {
+			for i, k := range keys[base:hi] {
+				slots[i] = a.slotOf(k, base+i)
+			}
+		} else {
+			for i, r := range rows {
+				slots[i] = a.slotOf(keys[r], base+i)
+			}
+		}
+	case gmRLE:
+		if rows == nil {
+			ak.grle.ForEachRun(base, hi, func(k int64, rlo, rhi int) {
+				s := a.slotOf(k, rlo)
+				for i := rlo - base; i < rhi-base; i++ {
+					slots[i] = s
+				}
+			})
+		} else {
+			run, s := -1, int32(0)
+			for i, r := range rows {
+				k := a.kcur.At(r)
+				if a.kcur.Run() != run {
+					run, s = a.kcur.Run(), a.slotOf(k, base+i)
+				}
+				slots[i] = s
+			}
+		}
+	}
+	a.grow()
+	return slots, buf
+}
+
+// markFirsts records the first-seen input position of every dict slot the
+// morsel meets for the first time; once every code has been seen it stops
+// looking.
+func (a *aggAcc) markFirsts(slots []int32, base int) {
+	firsts, unseen := a.firsts, a.unseen
+	for i := 0; i < len(slots) && unseen > 0; i++ {
+		if s := slots[i]; firsts[s] < 0 {
+			firsts[s] = base + i
+			unseen--
+		}
+	}
+	a.unseen = unseen
+}
+
+// slotOf returns the int key's slot, registering it at input position pos
+// when it is new.
+func (a *aggAcc) slotOf(k int64, pos int) int32 {
+	if s, ok := a.slots[k]; ok {
+		return s
+	}
+	return a.newSlot(k, pos)
+}
+
+// newSlot registers a new int-keyed group; the items' arrays catch up in
+// grow, once per slot pass. It stays out of slotOf so that the per-row
+// probe inlines into the slot pass's loops.
+func (a *aggAcc) newSlot(k int64, pos int) int32 {
+	s := int32(a.nslots)
 	a.nslots++
 	a.slots[k] = s
 	a.keys = append(a.keys, k)
-	a.firsts = append(a.firsts, first)
+	a.firsts = append(a.firsts, pos)
+	return s
+}
+
+// grow extends every allocated item array to nslots entries.
+func (a *aggAcc) grow() {
 	for i := range a.items {
 		it := &a.items[i]
-		if it.count != nil {
-			it.count = append(it.count, 0)
-		}
-		if it.sum != nil {
-			it.sum = append(it.sum, 0)
-		}
-		if it.imin != nil {
-			it.imin = append(it.imin, 0)
-			it.imax = append(it.imax, 0)
-		}
-		if it.fmin != nil {
-			it.fmin = append(it.fmin, 0)
-			it.fmax = append(it.fmax, 0)
-		}
-		if it.has != nil {
-			it.has = append(it.has, false)
-		}
+		it.count = growTo(it.count, a.nslots)
+		it.sum = growTo(it.sum, a.nslots)
+		it.iext = growTo(it.iext, a.nslots)
+		it.fext = growTo(it.fext, a.nslots)
+		it.at = growTo(it.at, a.nslots)
+		it.has = growTo(it.has, a.nslots)
+	}
+}
+
+// growTo zero-extends s to n entries; a nil s (an array the item does not
+// keep) stays nil.
+func growTo[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	var zero T
+	for len(s) < n {
+		s = append(s, zero)
 	}
 	return s
 }
 
-// addRow feeds row r into the given slot for every aggregating item.
-func (a *aggAcc) addRow(slot, r int) {
+// fold is the item pass: one loop per select item over the morsel, with
+// the (kind, fn) dispatch hoisted out of it. Row j lands in slots[j], sits
+// at input position base+j and is rows[j] — or base+j itself when rows is
+// nil, the dense range. Rows reach each slot in row order, as in the
+// sequential evaluator, so every SUM/AVG is bit-identical to it.
+func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.spec.kind {
 		case aiCount:
-			it.count[slot]++
+			for _, s := range slots {
+				it.count[s]++
+			}
 		case aiI64:
-			it.addI64(slot, it.spec.i64[r])
+			foldItem(it, it.iext, window(it.spec.i64, rows, base, len(slots)), slots, rows, base)
 		case aiF64:
-			if x := it.spec.f64[r]; x == x {
-				it.addF64(slot, x)
-			}
+			foldItem(it, it.fext, window(it.spec.f64, rows, base, len(slots)), slots, rows, base)
 		case aiRLE:
-			it.addI64(slot, it.cur.At(r))
+			for j, s := range slots {
+				r := base + j
+				if rows != nil {
+					r = rows[j]
+				}
+				if x := it.cur.At(r); it.has != nil {
+					offer(it, it.iext, int(s), x, base+j)
+				} else {
+					it.sum[s] += float64(x)
+					it.count[s]++
+				}
+			}
 		}
 	}
 }
 
-func (it *aggItem) addI64(slot int, x int64) {
+// window is the part of a raw column fold reads: the dense range, or all
+// of it under a selection.
+func window[T any](v []T, rows []int, base, n int) []T {
+	if rows == nil {
+		return v[base : base+n]
+	}
+	return v
+}
+
+// foldItem folds one item over its raw column v (see window). ext is the
+// item's MIN/MAX array of v's type; for int64 the NULL test x == x folds
+// away at compile time.
+func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []int, base int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
-		it.minmaxI64(slot, x)
-	default:
-		it.count[slot]++
-		it.sum[slot] += float64(x)
-	}
-}
-
-func (it *aggItem) addF64(slot int, x float64) {
-	switch it.spec.fn {
-	case AggCount:
-		it.count[slot]++
-	case AggMin, AggMax:
-		it.minmaxF64(slot, x)
-	default:
-		it.count[slot]++
-		it.sum[slot] += x
-	}
-}
-
-// addGroupSel routes the selected rows through the group keyer: dict codes
-// index slots directly, int keys resolve through the hash map. sel[i] sits
-// at input position base+i, which is what a new group records as its
-// first-seen position — not the row id, which ascends along a filtered
-// scan but not along a caller's (cracked) selection.
-func (a *aggAcc) addGroupSel(sel []int, base int) {
-	switch a.ak.mode {
-	case gmDict:
-		codes := a.ak.gcodes
-		for i, r := range sel {
-			slot := int(codes[r])
-			if a.firsts[slot] < 0 {
-				a.firsts[slot] = base + i
+		if rows == nil {
+			for j, s := range slots {
+				if x := v[j]; x == x {
+					offer(it, ext, int(s), x, base+j)
+				}
 			}
-			a.addRow(slot, r)
+		} else {
+			for j, s := range slots {
+				if x := v[rows[j]]; x == x {
+					offer(it, ext, int(s), x, base+j)
+				}
+			}
 		}
-	case gmI64:
-		keys := a.ak.gi64
-		for i, r := range sel {
-			k := keys[r]
-			slot, ok := a.slots[k]
-			if !ok {
-				slot = a.addSlot(k, base+i)
+	case AggCount: // over a FLOAT: NULLs do not count
+		count := it.count
+		if rows == nil {
+			for j, s := range slots {
+				if x := v[j]; x == x {
+					count[s]++
+				}
 			}
-			a.addRow(slot, r)
+		} else {
+			for j, s := range slots {
+				if x := v[rows[j]]; x == x {
+					count[s]++
+				}
+			}
 		}
-	case gmRLE:
-		for i, r := range sel {
-			k := a.kcur.At(r)
-			slot, ok := a.slots[k]
-			if !ok {
-				slot = a.addSlot(k, base+i)
+	default: // SUM/AVG
+		sum, count := it.sum, it.count
+		if rows == nil {
+			for j, s := range slots {
+				if x := v[j]; x == x {
+					sum[s] += float64(x)
+					count[s]++
+				}
 			}
-			a.addRow(slot, r)
-		}
-	}
-}
-
-// addGroupRange is addGroupSel over a dense row range (no WHERE), where
-// input position and row id coincide.
-func (a *aggAcc) addGroupRange(lo, hi int) {
-	switch a.ak.mode {
-	case gmDict:
-		codes := a.ak.gcodes
-		for r := lo; r < hi; r++ {
-			slot := int(codes[r])
-			if a.firsts[slot] < 0 {
-				a.firsts[slot] = r
+		} else {
+			for j, s := range slots {
+				if x := v[rows[j]]; x == x {
+					sum[s] += float64(x)
+					count[s]++
+				}
 			}
-			a.addRow(slot, r)
-		}
-	case gmI64:
-		keys := a.ak.gi64
-		for r := lo; r < hi; r++ {
-			k := keys[r]
-			slot, ok := a.slots[k]
-			if !ok {
-				slot = a.addSlot(k, r)
-			}
-			a.addRow(slot, r)
-		}
-	case gmRLE:
-		for r := lo; r < hi; r++ {
-			k := a.kcur.At(r)
-			slot, ok := a.slots[k]
-			if !ok {
-				slot = a.addSlot(k, r)
-			}
-			a.addRow(slot, r)
 		}
 	}
 }
@@ -566,11 +645,11 @@ func (a *aggAcc) states(slot int) []*aggState {
 			st.sum = it.sum[slot]
 		}
 		if it.has != nil && it.has[slot] {
-			st.has = true
-			if it.imin != nil {
-				st.min, st.max = storage.Int(it.imin[slot]), storage.Int(it.imax[slot])
+			st.has, st.at = true, it.at[slot]
+			if it.iext != nil {
+				st.ext = storage.Int(it.iext[slot])
 			} else {
-				st.min, st.max = storage.Float(it.fmin[slot]), storage.Float(it.fmax[slot])
+				st.ext = storage.Float(it.fext[slot])
 			}
 		}
 		out[i] = st
@@ -588,7 +667,9 @@ func (a *aggAcc) keyValue(slot int) storage.Value {
 
 // mergeGroupAccs folds per-worker accumulators into group entries ordered
 // by first-seen input position — the sequential insertion order. nil
-// entries (workers that never ran) are skipped.
+// entries (workers that never ran) are skipped. The states merge through
+// aggState.merge, so a MIN/MAX tie between workers goes to the earlier
+// input position, not to the worker merged first.
 func mergeGroupAccs(ak *aggKernel, accs []*aggAcc) []*groupEntry {
 	var entries []*groupEntry
 	if ak.mode == gmDict {
@@ -683,7 +764,7 @@ func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 		if rows == nil {
 			acc.addRange(lo, hi)
 		} else {
-			acc.addSel(rows)
+			acc.addSel(rows, lo)
 		}
 		s.partials[lo/s.m] = acc.states(0)
 		return
@@ -693,11 +774,7 @@ func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 		acc = s.ak.newAcc()
 		s.locals[worker] = acc
 	}
-	if rows == nil {
-		acc.addGroupRange(lo, hi)
-	} else {
-		acc.addGroupSel(rows, lo)
-	}
+	acc.addGroups(lo, hi, rows)
 }
 
 func (s *typedSink) finish() (*storage.Table, error) {

@@ -215,34 +215,51 @@ func Finish(out *storage.Table, q Query) (*storage.Table, error) {
 // row via addCountOnly). Skipping NaN also makes the state a commutative
 // monoid under merge, which the parallel operators rely on: without it,
 // MIN/MAX folds over incomparable values would depend on morsel boundaries.
+//
+// MIN and MAX keep one extreme, ext, and the input position it came from.
+// Values can tie under Value.Compare and still differ — int64s past 2^53
+// that meet in the float64 domain, -0 and +0 — and the sequential scan
+// keeps the first one it meets. One state meets its values in ascending
+// position, and merge keeps the earlier position of a tie, so the answer
+// does not depend on which worker ran which morsel.
 type aggState struct {
 	fn    AggFunc
+	has   bool // MIN/MAX: ext holds a value
 	count int64
 	sum   float64
-	min   storage.Value
-	max   storage.Value
-	has   bool
+	ext   storage.Value // MIN/MAX: the extreme so far
+	at    int           // MIN/MAX: input position of ext
 }
 
-func (a *aggState) add(v storage.Value) {
+// add folds the value found at input position pos.
+func (a *aggState) add(v storage.Value, pos int) {
 	if v.Typ == storage.TFloat && math.IsNaN(v.F) {
 		return
 	}
 	a.count++
 	a.sum += v.AsFloat()
-	if !a.has {
-		a.min, a.max, a.has = v, v, true
-		return
-	}
-	if v.Compare(a.min) < 0 {
-		a.min = v
-	}
-	if v.Compare(a.max) > 0 {
-		a.max = v
+	if a.fn == AggMin || a.fn == AggMax {
+		a.offer(v, pos)
 	}
 }
 
 func (a *aggState) addCountOnly() { a.count++ }
+
+// offer makes v, from input position pos, the extreme if it beats the
+// current one, or ties it from an earlier position.
+func (a *aggState) offer(v storage.Value, pos int) {
+	if !a.has {
+		a.ext, a.at, a.has = v, pos, true
+		return
+	}
+	c := v.Compare(a.ext)
+	if a.fn == AggMax {
+		c = -c
+	}
+	if c < 0 || c == 0 && pos < a.at {
+		a.ext, a.at = v, pos
+	}
+}
 
 // merge folds another partial state (same aggregate function) into a. It is
 // the combine step of parallel aggregation: each worker accumulates its own
@@ -250,18 +267,8 @@ func (a *aggState) addCountOnly() { a.count++ }
 func (a *aggState) merge(b *aggState) {
 	a.count += b.count
 	a.sum += b.sum
-	if !b.has {
-		return
-	}
-	if !a.has {
-		a.min, a.max, a.has = b.min, b.max, true
-		return
-	}
-	if b.min.Compare(a.min) < 0 {
-		a.min = b.min
-	}
-	if b.max.Compare(a.max) > 0 {
-		a.max = b.max
+	if b.has {
+		a.offer(b.ext, b.at)
 	}
 }
 
@@ -276,16 +283,11 @@ func (a *aggState) result() storage.Value {
 			return storage.Float(math.NaN())
 		}
 		return storage.Float(a.sum / float64(a.count))
-	case AggMin:
+	case AggMin, AggMax:
 		if !a.has {
 			return storage.Float(math.NaN())
 		}
-		return a.min
-	case AggMax:
-		if !a.has {
-			return storage.Float(math.NaN())
-		}
-		return a.max
+		return a.ext
 	default:
 		return storage.Value{}
 	}
@@ -297,7 +299,7 @@ func (a *aggState) resultType() storage.Type {
 		return storage.TInt
 	case AggMin, AggMax:
 		if a.has {
-			return a.min.Typ
+			return a.ext.Typ
 		}
 		return storage.TFloat
 	default:
@@ -348,14 +350,15 @@ func newAggStates(q Query) []*aggState {
 	return states
 }
 
-// accumulateScalar feeds the rows into the states.
-func accumulateScalar(inputs []storage.Column, states []*aggState, rows []int) {
-	for _, row := range rows {
+// accumulateScalar feeds the rows into the states; rows[j] sits at input
+// position base+j.
+func accumulateScalar(inputs []storage.Column, states []*aggState, rows []int, base int) {
+	for j, row := range rows {
 		for i, st := range states {
 			if inputs[i] == nil {
 				st.addCountOnly()
 			} else {
-				st.add(inputs[i].Value(row))
+				st.add(inputs[i].Value(row), base+j)
 			}
 		}
 	}
@@ -367,7 +370,7 @@ func scalarAggregate(t *storage.Table, sel []int, q Query) (*storage.Table, erro
 		return nil, err
 	}
 	states := newAggStates(q)
-	accumulateScalar(inputs, states, sel)
+	accumulateScalar(inputs, states, sel, 0)
 	return buildScalarOutput(t, q, states)
 }
 
@@ -510,7 +513,7 @@ func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, ro
 			if inputs[i] == nil {
 				st.addCountOnly()
 			} else {
-				st.add(inputs[i].Value(row))
+				st.add(inputs[i].Value(row), base+idx)
 			}
 		}
 	}

@@ -446,7 +446,7 @@ func newGenericSink(t *storage.Table, q Query, m, morsels, workers int) (*generi
 func (s *genericSink) consume(worker, lo, _ int, rows []int) {
 	if s.groupCols == nil {
 		states := newAggStates(s.q)
-		accumulateScalar(s.inputs, states, rows)
+		accumulateScalar(s.inputs, states, rows, lo)
 		s.partials[lo/s.m] = states
 		return
 	}
@@ -511,4 +511,23 @@ func getSel() *[]int {
 func putSel(buf *[]int) {
 	selPool.Put(buf)
 	selOutstanding.Add(-1)
+}
+
+// slotPool recycles the typed group sink's per-morsel slot vectors across
+// morsels and queries, as selPool does the selection buffers: a vector per
+// worker accumulator would cost a morsel's worth of int32s per worker per
+// query. A vector is allocated for a whole default morsel at least: sized
+// to the first morsel's qualifying rows, it would be reallocated each time
+// a later morsel qualified more.
+var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// getSlots claims a slot vector of length n; its entries are stale and the
+// slot pass overwrites every one. The claimer puts it back in slotPool.
+func getSlots(n int) *[]int32 {
+	buf := slotPool.Get().(*[]int32)
+	if cap(*buf) < n {
+		*buf = make([]int32, n, max(n, par.DefaultMorselSize))
+	}
+	*buf = (*buf)[:n]
+	return buf
 }
