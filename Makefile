@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked bench bench-concurrency bench-idebench bench-kernels bench-shard chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -34,15 +34,17 @@ fmt-check:
 
 # The ROADMAP's tracked sizes: non-test Go lines of the engine and service
 # packages, then — totalled apart — of the estimator lane (AQP and online
-# aggregation) and of the packages engine logic moves into (predicates and
+# aggregation), of the packages engine logic moves into (predicates and
 # their intervals, the cracker index), so code leaving exec or core for them
-# stays visible. A refactor that holds the benchmark and the fuzzers steady
-# should make these numbers go down.
+# stays visible, and of the surface around the engine (the binaries, the
+# paper-reproduction experiments and the session driver). A refactor that
+# holds the benchmark and the fuzzers steady should make these numbers go
+# down.
 loc:
-	@for lane in "exec core server shard" "aqp onlineagg" "expr crack"; do \
+	@for lane in "internal/exec internal/core internal/server internal/shard" "internal/aqp internal/onlineagg" "internal/expr internal/crack" "cmd/* internal/bench internal/idebench"; do \
 		total=0; for p in $$lane; do \
-			n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
-			printf '%-18s %6d\n' internal/$$p $$n; total=$$((total+n)); \
+			n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); \
+			printf '%-18s %6d\n' $$p $$n; total=$$((total+n)); \
 		done; printf '%-18s %6d\n' total $$total; \
 	done
 
@@ -82,13 +84,6 @@ bench:
 bench-concurrency:
 	$(GO) run ./cmd/experiments -run E30 -json BENCH_concurrency.json
 
-# Regenerate the IDEBench-style multi-user session baseline (E31) at full
-# size — 4 modes × {10,40,100} users plus the prefetch on/off pair — and
-# refresh the committed JSON artifact. `go run ./cmd/dexbench` drives
-# custom matrices (or an external dexd via -addr).
-bench-idebench:
-	$(GO) run ./cmd/experiments -run E31 -json BENCH_idebench.json
-
 # Regenerate the pipeline-vs-reference-evaluator baseline and refresh the
 # committed JSON artifact: E33 writes the scan section (1%/10%/50%
 # selectivity, plus the dict/RLE encoded comparisons), E34 merges in the
@@ -97,26 +92,18 @@ bench-kernels:
 	$(GO) run ./cmd/experiments -run E33 -json BENCH_kernels.json
 	$(GO) run ./cmd/experiments -run E34 -json BENCH_kernels.json
 
-# Regenerate the distributed scatter/gather baseline (E32) at full size —
-# the sales table hash-partitioned across 1/2/4 dexd worker processes over
-# loopback TCP (healing enabled, as deployed), plus the worker-kill
-# degradation demo and its heal: the killed worker restarts blank and the
-# coordinator re-stages it back to exactly full coverage — and refresh the
-# committed JSON artifact.
-bench-shard:
-	$(GO) run ./cmd/experiments -run E32 -json BENCH_shard.json
-
 # Seeded chaos harness + cross-mode differential oracles + concurrent
 # Online sessions under the race detector, twice per seed, on one core and
 # on four (CI runs the same line with DEX_CHAOS_SEED pinned per matrix
-# job). `go run ./cmd/dexchaos` drives bigger schedules.
+# job). `go run ./cmd/dexd chaos` drives bigger schedules.
 chaos:
 	$(GO) test -race -run 'Chaos|Oracle|ConcurrentOnline' -cpu 1,4 -count=2 ./internal/chaos/ ./internal/exec/ ./internal/core/
 
-# End-to-end observability smoke: builds dexd, boots it, drives a traced
-# session, validates /metrics exposition and /admin/slow, SIGTERM-drains.
+# End-to-end observability smoke: boots dexd as a child process, drives a
+# traced session, validates /metrics exposition and /admin/slow,
+# SIGTERM-drains.
 metrics-smoke:
-	$(GO) run ./cmd/dexsmoke
+	$(GO) run ./cmd/dexd smoke
 
 # Multi-process cluster smoke: spawns a dexd worker fleet plus a
 # coordinator over loopback TCP, runs one query per execution mode,

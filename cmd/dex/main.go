@@ -4,6 +4,10 @@
 // Usage:
 //
 //	dex [-load name=path.csv]... [-attach name=path.csv]... [-mode exact] [-parallel N] [-timeout 500ms] [-e "SQL"]
+//	dex explore [-n 50000] [-seed 11]
+//
+// `dex explore` runs a scripted exploration session over a synthetic sky
+// survey (steering, diversification, SeeDB, prefetching) and exits.
 //
 // Without -e it reads statements from stdin (one per line). Shell commands:
 //
@@ -63,6 +67,13 @@ func (r *repeatedFlag) String() string     { return strings.Join(*r, ",") }
 func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "explore" {
+		if err := runExplore(os.Args[2:]); err != nil {
+			fmt.Fprintln(os.Stderr, "dex explore:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	var loads, attaches repeatedFlag
 	flag.Var(&loads, "load", "name=path.csv to load eagerly (repeatable)")
 	flag.Var(&attaches, "attach", "name=path.csv to attach in-situ (repeatable)")

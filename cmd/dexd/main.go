@@ -5,26 +5,33 @@
 // Usage:
 //
 //	dexd [-addr :8080] [-load name=path.csv]... [-demo sales -rows 1000000]
-//	     [-max-inflight N] [-max-queue N] [-queue-timeout 2s]
-//	     [-default-timeout 30s] [-cache-rows 1000000]
-//	     [-parallel N] [-morsel N] [-seed 1] [-drain-timeout 30s]
-//	     [-slowms 500] [-slow-ring 64] [-pprof] [-reqlog]
+//	     [-parallel N] [-morsel N] [-seed 1] [-degrade]
+//	     [-slowms 500] [-pprof] [-reqlog]
+//	dexd smoke
+//	dexd load  [-addr http://host:8080] [-users 4] [-ops 12] [-think 1] ...
+//	dexd chaos [-seed 1] [-users 3] [-ops 10] [-fault AT:SITE=SPEC[:FOR]]... ...
 //
 // Observability: /metrics serves Prometheus text exposition, /admin/slow
 // the traces of queries slower than -slowms, -pprof mounts
 // net/http/pprof, and -reqlog logs one structured line per query.
 //
 // On SIGINT/SIGTERM it drains gracefully: new queries get 503 while every
-// admitted query runs to completion (up to -drain-timeout).
+// admitted query runs to completion (up to 30s).
 //
 // Cluster modes (see DESIGN.md "Distributed execution"):
 //
 //	dexd -worker :9090                 serve the shard protocol, no HTTP;
 //	                                   the coordinator loads and partitions it
-//	dexd -shard-workers a:9090,b:9090  coordinate a fleet: partition -demo
-//	     [-shard-col amount]           across the workers and scatter/gather
-//	     [-shard-scheme hash|range]    queries on that table; other tables
-//	                                   stay local
+//	dexd -shard-workers a:9090,b:9090  coordinate a fleet: hash-partition
+//	     [-shard-col amount]           -demo across the workers and
+//	                                   scatter/gather queries on that table;
+//	                                   other tables stay local
+//
+// The subcommands drive a server rather than being one: smoke boots this
+// binary as a child dexd and checks its observability surfaces, load runs
+// the IDEBench session driver against -addr (or an in-process server), and
+// chaos replays sessions against an in-process server under a seeded
+// failpoint schedule. Run `dexd <subcommand> -h` for their flags.
 package main
 
 import (
@@ -51,12 +58,59 @@ import (
 	"dex/internal/workload"
 )
 
+const (
+	// cacheRows is the shared result cache budget in rows.
+	cacheRows = 1_000_000
+	// drainTimeout bounds how long shutdown waits for in-flight queries.
+	drainTimeout = 30 * time.Second
+)
+
+var subcommands = map[string]func(args []string) error{
+	"smoke": runSmoke,
+	"load":  runLoad,
+	"chaos": runChaos,
+}
+
+func main() {
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			log.SetFlags(0)
+			log.SetPrefix("dexd " + os.Args[1] + ": ")
+			if err := run(os.Args[2:]); err != nil {
+				log.Fatal(err)
+			}
+			return
+		}
+	}
+	serve()
+}
+
+// runFlags are the flags the load and chaos subcommands share; each
+// subcommand presets its own defaults before registering them.
+type runFlags struct {
+	seed    int64
+	rows    int
+	users   int
+	ops     int
+	mode    string
+	timeout time.Duration
+}
+
+func (r *runFlags) register(fs *flag.FlagSet) {
+	fs.Int64Var(&r.seed, "seed", r.seed, "run seed: user u replays session seed+u")
+	fs.IntVar(&r.rows, "rows", r.rows, "sales table rows of the in-process server")
+	fs.IntVar(&r.users, "users", r.users, "concurrent simulated users")
+	fs.IntVar(&r.ops, "ops", r.ops, "queries per user session")
+	fs.StringVar(&r.mode, "mode", r.mode, "execution mode of every query (exact|cracked|approx|online)")
+	fs.DurationVar(&r.timeout, "timeout", r.timeout, "per-query deadline sent to the server")
+}
+
 type repeatedFlag []string
 
 func (r *repeatedFlag) String() string     { return strings.Join(*r, ",") }
 func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
 
-func main() {
+func serve() {
 	var loads repeatedFlag
 	addr := flag.String("addr", ":8080", "listen address")
 	flag.Var(&loads, "load", "name=path.csv to load eagerly (repeatable)")
@@ -65,25 +119,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "engine + demo data seed")
 	parallel := flag.Int("parallel", 0, "worker parallelism for exact queries (0 = GOMAXPROCS)")
 	morsel := flag.Int("morsel", 0, "rows per parallel scheduling unit (0 = default)")
-	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
-	maxQueue := flag.Int("max-queue", 0, "max queries waiting for a slot (0 = 2x max-inflight, -1 = none)")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "longest wait in the admission queue")
-	defaultTimeout := flag.Duration("default-timeout", 30*time.Second, "per-query deadline when the client sends none")
-	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
-	cacheRows := flag.Int64("cache-rows", 1_000_000, "shared result cache budget in rows (0 = off)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
 	degrade := flag.Bool("degrade", false, "answer over-deadline exact queries with a sampled approximation tagged degraded:true")
-	degradeGrace := flag.Duration("degrade-grace", 2*time.Second, "time budget for computing a degraded answer")
 	slowMS := flag.Int64("slowms", 500, "keep traces of queries at or above this many milliseconds in /admin/slow (0 = off)")
-	slowRing := flag.Int("slow-ring", 64, "how many slow-query traces /admin/slow retains")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	reqLog := flag.Bool("reqlog", false, "log one structured line per query request to stderr")
 	workerAddr := flag.String("worker", "", "run as a shard worker serving the fleet protocol on this address (no HTTP)")
 	shardWorkers := flag.String("shard-workers", "", "comma-separated worker addresses; makes this dexd a cluster coordinator")
 	shardCol := flag.String("shard-col", "amount", "partition column for the sharded table")
-	shardScheme := flag.String("shard-scheme", "hash", "partition scheme (hash|range)")
-	shardTimeout := flag.Duration("shard-timeout", 10*time.Second, "per-shard, per-attempt deadline")
-	shardRetries := flag.Int("shard-retries", 1, "retry budget for retryable shard failures")
 	heal := flag.Bool("heal", true, "re-stage or re-partition lost shards automatically (coordinator only)")
 	healInterval := flag.Duration("heal-interval", 500*time.Millisecond, "how often the healer re-checks lost shards")
 	repartitionAfter := flag.Duration("repartition-after", 10*time.Second, "how long a shard stays lost before survivors adopt its rows (<0 = never)")
@@ -119,10 +161,9 @@ func main() {
 	}
 
 	eng := core.New(core.Options{
-		Seed:         *seed,
-		Exec:         exec.ExecOptions{Parallelism: *parallel, MorselSize: *morsel},
-		Degrade:      *degrade,
-		DegradeGrace: *degradeGrace,
+		Seed:    *seed,
+		Exec:    exec.ExecOptions{Parallelism: *parallel, MorselSize: *morsel},
+		Degrade: *degrade,
 	})
 	for _, spec := range loads {
 		name, path, ok := strings.Cut(spec, "=")
@@ -146,16 +187,10 @@ func main() {
 	}
 
 	cfg := server.Config{
-		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
-		QueueTimeout:   *queueTimeout,
-		DefaultTimeout: *defaultTimeout,
-		MaxTimeout:     *maxTimeout,
-		CacheRows:      *cacheRows,
-		Log:            logger,
-		SlowThreshold:  time.Duration(*slowMS) * time.Millisecond,
-		SlowRing:       *slowRing,
-		Pprof:          *pprofOn,
+		CacheRows:     cacheRows,
+		Log:           logger,
+		SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
+		Pprof:         *pprofOn,
 	}
 	if *reqLog {
 		cfg.RequestLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -165,15 +200,9 @@ func main() {
 		if kind == "" {
 			kind = "sales"
 		}
-		scheme, err := shard.ParseScheme(*shardScheme)
-		if err != nil {
-			logger.Fatal(err)
-		}
 		coord, err := shard.New(shard.Config{
-			Spec:             shard.Spec{Table: kind, Column: *shardCol, Scheme: scheme},
+			Spec:             shard.Spec{Table: kind, Column: *shardCol},
 			Workers:          strings.Split(*shardWorkers, ","),
-			ShardTimeout:     *shardTimeout,
-			Retries:          *shardRetries,
 			Heal:             *heal,
 			HealInterval:     *healInterval,
 			RepartitionAfter: *repartitionAfter,
@@ -203,8 +232,8 @@ func main() {
 	go func() {
 		defer close(done)
 		<-ctx.Done()
-		logger.Printf("signal received; draining (up to %s)", *drainTimeout)
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		logger.Printf("signal received; draining (up to %s)", drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := svc.Drain(drainCtx); err != nil {
 			logger.Printf("drain incomplete: %v", err)

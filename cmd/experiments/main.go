@@ -1,7 +1,7 @@
 // Command experiments regenerates every table/series of the reproduction
-// (E1–E23, see DESIGN.md). By default all experiments run at full size;
-// -run selects a comma-separated subset, -quick shrinks data sizes, -list
-// prints the index.
+// (see DESIGN.md's experiment index). By default all experiments run at
+// full size; -run selects a comma-separated subset, -quick shrinks data
+// sizes, -list prints the index.
 //
 // Usage:
 //
@@ -17,13 +17,9 @@ import (
 	"time"
 
 	"dex/internal/bench"
-	"dex/internal/shard"
 )
 
 func main() {
-	// E32 spawns worker copies of this binary; a worker invocation never
-	// returns from this call.
-	shard.MaybeWorkerProcess()
 	list := flag.Bool("list", false, "list experiments and exit")
 	quick := flag.Bool("quick", false, "shrink data sizes for a fast pass")
 	seed := flag.Int64("seed", 42, "random seed")

@@ -20,12 +20,11 @@
 //
 // Everything is seeded: the workload streams, the retry jitter, and the
 // failpoint decision streams all derive from Config.Seed, so a failing
-// run is replayed by re-running its seed (see cmd/dexchaos).
+// run is replayed by re-running its seed (see `dexd chaos`).
 package chaos
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,6 +38,7 @@ import (
 	"dex/internal/core"
 	"dex/internal/exec"
 	"dex/internal/fault"
+	"dex/internal/idebench"
 	"dex/internal/metrics"
 	"dex/internal/server"
 	"dex/internal/shard"
@@ -333,12 +333,12 @@ func Run(cfg Config) (*Report, error) {
 		close(drainDone)
 	}
 
-	// The synthetic explorers. Each classifies every query into exactly
-	// one outcome bucket; anything unclassifiable is an invariant-2
-	// violation.
+	// The synthetic explorers. Each files every query under the bucket
+	// idebench.Classify picks for it; with no deadline passed nothing is
+	// Late, and anything unclassifiable is an invariant-2 violation.
 	var (
 		mu         sync.Mutex
-		out        Outcomes
+		counts     [idebench.OutcomeUnclassified + 1]int64
 		issued     int64
 		violations []string
 	)
@@ -346,6 +346,16 @@ func Run(cfg Config) (*Report, error) {
 		mu.Lock()
 		violations = append(violations, fmt.Sprintf(format, args...))
 		mu.Unlock()
+	}
+	classify := func(c int, res *server.QueryResult, err error, n int64) {
+		oc := idebench.Classify(res, err, 0, 0)
+		mu.Lock()
+		issued += n
+		counts[oc] += n
+		mu.Unlock()
+		if oc == idebench.OutcomeUnclassified {
+			violate("client %d: untyped error: %v", c, err)
+		}
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
@@ -367,22 +377,7 @@ func Run(cfg Config) (*Report, error) {
 				// faulted past the retry budget: a typed, terminal answer
 				// for the whole session is a legal outcome for each of its
 				// queries.
-				var se *server.StatusError
-				n := int64(cfg.QueriesPerClient)
-				mu.Lock()
-				switch {
-				case server.IsRejected(err):
-					issued, out.Rejected = issued+n, out.Rejected+n
-				case server.IsTransport(err):
-					issued, out.Transport = issued+n, out.Transport+n
-				case errors.As(err, &se):
-					issued, out.Typed = issued+n, out.Typed+n
-				default:
-					mu.Unlock()
-					violate("client %d: session create failed untyped: %v", c, err)
-					return
-				}
-				mu.Unlock()
+				classify(c, nil, err, int64(cfg.QueriesPerClient))
 				return
 			}
 			defer cl.EndSession(ctx, id)
@@ -390,52 +385,19 @@ func Run(cfg Config) (*Report, error) {
 			for _, sql := range stmts {
 				req := server.QueryRequest{SQL: sql, Mode: cfg.Mode, TimeoutMS: cfg.Timeout.Milliseconds()}
 				res, err := cl.Query(ctx, id, req)
-				mu.Lock()
-				issued++
-				mu.Unlock()
-				switch {
-				case err == nil:
-					// Distributed answers carry a coverage fraction; the
-					// contract is exact: degraded means strictly partial,
-					// healthy means complete, never an extrapolation.
-					if res.Coverage != 0 {
-						if res.Coverage < 0 || res.Coverage > 1 {
-							violate("client %d: coverage %v out of range", c, res.Coverage)
-						} else if res.Degraded && res.Coverage >= 1 {
-							violate("client %d: degraded answer claims full coverage", c)
-						} else if !res.Degraded && res.Coverage != 1 {
-							violate("client %d: healthy answer claims coverage %v", c, res.Coverage)
-						}
+				// Distributed answers carry a coverage fraction; the
+				// contract is exact: degraded means strictly partial,
+				// healthy means complete, never an extrapolation.
+				if err == nil && res.Coverage != 0 {
+					if res.Coverage < 0 || res.Coverage > 1 {
+						violate("client %d: coverage %v out of range", c, res.Coverage)
+					} else if res.Degraded && res.Coverage >= 1 {
+						violate("client %d: degraded answer claims full coverage", c)
+					} else if !res.Degraded && res.Coverage != 1 {
+						violate("client %d: healthy answer claims coverage %v", c, res.Coverage)
 					}
-					mu.Lock()
-					if res.Degraded {
-						out.Degraded++
-					} else {
-						out.Completed++
-					}
-					mu.Unlock()
-				case server.IsRejected(err):
-					mu.Lock()
-					out.Rejected++
-					mu.Unlock()
-				case server.IsTransport(err):
-					mu.Lock()
-					out.Transport++
-					mu.Unlock()
-				default:
-					var se *server.StatusError
-					if !errors.As(err, &se) {
-						violate("client %d: query failed untyped: %v", c, err)
-						continue
-					}
-					mu.Lock()
-					if se.Status == 504 {
-						out.Timeout++
-					} else {
-						out.Typed++
-					}
-					mu.Unlock()
 				}
+				classify(c, res, err, 1)
 			}
 		}(c)
 	}
@@ -501,8 +463,15 @@ func Run(cfg Config) (*Report, error) {
 	// Invariant 2: the books must balance — every issued query landed in
 	// exactly one bucket (untyped errors were flagged as they happened).
 	rep.Issued = issued
-	rep.Outcomes = out
-	if got := out.total(); got != issued {
+	rep.Outcomes = Outcomes{
+		Completed: counts[idebench.OutcomeOK],
+		Degraded:  counts[idebench.OutcomeDegraded],
+		Rejected:  counts[idebench.OutcomeRejected],
+		Typed:     counts[idebench.OutcomeFailed],
+		Transport: counts[idebench.OutcomeTransport],
+		Timeout:   counts[idebench.OutcomeTimeout],
+	}
+	if got := rep.Outcomes.total(); got != issued {
 		violate("outcome accounting: %d issued, %d classified", issued, got)
 	}
 

@@ -107,6 +107,44 @@ func TestDriverSmoke(t *testing.T) {
 	}
 }
 
+// A healthy server answers every op; a draining one refuses session
+// creation with 503, and the run must count every op each user would have
+// issued as shed — rejected, not failed and not unclassified.
+func TestDriverClassifiesShedding(t *testing.T) {
+	const users, ops = 3, 4
+	for _, tc := range []struct {
+		name         string
+		drain        bool
+		ok, rejected int64
+	}{
+		{name: "healthy", ok: users * ops},
+		{name: "draining", drain: true, rejected: users * ops},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := startTestServer(t, 2_000)
+			if tc.drain {
+				if err := l.Server.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := Run(context.Background(), server.NewClient(l.URL), Config{
+				Users:      users,
+				Seed:       1,
+				Deadline:   2 * time.Second,
+				ThinkScale: 0,
+				User:       UserConfig{Ops: ops},
+			})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if rep.OK != tc.ok || rep.Rejected != tc.rejected || rep.Failed != 0 || rep.Unclassified != 0 {
+				t.Fatalf("report = %+v, want ok=%d rejected=%d failed=0 unclassified=0",
+					rep, tc.ok, tc.rejected)
+			}
+		})
+	}
+}
+
 // Approximate modes must produce a quality-at-deadline score: the oracle
 // re-resolves the estimates exactly, and the mean relative error lands in
 // [0, 1] with at least one scored answer.

@@ -152,7 +152,7 @@ func retryable(err error) bool {
 }
 
 // Client is a typed HTTP client for the dexd service, used by the tests,
-// the load harness and cmd/dexload.
+// the session driver and the dexd subcommands.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client

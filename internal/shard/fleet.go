@@ -52,7 +52,7 @@ func (c *FleetConfig) defaults() {
 }
 
 // LocalFleet is an in-process worker fleet plus its coordinator — the
-// shape dexbench -shards and the shard tests run: real TCP loopback and
+// shape the fleet benchmark and the shard tests run: real TCP loopback and
 // real frames, no extra processes.
 type LocalFleet struct {
 	Coord   *Coordinator
