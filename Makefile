@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-merge bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -75,6 +75,13 @@ fuzz-rows:
 # predicates under all three cracking variants; oracle = exec.Execute.
 fuzz-cracked:
 	$(GO) test -fuzz=FuzzCrackedVsExact -fuzztime=60s -run '^$$' ./internal/core/
+
+# Differential fuzz of partitioned execution: the twin tables cut into 1-4
+# in-order partitions, exec.Split's pushed query run on each and the merged
+# partials held to exec.Execute over the whole table (NULL group keys,
+# empty answers, MIN/MAX ties bit for bit, SUM/AVG within reassociation).
+fuzz-merge:
+	$(GO) test -fuzz=FuzzMergeVsSingleNode -fuzztime=60s -run '^$$' ./internal/exec/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./internal/bench/

@@ -67,7 +67,6 @@ const (
 // plus the group-key binding (single grouping column only).
 type aggKernel struct {
 	specs  []aggSpec
-	inputs []storage.Column // boxed agg inputs, for output typing
 	mode   groupMode
 	gcodes []int32               // gmDict: per-row codes
 	gdict  []string              // gmDict: code → value
@@ -112,7 +111,6 @@ func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 			return nil, "invalid query"
 		}
 	}
-	ak.inputs = inputs
 	ak.specs = make([]aggSpec, len(q.Select))
 	for i, item := range q.Select {
 		spec := &ak.specs[i]
@@ -667,65 +665,44 @@ func (a *aggAcc) keyValue(slot int) storage.Value {
 
 // mergeGroupAccs folds per-worker accumulators into group entries ordered
 // by first-seen input position — the sequential insertion order. nil
-// entries (workers that never ran) are skipped. The states merge through
-// aggState.merge, so a MIN/MAX tie between workers goes to the earlier
-// input position, not to the worker merged first.
-func mergeGroupAccs(ak *aggKernel, accs []*aggAcc) []*groupEntry {
-	var entries []*groupEntry
-	if ak.mode == gmDict {
-		for code := 0; code < ak.gcard; code++ {
-			var e *groupEntry
-			for _, a := range accs {
-				if a == nil || a.firsts[code] < 0 {
-					continue
-				}
-				if e == nil {
-					e = &groupEntry{
-						key:    []storage.Value{a.keyValue(code)},
-						states: a.states(code),
-						first:  a.firsts[code],
-					}
-					continue
-				}
-				if a.firsts[code] < e.first {
-					e.first = a.firsts[code]
-				}
-				for i, st := range a.states(code) {
-					if st != nil {
-						e.states[i].merge(st)
-					}
-				}
-			}
-			if e != nil {
-				entries = append(entries, e)
-			}
+// entries (workers that never ran) are skipped. One pass walks each
+// worker's slots in worker order: a dict slot is its code (codes the worker
+// never met are skipped), an int slot is keyed by its raw key. The states
+// merge through aggState.merge, so a MIN/MAX tie between workers goes to
+// the earlier input position, not to the worker merged first.
+func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
+	groups := 0 // size hint: the most slots any one worker holds
+	for _, a := range accs {
+		if a != nil {
+			groups = max(groups, a.nslots)
 		}
-	} else {
-		merged := make(map[int64]*groupEntry)
-		for _, a := range accs {
-			if a == nil {
+	}
+	entries := make([]*groupEntry, 0, groups)
+	merged := make(map[int64]*groupEntry, groups)
+	for _, a := range accs {
+		if a == nil {
+			continue
+		}
+		for slot := 0; slot < a.nslots; slot++ {
+			first := a.firsts[slot]
+			if first < 0 {
 				continue
 			}
-			for slot := 0; slot < a.nslots; slot++ {
-				k := a.keys[slot]
-				e, ok := merged[k]
-				if !ok {
-					e = &groupEntry{
-						key:    []storage.Value{a.keyValue(slot)},
-						states: a.states(slot),
-						first:  a.firsts[slot],
-					}
-					merged[k] = e
-					entries = append(entries, e)
-					continue
-				}
-				if a.firsts[slot] < e.first {
-					e.first = a.firsts[slot]
-				}
-				for i, st := range a.states(slot) {
-					if st != nil {
-						e.states[i].merge(st)
-					}
+			k := int64(slot)
+			if a.ak.mode != gmDict {
+				k = a.keys[slot]
+			}
+			e, ok := merged[k]
+			if !ok {
+				e = &groupEntry{key: []storage.Value{a.keyValue(slot)}, states: a.states(slot), first: first}
+				merged[k] = e
+				entries = append(entries, e)
+				continue
+			}
+			e.first = min(e.first, first)
+			for i, st := range a.states(slot) {
+				if st != nil {
+					e.states[i].merge(st)
 				}
 			}
 		}
@@ -781,5 +758,5 @@ func (s *typedSink) finish() (*storage.Table, error) {
 	if s.ak.mode == gmScalar {
 		return mergeScalarPartials(s.t, s.q, s.partials)
 	}
-	return buildGroupEntries(s.t, s.q, s.ak.inputs, mergeGroupAccs(s.ak, s.locals))
+	return buildGroupEntries(s.t.Name(), s.t.Schema(), s.q, mergeGroupAccs(s.locals))
 }

@@ -200,15 +200,6 @@ func Execute(t *storage.Table, q Query) (*storage.Table, error) {
 	return out, nil
 }
 
-// Finish applies the post-aggregation tail of a query — HAVING, ORDER BY
-// and LIMIT — to an already-aggregated table. It is exported for the
-// distributed coordinator, which merges per-shard partials itself and
-// then needs exactly this tail applied to the merged output; out's
-// column names must match the query's output names (SelectItem.Name).
-func Finish(out *storage.Table, q Query) (*storage.Table, error) {
-	return finish(out, q)
-}
-
 // aggState accumulates one aggregate over a stream of values. A float NaN
 // is the engine's NULL: aggregates skip it entirely (SQL semantics —
 // COUNT(col), SUM, AVG, MIN and MAX all ignore NULLs; COUNT(*) counts every
@@ -371,11 +362,11 @@ func scalarAggregate(t *storage.Table, sel []int, q Query) (*storage.Table, erro
 	}
 	states := newAggStates(q)
 	accumulateScalar(inputs, states, sel, 0)
-	return buildScalarOutput(t, q, states)
+	return buildScalarOutput(t.Name(), q, states)
 }
 
 // buildScalarOutput renders final aggregate states as a one-row table.
-func buildScalarOutput(t *storage.Table, q Query, states []*aggState) (*storage.Table, error) {
+func buildScalarOutput(name string, q Query, states []*aggState) (*storage.Table, error) {
 	schema := make(storage.Schema, len(states))
 	cols := make([]storage.Column, len(states))
 	for i, st := range states {
@@ -394,7 +385,7 @@ func buildScalarOutput(t *storage.Table, q Query, states []*aggState) (*storage.
 		}
 		cols[i] = col
 	}
-	return storage.FromColumns(t.Name(), schema, cols)
+	return storage.FromColumns(name, schema, cols)
 }
 
 type groupEntry struct {
@@ -402,7 +393,8 @@ type groupEntry struct {
 	states []*aggState
 	// first is the input position of the group's first row. The pipeline
 	// sorts merged groups by it so output order matches the sequential
-	// first-seen order exactly.
+	// first-seen order exactly; a merge of partitioned partials numbers
+	// groups in the order they first appear across parts.
 	first int
 }
 
@@ -548,40 +540,34 @@ func groupBy(t *storage.Table, sel []int, q Query) (*storage.Table, error) {
 	}
 	gt := newGroupTable()
 	gt.accumulate(groupCols, inputs, q, sel, 0)
-	return buildGroupOutput(t, q, inputs, gt)
+	return buildGroupOutput(t, q, gt)
 }
 
 // buildGroupOutput renders a finished group table, one row per group in
 // first-seen order.
-func buildGroupOutput(t *storage.Table, q Query, inputs []storage.Column, gt *groupTable) (*storage.Table, error) {
+func buildGroupOutput(t *storage.Table, q Query, gt *groupTable) (*storage.Table, error) {
 	entries := make([]*groupEntry, 0, len(gt.order))
 	for _, k := range gt.order {
 		entries = append(entries, gt.groups[k])
 	}
-	return buildGroupEntries(t, q, inputs, entries)
+	return buildGroupEntries(t.Name(), t.Schema(), q, entries)
 }
 
 // buildGroupEntries renders group entries as an output table, one row per
-// entry in the given order. Both group-by implementations — the generic
-// hash table and the typed group kernels — end here.
-func buildGroupEntries(t *storage.Table, q Query, inputs []storage.Column, entries []*groupEntry) (*storage.Table, error) {
-	// Build output schema: group columns keep their type; aggregates typed
-	// by function.
+// entry in the given order. Every group-by ends here — the generic hash
+// table, the typed group kernels and the merge of partitioned partials —
+// so in, the schema the query reads, types the output even when there
+// are no groups: group columns keep their type, MIN/MAX take their
+// input's, COUNT is INT and the rest FLOAT.
+func buildGroupEntries(name string, in storage.Schema, q Query, entries []*groupEntry) (*storage.Table, error) {
 	schema := make(storage.Schema, len(q.Select))
 	for i, item := range q.Select {
-		if item.Agg == AggNone {
-			gi := t.Schema().Index(item.Col)
-			schema[i] = storage.Field{Name: item.Name(), Type: t.Schema()[gi].Type}
-			continue
-		}
 		typ := storage.TFloat
 		switch item.Agg {
+		case AggNone, AggMin, AggMax:
+			typ = in[in.Index(item.Col)].Type
 		case AggCount:
 			typ = storage.TInt
-		case AggMin, AggMax:
-			if c := inputs[i]; c != nil {
-				typ = c.Type()
-			}
 		}
 		schema[i] = storage.Field{Name: item.Name(), Type: typ}
 	}
@@ -620,7 +606,7 @@ func buildGroupEntries(t *storage.Table, q Query, inputs []storage.Column, entri
 			}
 		}
 	}
-	return storage.FromColumns(t.Name(), schema, cols)
+	return storage.FromColumns(name, schema, cols)
 }
 
 // Distinct returns the distinct values of the named column, sorted ascending.

@@ -469,7 +469,7 @@ func (s *genericSink) finish() (*storage.Table, error) {
 	sort.Slice(gt.order, func(a, b int) bool {
 		return gt.groups[gt.order[a]].first < gt.groups[gt.order[b]].first
 	})
-	return buildGroupOutput(s.t, s.q, s.inputs, gt)
+	return buildGroupOutput(s.t, s.q, gt)
 }
 
 // mergeScalarPartials folds morsel-indexed scalar partials, typed or
@@ -485,7 +485,7 @@ func mergeScalarPartials(t *storage.Table, q Query, partials [][]*aggState) (*st
 			st.merge(p[i])
 		}
 	}
-	return buildScalarOutput(t, q, states)
+	return buildScalarOutput(t.Name(), q, states)
 }
 
 // selPool recycles per-morsel selection buffers across queries.

@@ -4,229 +4,65 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"dex/internal/exec"
 	"dex/internal/storage"
 )
 
-// PlanKind classifies how a query's partials merge.
-type PlanKind uint8
-
-// Merge kinds.
-const (
-	// KindRows concatenates row partials (no aggregates) and re-applies
-	// ORDER BY / LIMIT.
-	KindRows PlanKind = iota
-	// KindAgg merges aggregate partials with the COUNT/SUM/AVG/MIN/MAX
-	// algebra, grouped or scalar.
-	KindAgg
-	// KindEstimates merges AQP / online-aggregation estimate tables
-	// (estimate, ci95, sample_n) with the CI combination rules.
-	KindEstimates
-)
-
 // Plan is one query's distribution plan: the rewritten query pushed to
-// every shard, plus what the gather side must do with the partials.
+// every shard, plus how the gather side folds the partials back. Exact
+// partials fold through exec's own aggregate algebra (exec.Split); only the
+// approximate modes' estimate tables merge here, by the CI rules below.
 type Plan struct {
 	// Push is the query each shard executes against its partition.
 	Push exec.Query
-	// Orig is the original (star-expanded) query; its output names and
-	// HAVING/ORDER BY/LIMIT tail apply to the merged result.
-	Orig exec.Query
-	Kind PlanKind
-
-	// nGroup is how many leading columns of the pushed output are group
-	// keys (KindAgg) or the single optional group column (KindEstimates).
+	// exact folds exact partials; nil for an estimates plan.
+	exact *exec.Partials
+	// nGroup is 1 when estimate tables lead with a group column, else 0.
 	nGroup int
-	// aggs are the original aggregate select items, in output order
-	// (KindAgg); avgSrc[i] >= 0 points at the pushed COUNT partial paired
-	// with item i's SUM partial when the item is an AVG.
-	aggs []exec.SelectItem
-	// src[i] is the pushed-output column index carrying item i's partial.
-	src    []int
-	avgSrc []int
 	// estAgg is the single aggregate of an estimates query.
 	estAgg exec.AggFunc
 }
 
 // PlanQuery builds the distribution plan for a star-expanded query.
 // estimates selects the approx/online shape (the pushed query runs in
-// the same approximate mode on each shard and returns estimate tables).
-//
-// LIMIT without ORDER BY on a row query is honored but — exactly as on a
-// single node under parallel execution — which rows satisfy it is not
-// deterministic across shard counts.
+// the same approximate mode on each shard and returns estimate tables);
+// otherwise the plan is exec.Split's.
 func PlanQuery(q exec.Query, estimates bool) (*Plan, error) {
 	if len(q.Select) == 0 {
 		return nil, exec.ErrEmptySelect
 	}
-	if estimates {
-		// The worker validates the single-aggregate shape; the merge side
-		// only needs to know which aggregate combines the estimates.
-		p := &Plan{Push: q, Orig: q, Kind: KindEstimates}
-		for _, s := range q.Select {
-			if s.Agg != exec.AggNone {
-				if p.estAgg != exec.AggNone {
-					return nil, fmt.Errorf("shard: approximate queries merge exactly one aggregate")
-				}
-				p.estAgg = s.Agg
+	if !estimates {
+		sp, err := exec.Split(q)
+		if err != nil {
+			return nil, err
+		}
+		return &Plan{Push: sp.Push, exact: sp}, nil
+	}
+	// The worker validates the single-aggregate shape; the merge side only
+	// needs to know which aggregate combines the estimates.
+	p := &Plan{Push: q}
+	for _, s := range q.Select {
+		if s.Agg != exec.AggNone {
+			if p.estAgg != exec.AggNone {
+				return nil, fmt.Errorf("shard: approximate queries merge exactly one aggregate")
 			}
-		}
-		if p.estAgg == exec.AggNone {
-			return nil, fmt.Errorf("shard: approximate query needs an aggregate")
-		}
-		if len(q.GroupBy) > 0 {
-			p.nGroup = 1
-		}
-		return p, nil
-	}
-	if !q.HasAggregates() {
-		// Row query: push filter, projection and the ORDER BY/LIMIT tail
-		// (per-shard top-k); the gather side concatenates and re-applies
-		// the tail. HAVING without aggregates is invalid and left for the
-		// worker to reject.
-		push := q
-		push.Having = q.Having
-		return &Plan{Push: push, Orig: q, Kind: KindRows}, nil
-	}
-	// Aggregate query. The pushed select is
-	//   [all GROUP BY columns] ++ [one or two partials per aggregate item]
-	// with unique aliases, so AVG's SUM+COUNT expansion can never collide
-	// with the query's own output names. HAVING/ORDER BY/LIMIT are not
-	// pushed — they only make sense on the fully merged groups.
-	p := &Plan{Orig: q, Kind: KindAgg, nGroup: len(q.GroupBy)}
-	push := exec.Query{Where: q.Where, GroupBy: q.GroupBy}
-	for gi, g := range q.GroupBy {
-		push.Select = append(push.Select, exec.SelectItem{Col: g, As: fmt.Sprintf("g%d", gi)})
-	}
-	for i, item := range q.Select {
-		if item.Agg == exec.AggNone {
-			// Plain column: must be a GROUP BY column (the worker enforces
-			// it too); the merge reads it from the group key.
-			found := false
-			for _, g := range q.GroupBy {
-				if g == item.Col {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("column %q: %w", item.Col, exec.ErrMixedSelect)
-			}
-			continue
-		}
-		p.aggs = append(p.aggs, item)
-		switch item.Agg {
-		case exec.AggAvg:
-			// AVG is not directly mergeable; ship SUM and the NULL-skipping
-			// COUNT(col) instead and divide after the merge.
-			p.src = append(p.src, len(push.Select))
-			push.Select = append(push.Select, exec.SelectItem{Col: item.Col, Agg: exec.AggSum, As: fmt.Sprintf("p%ds", i)})
-			p.avgSrc = append(p.avgSrc, len(push.Select))
-			push.Select = append(push.Select, exec.SelectItem{Col: item.Col, Agg: exec.AggCount, As: fmt.Sprintf("p%dc", i)})
-		default:
-			p.src = append(p.src, len(push.Select))
-			push.Select = append(push.Select, exec.SelectItem{Col: item.Col, Agg: item.Agg, As: fmt.Sprintf("p%d", i)})
-			p.avgSrc = append(p.avgSrc, -1)
+			p.estAgg = s.Agg
 		}
 	}
-	p.Push = push
+	if p.estAgg == exec.AggNone {
+		return nil, fmt.Errorf("shard: approximate query needs an aggregate")
+	}
+	if len(q.GroupBy) > 0 {
+		p.nGroup = 1
+	}
 	return p, nil
 }
 
-// partialState folds one aggregate's per-shard partials. It mirrors
-// exec's aggState monoid on the gather side of the wire: counts and sums
-// add, MIN/MAX compare, and a NaN partial (an empty or all-NULL shard)
-// contributes nothing.
-type partialState struct {
-	count int64
-	sum   float64
-	min   storage.Value
-	max   storage.Value
-	has   bool
-}
-
-func (s *partialState) fold(fn exec.AggFunc, v, avgCount storage.Value) {
-	switch fn {
-	case exec.AggCount:
-		s.count += v.AsInt()
-	case exec.AggSum:
-		s.sum += v.AsFloat()
-	case exec.AggAvg:
-		s.sum += v.AsFloat()
-		s.count += avgCount.AsInt()
-	case exec.AggMin, exec.AggMax:
-		if v.Typ == storage.TFloat && math.IsNaN(v.F) {
-			return // empty partial: the shard had no non-NULL rows here
-		}
-		if !s.has {
-			s.min, s.max, s.has = v, v, true
-			return
-		}
-		if v.Compare(s.min) < 0 {
-			s.min = v
-		}
-		if v.Compare(s.max) > 0 {
-			s.max = v
-		}
-	}
-}
-
-func (s *partialState) result(fn exec.AggFunc) storage.Value {
-	switch fn {
-	case exec.AggCount:
-		return storage.Int(s.count)
-	case exec.AggSum:
-		return storage.Float(s.sum)
-	case exec.AggAvg:
-		if s.count == 0 {
-			return storage.Float(math.NaN())
-		}
-		return storage.Float(s.sum / float64(s.count))
-	case exec.AggMin:
-		if !s.has {
-			return storage.Float(math.NaN())
-		}
-		return s.min
-	case exec.AggMax:
-		if !s.has {
-			return storage.Float(math.NaN())
-		}
-		return s.max
-	default:
-		return storage.Value{}
-	}
-}
-
-func (s *partialState) resultType(fn exec.AggFunc) storage.Type {
-	switch fn {
-	case exec.AggCount:
-		return storage.TInt
-	case exec.AggMin, exec.AggMax:
-		if s.has {
-			return s.min.Typ
-		}
-		return storage.TFloat
-	default:
-		return storage.TFloat
-	}
-}
-
-// mergeEntry is one merged group.
-type mergeEntry struct {
-	key    []storage.Value
-	states []partialState
-}
-
-// Merge combines the per-shard partial tables into the final result and
-// applies the original query's HAVING/ORDER BY/LIMIT tail. parts holds
-// the surviving shards' outputs (possibly fewer than the fleet under
-// degradation); at least one is required.
-//
-// Merged group order is canonical — ascending by group-key tuple — not
-// the single-node first-seen order, which no distribution could
-// reproduce. An explicit ORDER BY behaves identically on both paths.
+// Merge combines the per-shard partial tables into the final result.
+// parts holds the surviving shards' outputs (possibly fewer than the fleet
+// under degradation); at least one is required. Merged groups come out in
+// ascending key order under storage.Value.Order (see exec.Partials.Merge).
 func (p *Plan) Merge(parts []*storage.Table) (*storage.Table, error) {
 	// Zero-column partials are empty shards that could not run a sampling
 	// estimator; they contribute nothing.
@@ -236,177 +72,13 @@ func (p *Plan) Merge(parts []*storage.Table) (*storage.Table, error) {
 			kept = append(kept, t)
 		}
 	}
-	parts = kept
-	if len(parts) == 0 {
+	if len(kept) == 0 {
 		return nil, fmt.Errorf("shard: no partial results to merge")
 	}
-	switch p.Kind {
-	case KindRows:
-		return p.mergeRows(parts)
-	case KindAgg:
-		return p.mergeAgg(parts)
-	case KindEstimates:
-		return p.mergeEstimates(parts)
-	default:
-		return nil, fmt.Errorf("shard: unknown plan kind %d", p.Kind)
+	if p.exact != nil {
+		return p.exact.Merge(kept)
 	}
-}
-
-// mergeRows concatenates row partials and re-applies the tail.
-func (p *Plan) mergeRows(parts []*storage.Table) (*storage.Table, error) {
-	out, err := concatTables(parts)
-	if err != nil {
-		return nil, err
-	}
-	tail := exec.Query{Select: p.Orig.Select, OrderBy: p.Orig.OrderBy, Limit: p.Orig.Limit}
-	return exec.Finish(out, tail)
-}
-
-func concatTables(parts []*storage.Table) (*storage.Table, error) {
-	first := parts[0]
-	out, err := storage.NewTable(first.Name(), first.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range parts {
-		if t.NumCols() != first.NumCols() {
-			return nil, fmt.Errorf("shard: partial schema mismatch: %d vs %d columns", t.NumCols(), first.NumCols())
-		}
-		for r := 0; r < t.NumRows(); r++ {
-			if err := out.AppendRow(t.Row(r)...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// mergeAgg merges grouped or scalar aggregate partials.
-func (p *Plan) mergeAgg(parts []*storage.Table) (*storage.Table, error) {
-	groups := map[string]*mergeEntry{}
-	var order []string
-	var keyBuf strings.Builder
-	for _, t := range parts {
-		if t.NumCols() != len(p.Push.Select) {
-			return nil, fmt.Errorf("shard: partial has %d columns, plan expects %d", t.NumCols(), len(p.Push.Select))
-		}
-		for r := 0; r < t.NumRows(); r++ {
-			keyBuf.Reset()
-			for g := 0; g < p.nGroup; g++ {
-				keyBuf.WriteString(t.Column(g).Value(r).String())
-				keyBuf.WriteByte('\x00')
-			}
-			k := keyBuf.String()
-			e, ok := groups[k]
-			if !ok {
-				e = &mergeEntry{states: make([]partialState, len(p.aggs))}
-				for g := 0; g < p.nGroup; g++ {
-					e.key = append(e.key, t.Column(g).Value(r))
-				}
-				groups[k] = e
-				order = append(order, k)
-			}
-			for i, item := range p.aggs {
-				var avgCount storage.Value
-				if p.avgSrc[i] >= 0 {
-					avgCount = t.Column(p.avgSrc[i]).Value(r)
-				}
-				e.states[i].fold(item.Agg, t.Column(p.src[i]).Value(r), avgCount)
-			}
-		}
-	}
-	if p.nGroup == 0 && len(order) == 0 {
-		// Scalar aggregate over zero partial rows cannot happen (every
-		// shard returns one row), but guard against a malformed fleet.
-		return nil, fmt.Errorf("shard: scalar aggregate produced no partial rows")
-	}
-	sortEntries(groups, order)
-
-	// Output schema follows the original select list; MIN/MAX take their
-	// type from the merged value (TFloat NaN when every shard was empty,
-	// matching the single-node scalar path).
-	schema := make(storage.Schema, len(p.Orig.Select))
-	aggIdx := make([]int, len(p.Orig.Select))
-	groupIdx := make([]int, len(p.Orig.Select))
-	ai := 0
-	for i, item := range p.Orig.Select {
-		aggIdx[i], groupIdx[i] = -1, -1
-		if item.Agg == exec.AggNone {
-			for gi, g := range p.Orig.GroupBy {
-				if g == item.Col {
-					groupIdx[i] = gi
-					break
-				}
-			}
-			typ := storage.TString
-			if len(order) > 0 {
-				typ = groups[order[0]].key[groupIdx[i]].Typ
-			}
-			schema[i] = storage.Field{Name: item.Name(), Type: typ}
-			continue
-		}
-		aggIdx[i] = ai
-		typ := storage.TFloat
-		switch item.Agg {
-		case exec.AggCount:
-			typ = storage.TInt
-		case exec.AggMin, exec.AggMax:
-			typ = storage.TFloat
-			for _, k := range order {
-				if st := &groups[k].states[ai]; st.has {
-					typ = st.resultType(item.Agg)
-					break
-				}
-			}
-		}
-		schema[i] = storage.Field{Name: item.Name(), Type: typ}
-		ai++
-	}
-	cols := make([]storage.Column, len(schema))
-	for i := range cols {
-		cols[i] = storage.NewColumn(schema[i].Type)
-	}
-	for _, k := range order {
-		e := groups[k]
-		for i, item := range p.Orig.Select {
-			var v storage.Value
-			if gi := groupIdx[i]; gi >= 0 {
-				v = e.key[gi]
-			} else {
-				v = e.states[aggIdx[i]].result(item.Agg)
-			}
-			switch schema[i].Type {
-			case storage.TInt:
-				v = storage.Int(v.AsInt())
-			case storage.TFloat:
-				v = storage.Float(v.AsFloat())
-			}
-			if err := cols[i].Append(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out, err := storage.FromColumns(parts[0].Name(), schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	tail := exec.Query{Select: p.Orig.Select, GroupBy: p.Orig.GroupBy,
-		Having: p.Orig.Having, OrderBy: p.Orig.OrderBy, Limit: p.Orig.Limit}
-	return exec.Finish(out, tail)
-}
-
-// sortEntries orders merged group keys canonically (ascending by key
-// tuple, Value.Compare per component).
-func sortEntries(groups map[string]*mergeEntry, order []string) {
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := groups[order[a]].key, groups[order[b]].key
-		for i := range ka {
-			if c := ka[i].Compare(kb[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	return p.mergeEstimates(kept)
 }
 
 // estEntry is one merged estimate group.
@@ -484,8 +156,8 @@ func (p *Plan) mergeEstimates(parts []*storage.Table) (*storage.Table, error) {
 			e.has = true
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return groups[order[a]].group.Compare(groups[order[b]].group) < 0
+	sort.SliceStable(order, func(a, b int) bool {
+		return groups[order[a]].group.Order(groups[order[b]].group) < 0
 	})
 	out, err := storage.NewTable(first.Name(), first.Schema())
 	if err != nil {

@@ -117,6 +117,9 @@ func cellsClose(a, b storage.Value) bool {
 	return math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
 }
 
+// canonicalRows extracts a table's rows; keyCols > 0 sorts them stably by
+// their first keyCols cells under Value.Order — the order merged groups
+// come out in.
 func canonicalRows(t *storage.Table, keyCols int) [][]storage.Value {
 	rows := make([][]storage.Value, t.NumRows())
 	for r := range rows {
@@ -129,9 +132,8 @@ func canonicalRows(t *storage.Table, keyCols int) [][]storage.Value {
 	if keyCols > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
 			for c := 0; c < keyCols; c++ {
-				a, b := fmt.Sprintf("%v", rows[i][c]), fmt.Sprintf("%v", rows[j][c])
-				if a != b {
-					return a < b
+				if o := rows[i][c].Order(rows[j][c]); o != 0 {
+					return o < 0
 				}
 			}
 			return false
@@ -140,6 +142,9 @@ func canonicalRows(t *storage.Table, keyCols int) [][]storage.Value {
 	return rows
 }
 
+// requireAgree holds got to want cell for cell. With keyCols > 0 want is a
+// single node's groups, in first-seen order, and got merged ones: want is
+// put in key order and got must already be in it.
 func requireAgree(t *testing.T, label string, want, got *storage.Table, keyCols int) {
 	t.Helper()
 	if want.Schema().String() != got.Schema().String() {
@@ -148,7 +153,7 @@ func requireAgree(t *testing.T, label string, want, got *storage.Table, keyCols 
 	if want.NumRows() != got.NumRows() {
 		t.Fatalf("%s: rows want=%d got=%d", label, want.NumRows(), got.NumRows())
 	}
-	w, g := canonicalRows(want, keyCols), canonicalRows(got, keyCols)
+	w, g := canonicalRows(want, keyCols), canonicalRows(got, 0)
 	for r := range w {
 		for c := range w[r] {
 			if !cellsClose(w[r][c], g[r][c]) {
@@ -157,6 +162,56 @@ func requireAgree(t *testing.T, label string, want, got *storage.Table, keyCols 
 			}
 		}
 	}
+}
+
+// withNullFloat adds f, a FLOAT dimension with NULLs: half of d, and NULL
+// (NaN) on every ninth id. It draws nothing from the test's rng.
+func withNullFloat(t *testing.T, tbl *storage.Table) *storage.Table {
+	t.Helper()
+	id, d := tbl.Column(0), tbl.Column(1)
+	fs := make([]float64, tbl.NumRows())
+	for r := range fs {
+		fs[r] = float64(d.Value(r).I) / 2
+		if id.Value(r).I%9 == 0 {
+			fs[r] = math.NaN()
+		}
+	}
+	cols := make([]storage.Column, 0, tbl.NumCols()+1)
+	for c := 0; c < tbl.NumCols(); c++ {
+		cols = append(cols, tbl.Column(c))
+	}
+	schema := append(append(storage.Schema{}, tbl.Schema()...), storage.Field{Name: "f", Type: storage.TFloat})
+	out, err := storage.FromColumns(tbl.Name(), schema, append(cols, storage.NewFloatColumn(fs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// mergeFixed are inputs the merge once got wrong, each with its keyCols:
+// NULL group keys, which a sort blind to NaN left out of key order, and a
+// WHERE that rejects every row, whose empty grouped answer lost its types.
+var mergeFixed = []struct {
+	q       exec.Query
+	keyCols int
+}{
+	{exec.Query{
+		Select:  []exec.SelectItem{{Col: "f"}, {Col: "*", Agg: exec.AggCount}, {Col: "v", Agg: exec.AggSum}, {Col: "id", Agg: exec.AggMin}},
+		GroupBy: []string{"f"},
+	}, 1},
+	{exec.Query{
+		Select:  []exec.SelectItem{{Col: "f"}, {Col: "s"}, {Col: "f", Agg: exec.AggMax}, {Col: "v", Agg: exec.AggAvg}},
+		GroupBy: []string{"f", "s"},
+	}, 2},
+	{exec.Query{
+		Select:  []exec.SelectItem{{Col: "d"}, {Col: "id", Agg: exec.AggMax}, {Col: "*", Agg: exec.AggCount}, {Col: "v", Agg: exec.AggAvg}},
+		Where:   expr.Cmp("d", expr.GT, storage.Int(100)),
+		GroupBy: []string{"d"},
+	}, 1},
+	{exec.Query{
+		Select: []exec.SelectItem{{Col: "*", Agg: exec.AggCount}, {Col: "id", Agg: exec.AggMin}, {Col: "v", Agg: exec.AggSum}},
+		Where:  expr.Cmp("d", expr.GT, storage.Int(100)),
+	}, 0},
 }
 
 // shardEngines splits tbl under spec and registers each partition in its
@@ -187,13 +242,13 @@ func shardEngines(t *testing.T, tbl *storage.Table, spec shard.Spec, seedBase in
 	return engines
 }
 
-// TestMergeParityOracle: seeded random (table, query) trials across
-// shard counts 1/2/4/8 and all three scheme/column combinations must
-// merge to exactly the single-node answer.
+// TestMergeParityOracle: seeded random (table, query) trials, then the
+// mergeFixed inputs, across shard counts 1/2/4/8 and all three
+// scheme/column combinations must merge to exactly the single-node answer.
 func TestMergeParityOracle(t *testing.T) {
 	const rows = 4001
 	rng := rand.New(rand.NewSource(41))
-	tbl := parityTable(rng, "ptab", rows)
+	tbl := withNullFloat(t, parityTable(rng, "ptab", rows))
 	oracle := core.New(core.Options{Seed: 7})
 	if err := oracle.Register(tbl); err != nil {
 		t.Fatal(err)
@@ -218,8 +273,14 @@ func TestMergeParityOracle(t *testing.T) {
 			name := fmt.Sprintf("%s-%s-%d", spec.Scheme, spec.Column, n)
 			t.Run(name, func(t *testing.T) {
 				engines := shardEngines(t, tbl, spec, 31)
-				for trial := 0; trial < 25; trial++ {
-					q, keyCols := parityQuery(rng, rows)
+				for trial := 0; trial < 25+len(mergeFixed); trial++ {
+					var q exec.Query
+					var keyCols int
+					if trial < 25 {
+						q, keyCols = parityQuery(rng, rows)
+					} else {
+						q, keyCols = mergeFixed[trial-25].q, mergeFixed[trial-25].keyCols
+					}
 					label := fmt.Sprintf("%s trial=%d q=%s", name, trial, q)
 					plan, err := shard.PlanQuery(q, false)
 					if err != nil {
@@ -397,5 +458,52 @@ func TestMergeEstimatesGroupBy(t *testing.T) {
 	}
 	if misses > 1 {
 		t.Fatalf("%d of %d groups outside their merged ci95", misses, got.NumRows())
+	}
+}
+
+// TestMergeEstimatesNullGroupsInKeyOrder: merged estimate groups come out
+// in key order under Value.Order, the NULL (NaN) group last and merged
+// once — a sort blind to NaN left [3, NaN, 0, …].
+func TestMergeEstimatesNullGroupsInKeyOrder(t *testing.T) {
+	q := exec.Query{
+		Select:  []exec.SelectItem{{Col: "f"}, {Col: "v", Agg: exec.AggSum}},
+		GroupBy: []string{"f"},
+	}
+	plan, err := shard.PlanQuery(q, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := storage.Schema{
+		{Name: "f", Type: storage.TFloat}, {Name: "sum(v)", Type: storage.TFloat},
+		{Name: "ci95", Type: storage.TFloat}, {Name: "sample_n", Type: storage.TInt},
+	}
+	part := func(keys ...float64) *storage.Table {
+		tbl, err := storage.NewTable("ptab", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := tbl.AppendRow(storage.Float(k), storage.Float(1), storage.Float(0.1), storage.Int(10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+	nan := math.NaN()
+	got, err := plan.Merge([]*storage.Table{part(3, nan, 1), part(2, 5, nan, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0, 1, 2, 3, 5, nan}
+	if got.NumRows() != len(want) {
+		t.Fatalf("merged %d groups, want %d:\n%s", got.NumRows(), len(want), got.Format(0))
+	}
+	for r, k := range want {
+		if g := got.Column(0).Value(r).F; g != k && !(math.IsNaN(g) && math.IsNaN(k)) {
+			t.Fatalf("group %d is %v, want %v:\n%s", r, g, k, got.Format(0))
+		}
+	}
+	if est, n := got.Column(1).Value(5).F, got.Column(3).Value(5).I; est != 2 || n != 20 {
+		t.Fatalf("NULL group merged to estimate %v over %d rows, want 2 over 20", est, n)
 	}
 }
