@@ -12,9 +12,10 @@ test:
 
 # The engine and service packages at several GOMAXPROCS values: their
 # cancellation, admission and scheduling tests behave differently on one
-# core than on four, and tier-1 has to be green at all of them.
+# core than on four, and tier-1 has to be green at all of them. The cracker
+# index is among them: read-locked probes share its mark-bitmap free list.
 test-cpus:
-	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
@@ -72,7 +73,9 @@ fuzz-rows:
 
 # Differential fuzz of cracked mode: random tables (plain + RLE INT columns,
 # NaN/±Inf, int64 extremes and 2^53 neighbours) and one-column range
-# predicates under all three cracking variants; oracle = exec.Execute.
+# predicates under all three cracking variants, asked as a projection, a
+# LIMIT projection and a GROUP BY; oracle = exec.Execute, answers compared
+# in order, aggregates included.
 fuzz-cracked:
 	$(GO) test -fuzz=FuzzCrackedVsExact -fuzztime=60s -run '^$$' ./internal/core/
 

@@ -15,12 +15,17 @@ import (
 // run-length INT column r and a FLOAT column x over value pools stacked
 // with NULL (NaN), ±Inf, the neighbours of 2^53 and the int64 extremes —
 // and a sequence of one-column WHERE clauses of one to three comparisons,
-// FLOAT constants on INT columns included. Each query runs twice in
-// cracked mode, the second time against the cuts the first one left, and
-// must return exactly the rows the reference evaluator exec.Execute returns.
-// testdata/fuzz/FuzzCrackedVsExact holds one input per bug this caught:
+// FLOAT constants on INT columns included, each asked in one of three
+// shapes: a projection, a GROUP BY k with COUNT(*), SUM(x) and MIN(x), and
+// a projection under LIMIT — none of them with ORDER BY. Each query runs
+// twice in cracked mode, the second time against the cuts the first one
+// left, and must answer exactly what the reference evaluator exec.Execute
+// answers, in order: rows, groups and MIN ties, SUM up to float
+// association. The shapes are drawn after every WHERE clause, so inputs
+// from before they existed decode to the same tables and clauses.
+// testdata/fuzz/FuzzCrackedVsExact holds one input per bug this caught —
 // zone pruning and cracking at 2^53, the type's maximum at the top of a
-// range, and a NULL stalling the partition loop.
+// range, and a NULL stalling the partition loop — and one per shape.
 
 var (
 	crackFzInts = []int64{0, 1, -1, 5, 7, math.MinInt64, math.MaxInt64,
@@ -91,20 +96,30 @@ func FuzzCrackedVsExact(f *testing.F) {
 		if err := e.Register(enc); err != nil {
 			t.Fatal(err)
 		}
-		for q := 1 + fr.draw(3); q > 0; q-- {
+		wheres := make([]*expr.Pred, 1+fr.draw(3))
+		for q := range wheres {
 			col := []string{"k", "r", "x"}[fr.draw(3)]
 			leaves := make([]*expr.Pred, 1+fr.draw(3))
 			for i := range leaves {
 				leaves[i] = expr.Cmp(col, crackFzOps[fr.draw(len(crackFzOps))], fr.value())
 			}
-			where := leaves[0]
+			wheres[q] = leaves[0]
 			if len(leaves) > 1 {
-				where = expr.And(leaves...)
+				wheres[q] = expr.And(leaves...)
 			}
+		}
+		for _, where := range wheres {
 			query := exec.Query{
-				Select:  []exec.SelectItem{{Col: "id"}, {Col: "k"}, {Col: "r"}, {Col: "x"}},
-				Where:   where,
-				OrderBy: []exec.OrderKey{{Col: "id"}},
+				Select: []exec.SelectItem{{Col: "id"}, {Col: "k"}, {Col: "r"}, {Col: "x"}},
+				Where:  where,
+			}
+			switch fr.draw(3) {
+			case 1:
+				query.Select = []exec.SelectItem{{Col: "k"}, {Col: "*", Agg: exec.AggCount},
+					{Col: "x", Agg: exec.AggSum}, {Col: "x", Agg: exec.AggMin}}
+				query.GroupBy = []string{"k"}
+			case 2:
+				query.Limit = 1 + fr.draw(5)
 			}
 			want, err := exec.Execute(plain, query)
 			if err != nil {
@@ -113,11 +128,11 @@ func FuzzCrackedVsExact(f *testing.F) {
 			for round := 0; round < 2; round++ {
 				got, err := e.Execute("t", query, Cracked)
 				if err != nil {
-					t.Fatalf("WHERE %s: %v", where, err)
+					t.Fatalf("%s: %v", query, err)
 				}
 				if err := tablesMatch(want, got); err != nil {
-					t.Fatalf("%v, morsel %d, round %d, WHERE %s: %v", opt.CrackOptions.Variant,
-						opt.Exec.MorselSize, round, where, err)
+					t.Fatalf("%v, morsel %d, round %d, %s: %v", opt.CrackOptions.Variant,
+						opt.Exec.MorselSize, round, query, err)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -91,6 +90,78 @@ func TestCrackedParallelParity(t *testing.T) {
 	}
 }
 
+// TestCrackedParallelHistoryIndependent: a cracked answer does not depend
+// on how far the index has cracked. A projection and a group-by are asked,
+// a dozen probes at bounds inside their range reorganize the column, and
+// the same two queries must come back bit for bit identical, at one worker
+// and at four.
+func TestCrackedParallelHistoryIndependent(t *testing.T) {
+	plain := crackedParityTable(t, rand.New(rand.NewSource(23)), 20_000)
+	queries := []string{
+		"SELECT k, label, amount FROM t WHERE amount >= 50 AND amount < 150",
+		"SELECT label, count(*), sum(k), min(amount), max(bucket) FROM t WHERE amount >= 50 AND amount < 150 GROUP BY label",
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: par, MorselSize: 256}})
+			if err := e.Register(plain); err != nil {
+				t.Fatal(err)
+			}
+			ask := func() []*storage.Table {
+				out := make([]*storage.Table, len(queries))
+				for i, q := range queries {
+					res, err := e.SQL(q, Cracked)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					out[i] = res
+				}
+				return out
+			}
+			before := ask()
+			_, cracks, _ := e.CrackStats("t", "amount")
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 12; i++ {
+				lo := 50 + rng.Float64()*90
+				sql := fmt.Sprintf("SELECT count(*) FROM t WHERE amount >= %.4f AND amount < %.4f", lo, lo+rng.Float64()*10)
+				if _, err := e.SQL(sql, Cracked); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, after, _ := e.CrackStats("t", "amount"); after < cracks+12 {
+				t.Fatalf("cracks %d -> %d: the probes did not reorganize the column", cracks, after)
+			}
+			for i, got := range ask() {
+				if err := tablesIdentical(before[i], got); err != nil {
+					t.Errorf("%s: %v", queries[i], err)
+				}
+			}
+		})
+	}
+}
+
+// tablesIdentical compares two result tables cell by cell, floats by their
+// bits.
+func tablesIdentical(a, b *storage.Table) error {
+	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
+		return fmt.Errorf("dims %dx%d vs %dx%d", a.NumRows(), a.NumCols(), b.NumRows(), b.NumCols())
+	}
+	for r := 0; r < a.NumRows(); r++ {
+		av, bv := a.Row(r), b.Row(r)
+		for c := range av {
+			x, y := av[c], bv[c]
+			same := x == y
+			if x.Typ == storage.TFloat && y.Typ == storage.TFloat {
+				same = math.Float64bits(x.F) == math.Float64bits(y.F)
+			}
+			if !same {
+				return fmt.Errorf("row %d col %d: %v vs %v", r, c, x, y)
+			}
+		}
+	}
+	return nil
+}
+
 // TestConcurrentCrackedProbesMatchOracle hammers one engine with
 // concurrent cracked-mode queries — the workload the removed engine-wide
 // crack lock used to serialize — and checks every answer against exact
@@ -168,7 +239,7 @@ func TestConcurrentCrackedProbesMatchOracle(t *testing.T) {
 
 // TestConcurrentCrackedRowSetsMatchOracle compares full row sets, not just
 // counts: concurrent cracked projections must return exactly the rows the
-// exact scan returns (sorted for order-independence).
+// exact scan returns, in the same order.
 func TestConcurrentCrackedRowSetsMatchOracle(t *testing.T) {
 	const goroutines = 6
 	e := mkParEngine(t, 8_000, exec.ExecOptions{Parallelism: 4, MorselSize: 1024})
@@ -188,7 +259,6 @@ func TestConcurrentCrackedRowSetsMatchOracle(t *testing.T) {
 		for r := 0; r < res.NumRows(); r++ {
 			vals = append(vals, res.Row(r)[0].String())
 		}
-		sort.Strings(vals)
 		oracle[key{q}] = vals
 	}
 	var wg sync.WaitGroup
@@ -208,7 +278,6 @@ func TestConcurrentCrackedRowSetsMatchOracle(t *testing.T) {
 				for r := 0; r < res.NumRows(); r++ {
 					vals = append(vals, res.Row(r)[0].String())
 				}
-				sort.Strings(vals)
 				want := oracle[key{q}]
 				if len(vals) != len(want) {
 					errs <- fmt.Errorf("%s: %d rows, want %d", q, len(vals), len(want))

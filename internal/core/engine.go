@@ -556,6 +556,11 @@ func probeInterval[T int64 | float64](ix *crack.Index[T], dst []int, lo, above T
 	return ix.ProbeAppend(dst, lo, above)
 }
 
+// executeCracked answers a one-column range query through the column's
+// cracker index. The probe's row ids come back ascending, so the answer
+// equals exact mode's row for row — group order, projection order, MIN/MAX
+// ties — with SUM/AVG up to float association, however far the index has
+// cracked.
 func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
 	t, err := e.table(ctx, table, q)
 	if err != nil {
@@ -609,7 +614,8 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 		return nil, err
 	}
 	// The probe's row ids are the pipeline's input selection: no sub-table
-	// is copied out, and the range predicate they answer is not re-evaluated.
+	// is copied out, the range predicate they answer is not re-evaluated,
+	// and, ascending, they let the sinks read the columns front to back.
 	return exec.ExecuteSel(ctx, t, rows, q, e.opt.Exec)
 }
 

@@ -3,7 +3,6 @@ package crack
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,21 +18,12 @@ var concurrentVariants = []Options{
 	{Variant: HybridSort, SortMin: 512},
 }
 
-// sortedCopy returns a sorted copy of rows for order-insensitive comparison
-// (concurrent probes return piece-order rows, the oracle returns position
-// order).
-func sortedCopy(rows []int) []int {
-	out := append([]int(nil), rows...)
-	sort.Ints(out)
-	return out
-}
-
 // TestConcurrentProbeParity is the race-detector property harness: N
 // goroutines fire overlapping range probes at one index — half the ranges
 // drawn from a small shared pool (so later probes hit existing cuts and
 // take the read path), half fresh (forcing write-lock escalation) — and
-// every single probe must return exactly the row set a sequential full
-// scan of the original column produces. Run it with -race: the property
+// every single probe must return exactly the rows a sequential full scan
+// of the original column produces, in the same ascending order. Run it with -race: the property
 // catches wrong answers, the detector catches unsynchronized access.
 func TestConcurrentProbeParity(t *testing.T) {
 	const (
@@ -91,14 +81,13 @@ func TestConcurrentProbeParity(t *testing.T) {
 								writes.Add(1)
 							}
 							want := oracle.Query(lo, hi)
-							gs, ws := sortedCopy(got), sortedCopy(want)
-							if len(gs) != len(ws) {
-								errs <- fmt.Errorf("probe [%d,%d): %d rows, oracle %d", lo, hi, len(gs), len(ws))
+							if len(got) != len(want) {
+								errs <- fmt.Errorf("probe [%d,%d): %d rows, oracle %d", lo, hi, len(got), len(want))
 								return
 							}
-							for i := range gs {
-								if gs[i] != ws[i] {
-									errs <- fmt.Errorf("probe [%d,%d): row %d = %d, oracle %d", lo, hi, i, gs[i], ws[i])
+							for i := range got {
+								if got[i] != want[i] {
+									errs <- fmt.Errorf("probe [%d,%d): row %d = %d, oracle %d", lo, hi, i, got[i], want[i])
 									return
 								}
 							}
@@ -162,13 +151,12 @@ func TestConcurrentProbeParityFloat(t *testing.T) {
 					return
 				}
 				want := oracle.Query(lo, hi)
-				gs, ws := sortedCopy(got), sortedCopy(want)
-				if len(gs) != len(ws) {
-					errs <- fmt.Errorf("probe [%g,%g): %d rows, oracle %d", lo, hi, len(gs), len(ws))
+				if len(got) != len(want) {
+					errs <- fmt.Errorf("probe [%g,%g): %d rows, oracle %d", lo, hi, len(got), len(want))
 					return
 				}
-				for i := range gs {
-					if gs[i] != ws[i] {
+				for i := range got {
+					if got[i] != want[i] {
 						errs <- fmt.Errorf("probe [%g,%g): mismatch at %d", lo, hi, i)
 						return
 					}

@@ -17,6 +17,12 @@
 // Updates are absorbed adaptively [30] with a pending-insert buffer that is
 // ripple-merged into the cracked array, and tombstone deletes.
 //
+// Every probe returns its row ids in ascending order, the order a scan of
+// the table meets them: the probe marks its piece into a row-id bitmap and
+// reads the bitmap forward. A caller that feeds the ids to a pipeline gets
+// the answer a scan with the range as its WHERE clause gives, row for row,
+// however far the index has cracked.
+//
 // Concurrency control is per index, the granularity the engine needs for
 // multi-session exploration: every probe runs inside a single critical
 // section of the index RWMutex. A probe whose bounds already coincide with
@@ -32,7 +38,9 @@ package crack
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -118,7 +126,17 @@ type Index[T cmp.Ordered] struct {
 	rng     *rand.Rand
 	nextRow int
 	pending []pendingIns[T]
-	dead    map[int]bool // tombstoned row ids
+	// live has bit r set while row r is indexed and not deleted. A NaN row
+	// is never set; Delete clears the bit and leaves the value in vals or
+	// pending as a tombstone, which tombs counts.
+	live  []uint64
+	tombs int
+	// marks is a free list of all-zero row-id bitmaps for collectLocked,
+	// under its own mutex because read-locked probes share it. Not a
+	// sync.Pool: its per-P caches and GC sweeps would make what a probe
+	// allocates differ from run to run.
+	marksMu sync.Mutex
+	marks   [][]uint64
 	// stats
 	cracksDone int
 	mergesDone int
@@ -144,10 +162,12 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 	opt.fill()
 	vals := make([]T, len(col))
 	rows := make([]int, len(col))
+	live := make([]uint64, (len(col)+63)/64)
 	n := 0
 	for i, v := range col {
 		if v == v {
 			vals[n], rows[n] = v, i
+			live[i>>6] |= 1 << uint(i&63)
 			n++
 		}
 	}
@@ -157,7 +177,7 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		nextRow: len(col),
-		dead:    make(map[int]bool),
+		live:    live,
 	}
 }
 
@@ -166,8 +186,12 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 func (ix *Index[T]) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.vals) + len(ix.pending) - len(ix.dead)
+	return len(ix.vals) + len(ix.pending) - ix.tombs
 }
+
+// isLive reports whether row r is indexed and not deleted. Caller holds
+// at least the read lock.
+func (ix *Index[T]) isLive(r int) bool { return ix.live[r>>6]>>uint(r&63)&1 != 0 }
 
 // NumPieces returns the number of pieces the column is currently cracked
 // into (cuts + 1).
@@ -220,9 +244,9 @@ type ProbeStats struct {
 	Cracks int
 }
 
-// Probe returns the row ids whose value v satisfies lo <= v < hi, plus
-// per-probe stats, cracking the underlying column at lo and hi when
-// needed. The whole probe is one critical section: read-locked when both
+// Probe returns the row ids whose value v satisfies lo <= v < hi, in
+// ascending order, plus per-probe stats, cracking the underlying column at
+// lo and hi when needed. The whole probe is one critical section: read-locked when both
 // bounds are already cuts (the converged path — unlimited concurrent
 // probes), write-locked when it must reorganize. The error is non-nil only
 // when the crack/escalate failpoint is armed and fires.
@@ -230,10 +254,10 @@ func (ix *Index[T]) Probe(lo, hi T) ([]int, ProbeStats, error) {
 	return ix.ProbeAppend(nil, lo, hi)
 }
 
-// ProbeAppend is Probe writing the row ids into dst's backing array, from
-// its start, when it is large enough: a caller that probes query after
-// query hands the previous result back and no probe allocates a
-// table-sized vector. The returned slice never aliases index state.
+// ProbeAppend is Probe writing the row ids, ascending, into dst's backing
+// array, from its start, when it is large enough: a caller that probes
+// query after query hands the previous result back and no probe allocates
+// a table-sized vector. The returned slice never aliases index state.
 func (ix *Index[T]) ProbeAppend(dst []int, lo, hi T) ([]int, ProbeStats, error) {
 	if lo >= hi {
 		ix.mu.RLock()
@@ -263,8 +287,8 @@ func (ix *Index[T]) probe(dst []int, b bounds[T]) ([]int, ProbeStats, error) {
 	return rows, st, nil
 }
 
-// Query returns the row ids whose value v satisfies lo <= v < hi.
-// As a side effect it cracks the underlying column at lo and hi. It is
+// Query returns the row ids whose value v satisfies lo <= v < hi, in
+// ascending order. As a side effect it cracks the underlying column at lo and hi. It is
 // Probe without the stats and without the escalation failpoint (bench
 // loops and baselines that must not be perturbed by armed faults).
 func (ix *Index[T]) Query(lo, hi T) []int {
@@ -320,25 +344,66 @@ func (ix *Index[T]) writeProbe(dst []int, b bounds[T]) ([]int, ProbeStats) {
 	return rows, st
 }
 
-// collectLocked gathers the live row ids at positions [pa, pb) plus the
-// pending inserts inside b into dst[:0], replacing it when it is too
-// short. Caller holds at least the read lock.
+// collectLocked writes the live row ids at positions [pa, pb), plus the
+// pending inserts inside b, into dst[:0] in ascending order, replacing dst
+// when it is too short. It marks the ids into a pooled bitmap, then reads
+// the words between the lowest and highest marked one, ANDing in the
+// liveness bitmap and zeroing each word as it goes, so the bitmap returns
+// to the free list all zero. Caller holds at least the read lock.
 func (ix *Index[T]) collectLocked(dst []int, pa, pb int, b bounds[T]) []int {
 	out := dst[:0]
-	if need := pb - pa + len(ix.pending)/4; cap(out) < need {
-		out = make([]int, 0, need)
-	}
-	for i := pa; i < pb; i++ {
-		if !ix.dead[ix.rows[i]] {
-			out = append(out, ix.rows[i])
-		}
-	}
+	m := ix.takeMarks(len(ix.live))
+	lo, hi, n := ix.nextRow, -1, pb-pa
 	for _, p := range ix.pending {
-		if b.has(p.val) && !ix.dead[p.row] {
-			out = append(out, p.row)
+		if b.has(p.val) {
+			m[p.row>>6] |= 1 << uint(p.row&63)
+			lo, hi, n = min(lo, p.row), max(hi, p.row), n+1
 		}
 	}
-	return out
+	for _, r := range ix.rows[pa:pb] {
+		m[r>>6] |= 1 << uint(r&63)
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	if cap(out) < n {
+		out = make([]int, 0, n)
+	}
+	out = out[:n]
+	n = 0
+	for w := lo >> 6; w <= hi>>6; w++ {
+		x := m[w] & ix.live[w]
+		m[w] = 0
+		for ; x != 0; x &= x - 1 {
+			out[n] = w<<6 | bits.TrailingZeros64(x)
+			n++
+		}
+	}
+	ix.giveMarks(m)
+	return out[:n]
+}
+
+// takeMarks returns an all-zero bitmap of the given number of words: the
+// last one recycled when it is large enough, else a new one.
+func (ix *Index[T]) takeMarks(words int) []uint64 {
+	ix.marksMu.Lock()
+	defer ix.marksMu.Unlock()
+	if k := len(ix.marks); k > 0 {
+		m := ix.marks[k-1]
+		ix.marks = ix.marks[:k-1]
+		if cap(m) >= words {
+			return m[:words]
+		}
+	}
+	return make([]uint64, words)
+}
+
+// giveMarks recycles an all-zero bitmap; one per core is kept, since no
+// more probes than that collect at once.
+func (ix *Index[T]) giveMarks(m []uint64) {
+	ix.marksMu.Lock()
+	if len(ix.marks) < runtime.GOMAXPROCS(0) {
+		ix.marks = append(ix.marks, m)
+	}
+	ix.marksMu.Unlock()
 }
 
 // statsLocked snapshots the index shape. Caller holds at least the read lock.
@@ -373,18 +438,17 @@ func (ix *Index[T]) Count(lo, hi T) int {
 // countLocked counts live rows at positions [pa, pb) plus pending inserts
 // in [lo, hi). Caller holds at least the read lock.
 func (ix *Index[T]) countLocked(pa, pb int, lo, hi T) int {
-	n := 0
-	if len(ix.dead) == 0 {
-		n = pb - pa
-	} else {
-		for i := pa; i < pb; i++ {
-			if !ix.dead[ix.rows[i]] {
+	n := pb - pa
+	if ix.tombs > 0 {
+		n = 0
+		for _, r := range ix.rows[pa:pb] {
+			if ix.isLive(r) {
 				n++
 			}
 		}
 	}
 	for _, p := range ix.pending {
-		if p.val >= lo && p.val < hi && !ix.dead[p.row] {
+		if p.val >= lo && p.val < hi && ix.isLive(p.row) {
 			n++
 		}
 	}

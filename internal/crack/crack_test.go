@@ -21,6 +21,22 @@ func oracle(col []int64, lo, hi int64) []int {
 	return out
 }
 
+// sameRows reports whether a probe's rows are exactly want, in order: every
+// probe returns its row ids ascending, the order oracle gives.
+func sameRows(got, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSet compares two row lists ignoring order (SortedIndex answers in
+// value order).
 func sameSet(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -55,7 +71,7 @@ func testVariantCorrect(t *testing.T, v Variant) {
 		hi := lo + int64(rng.Intn(100))
 		got := ix.Query(lo, hi)
 		want := oracle(col, lo, hi)
-		if !sameSet(got, want) {
+		if !sameRows(got, want) {
 			t.Fatalf("%v query %d [%d,%d): got %d rows, want %d", v, q, lo, hi, len(got), len(want))
 		}
 	}
@@ -99,7 +115,7 @@ func TestDuplicateHeavyColumn(t *testing.T) {
 		for q := 0; q < 50; q++ {
 			lo := int64(rng.Intn(5))
 			hi := lo + int64(rng.Intn(3))
-			if !sameSet(ix.Query(lo, hi), oracle(col, lo, hi)) {
+			if !sameRows(ix.Query(lo, hi), oracle(col, lo, hi)) {
 				t.Fatalf("%v: wrong result on duplicates", v)
 			}
 		}
@@ -123,28 +139,25 @@ func TestCountMatchesQueryLen(t *testing.T) {
 }
 
 // TestProbeAppendReusesTheCallersVector: a probe handed a vector with room
-// answers inside it, in the order Probe gives, and allocates none of its
-// own; one handed a short vector replaces it; an empty range truncates it.
+// answers inside it, ascending as the oracle lists rows, and allocates none
+// of its own — its mark bitmap comes from the index's free list, also once
+// Insert has grown the row space past that bitmap and after a Delete; one
+// handed a short vector replaces it; an empty range truncates it.
 func TestProbeAppendReusesTheCallersVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	col := randCol(rng, 4000, 500)
-	ix, twin := New(col, Options{}), New(col, Options{})
+	ix := New(col, Options{})
 	buf := make([]int, 0, len(col))
 	for q := 0; q < 100; q++ {
 		lo := int64(rng.Intn(500))
 		hi := lo + int64(rng.Intn(120))
-		want, _, _ := twin.Probe(lo, hi)
+		want := oracle(col, lo, hi)
 		got, _, err := ix.ProbeAppend(buf, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("probe %d [%d,%d): %d rows, Probe gives %d", q, lo, hi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("probe %d [%d,%d): row %d is %d, Probe gives %d", q, lo, hi, i, got[i], want[i])
-			}
+		if !sameRows(got, want) {
+			t.Fatalf("probe %d [%d,%d): %d rows, oracle %d, or out of order", q, lo, hi, len(got), len(want))
 		}
 		if len(got) > 0 && &got[0] != &buf[:1][0] {
 			t.Fatalf("probe %d left the caller's vector for a new one", q)
@@ -156,8 +169,30 @@ func TestProbeAppendReusesTheCallersVector(t *testing.T) {
 	if got, _, _ := ix.ProbeAppend(buf[:3], 9, 9); len(got) != 0 {
 		t.Fatalf("empty range kept %d stale rows", len(got))
 	}
-	if n := testing.AllocsPerRun(20, func() { buf, _, _ = ix.ProbeAppend(buf, 100, 400) }); n != 0 {
-		t.Fatalf("a converged probe into a large enough vector allocated %v times", n)
+	steady := func(stage string) {
+		t.Helper()
+		if n := testing.AllocsPerRun(20, func() { buf, _, _ = ix.ProbeAppend(buf, 100, 400) }); n != 0 {
+			t.Fatalf("%s: a converged probe into a large enough vector allocated %v times", stage, n)
+		}
+	}
+	steady("built")
+	live := append([]int64(nil), col...)
+	for i := 0; i < 200; i++ { // 200 rows past the 63 words the bitmap was sized to
+		v := int64(rng.Intn(500))
+		ix.Insert(v)
+		live = append(live, v)
+	}
+	steady("after inserts")
+	want := oracle(live, 100, 400)
+	if got, _, _ := ix.ProbeAppend(buf, 100, 400); !sameRows(got, want) {
+		t.Fatal("after inserts: probe is not the oracle's rows in order")
+	}
+	if !ix.Delete(want[0]) {
+		t.Fatalf("delete of live row %d reported false", want[0])
+	}
+	steady("after a delete")
+	if got, _, _ := ix.ProbeAppend(buf, 100, 400); !sameRows(got, want[1:]) {
+		t.Fatal("after a delete: probe is not the oracle's live rows in order")
 	}
 }
 
@@ -225,6 +260,28 @@ func TestDeletes(t *testing.T) {
 	}
 }
 
+// TestDeleteOfANaNRowIsNotLive: New and Insert never index a NaN (NULL), so
+// deleting its row removes nothing — Delete reports false and Len and the
+// probes stay as they were.
+func TestDeleteOfANaNRowIsNotLive(t *testing.T) {
+	ix := New([]float64{1, math.NaN(), 3}, Options{})
+	inserted := ix.Insert(math.NaN())
+	for _, row := range []int{1, inserted} {
+		if ix.Delete(row) {
+			t.Errorf("Delete(%d) of a NaN row reported true", row)
+		}
+	}
+	if n := ix.Len(); n != 2 {
+		t.Errorf("len = %d, want 2", n)
+	}
+	if got := ix.Query(0, 10); !sameRows(got, []int{0, 2}) {
+		t.Errorf("probe = %v, want [0 2]", got)
+	}
+	if n := ix.Count(0, 10); n != 2 {
+		t.Errorf("count = %d, want 2", n)
+	}
+}
+
 func TestMixedInsertDeleteQueryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -262,7 +319,8 @@ func TestMixedInsertDeleteQueryProperty(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				if !sameSet(got, want) {
+				sort.Ints(want)
+				if !sameRows(got, want) {
 					return false
 				}
 			}
@@ -445,20 +503,20 @@ func TestNaNIsNeverIndexed(t *testing.T) {
 			for q := 0; q < 200; q++ {
 				a, b := rng.Float64(), rng.Float64()
 				lo, hi := min(a, b), max(a, b)
-				if got, want := ix.Query(lo, hi), full.Query(lo, hi); !sameSet(got, want) {
+				if got, want := ix.Query(lo, hi), full.Query(lo, hi); !sameRows(got, want) {
 					t.Fatalf("query %d [%v,%v): %d rows, full scan %d", q, lo, hi, len(got), len(want))
 				}
 				got, _, err := ix.ProbeFrom(nil, lo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := full.Query(lo, math.Inf(1))
+				var want []int
 				for r, x := range live {
-					if math.IsInf(x, 1) {
+					if x >= lo {
 						want = append(want, r)
 					}
 				}
-				if !sameSet(got, want) {
+				if !sameRows(got, want) {
 					t.Fatalf("probe %d [%v, +Inf]: %d rows, full scan %d", q, lo, len(got), len(want))
 				}
 			}

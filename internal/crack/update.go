@@ -20,9 +20,13 @@ func (ix *Index[T]) Insert(v T) int {
 	defer ix.mu.Unlock()
 	row := ix.nextRow
 	ix.nextRow++
+	if row>>6 == len(ix.live) {
+		ix.live = append(ix.live, 0)
+	}
 	if v != v {
 		return row
 	}
+	ix.live[row>>6] |= 1 << uint(row&63)
 	ix.pending = append(ix.pending, pendingIns[T]{val: v, row: row})
 	if len(ix.pending) >= ix.opt.MaxPending {
 		ix.mergePending()
@@ -31,14 +35,15 @@ func (ix *Index[T]) Insert(v T) int {
 }
 
 // Delete tombstones the row id of an indexed (non-NaN) value. It reports
-// whether the row was live.
+// whether the row was live: a NaN row, never indexed, is not.
 func (ix *Index[T]) Delete(row int) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if row < 0 || row >= ix.nextRow || ix.dead[row] {
+	if row < 0 || row >= ix.nextRow || !ix.isLive(row) {
 		return false
 	}
-	ix.dead[row] = true
+	ix.live[row>>6] &^= 1 << uint(row&63)
+	ix.tombs++
 	return true
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dex/internal/core"
@@ -86,12 +85,10 @@ func rangeWhere(rng *rand.Rand, rows int) *expr.Pred {
 	}
 }
 
-// oracleQuery draws a query plus the number of leading exact-valued key
-// columns a canonical sort may use (0 = compare positionally).
-func oracleQuery(rng *rand.Rand, rows int) (exec.Query, int) {
+// oracleQuery draws a query.
+func oracleQuery(rng *rand.Rand, rows int) exec.Query {
 	aggs := []exec.AggFunc{exec.AggCount, exec.AggSum, exec.AggAvg, exec.AggMin, exec.AggMax}
 	var q exec.Query
-	keyCols := 0
 	switch rng.Intn(3) {
 	case 0: // projection, totally ordered by the unique key
 		q.Select = []exec.SelectItem{{Col: "id"}, {Col: "v"}, {Col: "s"}}
@@ -105,7 +102,7 @@ func oracleQuery(rng *rand.Rand, rows int) (exec.Query, int) {
 			{Col: "v", Agg: aggs[rng.Intn(len(aggs))]},
 			{Col: "d", Agg: aggs[rng.Intn(len(aggs))]},
 		}
-	default: // group-by: canonical sort on the group keys
+	default: // group-by: groups in first-seen order
 		dims := [][]string{{"d"}, {"s"}, {"d", "s"}}[rng.Intn(3)]
 		q.GroupBy = dims
 		for _, g := range dims {
@@ -115,10 +112,9 @@ func oracleQuery(rng *rand.Rand, rows int) (exec.Query, int) {
 			exec.SelectItem{Col: "v", Agg: aggs[rng.Intn(len(aggs))]},
 			exec.SelectItem{Col: "*", Agg: exec.AggCount},
 		)
-		keyCols = len(dims)
 	}
 	q.Where = rangeWhere(rng, rows)
-	return q, keyCols
+	return q
 }
 
 // cellsClose is the float tolerance shared with the parity harness:
@@ -140,37 +136,10 @@ func cellsClose(a, b storage.Value) bool {
 	return math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
 }
 
-// canonicalRows extracts a table's rows, sorted by the first keyCols
-// columns when keyCols > 0. The key columns are exact-valued (int/string
-// group keys), so the sort is stable across modes; float aggregates never
-// participate in the ordering.
-func canonicalRows(t *storage.Table, keyCols int) [][]storage.Value {
-	rows := make([][]storage.Value, t.NumRows())
-	for r := range rows {
-		row := make([]storage.Value, t.NumCols())
-		for c := range row {
-			row[c] = t.Column(c).Value(r)
-		}
-		rows[r] = row
-	}
-	if keyCols > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			for c := 0; c < keyCols; c++ {
-				a, b := fmt.Sprintf("%v", rows[i][c]), fmt.Sprintf("%v", rows[j][c])
-				if a != b {
-					return a < b
-				}
-			}
-			return false
-		})
-	}
-	return rows
-}
-
-// requireAgree asserts got matches want row-for-row, canonicalizing group
-// order when the query leaves it unspecified (cracked execution visits
-// rows in cracked physical order, so its first-seen group order differs).
-func requireAgree(t *testing.T, label string, want, got *storage.Table, keyCols int) {
+// requireAgree asserts got matches want row for row, in order: every mode
+// here lists groups in first-seen order, cracked included, since its probe
+// hands over row ids ascending.
+func requireAgree(t *testing.T, label string, want, got *storage.Table) {
 	t.Helper()
 	if want.Schema().String() != got.Schema().String() {
 		t.Fatalf("%s: schema\nwant: %s\ngot:  %s", label, want.Schema(), got.Schema())
@@ -178,12 +147,12 @@ func requireAgree(t *testing.T, label string, want, got *storage.Table, keyCols 
 	if want.NumRows() != got.NumRows() {
 		t.Fatalf("%s: rows want=%d got=%d", label, want.NumRows(), got.NumRows())
 	}
-	w, g := canonicalRows(want, keyCols), canonicalRows(got, keyCols)
-	for r := range w {
-		for c := range w[r] {
-			if !cellsClose(w[r][c], g[r][c]) {
+	for r := 0; r < want.NumRows(); r++ {
+		w, g := want.Row(r), got.Row(r)
+		for c := range w {
+			if !cellsClose(w[c], g[c]) {
 				t.Fatalf("%s: row %d col %d (%s): want %v got %v",
-					label, r, c, want.Schema()[c].Name, w[r][c], g[r][c])
+					label, r, c, want.Schema()[c].Name, w[c], g[c])
 			}
 		}
 	}
@@ -212,7 +181,7 @@ func TestCrossModeRowOracle(t *testing.T) {
 		}
 
 		for trial := 0; trial < 60; trial++ {
-			q, keyCols := oracleQuery(rng, rows)
+			q := oracleQuery(rng, rows)
 			label := fmt.Sprintf("rows=%d trial=%d q=%s", rows, trial, q)
 			want, err := seq.Execute("otab", q, core.Exact)
 			if err != nil {
@@ -223,13 +192,13 @@ func TestCrossModeRowOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: parallel morsel=%d: %v", label, m, err)
 				}
-				requireAgree(t, label+fmt.Sprintf(" [parallel morsel=%d]", m), want, got, keyCols)
+				requireAgree(t, label+fmt.Sprintf(" [parallel morsel=%d]", m), want, got)
 			}
 			got, err := crk.Execute("otab", q, core.Cracked)
 			if err != nil {
 				t.Fatalf("%s: cracked: %v", label, err)
 			}
-			requireAgree(t, label+" [cracked]", want, got, keyCols)
+			requireAgree(t, label+" [cracked]", want, got)
 		}
 	}
 }
