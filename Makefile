@@ -55,7 +55,9 @@ fuzz:
 
 # Differential fuzz of the typed predicate kernels against the generic
 # evaluator: random tables (plain + dict/RLE-encoded twins, NaN/±Inf,
-# int64 extremes) and random conjunctions; any divergence is a bug.
+# int64 extremes, ints near 2^63) and random conjunctions with INT, FLOAT
+# and TEXT constants on every column; only leaves on the plain string
+# column may fall back, and any divergence is a bug.
 fuzz-kernels:
 	$(GO) test -fuzz=FuzzKernelVsGeneric -fuzztime=60s -run '^$$' ./internal/expr/
 
@@ -98,8 +100,11 @@ bench-concurrency:
 # committed JSON artifact: E33 writes the scan section (1%/10%/50%
 # selectivity, plus the dict/RLE encoded comparisons), E34 merges in the
 # aggregation section (scalar selectivity sweep, dict/int/RLE group-bys).
+# BenchmarkKernelScan prints the kernel's own scan loop per leaf shape
+# (int and float bound, float range, NE, dict EQ, RLE range) beside them.
 bench-kernels:
 	$(GO) run ./cmd/experiments -run E33 -json BENCH_kernels.json
+	$(GO) test -bench=KernelScan -run '^$$' -count 5 ./internal/expr/
 	$(GO) run ./cmd/experiments -run E34 -json BENCH_kernels.json
 
 # Seeded chaos harness + cross-mode differential oracles + concurrent

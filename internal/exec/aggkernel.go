@@ -247,143 +247,111 @@ func offer[T int64 | float64](it *aggItem, ext []T, s int, x T, pos int) {
 	}
 }
 
-// addSel accumulates the selected rows into slot 0 (scalar aggregation);
-// sel[i] sits at input position base+i. These are the hot loops: one pass
-// over the selection per item, nothing boxed, the fn/kind dispatch hoisted
-// out of the loop.
-func (a *aggAcc) addSel(sel []int, base int) {
-	for i := range a.items {
-		it := &a.items[i]
-		switch it.spec.kind {
-		case aiCount:
-			it.count[0] += int64(len(sel))
-		case aiI64:
-			v := it.spec.i64
-			switch it.spec.fn {
-			case AggMin, AggMax:
-				for j, r := range sel {
-					offer(it, it.iext, 0, v[r], base+j)
-				}
-			default:
-				sum := it.sum[0]
-				for _, r := range sel {
-					sum += float64(v[r])
-				}
-				it.sum[0] = sum
-				it.count[0] += int64(len(sel))
-			}
-		case aiF64:
-			v := it.spec.f64
-			switch it.spec.fn {
-			case AggCount:
-				c := it.count[0]
-				for _, r := range sel {
-					if x := v[r]; x == x {
-						c++
-					}
-				}
-				it.count[0] = c
-			case AggMin, AggMax:
-				for j, r := range sel {
-					if x := v[r]; x == x {
-						offer(it, it.fext, 0, x, base+j)
-					}
-				}
-			default:
-				sum, c := it.sum[0], it.count[0]
-				for _, r := range sel {
-					if x := v[r]; x == x {
-						sum += x
-						c++
-					}
-				}
-				it.sum[0], it.count[0] = sum, c
-			}
-		case aiRLE:
-			switch it.spec.fn {
-			case AggMin, AggMax:
-				for j, r := range sel {
-					offer(it, it.iext, 0, it.cur.At(r), base+j)
-				}
-			default:
-				sum := it.sum[0]
-				for _, r := range sel {
-					sum += float64(it.cur.At(r))
-				}
-				it.sum[0] = sum
-				it.count[0] += int64(len(sel))
-			}
-		}
+// addScalar accumulates one morsel into slot 0 (scalar aggregation). rows
+// lists the qualifying rows of input positions [lo, hi), rows[i] at
+// position lo+i; nil means the whole dense range — the no-WHERE path, where
+// no selection vector exists at all. These are the hot loops: one pass per
+// item, nothing boxed, the fn/kind dispatch hoisted out of the loop. A
+// dense range of RLE input folds whole runs (sum += value·length), which
+// regroups the float association; the parity harnesses compare SUM/AVG
+// within relative tolerance.
+func (a *aggAcc) addScalar(lo, hi int, rows []int) {
+	n := hi - lo
+	if rows != nil {
+		n = len(rows)
 	}
-}
-
-// addRange accumulates the dense row range [lo, hi) into slot 0 — the
-// no-WHERE fast path: no selection vector exists at all. RLE inputs fold
-// whole runs (sum += value·length), which regroups the float association;
-// the parity harnesses compare SUM/AVG within relative tolerance.
-func (a *aggAcc) addRange(lo, hi int) {
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.spec.kind {
 		case aiCount:
-			it.count[0] += int64(hi - lo)
+			it.count[0] += int64(n)
 		case aiI64:
-			v := it.spec.i64[lo:hi]
-			switch it.spec.fn {
-			case AggMin, AggMax:
-				for j, x := range v {
-					offer(it, it.iext, 0, x, lo+j)
-				}
-			default:
-				sum := it.sum[0]
-				for _, x := range v {
-					sum += float64(x)
-				}
-				it.sum[0] = sum
-				it.count[0] += int64(hi - lo)
-			}
+			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo)
 		case aiF64:
-			v := it.spec.f64[lo:hi]
-			switch it.spec.fn {
-			case AggCount:
-				c := it.count[0]
-				for _, x := range v {
-					if x == x {
-						c++
-					}
-				}
-				it.count[0] = c
-			case AggMin, AggMax:
-				for j, x := range v {
-					if x == x {
-						offer(it, it.fext, 0, x, lo+j)
-					}
-				}
-			default:
-				sum, c := it.sum[0], it.count[0]
-				for _, x := range v {
-					if x == x {
-						sum += x
-						c++
-					}
-				}
-				it.sum[0], it.count[0] = sum, c
-			}
+			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo)
 		case aiRLE:
-			switch it.spec.fn {
-			case AggMin, AggMax:
+			switch {
+			case it.has != nil && rows == nil:
 				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, _ int) {
 					offer(it, it.iext, 0, x, rlo)
 				})
-			default:
+			case it.has != nil:
+				for j, r := range rows {
+					offer(it, it.iext, 0, it.cur.At(r), lo+j)
+				}
+			case rows == nil:
 				sum, c := it.sum[0], it.count[0]
 				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, rhi int) {
 					sum += float64(x) * float64(rhi-rlo)
 					c += int64(rhi - rlo)
 				})
 				it.sum[0], it.count[0] = sum, c
+			default:
+				sum := it.sum[0]
+				for _, r := range rows {
+					sum += float64(it.cur.At(r))
+				}
+				it.sum[0] = sum
+				it.count[0] += int64(n)
 			}
 		}
+	}
+}
+
+// scalarItem folds one item over its raw column v (see window) into slot
+// 0, in row order, with the running sum and count held in registers. ext
+// is the item's MIN/MAX array of v's type; for int64 the NULL test x == x
+// folds away at compile time.
+func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int) {
+	switch it.spec.fn {
+	case AggMin, AggMax:
+		if rows == nil {
+			for j, x := range v {
+				if x == x {
+					offer(it, ext, 0, x, base+j)
+				}
+			}
+		} else {
+			for j, r := range rows {
+				if x := v[r]; x == x {
+					offer(it, ext, 0, x, base+j)
+				}
+			}
+		}
+	case AggCount: // over a FLOAT: NULLs do not count
+		c := it.count[0]
+		if rows == nil {
+			for _, x := range v {
+				if x == x {
+					c++
+				}
+			}
+		} else {
+			for _, r := range rows {
+				if x := v[r]; x == x {
+					c++
+				}
+			}
+		}
+		it.count[0] = c
+	default: // SUM/AVG
+		sum, c := it.sum[0], it.count[0]
+		if rows == nil {
+			for _, x := range v {
+				if x == x {
+					sum += float64(x)
+					c++
+				}
+			}
+		} else {
+			for _, r := range rows {
+				if x := v[r]; x == x {
+					sum += float64(x)
+					c++
+				}
+			}
+		}
+		it.sum[0], it.count[0] = sum, c
 	}
 }
 
@@ -738,11 +706,7 @@ func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers 
 func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 	if s.ak.mode == gmScalar {
 		acc := s.ak.newAcc()
-		if rows == nil {
-			acc.addRange(lo, hi)
-		} else {
-			acc.addSel(rows, lo)
-		}
+		acc.addScalar(lo, hi, rows)
 		s.partials[lo/s.m] = acc.states(0)
 		return
 	}

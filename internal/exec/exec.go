@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -607,23 +606,4 @@ func buildGroupEntries(name string, in storage.Schema, q Query, entries []*group
 		}
 	}
 	return storage.FromColumns(name, schema, cols)
-}
-
-// Distinct returns the distinct values of the named column, sorted ascending.
-func Distinct(t *storage.Table, col string) ([]storage.Value, error) {
-	c, err := t.ColumnByName(col)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]storage.Value{}
-	for i := 0; i < c.Len(); i++ {
-		v := c.Value(i)
-		seen[v.String()] = v
-	}
-	out := make([]storage.Value, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Compare(out[b]) < 0 })
-	return out, nil
 }

@@ -326,17 +326,6 @@ func TestQueryString(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	tbl := mkSales(t)
-	vals, err := Distinct(tbl, "region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || vals[0].S != "east" || vals[2].S != "west" {
-		t.Errorf("distinct = %v", vals)
-	}
-}
-
 func TestJoin(t *testing.T) {
 	orders, _ := storage.NewTable("orders", storage.Schema{
 		{Name: "oid", Type: storage.TInt}, {Name: "cust", Type: storage.TInt}, {Name: "amt", Type: storage.TFloat},

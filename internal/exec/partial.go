@@ -32,14 +32,15 @@ type Partials struct {
 
 // Split plans q's partitioned execution. A row query is pushed whole —
 // the ORDER BY/LIMIT tail too, a per-partition top-k — and Merge stacks
-// the rows and re-applies the tail. An aggregate query pushes
+// the rows and re-applies the tail. An aggregate or grouped query pushes
 //
 //	[GROUP BY columns as g0, g1, …] ++ [one partial per aggregate item]
 //
 // under aliases that cannot collide with the query's own output names: p<i>
 // for item i, or p<i>s and p<i>c, its SUM and NULL-skipping COUNT, for an
 // AVG, which does not merge. HAVING, ORDER BY and LIMIT stay behind: they
-// apply to the merged groups only.
+// apply to the merged groups only. A GROUP BY without aggregates pushes its
+// keys alone, and Merge folds them into one row per key.
 //
 // LIMIT without ORDER BY on a row query is honored, but which rows
 // satisfy it depends on how the table is partitioned.
@@ -48,7 +49,7 @@ func Split(q Query) (*Partials, error) {
 		return nil, ErrEmptySelect
 	}
 	p := &Partials{Push: q, q: q}
-	if !q.HasAggregates() {
+	if !q.HasAggregates() && len(q.GroupBy) == 0 {
 		return p, nil
 	}
 	push := Query{Where: q.Where, GroupBy: q.GroupBy}

@@ -15,8 +15,8 @@ import (
 // partitions (empty ones included), Split's Push run through the pipeline
 // on each, and Merge's answer held to the reference evaluator over the whole
 // table. Queries are afQuery's aggregates and group-bys — sometimes regrouped
-// by the FLOAT column, whose NaN keys are NULL groups — and rowQuery's
-// projections. Merged groups come in key order under Value.Order, so the
+// by the FLOAT column, whose NaN keys are NULL groups, sometimes stripped to
+// their keys, a GROUP BY without aggregates — and rowQuery's projections. Merged groups come in key order under Value.Order, so the
 // oracle's groups are re-sorted into it before ORDER BY and LIMIT. In-order
 // partitions make every MIN/MAX tie and every row tie fall as a scan of
 // the whole table breaks it, so only SUM/AVG cells get sumSlack.
@@ -131,6 +131,11 @@ func FuzzMergeVsSingleNode(f *testing.F) {
 		}
 		cuts = append(cuts, n)
 		slices.Sort(cuts)
+		if len(q.GroupBy) > 0 && fr.draw(4) == 3 {
+			// A GROUP BY without aggregates: one row per key, on any
+			// number of partitions.
+			q.Select = q.Select[:len(q.GroupBy)]
+		}
 
 		oracle, oracleErr := mergeOracle(plain, q)
 		slack := sumSlack(plain, q)

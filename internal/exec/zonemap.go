@@ -7,9 +7,12 @@
 //
 // Pruning is strictly conservative: the per-column intervals come from
 // expr.Intervals, which derives them only from the comparison leaves of the
-// top-level conjunction, exactly as the filter evaluates them; other
-// conjuncts can only narrow the result further. OR, NOT, LIKE, NE and
-// string comparisons contribute no interval and prune nothing.
+// top-level conjunction, exactly as the filter evaluates them — the
+// predicate kernel scans the very same ranges — and other conjuncts can
+// only narrow the result further. An INT column compared with a FLOAT
+// constant of any size, NaN included, gets an exact interval too. OR, NOT,
+// LIKE, NE and string comparisons contribute no interval and prune
+// nothing.
 package exec
 
 import (

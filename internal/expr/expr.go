@@ -5,6 +5,7 @@
 package expr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -250,12 +251,47 @@ func (p *Pred) Matches(t *storage.Table, i int) bool {
 func cmpVerdict(op Op, v, val storage.Value) bool {
 	switch {
 	case v.Typ == storage.TInt && val.Typ == storage.TInt:
-		return intVerdict(op, v.I, val.I)
+		return op.apply(cmp.Compare(v.I, val.I))
 	case v.Typ == storage.TFloat && val.IsNumeric():
 		return floatVerdict(op, v.F, val.AsFloat())
 	default:
 		return op.apply(v.Compare(val))
 	}
+}
+
+// floatVerdict is the raw float64 comparison of the FloatColumn paths: a
+// NaN on either side satisfies NE and nothing else.
+func floatVerdict(op Op, x, v float64) bool {
+	switch op {
+	case LT:
+		return x < v
+	case LE:
+		return x <= v
+	case GT:
+		return x > v
+	case GE:
+		return x >= v
+	case EQ:
+		return x == v
+	default:
+		return x != v
+	}
+}
+
+// dictVerdicts decides a comparison or LIKE leaf once per dictionary
+// entry. Boxed Compare gives the same cross-type ordering as the plain
+// string column paths.
+func dictVerdicts(c *storage.DictColumn, p *Pred) []bool {
+	dict := c.Dict()
+	match := make([]bool, len(dict))
+	for code, s := range dict {
+		if p.Kind == KLike {
+			match[code] = likeMatch(s, p.Val.S)
+		} else {
+			match[code] = p.Op.apply(storage.String_(s).Compare(p.Val))
+		}
+	}
+	return match
 }
 
 // Filter returns the row positions of t that satisfy p, in ascending order.
@@ -451,9 +487,8 @@ func evalCmp(t *storage.Table, p *Pred, lo, hi int) ([]bool, error) {
 		}
 	case *storage.DictColumn:
 		// Evaluate the predicate once per dictionary entry, then match rows
-		// on codes. Boxed Compare keeps cross-type semantics identical to the
-		// plain StringColumn paths (typed fast path and generic alike).
-		match := dictMatch(cc, p.Op, p.Val)
+		// on codes.
+		match := dictVerdicts(cc, p)
 		for i, code := range cc.Codes()[lo:hi] {
 			out[i] = match[code]
 		}
@@ -461,7 +496,7 @@ func evalCmp(t *storage.Table, p *Pred, lo, hi int) ([]bool, error) {
 	case *storage.RLEIntColumn:
 		// Evaluate once per run; accept or reject the whole overlap.
 		cc.ForEachRun(lo, hi, func(x int64, rlo, rhi int) {
-			if rleVerdict(p.Op, x, p.Val) {
+			if cmpVerdict(p.Op, storage.Int(x), p.Val) {
 				for i := rlo; i < rhi; i++ {
 					out[i-lo] = true
 				}
@@ -491,11 +526,7 @@ func evalLike(t *storage.Table, p *Pred, lo, hi int) ([]bool, error) {
 	}
 	if dc, ok := c.(*storage.DictColumn); ok {
 		// Match the pattern once per dictionary entry, then map codes.
-		dict := dc.Dict()
-		match := make([]bool, len(dict))
-		for code, s := range dict {
-			match[code] = likeMatch(s, pat)
-		}
+		match := dictVerdicts(dc, p)
 		for i, code := range dc.Codes()[lo:hi] {
 			out[i] = match[code]
 		}

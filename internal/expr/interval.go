@@ -1,6 +1,6 @@
 // Intervals: the one place a WHERE clause turns into value ranges. Zone-map
-// pruning, cracked mode and the kernel's range fusion all ask "which values
-// of column c can satisfy this predicate?", and all of them get the answer
+// pruning, cracked mode and the predicate kernel all ask "which values of
+// column c can satisfy this predicate?", and all of them get the answer
 // from the per-leaf rule below, which matches what FilterRange does leaf by
 // leaf:
 //
@@ -8,11 +8,14 @@
 //   - FLOAT column, numeric constant: raw float64 comparison; strict bounds
 //     move to the adjacent double, so every interval is inclusive. A NULL
 //     (NaN) row satisfies no comparison and lies in no interval.
-//   - INT column, FLOAT constant: the comparison runs in float64, where an
-//     int64 past 2^53 rounds. While |v| < 2^53 the constant converts to an
-//     exact integer bound (Ceil/Floor); beyond that, and for a NaN
-//     constant, the leaf has no interval.
-//   - NE, LIKE, string columns and string constants have no interval.
+//   - INT column, FLOAT constant: Value.Compare's three-way comparison in
+//     float64, where an int64 past 2^53 rounds. float64(x) is
+//     non-decreasing in x, so every comparison keeps one run of integers:
+//     below 2^53 its bounds are the constant's Ceil/Floor, beyond they are
+//     found by a binary search over int64. A NaN constant compares equal to
+//     every row: EQ, LE and GE keep them all, LT and GT none.
+//   - NE, LIKE, string columns and string constants have no interval (the
+//     kernel compiles an NE leaf as its EQ interval, negated).
 package expr
 
 import (
@@ -75,12 +78,24 @@ func Intervals(schema storage.Schema, p *Pred) (ivs []Interval, reason string) {
 	if reason != "" {
 		reason = "not an interval"
 	}
+	ivs, _, why := intervals(schema, leaves)
+	if reason == "" {
+		reason = why
+	}
+	return ivs, reason
+}
+
+// intervals intersects, per column in order of first mention, the
+// intervals of the leaves that have one. rest are the other leaves, why
+// the first one's reason.
+func intervals(schema storage.Schema, leaves []*Pred) (ivs []Interval, rest []*Pred, why string) {
 	for _, l := range leaves {
-		iv, why := leafInterval(schema, l)
-		if why != "" {
-			if reason == "" {
-				reason = why
+		iv, reason := leafInterval(schema, l)
+		if reason != "" {
+			if why == "" {
+				why = reason
 			}
+			rest = append(rest, l)
 			continue
 		}
 		i := 0
@@ -93,7 +108,7 @@ func Intervals(schema storage.Schema, p *Pred) (ivs []Interval, reason string) {
 		}
 		ivs[i] = ivs[i].intersect(iv)
 	}
-	return ivs, reason
+	return ivs, rest, why
 }
 
 // leafInterval applies the per-leaf rule to one comparison or LIKE leaf.
@@ -115,25 +130,70 @@ func leafInterval(schema storage.Schema, p *Pred) (Interval, string) {
 		return Interval{}, "not numeric"
 	case p.Val.Typ == storage.TInt:
 		iv.ILo, iv.IHi = i64Bounds(p.Op, p.Val.I)
-		return iv, ""
+	default:
+		iv.ILo, iv.IHi = intAsFloatBounds(p.Op, p.Val.F)
 	}
-	v := p.Val.F
-	if !(math.Abs(v) < 1<<53) {
-		return Interval{}, "literal out of range"
-	}
-	// Below 2^53 every integer is a double, so float64(x) op v holds exactly
-	// when x op r, r the integer on the side of v the op keeps; x = v needs
-	// an integral v.
-	r := math.Ceil(v)
-	if p.Op == GT || p.Op == LE {
-		r = math.Floor(v)
-	}
-	if p.Op == EQ && r != v {
-		iv.ILo, iv.IHi = math.MaxInt64, math.MinInt64
-		return iv, ""
-	}
-	iv.ILo, iv.IHi = i64Bounds(p.Op, int64(r))
 	return iv, ""
+}
+
+// intAsFloatBounds rewrites Value.Compare's three-way comparison of
+// float64(x) with v as an inclusive int64 range. The ints at or above v
+// and those above v are two suffixes of int64: GE and GT keep one, LT and
+// LE keep what lies below one, and EQ keeps the first minus the second.
+func intAsFloatBounds(op Op, v float64) (lo, hi int64) {
+	if v != v {
+		if op == LT || op == GT {
+			return math.MaxInt64, math.MinInt64
+		}
+		return math.MinInt64, math.MaxInt64
+	}
+	below := func(lo, hi int64) (int64, int64) {
+		if lo > hi {
+			return math.MinInt64, math.MaxInt64
+		}
+		return i64Bounds(LT, lo)
+	}
+	geLo, geHi := intsAbove(v, false)
+	gtLo, gtHi := intsAbove(v, true)
+	switch op {
+	case GE:
+		return geLo, geHi
+	case GT:
+		return gtLo, gtHi
+	case LT:
+		return below(geLo, geHi)
+	case LE:
+		return below(gtLo, gtHi)
+	}
+	lo, hi = below(gtLo, gtHi)
+	return max(lo, geLo), min(hi, geHi)
+}
+
+// intsAbove returns the int64s x with float64(x) >= v, or > v when strict,
+// as the range [c, MaxInt64], empty when no int64 qualifies. Below 2^53
+// every integer is a double and c is v rounded up; beyond, c is the least
+// x that qualifies, found by bisection since float64(x) never decreases.
+func intsAbove(v float64, strict bool) (lo, hi int64) {
+	if math.Abs(v) < 1<<53 {
+		c := math.Ceil(v)
+		if strict {
+			c = math.Floor(v) + 1
+		}
+		return int64(c), math.MaxInt64
+	}
+	in := func(x int64) bool { return float64(x) > v || !strict && float64(x) == v }
+	if !in(math.MaxInt64) {
+		return math.MaxInt64, math.MinInt64
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	for lo < hi {
+		if mid := lo + int64(uint64(hi-lo)/2); in(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, math.MaxInt64
 }
 
 // intersect narrows iv to the values o admits too.

@@ -48,17 +48,21 @@ func requireIntervals(t *testing.T, tab *storage.Table, p *Pred) {
 }
 
 // TestIntervalsExhaustive: for an INT and a FLOAT column holding every
-// pool value (int64 extremes, 2^53 neighbours, NaN, ±Inf), every operator
-// against every pool constant of both types — alone and in every pair on
-// one column — either yields no interval or yields the exact one.
+// pool value (int64 extremes, 2^53 neighbours, ints near ±2^63 that round
+// up or down to a double, NaN, ±Inf), every operator against every pool
+// constant of both types — FLOAT ones at ±2^63 and 2^63−1024 included,
+// where an INT column's interval comes from the bisection — alone and in
+// every pair on one column, either yields no interval or yields the exact
+// one.
 func TestIntervalsExhaustive(t *testing.T) {
-	ints := storage.NewIntColumn(append([]int64{2, 3, -2, -3, 1<<53 - 1, 1<<53 + 2, -(1 << 53)}, fzInts...))
+	ints := storage.NewIntColumn(append([]int64{2, 3, -2, -3, 1<<53 - 1, 1<<53 + 2, -(1 << 53),
+		math.MaxInt64 - 512, math.MaxInt64 - 1023, math.MaxInt64 - 1536, math.MinInt64 + 512, math.MinInt64 + 513}, fzInts...))
 	floats := storage.NewFloatColumn(append([]float64{-0.0, math.MaxFloat64, 1<<53 + 2}, fzFloats...))
 	var consts []storage.Value
 	for _, v := range fzInts {
 		consts = append(consts, storage.Int(v))
 	}
-	for _, v := range append([]float64{2.5, 1<<53 - 0.5, -(1<<53 - 0.5), 9.5e18}, fzFloats...) {
+	for _, v := range append([]float64{2.5, 1<<53 - 0.5, -(1<<53 - 0.5), 9.5e18, 1<<63 - 2048, 1<<63 + 2048}, fzFloats...) {
 		consts = append(consts, storage.Float(v))
 	}
 	var leaves []*Pred
@@ -105,9 +109,9 @@ func TestIntervalsShapes(t *testing.T) {
 		{And(k5, Cmp("s", EQ, storage.String_("a"))), 1, "not numeric"},
 		{Cmp("k", EQ, storage.String_("a")), 0, "not numeric"},
 		{Cmp("nope", EQ, storage.Int(1)), 0, "not numeric"},
-		{And(Cmp("k", LE, storage.Float(1<<53)), k5), 1, "literal out of range"},
-		{Cmp("k", GT, storage.Float(math.NaN())), 0, "literal out of range"},
-		{Cmp("k", LT, storage.Float(math.Inf(1))), 0, "literal out of range"},
+		{And(Cmp("k", LE, storage.Float(1<<53)), k5), 1, ""},
+		{Cmp("k", GT, storage.Float(math.NaN())), 1, ""},
+		{Cmp("k", LT, storage.Float(math.Inf(1))), 1, ""},
 	}
 	for _, c := range cases {
 		ivs, reason := Intervals(schema, c.p)
@@ -122,6 +126,8 @@ func TestIntervalsShapes(t *testing.T) {
 		And(x5, Cmp("x", GT, storage.Float(5))),
 		Cmp("x", GT, storage.Float(math.Inf(1))),
 		Cmp("x", EQ, storage.Float(math.NaN())),
+		Cmp("k", GT, storage.Float(math.NaN())),
+		Cmp("k", GE, storage.Float(1<<63+4096)),
 	} {
 		ivs, reason := Intervals(schema, p)
 		if reason != "" || len(ivs) != 1 || !ivs[0].Empty() {

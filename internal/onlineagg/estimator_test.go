@@ -500,7 +500,7 @@ func laneTable(tb testing.TB, n int, seed int64) *storage.Table {
 
 // laneWheres are the predicates of the bit-identity tests: the first ones
 // compile to the predicate kernel (exact int64 leaves past 2^53, float
-// leaves over NULLs, a dictionary leaf, a fused RLE range); the rest fall
+// leaves over NULLs, a dictionary leaf, an RLE range); the rest fall
 // back to Pred.Matches.
 var laneWheres = []struct {
 	p        *expr.Pred

@@ -156,7 +156,8 @@ func TestServerTraceModes(t *testing.T) {
 		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50", "crack", map[string]any{"col": "amount"}},
 		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50 AND qty < 3", "crack", map[string]any{"fallback": "multi-column"}},
 		{"cracked", "SELECT COUNT(*) FROM sales WHERE amount > 50 OR amount < 3", "crack", map[string]any{"fallback": "not an interval"}},
-		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty <= 99999999999999999999", "crack", map[string]any{"fallback": "literal out of range"}},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty <= 99999999999999999999", "crack", map[string]any{"col": "qty"}},
+		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty = 'a'", "crack", map[string]any{"fallback": "not numeric"}},
 		{"cracked", "SELECT COUNT(*) FROM sales", "crack", map[string]any{"fallback": "no range"}},
 		{"approx", "SELECT AVG(amount) FROM sales", "sample", nil},
 		{"online", "SELECT AVG(amount) FROM sales", "online", nil},

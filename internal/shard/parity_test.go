@@ -189,8 +189,10 @@ func withNullFloat(t *testing.T, tbl *storage.Table) *storage.Table {
 }
 
 // mergeFixed are inputs the merge once got wrong, each with its keyCols:
-// NULL group keys, which a sort blind to NaN left out of key order, and a
-// WHERE that rejects every row, whose empty grouped answer lost its types.
+// NULL group keys, which a sort blind to NaN left out of key order, a
+// WHERE that rejects every row, whose empty grouped answer lost its types,
+// and a GROUP BY without aggregates, once stacked one row per key per
+// shard.
 var mergeFixed = []struct {
 	q       exec.Query
 	keyCols int
@@ -212,6 +214,10 @@ var mergeFixed = []struct {
 		Select: []exec.SelectItem{{Col: "*", Agg: exec.AggCount}, {Col: "id", Agg: exec.AggMin}, {Col: "v", Agg: exec.AggSum}},
 		Where:  expr.Cmp("d", expr.GT, storage.Int(100)),
 	}, 0},
+	{exec.Query{
+		Select:  []exec.SelectItem{{Col: "d"}},
+		GroupBy: []string{"d"},
+	}, 1},
 }
 
 // shardEngines splits tbl under spec and registers each partition in its
