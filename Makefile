@@ -14,17 +14,19 @@ test:
 # cancellation, admission and scheduling tests behave differently on one
 # core than on four, and tier-1 has to be green at all of them. The cracker
 # index is among them: read-locked probes share its mark-bitmap free list.
+# So is storage: concurrent first queries share one value-index build.
 test-cpus:
-	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
 # The engine packages run again at one and four cores: per-worker
 # accumulators and the pooled selection and slot vectors interleave
-# differently when goroutines cannot overlap.
+# differently when goroutines cannot overlap, and so do concurrent first
+# queries building a table's value index.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core
+	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage
 
 vet:
 	$(GO) vet ./...
@@ -63,13 +65,15 @@ fuzz-kernels:
 
 # Differential fuzz of the execution pipeline: random agg/group-by queries
 # over plain + dict/RLE twin tables (NaN/±Inf, int64 extremes, compiling
-# and fallback WHERE shapes), oracle = the reference evaluator exec.Execute.
+# and fallback WHERE shapes, narrow ranges the value index serves), oracle =
+# the reference evaluator exec.Execute.
 fuzz-aggkernels:
 	$(GO) test -fuzz=FuzzAggKernelVsGeneric -fuzztime=60s -run '^$$' ./internal/exec/
 
 # Differential fuzz of the row sinks: projections, ORDER BY over int /
-# float / dict / RLE keys (ties, NaN, int64 beyond 2^53), LIMIT and
-# selection input; oracle = exec.Execute, exact cells in exact order.
+# float / dict / RLE keys (ties, NaN, int64 beyond 2^53), LIMIT, selection
+# input and narrow ranges the value index serves; oracle = exec.Execute,
+# exact cells in exact order.
 fuzz-rows:
 	$(GO) test -fuzz=FuzzRowsVsOracle -fuzztime=60s -run '^$$' ./internal/exec/
 
@@ -101,7 +105,9 @@ bench-concurrency:
 # selectivity, plus the dict/RLE encoded comparisons), E34 merges in the
 # aggregation section (scalar selectivity sweep, dict/int/RLE group-bys).
 # BenchmarkKernelScan prints the kernel's own scan loop per leaf shape
-# (int and float bound, float range, NE, dict EQ, RLE range) beside them.
+# (int and float bound, float range, NE, dict EQ, RLE range) beside them,
+# and the value index's crossover sweep: the scan path against the
+# candidate path at 0.1-60 % selectivity on FLOAT and INT columns.
 bench-kernels:
 	$(GO) run ./cmd/experiments -run E33 -json BENCH_kernels.json
 	$(GO) test -bench=KernelScan -run '^$$' -count 5 ./internal/expr/

@@ -155,6 +155,9 @@ func New(opt Options) *Engine {
 	if opt.Exec.ZoneSkipped == nil {
 		opt.Exec.ZoneSkipped = new(atomic.Int64)
 	}
+	if opt.Exec.IndexMorsels == nil {
+		opt.Exec.IndexMorsels = new(atomic.Int64)
+	}
 	if opt.Exec.AggKernelHits == nil {
 		opt.Exec.AggKernelHits = new(atomic.Int64)
 	}
@@ -219,6 +222,13 @@ func (e *Engine) RowsScanned() int64 {
 // the pruner proved disjoint from a range predicate and never scanned.
 func (e *Engine) ZoneSkipped() int64 {
 	return e.opt.Exec.ZoneSkipped.Load()
+}
+
+// IndexMorsels returns the engine's cumulative count of morsels the value
+// index served in place of a scan: skipped as holding no candidate, or
+// answered by refining its candidates.
+func (e *Engine) IndexMorsels() int64 {
+	return e.opt.Exec.IndexMorsels.Load()
 }
 
 // AggKernelHits returns the engine's cumulative count of aggregate queries

@@ -3,13 +3,18 @@
 //
 //	compile:  filter  = typed predicate kernel (expr.CompileKernel), else the
 //	                    generic expr.FilterRange; zone pruners whenever the
-//	                    WHERE clause yields a per-column interval
+//	                    WHERE clause yields a per-column interval, and
+//	                    under a typed kernel the value index of the interval
+//	                    estimated to hold the fewest rows (zonemap.go)
 //	          sink    = typed scalar / typed group accumulators (aggkernel.go),
 //	                    else the generic boxed scalar / group accumulators;
 //	                    a projection's sink is a per-worker top-k heap under
 //	                    ORDER BY, else a gather over the parked buffers
 //	                    (rows.go)
-//	per morsel: prune → filter into a pooled selection buffer → sink.consume
+//	per morsel: skip (zone map, or no index candidate) → the index's
+//	            candidates through Kernel.Refine when they are few enough,
+//	            else filter the morsel — either way into a pooled selection
+//	            buffer → sink.consume
 //	then:       ordered merge (sink.finish) → aggregates only: HAVING /
 //	            ORDER BY / LIMIT (finish); the row sinks apply their own
 //
@@ -20,6 +25,10 @@
 // [0, n) plus the WHERE clause (ExecuteCtx) or a caller-supplied selection
 // vector that stands in for it (ExecuteSel — cracked mode hands over the
 // index probe's row ids).
+//
+// The index's candidates are a superset of the morsel's qualifying rows,
+// read out ascending, and Refine applies the whole WHERE to them, so a
+// morsel hands its sink the same rows in the same order on either path.
 //
 // Parallel execution is semantically transparent: qualifying rows reach the
 // sink in input order within a morsel, scalar partials are morsel-indexed
@@ -82,6 +91,11 @@ type ExecOptions struct {
 	// zone-map pruner skipped. Like Scanned it may be shared across
 	// queries; /admin/stats and the shard Stats probe read it.
 	ZoneSkipped *atomic.Int64
+	// IndexMorsels, when non-nil, accumulates the number of morsels the
+	// value index served in place of a scan: skipped as holding no
+	// candidate, or answered by refining its candidates. Shared and read
+	// like ZoneSkipped.
+	IndexMorsels *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
 	AggKernelHits      *atomic.Int64
@@ -128,7 +142,7 @@ func execute(ctx context.Context, t *storage.Table, sel []int, q Query, opt Exec
 		sp = trace.FromContext(ctx)
 	}
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize})
-	p, err := compile(t, sel, q, pool, opt)
+	p, err := compile(t, sel, q, pool, opt, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +184,7 @@ type plan struct {
 	kern         *expr.Kernel // typed filter; nil with where set = generic FilterRange
 	kernFallback string
 	pruners      []zonePruner
+	index        rowIndex // prunes rows before the kernel; a nil vi scans every morsel
 	sink         sink
 	stage        string // the merge span's name
 	agg          bool   // an aggregate query; else a projection
@@ -184,7 +199,7 @@ type plan struct {
 	parked []*[]int
 }
 
-func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptions) (*plan, error) {
+func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
 	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	switch {
@@ -197,9 +212,17 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 				return nil, err
 			}
 		}
+		ivs, _ := expr.Intervals(t.Schema(), p.where)
 		var err error
-		if p.pruners, err = zonePruners(t, p.where, pool.MorselSize()); err != nil {
+		if p.pruners, err = zonePruners(t, ivs, pool.MorselSize()); err != nil {
 			return nil, err
+		}
+		// The candidates go through the kernel's Refine: only a compiled
+		// WHERE can take them.
+		if p.kern != nil {
+			if p.index, err = chooseIndex(t, ivs, pool.MorselSize(), sp); err != nil {
+				return nil, err
+			}
 		}
 	}
 	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
@@ -279,11 +302,17 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 // qualify returns the qualifying rows of input positions [lo, hi) in input
 // order. buf, when non-nil, is the pooled buffer backing rows, which the
 // caller must putSel once rows is dead. A nil rows (dense sink, no
-// predicate) means the whole range qualifies.
-func (p *plan) qualify(lo, hi int) (rows []int, buf *[]int, err error) {
+// predicate) means the whole range qualifies. cand refines the value
+// index's candidates of the morsel in place of scanning it; they come out
+// ascending, so rows is the same either way.
+func (p *plan) qualify(lo, hi, m int, cand bool) (rows []int, buf *[]int, err error) {
 	switch {
 	case p.sel != nil:
 		return p.sel[lo:hi], nil, nil
+	case cand:
+		ix := &p.index
+		buf = getSel()
+		*buf = p.kern.Refine(ix.vi.Candidates(lo/m, ix.bl, ix.bh, *buf))
 	case p.kern != nil:
 		buf = getSel()
 		*buf = p.kern.Run(lo, hi, *buf)
@@ -307,6 +336,9 @@ func (p *plan) qualify(lo, hi int) (rows []int, buf *[]int, err error) {
 
 // run is the one morsel driver: for each morsel prune → qualify → consume,
 // then the ordered merge. It is the only place query execution fans out.
+// Pruning skips a morsel its zone maps or its value index prove empty, and
+// a morsel with few enough index candidates refines them in place of a
+// scan.
 func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
 	m := pool.MorselSize()
 	count := func(rows int) {
@@ -327,10 +359,11 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		}()
 	}
 	scanSp := sp.Child("scan")
-	var matched, skipped atomic.Int64
+	// One struct, so the morsel closure captures one heap object, not five.
+	var n struct{ matched, skipped, indexSkipped, candidates, candMorsels atomic.Int64 }
 	var err error
 	if p.known {
-		matched.Store(int64(p.n))
+		n.matched.Store(int64(p.n))
 	} else {
 		err = pool.ForEachErrCtx(ctx, p.n, func(worker, lo, hi int) error {
 			if ferr := fpScan.Hit(); ferr != nil {
@@ -340,11 +373,23 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 				if pr.skip(lo / m) {
 					// Skipped morsels are not scanned: no rows touched, no
 					// progress counted — the live counter reflects real work.
-					skipped.Add(1)
+					n.skipped.Add(1)
 					return nil
 				}
 			}
-			rows, buf, ferr := p.qualify(lo, hi)
+			visited, cand := hi-lo, false
+			if ix := &p.index; ix.vi != nil {
+				switch c := ix.vi.Count(lo/m, ix.bl, ix.bh); {
+				case c == 0:
+					n.indexSkipped.Add(1)
+					return nil
+				case c <= int(indexCrossover*float64(hi-lo)):
+					visited, cand = c, true
+					n.candidates.Add(int64(c))
+					n.candMorsels.Add(1)
+				}
+			}
+			rows, buf, ferr := p.qualify(lo, hi, m, cand)
 			if ferr != nil {
 				return ferr
 			}
@@ -352,9 +397,9 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			if rows != nil {
 				qualified = len(rows)
 			}
-			matched.Add(int64(qualified))
+			n.matched.Add(int64(qualified))
 			if p.where != nil {
-				count(hi - lo)
+				count(visited)
 			}
 			p.sink.consume(worker, lo, hi, rows)
 			count(qualified)
@@ -368,16 +413,25 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			return nil
 		})
 	}
-	if opt.ZoneSkipped != nil && skipped.Load() > 0 {
-		opt.ZoneSkipped.Add(skipped.Load())
+	if opt.ZoneSkipped != nil && n.skipped.Load() > 0 {
+		opt.ZoneSkipped.Add(n.skipped.Load())
+	}
+	if served := n.indexSkipped.Load() + n.candMorsels.Load(); opt.IndexMorsels != nil && served > 0 {
+		opt.IndexMorsels.Add(served)
 	}
 	if scanSp != nil {
 		scanSp.SetInt("rows_in", int64(p.n))
-		scanSp.SetInt("rows_out", matched.Load())
+		scanSp.SetInt("rows_out", n.matched.Load())
 		scanSp.SetInt("morsels", int64(pool.Morsels(p.n)))
 		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
 		if p.where != nil {
-			scanSp.SetInt("zone_skipped", skipped.Load())
+			scanSp.SetInt("zone_skipped", n.skipped.Load())
+			if p.index.vi != nil {
+				scanSp.SetStr("index", p.index.col)
+				scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
+				scanSp.SetInt("index_candidates", n.candidates.Load())
+				scanSp.SetInt("index_skipped", n.indexSkipped.Load())
+			}
 			scanSp.SetBool("kernel", p.kern != nil)
 			if p.kern != nil {
 				scanSp.SetInt("kernel_leaves", int64(p.kern.Leaves()))
@@ -401,7 +455,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	}
 	st := sp.Child(p.stage)
 	defer st.End()
-	st.SetInt("rows_in", matched.Load())
+	st.SetInt("rows_in", n.matched.Load())
 	if p.stage == "topk" {
 		st.SetInt("k", int64(p.q.Limit))
 	}

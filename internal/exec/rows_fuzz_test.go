@@ -66,6 +66,23 @@ func requireIdentical(t *testing.T, label string, a, b *storage.Table) {
 	}
 }
 
+// rowCase decodes one FuzzRowsVsOracle input; a non-nil sel is the
+// selection the query runs over in place of its WHERE.
+func rowCase(t *testing.T, data []byte) (plain, enc *storage.Table, q Query, sel []int) {
+	fr := &afReader{b: data}
+	plain, enc = afTables(t, fr)
+	n := plain.NumRows()
+	q = rowQuery(fr, n)
+	if n > 0 && fr.draw(3) == 0 {
+		sel = make([]int, fr.draw(2*n))
+		for i := range sel {
+			sel[i] = fr.draw(n)
+		}
+	}
+	q.Where = narrowRange(fr, q.Where)
+	return plain, enc, q, sel
+}
+
 func FuzzRowsVsOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0})
@@ -73,17 +90,7 @@ func FuzzRowsVsOracle(f *testing.F) {
 	f.Add([]byte{128, 255, 254, 253, 252, 251, 250, 7, 7, 7, 2, 0, 1, 6, 5, 4, 3})
 	f.Add([]byte{60, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2, 2, 3, 1, 2, 0, 0, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := &afReader{b: data}
-		plain, enc := afTables(t, fr)
-		n := plain.NumRows()
-		q := rowQuery(fr, n)
-		var sel []int // non-nil: the input is this selection (cracked mode's shape)
-		if n > 0 && fr.draw(3) == 0 {
-			sel = make([]int, fr.draw(2*n))
-			for i := range sel {
-				sel[i] = fr.draw(n)
-			}
-		}
+		plain, enc, q, sel := rowCase(t, data)
 		var oracle *storage.Table
 		var oracleErr error
 		if sel == nil {
@@ -92,23 +99,17 @@ func FuzzRowsVsOracle(f *testing.F) {
 			q.Where = nil
 			oracle, oracleErr = Execute(plain.Gather(sel), q)
 		}
-		arms := []struct {
-			name string
-			tbl  *storage.Table
-			opt  ExecOptions
-		}{
-			{"plain inline", plain, ExecOptions{Parallelism: 1}},
-			{"plain par3 m16", plain, ExecOptions{Parallelism: 3, MorselSize: 16}},
-			{"encoded par2 m8", enc, ExecOptions{Parallelism: 2, MorselSize: 8}},
-			{"encoded par4 m32", enc, ExecOptions{Parallelism: 4, MorselSize: 32}},
-		}
-		for _, arm := range arms {
+		for _, arm := range fuzzArms {
+			tbl := plain
+			if arm.enc {
+				tbl = enc
+			}
 			var got *storage.Table
 			var err error
 			if sel == nil {
-				got, err = ExecuteOpts(arm.tbl, q, arm.opt)
+				got, err = ExecuteOpts(tbl, q, arm.opt)
 			} else {
-				got, err = ExecuteSel(context.Background(), arm.tbl, sel, q, arm.opt)
+				got, err = ExecuteSel(context.Background(), tbl, sel, q, arm.opt)
 			}
 			label := fmt.Sprintf("%s: q=%s rows=%d sel=%v", arm.name, q, plain.NumRows(), sel != nil)
 			if (oracleErr == nil) != (err == nil) {

@@ -205,16 +205,18 @@ type CrackStat struct {
 }
 
 // WorkerStats answers a Stats probe with the worker's shard-local
-// counters: the crack/zone-map numbers the coordinator's stats section
-// was blind to, plus the registered tables the healer compares against
-// the placement map to tell a healthy worker from a blank restart.
+// counters: the crack, zone-map and value-index numbers the coordinator's
+// stats section was blind to, plus the registered tables the healer
+// compares against the placement map to tell a healthy worker from a blank
+// restart.
 type WorkerStats struct {
-	ID          uint64      `json:"id"`
-	Shard       int         `json:"shard"`
-	RowsScanned int64       `json:"rows_scanned"`
-	ZoneSkipped int64       `json:"zone_skipped"`
-	Tables      []TableStat `json:"tables,omitempty"`
-	Cracks      []CrackStat `json:"cracks,omitempty"`
+	ID           uint64      `json:"id"`
+	Shard        int         `json:"shard"`
+	RowsScanned  int64       `json:"rows_scanned"`
+	ZoneSkipped  int64       `json:"zone_skipped"`
+	IndexMorsels int64       `json:"index_morsels"`
+	Tables       []TableStat `json:"tables,omitempty"`
+	Cracks       []CrackStat `json:"cracks,omitempty"`
 }
 
 // ---- wire encodings ----

@@ -60,6 +60,11 @@ func writeProm(b *bytes.Buffer, snap StatsSnapshot, hists map[string]*metrics.Lo
 	head("dex_rows_scanned_total", "Rows visited by predicate evaluation and aggregate accumulation.", "counter")
 	fmt.Fprintf(b, "dex_rows_scanned_total %d\n", snap.RowsScanned)
 
+	head("dex_zone_skipped_total", "Morsels skipped by zone-map pruning.", "counter")
+	fmt.Fprintf(b, "dex_zone_skipped_total %d\n", snap.ZoneSkipped)
+	head("dex_index_morsels_total", "Morsels the value index served in place of a scan: skipped, or answered from its candidates.", "counter")
+	fmt.Fprintf(b, "dex_index_morsels_total %d\n", snap.IndexMorsels)
+
 	head("dex_agg_kernel_used_total", "Aggregate queries answered by the typed accumulation kernels.", "counter")
 	fmt.Fprintf(b, "dex_agg_kernel_used_total %d\n", snap.AggKernelHits)
 	head("dex_agg_kernel_fallback_total", "Aggregate queries that requested agg kernels but fell back to generic accumulation.", "counter")
@@ -163,6 +168,10 @@ func writeShardProm(b *bytes.Buffer, snap *shard.Snapshot, coord *shard.Coordina
 	head("dex_shard_worker_zone_skipped_total", "Rows skipped by zone-map pruning on each worker (last probe).", "counter")
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_zone_skipped_total{shard=\"%d\"} %d\n", sh.Shard, sh.ZoneSkipped)
+	}
+	head("dex_shard_worker_index_morsels_total", "Morsels the value index served in place of a scan on each worker (last probe).", "counter")
+	for _, sh := range snap.Shards {
+		fmt.Fprintf(b, "dex_shard_worker_index_morsels_total{shard=\"%d\"} %d\n", sh.Shard, sh.IndexMorsels)
 	}
 	head("dex_shard_crack_pieces", "Crack-index pieces held by each worker (last probe).", "gauge")
 	for _, sh := range snap.Shards {

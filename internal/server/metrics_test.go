@@ -111,6 +111,8 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		`dex_queries_total{outcome="cancelled_internal"}`: snap.Queries.CancelledInternal,
 		"dex_sessions_created_total":                      snap.Sessions.Created,
 		"dex_rows_scanned_total":                          snap.RowsScanned,
+		"dex_zone_skipped_total":                          snap.ZoneSkipped,
+		"dex_index_morsels_total":                         snap.IndexMorsels,
 		"dex_agg_kernel_used_total":                       snap.AggKernelHits,
 		"dex_agg_kernel_fallback_total":                   snap.AggKernelFallbacks,
 		"dex_cache_hits_total":                            snap.Cache.Hits,

@@ -295,6 +295,8 @@ func (s *Server) Stats() StatsSnapshot {
 	snap.Queued = s.adm.queued()
 	snap.Draining = s.draining.Load()
 	snap.RowsScanned = s.eng.RowsScanned()
+	snap.ZoneSkipped = s.eng.ZoneSkipped()
+	snap.IndexMorsels = s.eng.IndexMorsels()
 	snap.AggKernelHits = s.eng.AggKernelHits()
 	snap.AggKernelFallbacks = s.eng.AggKernelFallbacks()
 	if s.cfg.Shard != nil {

@@ -130,6 +130,11 @@ type StatsSnapshot struct {
 	Queued      int   `json:"queued"`
 	Draining    bool  `json:"draining"`
 	RowsScanned int64 `json:"rows_scanned"`
+	// ZoneSkipped counts morsels zone maps proved empty; IndexMorsels those
+	// the value index served in place of a scan (skipped, or answered from
+	// its candidates).
+	ZoneSkipped  int64 `json:"zone_skipped"`
+	IndexMorsels int64 `json:"index_morsels"`
 	// AggKernelHits / AggKernelFallbacks split aggregate queries by whether
 	// the typed accumulation kernels answered them or they fell back to the
 	// generic path (multi-column groups, wide dicts, string agg inputs).

@@ -447,23 +447,25 @@ func (c *Coordinator) countOutcome(o string) {
 // ---- observability ----
 
 // ShardStat is one shard's snapshot row. The worker-local counters
-// (rows scanned, zone-map skips, crack pieces/cracks) come from the
-// best-effort Stats probe: a dead worker keeps its last-known numbers.
+// (rows scanned, zone-map skips, value-index morsels, crack pieces/cracks)
+// come from the best-effort Stats probe: a dead worker keeps its
+// last-known numbers.
 type ShardStat struct {
-	Shard       int     `json:"shard"`
-	Addr        string  `json:"addr"`
-	State       string  `json:"state"`
-	Owned       []int   `json:"owned,omitempty"`
-	Rows        int64   `json:"rows"`
-	Queries     int64   `json:"queries"`
-	Errors      int64   `json:"errors"`
-	Retries     int64   `json:"retries"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	RowsScanned int64   `json:"rows_scanned"`
-	ZoneSkipped int64   `json:"zone_skipped"`
-	CrackPieces int64   `json:"crack_pieces"`
-	Cracks      int64   `json:"cracks"`
+	Shard        int     `json:"shard"`
+	Addr         string  `json:"addr"`
+	State        string  `json:"state"`
+	Owned        []int   `json:"owned,omitempty"`
+	Rows         int64   `json:"rows"`
+	Queries      int64   `json:"queries"`
+	Errors       int64   `json:"errors"`
+	Retries      int64   `json:"retries"`
+	P50MS        float64 `json:"p50_ms"`
+	P95MS        float64 `json:"p95_ms"`
+	RowsScanned  int64   `json:"rows_scanned"`
+	ZoneSkipped  int64   `json:"zone_skipped"`
+	IndexMorsels int64   `json:"index_morsels"`
+	CrackPieces  int64   `json:"crack_pieces"`
+	Cracks       int64   `json:"cracks"`
 }
 
 // Snapshot is the coordinator's /admin/stats section.
@@ -529,6 +531,7 @@ func (c *Coordinator) Snapshot() Snapshot {
 			ws := workers[i]
 			st.RowsScanned = ws.RowsScanned
 			st.ZoneSkipped = ws.ZoneSkipped
+			st.IndexMorsels = ws.IndexMorsels
 			for _, ci := range ws.Cracks {
 				st.CrackPieces += int64(ci.Pieces)
 				st.Cracks += ci.Cracks

@@ -335,10 +335,11 @@ func (w *Worker) stats(id uint64) protocol.WorkerStats {
 	w.mu.Unlock()
 	sort.Strings(names)
 	st := protocol.WorkerStats{
-		ID:          id,
-		Shard:       shard,
-		RowsScanned: w.eng.RowsScanned(),
-		ZoneSkipped: w.eng.ZoneSkipped(),
+		ID:           id,
+		Shard:        shard,
+		RowsScanned:  w.eng.RowsScanned(),
+		ZoneSkipped:  w.eng.ZoneSkipped(),
+		IndexMorsels: w.eng.IndexMorsels(),
 	}
 	for _, name := range names {
 		if rows, ok := w.eng.TableRows(name); ok {

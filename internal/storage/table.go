@@ -66,8 +66,9 @@ func (s Schema) String() string {
 }
 
 // Table is a named collection of equally long columns. The embedded zone
-// cache (see zonemap.go) is lazily built per-table state; its zero value
-// is ready, so the struct literals below need not mention it.
+// cache (zone maps and value indexes, see zonemap.go and valueindex.go) is
+// lazily built per-table state; its zero value is ready, so the struct
+// literals below need not mention it.
 type Table struct {
 	name   string
 	schema Schema

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -147,12 +146,15 @@ func BuildZoneMap(c Column, morsel int) (*ZoneMap, error) {
 	}
 }
 
-// zoneCache is the lazily-populated per-table zone-map cache. It lives in
-// its own struct so Table literals elsewhere in the package need not name
-// it, and the zero value is ready to use.
+// zoneCache is the lazily-populated per-table cache of zone maps and value
+// indexes (valueindex.go). It lives in its own struct so Table literals
+// elsewhere in the package need not name it, and the zero value is ready
+// to use.
 type zoneCache struct {
-	mu   sync.Mutex
-	maps map[string]*ZoneMap
+	mu      sync.Mutex
+	maps    map[indexKey]*ZoneMap
+	buckets map[string]*ValueBuckets
+	indexes map[indexKey]*ValueIndex
 }
 
 // ZoneMap returns the (lazily built, cached) zone map of the named column
@@ -169,7 +171,7 @@ func (t *Table) ZoneMap(col string, morsel int) (*ZoneMap, error) {
 	if c.Type() == TString || c.Len() == 0 || morsel <= 0 {
 		return nil, nil
 	}
-	key := fmt.Sprintf("%s\x00%d", col, morsel)
+	key := indexKey{col, morsel}
 	t.zones.mu.Lock()
 	defer t.zones.mu.Unlock()
 	if z, ok := t.zones.maps[key]; ok && z.n == c.Len() {
@@ -180,7 +182,7 @@ func (t *Table) ZoneMap(col string, morsel int) (*ZoneMap, error) {
 		return nil, err
 	}
 	if t.zones.maps == nil {
-		t.zones.maps = map[string]*ZoneMap{}
+		t.zones.maps = map[indexKey]*ZoneMap{}
 	}
 	t.zones.maps[key] = z
 	return z, nil
