@@ -25,7 +25,7 @@ func init() {
 // comparison: the boxed reference evaluator vs the pipeline's typed
 // per-morsel accumulation.
 type AggScalarCell struct {
-	Query          string  `json:"query"` // "sum-dense" or "sum-cmp"
+	Query          string  `json:"query"` // "sum-dense", "sum-cmp" or "sum-cmp2"
 	Selectivity    float64 `json:"selectivity"`
 	OracleMS       float64 `json:"oracle_ms"`
 	PipelineMS     float64 `json:"pipeline_ms"`
@@ -78,12 +78,24 @@ func writeKernelBench(w io.Writer, path string, res KernelBench) error {
 	return nil
 }
 
+// onScan ANDs a second leaf to a one-range WHERE over the E33 table: grp
+// >= 0, which every row meets. Bucket cells answer only a WHERE that is
+// exactly one interval, so the query keeps the typed kernel's filtered
+// scan — or, at a few percent, the value index's candidates — feeding the
+// typed sink's selected rows, the paths it had before the cells.
+func onScan(p *expr.Pred) *expr.Pred {
+	return expr.And(p, expr.Cmp("grp", expr.GE, storage.Int(0)))
+}
+
 // runE34 measures the typed aggregation sinks over the E33 table, two arms
 // per shape: the reference evaluator (exec.Execute — every accumulated
 // value boxed through storage.Value, one string key per grouped row) and
 // the pipeline (typed per-morsel accumulation over pooled selection
 // buffers, no global selection vector, no boxing). Scalar SUMs sweep the
-// selectivity dial from dense to 1%; the group-bys compare the
+// selectivity dial from dense to 1%, twice: sum-cmp is one range, which
+// the bucket cells answer, and sum-cmp2 the same range beside a second
+// leaf (onScan), which keeps it on the filtered scan into the typed
+// scalar sink; the group-bys compare the
 // dict-indexed, int-hashed and run-aware accumulators. The headline
 // expectation is >=2x on low-selectivity SUM and on the dictionary
 // group-by, where per-row interface boxing dominates the oracle's profile.
@@ -116,6 +128,10 @@ func runE34(w io.Writer, cfg Config) error {
 		{"sum-cmp", 50},
 		{"sum-cmp", 10},
 		{"sum-cmp", 1},
+		{"sum-cmp2", 90},
+		{"sum-cmp2", 50},
+		{"sum-cmp2", 10},
+		{"sum-cmp2", 1},
 	}
 	for _, sc := range scalars {
 		q := exec.Query{Select: []exec.SelectItem{
@@ -126,6 +142,9 @@ func runE34(w io.Writer, cfg Config) error {
 		sel := 1.0
 		if sc.sel >= 0 {
 			q.Where = expr.Cmp("v", expr.LT, storage.Float(sc.sel))
+			if sc.name == "sum-cmp2" {
+				q.Where = onScan(q.Where)
+			}
 			sel = sc.sel / 100
 		}
 		dg, err := measureOracle(reps, tab, q)

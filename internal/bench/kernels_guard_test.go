@@ -62,7 +62,9 @@ func requireNeverSlower(t *testing.T, rows int, queries []guardQuery) {
 
 // TestKernelScanNeverSlower holds the typed-kernel filtered scan to the
 // floor at the mid selectivity where a branchy selection loop would be at
-// its worst.
+// its worst. The second leaf (onScan) keeps the queries off the bucket
+// cells, which would otherwise answer a one-range aggregate without the
+// scan.
 func TestKernelScanNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -77,14 +79,16 @@ func TestKernelScanNeverSlower(t *testing.T) {
 	}
 	sum := []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}}
 	requireNeverSlower(t, rows, []guardQuery{
-		{"cmp-10pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(10))}},
-		{"between-10pct", tab, exec.Query{Select: sum, Where: expr.Between("v", storage.Float(50), storage.Float(60))}},
+		{"cmp-10pct", tab, exec.Query{Select: sum, Where: onScan(expr.Cmp("v", expr.LT, storage.Float(10)))}},
+		{"between-10pct", tab, exec.Query{Select: sum, Where: onScan(expr.Between("v", storage.Float(50), storage.Float(60)))}},
 	})
 }
 
 // TestAggKernelNeverSlower holds the typed sinks to the floor on the three
 // accumulator shapes — dense scalar, filtered scalar, dict group-by — so a
 // regression in any accumulator loop or in the per-morsel handoff trips it.
+// The filtered scalar keeps its selected-row loop through a second leaf
+// (onScan); sum-cells-50pct is the one-range shape the bucket cells answer.
 func TestAggKernelNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -104,7 +108,8 @@ func TestAggKernelNeverSlower(t *testing.T) {
 	sum := []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}}
 	requireNeverSlower(t, rows, []guardQuery{
 		{"sum-dense", tab, exec.Query{Select: sum}},
-		{"sum-10pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(10))}},
+		{"sum-10pct", tab, exec.Query{Select: sum, Where: onScan(expr.Cmp("v", expr.LT, storage.Float(10)))}},
+		{"sum-cells-50pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(50))}},
 		{"group-dict", encTab, exec.Query{
 			Select:  []exec.SelectItem{{Col: "cat"}, {Col: "amount", Agg: exec.AggSum}},
 			GroupBy: []string{"cat"},

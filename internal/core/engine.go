@@ -158,6 +158,9 @@ func New(opt Options) *Engine {
 	if opt.Exec.IndexMorsels == nil {
 		opt.Exec.IndexMorsels = new(atomic.Int64)
 	}
+	if opt.Exec.CellQueries == nil {
+		opt.Exec.CellQueries = new(atomic.Int64)
+	}
 	if opt.Exec.AggKernelHits == nil {
 		opt.Exec.AggKernelHits = new(atomic.Int64)
 	}
@@ -229,6 +232,12 @@ func (e *Engine) ZoneSkipped() int64 {
 // answered by refining its candidates.
 func (e *Engine) IndexMorsels() int64 {
 	return e.opt.Exec.IndexMorsels.Load()
+}
+
+// CellQueries returns the engine's cumulative count of aggregate queries
+// whose range interior the bucket cells answered.
+func (e *Engine) CellQueries() int64 {
+	return e.opt.Exec.CellQueries.Load()
 }
 
 // AggKernelHits returns the engine's cumulative count of aggregate queries

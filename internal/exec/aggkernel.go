@@ -247,15 +247,26 @@ func offer[T int64 | float64](it *aggItem, ext []T, s int, x T, pos int) {
 	}
 }
 
+// at returns the input position of a morsel's j-th qualifying row: pos[j]
+// when the sink is handed positions — the row ids themselves, on the dense
+// input — else base+j, the row's index into a selection input. Both
+// order the rows as the input does.
+func at(pos []int, base, j int) int {
+	if pos != nil {
+		return pos[j]
+	}
+	return base + j
+}
+
 // addScalar accumulates one morsel into slot 0 (scalar aggregation). rows
-// lists the qualifying rows of input positions [lo, hi), rows[i] at
-// position lo+i; nil means the whole dense range — the no-WHERE path, where
-// no selection vector exists at all. These are the hot loops: one pass per
-// item, nothing boxed, the fn/kind dispatch hoisted out of the loop. A
-// dense range of RLE input folds whole runs (sum += value·length), which
-// regroups the float association; the parity harnesses compare SUM/AVG
-// within relative tolerance.
-func (a *aggAcc) addScalar(lo, hi int, rows []int) {
+// lists the qualifying rows of input positions [lo, hi); nil means the
+// whole dense range — the no-WHERE path, where no selection vector exists
+// at all. rows[i] sits at position at(pos, lo, i). These are the hot
+// loops: one pass per item, nothing boxed, the fn/kind dispatch hoisted
+// out of the loop. A dense range of RLE input folds whole runs (sum +=
+// value·length), which regroups the float association; the parity
+// harnesses compare SUM/AVG within relative tolerance.
+func (a *aggAcc) addScalar(lo, hi int, rows, pos []int) {
 	n := hi - lo
 	if rows != nil {
 		n = len(rows)
@@ -266,9 +277,9 @@ func (a *aggAcc) addScalar(lo, hi int, rows []int) {
 		case aiCount:
 			it.count[0] += int64(n)
 		case aiI64:
-			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo)
+			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, pos, lo)
 		case aiF64:
-			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo)
+			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, pos, lo)
 		case aiRLE:
 			switch {
 			case it.has != nil && rows == nil:
@@ -277,7 +288,7 @@ func (a *aggAcc) addScalar(lo, hi int, rows []int) {
 				})
 			case it.has != nil:
 				for j, r := range rows {
-					offer(it, it.iext, 0, it.cur.At(r), lo+j)
+					offer(it, it.iext, 0, it.cur.At(r), at(pos, lo, j))
 				}
 			case rows == nil:
 				sum, c := it.sum[0], it.count[0]
@@ -302,7 +313,7 @@ func (a *aggAcc) addScalar(lo, hi int, rows []int) {
 // 0, in row order, with the running sum and count held in registers. ext
 // is the item's MIN/MAX array of v's type; for int64 the NULL test x == x
 // folds away at compile time.
-func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int) {
+func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows, pos []int, base int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
@@ -314,7 +325,7 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int
 		} else {
 			for j, r := range rows {
 				if x := v[r]; x == x {
-					offer(it, ext, 0, x, base+j)
+					offer(it, ext, 0, x, at(pos, base, j))
 				}
 			}
 		}
@@ -358,27 +369,28 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int
 // addGroups folds one morsel into a group accumulator in two passes: the
 // slot pass maps every qualifying row to its slot once, then the item pass
 // runs one loop per select item. rows lists the qualifying rows of input
-// positions [lo, hi); nil means the whole dense range.
-func (a *aggAcc) addGroups(lo, hi int, rows []int) {
+// positions [lo, hi), at positions pos (see at); nil rows means the whole
+// dense range.
+func (a *aggAcc) addGroups(lo, hi int, rows, pos []int) {
 	if rows != nil && len(rows) == 0 {
 		return
 	}
-	slots, buf := a.slotPass(lo, hi, rows)
-	a.fold(slots, rows, lo)
+	slots, buf := a.slotPass(lo, hi, rows, pos)
+	a.fold(slots, rows, pos, lo)
 	if buf != nil {
 		slotPool.Put(buf)
 	}
 }
 
 // slotPass returns each qualifying row's slot, in row order; rows[i] sits at
-// input position base+i, and nil rows means the dense range [base, hi). It
-// is the only place a group keyer lives: dict codes are the slots (a dense
-// range hands back the code slice itself, no copy), int keys cost one map
-// probe per row, run-coded keys one probe per run. New groups are registered
-// with their first-seen input position, and every item's arrays grow to
-// cover them before the item pass. buf, when non-nil, is the pooled vector
-// backing slots, which the caller returns to slotPool.
-func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32) {
+// input position at(pos, base, i), and nil rows means the dense range
+// [base, hi). It is the only place a group keyer lives: dict codes are the
+// slots (a dense range hands back the code slice itself, no copy), int keys
+// cost one map probe per row, run-coded keys one probe per run. New groups
+// are registered with their first-seen input position, and every item's
+// arrays grow to cover them before the item pass. buf, when non-nil, is the
+// pooled vector backing slots, which the caller returns to slotPool.
+func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]int32) {
 	ak := a.ak
 	if ak.mode == gmDict && rows == nil {
 		slots = ak.gcodes[base:hi]
@@ -398,7 +410,7 @@ func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32
 				slots[i] = codes[r]
 			}
 		}
-		a.markFirsts(slots, base)
+		a.markFirsts(slots, pos, base)
 		return slots, buf
 	case gmI64:
 		keys := ak.gi64
@@ -408,7 +420,7 @@ func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32
 			}
 		} else {
 			for i, r := range rows {
-				slots[i] = a.slotOf(keys[r], base+i)
+				slots[i] = a.slotOf(keys[r], at(pos, base, i))
 			}
 		}
 	case gmRLE:
@@ -424,7 +436,7 @@ func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32
 			for i, r := range rows {
 				k := a.kcur.At(r)
 				if a.kcur.Run() != run {
-					run, s = a.kcur.Run(), a.slotOf(k, base+i)
+					run, s = a.kcur.Run(), a.slotOf(k, at(pos, base, i))
 				}
 				slots[i] = s
 			}
@@ -437,11 +449,11 @@ func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32
 // markFirsts records the first-seen input position of every dict slot the
 // morsel meets for the first time; once every code has been seen it stops
 // looking.
-func (a *aggAcc) markFirsts(slots []int32, base int) {
+func (a *aggAcc) markFirsts(slots []int32, pos []int, base int) {
 	firsts, unseen := a.firsts, a.unseen
 	for i := 0; i < len(slots) && unseen > 0; i++ {
 		if s := slots[i]; firsts[s] < 0 {
-			firsts[s] = base + i
+			firsts[s] = at(pos, base, i)
 			unseen--
 		}
 	}
@@ -497,10 +509,10 @@ func growTo[T any](s []T, n int) []T {
 
 // fold is the item pass: one loop per select item over the morsel, with
 // the (kind, fn) dispatch hoisted out of it. Row j lands in slots[j], sits
-// at input position base+j and is rows[j] — or base+j itself when rows is
-// nil, the dense range. Rows reach each slot in row order, as in the
-// sequential evaluator, so every SUM/AVG is bit-identical to it.
-func (a *aggAcc) fold(slots []int32, rows []int, base int) {
+// at input position at(pos, base, j) and is rows[j] — or base+j itself
+// when rows is nil, the dense range. Rows reach each slot in row order, as
+// in the sequential evaluator, so every SUM/AVG is bit-identical to it.
+func (a *aggAcc) fold(slots []int32, rows, pos []int, base int) {
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.spec.kind {
@@ -509,9 +521,9 @@ func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 				it.count[s]++
 			}
 		case aiI64:
-			foldItem(it, it.iext, window(it.spec.i64, rows, base, len(slots)), slots, rows, base)
+			foldItem(it, it.iext, window(it.spec.i64, rows, base, len(slots)), slots, rows, pos, base)
 		case aiF64:
-			foldItem(it, it.fext, window(it.spec.f64, rows, base, len(slots)), slots, rows, base)
+			foldItem(it, it.fext, window(it.spec.f64, rows, base, len(slots)), slots, rows, pos, base)
 		case aiRLE:
 			for j, s := range slots {
 				r := base + j
@@ -519,7 +531,7 @@ func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 					r = rows[j]
 				}
 				if x := it.cur.At(r); it.has != nil {
-					offer(it, it.iext, int(s), x, base+j)
+					offer(it, it.iext, int(s), x, at(pos, base, j))
 				} else {
 					it.sum[s] += float64(x)
 					it.count[s]++
@@ -541,7 +553,7 @@ func window[T any](v []T, rows []int, base, n int) []T {
 // foldItem folds one item over its raw column v (see window). ext is the
 // item's MIN/MAX array of v's type; for int64 the NULL test x == x folds
 // away at compile time.
-func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []int, base int) {
+func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows, pos []int, base int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
@@ -553,7 +565,7 @@ func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []
 		} else {
 			for j, s := range slots {
 				if x := v[rows[j]]; x == x {
-					offer(it, ext, int(s), x, base+j)
+					offer(it, ext, int(s), x, at(pos, base, j))
 				}
 			}
 		}
@@ -685,18 +697,21 @@ func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
 // worker-local (dict mode: dense per-code arrays; int modes: raw-key hash),
 // merged and re-sorted by first-seen position.
 type typedSink struct {
-	ak       *aggKernel
-	t        *storage.Table
-	q        Query
-	m        int
-	partials [][]*aggState // scalar: per morsel
-	locals   []*aggAcc     // group-by: per worker
+	ak    *aggKernel
+	t     *storage.Table
+	q     Query
+	m     int
+	selIn bool // selection input: positions index the selection
+	// partials are the scalar partials, one per morsel and, last, the
+	// bucket cells' (see addCells).
+	partials [][]*aggState
+	locals   []*aggAcc // group-by: per worker
 }
 
-func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers int) *typedSink {
-	s := &typedSink{ak: ak, t: t, q: q, m: m}
+func newTypedSink(ak *aggKernel, t *storage.Table, q Query, selIn bool, m, morsels, workers int) *typedSink {
+	s := &typedSink{ak: ak, t: t, q: q, m: m, selIn: selIn}
 	if ak.mode == gmScalar {
-		s.partials = make([][]*aggState, morsels)
+		s.partials = make([][]*aggState, morsels+1)
 	} else {
 		s.locals = make([]*aggAcc, workers)
 	}
@@ -704,9 +719,13 @@ func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers 
 }
 
 func (s *typedSink) consume(worker, lo, hi int, rows []int) {
+	pos := rows // dense input: a row's position is its row id
+	if s.selIn {
+		pos = nil
+	}
 	if s.ak.mode == gmScalar {
 		acc := s.ak.newAcc()
-		acc.addScalar(lo, hi, rows)
+		acc.addScalar(lo, hi, rows, pos)
 		s.partials[lo/s.m] = acc.states(0)
 		return
 	}
@@ -715,7 +734,7 @@ func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 		acc = s.ak.newAcc()
 		s.locals[worker] = acc
 	}
-	acc.addGroups(lo, hi, rows)
+	acc.addGroups(lo, hi, rows, pos)
 }
 
 func (s *typedSink) finish() (*storage.Table, error) {

@@ -390,7 +390,7 @@ func TestGroupMinMaxTiesBreakOnPosition(t *testing.T) {
 				if ak == nil {
 					t.Fatalf("fell back: %s", reason)
 				}
-				got, err := feed(newTypedSink(ak, tc.tbl, q, m, morsels, morsels), dense)
+				got, err := feed(newTypedSink(ak, tc.tbl, q, false, m, morsels, morsels), dense)
 				check(t, q, got, err)
 			})
 		}

@@ -1,0 +1,311 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dex/internal/expr"
+	"dex/internal/storage"
+	"dex/internal/trace"
+)
+
+// cellsTable has the range columns the bucket cells meet — a FLOAT column
+// with NULLs, both zeros and both infinities, a wide INT column with the
+// int64 extremes and 2^53 neighbours, and an all-equal INT column — beside
+// the inputs they aggregate: a FLOAT x with NULLs and infinities, an INT k
+// whose extremes tie in float64 (MaxInt64 and its neighbours, 2^53 and
+// 2^53+1), a FLOAT z of signed zeros and NULLs whose MIN and MAX tie, a
+// small INT s whose sums stay exact in float64 in any association, and
+// dictionary group keys of 1, 2, 5 and 12 codes, plus one of 40 codes
+// that breaks the cells' size rule.
+func cellsTable(rng *rand.Rand, n int) *storage.Table {
+	f, i, e := make([]float64, n), make([]int64, n), make([]int64, n)
+	x, k, z, s := make([]float64, n), make([]int64, n), make([]float64, n), make([]int64, n)
+	groups := []int{1, 2, 5, 12, 40}
+	g := make([][]string, len(groups))
+	for j := range g {
+		g[j] = make([]string, n)
+	}
+	negZero := math.Copysign(0, -1)
+	fOdd := []float64{math.NaN(), negZero, 0, math.Inf(1), math.Inf(-1)}
+	iOdd := []int64{math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1, -(1<<53 + 1), 1<<53 - 1}
+	kOdd := []int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 512, math.MinInt64, math.MinInt64 + 1, 1 << 53, 1<<53 + 1}
+	for r := 0; r < n; r++ {
+		f[r] = rng.NormFloat64() * 100
+		if rng.Intn(50) == 0 {
+			f[r] = fOdd[rng.Intn(len(fOdd))]
+		}
+		i[r] = rng.Int63n(100_000) - 50_000
+		if rng.Intn(100) == 0 {
+			i[r] = iOdd[rng.Intn(len(iOdd))]
+		}
+		e[r] = 7
+		x[r] = rng.NormFloat64() * 10
+		if rng.Intn(40) == 0 {
+			x[r] = fOdd[rng.Intn(len(fOdd))]
+		}
+		k[r] = rng.Int63n(1000)
+		if rng.Intn(30) == 0 {
+			k[r] = kOdd[rng.Intn(len(kOdd))]
+		}
+		z[r] = []float64{negZero, 0, math.NaN()}[rng.Intn(3)]
+		s[r] = rng.Int63n(2001) - 1000
+		for j, card := range groups {
+			g[j][r] = fmt.Sprintf("g%02d", rng.Intn(card))
+		}
+	}
+	schema := storage.Schema{
+		{Name: "f", Type: storage.TFloat}, {Name: "i", Type: storage.TInt}, {Name: "e", Type: storage.TInt},
+		{Name: "x", Type: storage.TFloat}, {Name: "k", Type: storage.TInt}, {Name: "z", Type: storage.TFloat},
+		{Name: "s", Type: storage.TInt},
+	}
+	cols := []storage.Column{
+		storage.NewFloatColumn(f), storage.NewIntColumn(i), storage.NewIntColumn(e),
+		storage.NewFloatColumn(x), storage.NewIntColumn(k), storage.NewFloatColumn(z), storage.NewIntColumn(s),
+	}
+	for j, card := range groups {
+		schema = append(schema, storage.Field{Name: fmt.Sprintf("g%d", card), Type: storage.TString})
+		cols = append(cols, storage.EncodeDict(g[j]))
+	}
+	tab, err := storage.FromColumns("t", schema, cols)
+	if err != nil {
+		panic(err)
+	}
+	return tab
+}
+
+// cellsQueries returns the aggregates bucket cells serve — COUNT(*),
+// COUNT, SUM, AVG, MIN and MAX over one input each, scalar and grouped by
+// every dictionary key — behind ranges on f, i and e: spans of 2 to 256
+// buckets' worth of rows at several places, one-sided bounds, the whole
+// column, an INT column against FLOAT constants, and a range of the
+// all-equal column, which has no interior.
+func cellsQueries(tab *storage.Table) []Query {
+	quantiles := func(col string) func(q float64) storage.Value {
+		c, _ := tab.ColumnByName(col)
+		var vs []storage.Value
+		for r := 0; r < c.Len(); r++ {
+			if v := c.Value(r); !(v.Typ == storage.TFloat && math.IsNaN(v.F)) {
+				vs = append(vs, v)
+			}
+		}
+		sort.Slice(vs, func(a, b int) bool { return vs[a].Compare(vs[b]) < 0 })
+		return func(q float64) storage.Value { return vs[min(int(q*float64(len(vs))), len(vs)-1)] }
+	}
+	var wheres []*expr.Pred
+	for _, col := range []string{"f", "i"} {
+		q := quantiles(col)
+		for _, w := range []float64{2.2, 2.6, 3.1, 4, 9, 40, 130, 255} {
+			for _, at := range []float64{0, 0.3, 0.61} {
+				lo := at * (256 - w) / 256
+				wheres = append(wheres, expr.And(
+					expr.Cmp(col, expr.GE, q(lo)), expr.Cmp(col, expr.LT, q(lo+w/256))))
+			}
+		}
+		wheres = append(wheres, expr.Cmp(col, expr.LT, q(0.7)), expr.Cmp(col, expr.GT, q(0.05)))
+	}
+	wheres = append(wheres,
+		expr.Cmp("f", expr.GE, storage.Float(math.Inf(-1))),
+		expr.Cmp("i", expr.GE, storage.Int(math.MinInt64)),
+		expr.Between("i", storage.Float(-20_000.5), storage.Float(30_000.5)),
+		expr.Between("e", storage.Int(0), storage.Int(100)))
+	items := [][]SelectItem{
+		{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggCount}, {Col: "x", Agg: AggSum},
+			{Col: "x", Agg: AggAvg}, {Col: "x", Agg: AggMin}, {Col: "x", Agg: AggMax}},
+		{{Col: "k", Agg: AggMin}, {Col: "k", Agg: AggMax}, {Col: "k", Agg: AggCount}},
+		{{Col: "s", Agg: AggSum}, {Col: "s", Agg: AggAvg}, {Col: "s", Agg: AggMin}, {Col: "*", Agg: AggCount}},
+		{{Col: "z", Agg: AggMin}, {Col: "z", Agg: AggMax}, {Col: "z", Agg: AggCount}},
+		{{Col: "*", Agg: AggCount}},
+	}
+	var out []Query
+	for w, where := range wheres {
+		for j, sel := range items {
+			out = append(out, Query{Select: sel, Where: where})
+			g := []string{"g1", "g2", "g5", "g12", "g40"}[(w+j)%5]
+			out = append(out, Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}, Where: where})
+		}
+	}
+	return out
+}
+
+// requireCellsMatch holds got to want bit for bit — counts, MIN/MAX values
+// down to the sign of a zero and which of two int64s that tie in float64,
+// INT SUM/AVG, group keys and their order — except a finite FLOAT SUM/AVG,
+// which may differ by reassociation within sumSlack.
+func requireCellsMatch(t *testing.T, label string, tab *storage.Table, q Query, want, got *storage.Table) {
+	t.Helper()
+	if want.Schema().String() != got.Schema().String() || want.NumRows() != got.NumRows() {
+		t.Fatalf("%s: shape want=%s/%d got=%s/%d", label, want.Schema(), want.NumRows(), got.Schema(), got.NumRows())
+	}
+	slack := sumSlack(tab, q)
+	for c, item := range q.Select {
+		in, _ := tab.ColumnByName(item.Col)
+		reassociates := in != nil && in.Type() == storage.TFloat && (item.Agg == AggSum || item.Agg == AggAvg)
+		for r := 0; r < want.NumRows(); r++ {
+			a, b := want.Column(c).Value(r), got.Column(c).Value(r)
+			if a.Typ == b.Typ && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F) {
+				continue
+			}
+			finite := !math.IsInf(a.F, 0) && !math.IsNaN(a.F) && !math.IsInf(b.F, 0) && !math.IsNaN(b.F)
+			if reassociates && a.Typ == b.Typ && finite && math.Abs(a.F-b.F) <= slack[c] {
+				continue
+			}
+			t.Fatalf("%s: cell [%d,%d] (%s) scan=%v cells=%v", label, r, c, want.Schema()[c].Name, a, b)
+		}
+	}
+}
+
+// cellSpan returns the interior buckets a traced query's scan span says
+// the bucket cells served, 0 for none.
+func cellSpan(root *trace.SpanJSON) int64 {
+	for _, c := range root.Children {
+		if c.Name == "scan" {
+			v, _ := c.Attrs["bucket_cells"].(int64)
+			return v
+		}
+	}
+	return 0
+}
+
+// TestBucketCellsMatchScan runs every cells-shaped query with the value
+// index off (disableIndex: every morsel scanned) and on, where the bucket
+// cells answer the interior, at one and four workers and three morsel
+// sizes, and holds the two answers to requireCellsMatch. The interiors
+// served must run from one bucket to 254; the all-equal column and the
+// 40-code key, which breaks the size rule, must never reach the cells.
+func TestBucketCellsMatchScan(t *testing.T) {
+	defer func() { disableIndex = false }()
+	tab := cellsTable(rand.New(rand.NewSource(51)), 60_000)
+	served := map[int64]bool{}
+	for _, q := range cellsQueries(tab) {
+		for _, opt := range []ExecOptions{
+			{Parallelism: 1, MorselSize: 64}, {Parallelism: 1, MorselSize: 1024}, {Parallelism: 1, MorselSize: 16384},
+			{Parallelism: 4, MorselSize: 64}, {Parallelism: 4, MorselSize: 1024}, {Parallelism: 4, MorselSize: 16384},
+		} {
+			label := fmt.Sprintf("P%d m%d: %s", opt.Parallelism, opt.MorselSize, q)
+			disableIndex = true
+			want, wantErr := ExecuteOpts(tab, q, opt)
+			disableIndex = false
+			got, js, err := tracedExec(tab, q, opt)
+			if wantErr != nil || err != nil {
+				t.Fatalf("%s: scan=%v cells=%v", label, wantErr, err)
+			}
+			requireCellsMatch(t, label, tab, q, want, got)
+			b := cellSpan(js)
+			if ivs, _ := expr.Intervals(tab.Schema(), q.Where); b > 0 && (ivs[0].Col == "e" ||
+				len(q.GroupBy) > 0 && q.GroupBy[0] == "g40") {
+				t.Fatalf("%s: %d interior buckets served; want none", label, b)
+			}
+			served[b] = true
+		}
+	}
+	if !served[1] || !served[254] {
+		var seen []int64
+		for b := range served {
+			seen = append(seen, b)
+		}
+		sort.Slice(seen, func(a, b int) bool { return seen[a] < seen[b] })
+		t.Fatalf("interior sizes served %v; want 1 through 254", seen)
+	}
+}
+
+// TestBucketCellsScanAccounting is TestIndexScanAccounting's twin on the
+// cells path: Scanned counts the edge buckets' candidates plus their
+// matches, and nothing visits the interior's rows; rows_out still counts
+// every matching row, the scan span names the interior buckets served and
+// the edge candidates, and CellQueries counts the query once.
+func TestBucketCellsScanAccounting(t *testing.T) {
+	tab := indexTable(rand.New(rand.NewSource(44)), 40_000)
+	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}, Where: expr.Between("k", storage.Int(-20_000), storage.Int(15_000))}
+	var scanned, served, cellQueries atomic.Int64
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, IndexMorsels: &served, CellQueries: &cellQueries}
+	res, js, err := tracedExec(tab, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scan *trace.SpanJSON
+	for _, c := range js.Children {
+		if c.Name == "scan" {
+			scan = c
+		}
+	}
+	count := res.Column(0).Value(0).I
+	cells, vi, _, err := tab.BucketCells("k", "", "", 1024)
+	if cells == nil || err != nil {
+		t.Fatalf("no cells: %v", err)
+	}
+	ivs, _ := expr.Intervals(tab.Schema(), q.Where)
+	bl, bh := bucketRun(vi.ValueBuckets, ivs[0])
+	interior := int64(0)
+	for _, c := range cells.Interior(bl, bh) {
+		interior += int64(c.Rows)
+	}
+	n := func(k string) int64 { v, _ := scan.Attrs[k].(int64); return v }
+	edges := n("edge_candidates")
+	switch {
+	case n("bucket_cells") != int64(bh-bl-1) || bh-bl < 10:
+		t.Fatalf("scan span %+v: want %d interior buckets", scan.Attrs, bh-bl-1)
+	case n("rows_out") != count || interior == 0 || interior >= count:
+		t.Fatalf("rows_out %d, count %d, interior rows %d", n("rows_out"), count, interior)
+	case edges != n("index_candidates") || edges < count-interior || edges > int64(tab.NumRows())/10:
+		t.Fatalf("edge candidates %d for %d edge matches", edges, count-interior)
+	case scanned.Load() != edges+count-interior:
+		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", scanned.Load(), edges, count-interior)
+	case cellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	}
+	if morsels := int64(storage.NumChunks(tab.NumRows(), 1024)); served.Load() != morsels {
+		t.Fatalf("index served %d morsels of %d", served.Load(), morsels)
+	}
+}
+
+// TestBucketCellsBuiltOnceUnderConcurrentQueries sends a fresh table's
+// first drill-downs from many goroutines at once: one of them builds the
+// cells, under its "cells" span, every one of them folds the interior, and
+// all of them answer alike.
+func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
+	tab := indexTable(rand.New(rand.NewSource(45)), 50_000)
+	q := Query{Select: []SelectItem{{Col: "s"}, {Col: "x", Agg: AggMax}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"},
+		Where: expr.Between("x", storage.Float(-40), storage.Float(60))}
+	want, err := Execute(tab, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 12
+	got, js := make([]*storage.Table, clients), make([]*trace.SpanJSON, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[c], js[c], err = tracedExec(tab, q, ExecOptions{Parallelism: 2, MorselSize: 2048}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	builds, folded := 0, 0
+	for c := range got {
+		if got[c] == nil {
+			t.FailNow()
+		}
+		requireIdentical(t, "concurrent", want, got[c])
+		if cellSpan(js[c]) > 0 {
+			folded++
+		}
+		for _, sp := range js[c].Children {
+			if sp.Name == "cells" && sp.Attrs["col"] == "x" && sp.Attrs["built"] == true {
+				builds++
+			}
+		}
+	}
+	if folded != clients || builds != 1 {
+		t.Fatalf("%d of %d queries folded cells, %d built them; want all, and one", folded, clients, builds)
+	}
+}

@@ -3,20 +3,25 @@
 //
 //	compile:  filter  = typed predicate kernel (expr.CompileKernel), else the
 //	                    generic expr.FilterRange; zone pruners whenever the
-//	                    WHERE clause yields a per-column interval, and
-//	                    under a typed kernel the value index of the interval
-//	                    estimated to hold the fewest rows (zonemap.go)
+//	                    WHERE clause yields a per-column interval; under a
+//	                    typed kernel, the bucket cells of a typed aggregate
+//	                    whose WHERE is one range with an interior
+//	                    (bucketcells.go), else the value index of the
+//	                    interval estimated to hold the fewest rows
+//	                    (zonemap.go)
 //	          sink    = typed scalar / typed group accumulators (aggkernel.go),
 //	                    else the generic boxed scalar / group accumulators;
 //	                    a projection's sink is a per-worker top-k heap under
 //	                    ORDER BY, else a gather over the parked buffers
 //	                    (rows.go)
 //	per morsel: skip (zone map, or no index candidate) → the index's
-//	            candidates through Kernel.Refine when they are few enough,
+//	            candidates — under bucket cells, the two edge buckets'
+//	            alone — through Kernel.Refine when they are few enough,
 //	            else filter the morsel — either way into a pooled selection
 //	            buffer → sink.consume
-//	then:       ordered merge (sink.finish) → aggregates only: HAVING /
-//	            ORDER BY / LIMIT (finish); the row sinks apply their own
+//	then:       the interior's cells fold into the sink → ordered merge
+//	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
+//	            (finish); the row sinks apply their own
 //
 // Compilation never fails a query for being unspecializable: a predicate or
 // aggregate shape the typed layer rejects selects the generic filter or sink
@@ -35,9 +40,11 @@
 // and merged in morsel order (so a float SUM is deterministic for a given
 // morsel size, whatever the scheduling), aggregate states are a commutative
 // monoid under merge (NaN — the engine's NULL — is skipped), and merged
-// groups are re-sorted by the input position of their first row. Against
+// groups are re-sorted by the input position of their first row — on the
+// dense input its row id, which is what bucket cells record too. Against
 // the sequential reference evaluator (Execute) the only observable
-// difference is the floating-point association order of SUM/AVG partials.
+// difference is the floating-point association order of SUM/AVG partials,
+// bucket cells' included.
 //
 // The scheduler checks ctx between morsel claims, so a cancelled query
 // stops within one morsel per worker, and ExecOptions.Scanned advances
@@ -96,6 +103,9 @@ type ExecOptions struct {
 	// candidate, or answered by refining its candidates. Shared and read
 	// like ZoneSkipped.
 	IndexMorsels *atomic.Int64
+	// CellQueries, when non-nil, counts the aggregate queries whose range
+	// interior the bucket cells answered. Shared and read like ZoneSkipped.
+	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
 	AggKernelHits      *atomic.Int64
@@ -202,6 +212,11 @@ type plan struct {
 func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
 	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
+	var ak *aggKernel
+	var aggReason string
+	if p.agg {
+		ak, aggReason = compileAggKernel(t, q)
+	}
 	switch {
 	case sel != nil:
 		p.n = len(sel)
@@ -212,14 +227,20 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 				return nil, err
 			}
 		}
-		ivs, _ := expr.Intervals(t.Schema(), p.where)
+		ivs, rest := expr.Intervals(t.Schema(), p.where)
 		var err error
 		if p.pruners, err = zonePruners(t, ivs, pool.MorselSize()); err != nil {
 			return nil, err
 		}
 		// The candidates go through the kernel's Refine: only a compiled
-		// WHERE can take them.
-		if p.kern != nil {
+		// WHERE can take them. Bucket cells answer rows unrefined, so they
+		// need a WHERE that is exactly one interval.
+		if p.kern != nil && len(ivs) == 1 && rest == "" {
+			if p.index, err = chooseCells(t, ivs[0], ak, q, pool.MorselSize(), sp); err != nil {
+				return nil, err
+			}
+		}
+		if p.kern != nil && p.index.vi == nil {
 			if p.index, err = chooseIndex(t, ivs, pool.MorselSize(), sp); err != nil {
 				return nil, err
 			}
@@ -233,11 +254,13 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 	if len(q.GroupBy) > 0 {
 		p.stage = "group_by"
 	}
-	ak, reason := compileAggKernel(t, q)
 	if ak != nil {
-		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, pool.MorselSize(), morsels, workers), true, true
+		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, sel != nil, pool.MorselSize(), morsels, workers), true, true
 		if opt.AggKernelHits != nil {
 			opt.AggKernelHits.Add(1)
+		}
+		if p.index.cells != nil && opt.CellQueries != nil {
+			opt.CellQueries.Add(1)
 		}
 		return p, nil
 	}
@@ -247,7 +270,7 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 	if err != nil {
 		return nil, err
 	}
-	p.sink, p.aggFallback = gs, reason
+	p.sink, p.aggFallback = gs, aggReason
 	if opt.AggKernelFallbacks != nil {
 		opt.AggKernelFallbacks.Add(1)
 	}
@@ -310,9 +333,8 @@ func (p *plan) qualify(lo, hi, m int, cand bool) (rows []int, buf *[]int, err er
 	case p.sel != nil:
 		return p.sel[lo:hi], nil, nil
 	case cand:
-		ix := &p.index
 		buf = getSel()
-		*buf = p.kern.Refine(ix.vi.Candidates(lo/m, ix.bl, ix.bh, *buf))
+		*buf = p.kern.Refine(p.index.candidates(lo/m, *buf))
 	case p.kern != nil:
 		buf = getSel()
 		*buf = p.kern.Run(lo, hi, *buf)
@@ -379,11 +401,11 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			}
 			visited, cand := hi-lo, false
 			if ix := &p.index; ix.vi != nil {
-				switch c := ix.vi.Count(lo/m, ix.bl, ix.bh); {
+				switch c := ix.count(lo / m); {
 				case c == 0:
 					n.indexSkipped.Add(1)
 					return nil
-				case c <= int(indexCrossover*float64(hi-lo)):
+				case ix.cells != nil || c <= int(indexCrossover*float64(hi-lo)):
 					visited, cand = c, true
 					n.candidates.Add(int64(c))
 					n.candMorsels.Add(1)
@@ -413,6 +435,11 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			return nil
 		})
 	}
+	// The interior's cells fold in once every morsel's rows are in: no
+	// worker touches the sink any more.
+	if cells := p.index.cells; cells != nil && err == nil {
+		n.matched.Add(int64(p.sink.(*typedSink).addCells(cells.Interior(p.index.bl, p.index.bh))))
+	}
 	if opt.ZoneSkipped != nil && n.skipped.Load() > 0 {
 		opt.ZoneSkipped.Add(n.skipped.Load())
 	}
@@ -431,6 +458,10 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 				scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
 				scanSp.SetInt("index_candidates", n.candidates.Load())
 				scanSp.SetInt("index_skipped", n.indexSkipped.Load())
+			}
+			if p.index.cells != nil {
+				scanSp.SetInt("bucket_cells", int64(p.index.bh-p.index.bl-1))
+				scanSp.SetInt("edge_candidates", n.candidates.Load())
 			}
 			scanSp.SetBool("kernel", p.kern != nil)
 			if p.kern != nil {

@@ -20,12 +20,13 @@ import (
 )
 
 // indexPaths is what one traced query's scan span says about the value
-// index: morsels that refined candidates, morsels it left to the scan, and
-// morsels it skipped; all zero when the query used no index.
-type indexPaths struct{ cand, scan, skip int64 }
+// index: morsels that refined candidates, morsels it left to the scan,
+// morsels it skipped, and whether bucket cells answered the range's
+// interior (1 if so); all zero when the query used no index.
+type indexPaths struct{ cand, scan, skip, cells int64 }
 
 func (a *indexPaths) add(b indexPaths) {
-	a.cand, a.scan, a.skip = a.cand+b.cand, a.scan+b.scan, a.skip+b.skip
+	a.cand, a.scan, a.skip, a.cells = a.cand+b.cand, a.scan+b.scan, a.skip+b.skip, a.cells+b.cells
 }
 
 func scanIndexPaths(root *trace.SpanJSON) indexPaths {
@@ -35,11 +36,15 @@ func scanIndexPaths(root *trace.SpanJSON) indexPaths {
 		}
 		n := func(k string) int64 { v, _ := c.Attrs[k].(int64); return v }
 		served := n("index_morsels")
-		return indexPaths{
+		p := indexPaths{
 			cand: served - n("index_skipped"),
 			scan: n("morsels") - n("zone_skipped") - served,
 			skip: n("index_skipped"),
 		}
+		if n("bucket_cells") > 0 {
+			p.cells = 1
+		}
+		return p
 	}
 	return indexPaths{}
 }
@@ -143,9 +148,12 @@ func narrowQueries(tab *storage.Table) []Query {
 // order, so even float SUMs keep their association. The one exception is
 // a grouped float SUM/AVG at four workers, whose per-worker partials merge
 // in scheduling order with or without the index; it is held to the parity
-// tolerance instead. All three index paths must come up.
+// tolerance instead. All three index paths must come up. The bucket cells
+// stay off: they answer a range's interior without its rows, which only
+// TestBucketCellsMatchScan holds to the scan.
 func TestIndexPathMatchesScanBitForBit(t *testing.T) {
-	defer func() { disableIndex = false }()
+	disableBucketCells = true
+	defer func() { disableIndex, disableBucketCells = false, false }()
 	tab := indexTable(rand.New(rand.NewSource(41)), 40_000)
 	var paths indexPaths
 	for _, q := range narrowQueries(tab) {
@@ -177,8 +185,11 @@ func TestIndexPathMatchesScanBitForBit(t *testing.T) {
 // TestIndexScanAccounting checks what a query on the candidate path
 // reports: the scan span names the index and its candidates, Scanned counts
 // the refined candidates rather than the morsels' rows, and IndexMorsels
-// counts the morsels the index served.
+// counts the morsels the index served. The bucket cells stay off; their
+// twin is TestBucketCellsScanAccounting.
 func TestIndexScanAccounting(t *testing.T) {
+	disableBucketCells = true
+	defer func() { disableBucketCells = false }()
 	tab := indexTable(rand.New(rand.NewSource(42)), 20_000)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}, Where: expr.Between("k", storage.Int(0), storage.Int(500))}
 	var scanned, served atomic.Int64
@@ -210,8 +221,11 @@ func TestIndexScanAccounting(t *testing.T) {
 
 // TestIndexBuiltOnceUnderConcurrentQueries sends a fresh table's first
 // queries from many goroutines at once: one of them builds the index, under
-// its "index" span, and all of them answer alike.
+// its "index" span, and all of them answer alike. The bucket cells stay
+// off; their twin is TestBucketCellsBuiltOnceUnderConcurrentQueries.
 func TestIndexBuiltOnceUnderConcurrentQueries(t *testing.T) {
+	disableBucketCells = true
+	defer func() { disableBucketCells = false }()
 	tab := indexTable(rand.New(rand.NewSource(43)), 50_000)
 	q := Query{Select: []SelectItem{{Col: "x", Agg: AggSum}, {Col: "*", Agg: AggCount}},
 		Where: expr.Between("x", storage.Float(10), storage.Float(12))}
@@ -254,23 +268,27 @@ func TestIndexBuiltOnceUnderConcurrentQueries(t *testing.T) {
 // TestFuzzCorporaReachIndexPaths replays the checked-in corpora of the two
 // pipeline fuzzers under their arms, traced, and requires that together
 // they take every value-index path — candidates, scan and skip — so the
-// differential fuzzers certify the index, not only the scan.
+// differential fuzzers certify the index, not only the scan. The
+// aggregation fuzzer's corpus must also reach the bucket cells, scalar and
+// grouped.
 func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 	for _, fz := range []struct {
 		name   string
 		decode func(t *testing.T, data []byte) (plain, enc *storage.Table, q Query, sel []int)
+		cells  bool
 	}{
 		{"FuzzAggKernelVsGeneric", func(t *testing.T, data []byte) (*storage.Table, *storage.Table, Query, []int) {
 			plain, enc, q := aggCase(t, data)
 			return plain, enc, q, nil
-		}},
-		{"FuzzRowsVsOracle", rowCase},
+		}, true},
+		{"FuzzRowsVsOracle", rowCase, false},
 	} {
 		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", fz.name, "*"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("%s: no corpus (%v)", fz.name, err)
 		}
 		var paths indexPaths
+		var cells [2]int64 // scalar, grouped
 		for _, f := range files {
 			data := readCorpusEntry(t, f)
 			plain, enc, q, sel := fz.decode(t, data)
@@ -283,12 +301,17 @@ func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 					tbl = enc
 				}
 				if _, js, err := tracedExec(tbl, q, arm.opt); err == nil {
-					paths.add(scanIndexPaths(js))
+					p := scanIndexPaths(js)
+					paths.add(p)
+					cells[min(len(q.GroupBy), 1)] += p.cells
 				}
 			}
 		}
 		if paths.cand == 0 || paths.scan == 0 || paths.skip == 0 {
 			t.Errorf("%s corpus index paths: %+v; want candidates, scans and skips", fz.name, paths)
+		}
+		if fz.cells && (cells[0] == 0 || cells[1] == 0) {
+			t.Errorf("%s corpus bucket-cell queries: %d scalar, %d grouped; want both", fz.name, cells[0], cells[1])
 		}
 	}
 }

@@ -20,6 +20,12 @@
 // with at most indexCrossover of its rows as candidates refines just those,
 // and the rest are scanned. The candidates cover every row inside the
 // interval, so the same conservatism holds.
+//
+// Bucket cells (bucketcells.go) go one step further for an aggregate whose
+// WHERE is exactly one interval: the buckets strictly inside its bucket run
+// hold only qualifying rows, so their pre-aggregated cells stand in for
+// them, and only the two edge buckets' candidates are refined; no morsel
+// is scanned.
 package exec
 
 import (
@@ -84,11 +90,30 @@ var disableIndex bool
 const indexCrossover = 0.1
 
 // rowIndex is the value index a plan prunes rows with: one column's index
-// and the bucket run its interval covers.
+// and the bucket run its interval covers. With cells set, the buckets
+// strictly between bl and bh are answered from them (bucketcells.go), and
+// a morsel's candidates are the rows of the edge buckets bl and bh alone.
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
 	bl, bh int
+	cells  *storage.BucketCells
+}
+
+// count returns how many candidates morsel m holds.
+func (ix *rowIndex) count(m int) int {
+	if ix.cells != nil {
+		return ix.vi.Count(m, ix.bl, ix.bl) + ix.vi.Count(m, ix.bh, ix.bh)
+	}
+	return ix.vi.Count(m, ix.bl, ix.bh)
+}
+
+// candidates appends morsel m's candidates to dst, ascending.
+func (ix *rowIndex) candidates(m int, dst []int) []int {
+	if ix.cells != nil {
+		return ix.vi.Edges(m, ix.bl, ix.bh, dst)
+	}
+	return ix.vi.Candidates(m, ix.bl, ix.bh, dst)
 }
 
 // bucketRun maps an interval onto the bucket run of its column's buckets.

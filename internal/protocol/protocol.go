@@ -205,16 +205,17 @@ type CrackStat struct {
 }
 
 // WorkerStats answers a Stats probe with the worker's shard-local
-// counters: the crack, zone-map and value-index numbers the coordinator's
-// stats section was blind to, plus the registered tables the healer
-// compares against the placement map to tell a healthy worker from a blank
-// restart.
+// counters: the crack, zone-map, value-index and bucket-cell numbers the
+// coordinator's stats section was blind to, plus the registered tables the
+// healer compares against the placement map to tell a healthy worker from
+// a blank restart.
 type WorkerStats struct {
 	ID           uint64      `json:"id"`
 	Shard        int         `json:"shard"`
 	RowsScanned  int64       `json:"rows_scanned"`
 	ZoneSkipped  int64       `json:"zone_skipped"`
 	IndexMorsels int64       `json:"index_morsels"`
+	CellQueries  int64       `json:"cell_queries"`
 	Tables       []TableStat `json:"tables,omitempty"`
 	Cracks       []CrackStat `json:"cracks,omitempty"`
 }

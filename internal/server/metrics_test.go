@@ -29,6 +29,8 @@ func scrape(t *testing.T) (string, StatsSnapshot) {
 	queries := []QueryRequest{
 		{SQL: "SELECT COUNT(*) FROM sales"},
 		{SQL: "SELECT COUNT(*) FROM sales"}, // cache hit
+		// A drill-down whose range interior the bucket cells answer.
+		{SQL: "SELECT region, SUM(amount) FROM sales WHERE amount >= 100 AND amount < 200 GROUP BY region"},
 		{SQL: "SELECT region, AVG(amount) FROM sales GROUP BY region", Mode: "cracked"},
 		{SQL: "SELECT AVG(amount) FROM sales", Mode: "approx"},
 		{SQL: "SELECT SUM(amount) FROM sales", Mode: "online"},
@@ -113,10 +115,14 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 		"dex_rows_scanned_total":                          snap.RowsScanned,
 		"dex_zone_skipped_total":                          snap.ZoneSkipped,
 		"dex_index_morsels_total":                         snap.IndexMorsels,
+		"dex_cell_queries_total":                          snap.CellQueries,
 		"dex_agg_kernel_used_total":                       snap.AggKernelHits,
 		"dex_agg_kernel_fallback_total":                   snap.AggKernelFallbacks,
 		"dex_cache_hits_total":                            snap.Cache.Hits,
 		"dex_cache_misses_total":                          snap.Cache.Misses,
+	}
+	if snap.CellQueries == 0 {
+		t.Error("the drill-down counted no bucket-cell query")
 	}
 	for name, want := range counters {
 		if got := sampleValue(t, expo, name); int64(got) != want {

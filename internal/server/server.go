@@ -297,6 +297,7 @@ func (s *Server) Stats() StatsSnapshot {
 	snap.RowsScanned = s.eng.RowsScanned()
 	snap.ZoneSkipped = s.eng.ZoneSkipped()
 	snap.IndexMorsels = s.eng.IndexMorsels()
+	snap.CellQueries = s.eng.CellQueries()
 	snap.AggKernelHits = s.eng.AggKernelHits()
 	snap.AggKernelFallbacks = s.eng.AggKernelFallbacks()
 	if s.cfg.Shard != nil {

@@ -187,6 +187,7 @@ func TestServerShardMetrics(t *testing.T) {
 		`dex_shard_worker_rows_scanned_total{shard="0"}`,
 		`dex_shard_worker_zone_skipped_total{shard="2"}`,
 		`dex_shard_worker_index_morsels_total{shard="1"}`,
+		`dex_shard_worker_cell_queries_total{shard="0"}`,
 		`dex_shard_crack_pieces{shard="1"}`,
 		`dex_shard_cracks_total{shard="0"}`,
 	} {

@@ -447,7 +447,8 @@ func (c *Coordinator) countOutcome(o string) {
 // ---- observability ----
 
 // ShardStat is one shard's snapshot row. The worker-local counters
-// (rows scanned, zone-map skips, value-index morsels, crack pieces/cracks)
+// (rows scanned, zone-map skips, value-index morsels, bucket-cell queries,
+// crack pieces/cracks)
 // come from the best-effort Stats probe: a dead worker keeps its
 // last-known numbers.
 type ShardStat struct {
@@ -464,6 +465,7 @@ type ShardStat struct {
 	RowsScanned  int64   `json:"rows_scanned"`
 	ZoneSkipped  int64   `json:"zone_skipped"`
 	IndexMorsels int64   `json:"index_morsels"`
+	CellQueries  int64   `json:"cell_queries"`
 	CrackPieces  int64   `json:"crack_pieces"`
 	Cracks       int64   `json:"cracks"`
 }
@@ -532,6 +534,7 @@ func (c *Coordinator) Snapshot() Snapshot {
 			st.RowsScanned = ws.RowsScanned
 			st.ZoneSkipped = ws.ZoneSkipped
 			st.IndexMorsels = ws.IndexMorsels
+			st.CellQueries = ws.CellQueries
 			for _, ci := range ws.Cracks {
 				st.CrackPieces += int64(ci.Pieces)
 				st.Cracks += ci.Cracks

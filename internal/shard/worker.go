@@ -340,6 +340,7 @@ func (w *Worker) stats(id uint64) protocol.WorkerStats {
 		RowsScanned:  w.eng.RowsScanned(),
 		ZoneSkipped:  w.eng.ZoneSkipped(),
 		IndexMorsels: w.eng.IndexMorsels(),
+		CellQueries:  w.eng.CellQueries(),
 	}
 	for _, name := range names {
 		if rows, ok := w.eng.TableRows(name); ok {

@@ -217,6 +217,30 @@ func (x *ValueIndex) Candidates(m, bl, bh int, dst []int) []int {
 	return dst
 }
 
+// Edges appends to dst the rows of morsel m in bucket bl or bucket bh
+// (bl < bh) in ascending order and returns the extended slice: the two
+// buckets' ascending offsets, merged.
+func (x *ValueIndex) Edges(m, bl, bh int, dst []int) []int {
+	st := x.starts[m*(valueBuckets+1):]
+	base := m * x.morsel
+	a := x.rows[base+int(st[bl]) : base+int(st[bl+1])]
+	b := x.rows[base+int(st[bh]) : base+int(st[bh+1])]
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, base+int(a[0])), a[1:]
+		} else {
+			dst, b = append(dst, base+int(b[0])), b[1:]
+		}
+	}
+	for _, o := range a {
+		dst = append(dst, base+int(o))
+	}
+	for _, o := range b {
+		dst = append(dst, base+int(o))
+	}
+	return dst
+}
+
 // buildValueIndex runs the counting pass over c, morsels claimed by up to
 // GOMAXPROCS goroutines.
 func buildValueIndex(c Column, b *ValueBuckets, morsel int) *ValueIndex {
@@ -316,23 +340,51 @@ func (t *Table) bucketsLocked(col string, c Column) *ValueBuckets {
 // the column is not a plain non-empty INT or FLOAT column, or the morsel
 // size is not in (0, MaxIndexMorsel]. built reports whether this call did
 // the build. Like ZoneMap, it rebuilds an index built for a different
-// column length, and concurrent first callers share one build under the
-// cache mutex.
+// column length. The build runs outside the cache mutex: concurrent first
+// callers of one key share it, and no other lookup waits on it.
 func (t *Table) ValueIndex(col string, morsel int) (x *ValueIndex, built bool, err error) {
 	c, err := t.ColumnByName(col)
 	if err != nil || !indexable(c) || morsel <= 0 || morsel > MaxIndexMorsel {
 		return nil, false, err
 	}
-	key := indexKey{col, morsel}
 	t.zones.mu.Lock()
-	defer t.zones.mu.Unlock()
-	if x, ok := t.zones.indexes[key]; ok && x.n == c.Len() {
-		return x, false, nil
+	b := t.bucketsLocked(col, c)
+	e := lazyEntry(&t.zones.indexes, indexKey{col, morsel}, b)
+	t.zones.mu.Unlock()
+	x, built = e.get(func() *ValueIndex { return buildValueIndex(c, b, morsel) })
+	return x, built, nil
+}
+
+// lazy is one value index or cell set of the table's cache, made under the
+// cache mutex for one set of bucket bounds and built outside it, once: a
+// build reads a whole column, and holding the mutex across it would stall
+// every zone-map, bounds and index lookup on the table behind it.
+// Concurrent first callers of one key wait on its once and share the
+// build.
+type lazy[V any] struct {
+	b    *ValueBuckets // the bounds it is built under
+	once sync.Once
+	v    V
+}
+
+// get returns the entry's value, building it on the first call; built
+// reports whether this call did.
+func (e *lazy[V]) get(build func() V) (v V, built bool) {
+	e.once.Do(func() { e.v, built = build(), true })
+	return e.v, built
+}
+
+// lazyEntry returns m's entry for key when it was made under the bounds b,
+// else puts a new one there and returns it; one made under other bounds is
+// stale. Called under the cache mutex.
+func lazyEntry[K comparable, V any](m *map[K]*lazy[V], key K, b *ValueBuckets) *lazy[V] {
+	if e, ok := (*m)[key]; ok && e.b == b {
+		return e
 	}
-	x = buildValueIndex(c, t.bucketsLocked(col, c), morsel)
-	if t.zones.indexes == nil {
-		t.zones.indexes = map[indexKey]*ValueIndex{}
+	if *m == nil {
+		*m = map[K]*lazy[V]{}
 	}
-	t.zones.indexes[key] = x
-	return x, true, nil
+	e := &lazy[V]{b: b}
+	(*m)[key] = e
+	return e
 }

@@ -146,15 +146,17 @@ func BuildZoneMap(c Column, morsel int) (*ZoneMap, error) {
 	}
 }
 
-// zoneCache is the lazily-populated per-table cache of zone maps and value
-// indexes (valueindex.go). It lives in its own struct so Table literals
-// elsewhere in the package need not name it, and the zero value is ready
-// to use.
+// zoneCache is the lazily-populated per-table cache of zone maps, value
+// indexes (valueindex.go) and bucket cells (bucketcells.go). It lives in
+// its own struct so Table literals elsewhere in the package need not name
+// it, and the zero value is ready to use. mu guards the maps; value
+// indexes and cells are built outside it (lazy).
 type zoneCache struct {
 	mu      sync.Mutex
 	maps    map[indexKey]*ZoneMap
 	buckets map[string]*ValueBuckets
-	indexes map[indexKey]*ValueIndex
+	indexes map[indexKey]*lazy[*ValueIndex]
+	cells   map[cellKey]*lazy[*BucketCells]
 }
 
 // ZoneMap returns the (lazily built, cached) zone map of the named column
