@@ -96,6 +96,63 @@ func TestCrackedFallbackOnNonRange(t *testing.T) {
 	}
 }
 
+// TestCrackIndexesListsIntAndFloatColumns: INT and FLOAT columns share one
+// index map, so CrackIndexes lists both kinds in (table, column) order with
+// the pieces and cracks CrackStats reports, and Replace drops every index
+// of the replaced table and only those.
+func TestCrackIndexesListsIntAndFloatColumns(t *testing.T) {
+	e := mkEngine(t, 2000)
+	v := make([]int64, 500)
+	for i := range v {
+		v[i] = int64(i * 7 % 100)
+	}
+	archive, err := storage.FromColumns("archive", storage.Schema{{Name: "v", Type: storage.TInt}},
+		[]storage.Column{storage.NewIntColumn(v)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register(archive); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT count(*) FROM sales WHERE qty >= 3 AND qty < 7",
+		"SELECT count(*) FROM sales WHERE amount >= 100 AND amount < 300",
+		"SELECT count(*) FROM archive WHERE v >= 20 AND v < 40",
+	} {
+		if _, err := e.SQL(q, Cracked); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := e.CrackIndexes()
+	want := [][2]string{{"archive", "v"}, {"sales", "amount"}, {"sales", "qty"}}
+	if len(got) != len(want) {
+		t.Fatalf("CrackIndexes = %+v, want %v", got, want)
+	}
+	for i, ci := range got {
+		if ci.Table != want[i][0] || ci.Column != want[i][1] {
+			t.Fatalf("CrackIndexes[%d] = %s.%s, want %s.%s", i, ci.Table, ci.Column, want[i][0], want[i][1])
+		}
+		pieces, cracks, ok := e.CrackStats(ci.Table, ci.Column)
+		if !ok || pieces != ci.Pieces || cracks != ci.Cracks || pieces < 2 || cracks < 1 {
+			t.Errorf("%s.%s: CrackStats = %d,%d,%v, CrackIndexes = %d,%d",
+				ci.Table, ci.Column, pieces, cracks, ok, ci.Pieces, ci.Cracks)
+		}
+	}
+	sales, err := workload.Sales(rand.New(rand.NewSource(3)), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Replace(sales)
+	if got := e.CrackIndexes(); len(got) != 1 || got[0].Table != "archive" || got[0].Column != "v" {
+		t.Fatalf("after Replace(sales): CrackIndexes = %+v, want archive.v alone", got)
+	}
+	for _, col := range []string{"qty", "amount"} {
+		if _, _, ok := e.CrackStats("sales", col); ok {
+			t.Errorf("sales.%s: index survived Replace", col)
+		}
+	}
+}
+
 func TestApproxCloseToExact(t *testing.T) {
 	e := mkEngine(t, 50000)
 	exact, err := e.SQL("SELECT avg(amount) FROM sales", Exact)
@@ -550,11 +607,11 @@ func TestInSituCrackedMode(t *testing.T) {
 	// And a float column through the same path.
 	qf := "SELECT count(*) FROM ticks WHERE price >= 100 AND price < 200"
 	exactF, _ := e.SQL(qf, Exact)
-	crackedF, err := e.SQL(qf, Cracked)
+	crackedFloat, err := e.SQL(qf, Cracked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crackedF.Row(0)[0].I != exactF.Row(0)[0].I {
+	if crackedFloat.Row(0)[0].I != exactF.Row(0)[0].I {
 		t.Error("in-situ float cracked mismatch")
 	}
 }

@@ -132,8 +132,7 @@ type Engine struct {
 	opt      Options
 	cat      *catalog.Catalog
 	rng      *rand.Rand
-	cracked  map[string]map[string]*crack.IntIndex
-	crackedF map[string]map[string]*crack.Index[float64]
+	cracks   map[string]map[string]cracker // table → column → crack index
 	samples  map[string]*aqp.Catalog
 	shuffles map[string][]int // Online mode's row order, one per table
 	raw      map[string]*rawload.RawTable
@@ -171,8 +170,7 @@ func New(opt Options) *Engine {
 		opt:      opt,
 		cat:      catalog.New(),
 		rng:      rand.New(rand.NewSource(opt.Seed)),
-		cracked:  map[string]map[string]*crack.IntIndex{},
-		crackedF: map[string]map[string]*crack.Index[float64]{},
+		cracks:   map[string]map[string]cracker{},
 		samples:  map[string]*aqp.Catalog{},
 		shuffles: map[string][]int{},
 		raw:      map[string]*rawload.RawTable{},
@@ -205,8 +203,7 @@ func encoded(t *storage.Table) *storage.Table {
 func (e *Engine) Replace(t *storage.Table) {
 	e.cat.Replace(encoded(t))
 	e.mu.Lock()
-	delete(e.cracked, t.Name())
-	delete(e.crackedF, t.Name())
+	delete(e.cracks, t.Name())
 	delete(e.samples, t.Name())
 	delete(e.shuffles, t.Name())
 	e.mu.Unlock()
@@ -565,11 +562,16 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 	return expr.Interval{}, reason
 }
 
-// probeInterval collects the rows with lo <= v <= hi into dst, above being
-// the least value over hi: a half-open probe [lo, above), or, when hi is the
-// type's maximum and nothing lies above it, a probe with no upper cut.
-func probeInterval[T int64 | float64](ix *crack.Index[T], dst []int, lo, above T, bounded bool) ([]int, crack.ProbeStats, error) {
-	if !bounded {
+// probeInterval collects the rows with lo <= v <= hi of column col into
+// dst through the column's crack index, above being the least value over
+// hi: a half-open probe [lo, above), or, when hi is the type's maximum and
+// nothing lies above it, a probe with no upper cut.
+func probeInterval[T int64 | float64](e *Engine, table string, t *storage.Table, col string, dst []int, lo, above T, bounded bool) ([]int, crack.ProbeStats, error) {
+	ix, err := crackIndex[T](e, table, t, col)
+	switch {
+	case err != nil:
+		return dst, crack.ProbeStats{}, err
+	case !bounded:
 		return ix.ProbeFrom(dst, lo)
 	}
 	return ix.ProbeAppend(dst, lo, above)
@@ -608,17 +610,11 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	defer func() { e.giveRowVec(rows) }()
 	var st crack.ProbeStats
 	if iv.Float {
-		var ix *crack.Index[float64]
-		if ix, err = e.crackIndexFloat(table, t, iv.Col); err == nil {
-			above, bounded := iv.FloatAbove()
-			rows, st, err = probeInterval(ix, rows, iv.FLo, above, bounded)
-		}
+		above, bounded := iv.FloatAbove()
+		rows, st, err = probeInterval(e, table, t, iv.Col, rows, iv.FLo, above, bounded)
 	} else {
-		var ix *crack.IntIndex
-		if ix, err = e.crackIndex(table, t, iv.Col); err == nil {
-			above, bounded := iv.IntAbove()
-			rows, st, err = probeInterval(ix, rows, iv.ILo, above, bounded)
-		}
+		above, bounded := iv.IntAbove()
+		rows, st, err = probeInterval(e, table, t, iv.Col, rows, iv.ILo, above, bounded)
 	}
 	if err != nil {
 		csp.End()
@@ -634,7 +630,8 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	}
 	// The probe's row ids are the pipeline's input selection: no sub-table
 	// is copied out, the range predicate they answer is not re-evaluated,
-	// and, ascending, they let the sinks read the columns front to back.
+	// and they are distinct and ascending, as ExecuteSel requires, so the
+	// sinks read the columns front to back.
 	return exec.ExecuteSel(ctx, t, rows, q, e.opt.Exec)
 }
 
@@ -665,59 +662,46 @@ func (e *Engine) giveRowVec(v []int) {
 	e.mu.Unlock()
 }
 
-// crackIndexFloat returns (building on demand) the float cracker index.
-func (e *Engine) crackIndexFloat(table string, t *storage.Table, col string) (*crack.Index[float64], error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	byCol, ok := e.crackedF[table]
-	if !ok {
-		byCol = map[string]*crack.Index[float64]{}
-		e.crackedF[table] = byCol
-	}
-	if ix, ok := byCol[col]; ok {
-		return ix, nil
-	}
-	c, err := t.ColumnByName(col)
-	if err != nil {
-		return nil, err
-	}
-	fc, ok := c.(*storage.FloatColumn)
-	if !ok {
-		return nil, fmt.Errorf("core: float cracking needs a FLOAT column, %q is %v", col, c.Type())
-	}
-	ix := crack.New(fc.V, e.opt.CrackOptions)
-	byCol[col] = ix
-	return ix, nil
+// cracker is what the engine reads of a crack index, whichever the type
+// of the column it cracks.
+type cracker interface {
+	NumPieces() int
+	Cracks() int
 }
 
-// crackIndex returns (building on demand) the cracker index for a column.
-func (e *Engine) crackIndex(table string, t *storage.Table, col string) (*crack.IntIndex, error) {
+// crackIndex returns (building on demand) the cracker index of a column:
+// an INT or run-coded INT column cracks as int64, a FLOAT one as float64.
+func crackIndex[T int64 | float64](e *Engine, table string, t *storage.Table, col string) (*crack.Index[T], error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	byCol, ok := e.cracked[table]
+	byCol, ok := e.cracks[table]
 	if !ok {
-		byCol = map[string]*crack.IntIndex{}
-		e.cracked[table] = byCol
+		byCol = map[string]cracker{}
+		e.cracks[table] = byCol
 	}
-	if ix, ok := byCol[col]; ok {
+	if ix, ok := byCol[col].(*crack.Index[T]); ok {
 		return ix, nil
 	}
 	c, err := t.ColumnByName(col)
 	if err != nil {
 		return nil, err
 	}
-	var vals []int64
-	switch ic := c.(type) {
+	var vals any
+	switch c := c.(type) {
 	case *storage.IntColumn:
-		vals = ic.V
+		vals = c.V
 	case *storage.RLEIntColumn:
 		// Cracking reorganizes its own copy of the values, which defeats the
 		// run-length representation anyway — decode once and crack that.
-		vals = ic.Decode().V
-	default:
-		return nil, fmt.Errorf("core: cracking needs an INT column, %q is %v", col, c.Type())
+		vals = c.Decode().V
+	case *storage.FloatColumn:
+		vals = c.V
 	}
-	ix := crack.New(vals, e.opt.CrackOptions)
+	v, ok := vals.([]T)
+	if !ok {
+		return nil, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
+	}
+	ix := crack.New(v, e.opt.CrackOptions)
 	byCol[col] = ix
 	return ix, nil
 }
@@ -727,15 +711,8 @@ func (e *Engine) crackIndex(table string, t *storage.Table, col string) (*crack.
 func (e *Engine) CrackStats(table, col string) (pieces, cracks int, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if byCol, have := e.cracked[table]; have {
-		if ix, have := byCol[col]; have {
-			return ix.NumPieces(), ix.Cracks(), true
-		}
-	}
-	if byCol, have := e.crackedF[table]; have {
-		if ix, have := byCol[col]; have {
-			return ix.NumPieces(), ix.Cracks(), true
-		}
+	if ix, have := e.cracks[table][col]; have {
+		return ix.NumPieces(), ix.Cracks(), true
 	}
 	return 0, 0, false
 }
@@ -756,12 +733,7 @@ func (e *Engine) CrackIndexes() []CrackIndexStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []CrackIndexStat
-	for table, byCol := range e.cracked {
-		for col, ix := range byCol {
-			out = append(out, CrackIndexStat{Table: table, Column: col, Pieces: ix.NumPieces(), Cracks: ix.Cracks()})
-		}
-	}
-	for table, byCol := range e.crackedF {
+	for table, byCol := range e.cracks {
 		for col, ix := range byCol {
 			out = append(out, CrackIndexStat{Table: table, Column: col, Pieces: ix.NumPieces(), Cracks: ix.Cracks()})
 		}

@@ -152,7 +152,7 @@ func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 // arrays the (kind, fn) pair actually reads are allocated; grow extends
 // exactly those. Semantics mirror aggState.add: NaN skipped before any
 // counting, int MIN/MAX compared as float64, and a MIN/MAX slot remembers
-// the input position of its extreme so merges can break ties on it.
+// the row id of its extreme so merges can break ties on it.
 type aggItem struct {
 	spec  aggSpec
 	cur   storage.RLECursor // aiRLE input reader
@@ -161,7 +161,7 @@ type aggItem struct {
 	sum   []float64
 	iext  []int64   // MIN/MAX over int input: the extreme so far
 	fext  []float64 // MIN/MAX over float input: the extreme so far
-	at    []int     // MIN/MAX: input position of the extreme
+	at    []int     // MIN/MAX: row id of the extreme
 	has   []bool
 }
 
@@ -171,7 +171,7 @@ type aggAcc struct {
 	ak     *aggKernel
 	items  []aggItem
 	nslots int
-	firsts []int             // per-slot first input position; gmDict: -1 = unseen
+	firsts []int             // per-slot first row id; gmDict: -1 = unseen
 	unseen int               // gmDict: slots not yet seen
 	keys   []int64           // per-slot raw key (int-keyed modes)
 	slots  map[int64]int32   // key → slot (int-keyed modes)
@@ -233,40 +233,38 @@ func (ak *aggKernel) newAcc() *aggAcc {
 	return a
 }
 
-// offer hands x, met at input position pos, to MIN/MAX slot s of an item
-// whose extremes are ext (it.iext or it.fext). Ints compare in the float64
+// offer hands x, read from row r, to MIN/MAX slot s of an item whose
+// extremes are ext (it.iext or it.fext). Ints compare in the float64
 // domain — exactly Value.Compare's rule — and only a strictly better value
 // replaces the extreme, so among values that tie yet differ (int64
 // neighbours past 2^53, -0 and +0) the first offered wins. An accumulator
-// meets its rows in ascending input position, so that is the earliest one,
-// as in the sequential evaluator. Scaling by it.sg (±1) is exact, so MAX
-// ties exactly where MIN does. The caller has already dropped NaN.
-func offer[T int64 | float64](it *aggItem, ext []T, s int, x T, pos int) {
+// meets its rows in ascending row id, so that is the earliest one, as in
+// the sequential evaluator. Scaling by it.sg (±1) is exact, so MAX ties
+// exactly where MIN does. The caller has already dropped NaN.
+func offer[T int64 | float64](it *aggItem, ext []T, s int, x T, r int) {
 	if !it.has[s] || it.sg*float64(x) < it.sg*float64(ext[s]) {
-		ext[s], it.at[s], it.has[s] = x, pos, true
+		ext[s], it.at[s], it.has[s] = x, r, true
 	}
 }
 
-// at returns the input position of a morsel's j-th qualifying row: pos[j]
-// when the sink is handed positions — the row ids themselves, on the dense
-// input — else base+j, the row's index into a selection input. Both
-// order the rows as the input does.
-func at(pos []int, base, j int) int {
-	if pos != nil {
-		return pos[j]
+// at returns a morsel's j-th qualifying row: rows[j], or base+j when rows
+// is nil, the dense range.
+func at(rows []int, base, j int) int {
+	if rows != nil {
+		return rows[j]
 	}
 	return base + j
 }
 
 // addScalar accumulates one morsel into slot 0 (scalar aggregation). rows
-// lists the qualifying rows of input positions [lo, hi); nil means the
+// lists the qualifying rows of the morsel's input [lo, hi); nil means the
 // whole dense range — the no-WHERE path, where no selection vector exists
-// at all. rows[i] sits at position at(pos, lo, i). These are the hot
-// loops: one pass per item, nothing boxed, the fn/kind dispatch hoisted
-// out of the loop. A dense range of RLE input folds whole runs (sum +=
-// value·length), which regroups the float association; the parity
-// harnesses compare SUM/AVG within relative tolerance.
-func (a *aggAcc) addScalar(lo, hi int, rows, pos []int) {
+// at all. These are the hot loops: one pass per item, nothing boxed, the
+// fn/kind dispatch hoisted out of the loop. A dense range of RLE input
+// folds whole runs (sum += value·length), which regroups the float
+// association; the parity harnesses compare SUM/AVG within relative
+// tolerance.
+func (a *aggAcc) addScalar(lo, hi int, rows []int) {
 	n := hi - lo
 	if rows != nil {
 		n = len(rows)
@@ -277,9 +275,9 @@ func (a *aggAcc) addScalar(lo, hi int, rows, pos []int) {
 		case aiCount:
 			it.count[0] += int64(n)
 		case aiI64:
-			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, pos, lo)
+			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo)
 		case aiF64:
-			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, pos, lo)
+			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo)
 		case aiRLE:
 			switch {
 			case it.has != nil && rows == nil:
@@ -287,8 +285,8 @@ func (a *aggAcc) addScalar(lo, hi int, rows, pos []int) {
 					offer(it, it.iext, 0, x, rlo)
 				})
 			case it.has != nil:
-				for j, r := range rows {
-					offer(it, it.iext, 0, it.cur.At(r), at(pos, lo, j))
+				for _, r := range rows {
+					offer(it, it.iext, 0, it.cur.At(r), r)
 				}
 			case rows == nil:
 				sum, c := it.sum[0], it.count[0]
@@ -313,7 +311,7 @@ func (a *aggAcc) addScalar(lo, hi int, rows, pos []int) {
 // 0, in row order, with the running sum and count held in registers. ext
 // is the item's MIN/MAX array of v's type; for int64 the NULL test x == x
 // folds away at compile time.
-func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows, pos []int, base int) {
+func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
@@ -323,9 +321,9 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows, pos []int, bas
 				}
 			}
 		} else {
-			for j, r := range rows {
+			for _, r := range rows {
 				if x := v[r]; x == x {
-					offer(it, ext, 0, x, at(pos, base, j))
+					offer(it, ext, 0, x, r)
 				}
 			}
 		}
@@ -368,29 +366,27 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows, pos []int, bas
 
 // addGroups folds one morsel into a group accumulator in two passes: the
 // slot pass maps every qualifying row to its slot once, then the item pass
-// runs one loop per select item. rows lists the qualifying rows of input
-// positions [lo, hi), at positions pos (see at); nil rows means the whole
-// dense range.
-func (a *aggAcc) addGroups(lo, hi int, rows, pos []int) {
+// runs one loop per select item. rows lists the qualifying rows of the
+// morsel's input [lo, hi); nil rows means the whole dense range.
+func (a *aggAcc) addGroups(lo, hi int, rows []int) {
 	if rows != nil && len(rows) == 0 {
 		return
 	}
-	slots, buf := a.slotPass(lo, hi, rows, pos)
-	a.fold(slots, rows, pos, lo)
+	slots, buf := a.slotPass(lo, hi, rows)
+	a.fold(slots, rows, lo)
 	if buf != nil {
 		slotPool.Put(buf)
 	}
 }
 
-// slotPass returns each qualifying row's slot, in row order; rows[i] sits at
-// input position at(pos, base, i), and nil rows means the dense range
-// [base, hi). It is the only place a group keyer lives: dict codes are the
-// slots (a dense range hands back the code slice itself, no copy), int keys
-// cost one map probe per row, run-coded keys one probe per run. New groups
-// are registered with their first-seen input position, and every item's
-// arrays grow to cover them before the item pass. buf, when non-nil, is the
-// pooled vector backing slots, which the caller returns to slotPool.
-func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]int32) {
+// slotPass returns each qualifying row's slot, in row order; nil rows means
+// the dense range [base, hi). It is the only place a group keyer lives:
+// dict codes are the slots (a dense range hands back the code slice itself,
+// no copy), int keys cost one map probe per row, run-coded keys one probe
+// per run. New groups are registered with their first row, and every
+// item's arrays grow to cover them before the item pass. buf, when non-nil,
+// is the pooled vector backing slots, which the caller returns to slotPool.
+func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32) {
 	ak := a.ak
 	if ak.mode == gmDict && rows == nil {
 		slots = ak.gcodes[base:hi]
@@ -410,7 +406,7 @@ func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]
 				slots[i] = codes[r]
 			}
 		}
-		a.markFirsts(slots, pos, base)
+		a.markFirsts(slots, rows, base)
 		return slots, buf
 	case gmI64:
 		keys := ak.gi64
@@ -420,7 +416,7 @@ func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]
 			}
 		} else {
 			for i, r := range rows {
-				slots[i] = a.slotOf(keys[r], at(pos, base, i))
+				slots[i] = a.slotOf(keys[r], r)
 			}
 		}
 	case gmRLE:
@@ -436,7 +432,7 @@ func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]
 			for i, r := range rows {
 				k := a.kcur.At(r)
 				if a.kcur.Run() != run {
-					run, s = a.kcur.Run(), a.slotOf(k, at(pos, base, i))
+					run, s = a.kcur.Run(), a.slotOf(k, r)
 				}
 				slots[i] = s
 			}
@@ -446,38 +442,37 @@ func (a *aggAcc) slotPass(base, hi int, rows, pos []int) (slots []int32, buf *[]
 	return slots, buf
 }
 
-// markFirsts records the first-seen input position of every dict slot the
-// morsel meets for the first time; once every code has been seen it stops
-// looking.
-func (a *aggAcc) markFirsts(slots []int32, pos []int, base int) {
+// markFirsts records the first row of every dict slot the morsel meets for
+// the first time; once every code has been seen it stops looking.
+func (a *aggAcc) markFirsts(slots []int32, rows []int, base int) {
 	firsts, unseen := a.firsts, a.unseen
 	for i := 0; i < len(slots) && unseen > 0; i++ {
 		if s := slots[i]; firsts[s] < 0 {
-			firsts[s] = at(pos, base, i)
+			firsts[s] = at(rows, base, i)
 			unseen--
 		}
 	}
 	a.unseen = unseen
 }
 
-// slotOf returns the int key's slot, registering it at input position pos
-// when it is new.
-func (a *aggAcc) slotOf(k int64, pos int) int32 {
+// slotOf returns the int key's slot, registering it with first row r when
+// it is new.
+func (a *aggAcc) slotOf(k int64, r int) int32 {
 	if s, ok := a.slots[k]; ok {
 		return s
 	}
-	return a.newSlot(k, pos)
+	return a.newSlot(k, r)
 }
 
 // newSlot registers a new int-keyed group; the items' arrays catch up in
 // grow, once per slot pass. It stays out of slotOf so that the per-row
 // probe inlines into the slot pass's loops.
-func (a *aggAcc) newSlot(k int64, pos int) int32 {
+func (a *aggAcc) newSlot(k int64, r int) int32 {
 	s := int32(a.nslots)
 	a.nslots++
 	a.slots[k] = s
 	a.keys = append(a.keys, k)
-	a.firsts = append(a.firsts, pos)
+	a.firsts = append(a.firsts, r)
 	return s
 }
 
@@ -508,11 +503,10 @@ func growTo[T any](s []T, n int) []T {
 }
 
 // fold is the item pass: one loop per select item over the morsel, with
-// the (kind, fn) dispatch hoisted out of it. Row j lands in slots[j], sits
-// at input position at(pos, base, j) and is rows[j] — or base+j itself
-// when rows is nil, the dense range. Rows reach each slot in row order, as
-// in the sequential evaluator, so every SUM/AVG is bit-identical to it.
-func (a *aggAcc) fold(slots []int32, rows, pos []int, base int) {
+// the (kind, fn) dispatch hoisted out of it. Row at(rows, base, j) lands in
+// slots[j]. Rows reach each slot in row order, as in the sequential
+// evaluator, so every SUM/AVG is bit-identical to it.
+func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.spec.kind {
@@ -521,17 +515,14 @@ func (a *aggAcc) fold(slots []int32, rows, pos []int, base int) {
 				it.count[s]++
 			}
 		case aiI64:
-			foldItem(it, it.iext, window(it.spec.i64, rows, base, len(slots)), slots, rows, pos, base)
+			foldItem(it, it.iext, window(it.spec.i64, rows, base, len(slots)), slots, rows, base)
 		case aiF64:
-			foldItem(it, it.fext, window(it.spec.f64, rows, base, len(slots)), slots, rows, pos, base)
+			foldItem(it, it.fext, window(it.spec.f64, rows, base, len(slots)), slots, rows, base)
 		case aiRLE:
 			for j, s := range slots {
-				r := base + j
-				if rows != nil {
-					r = rows[j]
-				}
+				r := at(rows, base, j)
 				if x := it.cur.At(r); it.has != nil {
-					offer(it, it.iext, int(s), x, at(pos, base, j))
+					offer(it, it.iext, int(s), x, r)
 				} else {
 					it.sum[s] += float64(x)
 					it.count[s]++
@@ -553,7 +544,7 @@ func window[T any](v []T, rows []int, base, n int) []T {
 // foldItem folds one item over its raw column v (see window). ext is the
 // item's MIN/MAX array of v's type; for int64 the NULL test x == x folds
 // away at compile time.
-func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows, pos []int, base int) {
+func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []int, base int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
@@ -564,8 +555,9 @@ func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows, p
 			}
 		} else {
 			for j, s := range slots {
-				if x := v[rows[j]]; x == x {
-					offer(it, ext, int(s), x, at(pos, base, j))
+				r := rows[j]
+				if x := v[r]; x == x {
+					offer(it, ext, int(s), x, r)
 				}
 			}
 		}
@@ -644,12 +636,12 @@ func (a *aggAcc) keyValue(slot int) storage.Value {
 }
 
 // mergeGroupAccs folds per-worker accumulators into group entries ordered
-// by first-seen input position — the sequential insertion order. nil
-// entries (workers that never ran) are skipped. One pass walks each
-// worker's slots in worker order: a dict slot is its code (codes the worker
-// never met are skipped), an int slot is keyed by its raw key. The states
-// merge through aggState.merge, so a MIN/MAX tie between workers goes to
-// the earlier input position, not to the worker merged first.
+// by first row — the sequential insertion order. nil entries (workers that
+// never ran) are skipped. One pass walks each worker's slots in worker
+// order: a dict slot is its code (codes the worker never met are skipped),
+// an int slot is keyed by its raw key. The states merge through
+// aggState.merge, so a MIN/MAX tie between workers goes to the earlier
+// row, not to the worker merged first.
 func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
 	groups := 0 // size hint: the most slots any one worker holds
 	for _, a := range accs {
@@ -695,21 +687,20 @@ func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
 // are morsel-indexed so the merge order — and the floating-point sum — is
 // deterministic for a given morsel size; group accumulators are
 // worker-local (dict mode: dense per-code arrays; int modes: raw-key hash),
-// merged and re-sorted by first-seen position.
+// merged and re-sorted by first row.
 type typedSink struct {
-	ak    *aggKernel
-	t     *storage.Table
-	q     Query
-	m     int
-	selIn bool // selection input: positions index the selection
+	ak *aggKernel
+	t  *storage.Table
+	q  Query
+	m  int
 	// partials are the scalar partials, one per morsel and, last, the
 	// bucket cells' (see addCells).
 	partials [][]*aggState
 	locals   []*aggAcc // group-by: per worker
 }
 
-func newTypedSink(ak *aggKernel, t *storage.Table, q Query, selIn bool, m, morsels, workers int) *typedSink {
-	s := &typedSink{ak: ak, t: t, q: q, m: m, selIn: selIn}
+func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers int) *typedSink {
+	s := &typedSink{ak: ak, t: t, q: q, m: m}
 	if ak.mode == gmScalar {
 		s.partials = make([][]*aggState, morsels+1)
 	} else {
@@ -719,13 +710,9 @@ func newTypedSink(ak *aggKernel, t *storage.Table, q Query, selIn bool, m, morse
 }
 
 func (s *typedSink) consume(worker, lo, hi int, rows []int) {
-	pos := rows // dense input: a row's position is its row id
-	if s.selIn {
-		pos = nil
-	}
 	if s.ak.mode == gmScalar {
 		acc := s.ak.newAcc()
-		acc.addScalar(lo, hi, rows, pos)
+		acc.addScalar(lo, hi, rows)
 		s.partials[lo/s.m] = acc.states(0)
 		return
 	}
@@ -734,7 +721,7 @@ func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 		acc = s.ak.newAcc()
 		s.locals[worker] = acc
 	}
-	acc.addGroups(lo, hi, rows, pos)
+	acc.addGroups(lo, hi, rows)
 }
 
 func (s *typedSink) finish() (*storage.Table, error) {

@@ -247,8 +247,8 @@ func bitTables(t *testing.T, gi []int64) (plain, enc *storage.Table) {
 // bit, every MIN/MAX tie to the same one of the tied values, NULL-only
 // groups and COUNT over a FLOAT included. Crossed: dict, int and run-coded
 // keys × the dense range, a kernel-filtered selection, an empty one and
-// ExecuteSel's out-of-order selection × morsels of one row, of sixteen
-// (the last holding one row) and of the whole input.
+// an ExecuteSel selection of distinct, ascending row ids × morsels of one
+// row, of sixteen (the last holding one row) and of the whole input.
 func TestTypedGroupMatchesExecuteBitForBit(t *testing.T) {
 	const n = 97
 	gi := make([]int64, n)
@@ -265,6 +265,7 @@ func TestTypedGroupMatchesExecuteBitForBit(t *testing.T) {
 	for i := range sel {
 		sel[i] = rng.Intn(n)
 	}
+	sel = ascending(sel)
 	itemsOf := func(key string) []SelectItem {
 		items := []SelectItem{{Col: key}, {Col: "*", Agg: AggCount}}
 		for _, col := range []string{"x", "k", "m"} {
@@ -390,7 +391,7 @@ func TestGroupMinMaxTiesBreakOnPosition(t *testing.T) {
 				if ak == nil {
 					t.Fatalf("fell back: %s", reason)
 				}
-				got, err := feed(newTypedSink(ak, tc.tbl, q, false, m, morsels, morsels), dense)
+				got, err := feed(newTypedSink(ak, tc.tbl, q, m, morsels, morsels), dense)
 				check(t, q, got, err)
 			})
 		}

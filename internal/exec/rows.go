@@ -6,15 +6,15 @@
 //     gathers every output column once straight across the parked buffers —
 //     no merged selection; with LIMIT k only the first k positions.
 //   - ORDER BY … LIMIT k keeps a bounded heap per worker of (first sort key,
-//     input position, row id) entries; the morsel's buffer goes back at
-//     once. The merge sorts the workers' survivors and gathers only the k
-//     winners. Without LIMIT the same sink keeps every entry and sorts them
-//     once, and finish orders aggregate outputs the same way.
+//     row id) entries; the morsel's buffer goes back at once. The merge
+//     sorts the workers' survivors and gathers only the k winners. Without
+//     LIMIT the same sink keeps every entry and sorts them once, and finish
+//     orders aggregate outputs the same way.
 //
 // Outputs are gathered with Column.Gather, so dict columns stay dict-coded
-// all the way to the serializer. The order is (keys, input position):
-// exactly the stable sort Execute defines, where position is the row id for
-// table input and the index in the selection for ExecuteSel. Keys compare
+// all the way to the serializer. The order is (keys, row id): exactly the
+// stable sort Execute defines, since every input — the table's rows or
+// ExecuteSel's selection — lists its rows ascending. Keys compare
 // as storage.Value.Order does — ints in the float64 domain (as the MIN/MAX
 // kernels do), NULL (NaN) after every number, dict codes by a per-query
 // code→rank table, run-coded ints through a cursor — and FuzzRowsVsOracle
@@ -57,8 +57,7 @@ func projection(t *storage.Table, q Query) (output, error) {
 	return o, o.schema.Validate()
 }
 
-// gather renders the rows at the given input positions, one Gather per
-// output column.
+// gather renders the given rows, one Gather per output column.
 func (o output) gather(rows []int) (*storage.Table, error) {
 	cols := make([]storage.Column, len(o.in))
 	for i, c := range o.in {
@@ -72,7 +71,7 @@ type gatherSink struct {
 	out   output
 	limit int
 	m     int
-	parts [][]int // per morsel: its qualifying rows, in input order
+	parts [][]int // per morsel: its qualifying rows, ascending
 }
 
 func (s *gatherSink) consume(_, lo, _ int, rows []int) { s.parts[lo/s.m] = rows }
@@ -98,7 +97,6 @@ type topSink struct {
 	out    output
 	order  *rowOrder
 	k      int        // LIMIT; 0 keeps every row
-	selIn  bool       // positions index the input selection, not the table
 	locals []*topHeap // per worker
 }
 
@@ -108,18 +106,14 @@ func (s *topSink) consume(worker, lo, hi int, rows []int) {
 		h = &topHeap{rd: s.order.reader()}
 		s.locals[worker] = h
 	}
-	if rows == nil { // the dense range: position is the row id
+	if rows == nil { // the dense range
 		for r := lo; r < hi; r++ {
-			h.offer(s.k, r, r)
+			h.offer(s.k, r)
 		}
 		return
 	}
-	for i, r := range rows {
-		pos := r
-		if s.selIn {
-			pos = lo + i
-		}
-		h.offer(s.k, pos, r)
+	for _, r := range rows {
+		h.offer(s.k, r)
 	}
 }
 
@@ -134,10 +128,9 @@ func (s *topSink) finish() (*storage.Table, error) {
 }
 
 // topEntry is one candidate row: its first sort key (when that key reads
-// as a number), its input position and its row id.
+// as a number) and its row id.
 type topEntry struct {
 	key float64
-	pos int
 	row int
 }
 
@@ -149,8 +142,8 @@ type topHeap struct {
 	es []topEntry
 }
 
-func (h *topHeap) offer(k, pos, row int) {
-	e := h.rd.entry(pos, row)
+func (h *topHeap) offer(k, row int) {
+	e := h.rd.entry(row)
 	switch {
 	case k == 0 || len(h.es) < k:
 		h.es = append(h.es, e)
@@ -292,15 +285,15 @@ func (rd *orderReader) num(i, row int) float64 {
 	return float64(k.rank[k.codes[row]])
 }
 
-func (rd *orderReader) entry(pos, row int) topEntry {
-	e := topEntry{pos: pos, row: row}
+func (rd *orderReader) entry(row int) topEntry {
+	e := topEntry{row: row}
 	if rd.keys[0].kind < kString {
 		e.key = rd.num(0, row)
 	}
 	return e
 }
 
-// compare orders two entries by (keys, input position).
+// compare orders two entries by (keys, row id).
 func (rd *orderReader) compare(a, b *topEntry) int {
 	for i := range rd.keys {
 		k := &rd.keys[i]
@@ -320,7 +313,7 @@ func (rd *orderReader) compare(a, b *topEntry) int {
 			return c
 		}
 	}
-	return cmp.Compare(a.pos, b.pos)
+	return cmp.Compare(a.row, b.row)
 }
 
 // cmpNum is Value.Order on two numbers: NaN (NULL) after every number and
@@ -340,7 +333,7 @@ func cmpNum(a, b float64) int {
 	}
 }
 
-// sorted sorts entries into (keys, position) order, cuts them at limit
+// sorted sorts entries into (keys, row id) order, cuts them at limit
 // (0 = none) and returns their row ids.
 func (rd *orderReader) sorted(es []topEntry, limit int) []int {
 	slices.SortFunc(es, func(a, b topEntry) int { return rd.compare(&a, &b) })
@@ -386,7 +379,7 @@ func finish(out *storage.Table, q Query) (*storage.Table, error) {
 		rd := o.reader()
 		es := make([]topEntry, len(rows))
 		for i, r := range rows {
-			es[i] = rd.entry(i, r)
+			es[i] = rd.entry(r)
 		}
 		rows = rd.sorted(es, q.Limit)
 	} else if q.Limit > 0 && len(rows) > q.Limit {

@@ -67,7 +67,8 @@ func requireIdentical(t *testing.T, label string, a, b *storage.Table) {
 }
 
 // rowCase decodes one FuzzRowsVsOracle input; a non-nil sel is the
-// selection the query runs over in place of its WHERE.
+// selection the query runs over in place of its WHERE, sorted and with its
+// repeats dropped, as ExecuteSel requires.
 func rowCase(t *testing.T, data []byte) (plain, enc *storage.Table, q Query, sel []int) {
 	fr := &afReader{b: data}
 	plain, enc = afTables(t, fr)
@@ -78,6 +79,7 @@ func rowCase(t *testing.T, data []byte) (plain, enc *storage.Table, q Query, sel
 		for i := range sel {
 			sel[i] = fr.draw(n)
 		}
+		sel = ascending(sel)
 	}
 	q.Where = narrowRange(fr, q.Where)
 	return plain, enc, q, sel

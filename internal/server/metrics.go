@@ -69,7 +69,7 @@ func writeProm(b *bytes.Buffer, snap StatsSnapshot, hists map[string]*metrics.Lo
 
 	head("dex_agg_kernel_used_total", "Aggregate queries answered by the typed accumulation kernels.", "counter")
 	fmt.Fprintf(b, "dex_agg_kernel_used_total %d\n", snap.AggKernelHits)
-	head("dex_agg_kernel_fallback_total", "Aggregate queries that requested agg kernels but fell back to generic accumulation.", "counter")
+	head("dex_agg_kernel_fallback_total", "Aggregate queries that fell back to the generic sink.", "counter")
 	fmt.Fprintf(b, "dex_agg_kernel_fallback_total %d\n", snap.AggKernelFallbacks)
 
 	head("dex_sessions_created_total", "Sessions created.", "counter")
@@ -167,7 +167,7 @@ func writeShardProm(b *bytes.Buffer, snap *shard.Snapshot, coord *shard.Coordina
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_rows_scanned_total{shard=\"%d\"} %d\n", sh.Shard, sh.RowsScanned)
 	}
-	head("dex_shard_worker_zone_skipped_total", "Rows skipped by zone-map pruning on each worker (last probe).", "counter")
+	head("dex_shard_worker_zone_skipped_total", "Morsels skipped by zone-map pruning on each worker (last probe).", "counter")
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_zone_skipped_total{shard=\"%d\"} %d\n", sh.Shard, sh.ZoneSkipped)
 	}
