@@ -79,12 +79,15 @@ func writeKernelBench(w io.Writer, path string, res KernelBench) error {
 }
 
 // onScan ANDs a second leaf to a one-range WHERE over the E33 table: grp
-// >= 0, which every row meets. Bucket cells answer only a WHERE that is
-// exactly one interval, so the query keeps the typed kernel's filtered
-// scan — or, at a few percent, the value index's candidates — feeding the
-// typed sink's selected rows, the paths it had before the cells.
+// != -1, which every row meets. Bucket cells answer only a WHERE that is
+// exactly its intervals, and an NE leaf gives none, so the query keeps
+// the typed kernel's filtered scan — or, at a few percent, the value
+// index's candidates — feeding the typed sink's selected rows, the paths
+// it had before the cells. (A range leaf such as grp >= 0 would not do:
+// grp's buckets each hold one value, so the cells, keyed by them, answer
+// it.)
 func onScan(p *expr.Pred) *expr.Pred {
-	return expr.And(p, expr.Cmp("grp", expr.GE, storage.Int(0)))
+	return expr.And(p, expr.Cmp("grp", expr.NE, storage.Int(-1)))
 }
 
 // runE34 measures the typed aggregation sinks over the E33 table, two arms

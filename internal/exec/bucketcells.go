@@ -1,12 +1,16 @@
 // Bucket cells: a range aggregate's interior answered from pre-aggregates.
-// A typed scalar or dict-grouped aggregate whose WHERE is one range on a
-// plain INT or FLOAT column, over at most one plain numeric input, asks
-// its column's bucket cells (storage.BucketCells) for the range's bucket
-// run [bl, bh]. Every row of the buckets strictly between bl and bh
-// satisfies the range, so their cells — one partial per (bucket, group
-// code) — are folded into the typed sink's state, and only the rows of the
-// two edge buckets, read from the value index, go through Kernel.Refine
-// into the sink as any morsel's rows do. No morsel is scanned.
+// A typed aggregate whose WHERE is exactly the intervals of one or two
+// plain INT or FLOAT columns, over at most one plain numeric input, asks
+// one range column's bucket cells (storage.BucketCells) for its range's
+// bucket run [bl, bh]. Every row of the buckets strictly between bl and bh
+// satisfies that range, so their cells — one partial per (bucket, key) —
+// are folded into the typed sink's state, and only the rows of the two
+// edge buckets, read from the value index, go through Kernel.Refine into
+// the sink as any morsel's rows do. No morsel is scanned. With one range
+// the key is the dict group code of a scalar or dict-grouped aggregate;
+// with two, the aggregate is scalar and the key is the second range
+// column's value bucket, and only the cells whose key bucket lies wholly
+// inside the second range are folded — the others lie wholly outside it.
 //
 // The fold follows the merge rules partials already obey: counts and sums
 // add, a MIN/MAX tie goes to the earlier row, and a group's first row is
@@ -16,6 +20,8 @@
 package exec
 
 import (
+	"math"
+
 	"dex/internal/expr"
 	"dex/internal/storage"
 	"dex/internal/trace"
@@ -56,72 +62,134 @@ func cellShape(ak *aggKernel, q Query) (group, input string, ok bool) {
 }
 
 // chooseCells returns the bucket-cells index of a WHERE that is exactly
-// the one interval iv, when the typed aggregation ak has a cell shape and
-// iv's bucket run has an interior whose edge buckets the sample puts at
-// most indexCrossover of the rows in — the candidate path's own limit, as
-// the edges are its candidates: a value filling most of its column, an
-// all-equal column, is cheaper scanned with everything else; else the
-// zero rowIndex, and the caller tries the candidate path. The lookup, and the build on the first
-// such query of a (column, group, input) triple, run under a "cells"
-// span, whose built attribute is set once the range has an interior.
-func chooseCells(t *storage.Table, iv expr.Interval, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
+// the intervals ivs, when the typed aggregation ak has a cell shape and
+// one interval, A, qualifies: its bucket run has an interior whose edge
+// buckets the sample puts at most indexCrossover of the rows in — the
+// candidate path's own limit, as the edges are its candidates: a value
+// filling most of its column, an all-equal column, is cheaper scanned with
+// everything else. With one interval the cells are keyed by the dict
+// group column or nothing. Two intervals need a scalar aggregation; each
+// is tried as A, and the other, B, keys the cells by its column's value
+// buckets, which must all be resolved: each bucket's values lie all inside
+// or all outside B. The splits settle that before anything is built, so
+// an unaligned leaf never builds a set; the built cells settle B's two
+// open-ended buckets. Otherwise it returns the zero rowIndex, and the
+// caller tries the candidate path. The lookups, and the build on the first
+// such query of a (column, key, input) triple, run under a "cells" span,
+// whose built attribute is set once a set is asked for.
+func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
 	group, input, ok := cellShape(ak, q)
-	if disableIndex || disableBucketCells || !ok || iv.Empty() {
+	if disableIndex || disableBucketCells || !ok || len(ivs) > 2 || len(ivs) == 2 && group != "" {
 		return ix, nil
+	}
+	for _, iv := range ivs {
+		if iv.Empty() {
+			return ix, nil
+		}
 	}
 	csp := sp.Child("cells")
 	defer csp.End()
-	csp.SetStr("col", iv.Col)
-	csp.SetStr("group", group)
-	b, err := t.ValueBuckets(iv.Col)
-	if b == nil || err != nil {
-		return ix, err
-	}
-	if bl, bh := bucketRun(b, iv); bh-bl < 2 || b.Fraction(bl, bl)+b.Fraction(bh, bh) > indexCrossover {
+	for a, iv := range ivs {
+		key, kiv := group, (*expr.Interval)(nil)
+		if len(ivs) == 2 {
+			kiv = &ivs[1-a]
+			key = kiv.Col
+		}
+		csp.SetStr("col", iv.Col)
+		csp.SetStr("key", key)
+		b, err := t.ValueBuckets(iv.Col)
+		if err != nil {
+			return ix, err
+		}
+		if b == nil {
+			continue
+		}
+		if bl, bh := bucketRun(b, iv); bh-bl < 2 || b.Fraction(bl, bl)+b.Fraction(bh, bh) > indexCrossover {
+			continue
+		}
+		if kiv != nil {
+			kb, err := t.ValueBuckets(key)
+			if err != nil {
+				return ix, err
+			}
+			if kb == nil {
+				continue
+			}
+			if _, _, ok := keyRun(kb, *kiv); !ok {
+				continue
+			}
+		}
+		cells, vi, built, err := t.BucketCells(iv.Col, key, input, morsel)
+		csp.SetBool("built", built)
+		if err != nil {
+			return ix, err
+		}
+		if cells == nil {
+			continue
+		}
+		ix = rowIndex{col: iv.Col, vi: vi, cells: cells, kh: math.MaxInt32} // every key
+		if ix.bl, ix.bh = bucketRun(vi.ValueBuckets, iv); ix.bh-ix.bl < 2 {
+			return rowIndex{}, nil // the bounds were redrawn meanwhile
+		}
+		if kiv != nil {
+			if ix.kl, ix.kh, ok = keyRun(cells, *kiv); !ok {
+				return rowIndex{}, nil
+			}
+		}
 		return ix, nil
-	}
-	cells, vi, built, err := t.BucketCells(iv.Col, group, input, morsel)
-	csp.SetBool("built", built)
-	if cells == nil || err != nil {
-		return ix, err
-	}
-	ix = rowIndex{col: iv.Col, vi: vi, cells: cells}
-	if ix.bl, ix.bh = bucketRun(vi.ValueBuckets, iv); ix.bh-ix.bl < 2 {
-		return rowIndex{}, nil // the bounds were redrawn meanwhile
 	}
 	return ix, nil
 }
 
-// addCells folds the interior's cells into the sink's state and returns
-// the rows they hold. A grouped sink folds them into the first worker
-// accumulator a morsel made, which no morsel touches any more; a scalar
-// one into one more partial, merged after the morsels'.
-func (s *typedSink) addCells(cells []storage.Cell) int {
+// keyResolver resolves a key column's interval against its buckets: the
+// column's bounds before its cells are built, the cells after.
+type keyResolver interface {
+	IntKeys(lo, hi int64) (kl, kh int, ok bool)
+	FloatKeys(lo, hi float64) (kl, kh int, ok bool)
+}
+
+// keyRun maps an interval onto the run of its key column's buckets that
+// lie wholly inside it; ok is false when a bucket straddles a bound.
+func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
+	if iv.Float {
+		return r.FloatKeys(iv.FLo, iv.FHi)
+	}
+	return r.IntKeys(iv.ILo, iv.IHi)
+}
+
+// addCells folds the cells of the index's interior whose keys it covers
+// into the sink's state and returns the rows they hold. A grouped sink
+// folds them into the first worker accumulator a morsel made, which no
+// morsel touches any more; a scalar one into one more partial, merged
+// after the morsels'.
+func (s *typedSink) addCells(ix *rowIndex) int {
+	cells := ix.cells.Interior(ix.bl, ix.bh)
 	if s.ak.mode == gmScalar {
 		acc := s.ak.newAcc()
-		rows := acc.addCells(cells)
+		rows := acc.addCells(cells, ix.kl, ix.kh)
 		s.partials[len(s.partials)-1] = acc.states(0)
 		return rows
 	}
 	for _, acc := range s.locals {
 		if acc != nil {
-			return acc.addCells(cells)
+			return acc.addCells(cells, ix.kl, ix.kh)
 		}
 	}
 	s.locals[0] = s.ak.newAcc()
-	return s.locals[0].addCells(cells)
+	return s.locals[0].addCells(cells, ix.kl, ix.kh)
 }
 
-// addCells folds bucket cells into the accumulator, cell c into slot
-// c.Group (slot 0 for scalar aggregation), and returns the rows they hold;
-// an empty cell leaves its group unseen.
-// COUNT(*) and COUNT over a never-NULL column take a cell's rows, the
-// other items its non-NULL count and sum, and MIN/MAX its extreme's row.
-func (a *aggAcc) addCells(cells []storage.Cell) (rows int) {
+// addCells folds the bucket cells whose keys lie in [kl, kh] into the
+// accumulator, cell c into slot c.Group under a dict grouping, else slot
+// 0, and returns the rows they hold; an empty cell leaves its group
+// unseen. COUNT(*) and COUNT over a never-NULL column take a cell's rows,
+// the other items its non-NULL count and sum, and MIN/MAX its extreme's
+// row.
+func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 	dict := a.ak.mode == gmDict
 	for i := range cells {
 		c := &cells[i]
-		if c.Rows == 0 {
+		if c.Rows == 0 || int(c.Group) < kl || int(c.Group) > kh {
 			continue
 		}
 		rows += c.Rows

@@ -22,7 +22,9 @@ import (
 // 2^53+1), a FLOAT z of signed zeros and NULLs whose MIN and MAX tie, a
 // small INT s whose sums stay exact in float64 in any association, and
 // dictionary group keys of 1, 2, 5 and 12 codes, plus one of 40 codes
-// that breaks the cells' size rule.
+// that breaks the cells' size rule; and the second leaves a two-range
+// WHERE keys the cells by: an INT q of the integers 1–9, one value per
+// bucket, and a FLOAT qf of the same values with NULLs.
 func cellsTable(rng *rand.Rand, n int) *storage.Table {
 	f, i, e := make([]float64, n), make([]int64, n), make([]int64, n)
 	x, k, z, s := make([]float64, n), make([]int64, n), make([]float64, n), make([]int64, n)
@@ -72,6 +74,16 @@ func cellsTable(rng *rand.Rand, n int) *storage.Table {
 		schema = append(schema, storage.Field{Name: fmt.Sprintf("g%d", card), Type: storage.TString})
 		cols = append(cols, storage.EncodeDict(g[j]))
 	}
+	q, qf := make([]int64, n), make([]float64, n)
+	for r := range q {
+		q[r] = 1 + rng.Int63n(9)
+		qf[r] = float64(1 + rng.Intn(9))
+		if rng.Intn(20) == 0 {
+			qf[r] = math.NaN()
+		}
+	}
+	schema = append(schema, storage.Field{Name: "q", Type: storage.TInt}, storage.Field{Name: "qf", Type: storage.TFloat})
+	cols = append(cols, storage.NewIntColumn(q), storage.NewFloatColumn(qf))
 	tab, err := storage.FromColumns("t", schema, cols)
 	if err != nil {
 		panic(err)
@@ -84,8 +96,15 @@ func cellsTable(rng *rand.Rand, n int) *storage.Table {
 // every dictionary key — behind ranges on f, i and e: spans of 2 to 256
 // buckets' worth of rows at several places, one-sided bounds, the whole
 // column, an INT column against FLOAT constants, and a range of the
-// all-equal column, which has no interior.
-func cellsQueries(tab *storage.Table) []Query {
+// all-equal column, which has no interior. Two-range WHEREs add a leaf on
+// q, qf or e to a range on f or i — after it, and for the first two leaves
+// before it too: lower bounds, two-sided ranges, bounds past the values
+// (q < 10 needs the open last bucket settled, q >= 10 drops it), NULL keys
+// on qf; they are asked scalar, and grouped once. never holds the WHEREs that
+// must never reach the cells: the all-equal column's range, a leaf that
+// cuts a bucket of the wide i or of qf (whose buckets can hold values
+// between the integers), and the range on both wide columns.
+func cellsQueries(tab *storage.Table) (out []Query, never map[*expr.Pred]bool) {
 	quantiles := func(col string) func(q float64) storage.Value {
 		c, _ := tab.ColumnByName(col)
 		var vs []storage.Value
@@ -109,11 +128,51 @@ func cellsQueries(tab *storage.Table) []Query {
 		}
 		wheres = append(wheres, expr.Cmp(col, expr.LT, q(0.7)), expr.Cmp(col, expr.GT, q(0.05)))
 	}
+	flat := expr.Between("e", storage.Int(0), storage.Int(100))
 	wheres = append(wheres,
 		expr.Cmp("f", expr.GE, storage.Float(math.Inf(-1))),
 		expr.Cmp("i", expr.GE, storage.Int(math.MinInt64)),
 		expr.Between("i", storage.Float(-20_000.5), storage.Float(30_000.5)),
-		expr.Between("e", storage.Int(0), storage.Int(100)))
+		flat)
+	never = map[*expr.Pred]bool{flat: true}
+	var two []*expr.Pred // two-range WHEREs
+	iq := quantiles("i")
+	cut := storage.Int(iq(0.5).I + 1) // inside a bucket of ~400 integers
+	for _, col := range []string{"f", "i"} {
+		q := quantiles(col)
+		ranges := make([]*expr.Pred, 3)
+		for j, w := range []float64{4, 40, 130} {
+			ranges[j] = expr.And(expr.Cmp(col, expr.GE, q(0.3*(256-w)/256)), expr.Cmp(col, expr.LT, q((0.3*(256-w)+w)/256)))
+		}
+		for j, leaf := range []*expr.Pred{
+			expr.Cmp("q", expr.GE, storage.Int(3)),
+			expr.Cmp("q", expr.GE, storage.Int(1)),
+			expr.Cmp("q", expr.GE, storage.Int(10)),
+			expr.Cmp("q", expr.LT, storage.Int(10)),
+			expr.Cmp("q", expr.LE, storage.Float(9.5)),
+			expr.And(expr.Cmp("q", expr.GE, storage.Int(2)), expr.Cmp("q", expr.LT, storage.Int(5))),
+			expr.And(expr.Cmp("q", expr.GE, storage.Int(4)), expr.Cmp("q", expr.LT, storage.Int(5))),
+			expr.Cmp("qf", expr.GE, storage.Float(3)),
+			expr.And(expr.Cmp("qf", expr.GE, storage.Int(2)), expr.Cmp("qf", expr.LT, storage.Int(7))),
+			expr.Cmp("e", expr.GE, storage.Int(7)),
+			expr.Cmp("e", expr.LT, storage.Int(7)),
+		} {
+			a := ranges[j%3]
+			two = append(two, expr.And(a, leaf))
+			if j < 2 {
+				two = append(two, expr.And(leaf, a))
+			}
+		}
+		for j, leaf := range []*expr.Pred{
+			expr.Cmp("qf", expr.GE, storage.Float(2.5)),
+			expr.Cmp("i", expr.GE, cut),
+		} {
+			if leaf.Col != col {
+				cuts := expr.And(ranges[j], leaf)
+				two, never[cuts] = append(two, cuts), true
+			}
+		}
+	}
 	items := [][]SelectItem{
 		{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggCount}, {Col: "x", Agg: AggSum},
 			{Col: "x", Agg: AggAvg}, {Col: "x", Agg: AggMin}, {Col: "x", Agg: AggMax}},
@@ -122,7 +181,6 @@ func cellsQueries(tab *storage.Table) []Query {
 		{{Col: "z", Agg: AggMin}, {Col: "z", Agg: AggMax}, {Col: "z", Agg: AggCount}},
 		{{Col: "*", Agg: AggCount}},
 	}
-	var out []Query
 	for w, where := range wheres {
 		for j, sel := range items {
 			out = append(out, Query{Select: sel, Where: where})
@@ -130,7 +188,14 @@ func cellsQueries(tab *storage.Table) []Query {
 			out = append(out, Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}, Where: where})
 		}
 	}
-	return out
+	for w, where := range two { // scalar, and grouped once: that never reaches the cells
+		for _, sel := range items {
+			out = append(out, Query{Select: sel, Where: where})
+		}
+		g := []string{"g1", "g2", "g5", "g12"}[w%4]
+		out = append(out, Query{Select: append([]SelectItem{{Col: g}}, items[w%len(items)]...), GroupBy: []string{g}, Where: where})
+	}
+	return out, never
 }
 
 // requireCellsMatch holds got to want bit for bit — counts, MIN/MAX values
@@ -176,13 +241,21 @@ func cellSpan(root *trace.SpanJSON) int64 {
 // index off (disableIndex: every morsel scanned) and on, where the bucket
 // cells answer the interior, at one and four workers and three morsel
 // sizes, and holds the two answers to requireCellsMatch. The interiors
-// served must run from one bucket to 254; the all-equal column and the
-// 40-code key, which breaks the size rule, must never reach the cells.
+// served must run from one bucket to 254, and every scalar two-range
+// WHERE must reach the cells; the WHEREs cellsQueries marks never, the
+// 40-code key, which breaks the size rule, and a dict-grouped two-range
+// WHERE must never reach them.
 func TestBucketCellsMatchScan(t *testing.T) {
 	defer func() { disableIndex = false }()
 	tab := cellsTable(rand.New(rand.NewSource(51)), 60_000)
 	served := map[int64]bool{}
-	for _, q := range cellsQueries(tab) {
+	twoRange := map[*expr.Pred]bool{} // scalar two-range WHEREs: reached the cells?
+	qs, never := cellsQueries(tab)
+	for _, q := range qs {
+		ivs, _ := expr.Intervals(tab.Schema(), q.Where)
+		if len(ivs) == 2 && len(q.GroupBy) == 0 && !never[q.Where] {
+			twoRange[q.Where] = twoRange[q.Where] || false
+		}
 		for _, opt := range []ExecOptions{
 			{Parallelism: 1, MorselSize: 64}, {Parallelism: 1, MorselSize: 1024}, {Parallelism: 1, MorselSize: 16384},
 			{Parallelism: 4, MorselSize: 64}, {Parallelism: 4, MorselSize: 1024}, {Parallelism: 4, MorselSize: 16384},
@@ -197,11 +270,19 @@ func TestBucketCellsMatchScan(t *testing.T) {
 			}
 			requireCellsMatch(t, label, tab, q, want, got)
 			b := cellSpan(js)
-			if ivs, _ := expr.Intervals(tab.Schema(), q.Where); b > 0 && (ivs[0].Col == "e" ||
-				len(q.GroupBy) > 0 && q.GroupBy[0] == "g40") {
+			grouped := len(q.GroupBy) > 0
+			if b > 0 && (never[q.Where] || grouped && (q.GroupBy[0] == "g40" || len(ivs) == 2)) {
 				t.Fatalf("%s: %d interior buckets served; want none", label, b)
 			}
+			if b > 0 && len(ivs) == 2 {
+				twoRange[q.Where] = true
+			}
 			served[b] = true
+		}
+	}
+	for w, ok := range twoRange {
+		if !ok {
+			t.Errorf("%s: never reached the cells", w)
 		}
 	}
 	if !served[1] || !served[254] {
@@ -264,48 +345,122 @@ func TestBucketCellsScanAccounting(t *testing.T) {
 	}
 }
 
-// TestBucketCellsBuiltOnceUnderConcurrentQueries sends a fresh table's
-// first drill-downs from many goroutines at once: one of them builds the
-// cells, under its "cells" span, every one of them folds the interior, and
-// all of them answer alike.
-func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
-	tab := indexTable(rand.New(rand.NewSource(45)), 50_000)
-	q := Query{Select: []SelectItem{{Col: "s"}, {Col: "x", Agg: AggMax}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"},
-		Where: expr.Between("x", storage.Float(-40), storage.Float(60))}
-	want, err := Execute(tab, q)
+// TestTwoRangeCellsScanAccounting is TestBucketCellsScanAccounting's twin
+// for a two-range WHERE: the cells are keyed by the second range's column,
+// g (the integers 0–8), and only the keys inside it are folded. Scanned
+// counts the first range's edge candidates plus their matches, the scan
+// span names the interior buckets and the keys folded, rows_out counts
+// every matching row, and CellQueries counts the query once.
+func TestTwoRangeCellsScanAccounting(t *testing.T) {
+	tab := indexTable(rand.New(rand.NewSource(46)), 50_000)
+	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggSum}},
+		Where: expr.And(expr.Between("k", storage.Int(-20_000), storage.Int(15_000)), expr.Cmp("g", expr.GE, storage.Int(3)))}
+	var scanned, cellQueries atomic.Int64
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, CellQueries: &cellQueries}
+	res, js, err := tracedExec(tab, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const clients = 12
-	got, js := make([]*storage.Table, clients), make([]*trace.SpanJSON, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			if got[c], js[c], err = tracedExec(tab, q, ExecOptions{Parallelism: 2, MorselSize: 2048}); err != nil {
-				t.Error(err)
-			}
-		}()
+	disableIndex = true
+	want, err := ExecuteOpts(tab, q, ExecOptions{Parallelism: 1, MorselSize: 1024})
+	disableIndex = false
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	builds, folded := 0, 0
-	for c := range got {
-		if got[c] == nil {
-			t.FailNow()
-		}
-		requireIdentical(t, "concurrent", want, got[c])
-		if cellSpan(js[c]) > 0 {
-			folded++
-		}
-		for _, sp := range js[c].Children {
-			if sp.Name == "cells" && sp.Attrs["col"] == "x" && sp.Attrs["built"] == true {
-				builds++
-			}
+	requireCellsMatch(t, "two ranges", tab, q, want, res)
+	var scan, cellsSp *trace.SpanJSON
+	for _, c := range js.Children {
+		switch c.Name {
+		case "scan":
+			scan = c
+		case "cells":
+			cellsSp = c
 		}
 	}
-	if folded != clients || builds != 1 {
-		t.Fatalf("%d of %d queries folded cells, %d built them; want all, and one", folded, clients, builds)
+	if cellsSp == nil || cellsSp.Attrs["col"] != "k" || cellsSp.Attrs["key"] != "g" {
+		t.Fatalf("cells span %+v: want col k, key g", cellsSp)
+	}
+	count := res.Column(0).Value(0).I
+	cells, vi, _, err := tab.BucketCells("k", "g", "x", 1024)
+	if cells == nil || err != nil {
+		t.Fatalf("no cells: %v", err)
+	}
+	ivs, _ := expr.Intervals(tab.Schema(), q.Where)
+	bl, bh := bucketRun(vi.ValueBuckets, ivs[0])
+	kl, kh, ok := keyRun(cells, ivs[1])
+	interior, keys := int64(0), map[int32]bool{}
+	for _, c := range cells.Interior(bl, bh) {
+		if int(c.Group) >= kl && int(c.Group) <= kh {
+			interior += int64(c.Rows)
+			keys[c.Group] = true
+		}
+	}
+	n := func(k string) int64 { v, _ := scan.Attrs[k].(int64); return v }
+	edges := n("edge_candidates")
+	switch {
+	case !ok || len(keys) != 6 || n("cell_keys") != 6:
+		t.Fatalf("keys [%d, %d] resolved %v, %d of them hold rows, span says %d; want g 3 to 8", kl, kh, ok, len(keys), n("cell_keys"))
+	case n("bucket_cells") != int64(bh-bl-1) || bh-bl < 10:
+		t.Fatalf("scan span %+v: want %d interior buckets", scan.Attrs, bh-bl-1)
+	case n("rows_out") != count || interior == 0 || interior >= count:
+		t.Fatalf("rows_out %d, count %d, interior rows %d", n("rows_out"), count, interior)
+	case edges < count-interior || edges > int64(tab.NumRows())/10:
+		t.Fatalf("edge candidates %d for %d edge matches", edges, count-interior)
+	case scanned.Load() != edges+count-interior:
+		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", scanned.Load(), edges, count-interior)
+	case cellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	}
+}
+
+// TestBucketCellsBuiltOnceUnderConcurrentQueries sends a fresh table's
+// first drill-downs — grouped by a dictionary column, and scalar behind a
+// second range — from many goroutines at once: one of them builds the
+// cells, under its "cells" span, every one of them folds the interior, and
+// all of them answer alike.
+func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
+	for _, q := range []Query{
+		{Select: []SelectItem{{Col: "s"}, {Col: "x", Agg: AggMax}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"},
+			Where: expr.Between("x", storage.Float(-40), storage.Float(60))},
+		{Select: []SelectItem{{Col: "x", Agg: AggMin}, {Col: "*", Agg: AggCount}},
+			Where: expr.And(expr.Between("x", storage.Float(-40), storage.Float(60)), expr.Cmp("g", expr.LT, storage.Int(6)))},
+	} {
+		tab := indexTable(rand.New(rand.NewSource(45)), 50_000)
+		want, err := Execute(tab, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const clients = 12
+		got, js := make([]*storage.Table, clients), make([]*trace.SpanJSON, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if got[c], js[c], err = tracedExec(tab, q, ExecOptions{Parallelism: 2, MorselSize: 2048}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		builds, folded := 0, 0
+		for c := range got {
+			if got[c] == nil {
+				t.FailNow()
+			}
+			requireIdentical(t, q.String(), want, got[c])
+			if cellSpan(js[c]) > 0 {
+				folded++
+			}
+			for _, sp := range js[c].Children {
+				if sp.Name == "cells" && sp.Attrs["col"] == "x" && sp.Attrs["built"] == true {
+					builds++
+				}
+			}
+		}
+		if folded != clients || builds != 1 {
+			t.Fatalf("%s: %d of %d queries folded cells, %d built them; want all, and one", q, folded, clients, builds)
+		}
 	}
 }

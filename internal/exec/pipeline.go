@@ -5,10 +5,10 @@
 //	                    generic expr.FilterRange; zone pruners whenever the
 //	                    WHERE clause yields a per-column interval; under a
 //	                    typed kernel, the bucket cells of a typed aggregate
-//	                    whose WHERE is one range with an interior
-//	                    (bucketcells.go), else the value index of the
-//	                    interval estimated to hold the fewest rows
-//	                    (zonemap.go)
+//	                    whose WHERE is one range with an interior, or two
+//	                    under a scalar one (bucketcells.go), else the
+//	                    value index of the interval estimated to hold the
+//	                    fewest rows (zonemap.go)
 //	          sink    = typed scalar / typed group accumulators (aggkernel.go),
 //	                    else the generic boxed scalar / group accumulators;
 //	                    a projection's sink is a per-worker top-k heap under
@@ -104,7 +104,8 @@ type ExecOptions struct {
 	// like ZoneSkipped.
 	IndexMorsels *atomic.Int64
 	// CellQueries, when non-nil, counts the aggregate queries whose range
-	// interior the bucket cells answered. Shared and read like ZoneSkipped.
+	// interior the bucket cells answered, behind one range or two. Shared
+	// and read like ZoneSkipped.
 	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
@@ -237,9 +238,9 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 		}
 		// The candidates go through the kernel's Refine: only a compiled
 		// WHERE can take them. Bucket cells answer rows unrefined, so they
-		// need a WHERE that is exactly one interval.
-		if p.kern != nil && len(ivs) == 1 && rest == "" {
-			if p.index, err = chooseCells(t, ivs[0], ak, q, pool.MorselSize(), sp); err != nil {
+		// need a WHERE that is exactly its intervals.
+		if p.kern != nil && rest == "" {
+			if p.index, err = chooseCells(t, ivs, ak, q, pool.MorselSize(), sp); err != nil {
 				return nil, err
 			}
 		}
@@ -440,8 +441,8 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	}
 	// The interior's cells fold in once every morsel's rows are in: no
 	// worker touches the sink any more.
-	if cells := p.index.cells; cells != nil && err == nil {
-		n.matched.Add(int64(p.sink.(*typedSink).addCells(cells.Interior(p.index.bl, p.index.bh))))
+	if p.index.cells != nil && err == nil {
+		n.matched.Add(int64(p.sink.(*typedSink).addCells(&p.index)))
 	}
 	if opt.ZoneSkipped != nil && n.skipped.Load() > 0 {
 		opt.ZoneSkipped.Add(n.skipped.Load())
@@ -465,6 +466,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			if p.index.cells != nil {
 				scanSp.SetInt("bucket_cells", int64(p.index.bh-p.index.bl-1))
 				scanSp.SetInt("edge_candidates", n.candidates.Load())
+				scanSp.SetInt("cell_keys", int64(p.index.keys()))
 			}
 			scanSp.SetBool("kernel", p.kern != nil)
 			if p.kern != nil {

@@ -22,10 +22,11 @@
 // interval, so the same conservatism holds.
 //
 // Bucket cells (bucketcells.go) go one step further for an aggregate whose
-// WHERE is exactly one interval: the buckets strictly inside its bucket run
-// hold only qualifying rows, so their pre-aggregated cells stand in for
-// them, and only the two edge buckets' candidates are refined; no morsel
-// is scanned.
+// WHERE is exactly one interval, or two under a scalar aggregate: the
+// buckets strictly inside one interval's bucket run hold only rows inside
+// it, so their pre-aggregated cells — those whose key bucket lies inside
+// the other interval, if any — stand in for them, and only the two edge
+// buckets' candidates are refined; no morsel is scanned.
 package exec
 
 import (
@@ -90,14 +91,16 @@ var disableIndex bool
 const indexCrossover = 0.1
 
 // rowIndex is the value index a plan prunes rows with: one column's index
-// and the bucket run its interval covers. With cells set, the buckets
-// strictly between bl and bh are answered from them (bucketcells.go), and
-// a morsel's candidates are the rows of the edge buckets bl and bh alone.
+// and the bucket run its interval covers. With cells set, the cells of the
+// buckets strictly between bl and bh whose keys lie in [kl, kh] are
+// folded in (bucketcells.go), and a morsel's candidates are the rows of
+// the edge buckets bl and bh alone.
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
 	bl, bh int
 	cells  *storage.BucketCells
+	kl, kh int
 }
 
 // count returns how many candidates morsel m holds.
@@ -106,6 +109,17 @@ func (ix *rowIndex) count(m int) int {
 		return ix.vi.Count(m, ix.bl, ix.bl) + ix.vi.Count(m, ix.bh, ix.bh)
 	}
 	return ix.vi.Count(m, ix.bl, ix.bh)
+}
+
+// keys returns how many of the cells' keys the fold covers.
+func (ix *rowIndex) keys() int {
+	n := 0
+	for _, k := range ix.cells.Keys() {
+		if int(k) >= ix.kl && int(k) <= ix.kh {
+			n++
+		}
+	}
+	return n
 }
 
 // candidates appends morsel m's candidates to dst, ascending.

@@ -60,22 +60,27 @@ func bucketOf[T int64 | float64](s *[valueBuckets]T, v T) int {
 	return i
 }
 
+// bucketOf4 is bucketOf of four values. Each search is a chain of
+// dependent loads; running four side by side lets the processor overlap
+// the chains.
+func bucketOf4[T int64 | float64](s *[valueBuckets]T, v0, v1, v2, v3 T) (k0, k1, k2, k3 int) {
+	for w := valueBuckets / 2; w > 0; w >>= 1 {
+		k0 += w & -b2i(s[uint8(k0+w-1)] <= v0)
+		k1 += w & -b2i(s[uint8(k1+w-1)] <= v1)
+		k2 += w & -b2i(s[uint8(k2+w-1)] <= v2)
+		k3 += w & -b2i(s[uint8(k3+w-1)] <= v3)
+	}
+	return k0, k1, k2, k3
+}
+
 // bucketize writes each value's bucket number to ids, valueBuckets for a
-// NULL (NaN, which bucketOf puts in bucket 0). Four searches run side by
-// side: each is a chain of dependent loads, and interleaving them lets the
-// processor overlap the chains.
+// NULL (NaN, which bucketOf puts in bucket 0), four values at a time.
 func bucketize[T int64 | float64](s *[valueBuckets]T, vals []T, ids []uint16) {
 	null := func(v T) int { return valueBuckets & -b2i(v != v) }
 	i := 0
 	for ; i+4 <= len(vals); i += 4 {
 		v0, v1, v2, v3 := vals[i], vals[i+1], vals[i+2], vals[i+3]
-		k0, k1, k2, k3 := 0, 0, 0, 0
-		for w := valueBuckets / 2; w > 0; w >>= 1 {
-			k0 += w & -b2i(s[uint8(k0+w-1)] <= v0)
-			k1 += w & -b2i(s[uint8(k1+w-1)] <= v1)
-			k2 += w & -b2i(s[uint8(k2+w-1)] <= v2)
-			k3 += w & -b2i(s[uint8(k3+w-1)] <= v3)
-		}
+		k0, k1, k2, k3 := bucketOf4(s, v0, v1, v2, v3)
 		ids[i] = uint16(k0 | null(v0))
 		ids[i+1] = uint16(k1 | null(v1))
 		ids[i+2] = uint16(k2 | null(v2))
