@@ -14,7 +14,9 @@ test:
 # cancellation, admission and scheduling tests behave differently on one
 # core than on four, and tier-1 has to be green at all of them. The cracker
 # index is among them: read-locked probes share its mark-bitmap free list.
-# So is storage: concurrent first queries share one value-index build.
+# So is storage: concurrent first queries share one value-index build and
+# one bucket-cells build — a drill-down's, a two-range query's, or an
+# aggregate's with no WHERE racing a drill-down over the same cell set.
 test-cpus:
 	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage
 
@@ -23,7 +25,9 @@ test-cpus:
 # The engine packages run again at one and four cores: per-worker
 # accumulators and the pooled selection and slot vectors interleave
 # differently when goroutines cannot overlap, and so do concurrent first
-# queries building a table's value index.
+# queries building a table's value index and bucket cells, whether the
+# first query is a drill-down, a two-range query or an aggregate with no
+# WHERE.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage

@@ -90,6 +90,14 @@ func onScan(p *expr.Pred) *expr.Pred {
 	return expr.And(p, expr.Cmp("grp", expr.NE, storage.Int(-1)))
 }
 
+// onDense adds SUM(v) to a select list over the E33 table: a second
+// numeric input beside amount, which no bucket-cell set aggregates, so a
+// query with no WHERE keeps the typed sink's dense accumulator loop rather
+// than folding the cells of v's buckets.
+func onDense(items []exec.SelectItem) []exec.SelectItem {
+	return append(items, exec.SelectItem{Col: "v", Agg: exec.AggSum})
+}
+
 // runE34 measures the typed aggregation sinks over the E33 table, two arms
 // per shape: the reference evaluator (exec.Execute — every accumulated
 // value boxed through storage.Value, one string key per grouped row) and
@@ -98,10 +106,12 @@ func onScan(p *expr.Pred) *expr.Pred {
 // selectivity dial from dense to 1%, twice: sum-cmp is one range, which
 // the bucket cells answer, and sum-cmp2 the same range beside a second
 // leaf (onScan), which keeps it on the filtered scan into the typed
-// scalar sink; the group-bys compare the
-// dict-indexed, int-hashed and run-aware accumulators. The headline
-// expectation is >=2x on low-selectivity SUM and on the dictionary
-// group-by, where per-row interface boxing dominates the oracle's profile.
+// scalar sink. sum-dense has no WHERE, and it and dict-group add a second
+// input (onDense), which keeps them on the dense accumulator loops; the
+// group-bys compare the dict-indexed, int-hashed and run-aware
+// accumulators. The headline expectation is >=2x on low-selectivity SUM
+// and on the dictionary group-by, where per-row interface boxing
+// dominates the oracle's profile.
 func runE34(w io.Writer, cfg Config) error {
 	n := cfg.Scale(2_000_000, 100, 20_000)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -143,7 +153,9 @@ func runE34(w io.Writer, cfg Config) error {
 			{Col: "*", Agg: exec.AggCount},
 		}}
 		sel := 1.0
-		if sc.sel >= 0 {
+		if sc.sel < 0 {
+			q.Select = onDense(q.Select)
+		} else {
 			q.Where = expr.Cmp("v", expr.LT, storage.Float(sc.sel))
 			if sc.name == "sum-cmp2" {
 				q.Where = onScan(q.Where)
@@ -191,6 +203,9 @@ func runE34(w io.Writer, cfg Config) error {
 				{Col: "*", Agg: exec.AggCount},
 			},
 			GroupBy: []string{g.col},
+		}
+		if g.name == "dict-group" {
+			q.Select = onDense(q.Select)
 		}
 		dg, err := measureOracle(reps, g.tbl, q)
 		if err != nil {

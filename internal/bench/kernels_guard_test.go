@@ -88,7 +88,10 @@ func TestKernelScanNeverSlower(t *testing.T) {
 // accumulator shapes — dense scalar, filtered scalar, dict group-by — so a
 // regression in any accumulator loop or in the per-morsel handoff trips it.
 // The filtered scalar keeps its selected-row loop through a second leaf
-// (onScan); sum-cells-50pct is the one-range shape the bucket cells answer.
+// (onScan), and the dense scalar and the group-by keep their dense loops
+// through a second input (onDense); sum-cells-50pct is the one-range shape
+// the bucket cells answer, and sum-cells-dense the shape with no WHERE,
+// which folds every cell.
 func TestAggKernelNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing guard skipped in -short mode")
@@ -107,11 +110,12 @@ func TestAggKernelNeverSlower(t *testing.T) {
 	}
 	sum := []exec.SelectItem{{Col: "amount", Agg: exec.AggSum}}
 	requireNeverSlower(t, rows, []guardQuery{
-		{"sum-dense", tab, exec.Query{Select: sum}},
+		{"sum-dense", tab, exec.Query{Select: onDense(sum)}},
 		{"sum-10pct", tab, exec.Query{Select: sum, Where: onScan(expr.Cmp("v", expr.LT, storage.Float(10)))}},
 		{"sum-cells-50pct", tab, exec.Query{Select: sum, Where: expr.Cmp("v", expr.LT, storage.Float(50))}},
+		{"sum-cells-dense", tab, exec.Query{Select: sum}},
 		{"group-dict", encTab, exec.Query{
-			Select:  []exec.SelectItem{{Col: "cat"}, {Col: "amount", Agg: exec.AggSum}},
+			Select:  onDense([]exec.SelectItem{{Col: "cat"}, {Col: "amount", Agg: exec.AggSum}}),
 			GroupBy: []string{"cat"},
 		}},
 	})

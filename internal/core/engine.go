@@ -232,7 +232,8 @@ func (e *Engine) IndexMorsels() int64 {
 }
 
 // CellQueries returns the engine's cumulative count of aggregate queries
-// whose range interior the bucket cells answered.
+// whose range interior the bucket cells answered, every bucket of a
+// column for a query with no WHERE.
 func (e *Engine) CellQueries() int64 {
 	return e.opt.Exec.CellQueries.Load()
 }

@@ -72,7 +72,8 @@ func TestSharedSessionConcurrency(t *testing.T) {
 
 // TestSessionQueryContextCancel checks a cancelled request neither returns
 // a result nor pollutes the session history, and that the engine-level scan
-// counter stops advancing once the query aborts.
+// counter stops advancing once the query aborts. Both queries read two
+// numeric inputs, which no bucket-cell set aggregates, so they scan.
 func TestSessionQueryContextCancel(t *testing.T) {
 	var scanned atomic.Int64
 	e := New(Options{Seed: 4, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned}})
@@ -88,7 +89,7 @@ func TestSessionQueryContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.QueryContext(ctx, "SELECT product, sum(amount) FROM sales GROUP BY product", Exact); !errors.Is(err, context.Canceled) {
+	if _, err := s.QueryContext(ctx, "SELECT product, sum(amount), sum(qty) FROM sales GROUP BY product", Exact); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if s.Len() != 0 {
@@ -99,7 +100,7 @@ func TestSessionQueryContextCancel(t *testing.T) {
 	}
 
 	// A live context completes and records.
-	if _, err := s.QueryContext(context.Background(), "SELECT count(*) FROM sales", Exact); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT count(*), sum(amount), sum(qty) FROM sales", Exact); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {

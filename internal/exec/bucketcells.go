@@ -11,6 +11,9 @@
 // with two, the aggregate is scalar and the key is the second range
 // column's value bucket, and only the cells whose key bucket lies wholly
 // inside the second range are folded — the others lie wholly outside it.
+// An aggregate with no WHERE is the range that covers every bucket of a
+// column with no NULL: its run [-1, NumBuckets] has no edge bucket, so
+// every cell is folded and no row is read.
 //
 // The fold follows the merge rules partials already obey: counts and sums
 // add, a MIN/MAX tie goes to the earlier row, and a group's first row is
@@ -137,6 +140,49 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 			}
 		}
 		return ix, nil
+	}
+	return ix, nil
+}
+
+// chooseAllCells returns the bucket-cells index of an aggregate with no
+// WHERE, when the typed aggregation ak has a cell shape: the range that
+// covers every bucket of a column A, whose run has no edge bucket. A is
+// the first plain INT or FLOAT column in schema order whose cell set
+// passes the size rule and holds every row of the table; a NULL A lies in
+// no cell, so a column whose bounds' sample met a NULL is passed over
+// before anything is built, and one whose built cells miss a row after.
+// With no such column it returns the zero rowIndex, and the query scans.
+// The lookups, and the build on the first query of a (column, key, input)
+// triple, run under a "cells" span whose range attribute is "all".
+func chooseAllCells(t *storage.Table, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
+	group, input, ok := cellShape(ak, q)
+	if disableIndex || disableBucketCells || !ok {
+		return ix, nil
+	}
+	var csp *trace.Span
+	defer func() { csp.End() }()
+	for _, f := range t.Schema() {
+		b, err := t.ValueBuckets(f.Name)
+		if err != nil {
+			return ix, err
+		}
+		if b == nil || b.Fraction(0, storage.NumBuckets-1) < 1 {
+			continue
+		}
+		if csp == nil {
+			csp = sp.Child("cells")
+			csp.SetStr("range", "all")
+			csp.SetStr("key", group)
+		}
+		csp.SetStr("col", f.Name)
+		cells, vi, built, err := t.BucketCells(f.Name, group, input, morsel)
+		csp.SetBool("built", built)
+		if err != nil {
+			return ix, err
+		}
+		if cells != nil && cells.Rows() == t.NumRows() {
+			return rowIndex{col: f.Name, vi: vi, cells: cells, bl: -1, bh: storage.NumBuckets, kh: math.MaxInt32}, nil
+		}
 	}
 	return ix, nil
 }

@@ -91,6 +91,19 @@ func cellsTable(rng *rand.Rand, n int) *storage.Table {
 	return tab
 }
 
+// cellsItems are the select lists the cells queries ask: COUNT(*), COUNT,
+// SUM, AVG, MIN and MAX over one input each — a FLOAT with NULLs and
+// infinities, an INT whose extremes tie in float64, an INT whose sums are
+// exact, a FLOAT of signed zeros — and COUNT(*) alone.
+var cellsItems = [][]SelectItem{
+	{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggCount}, {Col: "x", Agg: AggSum},
+		{Col: "x", Agg: AggAvg}, {Col: "x", Agg: AggMin}, {Col: "x", Agg: AggMax}},
+	{{Col: "k", Agg: AggMin}, {Col: "k", Agg: AggMax}, {Col: "k", Agg: AggCount}},
+	{{Col: "s", Agg: AggSum}, {Col: "s", Agg: AggAvg}, {Col: "s", Agg: AggMin}, {Col: "*", Agg: AggCount}},
+	{{Col: "z", Agg: AggMin}, {Col: "z", Agg: AggMax}, {Col: "z", Agg: AggCount}},
+	{{Col: "*", Agg: AggCount}},
+}
+
 // cellsQueries returns the aggregates bucket cells serve — COUNT(*),
 // COUNT, SUM, AVG, MIN and MAX over one input each, scalar and grouped by
 // every dictionary key — behind ranges on f, i and e: spans of 2 to 256
@@ -173,27 +186,19 @@ func cellsQueries(tab *storage.Table) (out []Query, never map[*expr.Pred]bool) {
 			}
 		}
 	}
-	items := [][]SelectItem{
-		{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggCount}, {Col: "x", Agg: AggSum},
-			{Col: "x", Agg: AggAvg}, {Col: "x", Agg: AggMin}, {Col: "x", Agg: AggMax}},
-		{{Col: "k", Agg: AggMin}, {Col: "k", Agg: AggMax}, {Col: "k", Agg: AggCount}},
-		{{Col: "s", Agg: AggSum}, {Col: "s", Agg: AggAvg}, {Col: "s", Agg: AggMin}, {Col: "*", Agg: AggCount}},
-		{{Col: "z", Agg: AggMin}, {Col: "z", Agg: AggMax}, {Col: "z", Agg: AggCount}},
-		{{Col: "*", Agg: AggCount}},
-	}
 	for w, where := range wheres {
-		for j, sel := range items {
+		for j, sel := range cellsItems {
 			out = append(out, Query{Select: sel, Where: where})
 			g := []string{"g1", "g2", "g5", "g12", "g40"}[(w+j)%5]
 			out = append(out, Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}, Where: where})
 		}
 	}
 	for w, where := range two { // scalar, and grouped once: that never reaches the cells
-		for _, sel := range items {
+		for _, sel := range cellsItems {
 			out = append(out, Query{Select: sel, Where: where})
 		}
 		g := []string{"g1", "g2", "g5", "g12"}[w%4]
-		out = append(out, Query{Select: append([]SelectItem{{Col: g}}, items[w%len(items)]...), GroupBy: []string{g}, Where: where})
+		out = append(out, Query{Select: append([]SelectItem{{Col: g}}, cellsItems[w%len(cellsItems)]...), GroupBy: []string{g}, Where: where})
 	}
 	return out, never
 }
@@ -228,13 +233,31 @@ func requireCellsMatch(t *testing.T, label string, tab *storage.Table, q Query, 
 // cellSpan returns the interior buckets a traced query's scan span says
 // the bucket cells served, 0 for none.
 func cellSpan(root *trace.SpanJSON) int64 {
-	for _, c := range root.Children {
-		if c.Name == "scan" {
-			v, _ := c.Attrs["bucket_cells"].(int64)
-			return v
-		}
+	if c := childSpan(root, "scan"); c != nil {
+		v, _ := c.Attrs["bucket_cells"].(int64)
+		return v
 	}
 	return 0
+}
+
+// childSpan returns the root's first child of that name, nil for none.
+func childSpan(root *trace.SpanJSON, name string) *trace.SpanJSON {
+	for _, c := range root.Children {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// wholeCells returns the column a traced query with no WHERE folded every
+// bucket of, "" when its cells span is missing or not a whole-column one.
+func wholeCells(root *trace.SpanJSON) string {
+	if c := childSpan(root, "cells"); c != nil && c.Attrs["range"] == "all" {
+		col, _ := c.Attrs["col"].(string)
+		return col
+	}
+	return ""
 }
 
 // TestBucketCellsMatchScan runs every cells-shaped query with the value
@@ -244,13 +267,23 @@ func cellSpan(root *trace.SpanJSON) int64 {
 // served must run from one bucket to 254, and every scalar two-range
 // WHERE must reach the cells; the WHEREs cellsQueries marks never, the
 // 40-code key, which breaks the size rule, and a dict-grouped two-range
-// WHERE must never reach them.
+// WHERE must never reach them. The same item sets with no WHERE, scalar
+// and grouped by every key, must fold every bucket of a column: i, as f,
+// the first numeric column, holds NULLs — and under the 40-code key e,
+// the all-equal column, whose two live buckets pass the size rule where
+// i's 256 do not.
 func TestBucketCellsMatchScan(t *testing.T) {
 	defer func() { disableIndex = false }()
 	tab := cellsTable(rand.New(rand.NewSource(51)), 60_000)
 	served := map[int64]bool{}
 	twoRange := map[*expr.Pred]bool{} // scalar two-range WHEREs: reached the cells?
 	qs, never := cellsQueries(tab)
+	for _, sel := range cellsItems {
+		qs = append(qs, Query{Select: sel})
+		for _, g := range []string{"g1", "g2", "g5", "g12", "g40"} {
+			qs = append(qs, Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}})
+		}
+	}
 	for _, q := range qs {
 		ivs, _ := expr.Intervals(tab.Schema(), q.Where)
 		if len(ivs) == 2 && len(q.GroupBy) == 0 && !never[q.Where] {
@@ -271,6 +304,16 @@ func TestBucketCellsMatchScan(t *testing.T) {
 			requireCellsMatch(t, label, tab, q, want, got)
 			b := cellSpan(js)
 			grouped := len(q.GroupBy) > 0
+			if q.Where == nil {
+				col := "i"
+				if grouped && q.GroupBy[0] == "g40" {
+					col = "e"
+				}
+				if got := wholeCells(js); got != col || b == 0 {
+					t.Fatalf("%s: folded %d buckets of %q; want every bucket of %s", label, b, got, col)
+				}
+				continue
+			}
 			if b > 0 && (never[q.Where] || grouped && (q.GroupBy[0] == "g40" || len(ivs) == 2)) {
 				t.Fatalf("%s: %d interior buckets served; want none", label, b)
 			}
@@ -345,6 +388,122 @@ func TestBucketCellsScanAccounting(t *testing.T) {
 	}
 }
 
+// TestWholeCellsScanAccounting is TestBucketCellsScanAccounting's twin
+// for an aggregate with no WHERE: it folds every bucket of k (x, the first
+// numeric column, holds NULLs), so Scanned stays 0, every morsel is
+// index-skipped — there are no edge buckets — rows_out counts every row,
+// the scan span names every live bucket of k, the cells span says range
+// "all", and CellQueries counts the query once.
+func TestWholeCellsScanAccounting(t *testing.T) {
+	tab := indexTable(rand.New(rand.NewSource(44)), 40_000)
+	q := Query{Select: []SelectItem{{Col: "s"}, {Col: "*", Agg: AggCount}, {Col: "k", Agg: AggMax}}, GroupBy: []string{"s"}}
+	var scanned, served, cellQueries atomic.Int64
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, IndexMorsels: &served, CellQueries: &cellQueries}
+	res, js, err := tracedExec(tab, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(tab, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "no WHERE", want, res)
+	cells, _, _, err := tab.BucketCells("k", "s", "k", 1024)
+	if cells == nil || err != nil {
+		t.Fatalf("no cells: %v", err)
+	}
+	live := int64(len(cells.Interior(-1, storage.NumBuckets)) / len(cells.Keys()))
+	scan := childSpan(js, "scan")
+	n := func(k string) int64 { v, _ := scan.Attrs[k].(int64); return v }
+	morsels := int64(storage.NumChunks(tab.NumRows(), 1024))
+	switch {
+	case wholeCells(js) != "k":
+		t.Fatalf("cells span %+v: want range all over k", childSpan(js, "cells"))
+	case cells.Rows() != tab.NumRows() || n("bucket_cells") != live || live < 200:
+		t.Fatalf("scan span %+v: want %d live buckets holding %d rows; the cells hold %d", scan.Attrs, live, tab.NumRows(), cells.Rows())
+	case n("rows_out") != int64(tab.NumRows()) || n("edge_candidates") != 0 || n("index_candidates") != 0:
+		t.Fatalf("scan span %+v: want every row out, no candidate", scan.Attrs)
+	case n("index_skipped") != morsels || served.Load() != morsels:
+		t.Fatalf("index skipped %d, served %d morsels of %d", n("index_skipped"), served.Load(), morsels)
+	case scanned.Load() != 0:
+		t.Fatalf("scanned %d rows; want none", scanned.Load())
+	case cellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	}
+}
+
+// TestWholeCellsFallbacks covers how an aggregate with no WHERE picks the
+// column whose every bucket it folds, and when it scans instead. A NULL
+// the bounds' sample missed passes a column over once its built cells
+// come up a row short, and the next column is taken; a trivially true
+// WHERE is no WHERE; and a table whose numeric columns all hold NULLs or
+// are run-coded scans every row.
+func TestWholeCellsFallbacks(t *testing.T) {
+	const n = 40_000
+	rng := rand.New(rand.NewSource(52))
+	a, b, c, r := make([]float64, n), make([]int64, n), make([]float64, n), make([]int64, n)
+	s := make([]string, n)
+	for i := range a {
+		a[i], b[i], c[i] = rng.NormFloat64(), rng.Int63n(10_000), rng.NormFloat64()
+		if rng.Intn(10) == 0 {
+			c[i] = math.NaN()
+		}
+		r[i] = int64(i / 100)
+		s[i] = []string{"red", "green", "blue"}[rng.Intn(3)]
+	}
+	a[1] = math.NaN() // one row the bounds' stride-3 sample skips
+	schema := storage.Schema{{Name: "s", Type: storage.TString}, {Name: "a", Type: storage.TFloat}, {Name: "b", Type: storage.TInt}}
+	tab, err := storage.FromColumns("t", schema, []storage.Column{storage.EncodeDict(s), storage.NewFloatColumn(a), storage.NewIntColumn(b)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ExecOptions{Parallelism: 2, MorselSize: 1024}
+	for _, where := range []*expr.Pred{nil, expr.True()} {
+		q := Query{Select: []SelectItem{{Col: "s"}, {Col: "a", Agg: AggMin}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"}, Where: where}
+		got, js, err := tracedExec(tab, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Execute(tab, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, q.String(), want, got)
+		if col := wholeCells(js); col != "b" || cellSpan(js) == 0 {
+			t.Fatalf("%s: folded %d buckets of %q; want every bucket of b", q, cellSpan(js), col)
+		}
+	}
+	if cells, _, built, _ := tab.BucketCells("a", "s", "a", 1024); built || cells == nil || cells.Rows() != n-1 {
+		t.Fatalf("a's cells: built only now %v, or not holding all but the NULL row", built)
+	}
+
+	nulls, err := storage.FromColumns("t", storage.Schema{{Name: "s", Type: storage.TString}, {Name: "c", Type: storage.TFloat}, {Name: "r", Type: storage.TInt}},
+		[]storage.Column{storage.EncodeDict(s), storage.NewFloatColumn(c), storage.EncodeRLE(r)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{
+		{Select: []SelectItem{{Col: "s"}, {Col: "c", Agg: AggSum}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"}},
+		{Select: []SelectItem{{Col: "*", Agg: AggCount}}},
+	} {
+		var scanned, cellQueries atomic.Int64
+		o := opt
+		o.Scanned, o.CellQueries = &scanned, &cellQueries
+		got, js, err := tracedExec(nulls, q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Execute(nulls, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCellsMatch(t, q.String(), nulls, q, want, got)
+		if cellSpan(js) != 0 || childSpan(js, "cells") != nil || cellQueries.Load() != 0 || scanned.Load() != n {
+			t.Fatalf("%s: %d buckets folded, %d rows scanned; want a scan of all %d", q, cellSpan(js), scanned.Load(), n)
+		}
+	}
+}
+
 // TestTwoRangeCellsScanAccounting is TestBucketCellsScanAccounting's twin
 // for a two-range WHERE: the cells are keyed by the second range's column,
 // g (the integers 0–8), and only the keys inside it are folded. Scanned
@@ -414,21 +573,31 @@ func TestTwoRangeCellsScanAccounting(t *testing.T) {
 }
 
 // TestBucketCellsBuiltOnceUnderConcurrentQueries sends a fresh table's
-// first drill-downs — grouped by a dictionary column, and scalar behind a
-// second range — from many goroutines at once: one of them builds the
-// cells, under its "cells" span, every one of them folds the interior, and
-// all of them answer alike.
+// first queries of one cell set from many goroutines at once: drill-downs
+// grouped by a dictionary column, scalar ones behind a second range, and a
+// query with no WHERE raced against a drill-down over the same (column,
+// key, input) triple — k, the first numeric column without NULLs. One of
+// them builds the cells, under its "cells" span, every one of them folds
+// them, and all of them answer as Execute does.
 func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
-	for _, q := range []Query{
-		{Select: []SelectItem{{Col: "s"}, {Col: "x", Agg: AggMax}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"},
-			Where: expr.Between("x", storage.Float(-40), storage.Float(60))},
-		{Select: []SelectItem{{Col: "x", Agg: AggMin}, {Col: "*", Agg: AggCount}},
-			Where: expr.And(expr.Between("x", storage.Float(-40), storage.Float(60)), expr.Cmp("g", expr.LT, storage.Int(6)))},
+	grouped := []SelectItem{{Col: "s"}, {Col: "x", Agg: AggMax}, {Col: "*", Agg: AggCount}}
+	for _, tc := range []struct {
+		col string // the range column of the one set built
+		qs  []Query
+	}{
+		{"x", []Query{{Select: grouped, GroupBy: []string{"s"}, Where: expr.Between("x", storage.Float(-40), storage.Float(60))}}},
+		{"x", []Query{{Select: []SelectItem{{Col: "x", Agg: AggMin}, {Col: "*", Agg: AggCount}},
+			Where: expr.And(expr.Between("x", storage.Float(-40), storage.Float(60)), expr.Cmp("g", expr.LT, storage.Int(6)))}}},
+		{"k", []Query{{Select: grouped, GroupBy: []string{"s"}},
+			{Select: grouped, GroupBy: []string{"s"}, Where: expr.Between("k", storage.Int(-20_000), storage.Int(15_000))}}},
 	} {
 		tab := indexTable(rand.New(rand.NewSource(45)), 50_000)
-		want, err := Execute(tab, q)
-		if err != nil {
-			t.Fatal(err)
+		want := make([]*storage.Table, len(tc.qs))
+		for i, q := range tc.qs {
+			var err error
+			if want[i], err = Execute(tab, q); err != nil {
+				t.Fatal(err)
+			}
 		}
 		const clients = 12
 		got, js := make([]*storage.Table, clients), make([]*trace.SpanJSON, clients)
@@ -438,7 +607,7 @@ func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var err error
-				if got[c], js[c], err = tracedExec(tab, q, ExecOptions{Parallelism: 2, MorselSize: 2048}); err != nil {
+				if got[c], js[c], err = tracedExec(tab, tc.qs[c%len(tc.qs)], ExecOptions{Parallelism: 2, MorselSize: 2048}); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -449,18 +618,18 @@ func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
 			if got[c] == nil {
 				t.FailNow()
 			}
-			requireIdentical(t, q.String(), want, got[c])
+			requireIdentical(t, tc.qs[c%len(tc.qs)].String(), want[c%len(tc.qs)], got[c])
 			if cellSpan(js[c]) > 0 {
 				folded++
 			}
 			for _, sp := range js[c].Children {
-				if sp.Name == "cells" && sp.Attrs["col"] == "x" && sp.Attrs["built"] == true {
+				if sp.Name == "cells" && sp.Attrs["col"] == tc.col && sp.Attrs["built"] == true {
 					builds++
 				}
 			}
 		}
 		if folded != clients || builds != 1 {
-			t.Fatalf("%s: %d of %d queries folded cells, %d built them; want all, and one", q, folded, clients, builds)
+			t.Fatalf("%v: %d of %d queries folded cells, %d built them; want all, and one", tc.qs, folded, clients, builds)
 		}
 	}
 }

@@ -104,8 +104,8 @@ type ExecOptions struct {
 	// like ZoneSkipped.
 	IndexMorsels *atomic.Int64
 	// CellQueries, when non-nil, counts the aggregate queries whose range
-	// interior the bucket cells answered, behind one range or two. Shared
-	// and read like ZoneSkipped.
+	// interior the bucket cells answered, behind one range, two or no
+	// WHERE. Shared and read like ZoneSkipped.
 	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
@@ -248,6 +248,11 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 			if p.index, err = chooseIndex(t, ivs, pool.MorselSize(), sp); err != nil {
 				return nil, err
 			}
+		}
+	default: // no WHERE: the range that covers every bucket
+		var err error
+		if p.index, err = chooseAllCells(t, ak, q, pool.MorselSize(), sp); err != nil {
+			return nil, err
 		}
 	}
 	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
@@ -457,17 +462,19 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
 		if p.where != nil {
 			scanSp.SetInt("zone_skipped", n.skipped.Load())
-			if p.index.vi != nil {
-				scanSp.SetStr("index", p.index.col)
-				scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
-				scanSp.SetInt("index_candidates", n.candidates.Load())
-				scanSp.SetInt("index_skipped", n.indexSkipped.Load())
-			}
-			if p.index.cells != nil {
-				scanSp.SetInt("bucket_cells", int64(p.index.bh-p.index.bl-1))
-				scanSp.SetInt("edge_candidates", n.candidates.Load())
-				scanSp.SetInt("cell_keys", int64(p.index.keys()))
-			}
+		}
+		if p.index.vi != nil {
+			scanSp.SetStr("index", p.index.col)
+			scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
+			scanSp.SetInt("index_candidates", n.candidates.Load())
+			scanSp.SetInt("index_skipped", n.indexSkipped.Load())
+		}
+		if p.index.cells != nil {
+			scanSp.SetInt("bucket_cells", int64(p.index.buckets()))
+			scanSp.SetInt("edge_candidates", n.candidates.Load())
+			scanSp.SetInt("cell_keys", int64(p.index.keys()))
+		}
+		if p.where != nil {
 			scanSp.SetBool("kernel", p.kern != nil)
 			if p.kern != nil {
 				scanSp.SetInt("kernel_leaves", int64(p.kern.Leaves()))

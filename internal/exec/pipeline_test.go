@@ -305,7 +305,8 @@ func TestSelPoolNoLeak(t *testing.T) {
 // TestKernelDispatchFailpoint: an armed exec/kernel-dispatch site fails
 // exactly the queries whose WHERE clause compiles to a typed kernel —
 // projections and aggregates alike — and is never reached by a dense
-// aggregation (no predicate) or a predicate that falls back.
+// aggregation (no predicate) or a predicate that falls back. The aggregate
+// reads two inputs, so with no predicate it scans rather than fold cells.
 func TestKernelDispatchFailpoint(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
@@ -316,7 +317,7 @@ func TestKernelDispatchFailpoint(t *testing.T) {
 	}
 	compiles := expr.Cmp("k", expr.GT, storage.Int(0))
 	fallsBack := expr.Like("s", "re%")
-	for _, sel := range [][]SelectItem{{{Col: "k"}}, {{Col: "x", Agg: AggSum}}} {
+	for _, sel := range [][]SelectItem{{{Col: "k"}}, {{Col: "x", Agg: AggSum}, {Col: "k", Agg: AggMax}}} {
 		if _, err := ExecuteOpts(tbl, Query{Select: sel, Where: compiles}, ExecOptions{}); err == nil {
 			t.Fatalf("%v: expected injected dispatch error", sel)
 		}

@@ -270,7 +270,7 @@ func TestIndexBuiltOnceUnderConcurrentQueries(t *testing.T) {
 // they take every value-index path — candidates, scan and skip — so the
 // differential fuzzers certify the index, not only the scan. The
 // aggregation fuzzer's corpus must also reach the bucket cells, scalar and
-// grouped.
+// grouped, and fold every bucket of a column for a query with no WHERE.
 func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 	for _, fz := range []struct {
 		name   string
@@ -289,6 +289,7 @@ func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 		}
 		var paths indexPaths
 		var cells [2]int64 // scalar, grouped
+		var whole [2]int64 // the same, with no WHERE
 		for _, f := range files {
 			data := readCorpusEntry(t, f)
 			plain, enc, q, sel := fz.decode(t, data)
@@ -304,6 +305,9 @@ func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 					p := scanIndexPaths(js)
 					paths.add(p)
 					cells[min(len(q.GroupBy), 1)] += p.cells
+					if q.Where == nil {
+						whole[min(len(q.GroupBy), 1)] += p.cells
+					}
 				}
 			}
 		}
@@ -312,6 +316,9 @@ func TestFuzzCorporaReachIndexPaths(t *testing.T) {
 		}
 		if fz.cells && (cells[0] == 0 || cells[1] == 0) {
 			t.Errorf("%s corpus bucket-cell queries: %d scalar, %d grouped; want both", fz.name, cells[0], cells[1])
+		}
+		if fz.cells && (whole[0] == 0 || whole[1] == 0) {
+			t.Errorf("%s corpus queries with no WHERE that fold every bucket: %d scalar, %d grouped; want both", fz.name, whole[0], whole[1])
 		}
 	}
 }

@@ -26,7 +26,8 @@
 // buckets strictly inside one interval's bucket run hold only rows inside
 // it, so their pre-aggregated cells — those whose key bucket lies inside
 // the other interval, if any — stand in for them, and only the two edge
-// buckets' candidates are refined; no morsel is scanned.
+// buckets' candidates are refined; no morsel is scanned. An aggregate with
+// no WHERE folds every cell of a column with no NULL and refines nothing.
 package exec
 
 import (
@@ -94,7 +95,8 @@ const indexCrossover = 0.1
 // and the bucket run its interval covers. With cells set, the cells of the
 // buckets strictly between bl and bh whose keys lie in [kl, kh] are
 // folded in (bucketcells.go), and a morsel's candidates are the rows of
-// the edge buckets bl and bh alone.
+// the edge buckets bl and bh alone — none when bl is -1: the run of a
+// query with no WHERE, which covers every bucket.
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
@@ -105,10 +107,19 @@ type rowIndex struct {
 
 // count returns how many candidates morsel m holds.
 func (ix *rowIndex) count(m int) int {
-	if ix.cells != nil {
-		return ix.vi.Count(m, ix.bl, ix.bl) + ix.vi.Count(m, ix.bh, ix.bh)
+	switch {
+	case ix.cells == nil:
+		return ix.vi.Count(m, ix.bl, ix.bh)
+	case ix.bl < 0:
+		return 0
 	}
-	return ix.vi.Count(m, ix.bl, ix.bh)
+	return ix.vi.Count(m, ix.bl, ix.bl) + ix.vi.Count(m, ix.bh, ix.bh)
+}
+
+// buckets returns how many of the interior's buckets hold cells: those
+// that can hold a value.
+func (ix *rowIndex) buckets() int {
+	return len(ix.cells.Interior(ix.bl, ix.bh)) / len(ix.cells.Keys())
 }
 
 // keys returns how many of the cells' keys the fold covers.

@@ -64,7 +64,7 @@ func writeProm(b *bytes.Buffer, snap StatsSnapshot, hists map[string]*metrics.Lo
 	fmt.Fprintf(b, "dex_zone_skipped_total %d\n", snap.ZoneSkipped)
 	head("dex_index_morsels_total", "Morsels the value index served in place of a scan: skipped, or answered from its candidates.", "counter")
 	fmt.Fprintf(b, "dex_index_morsels_total %d\n", snap.IndexMorsels)
-	head("dex_cell_queries_total", "Aggregate queries whose range interior the bucket cells answered, a second range leaf included: its column's buckets key the cells.", "counter")
+	head("dex_cell_queries_total", "Aggregate queries whose range interior the bucket cells answered, a second range leaf included (its column's buckets key the cells), or with no WHERE, every cell of a column.", "counter")
 	fmt.Fprintf(b, "dex_cell_queries_total %d\n", snap.CellQueries)
 
 	head("dex_agg_kernel_used_total", "Aggregate queries answered by the typed accumulation kernels.", "counter")
@@ -175,7 +175,7 @@ func writeShardProm(b *bytes.Buffer, snap *shard.Snapshot, coord *shard.Coordina
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_index_morsels_total{shard=\"%d\"} %d\n", sh.Shard, sh.IndexMorsels)
 	}
-	head("dex_shard_worker_cell_queries_total", "Aggregate queries whose range interior the bucket cells answered on each worker, a second range leaf included (last probe).", "counter")
+	head("dex_shard_worker_cell_queries_total", "Aggregate queries whose range interior the bucket cells answered on each worker, a second range leaf or no WHERE included (last probe).", "counter")
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_cell_queries_total{shard=\"%d\"} %d\n", sh.Shard, sh.CellQueries)
 	}

@@ -141,7 +141,8 @@ func TestServerShardDegradation(t *testing.T) {
 
 // TestServerShardMetrics: the coordinator's per-shard series appear in
 // /metrics with shard labels, the exposition stays parseable, and the
-// numbers agree with /admin/stats.
+// numbers agree with /admin/stats. The COUNT(*) is answered from bucket
+// cells; the GROUP BY reads two numeric inputs, so every worker scans.
 func TestServerShardMetrics(t *testing.T) {
 	ts, cl, _, _ := newShardedService(t, 10_000, 3)
 	ctx := context.Background()
@@ -152,7 +153,7 @@ func TestServerShardMetrics(t *testing.T) {
 	defer cl.EndSession(ctx, id)
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM sales",
-		"SELECT region, SUM(amount) FROM sales GROUP BY region",
+		"SELECT region, SUM(amount), SUM(qty) FROM sales GROUP BY region",
 	} {
 		if _, err := cl.Query(ctx, id, QueryRequest{SQL: sql}); err != nil {
 			t.Fatal(err)

@@ -133,7 +133,8 @@ type StatsSnapshot struct {
 	// ZoneSkipped counts morsels zone maps proved empty; IndexMorsels those
 	// the value index served in place of a scan (skipped, or answered from
 	// its candidates); CellQueries the aggregate queries whose range
-	// interior the bucket cells answered, behind one range or two.
+	// interior the bucket cells answered, behind one range, two or no
+	// WHERE.
 	ZoneSkipped  int64 `json:"zone_skipped"`
 	IndexMorsels int64 `json:"index_morsels"`
 	CellQueries  int64 `json:"cell_queries"`

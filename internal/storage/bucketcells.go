@@ -43,6 +43,7 @@ type BucketCells struct {
 	key   *ValueBuckets // a numeric key column's bounds; nil for any other key
 	ispan []keySpan[int64]
 	fspan []keySpan[float64] // per bucket of an INT or FLOAT key column
+	rows  int                // rows in cells
 }
 
 // keySpan is the least and greatest value one bucket of a numeric key
@@ -61,6 +62,11 @@ func (c *BucketCells) Interior(bl, bh int) []Cell {
 	}
 	return c.cells[c.start[bl+1]:c.start[bh]]
 }
+
+// Rows returns how many rows the cells hold: the table's rows less those
+// whose range value, or numeric key, is NULL. A set holding every row
+// answers an aggregate with no WHERE from all of its cells.
+func (c *BucketCells) Rows() int { return c.rows }
 
 // Keys returns the keys every bucket's cells carry, in cell order: the
 // group codes 0, 1, …, the live buckets of a numeric key column, or 0
@@ -291,6 +297,9 @@ func buildBucketCells(x *ValueIndex, float bool, kc Column, kb *ValueBuckets, in
 		foldInput[int64](x, &live, keys, c.cells, nil, k.Codes(), in)
 	default:
 		foldInput[int64](x, &live, keys, c.cells, nil, nil, in)
+	}
+	for i := range c.cells {
+		c.rows += c.cells[i].Rows
 	}
 	return c
 }

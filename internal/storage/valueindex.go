@@ -27,6 +27,10 @@ import (
 // split points.
 const valueBuckets = 256
 
+// NumBuckets is valueBuckets for other packages: every bucket run lies in
+// [0, NumBuckets-1], and BucketCells.Interior(-1, NumBuckets) is every cell.
+const NumBuckets = valueBuckets
+
 // valueSample is about how many rows the bucket bounds are drawn from.
 const valueSample = 64 * valueBuckets
 
