@@ -13,7 +13,8 @@ test:
 # The engine and service packages at several GOMAXPROCS values: their
 # cancellation, admission and scheduling tests behave differently on one
 # core than on four, and tier-1 has to be green at all of them. The cracker
-# index is among them: read-locked probes share its mark-bitmap free list.
+# index is among them: read-locked probes share its mark-bitmap free list
+# and publish its pieces' partial sets.
 # So is storage: concurrent first queries share one value-index build and
 # one bucket-cells build — a drill-down's, a two-range query's, or an
 # aggregate's with no WHERE racing a drill-down over the same cell set.
@@ -27,7 +28,8 @@ test-cpus:
 # differently when goroutines cannot overlap, and so do concurrent first
 # queries building a table's value index and bucket cells, whether the
 # first query is a drill-down, a two-range query or an aggregate with no
-# WHERE.
+# WHERE, and read-locked cracked aggregates building one crack piece's
+# partials while a writer cracks inside the pieces they cover.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage
@@ -85,8 +87,9 @@ fuzz-rows:
 # Differential fuzz of cracked mode: random tables (plain + RLE INT columns,
 # NaN/±Inf, int64 extremes and 2^53 neighbours) and one-column range
 # predicates under all three cracking variants, asked as a projection, a
-# LIMIT projection and a GROUP BY; oracle = exec.Execute, answers compared
-# in order, aggregates included.
+# LIMIT projection and a GROUP BY, each followed by an aggregate the crack
+# pieces' cells answer; oracle = exec.Execute, answers compared in order,
+# aggregates included.
 fuzz-cracked:
 	$(GO) test -fuzz=FuzzCrackedVsExact -fuzztime=60s -run '^$$' ./internal/core/
 

@@ -1,14 +1,18 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"dex/internal/core"
+	"dex/internal/crack"
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/storage"
+	"dex/internal/workload"
 )
 
 // guardQuery is one shape of the never-slower guards.
@@ -119,4 +123,106 @@ func TestAggKernelNeverSlower(t *testing.T) {
 			GroupBy: []string{"cat"},
 		}},
 	})
+}
+
+// TestCrackedPartsNeverSlower holds cracked mode's piece partials to the
+// path they replaced: on a fixed session of drill-downs and roll-ups over
+// one column of a fresh index — each aggregate grouped by a dictionary
+// column over one input, as IDEBench's closing window asks them — the
+// engine, which folds the pieces' cells, must never fall below 0.9x the
+// row path, which probes a twin index for the row ids and runs the same
+// aggregate over them (ExecuteSel), at one worker. Best of five fresh
+// sessions each, plus the guards' jitter allowance.
+func TestCrackedPartsNeverSlower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200k-row timing guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("timing guard skipped under -race: instrumentation swamps the fold")
+	}
+	const rows = 200_000
+	plain, err := workload.Sales(rand.New(rand.NewSource(36)), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _, err := storage.EncodeTable(plain, storage.EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type op struct {
+		q      exec.Query
+		lo, hi float64
+	}
+	var session []op
+	rng := rand.New(rand.NewSource(37))
+	dims, inputs := []string{"region", "product", "quarter"}, []string{"amount", "qty"}
+	for s := 0; s < 12; s++ {
+		focus, width := 80+rng.Float64()*120, 210.0
+		for i := 0; i < 12; i++ {
+			if rng.Float64() < 0.35 {
+				width = min(width*2, 210)
+			} else {
+				width = max(width*0.7, 4)
+			}
+			lo, hi := focus-width/2, focus+width/2
+			dim, in := dims[rng.Intn(len(dims))], inputs[rng.Intn(len(inputs))]
+			session = append(session, op{exec.Query{
+				Select:  []exec.SelectItem{{Col: dim}, {Col: in, Agg: exec.AggSum}},
+				GroupBy: []string{dim},
+				Where:   expr.And(expr.Cmp("amount", expr.GE, storage.Float(lo)), expr.Cmp("amount", expr.LT, storage.Float(hi))),
+			}, lo, hi})
+		}
+	}
+	opt := exec.ExecOptions{Parallelism: 1}
+	amount, _ := tab.ColumnByName("amount")
+	// Each arm returns a fresh session to time: both build their index in
+	// it, on its first probe.
+	rowPath := func() func() error {
+		return func() error {
+			ix := crack.New(amount.(*storage.FloatColumn).V, crack.Options{})
+			var sel []int
+			for _, o := range session {
+				var err error
+				if sel, _, err = ix.ProbeAppend(sel, o.lo, o.hi); err != nil {
+					return err
+				}
+				if _, err := exec.ExecuteSel(context.Background(), tab, sel, o.q, opt); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	pieces := func() func() error {
+		e := core.New(core.Options{Exec: opt})
+		if err := e.Register(tab); err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			for _, o := range session {
+				if _, err := e.Execute("sales", o.q, core.Cracked); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	best := func(fresh func() func() error) time.Duration {
+		out := time.Duration(1<<63 - 1)
+		for i := 0; i < 5; i++ {
+			run := fresh()
+			start := time.Now()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			out = min(out, time.Since(start))
+		}
+		return out
+	}
+	base, got := best(rowPath), best(pieces)
+	limit := base + base/9 + 2*time.Millisecond
+	t.Logf("%d ops, rows=%d: row path %v, pieces %v, limit %v", len(session), rows, base, got, limit)
+	if got > limit {
+		t.Errorf("piece partials %v exceed the row path's 0.9x-floor limit %v (row path %v)", got, limit, base)
+	}
 }

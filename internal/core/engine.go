@@ -23,6 +23,7 @@ import (
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/onlineagg"
+	"dex/internal/par"
 	"dex/internal/rawload"
 	"dex/internal/recommend"
 	"dex/internal/sqlparse"
@@ -137,6 +138,8 @@ type Engine struct {
 	shuffles map[string][]int // Online mode's row order, one per table
 	raw      map[string]*rawload.RawTable
 	rowVecs  [][]int // cracked mode's idle row-id vectors
+	// partsFree holds cracked mode's idle parts probes (takeParts).
+	partsFree []*crack.Parts[[]storage.Cell]
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
 }
@@ -232,8 +235,9 @@ func (e *Engine) IndexMorsels() int64 {
 }
 
 // CellQueries returns the engine's cumulative count of aggregate queries
-// whose range interior the bucket cells answered, every bucket of a
-// column for a query with no WHERE.
+// answered from cells: a range interior's bucket cells (every bucket of a
+// column for a query with no WHERE), or, in cracked mode, the pieces'
+// partials.
 func (e *Engine) CellQueries() int64 {
 	return e.opt.Exec.CellQueries.Load()
 }
@@ -563,26 +567,49 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 	return expr.Interval{}, reason
 }
 
-// probeInterval collects the rows with lo <= v <= hi of column col into
-// dst through the column's crack index, above being the least value over
-// hi: a half-open probe [lo, above), or, when hi is the type's maximum and
+// crackProbe is what one cracked query asks its column's index for: the
+// row ids in range, into rows, or, when parts is set, the partials of the
+// pieces in range and the pending inserts.
+type crackProbe struct {
+	rows  []int
+	parts *crack.Parts[[]storage.Cell]
+}
+
+// partsKey names a piece's cells (storage.PieceCells): keyed by a
+// dictionary group column, aggregating one numeric input, "" for none.
+type partsKey struct{ group, input string }
+
+// probeInterval probes the rows with lo <= v <= hi of column col through
+// the column's crack index, above being the least value over hi: a
+// half-open probe [lo, above), or, when hi is the type's maximum and
 // nothing lies above it, a probe with no upper cut.
-func probeInterval[T int64 | float64](e *Engine, table string, t *storage.Table, col string, dst []int, lo, above T, bounded bool) ([]int, crack.ProbeStats, error) {
+func probeInterval[T int64 | float64](e *Engine, table string, t *storage.Table, col string, pr *crackProbe, lo, above T, bounded bool) (st crack.ProbeStats, err error) {
 	ix, err := crackIndex[T](e, table, t, col)
 	switch {
 	case err != nil:
-		return dst, crack.ProbeStats{}, err
-	case !bounded:
-		return ix.ProbeFrom(dst, lo)
+	case pr.parts != nil && bounded:
+		st, err = crack.ProbeParts(ix, pr.parts, lo, above)
+	case pr.parts != nil:
+		st, err = crack.ProbePartsFrom(ix, pr.parts, lo)
+	case bounded:
+		pr.rows, st, err = ix.ProbeAppend(pr.rows, lo, above)
+	default:
+		pr.rows, st, err = ix.ProbeFrom(pr.rows, lo)
 	}
-	return ix.ProbeAppend(dst, lo, above)
+	return st, err
 }
 
 // executeCracked answers a one-column range query through the column's
-// cracker index. The probe's row ids come back ascending, so the answer
-// equals exact mode's row for row — group order, projection order, MIN/MAX
-// ties — with SUM/AVG up to float association, however far the index has
-// cracked.
+// cracker index. An aggregate that cells can answer (exec.CellShape) folds
+// the partials of the crack pieces in range — each piece's cells, keyed by
+// the group column and aggregating the input, built the first time a probe
+// covers the piece and dropped when a crack splits it — so a drill-down
+// reads only the rows of pieces no earlier probe aggregated, and none at
+// all once the index has converged on its bounds. Any other query gets the
+// probe's row ids, ascending, as the pipeline's selection. Either way the
+// answer equals exact mode's — group order, projection order, MIN/MAX
+// values and ties — however far the index has cracked, up to the
+// association of a float SUM/AVG, which the pieces add in crack order.
 func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
 	t, err := e.table(ctx, table, q)
 	if err != nil {
@@ -598,24 +625,35 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	}
 	csp.SetStr("col", iv.Col)
+	pr := &crackProbe{}
+	if q.HasAggregates() || len(q.GroupBy) > 0 {
+		if group, input, why := exec.CellShape(t, q); why != "" {
+			csp.SetStr("parts_fallback", why)
+		} else {
+			pr.parts = e.takeParts(t, group, input)
+			defer e.giveParts(pr.parts)
+		}
+	}
+	if pr.parts == nil {
+		// The row-id vector is the engine's to reuse: a drill-down probe
+		// returns a large share of the table, and a fresh vector per query
+		// is most of what the row path would allocate. Nothing downstream
+		// keeps it (sinks fold it, a projection gathers through it).
+		pr.rows = e.takeRowVec(t.NumRows())
+		defer func() { e.giveRowVec(pr.rows) }()
+	}
 	// The probe synchronizes inside the index: boundary-aligned lookups
 	// share the index read lock, reorganizing ones take the write lock. The
 	// stats come from the probe's own critical section, so the span reflects
 	// the index state this query actually saw — not whatever a concurrent
 	// probe left behind by the time the span is annotated.
-	// The row-id vector is the engine's to reuse: a drill-down probe returns
-	// a large share of the table, and a fresh vector per query is most of
-	// what cracked mode would allocate. Nothing downstream keeps it (sinks
-	// fold it, a projection gathers through it).
-	rows := e.takeRowVec(t.NumRows())
-	defer func() { e.giveRowVec(rows) }()
 	var st crack.ProbeStats
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		rows, st, err = probeInterval(e, table, t, iv.Col, rows, iv.FLo, above, bounded)
+		st, err = probeInterval(e, table, t, iv.Col, pr, iv.FLo, above, bounded)
 	} else {
 		above, bounded := iv.IntAbove()
-		rows, st, err = probeInterval(e, table, t, iv.Col, rows, iv.ILo, above, bounded)
+		st, err = probeInterval(e, table, t, iv.Col, pr, iv.ILo, above, bounded)
 	}
 	if err != nil {
 		csp.End()
@@ -624,16 +662,70 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	csp.SetStr("lock_mode", st.Lock.String())
 	csp.SetInt("pieces", int64(st.Pieces))
 	csp.SetInt("cracks", int64(st.Cracks))
-	csp.SetInt("rows_out", int64(len(rows)))
+	if p := pr.parts; p != nil {
+		// The rows the sets were built from are the rows this query read.
+		e.opt.Exec.Scanned.Add(int64(p.BuiltRows))
+		csp.SetInt("parts", int64(len(p.Sets)))
+		csp.SetInt("parts_built", int64(p.Built))
+		csp.SetInt("part_rows_built", int64(p.BuiltRows))
+		csp.SetInt("pending_rows", int64(len(p.Pending)))
+	} else {
+		csp.SetInt("rows_out", int64(len(pr.rows)))
+	}
 	csp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if p := pr.parts; p != nil {
+		return exec.ExecuteCells(ctx, t, p.Sets, p.Pending, q, e.opt.Exec)
 	}
 	// The probe's row ids are the pipeline's input selection: no sub-table
 	// is copied out, the range predicate they answer is not re-evaluated,
 	// and they are distinct and ascending, as ExecuteSel requires, so the
 	// sinks read the columns front to back.
-	return exec.ExecuteSel(ctx, t, rows, q, e.opt.Exec)
+	return exec.ExecuteSel(ctx, t, pr.rows, q, e.opt.Exec)
+}
+
+// takeParts returns a parts probe for the cells of a crack index's pieces
+// keyed by the dictionary column group and aggregating the plain numeric
+// column input, "" for none, as exec.CellShape names them: a recycled one,
+// whose set list is reused, when there is one. A piece is built on as many
+// workers as the pipeline would run its rows on, and the pieces one probe
+// lacks sets for across the pipeline's parallelism.
+func (e *Engine) takeParts(t *storage.Table, group, input string) *crack.Parts[[]storage.Cell] {
+	var key *storage.DictColumn
+	var in storage.Column
+	if group != "" {
+		c, _ := t.ColumnByName(group)
+		key = c.(*storage.DictColumn)
+	}
+	if input != "" {
+		in, _ = t.ColumnByName(input)
+	}
+	pool := par.NewPool(par.Options{Parallelism: e.opt.Exec.Parallelism, MorselSize: e.opt.Exec.MorselSize})
+	e.mu.Lock()
+	p := &crack.Parts[[]storage.Cell]{}
+	if k := len(e.partsFree); k > 0 {
+		p, e.partsFree = e.partsFree[k-1], e.partsFree[:k-1]
+	}
+	e.mu.Unlock()
+	p.Key, p.Workers = partsKey{group, input}, pool.Workers()
+	p.Build = func(rows []int) []storage.Cell {
+		return storage.PieceCells(rows, key, in, pool.WorkersFor(len(rows)), pool.MorselSize())
+	}
+	return p
+}
+
+// giveParts recycles a parts probe, as giveRowVec does a row vector; its
+// set list no longer holds the sets, which the index may drop.
+func (e *Engine) giveParts(p *crack.Parts[[]storage.Cell]) {
+	clear(p.Sets)
+	p.Build = nil
+	e.mu.Lock()
+	if len(e.partsFree) < runtime.GOMAXPROCS(0) {
+		e.partsFree = append(e.partsFree, p)
+	}
+	e.mu.Unlock()
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — a

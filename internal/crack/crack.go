@@ -23,6 +23,15 @@
 // the answer a scan with the range as its WHERE clause gives, row for row,
 // however far the index has cracked.
 //
+// A caller that aggregates the range can ask for less than its rows: every
+// piece keeps partial sets, one per caller key, built from its live rows
+// the first time a parts probe (ProbeParts, ProbePartsFrom) covers it and
+// dropped when its rows change — a cut that splits it, a pending insert
+// merged into it, a delete. A parts probe cracks as ProbeAppend does and
+// returns the sets of the pieces in range plus the pending inserts in
+// range, so a drill-down reads only the rows of the pieces no earlier
+// probe aggregated (parts.go).
+//
 // Concurrency control is per index, the granularity the engine needs for
 // multi-session exploration: every probe runs inside a single critical
 // section of the index RWMutex. A probe whose bounds already coincide with
@@ -131,6 +140,11 @@ type Index[T cmp.Ordered] struct {
 	// pending as a tombstone, which tombs counts.
 	live  []uint64
 	tombs int
+	// parts holds each piece's partial sets (ProbeParts): parts[i] is the
+	// piece between cuts[i-1] and cuts[i]. The slice changes only under
+	// the write lock, which also drops the sets of a piece whose rows
+	// change; a slot gains sets under the read lock (partSlot).
+	parts []*partSlot
 	// marks is a free list of all-zero row-id bitmaps for collectLocked,
 	// under its own mutex because read-locked probes share it. Not a
 	// sync.Pool: its per-P caches and GC sweeps would make what a probe
@@ -178,6 +192,7 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		nextRow: len(col),
 		live:    live,
+		parts:   []*partSlot{new(partSlot)},
 	}
 }
 
@@ -458,11 +473,16 @@ func (ix *Index[T]) countLocked(pa, pb int, lo, hi T) int {
 // lookupCut returns the position of an existing cut at v, or where a fully
 // sorted piece makes the position derivable without physical work.
 func (ix *Index[T]) lookupCut(v T) (int, bool) {
-	i := sort.Search(len(ix.cuts), func(i int) bool { return ix.cuts[i].val >= v })
-	if i < len(ix.cuts) && ix.cuts[i].val == v {
+	if i, ok := ix.cutIndex(v); ok {
 		return ix.cuts[i].pos, true
 	}
 	return 0, false
+}
+
+// cutIndex returns the index in cuts of the cut at v, if there is one.
+func (ix *Index[T]) cutIndex(v T) (int, bool) {
+	i := sort.Search(len(ix.cuts), func(i int) bool { return ix.cuts[i].val >= v })
+	return i, i < len(ix.cuts) && ix.cuts[i].val == v
 }
 
 // pieceAt returns the piece [plo,phi) that value v falls into, given cuts.
@@ -488,6 +508,12 @@ func (ix *Index[T]) insertCut(v T, pos int) {
 	ix.cuts = append(ix.cuts, cut[T]{})
 	copy(ix.cuts[i+1:], ix.cuts[i:])
 	ix.cuts[i] = cut[T]{val: v, pos: pos}
+	// The cut splits piece i in two, and neither half's rows are the
+	// piece's: both start with no sets.
+	ix.parts[i].drop()
+	ix.parts = append(ix.parts, nil)
+	copy(ix.parts[i+1:], ix.parts[i:])
+	ix.parts[i+1] = new(partSlot)
 }
 
 // crackAt ensures a cut exists at value v and returns its position.

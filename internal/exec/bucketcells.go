@@ -35,33 +35,51 @@ import (
 // never set in production code.
 var disableBucketCells bool
 
-// cellShape names the columns bucket cells would aggregate for the typed
+// cellShape names the columns cells would aggregate for the typed
 // aggregation ak of q: its dictionary group column and its one plain
-// numeric input, "" for none. ok is false for any other shape: a group key
-// that is not dictionary-coded, a run-coded input, or inputs over two
-// columns.
-func cellShape(ak *aggKernel, q Query) (group, input string, ok bool) {
+// numeric input, "" for none. why is "" for a cell shape, else it says
+// what is not: no typed aggregation, a group key that is not
+// dictionary-coded, a run-coded input, or inputs over two columns.
+func cellShape(ak *aggKernel, q Query) (group, input, why string) {
 	switch {
 	case ak == nil:
-		return "", "", false
+		return "", "", "no typed sink"
 	case ak.mode == gmDict:
 		group = q.GroupBy[0]
 	case ak.mode != gmScalar:
-		return "", "", false
+		return "", "", "group not dict-coded"
 	}
 	for i, spec := range ak.specs {
 		switch spec.kind {
 		case aiNone, aiCount:
 		case aiI64, aiF64:
 			if input != "" && input != q.Select[i].Col {
-				return "", "", false
+				return "", "", "multi-input"
 			}
 			input = q.Select[i].Col
 		default:
-			return "", "", false
+			return "", "", "run-coded input"
 		}
 	}
-	return group, input, true
+	return group, input, ""
+}
+
+// CellShape reports whether cells can answer the aggregate q over t —
+// bucket cells or crack pieces' (storage.PieceCells) — and names the
+// columns they would be keyed by and aggregate: its dictionary group
+// column and its one plain INT or FLOAT input, "" for none. reason is ""
+// when they can, else the stable reason they cannot: a projection, an
+// aggregation the typed sinks do not take, a group key that is not
+// dictionary-coded, a run-coded input, or inputs over two columns.
+func CellShape(t *storage.Table, q Query) (group, input, reason string) {
+	if !q.HasAggregates() && len(q.GroupBy) == 0 {
+		return "", "", "projection"
+	}
+	ak, why := compileAggKernel(t, q)
+	if ak == nil {
+		return "", "", why
+	}
+	return cellShape(ak, q)
 }
 
 // chooseCells returns the bucket-cells index of a WHERE that is exactly
@@ -81,8 +99,8 @@ func cellShape(ak *aggKernel, q Query) (group, input string, ok bool) {
 // such query of a (column, key, input) triple, run under a "cells" span,
 // whose built attribute is set once a set is asked for.
 func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
-	group, input, ok := cellShape(ak, q)
-	if disableIndex || disableBucketCells || !ok || len(ivs) > 2 || len(ivs) == 2 && group != "" {
+	group, input, why := cellShape(ak, q)
+	if disableIndex || disableBucketCells || why != "" || len(ivs) > 2 || len(ivs) == 2 && group != "" {
 		return ix, nil
 	}
 	for _, iv := range ivs {
@@ -135,6 +153,7 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 			return rowIndex{}, nil // the bounds were redrawn meanwhile
 		}
 		if kiv != nil {
+			var ok bool
 			if ix.kl, ix.kh, ok = keyRun(cells, *kiv); !ok {
 				return rowIndex{}, nil
 			}
@@ -155,8 +174,8 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 // The lookups, and the build on the first query of a (column, key, input)
 // triple, run under a "cells" span whose range attribute is "all".
 func chooseAllCells(t *storage.Table, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
-	group, input, ok := cellShape(ak, q)
-	if disableIndex || disableBucketCells || !ok {
+	group, input, why := cellShape(ak, q)
+	if disableIndex || disableBucketCells || why != "" {
 		return ix, nil
 	}
 	var csp *trace.Span
@@ -203,29 +222,37 @@ func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
 	return r.IntKeys(iv.ILo, iv.IHi)
 }
 
-// addCells folds the cells of the index's interior whose keys it covers
+// addCells folds every cell slice of parts whose key lies in [kl, kh]
 // into the sink's state and returns the rows they hold. A grouped sink
 // folds them into the first worker accumulator a morsel made, which no
 // morsel touches any more; a scalar one into one more partial, merged
 // after the morsels'.
-func (s *typedSink) addCells(ix *rowIndex) int {
-	cells := ix.cells.Interior(ix.bl, ix.bh)
-	if s.ak.mode == gmScalar {
-		acc := s.ak.newAcc()
-		rows := acc.addCells(cells, ix.kl, ix.kh)
-		s.partials[len(s.partials)-1] = acc.states(0)
-		return rows
-	}
-	for _, acc := range s.locals {
-		if acc != nil {
-			return acc.addCells(cells, ix.kl, ix.kh)
+func (s *typedSink) addCells(parts [][]storage.Cell, kl, kh int) (rows int) {
+	var acc *aggAcc
+	if s.ak.mode != gmScalar {
+		for _, a := range s.locals {
+			if a != nil {
+				acc = a
+				break
+			}
 		}
 	}
-	s.locals[0] = s.ak.newAcc()
-	return s.locals[0].addCells(cells, ix.kl, ix.kh)
+	if acc == nil {
+		acc = s.ak.newAcc()
+		if s.ak.mode != gmScalar {
+			s.locals[0] = acc
+		}
+	}
+	for _, cells := range parts {
+		rows += acc.addCells(cells, kl, kh)
+	}
+	if s.ak.mode == gmScalar {
+		s.partials[len(s.partials)-1] = acc.states(0)
+	}
+	return rows
 }
 
-// addCells folds the bucket cells whose keys lie in [kl, kh] into the
+// addCells folds the cells whose keys lie in [kl, kh] into the
 // accumulator, cell c into slot c.Group under a dict grouping, else slot
 // 0, and returns the rows they hold; an empty cell leaves its group
 // unseen. COUNT(*) and COUNT over a never-NULL column take a cell's rows,

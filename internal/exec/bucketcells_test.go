@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -631,5 +632,113 @@ func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
 		if folded != clients || builds != 1 {
 			t.Fatalf("%v: %d of %d queries folded cells, %d built them; want all, and one", tc.qs, folded, clients, builds)
 		}
+	}
+}
+
+// TestExecuteCellsMatchesSel holds ExecuteCells — crack pieces' cells
+// (storage.PieceCells over rows met in shuffled order) plus pending rows —
+// to ExecuteSel over the same rows, for every cell-shaped select list,
+// scalar and grouped by dictionary keys of 1 to 40 codes, at one worker
+// and four: bit for bit but for a finite FLOAT SUM/AVG, group order and
+// MIN/MAX ties included.
+func TestExecuteCellsMatchesSel(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tab := cellsTable(rng, 6000)
+	for trial := 0; trial < 6; trial++ {
+		var rows []int
+		for r := 0; r < tab.NumRows(); r++ {
+			if rng.Intn(4) > 0 {
+				rows = append(rows, r)
+			}
+		}
+		shuffled := append([]int(nil), rows...)
+		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		pending := append([]int(nil), shuffled[:rng.Intn(200)]...)
+		sort.Ints(pending)
+		rest := shuffled[len(pending):]
+		var pieces [][]int
+		for len(rest) > 0 {
+			k := min(1+rng.Intn(1500), len(rest))
+			pieces, rest = append(pieces, rest[:k]), rest[k:]
+		}
+		for j, sel := range cellsItems {
+			for _, g := range []string{"", "g1", "g5", "g40"} {
+				q := Query{Select: sel}
+				if g != "" {
+					q = Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}}
+				}
+				group, input, why := CellShape(tab, q)
+				if why != "" || group != g {
+					t.Fatalf("%s: CellShape %q %q %q", q, group, input, why)
+				}
+				var key *storage.DictColumn
+				var in storage.Column
+				if g != "" {
+					c, _ := tab.ColumnByName(g)
+					key = c.(*storage.DictColumn)
+				}
+				if input != "" {
+					in, _ = tab.ColumnByName(input)
+				}
+				parts := make([][]storage.Cell, len(pieces))
+				for i, p := range pieces {
+					parts[i] = storage.PieceCells(p, key, in, 1, 512)
+				}
+				for _, par := range []int{1, 4} {
+					opt := ExecOptions{Parallelism: par, MorselSize: 64}
+					want, err := ExecuteSel(context.Background(), tab, rows, q, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ExecuteCells(context.Background(), tab, parts, pending, q, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireCellsMatch(t, fmt.Sprintf("trial %d items %d by %q par %d", trial, j, g, par), tab, q, want, got)
+				}
+			}
+		}
+	}
+	// No rows at all: an empty group set, and the scalar answer of none.
+	q := Query{Select: cellsItems[0]}
+	want, _ := ExecuteSel(context.Background(), tab, nil, q, ExecOptions{})
+	got, err := ExecuteCells(context.Background(), tab, nil, nil, q, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCellsMatch(t, "no rows", tab, q, want, got)
+}
+
+// TestCellShapeReasons: CellShape names the group column and the one
+// input of every shape cells answer, and says why of every other.
+func TestCellShapeReasons(t *testing.T) {
+	tab := cellsTable(rand.New(rand.NewSource(42)), 100)
+	plain, err := storage.FromColumns("p", storage.Schema{{Name: "s", Type: storage.TString}, {Name: "x", Type: storage.TFloat}},
+		[]storage.Column{storage.NewStringColumn(make([]string, 2)), storage.NewFloatColumn(make([]float64, 2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(col string) SelectItem { return SelectItem{Col: col, Agg: AggSum} }
+	for _, tc := range []struct {
+		tab                  *storage.Table
+		q                    Query
+		group, input, reason string
+	}{
+		{tab, Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}}, "", "", ""},
+		{tab, Query{Select: []SelectItem{{Col: "g5"}, sum("x"), {Col: "x", Agg: AggMax}}, GroupBy: []string{"g5"}}, "g5", "x", ""},
+		{tab, Query{Select: []SelectItem{sum("s"), {Col: "k", Agg: AggCount}}}, "", "s", ""},
+		{tab, Query{Select: []SelectItem{{Col: "x"}}}, "", "", "projection"},
+		{tab, Query{Select: []SelectItem{sum("x"), sum("s")}}, "", "", "multi-input"},
+		{tab, Query{Select: []SelectItem{{Col: "q"}, sum("x")}, GroupBy: []string{"q"}}, "", "", "group not dict-coded"},
+		{tab, Query{Select: []SelectItem{{Col: "g1"}, {Col: "g5"}, sum("x")}, GroupBy: []string{"g1", "g5"}}, "", "", "multi-column group"},
+		{plain, Query{Select: []SelectItem{{Col: "s"}, sum("x")}, GroupBy: []string{"s"}}, "", "", "group column type"},
+	} {
+		group, input, reason := CellShape(tc.tab, tc.q)
+		if group != tc.group || input != tc.input || reason != tc.reason {
+			t.Errorf("%s: CellShape = %q, %q, %q; want %q, %q, %q", tc.q, group, input, reason, tc.group, tc.input, tc.reason)
+		}
+	}
+	if _, err := ExecuteCells(context.Background(), tab, nil, nil, Query{Select: []SelectItem{sum("x"), sum("s")}}, ExecOptions{}); err == nil {
+		t.Error("ExecuteCells took a query cells cannot answer")
 	}
 }

@@ -19,18 +19,21 @@
 //	            alone — through Kernel.Refine when they are few enough,
 //	            else filter the morsel — either way into a pooled selection
 //	            buffer → sink.consume
-//	then:       the interior's cells fold into the sink → ordered merge
+//	then:       the cells — the interior's, or crack pieces' — fold into
+//	            the sink → ordered merge
 //	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
 //	            (finish); the row sinks apply their own
 //
 // Compilation never fails a query for being unspecializable: a predicate or
 // aggregate shape the typed layer rejects selects the generic filter or sink
 // inside the same loop, and the stable fallback reason lands on the scan
-// span and the fallback counter. The input is either the dense row range
-// [0, n) plus the WHERE clause (ExecuteCtx) or a caller-supplied selection
-// vector of distinct, ascending row ids that stands in for it (ExecuteSel —
-// cracked mode hands over the index probe's row ids). Either way a row's
-// position is its row id: there is no other position space.
+// span and the fallback counter. The input is the dense row range [0, n)
+// plus the WHERE clause (ExecuteCtx), a caller-supplied selection vector
+// of distinct, ascending row ids that stands in for it (ExecuteSel —
+// cracked mode hands over the index probe's row ids), or such a vector plus
+// cells that hold the rest of the answer's rows (ExecuteCells — cracked
+// mode hands over its pieces' partials and the pending inserts). Either
+// way a row's position is its row id: there is no other position space.
 //
 // The index's candidates are a superset of the morsel's qualifying rows,
 // read out ascending, and Refine applies the whole WHERE to them, so a
@@ -53,6 +56,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,9 +108,10 @@ type ExecOptions struct {
 	// candidate, or answered by refining its candidates. Shared and read
 	// like ZoneSkipped.
 	IndexMorsels *atomic.Int64
-	// CellQueries, when non-nil, counts the aggregate queries whose range
-	// interior the bucket cells answered, behind one range, two or no
-	// WHERE. Shared and read like ZoneSkipped.
+	// CellQueries, when non-nil, counts the aggregate queries answered
+	// from cells: bucket cells for a range interior, behind one range, two
+	// or no WHERE, or crack pieces' cells (ExecuteCells). Shared and read
+	// like ZoneSkipped.
 	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
@@ -124,7 +130,7 @@ func ExecuteOpts(t *storage.Table, q Query, opt ExecOptions) (*storage.Table, er
 // between morsel claims, so a cancelled or timed-out query returns
 // ctx.Err() within one morsel's worth of work per worker.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
-	return execute(ctx, t, nil, q, opt)
+	return execute(ctx, t, nil, nil, q, opt)
 }
 
 // ExecuteSel runs the query over the rows of t listed in sel. sel must hold
@@ -138,10 +144,29 @@ func ExecuteSel(ctx context.Context, t *storage.Table, sel []int, q Query, opt E
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
 	}
-	return execute(ctx, t, sel, q, opt)
+	return execute(ctx, t, sel, nil, q, opt)
 }
 
-func execute(ctx context.Context, t *storage.Table, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+// ExecuteCells runs the aggregate q over the rows that the cells of parts
+// hold plus the rows of t listed in sel, which ExecuteSel's rule binds:
+// the rows the parts' cells hold are the ones sel and the WHERE clause are
+// not asked for. q must have a cell shape (CellShape), and every cell be
+// keyed by q's dictionary group code, or 0 when it has none, and
+// aggregate its one input column, as storage.PieceCells makes them. The
+// typed sink folds the cells as it folds bucket cells (addCells), after
+// sel's rows, so the answer is ExecuteSel's over all of those rows, up to
+// the association of a float SUM/AVG.
+func ExecuteCells(ctx context.Context, t *storage.Table, parts [][]storage.Cell, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+	if sel == nil {
+		sel = []int{}
+	}
+	if parts == nil {
+		parts = [][]storage.Cell{} // non-nil marks cell input, even when empty
+	}
+	return execute(ctx, t, sel, parts, q, opt)
+}
+
+func execute(ctx context.Context, t *storage.Table, sel []int, parts [][]storage.Cell, q Query, opt ExecOptions) (*storage.Table, error) {
 	if len(q.Select) == 0 {
 		return nil, ErrEmptySelect
 	}
@@ -155,7 +180,7 @@ func execute(ctx context.Context, t *storage.Table, sel []int, q Query, opt Exec
 		sp = trace.FromContext(ctx)
 	}
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize})
-	p, err := compile(t, sel, q, pool, opt, sp)
+	p, err := compile(t, sel, parts, q, pool, opt, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -199,12 +224,17 @@ type plan struct {
 	kernFallback string
 	pruners      []zonePruner
 	index        rowIndex // prunes rows before the kernel; a nil vi scans every morsel
-	sink         sink
-	stage        string // the merge span's name
-	agg          bool   // an aggregate query; else a projection
-	dense        bool   // sink reads dense ranges unmaterialized (nil rows)
-	typed        bool   // the aggregate sink is the typed one
-	aggFallback  string // why it is not
+	// cells are folded into the typed sink once every morsel is in: the
+	// interior of the index's bucket cells, or the crack pieces'
+	// (ExecuteCells); only keys in [kl, kh] are. nil folds none.
+	cells       [][]storage.Cell
+	kl, kh      int
+	sink        sink
+	stage       string // the merge span's name
+	agg         bool   // an aggregate query; else a projection
+	dense       bool   // sink reads dense ranges unmaterialized (nil rows)
+	typed       bool   // the aggregate sink is the typed one
+	aggFallback string // why it is not
 	// known means the input already is the answer's row set (a selection or
 	// the whole table, no ORDER BY): there is nothing to scan.
 	known bool
@@ -213,8 +243,8 @@ type plan struct {
 	parked []*[]int
 }
 
-func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
-	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
+func compile(t *storage.Table, sel []int, parts [][]storage.Cell, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
+	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project", cells: parts, kh: math.MaxInt32}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	var ak *aggKernel
 	var aggReason string
@@ -255,6 +285,14 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 			return nil, err
 		}
 	}
+	if ix := p.index; ix.cells != nil {
+		p.cells, p.kl, p.kh = [][]storage.Cell{ix.cells.Interior(ix.bl, ix.bh)}, ix.kl, ix.kh
+	}
+	if p.cells != nil {
+		if _, _, why := cellShape(ak, q); why != "" {
+			return nil, fmt.Errorf("exec: cells cannot answer %s: %s", q, why)
+		}
+	}
 	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
 	if !p.agg {
 		return p, p.compileRows(morsels, workers, pool.MorselSize())
@@ -268,7 +306,7 @@ func compile(t *storage.Table, sel []int, q Query, pool *par.Pool, opt ExecOptio
 		if opt.AggKernelHits != nil {
 			opt.AggKernelHits.Add(1)
 		}
-		if p.index.cells != nil && opt.CellQueries != nil {
+		if p.cells != nil && opt.CellQueries != nil {
 			opt.CellQueries.Add(1)
 		}
 		return p, nil
@@ -444,10 +482,10 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			return nil
 		})
 	}
-	// The interior's cells fold in once every morsel's rows are in: no
-	// worker touches the sink any more.
-	if p.index.cells != nil && err == nil {
-		n.matched.Add(int64(p.sink.(*typedSink).addCells(&p.index)))
+	// The cells fold in once every morsel's rows are in: no worker touches
+	// the sink any more.
+	if p.cells != nil && err == nil {
+		n.matched.Add(int64(p.sink.(*typedSink).addCells(p.cells, p.kl, p.kh)))
 	}
 	if opt.ZoneSkipped != nil && n.skipped.Load() > 0 {
 		opt.ZoneSkipped.Add(n.skipped.Load())

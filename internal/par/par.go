@@ -84,6 +84,10 @@ func NewPool(opt Options) *Pool {
 	return &Pool{workers: w, morsel: m, cutoff: c}
 }
 
+// Workers returns the pool's parallelism: how many workers it runs at
+// most.
+func (p *Pool) Workers() int { return p.workers }
+
 // MorselSize returns the rows-per-morsel the pool schedules with. ForEach
 // hands out ranges aligned to this size, so lo/MorselSize() is a stable
 // morsel index callers may use to write per-morsel results without locks.

@@ -132,9 +132,9 @@ type StatsSnapshot struct {
 	RowsScanned int64 `json:"rows_scanned"`
 	// ZoneSkipped counts morsels zone maps proved empty; IndexMorsels those
 	// the value index served in place of a scan (skipped, or answered from
-	// its candidates); CellQueries the aggregate queries whose range
-	// interior the bucket cells answered, behind one range, two or no
-	// WHERE.
+	// its candidates); CellQueries the aggregate queries answered from
+	// cells: bucket cells behind one range, two or no WHERE, or in cracked
+	// mode the crack pieces' cells.
 	ZoneSkipped  int64 `json:"zone_skipped"`
 	IndexMorsels int64 `json:"index_morsels"`
 	CellQueries  int64 `json:"cell_queries"`

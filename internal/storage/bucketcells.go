@@ -1,6 +1,10 @@
 package storage
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Bucket cells pre-aggregate a range column's value buckets. A range whose
 // bucket run [bl, bh] spans more than two buckets contains every row of
@@ -16,19 +20,21 @@ import "math"
 // index they come from, cells are built lazily on first use
 // (Table.BucketCells), once, and are immutable afterwards.
 
-// Cell is one (bucket, key) partial aggregate. Its rows are met in
-// ascending row order, so First, Sum's association and the MIN/MAX ties
-// are those of a scan: a tie between equal values (int64s that meet in
-// float64, -0 and +0) keeps the first row. The extremes are kept as rows;
-// their values are the input column's at those rows.
+// Cell is one partial aggregate: of a (bucket, key) pair, or of a crack
+// piece's rows under one key (PieceCells). First is the least of its rows,
+// and a tie between equal extremes (int64s that meet in float64, -0 and
+// +0) keeps the lower row, in whatever order the rows were met — so only
+// Sum's association depends on that order: a bucket meets its rows
+// ascending, as a scan does. The extremes are kept as rows; their values
+// are the input column's at those rows.
 type Cell struct {
 	Group  int32   // the key: a group code, a numeric key column's bucket; 0 without a key
 	Rows   int     // rows in the cell
-	First  int     // the first of them
+	First  int     // the least of them
 	N      int     // rows whose input is not NULL
-	Sum    float64 // their input values, added in row order as float64
-	MinRow int     // the first row holding the least input value; valid when N > 0
-	MaxRow int     // the first row holding the greatest
+	Sum    float64 // their input values, added as float64 in the order met
+	MinRow int     // the least row holding the least input value; valid when N > 0
+	MaxRow int     // the least row holding the greatest
 }
 
 // BucketCells are the cells of one (range, key, input) column triple.
@@ -273,6 +279,7 @@ func buildBucketCells(x *ValueIndex, float bool, kc Column, kb *ValueBuckets, in
 	}
 	keys := len(c.keys)
 	c.cells = make([]Cell, nlive*keys)
+	exts := make([]ext, len(c.cells))
 	before := 0 // live buckets below b
 	for b, l := range live {
 		c.start[b] = int32(before * keys)
@@ -287,16 +294,16 @@ func buildBucketCells(x *ValueIndex, float bool, kc Column, kb *ValueBuckets, in
 	switch k := kc.(type) {
 	case *IntColumn:
 		key := &numKey[int64]{v: k.V, split: &kb.isplit, slot: &slot, span: make([]keySpan[int64], valueBuckets)}
-		foldInput(x, &live, keys, c.cells, key, nil, in)
+		foldInput(x, &live, keys, c.cells, exts, key, nil, in)
 		c.ispan = key.span
 	case *FloatColumn:
 		key := &numKey[float64]{v: k.V, split: &kb.fsplit, slot: &slot, span: make([]keySpan[float64], valueBuckets)}
-		foldInput(x, &live, keys, c.cells, key, nil, in)
+		foldInput(x, &live, keys, c.cells, exts, key, nil, in)
 		c.fspan = key.span
 	case *DictColumn:
-		foldInput[int64](x, &live, keys, c.cells, nil, k.Codes(), in)
+		foldInput[int64](x, &live, keys, c.cells, exts, nil, k.Codes(), in)
 	default:
-		foldInput[int64](x, &live, keys, c.cells, nil, nil, in)
+		foldInput[int64](x, &live, keys, c.cells, exts, nil, nil, in)
 	}
 	for i := range c.cells {
 		c.rows += c.cells[i].Rows
@@ -315,14 +322,14 @@ type numKey[K int64 | float64] struct {
 }
 
 // foldInput runs foldCells over the input column in (nil for none).
-func foldInput[K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, keys int, cells []Cell, key *numKey[K], codes []int32, in Column) {
+func foldInput[K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, keys int, cells []Cell, exts []ext, key *numKey[K], codes []int32, in Column) {
 	switch v := in.(type) {
 	case *IntColumn:
-		foldCells(x, live, keys, cells, key, codes, v.V)
+		foldCells(x, live, keys, cells, exts, key, codes, v.V)
 	case *FloatColumn:
-		foldCells(x, live, keys, cells, key, codes, v.V)
+		foldCells(x, live, keys, cells, exts, key, codes, v.V)
 	default:
-		foldCells[float64](x, live, keys, cells, key, codes, nil)
+		foldCells[float64](x, live, keys, cells, exts, key, codes, nil)
 	}
 }
 
@@ -332,7 +339,7 @@ func foldInput[K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, keys
 // The fold walks the index morsel by morsel and, within one, bucket by
 // bucket, so every cell meets its rows in ascending order while the reads
 // stay inside one morsel's window of the key and input columns.
-func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, keys int, cells []Cell, key *numKey[K], codes []int32, v []T) {
+func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, keys int, cells []Cell, exts []ext, key *numKey[K], codes []int32, v []T) {
 	for m := 0; m*x.morsel < x.n; m++ {
 		base := m * x.morsel
 		st := x.starts[m*(valueBuckets+1):][:valueBuckets+1]
@@ -341,17 +348,25 @@ func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, k
 			if len(offs) == 0 {
 				continue
 			}
-			cs := cells[int(live[b])*keys:][:keys]
+			cs, es := cells[int(live[b])*keys:][:keys], exts[int(live[b])*keys:][:keys]
 			switch {
 			case key != nil:
-				foldKeyed(key, cs, base, offs, v)
+				foldKeyed(key, cs, es, base, offs, v)
 			case codes != nil:
 				for _, o := range offs {
-					addRow(&cs[codes[base+int(o)]], base+int(o), v)
+					r := base + int(o)
+					addRow(&cs[codes[r]], r)
+					if v != nil {
+						addValue(&cs[codes[r]], &es[codes[r]], r, float64(v[r]))
+					}
 				}
 			default:
 				for _, o := range offs {
-					addRow(&cs[0], base+int(o), v)
+					r := base + int(o)
+					addRow(&cs[0], r)
+					if v != nil {
+						addValue(&cs[0], &es[0], r, float64(v[r]))
+					}
 				}
 			}
 		}
@@ -362,7 +377,7 @@ func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, k
 // key buckets. The bucket is searched inline, four rows abreast; a row
 // whose key is NULL goes into no cell, and each other widens its bucket's
 // span.
-func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, base int, offs []uint16, v []T) {
+func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, es []ext, base int, offs []uint16, v []T) {
 	add := func(kb, r int) {
 		kv := key.v[r]
 		if kv != kv {
@@ -373,7 +388,11 @@ func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, base int, offs [
 		} else {
 			sp.lo, sp.hi, sp.rows = min(sp.lo, kv), max(sp.hi, kv), sp.rows+1
 		}
-		addRow(&cs[key.slot[kb]], r, v)
+		k := key.slot[kb]
+		addRow(&cs[k], r)
+		if v != nil {
+			addValue(&cs[k], &es[k], r, float64(v[r]))
+		}
 	}
 	i := 0
 	for ; i+4 <= len(offs); i += 4 {
@@ -390,29 +409,201 @@ func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, base int, offs [
 	}
 }
 
-// addRow adds row r to the cell c; v is the input column, nil for none.
-// Int extremes compare in float64, as Value.Compare does, and only a
-// strictly better value moves them, so a tie keeps the earlier row.
-func addRow[T int64 | float64](c *Cell, r int, v []T) {
-	if c.Rows == 0 {
+// ext is the least and greatest input value of a cell being built.
+type ext struct{ lo, hi float64 }
+
+// addRow adds row r to the cell c, and addValue its input value x to c,
+// whose extremes' values are e: the one rule every cell is built by. x is
+// NaN for a NULL input or for none, which adds nothing. Rows may come in
+// any order: First is the least row, and a MIN/MAX tie goes to the lower row —
+// int extremes compare in float64, as Value.Compare does, so int64s that
+// meet in float64 tie, and so do -0 and +0. A bucket meets its rows
+// ascending, so there the earlier row wins, as in a scan; a crack piece
+// meets them in crack order, and ends up the same. Only Sum's association
+// follows the order.
+func addRow(c *Cell, r int) {
+	if c.Rows == 0 || r < c.First {
 		c.First = r
 	}
 	c.Rows++
-	if v == nil {
+}
+
+func addValue(c *Cell, e *ext, r int, x float64) {
+	if x != x {
 		return
 	}
-	xv := v[r]
-	if xv != xv {
-		return
+	if c.N == 0 || x < e.lo || x == e.lo && r < c.MinRow {
+		c.MinRow, e.lo = r, x
 	}
-	switch {
-	case c.N == 0:
-		c.MinRow, c.MaxRow = r, r
-	case float64(xv) < float64(v[c.MinRow]):
-		c.MinRow = r
-	case float64(xv) > float64(v[c.MaxRow]):
-		c.MaxRow = r
+	if c.N == 0 || x > e.hi || x == e.hi && r < c.MaxRow {
+		c.MaxRow, e.hi = r, x
 	}
 	c.N++
-	c.Sum += float64(xv)
+	c.Sum += x
+}
+
+// merge folds the cell b, whose extremes' values are be, into c by the
+// same rule.
+func merge(c *Cell, e *ext, b *Cell, be *ext) {
+	if c.Rows == 0 || b.First < c.First {
+		c.First = b.First
+	}
+	c.Rows += b.Rows
+	switch {
+	case b.N == 0:
+		return
+	case c.N == 0:
+		c.MinRow, c.MaxRow, *e = b.MinRow, b.MaxRow, *be
+	default:
+		if be.lo < e.lo || be.lo == e.lo && b.MinRow < c.MinRow {
+			c.MinRow, e.lo = b.MinRow, be.lo
+		}
+		if be.hi > e.hi || be.hi == e.hi && b.MaxRow < c.MaxRow {
+			c.MaxRow, e.hi = b.MaxRow, be.hi
+		}
+	}
+	c.N += b.N
+	c.Sum += b.Sum
+}
+
+// at reads the input column v at row r as a cell adds it: as float64, and
+// NaN when there is no input column.
+func at[T int64 | float64](v []T, r int) float64 {
+	if v == nil {
+		return math.NaN()
+	}
+	return float64(v[r])
+}
+
+// PieceCells folds the rows, met in any order, into one cell per key —
+// the code of the dictionary column key, or 0 alone when key is nil — over
+// the plain INT or FLOAT input column in, nil for none, by the rule bucket
+// cells are built by (addRow, addValue), and returns only the cells some
+// row fell into. A crack piece's partials are these (crack.ProbeParts):
+// they never outnumber its rows, and a piece that a range covers folds
+// like an interior bucket. Rows past one morsel are folded a morsel at a time,
+// across up to workers goroutines, and the morsels' cells merged in the
+// rows' order, so the cells — a Sum's association included — do not
+// depend on how many goroutines ran.
+func PieceCells(rows []int, key *DictColumn, in Column, workers, morsel int) []Cell {
+	if len(rows) == 0 {
+		return nil
+	}
+	keys := 1
+	if key != nil {
+		keys = max(key.Card(), 1)
+	}
+	if len(rows) <= morsel {
+		// One morsel, the common case, folds on the stack: only the cells
+		// it returns are allocated.
+		var small [64]Cell
+		var smallExt [64]ext
+		cells, exts := small[:0], smallExt[:0]
+		if keys > len(small) {
+			cells, exts = make([]Cell, 0, keys), make([]ext, 0, keys)
+		}
+		cells, _ = foldPiece(cells, exts, rows, key, in)
+		return append([]Cell(nil), cells...)
+	}
+	parts := make([][]Cell, (len(rows)+morsel-1)/morsel)
+	exts := make([][]ext, len(parts))
+	fold := func(i int) {
+		rs := rows[i*morsel : min((i+1)*morsel, len(rows))]
+		n := min(keys, len(rs))
+		parts[i], exts[i] = foldPiece(make([]Cell, 0, n), make([]ext, 0, n), rs, key, in)
+	}
+	if workers = min(workers, len(parts)); workers <= 1 {
+		for i := range parts {
+			fold(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
+					fold(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	cells, ce := parts[0], exts[0]
+	slot := make([]int32, keys) // a key's cell in cells, plus one; 0 for none yet
+	for i := range cells {
+		slot[cells[i].Group] = int32(i + 1)
+	}
+	for p, part := range parts[1:] {
+		for i := range part {
+			b, be := &part[i], &exts[p+1][i]
+			if slot[b.Group] == 0 {
+				cells, ce = append(cells, *b), append(ce, *be)
+				slot[b.Group] = int32(len(cells))
+				continue
+			}
+			merge(&cells[slot[b.Group]-1], &ce[slot[b.Group]-1], b, be)
+		}
+	}
+	return cells
+}
+
+// foldPiece folds rows into cells, one per key met, whose extremes' values
+// are exts (PieceCells), and returns both; they have room for every key.
+func foldPiece(cells []Cell, exts []ext, rows []int, key *DictColumn, in Column) ([]Cell, []ext) {
+	switch v := in.(type) {
+	case *IntColumn:
+		return foldRows(cells, exts, rows, key, v.V)
+	case *FloatColumn:
+		return foldRows(cells, exts, rows, key, v.V)
+	}
+	return foldRows[float64](cells, exts, rows, key, nil)
+}
+
+func foldRows[T int64 | float64](cells []Cell, exts []ext, rows []int, key *DictColumn, v []T) ([]Cell, []ext) {
+	var codes []int32
+	var small [64]int32
+	slot := small[:] // a code's cell, plus one; 0 for none yet
+	if key == nil {
+		cells, exts = append(cells, Cell{}), append(exts, ext{})
+	} else {
+		codes = key.Codes()
+		if key.Card() > len(small) {
+			slot = make([]int32, key.Card())
+		}
+	}
+	// The rows come in crack order, all over the columns: a chunk's keys
+	// and inputs are read first, no load waiting on another, then folded.
+	const chunk = 256
+	var gs [chunk]int32
+	var xs [chunk]float64
+	for len(rows) > 0 {
+		rs := rows[:min(chunk, len(rows))]
+		rows = rows[len(rs):]
+		for j, r := range rs {
+			xs[j] = at(v, r)
+		}
+		if codes == nil {
+			for j, r := range rs {
+				addRow(&cells[0], r)
+				addValue(&cells[0], &exts[0], r, xs[j])
+			}
+			continue
+		}
+		for j, r := range rs {
+			gs[j] = codes[r]
+		}
+		for j, r := range rs {
+			g := gs[j]
+			if slot[g] == 0 {
+				cells, exts = append(cells, Cell{Group: g}), append(exts, ext{})
+				slot[g] = int32(len(cells))
+			}
+			k := slot[g] - 1
+			addRow(&cells[k], r)
+			addValue(&cells[k], &exts[k], r, xs[j])
+		}
+	}
+	return cells, exts
 }

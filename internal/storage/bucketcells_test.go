@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,5 +381,107 @@ func TestBucketCellsBuiltOnce(t *testing.T) {
 		if builds.Load() != 1 {
 			t.Fatalf("key %q: %d callers built the cells; want one", key, builds.Load())
 		}
+	}
+}
+
+// TestPieceCellsMatchOracle holds a crack piece's cells — its rows met in
+// a shuffled order, as a piece meets them — to a recount in row order over
+// the adversarial columns, with no key and a dictionary key, over INT,
+// FLOAT and no input: rows, the least row, non-NULL count and the least
+// rows holding the extremes bit for bit, ties between int64s that meet in
+// float64 and between -0 and +0 included. A sum may differ only by
+// association; across morsels it is the same bits however many goroutines
+// fold them, and within one morsel it is the sum in the order the rows
+// came.
+func TestPieceCellsMatchOracle(t *testing.T) {
+	const n, morsel = 30_000, 1000
+	rng := rand.New(rand.NewSource(36))
+	tab := viTable(t, rng, n)
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = fmt.Sprint("g", rng.Intn(7))
+	}
+	dict := storage.EncodeDict(labels)
+	rows := rng.Perm(n)[:n/3]
+	for _, keyed := range []bool{false, true} {
+		var key *storage.DictColumn
+		keyOf := func(int) int { return 0 }
+		if keyed {
+			key = dict
+			keyOf = func(r int) int { return int(dict.Codes()[r]) }
+		}
+		for _, input := range []string{"", "iw", "fw", "is"} {
+			var in storage.Column
+			var fin []float64
+			var iin []int64
+			if input != "" {
+				in, _ = tab.ColumnByName(input)
+				if fc, ok := in.(*storage.FloatColumn); ok {
+					fin = fc.V
+				} else {
+					iin = in.(*storage.IntColumn).V
+				}
+			}
+			label := fmt.Sprintf("key %v over %q", keyed, input)
+			sorted := append([]int(nil), rows...)
+			sort.Ints(sorted)
+			want := map[int]storage.Cell{}
+			for _, r := range sorted {
+				g := keyOf(r)
+				c, ok := want[g]
+				if !ok {
+					c = storage.Cell{Group: int32(g), First: r}
+				}
+				c.Rows++
+				if input != "" && !math.IsNaN(at(fin, iin, r)) {
+					x := at(fin, iin, r)
+					if c.N == 0 || x < at(fin, iin, c.MinRow) {
+						c.MinRow = r
+					}
+					if c.N == 0 || x > at(fin, iin, c.MaxRow) {
+						c.MaxRow = r
+					}
+					c.N++
+					c.Sum += x
+				}
+				want[g] = c
+			}
+			one := storage.PieceCells(rows, key, in, 1, morsel)
+			four := storage.PieceCells(rows, key, in, 4, morsel)
+			for i := range four {
+				a, b := one[i], four[i]
+				sa, sb := math.Float64bits(a.Sum), math.Float64bits(b.Sum)
+				if a.Sum, b.Sum = 0, 0; a != b || sa != sb {
+					t.Errorf("%s: cell %d differs between one goroutine and four", label, i)
+				}
+			}
+			if len(one) != len(want) {
+				t.Fatalf("%s: %d cells, want %d", label, len(one), len(want))
+			}
+			for _, c := range one {
+				w := want[int(c.Group)]
+				sum, wsum := c.Sum, w.Sum
+				c.Sum, w.Sum = 0, 0
+				if c != w || sum != wsum && math.Abs(sum-wsum) > 1e-9*math.Max(math.Abs(sum), math.Abs(wsum)) {
+					t.Errorf("%s: cell %+v (sum %v), want %+v (sum %v)", label, c, sum, w, wsum)
+				}
+			}
+			// Within one morsel the sum is the rows' own order.
+			head := rows[:morsel]
+			for _, c := range storage.PieceCells(head, key, in, 1, morsel) {
+				sum := 0.0
+				for _, r := range head {
+					if input != "" && keyOf(r) == int(c.Group) && !math.IsNaN(at(fin, iin, r)) {
+						sum += at(fin, iin, r)
+					}
+				}
+				if math.Float64bits(c.Sum) != math.Float64bits(sum) && !(math.IsNaN(sum) && math.IsNaN(c.Sum)) {
+					t.Errorf("%s: one morsel's sum %v, want %v in the rows' order", label, c.Sum, sum)
+				}
+			}
+		}
+	}
+	if cells := storage.PieceCells(nil, dict, nil, 1, morsel); cells != nil {
+		t.Errorf("no rows: %v", cells)
 	}
 }
