@@ -44,8 +44,8 @@ fmt-check:
 # The ROADMAP's tracked sizes: non-test Go lines of the engine and service
 # packages, then — totalled apart — of the estimator lane (AQP and online
 # aggregation), of the packages engine logic moves into (predicates and
-# their intervals, the cracker index, the columns with their zone maps,
-# value indexes and bucket cells), so code leaving exec or core for them
+# their intervals, the cracker index, the columns with their value
+# indexes and bucket cells), so code leaving exec or core for them
 # stays visible, and of the surface around the engine (the binaries, the
 # paper-reproduction experiments and the session driver). A refactor that
 # holds the benchmark and the fuzzers steady should make these numbers go
@@ -103,7 +103,7 @@ fuzz-merge:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./internal/bench/
 
-# Regenerate the concurrent-probe / zone-map baseline (E30) at full size
+# Regenerate the concurrent-probe / value-index skipping baseline (E30) at full size
 # and refresh the committed JSON artifact.
 bench-concurrency:
 	$(GO) run ./cmd/experiments -run E30 -json BENCH_concurrency.json

@@ -47,8 +47,8 @@ type Options = core.Options
 
 // ExecOptions tunes the morsel-driven execution pipeline (Options.Exec):
 // Parallelism 0 means GOMAXPROCS, 1 runs inline. The zero value is the
-// full engine — zone maps, typed kernels and encoded columns are not
-// options.
+// full engine — the value index, typed kernels and encoded columns are
+// not options.
 type ExecOptions = exec.ExecOptions
 
 // Mode selects how a query executes.

@@ -23,7 +23,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:     "E30",
-		Title:  "Concurrent cracked probes and zone-map scan skipping",
+		Title:  "Concurrent cracked probes and value-index morsel skipping",
 		Source: "database cracking (Idreos et al., CIDR 2007); small materialized aggregates (Moerkotte, VLDB 1998)",
 		Run:    runE30,
 	})
@@ -34,7 +34,7 @@ type e30JSON struct {
 	Rows       int              `json:"rows"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Concurrent []e30Concurrency `json:"concurrent_probes"`
-	ZoneMap    []e30Zone        `json:"zone_map"`
+	Skipping   []e30Skip        `json:"index_skipping"`
 }
 
 type e30Concurrency struct {
@@ -45,12 +45,12 @@ type e30Concurrency struct {
 	ReadLockedFrac float64 `json:"read_locked_frac"`
 }
 
-type e30Zone struct {
+type e30Skip struct {
 	Selectivity   float64 `json:"selectivity"`
 	Morsels       int64   `json:"morsels"`
 	Skipped       int64   `json:"skipped"`
 	SkipFrac      float64 `json:"skip_frac"`
-	UnclusteredMS float64 `json:"unclustered_ms"` // same rows in load order: nothing prunes
+	UnclusteredMS float64 `json:"unclustered_ms"` // same rows in load order: nothing is skipped
 	ClusteredMS   float64 `json:"clustered_ms"`   // sorted by the predicate column
 	Speedup       float64 `json:"speedup"`
 }
@@ -66,11 +66,12 @@ type e30Zone struct {
 // certifies the lock path, and the race-detector parity harness certifies
 // correctness.)
 //
-// Part 2: zone-map skip rate and speedup of a parallel filtered scan over
-// a value-clustered table at decreasing selectivity. Skipping needs
-// physical locality: the sales table is sorted by the probed column, the
+// Part 2: value-index morsel skipping and speedup of a parallel filtered
+// scan over a value-clustered table at decreasing selectivity, against the
+// same rows in load order. Skipping a morsel whole needs physical
+// locality: the sales table is sorted by the probed column, the
 // favorable-but-honest case (the unsorted table skips ~nothing, as the
-// exec tests pin).
+// exec tests pin, though the index still refines its candidates there).
 func runE30(w io.Writer, cfg Config) error {
 	out := &e30JSON{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 
@@ -164,7 +165,7 @@ func runE30(w io.Writer, cfg Config) error {
 	}
 	tbl.Fprint(w)
 
-	// ---- Part 2: zone-map skip rate and speedup by selectivity ----
+	// ---- Part 2: value-index skip rate and speedup by selectivity ----
 	sn := cfg.Scale(1_000_000, 50, 20_000)
 	sales, err := workload.Sales(rand.New(rand.NewSource(cfg.Seed)), sn)
 	if err != nil {
@@ -180,7 +181,7 @@ func runE30(w io.Writer, cfg Config) error {
 	}
 	amounts := ac.(*storage.FloatColumn).V
 
-	fmt.Fprintf(w, "\nzone maps: rows=%d (sorted by amount), workers=4\n\n", sn)
+	fmt.Fprintf(w, "\nvalue-index morsel skipping: rows=%d (sorted by amount), workers=4\n\n", sn)
 	ztbl := NewTable("selectivity", "skipped", "morsels", "unclustered", "clustered", "speedup")
 	for _, sel := range []float64{0.001, 0.01, 0.1} {
 		// The quantile window [lo, hi) covering exactly sel of the rows,
@@ -200,9 +201,9 @@ func runE30(w io.Writer, cfg Config) error {
 				expr.Cmp("amount", expr.LT, storage.Float(amounts[hiIdx])),
 			),
 		}
-		// Pruning is not an option to switch off: the baseline is the same
+		// Skipping is not an option to switch off: the baseline is the same
 		// rows in load order, where every morsel spans the whole value
-		// range and the pruner can skip nothing.
+		// range and holds a candidate.
 		opt := exec.ExecOptions{Parallelism: 4}
 		dOff, err := medianTime(3, func() error {
 			_, e := exec.ExecuteOpts(sales, q, opt)
@@ -218,12 +219,12 @@ func runE30(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		skipped, morsels, err := zoneSkipStats(sorted, q, opt)
+		skipped, morsels, err := indexSkipStats(sorted, q, opt)
 		if err != nil {
 			return err
 		}
 		ztbl.Row(sel, skipped, morsels, dOff, dOn, float64(dOff)/float64(dOn))
-		out.ZoneMap = append(out.ZoneMap, e30Zone{
+		out.Skipping = append(out.Skipping, e30Skip{
 			Selectivity: sel, Morsels: morsels, Skipped: skipped,
 			SkipFrac:      float64(skipped) / float64(morsels),
 			UnclusteredMS: float64(dOff.Microseconds()) / 1e3,
@@ -246,9 +247,9 @@ func runE30(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// zoneSkipStats runs the query once traced and reads the scan span's
-// zone_skipped and morsels attributes.
-func zoneSkipStats(t *storage.Table, q exec.Query, opt exec.ExecOptions) (skipped, morsels int64, err error) {
+// indexSkipStats runs the query once traced and reads the scan span's
+// index_skipped and morsels attributes.
+func indexSkipStats(t *storage.Table, q exec.Query, opt exec.ExecOptions) (skipped, morsels int64, err error) {
 	ctx, sp := trace.Start(context.Background(), "e30")
 	_, err = exec.ExecuteCtx(ctx, t, q, opt)
 	sp.End()
@@ -257,7 +258,7 @@ func zoneSkipStats(t *storage.Table, q exec.Query, opt exec.ExecOptions) (skippe
 	}
 	for _, c := range sp.JSON().Children {
 		if c.Name == "scan" {
-			if v, ok := c.Attrs["zone_skipped"].(int64); ok {
+			if v, ok := c.Attrs["index_skipped"].(int64); ok {
 				skipped = v
 			}
 			if v, ok := c.Attrs["morsels"].(int64); ok {

@@ -75,9 +75,8 @@ func TestChaosInvariants(t *testing.T) {
 }
 
 // TestChaosCrackedMode sends the traffic through the adaptive-index path
-// while faults fire in the two seams this mode adds: the crack write-lock
-// escalation and the zone-map build (non-crackable shapes fall back to a
-// pruned scan). The invariants
+// while faults fire in the seam this mode adds: the crack write-lock
+// escalation. The invariants
 // are the same — every query classified, no leaks — plus the adaptive
 // index must not be corrupted: faults there fail individual queries, never
 // future ones (a poisoned index would turn later queries into untyped
@@ -88,7 +87,6 @@ func TestChaosCrackedMode(t *testing.T) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			faults := append(schedule(),
 				FaultEvent{At: 0, Site: "crack/escalate", Spec: "error(0.2)"},
-				FaultEvent{At: 0, Site: "storage/zonemap-build", Spec: "error(0.3)"},
 			)
 			rep, err := Run(Config{
 				Seed:             seed,
@@ -120,12 +118,13 @@ func TestChaosCrackedMode(t *testing.T) {
 	}
 }
 
-// TestChaosKernelEncoded fires faults in the pipeline's two compile-time
-// seams: kernel dispatch (per query, mid-run) and column
-// encoding (setup phase, via a negative-At event — an injected encode
-// error must fall back to the plain representation and the load must still
-// succeed). The standing invariants apply unchanged: every query
-// classified, no leaks, faults actually fired.
+// TestChaosKernelEncoded fires faults in the pipeline's compile-time
+// seams: kernel dispatch (per query, mid-run), the value index build (the
+// first one fails its query, and a later query builds the index) and
+// column encoding (setup phase, via a negative-At event — an injected
+// encode error must fall back to the plain representation and the load
+// must still succeed). The standing invariants apply unchanged: every
+// query classified, no leaks, faults actually fired.
 func TestChaosKernelEncoded(t *testing.T) {
 	for _, seed := range seeds(t) {
 		seed := seed
@@ -133,6 +132,9 @@ func TestChaosKernelEncoded(t *testing.T) {
 			faults := append(schedule(),
 				FaultEvent{At: -1, Site: "storage/segment-encode", Spec: "error"},
 				FaultEvent{At: 0, Site: "exec/kernel-dispatch", Spec: "error(0.2)"},
+				// A table builds few indexes, so the first build fails
+				// and a later query builds it.
+				FaultEvent{At: 0, Site: "storage/index-build", Spec: "error-once"},
 			)
 			rep, err := Run(Config{
 				Seed:             seed,
@@ -153,6 +155,9 @@ func TestChaosKernelEncoded(t *testing.T) {
 			}
 			if st := rep.FaultStats["storage/segment-encode"]; st.Fires == 0 {
 				t.Fatalf("setup-phase encode fault never fired: %+v", rep.FaultStats)
+			}
+			if st := rep.FaultStats["storage/index-build"]; st.Fires == 0 {
+				t.Fatalf("index build fault never fired: %+v", rep.FaultStats)
 			}
 			var fires int64
 			for _, st := range rep.FaultStats {

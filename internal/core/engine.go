@@ -221,8 +221,8 @@ func (e *Engine) RowsScanned() int64 {
 	return e.opt.Exec.Scanned.Load()
 }
 
-// ZoneSkipped returns the engine's cumulative zone-map skip count: morsels
-// the pruner proved disjoint from a range predicate and never scanned.
+// ZoneSkipped returns the engine's cumulative count of morsels the value
+// index skipped whole, as holding no candidate: never scanned.
 func (e *Engine) ZoneSkipped() int64 {
 	return e.opt.Exec.ZoneSkipped.Load()
 }

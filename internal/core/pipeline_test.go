@@ -89,7 +89,7 @@ func TestEnginePipelineOracle(t *testing.T) {
 // TestZeroOptionsRunTheTypedPipeline is "by construction": an engine built
 // from the zero Options, handed a plain table, encodes it at registration
 // and answers a filtered dict group-by with the typed filter, the typed
-// sink and the zone pruner — nothing was switched on.
+// sink and the value index — nothing was switched on.
 func TestZeroOptionsRunTheTypedPipeline(t *testing.T) {
 	plain, err := workload.Sales(rand.New(rand.NewSource(2)), 50_000)
 	if err != nil {
@@ -118,8 +118,8 @@ func TestZeroOptionsRunTheTypedPipeline(t *testing.T) {
 	if scan["agg_kernel"] != true || scan["kernel"] != true {
 		t.Errorf("scan span attrs = %v, want kernel and agg_kernel true", scan)
 	}
-	if _, ok := scan["zone_skipped"]; !ok {
-		t.Errorf("scan span attrs = %v, want zone_skipped present", scan)
+	if _, ok := scan["index_skipped"]; !ok || scan["index"] != "amount" {
+		t.Errorf("scan span attrs = %v, want index amount and index_skipped present", scan)
 	}
 	if e.AggKernelHits() != 1 || e.AggKernelFallbacks() != 0 {
 		t.Errorf("agg kernel hits/fallbacks = %d/%d, want 1/0", e.AggKernelHits(), e.AggKernelFallbacks())
@@ -128,7 +128,7 @@ func TestZeroOptionsRunTheTypedPipeline(t *testing.T) {
 
 // TestRegisterEncodedIsIdempotent: registering an already-encoded table
 // keeps the very same table and column objects — no re-encode, and the
-// table's lazily built zone maps survive — so a caller that registers one
+// table's lazily built value indexes survive — so a caller that registers one
 // encoded table into many engines (the benchmark, once per round) pays
 // nothing for it.
 func TestRegisterEncodedIsIdempotent(t *testing.T) {

@@ -281,7 +281,7 @@ func TestTypedGroupMatchesExecuteBitForBit(t *testing.T) {
 	}{
 		{"dense", nil},
 		{"filtered", expr.Cmp("k", expr.GE, storage.Int(0))},
-		{"empty selection", expr.Cmp("k", expr.EQ, storage.Int(12345))}, // inside every zone, matched by no row
+		{"empty selection", expr.Cmp("k", expr.EQ, storage.Int(12345))}, // inside the column's range, matched by no row
 	}
 	for _, tc := range []struct{ plain, enc *storage.Table }{{plain, enc}, {edgePlain, edgeEnc}} {
 		for _, key := range []string{"gi", "gs", "gr"} {

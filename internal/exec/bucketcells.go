@@ -103,11 +103,6 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 	if disableIndex || disableBucketCells || why != "" || len(ivs) > 2 || len(ivs) == 2 && group != "" {
 		return ix, nil
 	}
-	for _, iv := range ivs {
-		if iv.Empty() {
-			return ix, nil
-		}
-	}
 	csp := sp.Child("cells")
 	defer csp.End()
 	for a, iv := range ivs {

@@ -2,23 +2,22 @@
 // through one morsel-driven driver (internal/par).
 //
 //	compile:  filter  = typed predicate kernel (expr.CompileKernel), else the
-//	                    generic expr.FilterRange; zone pruners whenever the
-//	                    WHERE clause yields a per-column interval; under a
-//	                    typed kernel, the bucket cells of a typed aggregate
-//	                    whose WHERE is one range with an interior, or two
-//	                    under a scalar one (bucketcells.go), else the
-//	                    value index of the interval estimated to hold the
-//	                    fewest rows (zonemap.go)
+//	                    generic expr.FilterRange; under a typed kernel, the
+//	                    bucket cells of a typed aggregate whose WHERE is
+//	                    one range with an interior, or two under a scalar
+//	                    one (bucketcells.go), else — under either filter —
+//	                    the value index of the interval estimated to hold
+//	                    the fewest rows (index.go)
 //	          sink    = typed scalar / typed group accumulators (aggkernel.go),
 //	                    else the generic boxed scalar / group accumulators;
 //	                    a projection's sink is a per-worker top-k heap under
 //	                    ORDER BY, else a gather over the parked buffers
 //	                    (rows.go)
-//	per morsel: skip (zone map, or no index candidate) → the index's
-//	            candidates — under bucket cells, the two edge buckets'
-//	            alone — through Kernel.Refine when they are few enough,
-//	            else filter the morsel — either way into a pooled selection
-//	            buffer → sink.consume
+//	per morsel: skip (no index candidate) → the index's candidates —
+//	            under bucket cells, the two edge buckets' alone — through
+//	            Kernel.Refine when they are few enough and the filter is
+//	            the kernel, else filter the morsel — either way into a
+//	            pooled selection buffer → sink.consume
 //	then:       the cells — the interior's, or crack pieces' — fold into
 //	            the sink → ordered merge
 //	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
@@ -84,8 +83,8 @@ var fpScan = fault.Register("exec/scan")
 var fpKernel = fault.Register("exec/kernel-dispatch")
 
 // ExecOptions tunes query execution. The zero value is the full pipeline:
-// zone-map pruning, typed predicate kernels and typed aggregation are what
-// the engine does, not things a caller turns on.
+// value-index skipping, typed predicate kernels and typed aggregation are
+// what the engine does, not things a caller turns on.
 type ExecOptions struct {
 	// Parallelism is the number of workers: 0 means GOMAXPROCS, 1 runs the
 	// morsels inline on the calling goroutine.
@@ -100,13 +99,14 @@ type ExecOptions struct {
 	// counter means a stalled (or cancelled) query.
 	Scanned *atomic.Int64
 	// ZoneSkipped, when non-nil, accumulates the number of morsels the
-	// zone-map pruner skipped. Like Scanned it may be shared across
-	// queries; /admin/stats and the shard Stats probe read it.
+	// value index skipped whole, as holding no candidate. Like Scanned it
+	// may be shared across queries; /admin/stats and the shard Stats probe
+	// read it.
 	ZoneSkipped *atomic.Int64
 	// IndexMorsels, when non-nil, accumulates the number of morsels the
 	// value index served in place of a scan: skipped as holding no
-	// candidate, or answered by refining its candidates. Shared and read
-	// like ZoneSkipped.
+	// candidate (those ZoneSkipped counts), or answered by refining its
+	// candidates. Shared and read like ZoneSkipped.
 	IndexMorsels *atomic.Int64
 	// CellQueries, when non-nil, counts the aggregate queries answered
 	// from cells: bucket cells for a range interior, behind one range, two
@@ -222,8 +222,7 @@ type plan struct {
 	where        *expr.Pred
 	kern         *expr.Kernel // typed filter; nil with where set = generic FilterRange
 	kernFallback string
-	pruners      []zonePruner
-	index        rowIndex // prunes rows before the kernel; a nil vi scans every morsel
+	index        rowIndex // skips morsels and prunes rows; a nil vi scans every morsel
 	// cells are folded into the typed sink once every morsel is in: the
 	// interior of the index's bucket cells, or the crack pieces'
 	// (ExecuteCells); only keys in [kl, kh] are. nil folds none.
@@ -263,18 +262,15 @@ func compile(t *storage.Table, sel []int, parts [][]storage.Cell, q Query, pool 
 		}
 		ivs, rest := expr.Intervals(t.Schema(), p.where)
 		var err error
-		if p.pruners, err = zonePruners(t, ivs, pool.MorselSize()); err != nil {
-			return nil, err
-		}
-		// The candidates go through the kernel's Refine: only a compiled
-		// WHERE can take them. Bucket cells answer rows unrefined, so they
-		// need a WHERE that is exactly its intervals.
+		// Bucket cells answer rows unrefined, and refine their edges
+		// through the kernel, so they need a compiled WHERE that is exactly
+		// its intervals.
 		if p.kern != nil && rest == "" {
 			if p.index, err = chooseCells(t, ivs, ak, q, pool.MorselSize(), sp); err != nil {
 				return nil, err
 			}
 		}
-		if p.kern != nil && p.index.vi == nil {
+		if p.index.vi == nil {
 			if p.index, err = chooseIndex(t, ivs, pool.MorselSize(), sp); err != nil {
 				return nil, err
 			}
@@ -403,10 +399,10 @@ func (p *plan) qualify(lo, hi, m int, cand bool) (rows []int, buf *[]int, err er
 	return *buf, buf, nil
 }
 
-// run is the one morsel driver: for each morsel prune → qualify → consume,
+// run is the one morsel driver: for each morsel skip → qualify → consume,
 // then the ordered merge. It is the only place query execution fans out.
-// Pruning skips a morsel its zone maps or its value index prove empty, and
-// a morsel with few enough index candidates refines them in place of a
+// A morsel the value index proves empty is skipped, and one with few
+// enough index candidates refines them through the kernel in place of a
 // scan.
 func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
 	m := pool.MorselSize()
@@ -428,8 +424,8 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		}()
 	}
 	scanSp := sp.Child("scan")
-	// One struct, so the morsel closure captures one heap object, not five.
-	var n struct{ matched, skipped, indexSkipped, candidates, candMorsels atomic.Int64 }
+	// One struct, so the morsel closure captures one heap object, not four.
+	var n struct{ matched, indexSkipped, candidates, candMorsels atomic.Int64 }
 	var err error
 	if p.known {
 		n.matched.Store(int64(p.n))
@@ -438,21 +434,15 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			if ferr := fpScan.Hit(); ferr != nil {
 				return ferr
 			}
-			for _, pr := range p.pruners {
-				if pr.skip(lo / m) {
-					// Skipped morsels are not scanned: no rows touched, no
-					// progress counted — the live counter reflects real work.
-					n.skipped.Add(1)
-					return nil
-				}
-			}
 			visited, cand := hi-lo, false
 			if ix := &p.index; ix.vi != nil {
 				switch c := ix.count(lo / m); {
 				case c == 0:
+					// Skipped morsels are not scanned: no rows touched, no
+					// progress counted — the live counter reflects real work.
 					n.indexSkipped.Add(1)
 					return nil
-				case ix.cells != nil || c <= int(indexCrossover*float64(hi-lo)):
+				case p.kern != nil && (ix.cells != nil || c <= int(indexCrossover*float64(hi-lo))):
 					visited, cand = c, true
 					n.candidates.Add(int64(c))
 					n.candMorsels.Add(1)
@@ -470,8 +460,13 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			if p.where != nil {
 				count(visited)
 			}
-			p.sink.consume(worker, lo, hi, rows)
-			count(qualified)
+			// A morsel no row of which qualifies costs the sink nothing,
+			// as a skipped one does: on a run-length column, which has no
+			// index, the kernel's run rejection is what skips it.
+			if qualified > 0 {
+				p.sink.consume(worker, lo, hi, rows)
+				count(qualified)
+			}
 			switch {
 			case buf == nil:
 			case p.parked != nil:
@@ -487,8 +482,8 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	if p.cells != nil && err == nil {
 		n.matched.Add(int64(p.sink.(*typedSink).addCells(p.cells, p.kl, p.kh)))
 	}
-	if opt.ZoneSkipped != nil && n.skipped.Load() > 0 {
-		opt.ZoneSkipped.Add(n.skipped.Load())
+	if opt.ZoneSkipped != nil && n.indexSkipped.Load() > 0 {
+		opt.ZoneSkipped.Add(n.indexSkipped.Load())
 	}
 	if served := n.indexSkipped.Load() + n.candMorsels.Load(); opt.IndexMorsels != nil && served > 0 {
 		opt.IndexMorsels.Add(served)
@@ -498,9 +493,6 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		scanSp.SetInt("rows_out", n.matched.Load())
 		scanSp.SetInt("morsels", int64(pool.Morsels(p.n)))
 		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
-		if p.where != nil {
-			scanSp.SetInt("zone_skipped", n.skipped.Load())
-		}
 		if p.index.vi != nil {
 			scanSp.SetStr("index", p.index.col)
 			scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())

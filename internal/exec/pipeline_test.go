@@ -180,7 +180,7 @@ func TestScanSpanRecordsPlan(t *testing.T) {
 	}
 	typed := spanAttrs(Query{Select: []SelectItem{{Col: "d"}, {Col: "x", Agg: AggSum}},
 		GroupBy: []string{"d"}, Where: expr.Cmp("k", expr.GE, storage.Int(0))}, "scan")
-	if typed["kernel"] != true || typed["agg_kernel"] != true || typed["zone_skipped"] == nil {
+	if typed["kernel"] != true || typed["agg_kernel"] != true || typed["index"] != "k" || typed["index_skipped"] == nil {
 		t.Errorf("typed plan attrs = %v", typed)
 	}
 	generic := spanAttrs(Query{Select: []SelectItem{{Col: "d"}, {Col: "s"}, {Col: "*", Agg: AggCount}},

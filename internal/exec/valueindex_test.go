@@ -38,7 +38,7 @@ func scanIndexPaths(root *trace.SpanJSON) indexPaths {
 		served := n("index_morsels")
 		p := indexPaths{
 			cand: served - n("index_skipped"),
-			scan: n("morsels") - n("zone_skipped") - served,
+			scan: n("morsels") - served,
 			skip: n("index_skipped"),
 		}
 		if n("bucket_cells") > 0 {

@@ -1,8 +1,8 @@
-// Intervals: the one place a WHERE clause turns into value ranges. Zone-map
-// pruning, cracked mode and the predicate kernel all ask "which values of
-// column c can satisfy this predicate?", and all of them get the answer
-// from the per-leaf rule below, which matches what FilterRange does leaf by
-// leaf:
+// Intervals: the one place a WHERE clause turns into value ranges. Value
+// index skipping, cracked mode and the predicate kernel all ask "which
+// values of column c can satisfy this predicate?", and all of them get the
+// answer from the per-leaf rule below, which matches what FilterRange does
+// leaf by leaf:
 //
 //   - INT column, INT constant: exact int64 comparison.
 //   - FLOAT column, numeric constant: raw float64 comparison; strict bounds
@@ -68,7 +68,7 @@ func (iv Interval) FloatAbove() (float64, bool) {
 // "" when those leaves are the whole predicate — a row satisfies p exactly
 // when each of its columns lies in its interval — and otherwise names the
 // first part of p that gave no interval. Either way every row satisfying p
-// lies in every interval, which is all zone pruning needs.
+// lies in every interval, which is all index skipping needs.
 func Intervals(schema storage.Schema, p *Pred) (ivs []Interval, reason string) {
 	if p == nil {
 		return nil, ""

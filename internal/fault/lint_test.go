@@ -39,8 +39,8 @@ var knownSites = []string{
 	"shard/exec",
 	"shard/rpc",
 	"storage/csv-read",
+	"storage/index-build",
 	"storage/segment-encode",
-	"storage/zonemap-build",
 }
 
 // TestFailpointRegistryLint checks the global registry: every name is

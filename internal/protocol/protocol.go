@@ -205,7 +205,7 @@ type CrackStat struct {
 }
 
 // WorkerStats answers a Stats probe with the worker's shard-local
-// counters: the crack, zone-map, value-index and bucket-cell numbers the
+// counters: the crack, value-index and bucket-cell numbers the
 // coordinator's stats section was blind to, plus the registered tables the
 // healer compares against the placement map to tell a healthy worker from
 // a blank restart.
@@ -213,7 +213,7 @@ type WorkerStats struct {
 	ID           uint64      `json:"id"`
 	Shard        int         `json:"shard"`
 	RowsScanned  int64       `json:"rows_scanned"`
-	ZoneSkipped  int64       `json:"zone_skipped"`
+	ZoneSkipped  int64       `json:"zone_skipped"` // morsels the value index skipped whole
 	IndexMorsels int64       `json:"index_morsels"`
 	CellQueries  int64       `json:"cell_queries"`
 	Tables       []TableStat `json:"tables,omitempty"`

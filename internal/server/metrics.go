@@ -60,7 +60,7 @@ func writeProm(b *bytes.Buffer, snap StatsSnapshot, hists map[string]*metrics.Lo
 	head("dex_rows_scanned_total", "Rows visited by predicate evaluation and aggregate accumulation.", "counter")
 	fmt.Fprintf(b, "dex_rows_scanned_total %d\n", snap.RowsScanned)
 
-	head("dex_zone_skipped_total", "Morsels skipped by zone-map pruning.", "counter")
+	head("dex_zone_skipped_total", "Morsels the value index skipped whole, as holding no candidate.", "counter")
 	fmt.Fprintf(b, "dex_zone_skipped_total %d\n", snap.ZoneSkipped)
 	head("dex_index_morsels_total", "Morsels the value index served in place of a scan: skipped, or answered from its candidates.", "counter")
 	fmt.Fprintf(b, "dex_index_morsels_total %d\n", snap.IndexMorsels)
@@ -125,7 +125,7 @@ func writeProm(b *bytes.Buffer, snap StatsSnapshot, hists map[string]*metrics.Lo
 }
 
 // writeShardProm renders the coordinator's per-shard families: rows
-// placed, healing state and heal counters, worker-local scan/zone/crack
+// placed, healing state and heal counters, worker-local scan/skip/crack
 // counters, query/error/retry counters and RPC latency histograms
 // labelled by shard id, plus the fleet-level coverage gauge, gather
 // (merge) histogram and distributed-query outcome counters.
@@ -167,7 +167,7 @@ func writeShardProm(b *bytes.Buffer, snap *shard.Snapshot, coord *shard.Coordina
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_rows_scanned_total{shard=\"%d\"} %d\n", sh.Shard, sh.RowsScanned)
 	}
-	head("dex_shard_worker_zone_skipped_total", "Morsels skipped by zone-map pruning on each worker (last probe).", "counter")
+	head("dex_shard_worker_zone_skipped_total", "Morsels the value index skipped whole on each worker (last probe).", "counter")
 	for _, sh := range snap.Shards {
 		fmt.Fprintf(b, "dex_shard_worker_zone_skipped_total{shard=\"%d\"} %d\n", sh.Shard, sh.ZoneSkipped)
 	}

@@ -124,6 +124,12 @@ func TestMetricsConsistentWithStats(t *testing.T) {
 	if snap.CellQueries == 0 {
 		t.Error("the drill-down counted no bucket-cell query")
 	}
+	// zone_skipped counts the morsels the value index skipped whole: the
+	// ones with no edge candidate of the drill-down, and every morsel of
+	// the COUNT(*) the cells answer — a subset of index_morsels.
+	if snap.ZoneSkipped == 0 || snap.ZoneSkipped > snap.IndexMorsels {
+		t.Errorf("zone_skipped %d, index_morsels %d: want 0 < zone_skipped <= index_morsels", snap.ZoneSkipped, snap.IndexMorsels)
+	}
 	for name, want := range counters {
 		if got := sampleValue(t, expo, name); int64(got) != want {
 			t.Errorf("%s = %v, exposition disagrees with /admin/stats %d", name, got, want)

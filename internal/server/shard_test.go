@@ -216,6 +216,10 @@ func TestServerShardMetrics(t *testing.T) {
 		if s.RowsScanned == 0 {
 			t.Fatalf("shard %d reports no worker-local scans: %+v", s.Shard, s)
 		}
+		// The COUNT(*) folds every cell: the value index skips each morsel.
+		if s.ZoneSkipped == 0 || s.ZoneSkipped > s.IndexMorsels {
+			t.Fatalf("shard %d: zone_skipped %d, index_morsels %d; want 0 < zone_skipped <= index_morsels", s.Shard, s.ZoneSkipped, s.IndexMorsels)
+		}
 	}
 	if st.Shard.Coverage != 1 {
 		t.Fatalf("healthy fleet coverage %v, want 1", st.Shard.Coverage)

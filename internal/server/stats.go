@@ -130,9 +130,9 @@ type StatsSnapshot struct {
 	Queued      int   `json:"queued"`
 	Draining    bool  `json:"draining"`
 	RowsScanned int64 `json:"rows_scanned"`
-	// ZoneSkipped counts morsels zone maps proved empty; IndexMorsels those
-	// the value index served in place of a scan (skipped, or answered from
-	// its candidates); CellQueries the aggregate queries answered from
+	// ZoneSkipped counts morsels the value index skipped whole, as holding
+	// no candidate; IndexMorsels those it served in place of a scan
+	// (skipped, or answered from its candidates); CellQueries the aggregate queries answered from
 	// cells: bucket cells behind one range, two or no WHERE, or in cracked
 	// mode the crack pieces' cells.
 	ZoneSkipped  int64 `json:"zone_skipped"`

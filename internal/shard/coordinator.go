@@ -447,7 +447,7 @@ func (c *Coordinator) countOutcome(o string) {
 // ---- observability ----
 
 // ShardStat is one shard's snapshot row. The worker-local counters
-// (rows scanned, zone-map skips, value-index morsels, bucket-cell queries,
+// (rows scanned, morsels the value index skipped and served, bucket-cell queries,
 // crack pieces/cracks)
 // come from the best-effort Stats probe: a dead worker keeps its
 // last-known numbers.
@@ -463,7 +463,7 @@ type ShardStat struct {
 	P50MS        float64 `json:"p50_ms"`
 	P95MS        float64 `json:"p95_ms"`
 	RowsScanned  int64   `json:"rows_scanned"`
-	ZoneSkipped  int64   `json:"zone_skipped"`
+	ZoneSkipped  int64   `json:"zone_skipped"` // morsels the value index skipped whole
 	IndexMorsels int64   `json:"index_morsels"`
 	CellQueries  int64   `json:"cell_queries"`
 	CrackPieces  int64   `json:"crack_pieces"`

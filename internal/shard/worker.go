@@ -324,7 +324,7 @@ func (w *Worker) handlePartition(m protocol.Partition) (int64, protocol.WireTabl
 // stats snapshots the worker's engine counters for a Stats probe: the
 // registered (partitioned) tables with their row counts — what the
 // healer compares against the placement map — plus the shard-local
-// scan/crack/zone-map counters the coordinator's stats section surfaces.
+// scan/crack/index counters the coordinator's stats section surfaces.
 func (w *Worker) stats(id uint64) protocol.WorkerStats {
 	w.mu.Lock()
 	shard := w.shard

@@ -203,7 +203,9 @@ type cellKey struct{ col, key, input string }
 // it, built outside the cache mutex, once for concurrent first callers,
 // and rebuilt with the column's bucket bounds, which are redrawn (a
 // numeric key's with them) when the table's length changes; the cells and
-// the index returned always share one set of bounds.
+// the index returned always share one set of bounds. A failed build (the
+// storage/index-build failpoint) returns its error and leaves the entry
+// for the next caller to build.
 func (t *Table) BucketCells(col, key, input string, morsel int) (c *BucketCells, x *ValueIndex, built bool, err error) {
 	rc, err := t.ColumnByName(col)
 	if err != nil || !indexable(rc) || morsel <= 0 || morsel > MaxIndexMorsel {
@@ -225,7 +227,7 @@ func (t *Table) BucketCells(col, key, input string, morsel int) (c *BucketCells,
 		}
 	}
 	_, float := rc.(*FloatColumn)
-	t.zones.mu.Lock()
+	t.cache.mu.Lock()
 	b := t.bucketsLocked(col, rc)
 	// The build lays the live buckets out again: an array kept for it
 	// would escape to the heap on every lookup, cached or not.
@@ -242,14 +244,18 @@ func (t *Table) BucketCells(col, key, input string, morsel int) (c *BucketCells,
 		_, keys = kb.liveBuckets(kfloat)
 	}
 	if nlive*keys > rc.Len()/cellsPerRow {
-		t.zones.mu.Unlock()
+		t.cache.mu.Unlock()
 		return nil, nil, false, nil
 	}
-	xe := lazyEntry(&t.zones.indexes, indexKey{col, morsel}, b)
-	ce := lazyEntry(&t.zones.cells, cellKey{col, key, input}, b)
-	t.zones.mu.Unlock()
-	x, _ = xe.get(func() *ValueIndex { return buildValueIndex(rc, b, morsel) })
-	c, built = ce.get(func() *BucketCells { return buildBucketCells(x, float, kc, kb, in) })
+	xe := lazyEntry(&t.cache.indexes, indexKey{col, morsel}, b)
+	ce := lazyEntry(&t.cache.cells, cellKey{col, key, input}, b)
+	t.cache.mu.Unlock()
+	if x, _, err = xe.get(func() *ValueIndex { return buildValueIndex(rc, b, morsel) }); err != nil {
+		return nil, nil, false, err
+	}
+	if c, built, err = ce.get(func() *BucketCells { return buildBucketCells(x, float, kc, kb, in) }); err != nil {
+		return nil, nil, false, err
+	}
 	return c, x, built, nil
 }
 

@@ -219,47 +219,6 @@ func mustCol(t *testing.T, tab *Table, name string) Column {
 	return c
 }
 
-// TestZoneMapOverRLE: zone maps built from the run representation must
-// report exactly the bounds of the decoded rows, morsel by morsel.
-func TestZoneMapOverRLE(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 25; iter++ {
-		v := randRunInts(rng, 1+rng.Intn(700), 40, 5)
-		rc := EncodeRLE(v)
-		for _, morsel := range []int{1, 7, 64, 1024} {
-			ze, err := BuildZoneMap(rc, morsel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			zp, err := BuildZoneMap(&IntColumn{V: v}, morsel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ze.Morsels() != zp.Morsels() {
-				t.Fatalf("iter=%d morsel=%d: %d vs %d morsels", iter, morsel, ze.Morsels(), zp.Morsels())
-			}
-			// Equal bounds <=> equal pruning decisions for every interval:
-			// probe with each morsel's own bounds and one-off intervals.
-			for m := 0; m < ze.Morsels(); m++ {
-				for _, probe := range [][2]int64{
-					{ze.imin[m], ze.imax[m]},
-					{ze.imin[m] - 3, ze.imin[m] - 1},
-					{ze.imax[m] + 1, ze.imax[m] + 3},
-				} {
-					if got, want := ze.PruneInt(m, probe[0], probe[1]), zp.PruneInt(m, probe[0], probe[1]); got != want {
-						t.Fatalf("iter=%d morsel=%d m=%d probe=%v: prune %v vs %v",
-							iter, morsel, m, probe, got, want)
-					}
-				}
-				if ze.imin[m] != zp.imin[m] || ze.imax[m] != zp.imax[m] {
-					t.Fatalf("iter=%d morsel=%d m=%d: bounds [%d,%d] vs [%d,%d]",
-						iter, morsel, m, ze.imin[m], ze.imax[m], zp.imin[m], zp.imax[m])
-				}
-			}
-		}
-	}
-}
-
 // TestEncodeFailpoint: an armed storage/segment-encode site fails
 // EncodeTable with the injected error, and disarming restores encoding.
 func TestEncodeFailpoint(t *testing.T) {

@@ -65,15 +65,15 @@ func (s Schema) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Table is a named collection of equally long columns. The embedded zone
-// cache (zone maps and value indexes, see zonemap.go and valueindex.go) is
-// lazily built per-table state; its zero value is ready, so the struct
-// literals below need not mention it.
+// Table is a named collection of equally long columns. The embedded index
+// cache (bucket bounds, value indexes and bucket cells, see valueindex.go
+// and bucketcells.go) is lazily built per-table state; its zero value is
+// ready, so the struct literals below need not mention it.
 type Table struct {
 	name   string
 	schema Schema
 	cols   []Column
-	zones  zoneCache
+	cache  indexCache
 }
 
 // NewTable creates an empty table with the given schema.

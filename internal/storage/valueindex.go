@@ -7,20 +7,30 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"dex/internal/fault"
 )
 
-// The value index prunes rows where a zone map can only prune morsels. A
-// plain INT or FLOAT column's values are cut into valueBuckets equi-depth
-// buckets whose bounds come from a deterministic sample; per morsel, the
-// index keeps the row offsets grouped by bucket, ascending within each
-// bucket, plus where each bucket starts. A range [lo, hi] maps to the
-// bucket run [bucket(lo), bucket(hi)], and the rows of that run are a
-// superset of the rows inside the range: bucket(v) is non-decreasing in v,
-// so lo <= v <= hi puts bucket(v) inside the run. A NULL (NaN) row lies in
-// no bucket, as it lies in no range. Like zone maps, an index is built
-// lazily on first use (Table.ValueIndex), once, in one O(n) counting pass
-// parallel per morsel, and is immutable afterwards. It costs two bytes per
-// row plus one bucket-start table per morsel.
+// The value index is the engine's one data-skipping structure: it skips a
+// morsel whose bucket counts say no row can match, and prunes rows inside
+// the rest. A plain INT or FLOAT column's values are cut into valueBuckets
+// equi-depth buckets whose bounds come from a deterministic sample; per
+// morsel, the index keeps the row offsets grouped by bucket, ascending
+// within each bucket, plus where each bucket starts. A range [lo, hi] maps
+// to the bucket run [bucket(lo), bucket(hi)], and the rows of that run are
+// a superset of the rows inside the range: bucket(v) is non-decreasing in
+// v, so lo <= v <= hi puts bucket(v) inside the run. A NULL (NaN) row lies
+// in no bucket, as it lies in no range. An index is built lazily on first
+// use (Table.ValueIndex), once, in one O(n) counting pass parallel per
+// morsel, and is immutable afterwards. It costs two bytes per row plus one
+// bucket-start table per morsel. Run-length columns get none: their kernel
+// already rejects a whole run at a time.
+
+// fpIndexBuild injects faults into the index cache's builds: it is hit
+// once per value index or bucket cell set build, the moment a query first
+// asks for one. An error fails the requesting query and leaves the entry
+// unbuilt, so the next query builds it.
+var fpIndexBuild = fault.Register("storage/index-build")
 
 // valueBuckets is the number of buckets per column: a power of two, so the
 // bucket search is a fixed eight steps, and 256, so a byte indexes the
@@ -304,7 +314,19 @@ func (x *ValueIndex) fill(c Column, m, lo int, ids []uint16) {
 	}
 }
 
-// indexKey names one cached zone map or value index.
+// indexCache is the lazily populated per-table cache of bucket bounds,
+// value indexes and bucket cells (bucketcells.go). It lives in its own
+// struct so Table literals elsewhere in the package need not name it, and
+// the zero value is ready to use. mu guards the maps; value indexes and
+// cells are built outside it (lazy).
+type indexCache struct {
+	mu      sync.Mutex
+	buckets map[string]*ValueBuckets
+	indexes map[indexKey]*lazy[*ValueIndex]
+	cells   map[cellKey]*lazy[*BucketCells]
+}
+
+// indexKey names one cached value index.
 type indexKey struct {
 	col    string
 	morsel int
@@ -319,8 +341,8 @@ func (t *Table) ValueBuckets(col string) (*ValueBuckets, error) {
 	if err != nil || !indexable(c) {
 		return nil, err
 	}
-	t.zones.mu.Lock()
-	defer t.zones.mu.Unlock()
+	t.cache.mu.Lock()
+	defer t.cache.mu.Unlock()
 	return t.bucketsLocked(col, c), nil
 }
 
@@ -333,14 +355,14 @@ func indexable(c Column) bool {
 }
 
 func (t *Table) bucketsLocked(col string, c Column) *ValueBuckets {
-	if b, ok := t.zones.buckets[col]; ok && b.n == c.Len() {
+	if b, ok := t.cache.buckets[col]; ok && b.n == c.Len() {
 		return b
 	}
 	b := newValueBuckets(c)
-	if t.zones.buckets == nil {
-		t.zones.buckets = map[string]*ValueBuckets{}
+	if t.cache.buckets == nil {
+		t.cache.buckets = map[string]*ValueBuckets{}
 	}
-	t.zones.buckets[col] = b
+	t.cache.buckets[col] = b
 	return b
 }
 
@@ -348,39 +370,56 @@ func (t *Table) bucketsLocked(col string, c Column) *ValueBuckets {
 // column at the given morsel size, or (nil, false, nil) when there is none:
 // the column is not a plain non-empty INT or FLOAT column, or the morsel
 // size is not in (0, MaxIndexMorsel]. built reports whether this call did
-// the build. Like ZoneMap, it rebuilds an index built for a different
-// column length. The build runs outside the cache mutex: concurrent first
-// callers of one key share it, and no other lookup waits on it.
+// the build. An index built for a different column length — the table grew
+// via AppendRow — is rebuilt, so a stale index never skips a morsel that
+// now holds a match. The build runs outside the cache mutex: concurrent
+// first callers of one key share it, and no other lookup waits on it. A
+// failed build (the storage/index-build failpoint) returns its error and
+// leaves the entry for the next caller to build.
 func (t *Table) ValueIndex(col string, morsel int) (x *ValueIndex, built bool, err error) {
 	c, err := t.ColumnByName(col)
 	if err != nil || !indexable(c) || morsel <= 0 || morsel > MaxIndexMorsel {
 		return nil, false, err
 	}
-	t.zones.mu.Lock()
+	t.cache.mu.Lock()
 	b := t.bucketsLocked(col, c)
-	e := lazyEntry(&t.zones.indexes, indexKey{col, morsel}, b)
-	t.zones.mu.Unlock()
-	x, built = e.get(func() *ValueIndex { return buildValueIndex(c, b, morsel) })
-	return x, built, nil
+	e := lazyEntry(&t.cache.indexes, indexKey{col, morsel}, b)
+	t.cache.mu.Unlock()
+	return e.get(func() *ValueIndex { return buildValueIndex(c, b, morsel) })
 }
 
 // lazy is one value index or cell set of the table's cache, made under the
 // cache mutex for one set of bucket bounds and built outside it, once: a
 // build reads a whole column, and holding the mutex across it would stall
-// every zone-map, bounds and index lookup on the table behind it.
-// Concurrent first callers of one key wait on its once and share the
-// build.
+// every bounds and index lookup on the table behind it. Concurrent first
+// callers of one key wait on its mutex and share the build; a build that
+// fails leaves done unset, so the next caller, waiting or later, tries
+// again.
 type lazy[V any] struct {
 	b    *ValueBuckets // the bounds it is built under
-	once sync.Once
+	done atomic.Bool
+	mu   sync.Mutex
 	v    V
 }
 
-// get returns the entry's value, building it on the first call; built
-// reports whether this call did.
-func (e *lazy[V]) get(build func() V) (v V, built bool) {
-	e.once.Do(func() { e.v, built = build(), true })
-	return e.v, built
+// get returns the entry's value, building it on the first call that gets
+// past the storage/index-build failpoint; built reports whether this call
+// did.
+func (e *lazy[V]) get(build func() V) (v V, built bool, err error) {
+	if e.done.Load() {
+		return e.v, false, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return e.v, false, nil
+	}
+	if err := fpIndexBuild.Hit(); err != nil {
+		return v, false, err
+	}
+	e.v = build()
+	e.done.Store(true)
+	return e.v, true, nil
 }
 
 // lazyEntry returns m's entry for key when it was made under the bounds b,
