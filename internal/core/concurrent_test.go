@@ -14,7 +14,7 @@ import (
 // TestConcurrentSessions drives many sessions through the parallel engine
 // at once, mixing every execution mode with profile reads, crack-stat
 // polls and session archiving. Its job is to give `go test -race ./...`
-// something to bite on: all of the engine's shared state — the catalog,
+// something to bite on: all of the engine's shared state — the table map,
 // cracker indexes, sample catalogs, the engine rand.Rand, the past-session
 // archive — is exercised from multiple goroutines.
 func TestConcurrentSessions(t *testing.T) {

@@ -394,11 +394,7 @@ func TestCrackedBoundaryOperators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := e.cat.Get(st.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := exec.Execute(tab, st.Query)
+		want, err := exec.Execute(current(t, e, st.Table).t, st.Query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,11 +150,11 @@ func TestCrackedPartsMatchOracle(t *testing.T) {
 					case *storage.IntColumn:
 						i := crack.New(c.V[:first], copt)
 						ix, insert = i, func(r int) { i.Insert(c.V[r]) }
-						e.cracks["t"] = map[string]cracker{col: i}
+						current(t, e, "t").cracks[col] = i
 					case *storage.FloatColumn:
 						i := crack.New(c.V[:first], copt)
 						ix, insert = i, func(r int) { i.Insert(c.V[r]) }
-						e.cracks["t"] = map[string]cracker{col: i}
+						current(t, e, "t").cracks[col] = i
 					}
 					rng := rand.New(rand.NewSource(int64(par)))
 					next, deleted := first, map[int]bool{}

@@ -1,4 +1,4 @@
-// Package core is the engine facade: it wires the storage catalog, the
+// Package core is the engine facade: it wires registered tables, the
 // adaptive cracking indexes, the AQP sample catalog, online aggregation and
 // in-situ raw tables behind one query entry point with selectable execution
 // modes — the "exploration-ready database system" the tutorial's future
@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"dex/internal/aqp"
-	"dex/internal/catalog"
 	"dex/internal/crack"
 	"dex/internal/exec"
 	"dex/internal/expr"
@@ -36,6 +36,7 @@ var (
 	ErrBadMode     = errors.New("core: unknown execution mode")
 	ErrNotApprox   = errors.New("core: query shape not supported by approximate modes (need exactly one aggregate, at most one GROUP BY column)")
 	ErrNoSuchTable = errors.New("core: no such table")
+	ErrTableExists = errors.New("core: table already exists")
 )
 
 // Mode selects how a query executes.
@@ -129,19 +130,32 @@ func (o *Options) fill() {
 // that must reorganize the column escalate to the write lock — so queries
 // against a converged index (or distinct indexes) run fully in parallel.
 type Engine struct {
-	mu       sync.Mutex
-	opt      Options
-	cat      *catalog.Catalog
-	rng      *rand.Rand
-	cracks   map[string]map[string]cracker // table → column → crack index
-	samples  map[string]*aqp.Catalog
-	shuffles map[string][]int // Online mode's row order, one per table
-	raw      map[string]*rawload.RawTable
-	rowVecs  [][]int // cracked mode's idle row-id vectors
+	// tmu guards tables alone: a lookup never waits behind a build on mu.
+	tmu    sync.RWMutex
+	tables map[string]*version
+	// mu guards the versions' derived state and the fields below.
+	mu      sync.Mutex
+	opt     Options
+	rng     *rand.Rand
+	rowVecs [][]int // cracked mode's idle row-id vectors
 	// partsFree holds cracked mode's idle parts probes (takeParts).
 	partsFree []*crack.Parts[[]storage.Cell]
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
+}
+
+// version is one registration of a table, in memory or in situ, with the
+// state built from its rows. A query resolves its version once and reads
+// and builds everything there, so what a query that Replace overtakes
+// builds stays with the rows it started on. Engine.mu guards the derived
+// fields. (Not a slot on storage.Table, which could hold it only as an
+// any: aqp imports storage.)
+type version struct {
+	t       *storage.Table     // nil for an in-situ table
+	raw     *rawload.RawTable  // nil for an in-memory table
+	cracks  map[string]cracker // column → crack index
+	samples *aqp.Catalog
+	shuffle []int // Online mode's row order
 }
 
 // New creates an engine.
@@ -170,13 +184,9 @@ func New(opt Options) *Engine {
 		opt.Exec.AggKernelFallbacks = new(atomic.Int64)
 	}
 	return &Engine{
-		opt:      opt,
-		cat:      catalog.New(),
-		rng:      rand.New(rand.NewSource(opt.Seed)),
-		cracks:   map[string]map[string]cracker{},
-		samples:  map[string]*aqp.Catalog{},
-		shuffles: map[string][]int{},
-		raw:      map[string]*rawload.RawTable{},
+		opt:    opt,
+		rng:    rand.New(rand.NewSource(opt.Seed)),
+		tables: map[string]*version{},
 	}
 }
 
@@ -186,9 +196,10 @@ func New(opt Options) *Engine {
 // kernels and the dense dict group-by run on. Encoding is an optimization
 // only — an encode error (for example one injected at the
 // storage/segment-encode seam) keeps the plain table and the load still
-// succeeds — and idempotent: an already-encoded table registers as is.
+// succeeds — and idempotent: an already-encoded table registers as is. A
+// name already taken fails with ErrTableExists.
 func (e *Engine) Register(t *storage.Table) error {
-	return e.cat.Register(encoded(t))
+	return e.store(t.Name(), &version{t: encoded(t)}, false)
 }
 
 func encoded(t *storage.Table) *storage.Table {
@@ -199,17 +210,35 @@ func encoded(t *storage.Table) *storage.Table {
 	return enc
 }
 
-// Replace registers a table, overwriting any previous registration under
-// the same name and dropping derived state (crack indexes, samples, the
-// online shuffle) built from the old data. Shard workers use it when a
-// re-partition reassigns their slice of a table.
+// Replace registers t as a new version of its name, overwriting any
+// previous one; queries already running finish on the old version, and
+// what they build stays there. Shard workers use it when a re-partition
+// reassigns their slice of a table.
 func (e *Engine) Replace(t *storage.Table) {
-	e.cat.Replace(encoded(t))
-	e.mu.Lock()
-	delete(e.cracks, t.Name())
-	delete(e.samples, t.Name())
-	delete(e.shuffles, t.Name())
-	e.mu.Unlock()
+	_ = e.store(t.Name(), &version{t: encoded(t)}, true) // replacing cannot fail
+}
+
+// store makes v name's version; a taken name is ErrTableExists unless replace.
+func (e *Engine) store(name string, v *version, replace bool) error {
+	v.cracks = map[string]cracker{}
+	e.tmu.Lock()
+	defer e.tmu.Unlock()
+	if _, ok := e.tables[name]; ok && !replace {
+		return fmt.Errorf("%q: %w", name, ErrTableExists)
+	}
+	e.tables[name] = v
+	return nil
+}
+
+// lookup resolves a name to its current version.
+func (e *Engine) lookup(name string) (*version, error) {
+	e.tmu.RLock()
+	v, ok := e.tables[name]
+	e.tmu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%q: %w", name, ErrNoSuchTable)
+	}
+	return v, nil
 }
 
 // RowsScanned returns the engine's cumulative scanned-row count: rows
@@ -260,11 +289,11 @@ func (e *Engine) AggKernelFallbacks() int64 {
 // Stats probe with it, so the healer can tell a worker that still holds
 // its partition from a blank restart.
 func (e *Engine) TableRows(name string) (int64, bool) {
-	t, err := e.cat.Get(name)
-	if err != nil {
+	v, err := e.lookup(name)
+	if err != nil || v.t == nil {
 		return 0, false
 	}
-	return int64(t.NumRows()), true
+	return int64(v.t.NumRows()), true
 }
 
 // ParseMode parses a mode name (exact|cracked|approx|online).
@@ -283,7 +312,7 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// LoadCSV loads a CSV file eagerly into the catalog.
+// LoadCSV loads a CSV file eagerly and registers it.
 func (e *Engine) LoadCSV(name, path string) error {
 	t, err := storage.ReadCSVFile(name, path)
 	if err != nil {
@@ -294,67 +323,55 @@ func (e *Engine) LoadCSV(name, path string) error {
 
 // AttachCSV registers a CSV file for in-situ (NoDB-style) querying: no
 // bytes are read until a query touches the table, and only touched columns
-// are ever parsed.
+// are ever parsed. A name already taken fails with ErrTableExists.
 func (e *Engine) AttachCSV(name, path string, schema storage.Schema) error {
 	r, err := rawload.Open(name, path, schema)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.raw[name] = r
-	return nil
+	return e.store(name, &version{raw: r}, false)
 }
 
-// Tables lists registered table names (in-memory and in-situ).
+// Tables lists the registered names, sorted; in-situ ones end " (in-situ)".
 func (e *Engine) Tables() []string {
-	names := e.cat.Names()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for n := range e.raw {
-		names = append(names, n+" (in-situ)")
+	e.tmu.RLock()
+	names := make([]string, 0, len(e.tables))
+	for n, v := range e.tables {
+		if v.raw != nil {
+			n += " (in-situ)"
+		}
+		names = append(names, n)
 	}
+	e.tmu.RUnlock()
+	sort.Strings(names)
 	return names
 }
 
-// table resolves a name to an in-memory table, materializing the needed
-// columns of an in-situ table when necessary. The materialization — the
-// only storage-layer work here that can dominate a query — gets its own
-// trace span; catalog hits are sub-microsecond and stay unspanned.
-func (e *Engine) table(ctx context.Context, name string, q exec.Query) (*storage.Table, error) {
-	if t, err := e.cat.Get(name); err == nil {
-		return t, nil
+// schema is the version's schema, for star expansion.
+func (v *version) schema() storage.Schema {
+	if v.raw != nil {
+		return v.raw.Schema()
 	}
-	e.mu.Lock()
-	r, ok := e.raw[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%q: %w", name, ErrNoSuchTable)
+	return v.t.Schema()
+}
+
+// table resolves the version to an in-memory table, materializing q's
+// columns of an in-situ table — the only storage-layer work here that can
+// dominate a query, so it gets its own trace span.
+func (v *version) table(ctx context.Context, q exec.Query) (*storage.Table, error) {
+	if v.raw == nil {
+		return v.t, nil
 	}
-	cols := columnsOf(q, r.Schema())
+	cols := columnsOf(q, v.raw.Schema())
 	sp := trace.FromContext(ctx).Child("materialize")
-	sp.SetStr("table", name)
+	sp.SetStr("table", v.raw.Name())
 	sp.SetInt("columns", int64(len(cols)))
-	t, err := r.Materialize(cols...)
+	t, err := v.raw.Materialize(cols...)
 	if err == nil {
 		sp.SetInt("rows", int64(t.NumRows()))
 	}
 	sp.End()
 	return t, err
-}
-
-// schemaOf returns the schema for star expansion.
-func (e *Engine) schemaOf(name string) (storage.Schema, error) {
-	if t, err := e.cat.Get(name); err == nil {
-		return t.Schema(), nil
-	}
-	e.mu.Lock()
-	r, ok := e.raw[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%q: %w", name, ErrNoSuchTable)
-	}
-	return r.Schema(), nil
 }
 
 func columnsOf(q exec.Query, schema storage.Schema) []string {
@@ -414,19 +431,19 @@ func (e *Engine) SQLContext(ctx context.Context, sql string, mode Mode) (*storag
 // executeJoin runs a two-table statement: hash-join then query.
 func (e *Engine) executeJoin(ctx context.Context, st *sqlparse.Statement) (*storage.Table, error) {
 	// Joins need the whole tables materialized.
-	lschema, err := e.schemaOf(st.Table)
+	lv, err := e.lookup(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	rschema, err := e.schemaOf(st.JoinTable)
+	rv, err := e.lookup(st.JoinTable)
 	if err != nil {
 		return nil, err
 	}
-	left, err := e.table(ctx, st.Table, allColumnsQuery(lschema))
+	left, err := lv.table(ctx, allColumnsQuery(lv.schema()))
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.table(ctx, st.JoinTable, allColumnsQuery(rschema))
+	right, err := rv.table(ctx, allColumnsQuery(rv.schema()))
 	if err != nil {
 		return nil, err
 	}
@@ -482,14 +499,18 @@ type Answer struct {
 // Degraded, instead of the error. Queries whose shape the approximate
 // path cannot serve, and client cancellations, keep the original error.
 func (e *Engine) ExecuteAnswer(ctx context.Context, table string, q exec.Query, mode Mode) (Answer, error) {
-	res, err := e.ExecuteContext(ctx, table, q, mode)
+	v, q, err := e.plan(ctx, table, q, mode)
+	if err != nil {
+		return Answer{}, err
+	}
+	res, err := e.execute(ctx, v, q, mode)
 	if err == nil {
 		return Answer{Table: res, Mode: mode}, nil
 	}
 	if !e.opt.Degrade || (mode != Exact && mode != Cracked) || !errors.Is(err, context.DeadlineExceeded) {
 		return Answer{}, err
 	}
-	dres, derr := e.degradedAnswer(ctx, table, q)
+	dres, derr := e.degradedAnswer(ctx, v, q)
 	if derr != nil {
 		return Answer{}, err // surface the original deadline overrun
 	}
@@ -497,54 +518,62 @@ func (e *Engine) ExecuteAnswer(ctx context.Context, table string, q exec.Query, 
 }
 
 // degradedAnswer computes the approximate stand-in for a timed-out exact
-// query under its own grace budget, detached from the expired request
-// context. Only the trace span survives the detachment, so the fallback
-// work still shows up in the query's profile.
-func (e *Engine) degradedAnswer(parent context.Context, table string, q exec.Query) (*storage.Table, error) {
+// query on the same version, under its own grace budget, detached from the
+// expired request context. Only the trace span survives the detachment, so
+// the fallback work still shows up in the query's profile.
+func (e *Engine) degradedAnswer(parent context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	sp := trace.FromContext(parent).Child("degrade")
 	defer sp.End()
 	ctx, cancel := context.WithTimeout(trace.With(context.Background(), sp), e.opt.DegradeGrace)
 	defer cancel()
-	schema, err := e.schemaOf(table)
+	return e.executeApprox(ctx, v, q)
+}
+
+// ExecuteContext is Execute under a context, on the table's version as of
+// entry. Cancellation points per mode: Exact checks between morsel claims,
+// Cracked before and after the crack and then between morsel claims,
+// Online between batches, Approx at the mode boundaries (sample lookups
+// are sub-millisecond once built). Online mode treats an expired deadline
+// as its stopping rule, not a failure: once a batch is in, the estimates
+// at the deadline are the answer.
+func (e *Engine) ExecuteContext(ctx context.Context, table string, q exec.Query, mode Mode) (*storage.Table, error) {
+	v, q, err := e.plan(ctx, table, q, mode)
 	if err != nil {
 		return nil, err
 	}
-	return e.executeApprox(ctx, table, sqlparse.ExpandStar(q, schema))
+	return e.execute(ctx, v, q, mode)
 }
 
-// ExecuteContext is Execute under a context. Cancellation points per mode:
-// Exact checks between morsel claims, Cracked before and after the crack
-// and then between morsel claims, Online between batches, Approx at the
-// mode boundaries (sample lookups are sub-millisecond once built). Online
-// mode treats an expired deadline as its stopping rule, not a failure:
-// once a batch is in, the estimates at the deadline are the answer.
-func (e *Engine) ExecuteContext(ctx context.Context, table string, q exec.Query, mode Mode) (*storage.Table, error) {
+// plan resolves the table's version and expands q's star against it.
+func (e *Engine) plan(ctx context.Context, table string, q exec.Query, mode Mode) (*version, exec.Query, error) {
+	psp := trace.FromContext(ctx).Child("plan")
+	defer psp.End()
+	psp.SetStr("table", table)
+	psp.SetStr("mode", mode.String())
+	v, err := e.lookup(table)
+	if err != nil {
+		return nil, q, err
+	}
+	return v, sqlparse.ExpandStar(q, v.schema()), nil
+}
+
+func (e *Engine) execute(ctx context.Context, v *version, q exec.Query, mode Mode) (*storage.Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	psp := trace.FromContext(ctx).Child("plan")
-	psp.SetStr("table", table)
-	psp.SetStr("mode", mode.String())
-	schema, err := e.schemaOf(table)
-	if err != nil {
-		psp.End()
-		return nil, err
-	}
-	q = sqlparse.ExpandStar(q, schema)
-	psp.End()
 	switch mode {
 	case Exact:
-		t, err := e.table(ctx, table, q)
+		t, err := v.table(ctx, q)
 		if err != nil {
 			return nil, err
 		}
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	case Cracked:
-		return e.executeCracked(ctx, table, q)
+		return e.executeCracked(ctx, v, q)
 	case Approx:
-		return e.executeApprox(ctx, table, q)
+		return e.executeApprox(ctx, v, q)
 	case Online:
-		return e.executeOnline(ctx, table, q)
+		return e.executeOnline(ctx, v, q)
 	default:
 		return nil, fmt.Errorf("%v: %w", mode, ErrBadMode)
 	}
@@ -583,8 +612,8 @@ type partsKey struct{ group, input string }
 // the column's crack index, above being the least value over hi: a
 // half-open probe [lo, above), or, when hi is the type's maximum and
 // nothing lies above it, a probe with no upper cut.
-func probeInterval[T int64 | float64](e *Engine, table string, t *storage.Table, col string, pr *crackProbe, lo, above T, bounded bool) (st crack.ProbeStats, err error) {
-	ix, err := crackIndex[T](e, table, t, col)
+func probeInterval[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, pr *crackProbe, lo, above T, bounded bool) (st crack.ProbeStats, err error) {
+	ix, err := crackIndex[T](e, v, t, col)
 	switch {
 	case err != nil:
 	case pr.parts != nil && bounded:
@@ -610,8 +639,8 @@ func probeInterval[T int64 | float64](e *Engine, table string, t *storage.Table,
 // answer equals exact mode's — group order, projection order, MIN/MAX
 // values and ties — however far the index has cracked, up to the
 // association of a float SUM/AVG, which the pieces add in crack order.
-func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
-	t, err := e.table(ctx, table, q)
+func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
+	t, err := v.table(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -650,10 +679,10 @@ func (e *Engine) executeCracked(ctx context.Context, table string, q exec.Query)
 	var st crack.ProbeStats
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		st, err = probeInterval(e, table, t, iv.Col, pr, iv.FLo, above, bounded)
+		st, err = probeInterval(e, v, t, iv.Col, pr, iv.FLo, above, bounded)
 	} else {
 		above, bounded := iv.IntAbove()
-		st, err = probeInterval(e, table, t, iv.Col, pr, iv.ILo, above, bounded)
+		st, err = probeInterval(e, v, t, iv.Col, pr, iv.ILo, above, bounded)
 	}
 	if err != nil {
 		csp.End()
@@ -762,17 +791,12 @@ type cracker interface {
 	Cracks() int
 }
 
-// crackIndex returns (building on demand) the cracker index of a column:
-// an INT or run-coded INT column cracks as int64, a FLOAT one as float64.
-func crackIndex[T int64 | float64](e *Engine, table string, t *storage.Table, col string) (*crack.Index[T], error) {
+// crackIndex returns (building on demand) v's cracker index of a column of
+// t: an INT or run-coded INT column cracks as int64, a FLOAT one as float64.
+func crackIndex[T int64 | float64](e *Engine, v *version, t *storage.Table, col string) (*crack.Index[T], error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	byCol, ok := e.cracks[table]
-	if !ok {
-		byCol = map[string]cracker{}
-		e.cracks[table] = byCol
-	}
-	if ix, ok := byCol[col].(*crack.Index[T]); ok {
+	if ix, ok := v.cracks[col].(*crack.Index[T]); ok {
 		return ix, nil
 	}
 	c, err := t.ColumnByName(col)
@@ -790,21 +814,25 @@ func crackIndex[T int64 | float64](e *Engine, table string, t *storage.Table, co
 	case *storage.FloatColumn:
 		vals = c.V
 	}
-	v, ok := vals.([]T)
+	xs, ok := vals.([]T)
 	if !ok {
 		return nil, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
 	}
-	ix := crack.New(v, e.opt.CrackOptions)
-	byCol[col] = ix
+	ix := crack.New(xs, e.opt.CrackOptions)
+	v.cracks[col] = ix
 	return ix, nil
 }
 
-// CrackStats reports (pieces, cracks) for a table's column index, or ok
-// false when no index exists yet.
+// CrackStats reports (pieces, cracks) for a column index of a table's
+// current version, or ok false when no index exists yet.
 func (e *Engine) CrackStats(table, col string) (pieces, cracks int, ok bool) {
+	v, err := e.lookup(table)
+	if err != nil {
+		return 0, 0, false
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ix, have := e.cracks[table][col]; have {
+	if ix, have := v.cracks[col]; have {
 		return ix.NumPieces(), ix.Cracks(), true
 	}
 	return 0, 0, false
@@ -818,16 +846,19 @@ type CrackIndexStat struct {
 	Cracks int
 }
 
-// CrackIndexes lists every crack index the engine has built so far, in
-// deterministic (table, column) order — the shard Stats probe and
-// /admin/stats enumerate them without knowing which columns queries
+// CrackIndexes lists every crack index built so far on the tables' current
+// versions, in deterministic (table, column) order — the shard Stats probe
+// and /admin/stats enumerate them without knowing which columns queries
 // happened to crack.
 func (e *Engine) CrackIndexes() []CrackIndexStat {
+	e.tmu.RLock()
+	versions := maps.Clone(e.tables)
+	e.tmu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []CrackIndexStat
-	for table, byCol := range e.cracks {
-		for col, ix := range byCol {
+	for table, v := range versions {
+		for col, ix := range v.cracks {
 			out = append(out, CrackIndexStat{Table: table, Column: col, Pieces: ix.NumPieces(), Cracks: ix.Cracks()})
 		}
 	}
@@ -904,12 +935,12 @@ func estimatesTable(name, groupCol, aggName string, ests []aqp.GroupEstimate) (*
 	return out, nil
 }
 
-func (e *Engine) executeApprox(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
+func (e *Engine) executeApprox(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	aq, aggName, err := approxShape(q)
 	if err != nil {
 		return nil, err
 	}
-	t, err := e.table(ctx, table, q)
+	t, err := v.table(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -918,15 +949,14 @@ func (e *Engine) executeApprox(ctx context.Context, table string, q exec.Query) 
 	}
 	ssp := trace.FromContext(ctx).Child("sample")
 	e.mu.Lock()
-	cat, ok := e.samples[table]
-	if !ok {
+	cat := v.samples
+	built := cat == nil
+	if built {
 		cat, err = aqp.NewCatalog(t, e.rng, e.opt.SampleFracs...)
-		if err == nil {
-			e.samples[table] = cat
-		}
+		v.samples = cat
 	}
 	e.mu.Unlock()
-	ssp.SetBool("built", !ok)
+	ssp.SetBool("built", built)
 	if err != nil {
 		ssp.End()
 		return nil, err
@@ -936,33 +966,31 @@ func (e *Engine) executeApprox(ctx context.Context, table string, q exec.Query) 
 	if err != nil && res == nil {
 		return nil, err
 	}
-	return estimatesTable(table, aq.GroupBy, aggName, res.Groups)
+	return estimatesTable(t.Name(), aq.GroupBy, aggName, res.Groups)
 }
 
-func (e *Engine) executeOnline(ctx context.Context, table string, q exec.Query) (*storage.Table, error) {
+func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	aq, aggName, err := approxShape(q)
 	if err != nil {
 		return nil, err
 	}
-	t, err := e.table(ctx, table, q)
+	t, err := v.table(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	// The table's shuffle is built by its first Online query and shared,
+	// The version's shuffle is built by its first Online query and shared,
 	// read-only, by every later one; each query enters it at its own
 	// rotation, so prefixes differ from query to query while a fixed Seed
 	// still replays the same sequence. Both come from the engine rand.Rand
-	// — shared state, drawn under the engine lock. A shuffle of the wrong
-	// length belongs to a table Replace has since swapped out under a
-	// query that was already running; it is rebuilt, never indexed.
+	// — shared state, drawn under the engine lock.
 	osp := trace.FromContext(ctx).Child("online")
 	n := t.NumRows()
 	e.mu.Lock()
-	shuffle := e.shuffles[table]
-	built := len(shuffle) != n
+	shuffle := v.shuffle
+	built := shuffle == nil
 	if built {
 		shuffle = e.rng.Perm(n)
-		e.shuffles[table] = shuffle
+		v.shuffle = shuffle
 	}
 	start := int(e.rng.Int63() % int64(max(n, 1)))
 	e.mu.Unlock()
@@ -990,5 +1018,5 @@ func (e *Engine) executeOnline(ctx context.Context, table string, q exec.Query) 
 	if err != nil {
 		return nil, err
 	}
-	return estimatesTable(table, aq.GroupBy, aggName, r.Estimates())
+	return estimatesTable(t.Name(), aq.GroupBy, aggName, r.Estimates())
 }

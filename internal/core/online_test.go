@@ -31,8 +31,17 @@ func seqTable(t testing.TB, name string, n int) *storage.Table {
 // with the online span's "built" attribute.
 func onlineBuilt(t testing.TB, e *Engine, sql string) (*storage.Table, bool) {
 	t.Helper()
+	return onlineSpan(t, func(ctx context.Context) (*storage.Table, error) {
+		return e.SQLContext(ctx, sql, Online)
+	})
+}
+
+// onlineSpan runs one Online query under a trace and returns the result
+// with the online span's "built" attribute.
+func onlineSpan(t testing.TB, run func(context.Context) (*storage.Table, error)) (*storage.Table, bool) {
+	t.Helper()
 	ctx, sp := trace.Start(context.Background(), "q")
-	res, err := e.SQLContext(ctx, sql, Online)
+	res, err := run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestReplaceInvalidatesOnlineShuffle(t *testing.T) {
 		if got := res.Row(0)[0].F; got != float64(n-1) {
 			t.Errorf("n=%d: online max(x) = %v, want %d", n, got, n-1)
 		}
-		if got := len(e.shuffles["seq"]); got != n {
+		if got := len(current(t, e, "seq").shuffle); got != n {
 			t.Errorf("n=%d: cached shuffle has %d entries", n, got)
 		}
 	}
@@ -131,16 +140,31 @@ func TestReplaceInvalidatesOnlineShuffle(t *testing.T) {
 	check(5000, false)
 	for _, n := range []int{1200, 9000} {
 		e.Replace(seqTable(t, "seq", n))
-		if _, ok := e.shuffles["seq"]; ok {
+		if current(t, e, "seq").shuffle != nil {
 			t.Fatalf("n=%d: Replace kept the old table's shuffle", n)
 		}
 		check(n, true)
 		check(n, false)
 	}
-	// A query that read the old table before Replace can store its shuffle
-	// after it. The next query must notice the length and rebuild.
-	e.shuffles["seq"] = make([]int, 77)
-	check(9000, true)
+	// A query that resolved the old version before Replace builds its
+	// shuffle after it: the shuffle is the old version's and indexes the old
+	// rows, and the new version's first query builds its own.
+	e.Replace(seqTable(t, "seq", 3000))
+	old := current(t, e, "seq")
+	e.Replace(seqTable(t, "seq", 77))
+	q := mustParse(t, "SELECT max(x) FROM seq")
+	res, built := onlineSpan(t, func(ctx context.Context) (*storage.Table, error) {
+		return e.execute(ctx, old, q, Online)
+	})
+	if !built || res.Row(0)[0].F != 3000-1 || len(old.shuffle) != 3000 {
+		t.Errorf("old version: built = %v, max(x) = %v, shuffle of %d; want a 3000-entry build and 2999",
+			built, res.Row(0)[0].F, len(old.shuffle))
+	}
+	if current(t, e, "seq").shuffle != nil {
+		t.Fatal("the old version's query stored its shuffle on the new version")
+	}
+	check(77, true)
+	check(77, false)
 }
 
 // TestConcurrentOnlineSessions shares one shuffle between many Online

@@ -145,15 +145,11 @@ func TestRegisterEncodedIsIdempotent(t *testing.T) {
 		if err := e.Register(enc); err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.cat.Get("sales")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != enc {
+		if current(t, e, "sales").t != enc {
 			t.Fatal("an encoded table must register as the same *storage.Table")
 		}
 		e.Replace(enc)
-		if got, _ := e.cat.Get("sales"); got != enc {
+		if current(t, e, "sales").t != enc {
 			t.Fatal("an encoded table must replace as the same *storage.Table")
 		}
 	}
@@ -350,13 +346,19 @@ func TestCrackedReusesItsProbeVector(t *testing.T) {
 	}
 }
 
-func mustColumn(t *testing.T, e *Engine, table, col string) storage.Column {
+// current returns the version a query on table would resolve now.
+func current(t testing.TB, e *Engine, table string) *version {
 	t.Helper()
-	tab, err := e.cat.Get(table)
+	v, err := e.lookup(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tab.ColumnByName(col)
+	return v
+}
+
+func mustColumn(t *testing.T, e *Engine, table, col string) storage.Column {
+	t.Helper()
+	c, err := current(t, e, table).t.ColumnByName(col)
 	if err != nil {
 		t.Fatal(err)
 	}

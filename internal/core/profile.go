@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"dex/internal/exec"
 	"dex/internal/metrics"
 	"dex/internal/recommend"
 	"dex/internal/storage"
@@ -47,17 +46,13 @@ type TableProfile struct {
 // Profile computes a TableProfile for a registered (or in-situ) table.
 // The histogram bucket count adapts to the data size (16–64).
 func (e *Engine) Profile(table string) (*TableProfile, error) {
-	schema, err := e.schemaOf(table)
+	v, err := e.lookup(table)
 	if err != nil {
 		return nil, err
 	}
 	// Materialize every column (for in-situ tables this is the full parse —
 	// profiling is an explicit whole-table operation).
-	var allQ exec.Query
-	for _, f := range schema {
-		allQ.Select = append(allQ.Select, exec.SelectItem{Col: f.Name})
-	}
-	t, err := e.table(context.Background(), table, allQ)
+	t, err := v.table(context.Background(), allColumnsQuery(v.schema()))
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +62,7 @@ func (e *Engine) Profile(table string) (*TableProfile, error) {
 		buckets = 64
 	}
 	var dims, measures []string
-	for i, f := range schema {
+	for i, f := range t.Schema() {
 		c := t.Column(i)
 		cp := ColumnProfile{Name: f.Name, Type: f.Type}
 		if f.Type == storage.TString {

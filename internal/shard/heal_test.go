@@ -356,3 +356,119 @@ func TestWorkersRunTheTypedPipeline(t *testing.T) {
 	})
 	check("after heal re-stage")
 }
+
+// TestFleetCrackedSessionsAcrossAdoption keeps cracked and approx sessions
+// running on the survivors while they adopt a dead shard's partition and
+// then hand it back: each move replaces a worker's table under queries in
+// flight. A crack index built by a query that a re-partition overtook must
+// stay with the slice it was built from — served to the next slice it
+// answers wrong counts, or indexes past the end and takes the worker down.
+// Once the fleet is back in its bootstrap placement, cracked answers at
+// coverage 1 must equal exact ones, and the widest count every row.
+func TestFleetCrackedSessionsAcrossAdoption(t *testing.T) {
+	const rows = 9_000
+	ctx := context.Background()
+	f, err := shard.StartLocalFleet(ctx, shard.FleetConfig{
+		Shards: 3, Rows: rows, Seed: 9,
+		Heal: true, HealInterval: 20 * time.Millisecond, RepartitionAfter: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base := f.Coord.Snapshot()
+	parse := func(sql string) *sqlparse.Statement {
+		st, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	query := func(st *sqlparse.Statement, mode core.Mode) (shard.Result, error) {
+		return f.Coord.Execute(ctx, st.Table, st.Query, mode)
+	}
+
+	sessions := []struct {
+		sql  string
+		mode core.Mode
+	}{
+		{"SELECT count(*) FROM sales WHERE amount >= 40 AND amount < 90", core.Cracked},
+		{"SELECT sum(qty) FROM sales WHERE amount >= 55 AND amount < 70", core.Cracked},
+		{"SELECT amount, qty FROM sales WHERE amount >= 60 AND amount < 61", core.Cracked},
+		{"SELECT avg(amount) FROM sales", core.Approx},
+	}
+	var stop atomic.Bool
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for _, s := range sessions {
+		st := parse(s.sql)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				// Answers while a shard is down are partial by contract;
+				// only the answers after the rejoin are checked.
+				if _, err := query(st, s.mode); err == nil {
+					answered.Add(1)
+				}
+			}
+		}()
+	}
+	// settle waits until every session has answered a few more queries.
+	settle := func() {
+		n := answered.Load()
+		waitFor(t, 10*time.Second, "sessions to keep answering", func() bool {
+			return answered.Load() >= n+int64(4*len(sessions))
+		})
+	}
+
+	for cycle := 0; cycle < 3; cycle++ {
+		settle()
+		f.KillShard(2)
+		waitFor(t, 10*time.Second, "survivors to adopt the dead partition", func() bool {
+			return f.Coord.Coverage() == 1
+		})
+		settle()
+		if err := f.RestartShard(2); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, "rejoin to restore bootstrap placement", func() bool {
+			s := f.Coord.Snapshot()
+			for i, sh := range s.Shards {
+				if sh.State != "healthy" || sh.Rows != base.Shards[i].Rows {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	settle()
+	stop.Store(true)
+	wg.Wait()
+
+	for i, sql := range []string{
+		"SELECT count(*) FROM sales WHERE amount < 1000000", // every row
+		"SELECT count(*) FROM sales WHERE amount >= 40 AND amount < 90",
+		"SELECT sum(qty) FROM sales WHERE amount >= 55 AND amount < 70",
+		"SELECT count(*) FROM sales WHERE amount >= 60 AND amount < 61",
+	} {
+		st := parse(sql)
+		exact, err := query(st, core.Exact)
+		if err != nil || exact.Degraded || exact.Coverage != 1 {
+			t.Fatalf("exact %s: err=%v degraded=%v coverage=%v", sql, err, exact.Degraded, exact.Coverage)
+		}
+		want := exact.Table.Column(0).Value(0).AsInt()
+		for round := 0; round < 2; round++ { // round 1 reuses the cuts
+			res, err := query(st, core.Cracked)
+			if err != nil || res.Degraded || res.Coverage != 1 {
+				t.Fatalf("cracked %s: err=%v degraded=%v coverage=%v", sql, err, res.Degraded, res.Coverage)
+			}
+			if got := res.Table.Column(0).Value(0).AsInt(); got != want {
+				t.Errorf("cracked %s = %d, exact %d", sql, got, want)
+			}
+		}
+		if i == 0 && want != rows {
+			t.Errorf("%s = %d, want every row (%d)", sql, want, rows)
+		}
+	}
+}

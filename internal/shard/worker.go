@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,7 +32,6 @@ type Worker struct {
 
 	mu     sync.Mutex
 	staged map[string]*storage.Table
-	kept   map[string]int
 	shard  int
 	conns  map[*protocol.Conn]context.CancelFunc
 	closed bool
@@ -52,7 +50,6 @@ func NewWorker(seed int64) *Worker {
 	return &Worker{
 		eng:    core.New(core.Options{Seed: seed}),
 		staged: map[string]*storage.Table{},
-		kept:   map[string]int{},
 		shard:  -1,
 		conns:  map[*protocol.Conn]context.CancelFunc{},
 	}
@@ -259,12 +256,13 @@ func (w *Worker) handleLoad(m protocol.Load) (int64, error) {
 }
 
 // handlePartition keeps this worker's slice of a staged table and
-// registers it for queries, replacing any previous registration (and the
-// crack indexes / samples built over the old slice). The reply carries a
-// zero-row table so the coordinator learns the schema without shipping
-// rows. When a Range spec arrives without bounds, the worker derives
-// equi-depth bounds itself — every worker stages the identical seeded
-// source, so they all derive the identical split points.
+// registers it for queries as a new version of the table, which builds
+// its own crack indexes and samples; queries still running on the old
+// slice finish there. The reply carries a zero-row table so the
+// coordinator learns the schema without shipping rows. When a Range spec
+// arrives without bounds, the worker derives equi-depth bounds itself —
+// every worker stages the identical seeded source, so they all derive the
+// identical split points.
 func (w *Worker) handlePartition(m protocol.Partition) (int64, protocol.WireTable, error) {
 	var none protocol.WireTable
 	scheme, err := ParseScheme(m.Scheme)
@@ -316,24 +314,18 @@ func (w *Worker) handlePartition(m protocol.Partition) (int64, protocol.WireTabl
 	w.eng.Replace(part)
 	w.mu.Lock()
 	w.shard = m.Index
-	w.kept[m.Table] = len(sel)
 	w.mu.Unlock()
 	return int64(len(sel)), protocol.FromTable(src.Gather(nil)), nil
 }
 
 // stats snapshots the worker's engine counters for a Stats probe: the
-// registered (partitioned) tables with their row counts — what the
-// healer compares against the placement map — plus the shard-local
+// engine's in-memory tables — its partitions — with their row counts,
+// what the healer compares against the placement map, plus the shard-local
 // scan/crack/index counters the coordinator's stats section surfaces.
 func (w *Worker) stats(id uint64) protocol.WorkerStats {
 	w.mu.Lock()
 	shard := w.shard
-	names := make([]string, 0, len(w.kept))
-	for name := range w.kept {
-		names = append(names, name)
-	}
 	w.mu.Unlock()
-	sort.Strings(names)
 	st := protocol.WorkerStats{
 		ID:           id,
 		Shard:        shard,
@@ -342,7 +334,7 @@ func (w *Worker) stats(id uint64) protocol.WorkerStats {
 		IndexMorsels: w.eng.IndexMorsels(),
 		CellQueries:  w.eng.CellQueries(),
 	}
-	for _, name := range names {
+	for _, name := range w.eng.Tables() {
 		if rows, ok := w.eng.TableRows(name); ok {
 			st.Tables = append(st.Tables, protocol.TableStat{Name: name, Rows: rows})
 		}
@@ -383,10 +375,7 @@ func (w *Worker) handleQuery(ctx context.Context, conn *protocol.Conn, m protoco
 	// merged estimate, so reply with an empty partial instead of an
 	// error the coordinator would mistake for a query defect.
 	if mode == core.Approx || mode == core.Online {
-		w.mu.Lock()
-		kept, partitioned := w.kept[m.Table]
-		w.mu.Unlock()
-		if partitioned && kept == 0 {
+		if rows, ok := w.eng.TableRows(m.Table); ok && rows == 0 {
 			conn.Send(protocol.MsgResult, protocol.Result{ID: m.ID, Mode: mode.String()})
 			return
 		}
