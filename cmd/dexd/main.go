@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dexd [-addr :8080] [-load name=path.csv]... [-demo sales -rows 1000000]
-//	     [-parallel N] [-morsel N] [-seed 1] [-degrade]
+//	     [-parallel N] [-morsel N] [-seed 1] [-degrade=false]
 //	     [-slowms 500] [-pprof] [-reqlog]
 //	dexd smoke
 //	dexd load  [-addr http://host:8080] [-users 4] [-ops 12] [-think 1] ...
@@ -119,7 +119,7 @@ func serve() {
 	seed := flag.Int64("seed", 1, "engine + demo data seed")
 	parallel := flag.Int("parallel", 0, "worker parallelism for exact queries (0 = GOMAXPROCS)")
 	morsel := flag.Int("morsel", 0, "rows per parallel scheduling unit (0 = default)")
-	degrade := flag.Bool("degrade", false, "answer over-deadline exact queries with a sampled approximation tagged degraded:true")
+	degrade := flag.Bool("degrade", true, "answer over-deadline exact queries with a sampled approximation tagged degraded:true")
 	slowMS := flag.Int64("slowms", 500, "keep traces of queries at or above this many milliseconds in /admin/slow (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	reqLog := flag.Bool("reqlog", false, "log one structured line per query request to stderr")

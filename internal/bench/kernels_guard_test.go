@@ -180,13 +180,12 @@ func TestCrackedPartsNeverSlower(t *testing.T) {
 	rowPath := func() func() error {
 		return func() error {
 			ix := crack.New(amount.(*storage.FloatColumn).V, crack.Options{})
-			var sel []int
+			p := &crack.Parts[struct{}]{}
 			for _, o := range session {
-				var err error
-				if sel, _, err = ix.ProbeAppend(sel, o.lo, o.hi); err != nil {
+				if _, err := crack.ProbeParts(ix, p, o.lo, o.hi); err != nil {
 					return err
 				}
-				if _, err := exec.ExecuteSel(context.Background(), tab, sel, o.q, opt); err != nil {
+				if _, err := exec.ExecuteSel(context.Background(), tab, nil, p.Rows, o.q, opt); err != nil {
 					return err
 				}
 			}

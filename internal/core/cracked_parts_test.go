@@ -116,7 +116,7 @@ func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, map[strin
 // cracking variant, on an INT and a FLOAT column, at one worker and four,
 // cell-shaped aggregates — COUNT/SUM/AVG/MIN/MAX over INT and FLOAT
 // inputs, scalar and grouped, with two-sided ranges and the top bound
-// ProbeFrom serves — are interleaved with the probes of other queries
+// ProbePartsFrom serves — are interleaved with the probes of other queries
 // that crack the column, inserts that wait in the pending buffer and merge
 // into pieces (a small MaxPending, and Flush), and deletes, on an index
 // built over the table's first rows. Every answer must equal exec.Execute

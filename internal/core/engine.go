@@ -137,8 +137,9 @@ type Engine struct {
 	mu      sync.Mutex
 	opt     Options
 	rng     *rand.Rand
-	rowVecs [][]int // cracked mode's idle row-id vectors
-	// partsFree holds cracked mode's idle parts probes (takeParts).
+	rowVecs [][]int // online mode's idle batch vectors
+	// partsFree holds cracked mode's idle probes (takeParts), with their
+	// set lists and row vectors.
 	partsFree []*crack.Parts[[]storage.Cell]
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
@@ -596,14 +597,6 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 	return expr.Interval{}, reason
 }
 
-// crackProbe is what one cracked query asks its column's index for: the
-// row ids in range, into rows, or, when parts is set, the partials of the
-// pieces in range and the pending inserts.
-type crackProbe struct {
-	rows  []int
-	parts *crack.Parts[[]storage.Cell]
-}
-
 // partsKey names a piece's cells (storage.PieceCells): keyed by a
 // dictionary group column, aggregating one numeric input, "" for none.
 type partsKey struct{ group, input string }
@@ -612,20 +605,15 @@ type partsKey struct{ group, input string }
 // the column's crack index, above being the least value over hi: a
 // half-open probe [lo, above), or, when hi is the type's maximum and
 // nothing lies above it, a probe with no upper cut.
-func probeInterval[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, pr *crackProbe, lo, above T, bounded bool) (st crack.ProbeStats, err error) {
+func probeInterval[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, p *crack.Parts[[]storage.Cell], lo, above T, bounded bool) (crack.ProbeStats, error) {
 	ix, err := crackIndex[T](e, v, t, col)
 	switch {
 	case err != nil:
-	case pr.parts != nil && bounded:
-		st, err = crack.ProbeParts(ix, pr.parts, lo, above)
-	case pr.parts != nil:
-		st, err = crack.ProbePartsFrom(ix, pr.parts, lo)
+		return crack.ProbeStats{}, err
 	case bounded:
-		pr.rows, st, err = ix.ProbeAppend(pr.rows, lo, above)
-	default:
-		pr.rows, st, err = ix.ProbeFrom(pr.rows, lo)
+		return crack.ProbeParts(ix, p, lo, above)
 	}
-	return st, err
+	return crack.ProbePartsFrom(ix, p, lo)
 }
 
 // executeCracked answers a one-column range query through the column's
@@ -654,22 +642,21 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	}
 	csp.SetStr("col", iv.Col)
-	pr := &crackProbe{}
+	p := e.takeParts()
+	defer e.giveParts(p)
 	if q.HasAggregates() || len(q.GroupBy) > 0 {
 		if group, input, why := exec.CellShape(t, q); why != "" {
 			csp.SetStr("parts_fallback", why)
 		} else {
-			pr.parts = e.takeParts(t, group, input)
-			defer e.giveParts(pr.parts)
+			e.askCells(p, t, group, input)
 		}
 	}
-	if pr.parts == nil {
+	if p.Build == nil && cap(p.Rows) < t.NumRows() {
 		// The row-id vector is the engine's to reuse: a drill-down probe
 		// returns a large share of the table, and a fresh vector per query
 		// is most of what the row path would allocate. Nothing downstream
 		// keeps it (sinks fold it, a projection gathers through it).
-		pr.rows = e.takeRowVec(t.NumRows())
-		defer func() { e.giveRowVec(pr.rows) }()
+		p.Rows = make([]int, 0, t.NumRows())
 	}
 	// The probe synchronizes inside the index: boundary-aligned lookups
 	// share the index read lock, reorganizing ones take the write lock. The
@@ -679,10 +666,10 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	var st crack.ProbeStats
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		st, err = probeInterval(e, v, t, iv.Col, pr, iv.FLo, above, bounded)
+		st, err = probeInterval(e, v, t, iv.Col, p, iv.FLo, above, bounded)
 	} else {
 		above, bounded := iv.IntAbove()
-		st, err = probeInterval(e, v, t, iv.Col, pr, iv.ILo, above, bounded)
+		st, err = probeInterval(e, v, t, iv.Col, p, iv.ILo, above, bounded)
 	}
 	if err != nil {
 		csp.End()
@@ -691,37 +678,52 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	csp.SetStr("lock_mode", st.Lock.String())
 	csp.SetInt("pieces", int64(st.Pieces))
 	csp.SetInt("cracks", int64(st.Cracks))
-	if p := pr.parts; p != nil {
+	var cells [][]storage.Cell // nil: the probe's rows are the whole input
+	if p.Build != nil {
 		// The rows the sets were built from are the rows this query read.
 		e.opt.Exec.Scanned.Add(int64(p.BuiltRows))
 		csp.SetInt("parts", int64(len(p.Sets)))
 		csp.SetInt("parts_built", int64(p.Built))
 		csp.SetInt("part_rows_built", int64(p.BuiltRows))
-		csp.SetInt("pending_rows", int64(len(p.Pending)))
+		csp.SetInt("pending_rows", int64(len(p.Rows)))
+		if cells = p.Sets; cells == nil {
+			cells = [][]storage.Cell{} // no piece in range: still cell input
+		}
 	} else {
-		csp.SetInt("rows_out", int64(len(pr.rows)))
+		csp.SetInt("rows_out", int64(len(p.Rows)))
 	}
 	csp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p := pr.parts; p != nil {
-		return exec.ExecuteCells(ctx, t, p.Sets, p.Pending, q, e.opt.Exec)
-	}
 	// The probe's row ids are the pipeline's input selection: no sub-table
 	// is copied out, the range predicate they answer is not re-evaluated,
 	// and they are distinct and ascending, as ExecuteSel requires, so the
-	// sinks read the columns front to back.
-	return exec.ExecuteSel(ctx, t, pr.rows, q, e.opt.Exec)
+	// sinks read the columns front to back. The pieces' cells hold the
+	// rest of the range's rows.
+	return exec.ExecuteSel(ctx, t, cells, p.Rows, q, e.opt.Exec)
 }
 
-// takeParts returns a parts probe for the cells of a crack index's pieces
-// keyed by the dictionary column group and aggregating the plain numeric
-// column input, "" for none, as exec.CellShape names them: a recycled one,
-// whose set list is reused, when there is one. A piece is built on as many
-// workers as the pipeline would run its rows on, and the pieces one probe
-// lacks sets for across the pipeline's parallelism.
-func (e *Engine) takeParts(t *storage.Table, group, input string) *crack.Parts[[]storage.Cell] {
+// takeParts returns a parts probe that asks for no sets, a row probe: a
+// recycled one, whose set list and row vector are reused, when there is
+// one.
+func (e *Engine) takeParts() *crack.Parts[[]storage.Cell] {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if k := len(e.partsFree); k > 0 {
+		p := e.partsFree[k-1]
+		e.partsFree = e.partsFree[:k-1]
+		return p
+	}
+	return &crack.Parts[[]storage.Cell]{}
+}
+
+// askCells makes p ask for the cells of a crack index's pieces keyed by
+// the dictionary column group and aggregating the plain numeric column
+// input, "" for none, as exec.CellShape names them. A piece is built on as
+// many workers as the pipeline would run its rows on, and the pieces one
+// probe lacks sets for across the pipeline's parallelism.
+func (e *Engine) askCells(p *crack.Parts[[]storage.Cell], t *storage.Table, group, input string) {
 	var key *storage.DictColumn
 	var in storage.Column
 	if group != "" {
@@ -732,21 +734,14 @@ func (e *Engine) takeParts(t *storage.Table, group, input string) *crack.Parts[[
 		in, _ = t.ColumnByName(input)
 	}
 	pool := par.NewPool(par.Options{Parallelism: e.opt.Exec.Parallelism, MorselSize: e.opt.Exec.MorselSize})
-	e.mu.Lock()
-	p := &crack.Parts[[]storage.Cell]{}
-	if k := len(e.partsFree); k > 0 {
-		p, e.partsFree = e.partsFree[k-1], e.partsFree[:k-1]
-	}
-	e.mu.Unlock()
 	p.Key, p.Workers = partsKey{group, input}, pool.Workers()
 	p.Build = func(rows []int) []storage.Cell {
 		return storage.PieceCells(rows, key, in, pool.WorkersFor(len(rows)), pool.MorselSize())
 	}
-	return p
 }
 
-// giveParts recycles a parts probe, as giveRowVec does a row vector; its
-// set list no longer holds the sets, which the index may drop.
+// giveParts recycles a parts probe as a row probe; its set list no longer
+// holds the sets, which the index may drop.
 func (e *Engine) giveParts(p *crack.Parts[[]storage.Cell]) {
 	clear(p.Sets)
 	p.Build = nil
@@ -757,12 +752,11 @@ func (e *Engine) giveParts(p *crack.Parts[[]storage.Cell]) {
 	e.mu.Unlock()
 }
 
-// takeRowVec returns an empty row-id vector with room for n row ids — a
-// cracked probe of an n-row table, an online batch of n rows: a recycled
-// one when the last one recycled is large enough, else a new one. A free
-// list under the engine's lock rather than a sync.Pool, whose per-P caches
-// and GC sweeps make the hit rate — and so the bytes a query allocates —
-// differ from run to run.
+// takeRowVec returns an empty row-id vector with room for n row ids — an
+// online batch of n rows: a recycled one when the last one recycled is
+// large enough, else a new one. A free list under the engine's lock rather
+// than a sync.Pool, whose per-P caches and GC sweeps make the hit rate —
+// and so the bytes a query allocates — differ from run to run.
 func (e *Engine) takeRowVec(n int) []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -27,17 +27,18 @@
 // piece keeps partial sets, one per caller key, built from its live rows
 // the first time a parts probe (ProbeParts, ProbePartsFrom) covers it and
 // dropped when its rows change — a cut that splits it, a pending insert
-// merged into it, a delete. A parts probe cracks as ProbeAppend does and
-// returns the sets of the pieces in range plus the pending inserts in
-// range, so a drill-down reads only the rows of the pieces no earlier
-// probe aggregated (parts.go).
+// merged into it, a delete. A parts probe returns the sets of the pieces
+// in range plus the pending inserts in range, so a drill-down reads only
+// the rows of the pieces no earlier probe aggregated (parts.go). A parts
+// probe that builds no sets is the row probe: it returns every row in
+// range.
 //
 // Concurrency control is per index, the granularity the engine needs for
-// multi-session exploration: every probe runs inside a single critical
-// section of the index RWMutex. A probe whose bounds already coincide with
-// existing cuts — the common case once the index has converged on the
-// workload's ranges — holds only the read lock, so any number of such
-// probes proceed in parallel. Only a probe that must physically reorganize
+// multi-session exploration: every probe — rows, counts or parts — runs
+// inside a single critical section of the index RWMutex (within). A probe
+// whose bounds already coincide with existing cuts — the common case once
+// the index has converged on the workload's ranges — holds only the read
+// lock, so any number of such probes proceed in parallel. Only a probe that must physically reorganize
 // the column escalates to the write lock [22]. Holding one lock for the
 // whole probe (position lookup AND row collection) matters: with separate
 // acquisitions a pending-buffer merge between them can shift cut positions
@@ -261,45 +262,12 @@ type ProbeStats struct {
 
 // Probe returns the row ids whose value v satisfies lo <= v < hi, in
 // ascending order, plus per-probe stats, cracking the underlying column at
-// lo and hi when needed. The whole probe is one critical section: read-locked when both
-// bounds are already cuts (the converged path — unlimited concurrent
-// probes), write-locked when it must reorganize. The error is non-nil only
-// when the crack/escalate failpoint is armed and fires.
+// lo and hi when needed: ProbeParts with no sets to build. The error is
+// non-nil only when the crack/escalate failpoint is armed and fires.
 func (ix *Index[T]) Probe(lo, hi T) ([]int, ProbeStats, error) {
-	return ix.ProbeAppend(nil, lo, hi)
-}
-
-// ProbeAppend is Probe writing the row ids, ascending, into dst's backing
-// array, from its start, when it is large enough: a caller that probes
-// query after query hands the previous result back and no probe allocates
-// a table-sized vector. The returned slice never aliases index state.
-func (ix *Index[T]) ProbeAppend(dst []int, lo, hi T) ([]int, ProbeStats, error) {
-	if lo >= hi {
-		ix.mu.RLock()
-		st := ix.statsLocked(LockRead)
-		ix.mu.RUnlock()
-		return dst[:0], st, nil
-	}
-	return ix.probe(dst, bounds[T]{lo: lo, hi: hi})
-}
-
-// ProbeFrom is ProbeAppend with no upper bound: the row ids whose value v
-// satisfies lo <= v, pending inserts included. It cracks at lo only, so it
-// reaches the largest value of the type (MaxInt64, +Inf), which no
-// half-open bound can include.
-func (ix *Index[T]) ProbeFrom(dst []int, lo T) ([]int, ProbeStats, error) {
-	return ix.probe(dst, bounds[T]{lo: lo, top: true})
-}
-
-func (ix *Index[T]) probe(dst []int, b bounds[T]) ([]int, ProbeStats, error) {
-	if rows, st, ok := ix.tryReadProbe(dst, b); ok {
-		return rows, st, nil
-	}
-	if err := fpEscalate.Hit(); err != nil {
-		return dst[:0], ProbeStats{Lock: LockWrite}, err
-	}
-	rows, st := ix.writeProbe(dst, b)
-	return rows, st, nil
+	var p Parts[struct{}]
+	st, err := ProbeParts(ix, &p, lo, hi)
+	return p.Rows, st, err
 }
 
 // Query returns the row ids whose value v satisfies lo <= v < hi, in
@@ -307,15 +275,9 @@ func (ix *Index[T]) probe(dst []int, b bounds[T]) ([]int, ProbeStats, error) {
 // Probe without the stats and without the escalation failpoint (bench
 // loops and baselines that must not be perturbed by armed faults).
 func (ix *Index[T]) Query(lo, hi T) []int {
-	if lo >= hi {
-		return nil
-	}
-	b := bounds[T]{lo: lo, hi: hi}
-	if rows, _, ok := ix.tryReadProbe(nil, b); ok {
-		return rows
-	}
-	rows, _ := ix.writeProbe(nil, b)
-	return rows
+	var p Parts[struct{}]
+	probeParts(ix, &p, bounds[T]{lo: lo, hi: hi}, false)
+	return p.Rows
 }
 
 // bounds is a probe's value range: lo <= v < hi, or lo <= v when top.
@@ -326,37 +288,59 @@ type bounds[T cmp.Ordered] struct {
 
 func (b bounds[T]) has(v T) bool { return v >= b.lo && (b.top || v < b.hi) }
 
-// tryReadProbe serves the probe entirely under the read lock when its
-// bounds are existing cuts; ok reports whether it could.
-func (ix *Index[T]) tryReadProbe(dst []int, b bounds[T]) ([]int, ProbeStats, bool) {
+// within runs fn inside one critical section, handing it the indexes in
+// cuts of the cuts at b's bounds, len(cuts) standing for a top bound. It
+// holds the read lock when both cuts exist already. Otherwise it hits the
+// escalation failpoint when escalate is set, takes the write lock and
+// cracks at the bounds first. An empty range calls no fn. The stats are
+// taken in the same critical section.
+func (ix *Index[T]) within(b bounds[T], escalate bool, fn func(ia, ib int)) (ProbeStats, error) {
 	ix.mu.RLock()
-	pa, oka := ix.lookupCut(b.lo)
-	pb, okb := len(ix.vals), true
-	if !b.top {
-		pb, okb = ix.lookupCut(b.hi)
+	empty := !b.top && b.lo >= b.hi
+	if ia, ib, ok := ix.cutsAt(b); ok || empty {
+		defer ix.mu.RUnlock()
+		if !empty {
+			fn(ia, ib)
+		}
+		return ix.statsLocked(LockRead), nil
 	}
-	if !oka || !okb {
-		ix.mu.RUnlock()
-		return nil, ProbeStats{}, false
-	}
-	rows := ix.collectLocked(dst, pa, pb, b)
-	st := ix.statsLocked(LockRead)
 	ix.mu.RUnlock()
-	return rows, st, true
+	if escalate {
+		if err := fpEscalate.Hit(); err != nil {
+			return ProbeStats{Lock: LockWrite}, err
+		}
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.crackAt(b.lo)
+	if !b.top {
+		ix.crackAt(b.hi)
+	}
+	// Cracking at hi may insert cuts below lo's (stochastic pivots), so
+	// both indexes are read once both cuts exist.
+	ia, ib, _ := ix.cutsAt(b)
+	fn(ia, ib)
+	return ix.statsLocked(LockWrite), nil
 }
 
-// writeProbe cracks at the bounds and collects rows under the write lock.
-func (ix *Index[T]) writeProbe(dst []int, b bounds[T]) ([]int, ProbeStats) {
-	ix.mu.Lock()
-	pa := ix.crackAt(b.lo)
-	pb := len(ix.vals)
-	if !b.top {
-		pb = ix.crackAt(b.hi)
+// cutsAt returns the indexes in cuts of the cuts at b's bounds, len(cuts)
+// for a top bound; ok reports whether both exist.
+func (ix *Index[T]) cutsAt(b bounds[T]) (ia, ib int, ok bool) {
+	ia, ok = ix.cutIndex(b.lo)
+	ib = len(ix.cuts)
+	if ok && !b.top {
+		ib, ok = ix.cutIndex(b.hi)
 	}
-	rows := ix.collectLocked(dst, pa, pb, b)
-	st := ix.statsLocked(LockWrite)
-	ix.mu.Unlock()
-	return rows, st
+	return ia, ib, ok
+}
+
+// posOf returns the position of the cut at index i in cuts, len(vals) for
+// len(cuts). Caller holds at least the read lock.
+func (ix *Index[T]) posOf(i int) int {
+	if i == len(ix.cuts) {
+		return len(ix.vals)
+	}
+	return ix.cuts[i].pos
 }
 
 // collectLocked writes the live row ids at positions [pa, pb), plus the
@@ -428,31 +412,18 @@ func (ix *Index[T]) statsLocked(mode LockMode) ProbeStats {
 
 // Count returns how many values satisfy lo <= v < hi, cracking as a side
 // effect but without materializing row ids. Like Probe it is one critical
-// section, read-locked on the converged path.
+// section, read-locked on the converged path, and like Query it skips the
+// escalation failpoint.
 func (ix *Index[T]) Count(lo, hi T) int {
-	if lo >= hi {
-		return 0
-	}
-	ix.mu.RLock()
-	pa, oka := ix.lookupCut(lo)
-	pb, okb := ix.lookupCut(hi)
-	if oka && okb {
-		n := ix.countLocked(pa, pb, lo, hi)
-		ix.mu.RUnlock()
-		return n
-	}
-	ix.mu.RUnlock()
-	ix.mu.Lock()
-	pa = ix.crackAt(lo)
-	pb = ix.crackAt(hi)
-	n := ix.countLocked(pa, pb, lo, hi)
-	ix.mu.Unlock()
+	b := bounds[T]{lo: lo, hi: hi}
+	n := 0
+	ix.within(b, false, func(ia, ib int) { n = ix.countLocked(ix.posOf(ia), ix.posOf(ib), b) })
 	return n
 }
 
 // countLocked counts live rows at positions [pa, pb) plus pending inserts
-// in [lo, hi). Caller holds at least the read lock.
-func (ix *Index[T]) countLocked(pa, pb int, lo, hi T) int {
+// in b. Caller holds at least the read lock.
+func (ix *Index[T]) countLocked(pa, pb int, b bounds[T]) int {
 	n := pb - pa
 	if ix.tombs > 0 {
 		n = 0
@@ -463,20 +434,11 @@ func (ix *Index[T]) countLocked(pa, pb int, lo, hi T) int {
 		}
 	}
 	for _, p := range ix.pending {
-		if p.val >= lo && p.val < hi && ix.isLive(p.row) {
+		if b.has(p.val) && ix.isLive(p.row) {
 			n++
 		}
 	}
 	return n
-}
-
-// lookupCut returns the position of an existing cut at v, or where a fully
-// sorted piece makes the position derivable without physical work.
-func (ix *Index[T]) lookupCut(v T) (int, bool) {
-	if i, ok := ix.cutIndex(v); ok {
-		return ix.cuts[i].pos, true
-	}
-	return 0, false
 }
 
 // cutIndex returns the index in cuts of the cut at v, if there is one.
@@ -516,19 +478,17 @@ func (ix *Index[T]) insertCut(v T, pos int) {
 	ix.parts[i+1] = new(partSlot)
 }
 
-// crackAt ensures a cut exists at value v and returns its position.
-// Caller holds the write lock.
-func (ix *Index[T]) crackAt(v T) int {
-	if p, ok := ix.lookupCut(v); ok {
-		return p
+// crackAt ensures a cut exists at value v. Caller holds the write lock.
+func (ix *Index[T]) crackAt(v T) {
+	if _, ok := ix.cutIndex(v); ok {
+		return
 	}
 	plo, phi := ix.pieceAt(v)
 
 	if ix.isSorted(plo, phi) {
 		// Free crack: binary search inside the sorted piece.
-		pos := plo + sort.Search(phi-plo, func(i int) bool { return ix.vals[plo+i] >= v })
-		ix.insertCut(v, pos)
-		return pos
+		ix.insertCut(v, plo+sort.Search(phi-plo, func(i int) bool { return ix.vals[plo+i] >= v }))
+		return
 	}
 
 	if ix.opt.Variant == Stochastic {
@@ -551,14 +511,11 @@ func (ix *Index[T]) crackAt(v T) int {
 
 	if ix.opt.Variant == HybridSort && phi-plo <= ix.opt.SortMin && phi > plo {
 		ix.sortPiece(plo, phi)
-		pos := plo + sort.Search(phi-plo, func(i int) bool { return ix.vals[plo+i] >= v })
-		ix.insertCut(v, pos)
-		return pos
+		ix.insertCut(v, plo+sort.Search(phi-plo, func(i int) bool { return ix.vals[plo+i] >= v }))
+		return
 	}
 
-	pos := ix.partition(plo, phi, v)
-	ix.insertCut(v, pos)
-	return pos
+	ix.insertCut(v, ix.partition(plo, phi, v))
 }
 
 // partition reorders positions [lo,hi) so values < pivot precede values

@@ -1,12 +1,17 @@
 package crack
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"dex/internal/fault"
 )
 
 // oracle returns the row ids matching [lo,hi) by brute force over the
@@ -138,24 +143,31 @@ func TestCountMatchesQueryLen(t *testing.T) {
 	}
 }
 
-// TestProbeAppendReusesTheCallersVector: a probe handed a vector with room
-// answers inside it, ascending as the oracle lists rows, and allocates none
-// of its own — its mark bitmap comes from the index's free list, also once
-// Insert has grown the row space past that bitmap and after a Delete; one
-// handed a short vector replaces it; an empty range truncates it.
-func TestProbeAppendReusesTheCallersVector(t *testing.T) {
+// TestRowProbeReusesTheCallersVector: a row probe (a parts probe with no
+// Build) handed a vector with room answers inside it, ascending as the
+// oracle lists rows, and allocates none of its own — its mark bitmap comes
+// from the index's free list, also once Insert has grown the row space past
+// that bitmap and after a Delete; one handed a short vector replaces it; an
+// empty range truncates it.
+func TestRowProbeReusesTheCallersVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	col := randCol(rng, 4000, 500)
 	ix := New(col, Options{})
 	buf := make([]int, 0, len(col))
+	p := &Parts[struct{}]{Rows: buf}
+	probe := func(rows []int, lo, hi int64) []int {
+		t.Helper()
+		p.Rows = rows
+		if _, err := ProbeParts(ix, p, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		return p.Rows
+	}
 	for q := 0; q < 100; q++ {
 		lo := int64(rng.Intn(500))
 		hi := lo + int64(rng.Intn(120))
 		want := oracle(col, lo, hi)
-		got, _, err := ix.ProbeAppend(buf, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := probe(buf, lo, hi)
 		if !sameRows(got, want) {
 			t.Fatalf("probe %d [%d,%d): %d rows, oracle %d, or out of order", q, lo, hi, len(got), len(want))
 		}
@@ -163,15 +175,16 @@ func TestProbeAppendReusesTheCallersVector(t *testing.T) {
 			t.Fatalf("probe %d left the caller's vector for a new one", q)
 		}
 	}
-	if got, _, _ := ix.ProbeAppend(make([]int, 0, 1), 0, 500); len(got) != len(col) {
+	if got := probe(make([]int, 0, 1), 0, 500); len(got) != len(col) {
 		t.Fatalf("short vector: %d rows, want %d", len(got), len(col))
 	}
-	if got, _, _ := ix.ProbeAppend(buf[:3], 9, 9); len(got) != 0 {
+	if got := probe(buf[:3], 9, 9); len(got) != 0 {
 		t.Fatalf("empty range kept %d stale rows", len(got))
 	}
 	steady := func(stage string) {
 		t.Helper()
-		if n := testing.AllocsPerRun(20, func() { buf, _, _ = ix.ProbeAppend(buf, 100, 400) }); n != 0 {
+		p.Rows = buf
+		if n := testing.AllocsPerRun(20, func() { _, _ = ProbeParts(ix, p, 100, 400) }); n != 0 {
 			t.Fatalf("%s: a converged probe into a large enough vector allocated %v times", stage, n)
 		}
 	}
@@ -184,15 +197,71 @@ func TestProbeAppendReusesTheCallersVector(t *testing.T) {
 	}
 	steady("after inserts")
 	want := oracle(live, 100, 400)
-	if got, _, _ := ix.ProbeAppend(buf, 100, 400); !sameRows(got, want) {
+	if got := probe(buf, 100, 400); !sameRows(got, want) {
 		t.Fatal("after inserts: probe is not the oracle's rows in order")
 	}
 	if !ix.Delete(want[0]) {
 		t.Fatalf("delete of live row %d reported false", want[0])
 	}
 	steady("after a delete")
-	if got, _, _ := ix.ProbeAppend(buf, 100, 400); !sameRows(got, want[1:]) {
+	if got := probe(buf, 100, 400); !sameRows(got, want[1:]) {
 		t.Fatal("after a delete: probe is not the oracle's live rows in order")
+	}
+}
+
+// TestEscalateFaultLeavesIndexIntact: with an error policy armed at
+// crack/escalate, a row probe and a parts probe that must crack fail with
+// the injected error before they touch the column — its cuts and crack
+// count stay as they were — while a probe whose bounds are cuts already,
+// and Query and Count, which skip the failpoint, never fire it. Once the
+// policy is gone, the next probe cracks and answers as the oracle does.
+func TestEscalateFaultLeavesIndexIntact(t *testing.T) {
+	defer fault.Reset()
+	rng := rand.New(rand.NewSource(17))
+	col := randCol(rng, 4000, 500)
+	ix := New(col, Options{})
+	ix.Query(100, 300)
+	if err := fault.Enable("crack/escalate", "error"); err != nil {
+		t.Fatal(err)
+	}
+	cuts, cracks := slices.Clone(ix.cuts), ix.Cracks()
+	if _, _, err := ix.Probe(150, 250); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("a row probe that must crack: %v, want the injected error", err)
+	}
+	var builds atomic.Int64
+	p := &Parts[[]int]{Key: "k", Build: rowSet(&builds)}
+	if _, err := ProbeParts(ix, p, 150, 250); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("a parts probe that must crack: %v, want the injected error", err)
+	}
+	if !slices.Equal(ix.cuts, cuts) || ix.Cracks() != cracks || builds.Load() != 0 {
+		t.Fatalf("failed probes changed the index: %d cuts (%d before), %d cracks (%d before), %d sets built",
+			len(ix.cuts), len(cuts), ix.Cracks(), cracks, builds.Load())
+	}
+	fires := func() int64 { return fault.Stats()["crack/escalate"].Fires }
+	fired := fires()
+	rows, st, err := ix.Probe(100, 300)
+	if err != nil || st.Lock != LockRead || !sameRows(rows, oracle(col, 100, 300)) {
+		t.Fatalf("a converged row probe: %v under the %v lock, %d rows", err, st.Lock, len(rows))
+	}
+	if _, err := ProbeParts(ix, p, 100, 300); err != nil || !sameRows(union(p), oracle(col, 100, 300)) {
+		t.Fatalf("a converged parts probe: %v, %d rows", err, len(union(p)))
+	}
+	if got := ix.Query(150, 250); !sameRows(got, oracle(col, 150, 250)) {
+		t.Fatalf("Query under an armed failpoint: %d rows, oracle %d", len(got), len(oracle(col, 150, 250)))
+	}
+	if got, want := ix.Count(120, 260), len(oracle(col, 120, 260)); got != want {
+		t.Fatalf("Count under an armed failpoint: %d, oracle %d", got, want)
+	}
+	if n := fires(); n != fired {
+		t.Fatalf("a converged probe, Query or Count fired the failpoint %d times", n-fired)
+	}
+	fault.Reset()
+	rows, st, err = ix.Probe(50, 450)
+	if err != nil || st.Lock != LockWrite || !sameRows(rows, oracle(col, 50, 450)) {
+		t.Fatalf("after Reset: %v under the %v lock, %d rows, oracle %d", err, st.Lock, len(rows), len(oracle(col, 50, 450)))
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -478,7 +547,7 @@ func TestFloatCracking(t *testing.T) {
 // TestNaNIsNeverIndexed: a float column with NULLs (NaN) and +Inf cracks
 // to the answers a full scan gives under every variant — a NaN lies in no
 // range, whether it was in the column or inserted — and every probe
-// completes. ProbeFrom, the probe with no upper cut, reaches +Inf and the
+// completes. ProbePartsFrom, the probe with no upper cut, reaches +Inf and the
 // pending inserts.
 func TestNaNIsNeverIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -506,10 +575,11 @@ func TestNaNIsNeverIndexed(t *testing.T) {
 				if got, want := ix.Query(lo, hi), full.Query(lo, hi); !sameRows(got, want) {
 					t.Fatalf("query %d [%v,%v): %d rows, full scan %d", q, lo, hi, len(got), len(want))
 				}
-				got, _, err := ix.ProbeFrom(nil, lo)
-				if err != nil {
+				p := &Parts[struct{}]{}
+				if _, err := ProbePartsFrom(ix, p, lo); err != nil {
 					t.Fatal(err)
 				}
+				got := p.Rows
 				var want []int
 				for r, x := range live {
 					if x >= lo {

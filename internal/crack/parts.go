@@ -65,14 +65,15 @@ func (e *partSet) build(build func([]int) any, rows []int) (val any, built bool)
 func (s *partSlot) drop() { s.sets.Store(nil) }
 
 // Parts is one parts probe (ProbeParts): the sets it asks for and, once
-// the probe returns, what it found. S is the type of a set.
+// the probe returns, what it found. S is the type of a set. With no Build
+// it is a row probe: it asks for no sets and finds every row in range.
 type Parts[S any] struct {
 	// Key names the sets: a piece keeps one per key. It must be comparable.
 	Key any
 	// Build makes a piece's set from its live rows, met in crack order. It
 	// runs inside the probe's critical section, on as many goroutines at
 	// once as Workers allows, and must not keep rows, which may alias the
-	// index.
+	// index. nil builds no sets.
 	Build func(rows []int) S
 	// Workers is how many sets one probe may build at once; 0 or 1 builds
 	// them in turn.
@@ -81,87 +82,56 @@ type Parts[S any] struct {
 	// Sets is the set of every piece in range that has one, in value
 	// order.
 	Sets []S
-	// Pending is the live pending inserts in range, ascending: rows no
-	// piece holds yet.
-	Pending []int
+	// Rows is the live rows in range that no returned set holds,
+	// ascending: the pending inserts in range when Build is set, every row
+	// in range when it is nil. Its backing array is reused from probe to
+	// probe when it is large enough, and never aliases index state.
+	Rows []int
 	// Built counts the sets this probe built, BuiltRows the rows it built
 	// them from.
 	Built, BuiltRows int
 }
 
 // ProbeParts answers lo <= v < hi with partial sets in place of row ids:
-// it cracks exactly as ProbeAppend does, in the same single critical
-// section — read-locked when both bounds are cuts — and fills p with the
-// set under p.Key of every piece in range, building those that have none
-// yet, plus the pending inserts in range. The rows in range are those of
-// the sets' pieces and Pending; no row-id vector is built. The error is
+// in one critical section — read-locked when both bounds are cuts, else
+// write-locked after cracking at them — it fills p with the set under
+// p.Key of every piece in range, building those that have none yet, and
+// with the rows in range that no set holds (Parts.Rows). The error is
 // non-nil only when the crack/escalate failpoint is armed and fires.
 func ProbeParts[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], lo, hi T) (ProbeStats, error) {
-	p.Sets, p.Pending, p.Built, p.BuiltRows = p.Sets[:0], p.Pending[:0], 0, 0
-	if lo >= hi {
-		ix.mu.RLock()
-		defer ix.mu.RUnlock()
-		return ix.statsLocked(LockRead), nil
-	}
-	return probeParts(ix, p, bounds[T]{lo: lo, hi: hi})
+	return probeParts(ix, p, bounds[T]{lo: lo, hi: hi}, true)
 }
 
-// ProbePartsFrom is ProbeParts with no upper bound: the pieces and pending
-// inserts with lo <= v, as ProbeFrom.
+// ProbePartsFrom is ProbeParts with no upper bound: the rows with lo <= v,
+// pending inserts included. It cracks at lo only, so it reaches the
+// largest value of the type (MaxInt64, +Inf), which no half-open bound can
+// include.
 func ProbePartsFrom[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], lo T) (ProbeStats, error) {
-	p.Sets, p.Pending, p.Built, p.BuiltRows = p.Sets[:0], p.Pending[:0], 0, 0
-	return probeParts(ix, p, bounds[T]{lo: lo, top: true})
+	return probeParts(ix, p, bounds[T]{lo: lo, top: true}, true)
 }
 
-func probeParts[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], b bounds[T]) (ProbeStats, error) {
-	ix.mu.RLock()
-	ia, oka := ix.cutIndex(b.lo)
-	ib, okb := len(ix.cuts), true
-	if !b.top {
-		ib, okb = ix.cutIndex(b.hi)
-	}
-	if oka && okb {
-		partsLocked(ix, p, ia, ib, b)
-		st := ix.statsLocked(LockRead)
-		ix.mu.RUnlock()
-		return st, nil
-	}
-	ix.mu.RUnlock()
-	if err := fpEscalate.Hit(); err != nil {
-		return ProbeStats{Lock: LockWrite}, err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.crackAt(b.lo)
-	if !b.top {
-		ix.crackAt(b.hi)
-	}
-	// Cracking at hi may insert cuts below lo's (stochastic pivots), so
-	// both indexes are read once both cuts exist.
-	ia, _ = ix.cutIndex(b.lo)
-	ib = len(ix.cuts)
-	if !b.top {
-		ib, _ = ix.cutIndex(b.hi)
-	}
-	partsLocked(ix, p, ia, ib, b)
-	return ix.statsLocked(LockWrite), nil
+func probeParts[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], b bounds[T], escalate bool) (ProbeStats, error) {
+	p.Sets, p.Rows, p.Built, p.BuiltRows = p.Sets[:0], p.Rows[:0], 0, 0
+	return ix.within(b, escalate, func(ia, ib int) { partsLocked(ix, p, ia, ib, b) })
 }
 
 // partsLocked fills p from the pieces between the cuts at indexes ia and
 // ib — pieces ia+1 through ib, piece i lying between cuts[i-1] and cuts[i]
 // — and from the pending buffer, building the sets the pieces lack across
-// p.Workers goroutines. Caller holds at least the read lock.
+// p.Workers goroutines; with no p.Build, it collects their rows instead.
+// Caller holds at least the read lock.
 func partsLocked[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], ia, ib int, b bounds[T]) {
+	if p.Build == nil {
+		p.Rows = ix.collectLocked(p.Rows, ix.posOf(ia), ix.posOf(ib), b)
+		return
+	}
 	var jobs []job
 	if cap(p.Sets) < ib-ia {
 		p.Sets = make([]S, 0, ib-ia)
 	}
 	var zero S
 	for i := ia + 1; i <= ib; i++ {
-		p0, p1 := ix.cuts[i-1].pos, len(ix.vals)
-		if i < len(ix.cuts) {
-			p1 = ix.cuts[i].pos
-		}
+		p0, p1 := ix.cuts[i-1].pos, ix.posOf(i)
 		if p0 == p1 {
 			continue
 		}
@@ -187,7 +157,7 @@ func partsLocked[T cmp.Ordered, S any](ix *Index[T], p *Parts[S], ia, ib int, b 
 		buildJobs(p, jobs)
 	}
 	if len(ix.pending) > 0 {
-		p.Pending = ix.collectLocked(p.Pending, 0, 0, b)
+		p.Rows = ix.collectLocked(p.Rows, 0, 0, b)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // rowSet is the partial set the tests build: a piece's rows, sorted, so
-// that the union of a probe's sets and its pending rows can be held to the
-// row ids Probe returns.
+// that the union of a probe's sets and the rows no set holds can be held
+// to the row ids Probe returns.
 func rowSet(builds *atomic.Int64) func([]int) []int {
 	return func(rows []int) []int {
 		builds.Add(1)
@@ -21,22 +21,24 @@ func rowSet(builds *atomic.Int64) func([]int) []int {
 	}
 }
 
-// union returns the rows of every set and the pending rows, ascending.
+// union returns the rows of every set and the rows no set holds, ascending.
 func union(p *Parts[[]int]) []int {
 	var out []int
 	for _, s := range p.Sets {
 		out = append(out, s...)
 	}
-	out = append(out, p.Pending...)
+	out = append(out, p.Rows...)
 	slices.Sort(out)
 	return out
 }
 
 // TestProbePartsCoversTheRange: under every variant, with pending inserts,
-// merges and deletes interleaved, a parts probe's sets and pending rows
-// are exactly the rows Probe returns, and it cracks exactly as
-// ProbeAppend does: a twin index fed the same probes through ProbeAppend
-// keeps the same cuts, crack count and piece count.
+// merges and deletes interleaved, a parts probe's sets and rows are exactly
+// the rows a row probe returns, and every way into the index cracks alike:
+// twins fed the same steps through a parts probe with no Build, through
+// Query and through Count keep the same cuts, crack count and piece count,
+// and answer the same rows or counts. A step with no upper bound, which
+// Query and Count cannot ask, reaches those two twins as a row probe.
 func TestProbePartsCoversTheRange(t *testing.T) {
 	for _, opt := range concurrentVariants {
 		t.Run(opt.Variant.String(), func(t *testing.T) {
@@ -46,48 +48,70 @@ func TestProbePartsCoversTheRange(t *testing.T) {
 				col[i] = rng.Int63n(1000)
 			}
 			opt.MaxPending = 64
-			parts, rows := New(col, opt), New(col, opt)
+			parts := New(col, opt)
+			twins := []*Index[int64]{New(col, opt), New(col, opt), New(col, opt)}
+			rows, query, count := twins[0], twins[1], twins[2]
 			var builds atomic.Int64
 			p := &Parts[[]int]{Key: "k", Build: rowSet(&builds)}
+			rp := &Parts[struct{}]{}
 			for step := 0; step < 300; step++ {
 				switch rng.Intn(8) {
 				case 0:
 					v := rng.Int63n(1000)
 					parts.Insert(v)
-					rows.Insert(v)
+					for _, ix := range twins {
+						ix.Insert(v)
+					}
 				case 1:
 					r := rng.Intn(len(col))
 					parts.Delete(r)
-					rows.Delete(r)
+					for _, ix := range twins {
+						ix.Delete(r)
+					}
 				}
 				lo := rng.Int63n(1000)
 				hi := lo + rng.Int63n(300)
 				var st ProbeStats
 				var err error
-				var want []int
 				if step%10 == 9 {
 					st, err = ProbePartsFrom(parts, p, lo)
-					want, _, _ = rows.ProbeFrom(nil, lo)
+					for _, ix := range twins {
+						if _, err := ProbePartsFrom(ix, rp, lo); err != nil {
+							t.Fatal(err)
+						}
+					}
 				} else {
 					st, err = ProbeParts(parts, p, lo, hi)
-					want, _, _ = rows.ProbeAppend(nil, lo, hi)
+					if _, err := ProbeParts(rows, rp, lo, hi); err != nil {
+						t.Fatal(err)
+					}
+					if got := query.Query(lo, hi); !slices.Equal(got, rp.Rows) {
+						t.Fatalf("step %d [%d, %d): Query %d rows, row probe %d", step, lo, hi, len(got), len(rp.Rows))
+					}
+					if got := count.Count(lo, hi); got != len(rp.Rows) {
+						t.Fatalf("step %d [%d, %d): Count %d, row probe %d rows", step, lo, hi, got, len(rp.Rows))
+					}
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := union(p); !slices.Equal(got, want) {
-					t.Fatalf("step %d [%d, %d): parts hold %d rows, probe %d", step, lo, hi, len(got), len(want))
+				if got := union(p); !slices.Equal(got, rp.Rows) {
+					t.Fatalf("step %d [%d, %d): parts hold %d rows, row probe %d", step, lo, hi, len(got), len(rp.Rows))
 				}
-				if st.Pieces != rows.NumPieces() || st.Cracks != rows.Cracks() {
-					t.Fatalf("step %d: parts probe at %d pieces, %d cracks; ProbeAppend at %d, %d",
-						step, st.Pieces, st.Cracks, rows.NumPieces(), rows.Cracks())
+				for i, ix := range twins {
+					if st.Pieces != ix.NumPieces() || st.Cracks != ix.Cracks() {
+						t.Fatalf("step %d: parts probe at %d pieces, %d cracks; twin %d at %d, %d",
+							step, st.Pieces, st.Cracks, i, ix.NumPieces(), ix.Cracks())
+					}
 				}
 			}
 			if err := parts.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(parts.cuts, rows.cuts) {
-				t.Fatal("parts probes left other cuts than ProbeAppend")
+			for i, ix := range twins {
+				if !slices.Equal(parts.cuts, ix.cuts) {
+					t.Fatalf("parts probes left other cuts than twin %d", i)
+				}
 			}
 		})
 	}
@@ -129,13 +153,13 @@ func TestProbePartsReusesAndDrops(t *testing.T) {
 	}
 	ix.Insert(50)
 	probe(20, 80)
-	if p.Built != 0 || len(p.Pending) != 1 {
-		t.Fatalf("a pending insert: %d built, %d pending; want 0, 1", p.Built, len(p.Pending))
+	if p.Built != 0 || len(p.Rows) != 1 {
+		t.Fatalf("a pending insert: %d built, %d rows; want 0, 1", p.Built, len(p.Rows))
 	}
 	ix.Flush()
 	probe(20, 80)
-	if p.Built != 1 || p.BuiltRows != 201 || len(p.Pending) != 0 {
-		t.Fatalf("after the merge: %d built (%d rows), %d pending; want the receiving piece alone", p.Built, p.BuiltRows, len(p.Pending))
+	if p.Built != 1 || p.BuiltRows != 201 || len(p.Rows) != 0 {
+		t.Fatalf("after the merge: %d built (%d rows), %d rows; want the receiving piece alone", p.Built, p.BuiltRows, len(p.Rows))
 	}
 	ix.Delete(45)
 	probe(20, 80)

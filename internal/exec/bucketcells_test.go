@@ -635,13 +635,13 @@ func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestExecuteCellsMatchesSel holds ExecuteCells — crack pieces' cells
-// (storage.PieceCells over rows met in shuffled order) plus pending rows —
-// to ExecuteSel over the same rows, for every cell-shaped select list,
-// scalar and grouped by dictionary keys of 1 to 40 codes, at one worker
-// and four: bit for bit but for a finite FLOAT SUM/AVG, group order and
-// MIN/MAX ties included.
-func TestExecuteCellsMatchesSel(t *testing.T) {
+// TestExecuteSelCellsMatchRows holds ExecuteSel over crack pieces' cells
+// (storage.PieceCells over rows met in shuffled order) plus pending rows
+// to ExecuteSel over the same rows as a selection alone, for every
+// cell-shaped select list, scalar and grouped by dictionary keys of 1 to
+// 40 codes, at one worker and four: bit for bit but for a finite FLOAT
+// SUM/AVG, group order and MIN/MAX ties included.
+func TestExecuteSelCellsMatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tab := cellsTable(rng, 6000)
 	for trial := 0; trial < 6; trial++ {
@@ -686,11 +686,11 @@ func TestExecuteCellsMatchesSel(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					opt := ExecOptions{Parallelism: par, MorselSize: 64}
-					want, err := ExecuteSel(context.Background(), tab, rows, q, opt)
+					want, err := ExecuteSel(context.Background(), tab, nil, rows, q, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := ExecuteCells(context.Background(), tab, parts, pending, q, opt)
+					got, err := ExecuteSel(context.Background(), tab, parts, pending, q, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -701,8 +701,8 @@ func TestExecuteCellsMatchesSel(t *testing.T) {
 	}
 	// No rows at all: an empty group set, and the scalar answer of none.
 	q := Query{Select: cellsItems[0]}
-	want, _ := ExecuteSel(context.Background(), tab, nil, q, ExecOptions{})
-	got, err := ExecuteCells(context.Background(), tab, nil, nil, q, ExecOptions{})
+	want, _ := ExecuteSel(context.Background(), tab, nil, nil, q, ExecOptions{})
+	got, err := ExecuteSel(context.Background(), tab, [][]storage.Cell{}, nil, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +738,7 @@ func TestCellShapeReasons(t *testing.T) {
 			t.Errorf("%s: CellShape = %q, %q, %q; want %q, %q, %q", tc.q, group, input, reason, tc.group, tc.input, tc.reason)
 		}
 	}
-	if _, err := ExecuteCells(context.Background(), tab, nil, nil, Query{Select: []SelectItem{sum("x"), sum("s")}}, ExecOptions{}); err == nil {
-		t.Error("ExecuteCells took a query cells cannot answer")
+	if _, err := ExecuteSel(context.Background(), tab, [][]storage.Cell{}, nil, Query{Select: []SelectItem{sum("x"), sum("s")}}, ExecOptions{}); err == nil {
+		t.Error("ExecuteSel took cells for a query cells cannot answer")
 	}
 }

@@ -30,7 +30,7 @@
 // plus the WHERE clause (ExecuteCtx), a caller-supplied selection vector
 // of distinct, ascending row ids that stands in for it (ExecuteSel —
 // cracked mode hands over the index probe's row ids), or such a vector plus
-// cells that hold the rest of the answer's rows (ExecuteCells — cracked
+// cells that hold the rest of the answer's rows (ExecuteSel too — cracked
 // mode hands over its pieces' partials and the pending inserts). Either
 // way a row's position is its row id: there is no other position space.
 //
@@ -110,7 +110,7 @@ type ExecOptions struct {
 	IndexMorsels *atomic.Int64
 	// CellQueries, when non-nil, counts the aggregate queries answered
 	// from cells: bucket cells for a range interior, behind one range, two
-	// or no WHERE, or crack pieces' cells (ExecuteCells). Shared and read
+	// or no WHERE, or crack pieces' cells (ExecuteSel). Shared and read
 	// like ZoneSkipped.
 	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
@@ -133,37 +133,26 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 	return execute(ctx, t, nil, nil, q, opt)
 }
 
-// ExecuteSel runs the query over the rows of t listed in sel. sel must hold
-// distinct row ids in ascending order — what the cracker index's probes
-// return — since the sinks order groups, ties and projected rows by row id.
-// The selection stands in for the WHERE clause — q.Where is not evaluated —
-// so an operator that already knows the qualifying rows feeds them
-// straight to the sinks. Output order is that of Execute over
-// t.Gather(sel).
-func ExecuteSel(ctx context.Context, t *storage.Table, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+// ExecuteSel runs the query over the rows of t listed in sel, plus, when
+// cells is non-nil, the rows those cells hold. sel must hold distinct row
+// ids in ascending order — what the cracker index's probes return — since
+// the sinks order groups, ties and projected rows by row id. The selection
+// stands in for the WHERE clause — q.Where is not evaluated — so an
+// operator that already knows the qualifying rows feeds them straight to
+// the sinks. Output order is that of Execute over t.Gather(sel).
+//
+// A non-nil cells, even an empty one, needs an aggregate q with a cell
+// shape (CellShape), every cell keyed by q's dictionary group code, or 0
+// when it has none, and aggregating its one input column, as
+// storage.PieceCells makes them; the rows they hold are ones sel does not
+// list. The typed sink folds the cells as it folds bucket cells
+// (addCells), after sel's rows, so the answer is that over all of those
+// rows, up to the association of a float SUM/AVG.
+func ExecuteSel(ctx context.Context, t *storage.Table, cells [][]storage.Cell, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
 	}
-	return execute(ctx, t, sel, nil, q, opt)
-}
-
-// ExecuteCells runs the aggregate q over the rows that the cells of parts
-// hold plus the rows of t listed in sel, which ExecuteSel's rule binds:
-// the rows the parts' cells hold are the ones sel and the WHERE clause are
-// not asked for. q must have a cell shape (CellShape), and every cell be
-// keyed by q's dictionary group code, or 0 when it has none, and
-// aggregate its one input column, as storage.PieceCells makes them. The
-// typed sink folds the cells as it folds bucket cells (addCells), after
-// sel's rows, so the answer is ExecuteSel's over all of those rows, up to
-// the association of a float SUM/AVG.
-func ExecuteCells(ctx context.Context, t *storage.Table, parts [][]storage.Cell, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
-	if sel == nil {
-		sel = []int{}
-	}
-	if parts == nil {
-		parts = [][]storage.Cell{} // non-nil marks cell input, even when empty
-	}
-	return execute(ctx, t, sel, parts, q, opt)
+	return execute(ctx, t, sel, cells, q, opt)
 }
 
 func execute(ctx context.Context, t *storage.Table, sel []int, parts [][]storage.Cell, q Query, opt ExecOptions) (*storage.Table, error) {
@@ -225,7 +214,7 @@ type plan struct {
 	index        rowIndex // skips morsels and prunes rows; a nil vi scans every morsel
 	// cells are folded into the typed sink once every morsel is in: the
 	// interior of the index's bucket cells, or the crack pieces'
-	// (ExecuteCells); only keys in [kl, kh] are. nil folds none.
+	// (ExecuteSel); only keys in [kl, kh] are. nil folds none.
 	cells       [][]storage.Cell
 	kl, kh      int
 	sink        sink

@@ -121,7 +121,7 @@ func TestExecuteSelMatchesGatherOracle(t *testing.T) {
 			for _, par := range []int{1, 4, 7} {
 				for _, morsel := range []int{16, 1024} {
 					opt := ExecOptions{Parallelism: par, MorselSize: morsel}
-					got, err := ExecuteSel(context.Background(), in, sel, q, opt)
+					got, err := ExecuteSel(context.Background(), in, nil, sel, q, opt)
 					label := fmt.Sprintf("iter=%d encoded=%v rows=%d sel=%d par=%d morsel=%d q=%s",
 						iter, in == enc, rows, len(sel), par, morsel, q)
 					if (oracleErr == nil) != (err == nil) {
@@ -149,7 +149,7 @@ func TestExecuteSelIgnoresWhere(t *testing.T) {
 	tbl := randParityTable(rand.New(rand.NewSource(89)), 50, 0)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}},
 		Where: expr.Cmp("k", expr.GT, storage.Int(1<<40))} // matches nothing
-	got, err := ExecuteSel(context.Background(), tbl, []int{1, 2, 3}, q, ExecOptions{})
+	got, err := ExecuteSel(context.Background(), tbl, nil, []int{1, 2, 3}, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

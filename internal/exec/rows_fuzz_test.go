@@ -111,7 +111,7 @@ func FuzzRowsVsOracle(f *testing.F) {
 			if sel == nil {
 				got, err = ExecuteOpts(tbl, q, arm.opt)
 			} else {
-				got, err = ExecuteSel(context.Background(), tbl, sel, q, arm.opt)
+				got, err = ExecuteSel(context.Background(), tbl, nil, sel, q, arm.opt)
 			}
 			label := fmt.Sprintf("%s: q=%s rows=%d sel=%v", arm.name, q, plain.NumRows(), sel != nil)
 			if (oracleErr == nil) != (err == nil) {

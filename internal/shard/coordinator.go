@@ -116,7 +116,7 @@ type coordMetrics struct {
 }
 
 // New builds a coordinator over a fleet of worker addresses. Call
-// Bootstrap (or Describe, for pre-loaded workers) before Execute.
+// Bootstrap before Execute.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("shard: coordinator needs at least one worker")
