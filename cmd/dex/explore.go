@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -63,10 +64,10 @@ func explore(n int, seed int64) error {
 
 	// 2. Execute the learned query.
 	fmt.Println("\n[2] executing the learned query")
-	res, err := exec.Execute(sky, exec.Query{
+	res, err := exec.ExecuteCtx(context.Background(), sky, exec.Query{
 		Select: []exec.SelectItem{{Col: "ra"}, {Col: "dec"}, {Col: "mag"}, {Col: "z"}},
 		Where:  pred,
-	})
+	}, exec.ExecOptions{})
 	if err != nil {
 		return err
 	}

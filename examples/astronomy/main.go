@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -53,11 +54,11 @@ func main() {
 	}
 	fmt.Printf("\nthe query the astronomer could not write:\n  SELECT * FROM sky WHERE %s\n", pred)
 
-	res, err := exec.Execute(sky, exec.Query{
+	res, err := exec.ExecuteCtx(context.Background(), sky, exec.Query{
 		Select: []exec.SelectItem{{Col: "ra"}, {Col: "dec"}, {Col: "mag"}, {Col: "z"}},
 		Where:  pred,
 		Limit:  0,
-	})
+	}, exec.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

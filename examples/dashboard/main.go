@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,7 +47,7 @@ func main() {
 
 	// Render the winning view as a bar chart.
 	best := top[0].View
-	res, err := exec.Execute(sales, exec.Query{
+	res, err := exec.ExecuteCtx(context.Background(), sales, exec.Query{
 		Select: []exec.SelectItem{
 			{Col: best.Dim},
 			{Col: best.Measure, Agg: best.Agg},
@@ -54,7 +55,7 @@ func main() {
 		Where:   target,
 		GroupBy: []string{best.Dim},
 		OrderBy: []exec.OrderKey{{Col: best.Dim}},
-	})
+	}, exec.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/storage"
+	"dex/internal/trace"
 	"dex/internal/workload"
 )
 
@@ -125,14 +126,19 @@ func TestAggKernelNeverSlower(t *testing.T) {
 	})
 }
 
-// TestCrackedPartsNeverSlower holds cracked mode's piece partials to the
-// path they replaced: on a fixed session of drill-downs and roll-ups over
-// one column of a fresh index — each aggregate grouped by a dictionary
-// column over one input, as IDEBench's closing window asks them — the
-// engine, which folds the pieces' cells, must never fall below 0.9x the
-// row path, which probes a twin index for the row ids and runs the same
-// aggregate over them (ExecuteSel), at one worker. Best of five fresh
-// sessions each, plus the guards' jitter allowance.
+// TestCrackedPartsNeverSlower holds cracked mode's two-level partition —
+// the value index's buckets, with only the edge buckets a range cuts
+// cracked, and the interior folded from bucket cells — to the path it
+// replaced: on a fixed session of drill-downs and roll-ups over one column
+// of a fresh index — each aggregate grouped by a dictionary column over
+// one input, as IDEBench's closing window asks them — the engine must
+// never fall below 0.9x the whole-column row path, which probes a cracker
+// over the whole column for the row ids and runs the same aggregate over
+// them (ExecuteSel), at one worker. Best of five fresh sessions each, plus
+// the guards' jitter allowance. Then the arm cracking must win, a range
+// narrower than one bucket: once its cracker has converged on the bounds,
+// cracked mode reads fewer rows than exact mode refines, every row of the
+// bucket (its edge candidates).
 func TestCrackedPartsNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200k-row timing guard skipped in -short mode")
@@ -180,19 +186,20 @@ func TestCrackedPartsNeverSlower(t *testing.T) {
 	rowPath := func() func() error {
 		return func() error {
 			ix := crack.New(amount.(*storage.FloatColumn).V, crack.Options{})
-			p := &crack.Parts[struct{}]{}
+			var rows []int
 			for _, o := range session {
-				if _, err := crack.ProbeParts(ix, p, o.lo, o.hi); err != nil {
+				var err error
+				if rows, _, err = ix.ProbeInto(rows, o.lo, o.hi); err != nil {
 					return err
 				}
-				if _, err := exec.ExecuteSel(context.Background(), tab, nil, p.Rows, o.q, opt); err != nil {
+				if _, err := exec.ExecuteSel(context.Background(), tab, exec.Buckets{}, rows, o.q, opt); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	}
-	pieces := func() func() error {
+	buckets := func() func() error {
 		e := core.New(core.Options{Exec: opt})
 		if err := e.Register(tab); err != nil {
 			t.Fatal(err)
@@ -218,10 +225,50 @@ func TestCrackedPartsNeverSlower(t *testing.T) {
 		}
 		return out
 	}
-	base, got := best(rowPath), best(pieces)
+	base, got := best(rowPath), best(buckets)
 	limit := base + base/9 + 2*time.Millisecond
-	t.Logf("%d ops, rows=%d: row path %v, pieces %v, limit %v", len(session), rows, base, got, limit)
+	t.Logf("%d ops, rows=%d: row path %v, buckets %v, limit %v", len(session), rows, base, got, limit)
 	if got > limit {
-		t.Errorf("piece partials %v exceed the row path's 0.9x-floor limit %v (row path %v)", got, limit, base)
+		t.Errorf("the two-level partition %v exceeds the row path's 0.9x-floor limit %v (row path %v)", got, limit, base)
+	}
+
+	e := core.New(core.Options{Exec: opt})
+	if err := e.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	span := func(mode core.Mode, q exec.Query, name string) map[string]any {
+		ctx, root := trace.Start(context.Background(), "q")
+		_, err := e.ExecuteContext(ctx, "sales", q, mode)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range root.JSON().Children {
+			if c.Name == name {
+				return c.Attrs
+			}
+		}
+		t.Fatalf("%s: no %s span", q, name)
+		return nil
+	}
+	var candidates, scanned int64
+	for i := 0; i < 24; i++ {
+		lo := 80 + rng.Float64()*120
+		q := exec.Query{
+			Select:  []exec.SelectItem{{Col: "region"}, {Col: "amount", Agg: exec.AggSum}},
+			GroupBy: []string{"region"},
+			Where:   expr.And(expr.Cmp("amount", expr.GE, storage.Float(lo)), expr.Cmp("amount", expr.LT, storage.Float(lo+0.05))),
+		}
+		candidates += span(core.Exact, q, "scan")["index_candidates"].(int64)
+		if b := span(core.Cracked, q, "crack")["buckets"]; b != int64(1) {
+			t.Fatalf("%s: a range over %v buckets; want one", q, b)
+		}
+		before := e.RowsScanned()
+		span(core.Cracked, q, "crack")
+		scanned += e.RowsScanned() - before
+	}
+	t.Logf("ranges inside one bucket: exact mode refines %d candidates, cracked mode reads %d rows", candidates, scanned)
+	if scanned >= candidates {
+		t.Errorf("converged cracked mode read %d rows inside one bucket; want fewer than exact mode's %d edge candidates", scanned, candidates)
 	}
 }

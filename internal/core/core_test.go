@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"dex/internal/exec"
 	"dex/internal/sqlparse"
 	"dex/internal/storage"
+	"dex/internal/trace"
 	"dex/internal/workload"
 )
 
@@ -582,19 +584,27 @@ func TestInSituCrackedMode(t *testing.T) {
 	}
 	// Cracked range queries against an in-situ table: the first query
 	// materializes the column from the raw file and cracks it; repeats
-	// must agree with exact execution.
+	// must agree with exact execution, and find the crackers the first
+	// made, though each query materializes a table of its own.
 	q := "SELECT count(*) FROM ticks WHERE volume >= 50 AND volume < 150"
 	exact, err := e.SQL(q, Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		cracked, err := e.SQL(q, Cracked)
+		ctx, root := trace.Start(context.Background(), "q")
+		cracked, err := e.ExecuteContext(ctx, "ticks", mustParse(t, q), Cracked)
+		root.End()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cracked.Row(0)[0].I != exact.Row(0)[0].I {
 			t.Fatalf("in-situ cracked %v != exact %v", cracked.Row(0)[0], exact.Row(0)[0])
+		}
+		for _, c := range root.JSON().Children {
+			if c.Name == "crack" && i > 0 && c.Attrs["edges_built"] != int64(0) {
+				t.Fatalf("in-situ query %d made %v crackers again", i, c.Attrs["edges_built"])
+			}
 		}
 	}
 	if _, _, ok := e.CrackStats("ticks", "volume"); !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,19 +23,23 @@ import (
 // FLOAT constants on INT columns included, each asked in one of three
 // shapes: a projection, a GROUP BY k with COUNT(*), SUM(x) and MIN(x), and
 // a projection under LIMIT — none of them with ORDER BY. Each is followed
-// by an aggregate the crack pieces' cells answer (cellAsk), over a
-// dictionary column g derived from id and chosen by the same draw, so it
-// costs no byte. Each query runs twice in cracked mode, the second time
-// against the cuts the first one left — and the cell ask against the sets
-// its first run built — and must answer exactly what the reference
-// evaluator exec.Execute answers, in order: rows, groups and MIN/MAX ties,
-// SUM up to float association. The shapes are drawn after every WHERE
-// clause, so inputs from before they existed decode to the same tables
-// and clauses. testdata/fuzz/FuzzCrackedVsExact holds one input per bug
-// this caught — zone pruning and cracking at 2^53, the type's maximum at
-// the top of a range, and a NULL stalling the partition loop — one per
-// shape, and three whose second round folds the sets the first built
-// (parts-*; TestCrackedFuzzCorpusReusesSets).
+// by an aggregate cells can answer (cellAsk), over a dictionary column g
+// derived from id and chosen by the same draw, so it costs no byte. A last
+// draw tiles the table's rows 1, 2, 4, 8 or 16 times, so a range can have
+// an interior the bucket cells answer. Each query runs twice in cracked
+// mode, the second time against the cuts the first one left, and must
+// answer exactly what exact mode answers at the same parallelism and
+// morsel size, bit for bit — rows, groups, MIN/MAX ties and a float
+// SUM/AVG, but a grouped one over more than one morsel, whose per-worker
+// accumulators follow scheduling — and what the reference evaluator
+// exec.Execute answers, in order, a SUM up to float association. The
+// draws are made in the order they were added, so inputs from before a
+// draw existed decode to the same tables and clauses.
+// testdata/fuzz/FuzzCrackedVsExact holds one input per bug this caught —
+// zone pruning and cracking at 2^53, the type's maximum at the top of a
+// range, and a NULL stalling the partition loop — one per shape, and
+// entries that reach the two-level partition's paths
+// (TestCrackedFuzzCorpusReachesEdges).
 
 var (
 	crackFzInts = []int64{0, 1, -1, 5, 7, math.MinInt64, math.MaxInt64,
@@ -67,7 +72,7 @@ func (f *crackFzReader) value() storage.Value {
 	return storage.Float(crackFzFloats[f.draw(len(crackFzFloats))])
 }
 
-// cellAsk is the aggregate the pieces' cells answer after an ask of the
+// cellAsk is the aggregate bucket cells can answer after an ask of the
 // given shape draw: over x, scalar and grouped by g, and over k — whose
 // int64 extremes and 2^53 neighbours tie in float64 — grouped by g, with
 // no SUM, which those would make depend on association.
@@ -94,38 +99,66 @@ func FuzzCrackedVsExact(f *testing.F) {
 }
 
 // crackedCase decodes and runs one FuzzCrackedVsExact input; seen, when
-// set, gets the crack span of every cell ask's two runs.
-func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, crack map[string]any)) {
+// set, gets the crack span and whether cells answered the interior, of
+// every query's two runs.
+func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
 	fr := &crackFzReader{b: data}
 	opt := Options{
 		Seed:         1,
 		CrackOptions: crack.Options{Variant: crack.Variant(fr.draw(3)), StochasticMin: 4, SortMin: 4, Seed: 1},
 		Exec:         exec.ExecOptions{Parallelism: 2, MorselSize: []int{2, 16, 1024}[fr.draw(3)]},
 	}
-	n := fr.draw(48)
-	id, k, r := make([]int64, n), make([]int64, n), make([]int64, n)
-	x := make([]float64, n)
+	base := fr.draw(48)
+	k, r, x := make([]int64, base), make([]int64, base), make([]float64, base)
+	for i := range k {
+		k[i] = crackFzInts[fr.draw(len(crackFzInts))]
+		x[i] = crackFzFloats[fr.draw(len(crackFzFloats))]
+		r[i] = crackFzInts[fr.draw(len(crackFzInts))]
+	}
+	type ask struct {
+		where *expr.Pred
+		shape int
+		limit int
+	}
+	asks := make([]ask, 1+fr.draw(3))
+	for q := range asks {
+		col := []string{"k", "r", "x"}[fr.draw(3)]
+		leaves := make([]*expr.Pred, 1+fr.draw(3))
+		for i := range leaves {
+			leaves[i] = expr.Cmp(col, crackFzOps[fr.draw(len(crackFzOps))], fr.value())
+		}
+		asks[q].where = leaves[0]
+		if len(leaves) > 1 {
+			asks[q].where = expr.And(leaves...)
+		}
+	}
+	for q := range asks {
+		if asks[q].shape = fr.draw(3); asks[q].shape == 2 {
+			asks[q].limit = 1 + fr.draw(5)
+		}
+	}
+	n := base << fr.draw(5)
+	id, kk, rr := make([]int64, n), make([]int64, n), make([]int64, n)
+	xx := make([]float64, n)
 	g := make([]string, n)
 	for i := range id {
 		id[i] = int64(i)
 		g[i] = []string{"a", "b", "c"}[i%3]
-		k[i] = crackFzInts[fr.draw(len(crackFzInts))]
-		x[i] = crackFzFloats[fr.draw(len(crackFzFloats))]
-		r[i] = crackFzInts[fr.draw(len(crackFzInts))]
+		kk[i], xx[i], rr[i] = k[i%base], x[i%base], r[i%base]
 	}
 	schema := storage.Schema{
 		{Name: "id", Type: storage.TInt}, {Name: "k", Type: storage.TInt},
 		{Name: "r", Type: storage.TInt}, {Name: "x", Type: storage.TFloat}, {Name: "g", Type: storage.TString},
 	}
 	plain, err := storage.FromColumns("t", schema, []storage.Column{
-		storage.NewIntColumn(id), storage.NewIntColumn(k), storage.NewIntColumn(r), storage.NewFloatColumn(x),
+		storage.NewIntColumn(id), storage.NewIntColumn(kk), storage.NewIntColumn(rr), storage.NewFloatColumn(xx),
 		storage.NewStringColumn(g),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc, err := storage.FromColumns("t", schema, []storage.Column{
-		storage.NewIntColumn(id), storage.NewIntColumn(k), storage.EncodeRLE(r), storage.NewFloatColumn(x),
+		storage.NewIntColumn(id), storage.NewIntColumn(kk), storage.EncodeRLE(rr), storage.NewFloatColumn(xx),
 		storage.EncodeDict(g),
 	})
 	if err != nil {
@@ -135,79 +168,62 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, c
 	if err := e.Register(enc); err != nil {
 		t.Fatal(err)
 	}
-	wheres := make([]*expr.Pred, 1+fr.draw(3))
-	for q := range wheres {
-		col := []string{"k", "r", "x"}[fr.draw(3)]
-		leaves := make([]*expr.Pred, 1+fr.draw(3))
-		for i := range leaves {
-			leaves[i] = expr.Cmp(col, crackFzOps[fr.draw(len(crackFzOps))], fr.value())
-		}
-		wheres[q] = leaves[0]
-		if len(leaves) > 1 {
-			wheres[q] = expr.And(leaves...)
-		}
-	}
-	for _, where := range wheres {
+	// More than one morsel: a grouped float SUM's per-worker association
+	// follows scheduling, in exact mode as in cracked.
+	parallel := n > opt.Exec.MorselSize
+	for _, a := range asks {
 		query := exec.Query{
 			Select: []exec.SelectItem{{Col: "id"}, {Col: "k"}, {Col: "r"}, {Col: "x"}},
-			Where:  where,
+			Where:  a.where,
+			Limit:  a.limit,
 		}
-		shape := fr.draw(3)
-		switch shape {
-		case 1:
+		if a.shape == 1 {
 			query.Select = []exec.SelectItem{{Col: "k"}, {Col: "*", Agg: exec.AggCount},
 				{Col: "x", Agg: exec.AggSum}, {Col: "x", Agg: exec.AggMin}}
 			query.GroupBy = []string{"k"}
-		case 2:
-			query.Limit = 1 + fr.draw(5)
 		}
-		cell := cellAsk(shape, where)
-		want, err := exec.Execute(plain, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCell, err := exec.Execute(plain, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 2; round++ {
-			got, err := e.Execute("t", query, Cracked)
+		for _, q := range []exec.Query{query, cellAsk(a.shape, a.where)} {
+			oracle, err := exec.Execute(plain, q)
 			if err != nil {
-				t.Fatalf("%s: %v", query, err)
+				t.Fatal(err)
 			}
-			if err := tablesMatch(want, got); err != nil {
-				t.Fatalf("%v, morsel %d, round %d, %s: %v", opt.CrackOptions.Variant,
-					opt.Exec.MorselSize, round, query, err)
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, crack := crackSpan(t, e, cell)
-			if err := tablesMatch(wantCell, got); err != nil {
-				t.Fatalf("%v, morsel %d, round %d, %s: %v", opt.CrackOptions.Variant,
-					opt.Exec.MorselSize, round, cell, err)
-			}
-			if seen != nil {
-				seen(cell, round, crack)
+			for round := 0; round < 2; round++ {
+				got, run := crackSpan(t, e, q)
+				label := fmt.Sprintf("%v, morsel %d, %d rows, round %d, %s", opt.CrackOptions.Variant,
+					opt.Exec.MorselSize, n, round, q)
+				if err := tablesMatch(oracle, got); err != nil {
+					t.Fatalf("%s: against exec.Execute: %v", label, err)
+				}
+				if err := sameAnswer(q, want, got, parallel); err != nil {
+					t.Fatalf("%s: against exact mode: %v", label, err)
+				}
+				if seen != nil {
+					seen(q, round, run)
+				}
 			}
 		}
 	}
 }
 
-// TestCrackedFuzzCorpusReusesSets requires FuzzCrackedVsExact's corpus to
-// reach the piece partials: entries whose cell asks fold in their second
-// round only the sets their first round built — scalar, grouped over x,
-// grouped over k (whose extremes tie in float64), and behind a one-sided
-// WHERE, the top bound ProbePartsFrom serves — so a change that stops sets
-// being kept or found again fails on the corpus itself, not only in a
-// long fuzzing run. The parts-* entries were checked in for this, and each
-// must reach it.
-func TestCrackedFuzzCorpusReusesSets(t *testing.T) {
+// TestCrackedFuzzCorpusReachesEdges requires FuzzCrackedVsExact's corpus
+// to reach both levels of cracked mode's partition: queries whose
+// interior the bucket cells answer beside cracked edge buckets, scalar and
+// grouped (the edges-cells-* entries were checked in for this), and
+// ranges that lie inside one value bucket, which crack that bucket alone
+// (edges-one-bucket); and, in every entry, the second asking of a query
+// builds no cracker, so a change that stops crackers being kept or found
+// again fails on the corpus itself, not only in a long fuzzing run.
+func TestCrackedFuzzCorpusReachesEdges(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCrackedVsExact", "*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no corpus (%v)", err)
 	}
-	reused := map[string]int{}
-	entries := 0
+	reached := map[string]int{}
 	for _, f := range files {
-		before := reused["scalar"] + reused["grouped over x"] + reused["grouped over k"]
 		raw, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
@@ -217,33 +233,25 @@ func TestCrackedFuzzCorpusReusesSets(t *testing.T) {
 		if lines[0] != "go test fuzz v1" || err != nil {
 			t.Fatalf("%s: not a v1 corpus entry (%v)", f, err)
 		}
-		crackedCase(t, []byte(s), func(q exec.Query, round int, crack map[string]any) {
-			if parts, _ := crack["parts"].(int64); round == 0 || parts == 0 || crack["parts_built"] != int64(0) {
-				return
+		name := filepath.Base(f)
+		crackedCase(t, []byte(s), func(q exec.Query, round int, run crackedRun) {
+			edges, _ := run.crack["edges"].(int64)
+			if round == 1 && run.crack["edges_built"] != nil && run.crack["edges_built"] != int64(0) {
+				t.Errorf("%s: %s asked again built %v crackers", name, q, run.crack["edges_built"])
 			}
 			switch {
-			case len(q.GroupBy) == 0:
-				reused["scalar"]++
-			default:
-				reused["grouped over "+q.Select[2].Col]++
-			}
-			if q.Where.Kind == expr.KCmp && q.Where.Op == expr.GE {
-				reused["one-sided"]++
+			case run.cells && edges > 0 && len(q.GroupBy) == 0:
+				reached["cells and edges, scalar"]++
+			case run.cells && edges > 0:
+				reached["cells and edges, grouped"]++
+			case run.bucketed && edges == 1:
+				reached["one bucket"]++
 			}
 		})
-		if strings.HasPrefix(filepath.Base(f), "parts-") {
-			entries++
-			if reused["scalar"]+reused["grouped over x"]+reused["grouped over k"] == before {
-				t.Errorf("%s: no cell ask folds only built sets in its second round", f)
-			}
-		}
 	}
-	if entries < 3 {
-		t.Errorf("%d parts-* corpus entries; want the 3 checked in", entries)
-	}
-	for _, want := range []string{"scalar", "grouped over x", "grouped over k", "one-sided"} {
-		if reused[want] == 0 {
-			t.Errorf("no %s cell ask folds only built sets in its second round: %v", want, reused)
+	for _, want := range []string{"cells and edges, scalar", "cells and edges, grouped", "one bucket"} {
+		if reached[want] == 0 {
+			t.Errorf("no corpus entry reaches %s: %v", want, reached)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"dex/internal/crack"
 	"dex/internal/exec"
@@ -15,11 +16,12 @@ import (
 	"dex/internal/trace"
 )
 
-// partsTable is the table the piece-partials tests crack: an INT k and a
-// FLOAT x with NULLs to range over, a five-code dictionary g to group by,
-// and the inputs a cell aggregates — an INT n whose sums stay exact in
-// float64 in any association, a FLOAT f with NULLs and signed zeros, and
-// an INT m of few values, so MIN/MAX ties between rows are common.
+// partsTable is the table the two-level partition tests crack: an INT k
+// and a FLOAT x with NULLs to range over, a five-code dictionary g to group
+// by, and the inputs an aggregate reads — an INT n, a FLOAT f with NULLs
+// and signed zeros, and an INT m of few values, so MIN/MAX ties between
+// rows are common. At 24 000 rows a grouped aggregate's bucket cells pass
+// the size rule.
 func partsTable(rng *rand.Rand, rows int) *storage.Table {
 	k, n, m := make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	x, f := make([]float64, rows), make([]float64, rows)
@@ -70,32 +72,31 @@ func partsQuery(where *expr.Pred, input string, grouped bool) exec.Query {
 	return q
 }
 
-// requirePartsMatch holds a cracked answer to the oracle's bit for bit —
-// counts, MIN/MAX down to the sign of a zero and the row a tie keeps, INT
-// SUM/AVG, groups and their order — except a FLOAT SUM/AVG, which the
-// pieces add in crack order: that one gets tablesMatch's tolerance.
-func requirePartsMatch(t *testing.T, label string, tab *storage.Table, q exec.Query, want, got *storage.Table) {
-	t.Helper()
-	if err := tablesMatch(want, got); err != nil {
-		t.Fatalf("%s: %s: %v", label, q, err)
+// sameAnswer holds a cracked answer to exact mode's at the same
+// parallelism and morsel size bit for bit — counts, MIN/MAX down to the
+// sign of a zero and the row a tie keeps, SUM/AVG, groups and their order
+// — except a grouped answer over more than one morsel (parallel), whose
+// per-worker accumulators add a float SUM in an order scheduling picks:
+// that one gets tablesMatch's tolerance.
+func sameAnswer(q exec.Query, want, got *storage.Table, parallel bool) error {
+	if parallel && len(q.GroupBy) > 0 {
+		return tablesMatch(want, got)
 	}
-	for c, item := range q.Select {
-		in, _ := tab.ColumnByName(item.Col)
-		if in != nil && in.Type() == storage.TFloat && (item.Agg == exec.AggSum || item.Agg == exec.AggAvg) {
-			continue
-		}
-		for r := 0; r < want.NumRows(); r++ {
-			a, b := want.Column(c).Value(r), got.Column(c).Value(r)
-			if a.Typ != b.Typ || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
-				t.Fatalf("%s: %s: [%d,%d] exact %v, cracked %v", label, q, r, c, a, b)
-			}
-		}
-	}
+	return tablesIdentical(want, got)
+}
+
+// crackedRun is what a traced cracked query's spans say: the crack span's
+// attributes, whether the range had value buckets, and whether their
+// interior was folded from bucket cells.
+type crackedRun struct {
+	crack    map[string]any
+	bucketed bool
+	cells    bool
 }
 
 // crackSpan runs q in cracked mode under a trace and returns the answer
-// and the crack span's attributes.
-func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, map[string]any) {
+// and what its spans say.
+func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, crackedRun) {
 	t.Helper()
 	ctx, root := trace.Start(context.Background(), "q")
 	res, err := e.ExecuteContext(ctx, "t", q, Cracked)
@@ -103,111 +104,109 @@ func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, map[strin
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
+	var run crackedRun
 	for _, c := range root.JSON().Children {
-		if c.Name == "crack" {
-			return res, c.Attrs
+		switch c.Name {
+		case "crack":
+			run.crack = c.Attrs
+			_, run.bucketed = c.Attrs["buckets"]
+		case "scan":
+			_, run.cells = c.Attrs["bucket_cells"]
 		}
 	}
-	t.Fatalf("%s: no crack span", q)
-	return nil, nil
+	if run.crack == nil {
+		t.Fatalf("%s: no crack span", q)
+	}
+	return res, run
 }
 
-// TestCrackedPartsMatchOracle is the piece-partials oracle: under every
-// cracking variant, on an INT and a FLOAT column, at one worker and four,
-// cell-shaped aggregates — COUNT/SUM/AVG/MIN/MAX over INT and FLOAT
-// inputs, scalar and grouped, with two-sided ranges and the top bound
-// ProbePartsFrom serves — are interleaved with the probes of other queries
-// that crack the column, inserts that wait in the pending buffer and merge
-// into pieces (a small MaxPending, and Flush), and deletes, on an index
-// built over the table's first rows. Every answer must equal exec.Execute
-// over the rows the index holds (requirePartsMatch), and the same query
-// asked again at once must fold the sets the first asking built, building
-// none, into the same answer bit for bit.
+// TestCrackedPartsMatchOracle is the two-level partition's oracle: under
+// every cracking variant, on an INT and a FLOAT column, at one worker and
+// four, cracked queries — cell-shaped aggregates over INT and FLOAT inputs,
+// scalar and grouped, whose interior the bucket cells answer; projections
+// and two-input aggregates, whose interior rows the value index lists;
+// ranges inside one bucket, two-sided and one-sided, the top bound
+// ProbeFrom serves — crack the edge buckets step after step. Every answer
+// must equal exact mode's (sameAnswer) and exec.Execute's up to float
+// association, and the same query asked again at once must make no
+// cracker and give the same bits.
 func TestCrackedPartsMatchOracle(t *testing.T) {
-	const rows, first = 3000, 2400
-	tab := partsTable(rand.New(rand.NewSource(61)), rows)
+	tab := partsTable(rand.New(rand.NewSource(61)), 24_000)
 	variants := []crack.Options{
-		{Variant: crack.Standard, MaxPending: 16},
-		{Variant: crack.Stochastic, StochasticMin: 64, MaxPending: 16, Seed: 3},
-		{Variant: crack.HybridSort, SortMin: 64, MaxPending: 16},
+		{Variant: crack.Standard},
+		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
+		{Variant: crack.HybridSort, SortMin: 16},
 	}
 	for _, copt := range variants {
 		for _, col := range []string{"k", "x"} {
 			for _, par := range []int{1, 4} {
 				label := fmt.Sprintf("%v/%s/par=%d", copt.Variant, col, par)
 				t.Run(label, func(t *testing.T) {
-					e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: par, MorselSize: 128}})
+					e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: par, MorselSize: 1024}})
 					if err := e.Register(tab); err != nil {
 						t.Fatal(err)
 					}
-					c, _ := tab.ColumnByName(col)
-					var ix interface {
-						Delete(int) bool
-						Flush()
-					}
-					var insert func(r int)
-					switch c := c.(type) {
-					case *storage.IntColumn:
-						i := crack.New(c.V[:first], copt)
-						ix, insert = i, func(r int) { i.Insert(c.V[r]) }
-						current(t, e, "t").cracks[col] = i
-					case *storage.FloatColumn:
-						i := crack.New(c.V[:first], copt)
-						ix, insert = i, func(r int) { i.Insert(c.V[r]) }
-						current(t, e, "t").cracks[col] = i
-					}
 					rng := rand.New(rand.NewSource(int64(par)))
-					next, deleted := first, map[int]bool{}
-					bound := func() storage.Value {
+					bound := func(scale float64) storage.Value {
 						if col == "k" {
-							return storage.Int(rng.Int63n(1100) - 50)
+							return storage.Int(rng.Int63n(int64(1100*scale)) - 50)
 						}
-						return storage.Float(rng.Float64()*110 - 5)
+						return storage.Float(rng.Float64()*110*scale - 5)
 					}
-					for step := 0; step < 120; step++ {
-						switch rng.Intn(6) {
+					reached := map[string]int{}
+					for step := 0; step < 60; step++ {
+						lo := bound(1)
+						where := expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, expr.LT, bound(1)))
+						switch step % 7 {
+						case 5: // inside one bucket, most likely
+							hi := storage.Int(lo.I + 1)
+							if col == "x" {
+								hi = storage.Float(lo.F + 0.01)
+							}
+							where = expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, expr.LT, hi))
+						case 6:
+							where = expr.Cmp(col, expr.GE, lo)
+						}
+						var q exec.Query
+						switch rng.Intn(4) {
 						case 0:
-							for i := rng.Intn(8); i > 0 && next < rows; i-- {
-								insert(next)
-								next++
-							}
+							q = exec.Query{Select: []exec.SelectItem{{Col: "n"}, {Col: "f"}}, Where: where}
 						case 1:
-							ix.Flush()
-						case 2:
-							r := rng.Intn(next)
-							if ix.Delete(r) {
-								deleted[r] = true
-							}
-						case 3: // a projection cracks on the row path
-							lo := bound()
-							if _, err := e.Execute("t", exec.Query{Select: []exec.SelectItem{{Col: "n"}},
-								Where: expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, expr.LT, bound()))}, Cracked); err != nil {
-								t.Fatal(err)
-							}
+							q = exec.Query{Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}, {Col: "f", Agg: exec.AggSum}}, Where: where}
+						default:
+							q = partsQuery(where, []string{"n", "f", "m"}[rng.Intn(3)], rng.Intn(2) == 0)
 						}
-						where := expr.And(expr.Cmp(col, expr.GE, bound()), expr.Cmp(col, expr.LT, bound()))
-						if step%7 == 6 {
-							where = expr.Cmp(col, expr.GE, bound())
-						}
-						q := partsQuery(where, []string{"n", "f", "m"}[rng.Intn(3)], rng.Intn(2) == 0)
-						var held []int
-						for r := 0; r < next; r++ {
-							if !deleted[r] {
-								held = append(held, r)
-							}
-						}
-						want, err := exec.Execute(tab.Gather(held), q)
+						oracle, err := exec.Execute(tab, q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, attrs := crackSpan(t, e, q)
-						requirePartsMatch(t, fmt.Sprintf("step %d", step), tab, q, want, got)
-						if _, ok := attrs["parts"]; !ok {
-							t.Fatalf("step %d: %s took the row path: %v", step, q, attrs)
+						want, err := e.Execute("t", q, Exact)
+						if err != nil {
+							t.Fatal(err)
 						}
-						again, attrs := crackSpan(t, e, q)
-						if err := tablesIdentical(got, again); err != nil || attrs["parts_built"] != int64(0) {
-							t.Fatalf("step %d: %s asked again: %v, crack span %v; want the same answer from the same sets", step, q, err, attrs)
+						got, run := crackSpan(t, e, q)
+						if err := sameAnswer(q, want, got, par > 1); err != nil {
+							t.Fatalf("step %d: %s: against exact mode: %v", step, q, err)
+						}
+						if err := tablesMatch(oracle, got); err != nil {
+							t.Fatalf("step %d: %s: against exec.Execute: %v", step, q, err)
+						}
+						again, arun := crackSpan(t, e, q)
+						if err := sameAnswer(q, got, again, par > 1); err != nil || arun.crack["edges_built"] != int64(0) {
+							t.Fatalf("step %d: %s asked again: %v, crack span %v; want the same answer from the same crackers", step, q, err, arun.crack)
+						}
+						switch edges := run.crack["edges"]; {
+						case run.cells:
+							reached["cells"]++
+						case run.crack["buckets"] == int64(1) && edges == int64(1):
+							reached["one bucket"]++
+						case edges == int64(2):
+							reached["interior rows"]++
+						}
+					}
+					for _, want := range []string{"cells", "one bucket", "interior rows"} {
+						if reached[want] == 0 {
+							t.Errorf("no step reached %s: %v", want, reached)
 						}
 					}
 				})
@@ -216,78 +215,78 @@ func TestCrackedPartsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCrackedPartsReuseAndRebuild: the same cell-shaped query asked again
-// folds the sets its first asking built; a probe inside its range cracks
-// a built piece, and the next asking rebuilds only the two new pieces
-// beside the probe's own; another input builds its own sets; the answers
-// equal exact mode's throughout.
+// TestCrackedPartsReuseAndRebuild: a range's edge buckets get a cracker
+// each on first touch, under the write lock; asked again it probes them
+// under the read lock and makes none; a range inside one bucket makes and
+// cracks that bucket's alone; another input or shape behind the same
+// range reuses the same crackers, which belong to the column, not to the
+// query; the interior is folded from cells when the shape allows, and read
+// as rows when it does not; the answers equal exact mode's throughout, and
+// a query folding cells reads only its edge rows.
 func TestCrackedPartsReuseAndRebuild(t *testing.T) {
-	tab := partsTable(rand.New(rand.NewSource(62)), 4000)
-	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 256}})
+	tab := partsTable(rand.New(rand.NewSource(62)), 24_000)
+	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 256}})
 	if err := e.Register(tab); err != nil {
 		t.Fatal(err)
 	}
 	wide := expr.And(expr.Cmp("k", expr.GE, storage.Int(200)), expr.Cmp("k", expr.LT, storage.Int(800)))
-	narrow := expr.And(expr.Cmp("k", expr.GE, storage.Int(400)), expr.Cmp("k", expr.LT, storage.Int(500)))
+	narrow := expr.And(expr.Cmp("k", expr.GE, storage.Int(400)), expr.Cmp("k", expr.LT, storage.Int(401)))
+	twoInputs := func(where *expr.Pred) exec.Query {
+		return exec.Query{Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}, {Col: "f", Agg: exec.AggSum}}, Where: where}
+	}
 	for _, step := range []struct {
-		where        *expr.Pred
-		input        string
-		parts, built int64
+		q            exec.Query
+		edges, built int64
 		lock         string
+		cells        bool
 		what         string
 	}{
-		{wide, "f", 1, 1, "write", "first asking: one piece, built"},
-		{wide, "f", 1, 0, "read", "asked again: the set is reused"},
-		{narrow, "f", 1, 1, "write", "a crack inside the piece: the middle is built"},
-		{wide, "f", 3, 2, "read", "the split piece's other two halves are rebuilt"},
-		{wide, "f", 3, 0, "read", "and then reused"},
-		{wide, "n", 3, 3, "read", "another input builds its own"},
+		{partsQuery(wide, "f", true), 2, 2, "write", true, "first asking: two edge crackers, made"},
+		{partsQuery(wide, "f", true), 2, 0, "read", true, "asked again: the crackers are reused"},
+		{partsQuery(narrow, "f", true), 1, 1, "write", false, "a range inside one bucket: its cracker alone"},
+		{partsQuery(narrow, "f", true), 1, 0, "read", false, "and then reused"},
+		{partsQuery(wide, "n", false), 2, 0, "read", true, "another input reuses the column's crackers"},
+		{twoInputs(wide), 2, 0, "read", false, "a shape cells refuse reads the interior's rows"},
 	} {
-		q := partsQuery(step.where, step.input, true)
-		want, err := e.Execute("t", q, Exact)
+		want, err := e.Execute("t", step.q, Exact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, attrs := crackSpan(t, e, q)
-		requirePartsMatch(t, step.what, tab, q, want, got)
-		if attrs["parts"] != step.parts || attrs["parts_built"] != step.built || attrs["lock_mode"] != step.lock {
-			t.Errorf("%s: crack span %v; want %d parts, %d built, %s lock", step.what, attrs, step.parts, step.built, step.lock)
+		got, run := crackSpan(t, e, step.q)
+		if err := tablesIdentical(want, got); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		c := run.crack
+		if c["edges"] != step.edges || c["edges_built"] != step.built || c["lock_mode"] != step.lock || run.cells != step.cells {
+			t.Errorf("%s: crack span %v, cells %v; want %d edges, %d made, %s lock, cells %v",
+				step.what, c, run.cells, step.edges, step.built, step.lock, step.cells)
 		}
 	}
-	// A shape cells cannot answer takes the row path and says why.
-	q := exec.Query{Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}, {Col: "f", Agg: exec.AggSum}}, Where: wide}
-	if _, attrs := crackSpan(t, e, q); attrs["parts_fallback"] != "multi-input" || attrs["rows_out"] == nil {
-		t.Errorf("a two-input aggregate: crack span %v; want the row path, parts_fallback multi-input", attrs)
+	if pieces, _, ok := e.CrackStats("t", "k"); !ok || pieces < 3 {
+		t.Errorf("CrackStats = %d pieces, %v; want the three crackers' pieces summed", pieces, ok)
 	}
-	if n := e.CellQueries(); n != 6 {
-		t.Errorf("CellQueries = %d; want the 6 aggregates answered from pieces", n)
-	}
-	// Only the rows sets were built from were read: an aligned asking of
-	// built pieces reads none.
+	// A query folding cells reads its edge rows and nothing else.
 	before := e.RowsScanned()
-	if _, attrs := crackSpan(t, e, partsQuery(wide, "n", false)); attrs["parts_built"] != int64(3) {
-		t.Fatalf("a scalar asking over n: crack span %v; want its own three sets built", attrs)
-	}
-	built := e.RowsScanned() - before
-	if _, _ = crackSpan(t, e, partsQuery(wide, "n", false)); e.RowsScanned() != before+built || built == 0 {
-		t.Errorf("rows scanned: %d by a probe that built sets, %d by one that folded them; want the built rows, then none",
-			built, e.RowsScanned()-before-built)
+	_, run := crackSpan(t, e, partsQuery(wide, "m", false))
+	if !run.cells || e.RowsScanned()-before != run.crack["rows_out"] {
+		t.Errorf("a cells query read %d rows; want its %v edge rows", e.RowsScanned()-before, run.crack["rows_out"])
 	}
 }
 
-// TestCrackedPartsHistoryIndependent: a cell-shaped cracked answer does
-// not depend on how far the index has cracked. Scalar and grouped
-// aggregates over INT and FLOAT inputs are asked, a dozen probes at bounds
-// inside their range cut their pieces, and the same aggregates must come
-// back bit for bit identical, but for a FLOAT SUM/AVG, which the pieces
-// add in crack order and which may move by association alone — at one
-// worker and at four.
+// TestCrackedPartsHistoryIndependent: a cracked answer does not depend on
+// how far its edge buckets have cracked. Scalar and grouped aggregates
+// over INT and FLOAT inputs are asked, a dozen probes at bounds inside
+// their edge buckets cut those, and the same aggregates must come back
+// bit for bit identical, a FLOAT SUM/AVG included — at one worker, and at
+// four but for a grouped FLOAT SUM/AVG, whose per-worker association
+// follows scheduling there.
 func TestCrackedPartsHistoryIndependent(t *testing.T) {
-	tab := partsTable(rand.New(rand.NewSource(63)), 20_000)
+	tab := partsTable(rand.New(rand.NewSource(63)), 24_000)
 	where := expr.And(expr.Cmp("x", expr.GE, storage.Float(20)), expr.Cmp("x", expr.LT, storage.Float(80)))
 	var queries []exec.Query
 	for _, input := range []string{"n", "f", "m"} {
-		queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true))
+		queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true),
+			exec.Query{Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}, {Col: input, Agg: exec.AggAvg}}, Where: where})
 	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
@@ -298,53 +297,47 @@ func TestCrackedPartsHistoryIndependent(t *testing.T) {
 			ask := func() []*storage.Table {
 				out := make([]*storage.Table, len(queries))
 				for i, q := range queries {
-					res, attrs := crackSpan(t, e, q)
-					if _, ok := attrs["parts"]; !ok {
-						t.Fatalf("%s took the row path: %v", q, attrs)
-					}
-					out[i] = res
+					out[i], _ = crackSpan(t, e, q)
 				}
 				return out
 			}
 			before := ask()
+			_, cracks, _ := e.CrackStats("t", "x")
 			rng := rand.New(rand.NewSource(5))
 			for i := 0; i < 12; i++ {
-				lo := 20 + rng.Float64()*55
-				if _, err := e.SQL(fmt.Sprintf("SELECT count(*) FROM t WHERE x >= %.4f AND x < %.4f", lo, lo+rng.Float64()*5), Cracked); err != nil {
+				lo := 19.9 + rng.Float64()*0.2
+				hi := 79.9 + rng.Float64()*0.2
+				if _, err := e.SQL(fmt.Sprintf("SELECT count(*) FROM t WHERE x >= %.6f AND x < %.6f", lo, hi), Cracked); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if pieces, _, _ := e.CrackStats("t", "x"); pieces < 20 {
-				t.Fatalf("%d pieces: the probes did not cut the range", pieces)
+			if _, after, _ := e.CrackStats("t", "x"); after < cracks+12 {
+				t.Fatalf("%d cracks, %d before: the probes did not cut the edge buckets", after, cracks)
 			}
 			for i, got := range ask() {
-				requirePartsMatch(t, "after the cracks", tab, queries[i], before[i], got)
+				if err := sameAnswer(queries[i], before[i], got, par > 1); err != nil {
+					t.Errorf("%s after the cracks: %v", queries[i], err)
+				}
 			}
 		})
 	}
 }
 
-// TestConcurrentCrackedPartsMatchOracle: read-locked cell-shaped probes
-// first-cover the same pieces — several (key, input) pairs at once — while
-// a writer cracks inside them, and every answer equals exact mode's. Then
-// probes of one more pair, all at once over the same converged range,
-// publish exactly one set per piece: their built counts add up to the
-// pieces the range holds. (The name keeps the ConcurrentCracked prefix
-// CI's concurrent-probe job selects on.)
+// TestConcurrentCrackedPartsMatchOracle: cracked aggregates over the same
+// range run at once while a writer cracks inside its edge buckets, and
+// every answer equals exact mode's. (The name keeps the ConcurrentCracked
+// prefix CI's concurrent-probe job selects on.)
 func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
-	tab := partsTable(rand.New(rand.NewSource(64)), 20_000)
+	tab := partsTable(rand.New(rand.NewSource(64)), 24_000)
 	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 4, MorselSize: 512}})
 	if err := e.Register(tab); err != nil {
 		t.Fatal(err)
 	}
 	where := expr.And(expr.Cmp("k", expr.GE, storage.Int(100)), expr.Cmp("k", expr.LT, storage.Int(900)))
-	// The cuts, so the probes below hold only the read lock.
-	if _, err := e.Execute("t", exec.Query{Select: []exec.SelectItem{{Col: "n"}}, Where: where}, Cracked); err != nil {
-		t.Fatal(err)
-	}
 	var queries []exec.Query
 	for _, input := range []string{"n", "f"} {
-		queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true))
+		queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true),
+			exec.Query{Select: []exec.SelectItem{{Col: "m"}, {Col: input}}, Where: where})
 	}
 	wants := make([]*storage.Table, len(queries))
 	for i, q := range queries {
@@ -363,7 +356,7 @@ func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
 				j := (g + i) % len(queries)
 				got, err := e.Execute("t", queries[j], Cracked)
 				if err == nil {
-					err = tablesMatch(wants[j], got)
+					err = sameAnswer(queries[j], wants[j], got, true)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d, %s: %w", g, queries[j], err)
@@ -373,12 +366,12 @@ func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
 		}(g)
 	}
 	wg.Add(1)
-	go func() { // cracks inside the pieces the readers cover
+	go func() { // cracks inside the edge buckets the readers probe
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 30; i++ {
-			lo := 100 + rng.Int63n(780)
-			q := partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(lo)), expr.Cmp("k", expr.LT, storage.Int(lo+1+rng.Int63n(20)))), "m", true)
+			lo := []int64{96, 896}[i%2] + rng.Int63n(8)
+			q := partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(lo)), expr.Cmp("k", expr.LT, storage.Int(lo+1+rng.Int63n(3)))), "m", true)
 			if _, err := e.Execute("t", q, Cracked); err != nil {
 				errs <- err
 				return
@@ -390,40 +383,133 @@ func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// One set per piece: probes of a pair no probe asked yet, all at once.
-	q := exec.Query{Select: []exec.SelectItem{{Col: "m", Agg: exec.AggMax}}, Where: where}
-	want, err := e.Execute("t", q, Exact)
+}
+
+// TestConcurrentCrackedEdgesBuiltOnce: under every variant, concurrent
+// first queries over the same range make one cracker per edge bucket — the
+// losers of the race find the winner's — and concurrent first queries of a
+// range inside one bucket make that bucket's alone; every answer equals
+// exact mode's. Run it with -race.
+func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
+	tab := partsTable(rand.New(rand.NewSource(65)), 24_000)
+	for _, copt := range []crack.Options{
+		{Variant: crack.Standard},
+		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
+		{Variant: crack.HybridSort, SortMin: 16},
+	} {
+		t.Run(copt.Variant.String(), func(t *testing.T) {
+			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 512}})
+			if err := e.Register(tab); err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range []struct {
+				where *expr.Pred
+				edges int64
+			}{
+				{expr.And(expr.Cmp("x", expr.GE, storage.Float(10)), expr.Cmp("x", expr.LT, storage.Float(90))), 2},
+				{expr.And(expr.Cmp("x", expr.GE, storage.Float(50)), expr.Cmp("x", expr.LT, storage.Float(50.01))), 1},
+			} {
+				q := partsQuery(step.where, "n", true)
+				want, err := e.Execute("t", q, Exact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var wg sync.WaitGroup
+				built := int64(0)
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got, run := crackSpan(t, e, q)
+						mu.Lock()
+						defer mu.Unlock()
+						if err := sameAnswer(q, want, got, true); err != nil || run.crack["edges"] != step.edges {
+							t.Errorf("%s: %v, crack span %v", q, err, run.crack)
+						}
+						built += run.crack["edges_built"].(int64)
+					}()
+				}
+				wg.Wait()
+				if built != step.edges {
+					t.Errorf("%s: concurrent first queries made %d crackers for %d edge buckets", q, built, step.edges)
+				}
+			}
+			e.mu.Lock()
+			n := len(current(t, e, "t").cracks)
+			e.mu.Unlock()
+			if n != 3 {
+				t.Errorf("%d crackers; want one per edge bucket, 3", n)
+			}
+		})
+	}
+}
+
+// blockingCracker is a cracker whose stats wait until release is closed,
+// as a real one's wait while a probe holds its write lock.
+type blockingCracker struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingCracker) NumPieces() int {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return 1
+}
+
+func (b *blockingCracker) Cracks() int { return 0 }
+
+// TestConcurrentCrackedStatsDoNotBlockQueries: CrackIndexes and CrackStats
+// read a cracker's stats, which wait on the cracker's lock, after they
+// release the engine lock: while one waits on a cracker of one table, a
+// cracked query on another table, which needs the engine lock to find its
+// crackers, still finishes. (The name keeps the ConcurrentCracked prefix
+// CI's concurrent-probe job selects on.)
+func TestConcurrentCrackedStatsDoNotBlockQueries(t *testing.T) {
+	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 1}})
+	if err := e.Register(partsTable(rand.New(rand.NewSource(66)), 4000)); err != nil {
+		t.Fatal(err)
+	}
+	other, err := storage.FromColumns("blocked", storage.Schema{{Name: "v", Type: storage.TInt}},
+		[]storage.Column{storage.NewIntColumn([]int64{1, 2, 3})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var built, parts int64
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, root := trace.Start(context.Background(), "q")
-			got, err := e.ExecuteContext(ctx, "t", q, Cracked)
-			root.End()
-			if err == nil {
-				err = tablesMatch(want, got)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, c := range root.JSON().Children {
-				if c.Name == "crack" {
-					built += c.Attrs["parts_built"].(int64)
-					parts = c.Attrs["parts"].(int64)
-				}
-			}
-		}()
+	if err := e.Register(other); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if built != parts {
-		t.Errorf("concurrent first probes built %d sets for %d pieces; want one each", built, parts)
+	for _, stats := range []struct {
+		name string
+		call func()
+	}{
+		{"CrackIndexes", func() { e.CrackIndexes() }},
+		{"CrackStats", func() { e.CrackStats("blocked", "v") }},
+	} {
+		b := &blockingCracker{entered: make(chan struct{}), release: make(chan struct{})}
+		e.mu.Lock()
+		current(t, e, "blocked").cracks[crackKey{"v", -1}] = b
+		e.mu.Unlock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			stats.call()
+		}()
+		<-b.entered
+		answered := make(chan error, 1)
+		go func() {
+			_, err := e.SQL("SELECT count(*) FROM t WHERE k >= 10 AND k < 20", Cracked)
+			answered <- err
+		}()
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("a cracked query on another table waited behind %s", stats.name)
+		}
+		close(b.release)
+		<-done
 	}
 }

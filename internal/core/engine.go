@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +25,6 @@ import (
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/onlineagg"
-	"dex/internal/par"
 	"dex/internal/rawload"
 	"dex/internal/recommend"
 	"dex/internal/sqlparse"
@@ -85,7 +86,8 @@ type Options struct {
 	OnlineRelCI float64
 	// OnlineBatch is the online-aggregation batch size. Default 4096.
 	OnlineBatch int
-	// CrackOptions configures the adaptive indexes.
+	// CrackOptions configures the adaptive indexes: the crackers of the
+	// value buckets a cracked query's bounds fall in.
 	CrackOptions crack.Options
 	// Exec tunes the execution pipeline used by the Exact mode, the
 	// post-join query, and the post-probe stage of Cracked mode (the crack
@@ -127,8 +129,10 @@ func (o *Options) fill() {
 // Engine is the exploration engine. Cracked-mode probes need no
 // engine-level lock: each crack.Index carries its own RWMutex, probes that
 // align with existing piece boundaries share a read lock, and only probes
-// that must reorganize the column escalate to the write lock — so queries
+// that must reorganize a bucket escalate to the write lock — so queries
 // against a converged index (or distinct indexes) run fully in parallel.
+// Engine.mu is never held while a probe or a stats read waits on a
+// cracker's lock.
 type Engine struct {
 	// tmu guards tables alone: a lookup never waits behind a build on mu.
 	tmu    sync.RWMutex
@@ -137,10 +141,7 @@ type Engine struct {
 	mu      sync.Mutex
 	opt     Options
 	rng     *rand.Rand
-	rowVecs [][]int // online mode's idle batch vectors
-	// partsFree holds cracked mode's idle probes (takeParts), with their
-	// set lists and row vectors.
-	partsFree []*crack.Parts[[]storage.Cell]
+	rowVecs [][]int // idle row vectors: online batches, cracked edge rows
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
 }
@@ -152,9 +153,9 @@ type Engine struct {
 // fields. (Not a slot on storage.Table, which could hold it only as an
 // any: aqp imports storage.)
 type version struct {
-	t       *storage.Table     // nil for an in-situ table
-	raw     *rawload.RawTable  // nil for an in-memory table
-	cracks  map[string]cracker // column → crack index
+	t       *storage.Table       // nil for an in-situ table
+	raw     *rawload.RawTable    // nil for an in-memory table
+	cracks  map[crackKey]cracker // a column's value bucket → its cracker
 	samples *aqp.Catalog
 	shuffle []int // Online mode's row order
 }
@@ -221,7 +222,7 @@ func (e *Engine) Replace(t *storage.Table) {
 
 // store makes v name's version; a taken name is ErrTableExists unless replace.
 func (e *Engine) store(name string, v *version, replace bool) error {
-	v.cracks = map[string]cracker{}
+	v.cracks = map[crackKey]cracker{}
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
 	if _, ok := e.tables[name]; ok && !replace {
@@ -265,9 +266,8 @@ func (e *Engine) IndexMorsels() int64 {
 }
 
 // CellQueries returns the engine's cumulative count of aggregate queries
-// answered from cells: a range interior's bucket cells (every bucket of a
-// column for a query with no WHERE), or, in cracked mode, the pieces'
-// partials.
+// answered from bucket cells: a range interior's, in exact or cracked
+// mode, or every bucket of a column for a query with no WHERE.
 func (e *Engine) CellQueries() int64 {
 	return e.opt.Exec.CellQueries.Load()
 }
@@ -597,205 +597,231 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 	return expr.Interval{}, reason
 }
 
-// partsKey names a piece's cells (storage.PieceCells): keyed by a
-// dictionary group column, aggregating one numeric input, "" for none.
-type partsKey struct{ group, input string }
-
-// probeInterval probes the rows with lo <= v <= hi of column col through
-// the column's crack index, above being the least value over hi: a
-// half-open probe [lo, above), or, when hi is the type's maximum and
-// nothing lies above it, a probe with no upper cut.
-func probeInterval[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, p *crack.Parts[[]storage.Cell], lo, above T, bounded bool) (crack.ProbeStats, error) {
-	ix, err := crackIndex[T](e, v, t, col)
-	switch {
-	case err != nil:
-		return crack.ProbeStats{}, err
-	case bounded:
-		return crack.ProbeParts(ix, p, lo, above)
-	}
-	return crack.ProbePartsFrom(ix, p, lo)
-}
-
-// executeCracked answers a one-column range query through the column's
-// cracker index. An aggregate that cells can answer (exec.CellShape) folds
-// the partials of the crack pieces in range — each piece's cells, keyed by
-// the group column and aggregating the input, built the first time a probe
-// covers the piece and dropped when a crack splits it — so a drill-down
-// reads only the rows of pieces no earlier probe aggregated, and none at
-// all once the index has converged on its bounds. Any other query gets the
-// probe's row ids, ascending, as the pipeline's selection. Either way the
-// answer equals exact mode's — group order, projection order, MIN/MAX
-// values and ties — however far the index has cracked, up to the
-// association of a float SUM/AVG, which the pieces add in crack order.
+// executeCracked answers a one-column range query through the range
+// partition the column's value index already has: its equi-depth buckets
+// (exec.RangeBuckets). The buckets strictly inside the range's bucket run
+// hold only rows inside it, so only the one or two edge buckets its bounds
+// cut are cracked, each through a crack index over that bucket's rows
+// alone, made the first time a bound falls inside it (edgeCracker). The
+// edge rows inside the range, ascending, are the pipeline's selection, and
+// the interior is read as exact mode reads it: folded from its bucket
+// cells when exact mode's plan does, else as the index's rows. A column
+// with no value index is one bucket: its cracker holds the whole column.
+// Either way the answer equals exact mode's at the same parallelism and
+// morsel size bit for bit — group order, projection order, MIN/MAX values
+// and ties, and a float SUM/AVG but a grouped one at more than one worker —
+// however far the crackers have cracked.
 func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	t, err := v.table(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	// Every cracked-mode query opens the span, so one that did not crack
-	// says why.
-	csp := trace.FromContext(ctx).Child("crack")
 	iv, reason := crackable(q.Where, t.Schema())
 	if reason != "" {
+		// Every cracked-mode query opens the span, so one that did not
+		// crack says why.
+		csp := trace.FromContext(ctx).Child("crack")
 		csp.SetStr("fallback", reason)
 		csp.End()
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	}
+	b, err := exec.RangeBuckets(ctx, t, q, e.opt.Exec)
+	if err != nil {
+		return nil, err
+	}
+	// The probes synchronize inside each cracker: boundary-aligned lookups
+	// share its read lock, reorganizing ones take the write lock. The stats
+	// come from the probes' own critical sections, so the span reflects the
+	// crackers this query actually saw.
+	csp := trace.FromContext(ctx).Child("crack")
 	csp.SetStr("col", iv.Col)
-	p := e.takeParts()
-	defer e.giveParts(p)
-	if q.HasAggregates() || len(q.GroupBy) > 0 {
-		if group, input, why := exec.CellShape(t, q); why != "" {
-			csp.SetStr("parts_fallback", why)
-		} else {
-			e.askCells(p, t, group, input)
-		}
-	}
-	if p.Build == nil && cap(p.Rows) < t.NumRows() {
-		// The row-id vector is the engine's to reuse: a drill-down probe
-		// returns a large share of the table, and a fresh vector per query
-		// is most of what the row path would allocate. Nothing downstream
-		// keeps it (sinks fold it, a projection gathers through it).
-		p.Rows = make([]int, 0, t.NumRows())
-	}
-	// The probe synchronizes inside the index: boundary-aligned lookups
-	// share the index read lock, reorganizing ones take the write lock. The
-	// stats come from the probe's own critical section, so the span reflects
-	// the index state this query actually saw — not whatever a concurrent
-	// probe left behind by the time the span is annotated.
-	var st crack.ProbeStats
+	var sel []int
+	var st edgeStats
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		st, err = probeInterval(e, v, t, iv.Col, p, iv.FLo, above, bounded)
+		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.FLo, above, bounded, math.Inf(-1))
 	} else {
 		above, bounded := iv.IntAbove()
-		st, err = probeInterval(e, v, t, iv.Col, p, iv.ILo, above, bounded)
+		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.ILo, above, bounded, math.MinInt64)
 	}
 	if err != nil {
 		csp.End()
 		return nil, err
 	}
-	csp.SetStr("lock_mode", st.Lock.String())
-	csp.SetInt("pieces", int64(st.Pieces))
-	csp.SetInt("cracks", int64(st.Cracks))
-	var cells [][]storage.Cell // nil: the probe's rows are the whole input
-	if p.Build != nil {
-		// The rows the sets were built from are the rows this query read.
-		e.opt.Exec.Scanned.Add(int64(p.BuiltRows))
-		csp.SetInt("parts", int64(len(p.Sets)))
-		csp.SetInt("parts_built", int64(p.Built))
-		csp.SetInt("part_rows_built", int64(p.BuiltRows))
-		csp.SetInt("pending_rows", int64(len(p.Rows)))
-		if cells = p.Sets; cells == nil {
-			cells = [][]storage.Cell{} // no piece in range: still cell input
-		}
-	} else {
-		csp.SetInt("rows_out", int64(len(p.Rows)))
+	defer e.giveRowVec(sel)
+	if b.Index() != nil {
+		bl, bh := b.Run()
+		csp.SetInt("buckets", int64(max(bh-bl+1, 0)))
 	}
+	csp.SetInt("edges", int64(st.edges))
+	csp.SetInt("edges_built", int64(st.built))
+	csp.SetStr("lock_mode", st.lock.String())
+	csp.SetInt("pieces", int64(st.pieces))
+	csp.SetInt("cracks", int64(st.cracks))
+	csp.SetInt("rows_out", int64(len(sel)))
 	csp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The probe's row ids are the pipeline's input selection: no sub-table
-	// is copied out, the range predicate they answer is not re-evaluated,
-	// and they are distinct and ascending, as ExecuteSel requires, so the
-	// sinks read the columns front to back. The pieces' cells hold the
-	// rest of the range's rows.
-	return exec.ExecuteSel(ctx, t, cells, p.Rows, q, e.opt.Exec)
+	// The edge rows are the pipeline's input selection: no sub-table is
+	// copied out, the range predicate they answer is not re-evaluated, and
+	// they are distinct and ascending, as ExecuteSel requires.
+	return exec.ExecuteSel(ctx, t, b, sel, q, e.opt.Exec)
 }
 
-// takeParts returns a parts probe that asks for no sets, a row probe: a
-// recycled one, whose set list and row vector are reused, when there is
-// one.
-func (e *Engine) takeParts() *crack.Parts[[]storage.Cell] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if k := len(e.partsFree); k > 0 {
-		p := e.partsFree[k-1]
-		e.partsFree = e.partsFree[:k-1]
-		return p
-	}
-	return &crack.Parts[[]storage.Cell]{}
+// edgeStats sums what a query's edge probes saw: the crackers probed and
+// made, the write lock if any probe took it, and the probed crackers'
+// pieces and cracks.
+type edgeStats struct {
+	edges, built, pieces, cracks int
+	lock                         crack.LockMode
 }
 
-// askCells makes p ask for the cells of a crack index's pieces keyed by
-// the dictionary column group and aggregating the plain numeric column
-// input, "" for none, as exec.CellShape names them. A piece is built on as
-// many workers as the pipeline would run its rows on, and the pieces one
-// probe lacks sets for across the pipeline's parallelism.
-func (e *Engine) askCells(p *crack.Parts[[]storage.Cell], t *storage.Table, group, input string) {
-	var key *storage.DictColumn
-	var in storage.Column
-	if group != "" {
-		c, _ := t.ColumnByName(group)
-		key = c.(*storage.DictColumn)
+// crackEdges returns the rows of b's edge buckets whose value v in column
+// col satisfies lo <= v < above (lo <= v when not bounded), ascending, in
+// a vector from the engine's free list. The low edge bucket is probed from
+// lo up: every value it holds is under above unless it is the run's only
+// bucket. The high one is probed from least, the type's least value, so
+// that each of its probes cracks at most at above, and a drill-down in
+// its range reads every value it holds below above.
+func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, above T, bounded bool, least T) ([]int, edgeStats, error) {
+	var st edgeStats
+	vi := b.Index()
+	bl, bh := b.Run()
+	if vi == nil {
+		bl, bh = -1, -1 // one bucket, the whole column
 	}
-	if input != "" {
-		in, _ = t.ColumnByName(input)
+	if bl > bh {
+		return e.takeRowVec(0), st, nil
 	}
-	pool := par.NewPool(par.Options{Parallelism: e.opt.Exec.Parallelism, MorselSize: e.opt.Exec.MorselSize})
-	p.Key, p.Workers = partsKey{group, input}, pool.Workers()
-	p.Build = func(rows []int) []storage.Cell {
-		return storage.PieceCells(rows, key, in, pool.WorkersFor(len(rows)), pool.MorselSize())
+	low, err := probeEdge(e, v, t, col, vi, bl, lo, above, bounded && bl == bh, &st)
+	if err != nil || bl == bh {
+		return low, st, err
 	}
+	high, err := probeEdge(e, v, t, col, vi, bh, least, above, bounded, &st)
+	if err != nil {
+		e.giveRowVec(low)
+		return nil, st, err
+	}
+	sel := exec.MergeRows(e.takeRowVec(len(low)+len(high)), low, high)
+	e.giveRowVec(low)
+	e.giveRowVec(high)
+	return sel, st, nil
 }
 
-// giveParts recycles a parts probe as a row probe; its set list no longer
-// holds the sets, which the index may drop.
-func (e *Engine) giveParts(p *crack.Parts[[]storage.Cell]) {
-	clear(p.Sets)
-	p.Build = nil
-	e.mu.Lock()
-	if len(e.partsFree) < runtime.GOMAXPROCS(0) {
-		e.partsFree = append(e.partsFree, p)
+// probeEdge returns the rows of col's value bucket k (the whole column
+// when vi is nil) whose value v satisfies lo <= v < above (lo <= v when
+// not bounded), ascending, through the bucket's cracker, and adds the
+// probe to st.
+func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
+	ed, built, err := edgeCracker[T](e, v, t, col, vi, k)
+	if err != nil {
+		return nil, err
 	}
-	e.mu.Unlock()
+	var rows []int
+	var ps crack.ProbeStats
+	if bounded {
+		rows, ps, err = ed.ProbeInto(e.takeRowVec(0), lo, above)
+	} else {
+		rows, ps, err = ed.ProbeFrom(e.takeRowVec(0), lo)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ed.rows != nil {
+		// The cracker's row ids are positions in the bucket's ascending
+		// rows, so mapping them keeps them ascending.
+		for i, p := range rows {
+			rows[i] = ed.rows[p]
+		}
+	}
+	st.edges++
+	if built {
+		st.built++
+	}
+	st.lock = max(st.lock, ps.Lock)
+	st.pieces += ps.Pieces
+	st.cracks += ps.Cracks
+	return rows, nil
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
-// online batch of n rows: a recycled one when the last one recycled is
-// large enough, else a new one. A free list under the engine's lock rather
+// online batch, or a cracked query's edge rows: the largest recycled one,
+// grown to n, else a new one. A free list under the engine's lock rather
 // than a sync.Pool, whose per-P caches and GC sweeps make the hit rate —
 // and so the bytes a query allocates — differ from run to run.
 func (e *Engine) takeRowVec(n int) []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if k := len(e.rowVecs); k > 0 && cap(e.rowVecs[k-1]) >= n {
-		v := e.rowVecs[k-1]
-		e.rowVecs = e.rowVecs[:k-1]
-		return v
+	best := -1
+	for i, v := range e.rowVecs {
+		if best < 0 || cap(v) > cap(e.rowVecs[best]) {
+			best = i
+		}
 	}
-	return make([]int, 0, n)
+	if best < 0 {
+		return make([]int, 0, n)
+	}
+	v := e.rowVecs[best]
+	e.rowVecs = slices.Delete(e.rowVecs, best, best+1)
+	return slices.Grow(v, n)
 }
 
-// giveRowVec recycles v; one vector per core is kept, since more queries
-// than that do not run at once for long.
+// giveRowVec recycles v; three vectors per core are kept, since more
+// queries than that do not run at once for long, and a cracked query
+// holds three.
 func (e *Engine) giveRowVec(v []int) {
 	e.mu.Lock()
-	if len(e.rowVecs) < runtime.GOMAXPROCS(0) {
+	if len(e.rowVecs) < 3*runtime.GOMAXPROCS(0) {
 		e.rowVecs = append(e.rowVecs, v[:0])
 	}
 	e.mu.Unlock()
 }
 
-// cracker is what the engine reads of a crack index, whichever the type
-// of the column it cracks.
+// crackKey names one of a version's crackers: the value bucket of a
+// column it cracks, or bucket -1 for a column with no value index, whose
+// one bucket is the whole column.
+type crackKey struct {
+	col    string
+	bucket int
+}
+
+// cracker is what the engine reads of a cracker, whichever the type of the
+// column it cracks.
 type cracker interface {
 	NumPieces() int
 	Cracks() int
 }
 
-// crackIndex returns (building on demand) v's cracker index of a column of
-// t: an INT or run-coded INT column cracks as int64, a FLOAT one as float64.
-func crackIndex[T int64 | float64](e *Engine, v *version, t *storage.Table, col string) (*crack.Index[T], error) {
+// edge is one bucket's cracker: a crack index over the values of the
+// bucket's rows, whose row ids are positions in rows.
+type edge[T int64 | float64] struct {
+	*crack.Index[T]
+	bounds *storage.ValueBuckets // the bucket bounds it was cut under; nil for a whole column
+	rows   []int                 // the bucket's rows, ascending; nil for a whole column, whose positions are rows
+}
+
+// edgeCracker returns (making it on first touch) v's cracker of bucket k
+// of t's column col, cut under vi's bounds, or of the whole column when vi
+// is nil; built reports whether this call made it. An INT or run-coded INT
+// column cracks as int64, a FLOAT one as float64. A cracker cut under
+// other bounds — the table grew and its buckets were drawn again — is made
+// anew; bounds drawn again to the same values, as an in-situ table's are
+// for each query's materialized table, keep it.
+func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int) (ed *edge[T], built bool, err error) {
+	key := crackKey{col, -1}
+	var bounds *storage.ValueBuckets
+	if vi != nil {
+		key.bucket, bounds = k, vi.ValueBuckets
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ix, ok := v.cracks[col].(*crack.Index[T]); ok {
-		return ix, nil
+	if ed, ok := v.cracks[key].(*edge[T]); ok && (ed.bounds == bounds || *ed.bounds == *bounds) {
+		return ed, false, nil
 	}
 	c, err := t.ColumnByName(col)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var vals any
 	switch c := c.(type) {
@@ -810,29 +836,59 @@ func crackIndex[T int64 | float64](e *Engine, v *version, t *storage.Table, col 
 	}
 	xs, ok := vals.([]T)
 	if !ok {
-		return nil, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
+		return nil, false, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
 	}
-	ix := crack.New(xs, e.opt.CrackOptions)
-	v.cracks[col] = ix
-	return ix, nil
+	ed = &edge[T]{bounds: bounds}
+	if vi == nil {
+		ed.Index = crack.New(xs, e.opt.CrackOptions)
+	} else {
+		ed.rows = vi.Bucket(k, nil)
+		ed.Index = crack.NewAt(xs, ed.rows, e.opt.CrackOptions)
+	}
+	v.cracks[key] = ed
+	return ed, true, nil
 }
 
-// CrackStats reports (pieces, cracks) for a column index of a table's
-// current version, or ok false when no index exists yet.
-func (e *Engine) CrackStats(table, col string) (pieces, cracks int, ok bool) {
-	v, err := e.lookup(table)
-	if err != nil {
-		return 0, 0, false
-	}
+// crackers copies out v's crackers of column col, every column's when col
+// is "", by column. The caller reads their stats after Engine.mu is
+// released: a stats read waits on each cracker's lock, which a probe may
+// hold while it cracks, and no query should wait behind that on
+// Engine.mu.
+func (e *Engine) crackers(v *version, col string) map[string][]cracker {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ix, have := v.cracks[col]; have {
-		return ix.NumPieces(), ix.Cracks(), true
+	out := map[string][]cracker{}
+	for k, c := range v.cracks {
+		if col == "" || k.col == col {
+			out[k.col] = append(out[k.col], c)
+		}
 	}
-	return 0, 0, false
+	return out
 }
 
-// CrackIndexStat describes one adaptive index in CrackIndexes.
+// sumStats sums the pieces and cracks of a column's crackers.
+func sumStats(cs []cracker) (pieces, cracks int) {
+	for _, c := range cs {
+		pieces += c.NumPieces()
+		cracks += c.Cracks()
+	}
+	return pieces, cracks
+}
+
+// CrackStats reports (pieces, cracks) summed over the crackers of a
+// column of a table's current version, or ok false when it has none yet.
+func (e *Engine) CrackStats(table, col string) (pieces, cracks int, ok bool) {
+	v, err := e.lookup(table)
+	if err != nil || col == "" {
+		return 0, 0, false
+	}
+	cs := e.crackers(v, col)[col]
+	pieces, cracks = sumStats(cs)
+	return pieces, cracks, len(cs) > 0
+}
+
+// CrackIndexStat describes one column's crackers in CrackIndexes: their
+// pieces and cracks summed.
 type CrackIndexStat struct {
 	Table  string
 	Column string
@@ -840,20 +896,19 @@ type CrackIndexStat struct {
 	Cracks int
 }
 
-// CrackIndexes lists every crack index built so far on the tables' current
-// versions, in deterministic (table, column) order — the shard Stats probe
-// and /admin/stats enumerate them without knowing which columns queries
-// happened to crack.
+// CrackIndexes lists every cracked column of the tables' current versions,
+// in deterministic (table, column) order, its buckets' crackers summed —
+// the shard Stats probe and /admin/stats enumerate them without knowing
+// which columns queries happened to crack.
 func (e *Engine) CrackIndexes() []CrackIndexStat {
 	e.tmu.RLock()
 	versions := maps.Clone(e.tables)
 	e.tmu.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []CrackIndexStat
 	for table, v := range versions {
-		for col, ix := range v.cracks {
-			out = append(out, CrackIndexStat{Table: table, Column: col, Pieces: ix.NumPieces(), Cracks: ix.Cracks()})
+		for col, cs := range e.crackers(v, "") {
+			pieces, cracks := sumStats(cs)
+			out = append(out, CrackIndexStat{Table: table, Column: col, Pieces: pieces, Cracks: cracks})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

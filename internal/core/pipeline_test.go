@@ -311,8 +311,9 @@ func TestCrackedOverRLEColumn(t *testing.T) {
 
 // TestCrackedReusesItsProbeVector: a converged cracked query that selects
 // most of the table allocates a small fraction of the row-id vector a fresh
-// probe result would cost (8 bytes a row): the engine recycles the vector
-// between queries.
+// probe result would cost (8 bytes a row): the engine recycles its edge
+// buckets' row vectors between queries, and the pipeline reads the
+// interior's rows into per-worker scratch buffers taken once a query.
 func TestCrackedReusesItsProbeVector(t *testing.T) {
 	const rows, queries = 200_000, 40
 	plain, err := workload.Sales(rand.New(rand.NewSource(4)), rows)

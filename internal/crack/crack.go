@@ -18,31 +18,31 @@
 // ripple-merged into the cracked array, and tombstone deletes.
 //
 // Every probe returns its row ids in ascending order, the order a scan of
-// the table meets them: the probe marks its piece into a row-id bitmap and
+// the column meets them: the probe marks its piece into a row-id bitmap and
 // reads the bitmap forward. A caller that feeds the ids to a pipeline gets
 // the answer a scan with the range as its WHERE clause gives, row for row,
 // however far the index has cracked.
 //
-// A caller that aggregates the range can ask for less than its rows: every
-// piece keeps partial sets, one per caller key, built from its live rows
-// the first time a parts probe (ProbeParts, ProbePartsFrom) covers it and
-// dropped when its rows change — a cut that splits it, a pending insert
-// merged into it, a delete. A parts probe returns the sets of the pieces
-// in range plus the pending inserts in range, so a drill-down reads only
-// the rows of the pieces no earlier probe aggregated (parts.go). A parts
-// probe that builds no sets is the row probe: it returns every row in
-// range.
+// The engine's cracked mode does not crack a whole column. It cracks
+// inside a range partition it already has, the coarse-granular index of
+// Schuhknecht, Jindal and Dittrich ("The Uncracked Pieces in Database
+// Cracking", PVLDB 2013): the value index's equi-depth buckets are the top
+// level, and an Index over one bucket's values alone is the bottom level,
+// made the first time a query's bound falls inside that bucket. An Index
+// knows nothing of that: its row ids are positions in the slice it was
+// made from, which the engine maps back to table rows.
 //
 // Concurrency control is per index, the granularity the engine needs for
-// multi-session exploration: every probe — rows, counts or parts — runs
-// inside a single critical section of the index RWMutex (within). A probe
-// whose bounds already coincide with existing cuts — the common case once
-// the index has converged on the workload's ranges — holds only the read
-// lock, so any number of such probes proceed in parallel. Only a probe that must physically reorganize
-// the column escalates to the write lock [22]. Holding one lock for the
-// whole probe (position lookup AND row collection) matters: with separate
-// acquisitions a pending-buffer merge between them can shift cut positions
-// and make the collection read rows that no longer satisfy the range.
+// multi-session exploration: every probe — rows or counts — runs inside a
+// single critical section of the index RWMutex (within). A probe whose
+// bounds already coincide with existing cuts — the common case once the
+// index has converged on the workload's ranges — holds only the read lock,
+// so any number of such probes proceed in parallel. Only a probe that must
+// physically reorganize the column escalates to the write lock [22].
+// Holding one lock for the whole probe (position lookup AND row
+// collection) matters: with separate acquisitions a pending-buffer merge
+// between them can shift cut positions and make the collection read rows
+// that no longer satisfy the range.
 package crack
 
 import (
@@ -141,11 +141,6 @@ type Index[T cmp.Ordered] struct {
 	// pending as a tombstone, which tombs counts.
 	live  []uint64
 	tombs int
-	// parts holds each piece's partial sets (ProbeParts): parts[i] is the
-	// piece between cuts[i-1] and cuts[i]. The slice changes only under
-	// the write lock, which also drops the sets of a piece whose rows
-	// change; a slot gains sets under the read lock (partSlot).
-	parts []*partSlot
 	// marks is a free list of all-zero row-id bitmaps for collectLocked,
 	// under its own mutex because read-locked probes share it. Not a
 	// sync.Pool: its per-P caches and GC sweeps would make what a probe
@@ -174,26 +169,36 @@ type span struct{ lo, hi int }
 // a NaN pivot would compare neither below nor at-or-above and stall the
 // partition loop.
 func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
+	return newIndex(len(col), func(i int) T { return col[i] }, opt)
+}
+
+// NewAt is New over the values col[rows[0]], col[rows[1]], …: its row ids
+// are positions in rows, which it does not keep.
+func NewAt[T cmp.Ordered](col []T, rows []int, opt Options) *Index[T] {
+	return newIndex(len(rows), func(i int) T { return col[rows[i]] }, opt)
+}
+
+// newIndex builds an index over the n values at(0), …, at(n-1).
+func newIndex[T cmp.Ordered](n int, at func(int) T, opt Options) *Index[T] {
 	opt.fill()
-	vals := make([]T, len(col))
-	rows := make([]int, len(col))
-	live := make([]uint64, (len(col)+63)/64)
-	n := 0
-	for i, v := range col {
-		if v == v {
-			vals[n], rows[n] = v, i
+	vals := make([]T, n)
+	rows := make([]int, n)
+	live := make([]uint64, (n+63)/64)
+	k := 0
+	for i := range n {
+		if v := at(i); v == v {
+			vals[k], rows[k] = v, i
 			live[i>>6] |= 1 << uint(i&63)
-			n++
+			k++
 		}
 	}
 	return &Index[T]{
-		vals:    vals[:n],
-		rows:    rows[:n],
+		vals:    vals[:k],
+		rows:    rows[:k],
 		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
-		nextRow: len(col),
+		nextRow: n,
 		live:    live,
-		parts:   []*partSlot{new(partSlot)},
 	}
 }
 
@@ -262,12 +267,24 @@ type ProbeStats struct {
 
 // Probe returns the row ids whose value v satisfies lo <= v < hi, in
 // ascending order, plus per-probe stats, cracking the underlying column at
-// lo and hi when needed: ProbeParts with no sets to build. The error is
-// non-nil only when the crack/escalate failpoint is armed and fires.
+// lo and hi when needed. The error is non-nil only when the crack/escalate
+// failpoint is armed and fires.
 func (ix *Index[T]) Probe(lo, hi T) ([]int, ProbeStats, error) {
-	var p Parts[struct{}]
-	st, err := ProbeParts(ix, &p, lo, hi)
-	return p.Rows, st, err
+	return ix.ProbeInto(nil, lo, hi)
+}
+
+// ProbeInto is Probe writing the row ids into dst[:0], which it replaces
+// when it is too short; the result never aliases index state.
+func (ix *Index[T]) ProbeInto(dst []int, lo, hi T) ([]int, ProbeStats, error) {
+	return ix.probe(dst, bounds[T]{lo: lo, hi: hi}, true)
+}
+
+// ProbeFrom is ProbeInto with no upper bound: the rows with lo <= v,
+// pending inserts included. It cracks at lo only, so it reaches the
+// largest value of the type (MaxInt64, +Inf), which no half-open bound can
+// include.
+func (ix *Index[T]) ProbeFrom(dst []int, lo T) ([]int, ProbeStats, error) {
+	return ix.probe(dst, bounds[T]{lo: lo, top: true}, true)
 }
 
 // Query returns the row ids whose value v satisfies lo <= v < hi, in
@@ -275,9 +292,16 @@ func (ix *Index[T]) Probe(lo, hi T) ([]int, ProbeStats, error) {
 // Probe without the stats and without the escalation failpoint (bench
 // loops and baselines that must not be perturbed by armed faults).
 func (ix *Index[T]) Query(lo, hi T) []int {
-	var p Parts[struct{}]
-	probeParts(ix, &p, bounds[T]{lo: lo, hi: hi}, false)
-	return p.Rows
+	rows, _, _ := ix.probe(nil, bounds[T]{lo: lo, hi: hi}, false)
+	return rows
+}
+
+// probe collects the live rows inside b into dst[:0] in one critical
+// section (within).
+func (ix *Index[T]) probe(dst []int, b bounds[T], escalate bool) ([]int, ProbeStats, error) {
+	out := dst[:0]
+	st, err := ix.within(b, escalate, func(ia, ib int) { out = ix.collectLocked(out, ix.posOf(ia), ix.posOf(ib), b) })
+	return out, st, err
 }
 
 // bounds is a probe's value range: lo <= v < hi, or lo <= v when top.
@@ -470,12 +494,6 @@ func (ix *Index[T]) insertCut(v T, pos int) {
 	ix.cuts = append(ix.cuts, cut[T]{})
 	copy(ix.cuts[i+1:], ix.cuts[i:])
 	ix.cuts[i] = cut[T]{val: v, pos: pos}
-	// The cut splits piece i in two, and neither half's rows are the
-	// piece's: both start with no sets.
-	ix.parts[i].drop()
-	ix.parts = append(ix.parts, nil)
-	copy(ix.parts[i+1:], ix.parts[i:])
-	ix.parts[i+1] = new(partSlot)
 }
 
 // crackAt ensures a cut exists at value v. Caller holds the write lock.

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -143,8 +142,8 @@ func TestCountMatchesQueryLen(t *testing.T) {
 	}
 }
 
-// TestRowProbeReusesTheCallersVector: a row probe (a parts probe with no
-// Build) handed a vector with room answers inside it, ascending as the
+// TestRowProbeReusesTheCallersVector: a row probe (ProbeInto) handed a
+// vector with room answers inside it, ascending as the
 // oracle lists rows, and allocates none of its own — its mark bitmap comes
 // from the index's free list, also once Insert has grown the row space past
 // that bitmap and after a Delete; one handed a short vector replaces it; an
@@ -154,14 +153,13 @@ func TestRowProbeReusesTheCallersVector(t *testing.T) {
 	col := randCol(rng, 4000, 500)
 	ix := New(col, Options{})
 	buf := make([]int, 0, len(col))
-	p := &Parts[struct{}]{Rows: buf}
 	probe := func(rows []int, lo, hi int64) []int {
 		t.Helper()
-		p.Rows = rows
-		if _, err := ProbeParts(ix, p, lo, hi); err != nil {
+		rows, _, err := ix.ProbeInto(rows, lo, hi)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Rows
+		return rows
 	}
 	for q := 0; q < 100; q++ {
 		lo := int64(rng.Intn(500))
@@ -183,8 +181,7 @@ func TestRowProbeReusesTheCallersVector(t *testing.T) {
 	}
 	steady := func(stage string) {
 		t.Helper()
-		p.Rows = buf
-		if n := testing.AllocsPerRun(20, func() { _, _ = ProbeParts(ix, p, 100, 400) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { _, _, _ = ix.ProbeInto(buf, 100, 400) }); n != 0 {
 			t.Fatalf("%s: a converged probe into a large enough vector allocated %v times", stage, n)
 		}
 	}
@@ -210,7 +207,8 @@ func TestRowProbeReusesTheCallersVector(t *testing.T) {
 }
 
 // TestEscalateFaultLeavesIndexIntact: with an error policy armed at
-// crack/escalate, a row probe and a parts probe that must crack fail with
+// crack/escalate, a row probe and a probe with no upper bound that must
+// crack fail with
 // the injected error before they touch the column — its cuts and crack
 // count stay as they were — while a probe whose bounds are cuts already,
 // and Query and Count, which skip the failpoint, never fire it. Once the
@@ -228,14 +226,12 @@ func TestEscalateFaultLeavesIndexIntact(t *testing.T) {
 	if _, _, err := ix.Probe(150, 250); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("a row probe that must crack: %v, want the injected error", err)
 	}
-	var builds atomic.Int64
-	p := &Parts[[]int]{Key: "k", Build: rowSet(&builds)}
-	if _, err := ProbeParts(ix, p, 150, 250); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("a parts probe that must crack: %v, want the injected error", err)
+	if _, _, err := ix.ProbeFrom(nil, 150); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("a probe with no upper bound that must crack: %v, want the injected error", err)
 	}
-	if !slices.Equal(ix.cuts, cuts) || ix.Cracks() != cracks || builds.Load() != 0 {
-		t.Fatalf("failed probes changed the index: %d cuts (%d before), %d cracks (%d before), %d sets built",
-			len(ix.cuts), len(cuts), ix.Cracks(), cracks, builds.Load())
+	if !slices.Equal(ix.cuts, cuts) || ix.Cracks() != cracks {
+		t.Fatalf("failed probes changed the index: %d cuts (%d before), %d cracks (%d before)",
+			len(ix.cuts), len(cuts), ix.Cracks(), cracks)
 	}
 	fires := func() int64 { return fault.Stats()["crack/escalate"].Fires }
 	fired := fires()
@@ -243,8 +239,8 @@ func TestEscalateFaultLeavesIndexIntact(t *testing.T) {
 	if err != nil || st.Lock != LockRead || !sameRows(rows, oracle(col, 100, 300)) {
 		t.Fatalf("a converged row probe: %v under the %v lock, %d rows", err, st.Lock, len(rows))
 	}
-	if _, err := ProbeParts(ix, p, 100, 300); err != nil || !sameRows(union(p), oracle(col, 100, 300)) {
-		t.Fatalf("a converged parts probe: %v, %d rows", err, len(union(p)))
+	if rows, _, err := ix.ProbeFrom(nil, 100); err != nil || len(rows) != len(col)-len(oracle(col, math.MinInt64, 100)) {
+		t.Fatalf("a converged probe with no upper bound: %v, %d rows", err, len(rows))
 	}
 	if got := ix.Query(150, 250); !sameRows(got, oracle(col, 150, 250)) {
 		t.Fatalf("Query under an armed failpoint: %d rows, oracle %d", len(got), len(oracle(col, 150, 250)))
@@ -547,7 +543,7 @@ func TestFloatCracking(t *testing.T) {
 // TestNaNIsNeverIndexed: a float column with NULLs (NaN) and +Inf cracks
 // to the answers a full scan gives under every variant — a NaN lies in no
 // range, whether it was in the column or inserted — and every probe
-// completes. ProbePartsFrom, the probe with no upper cut, reaches +Inf and the
+// completes. ProbeFrom, the probe with no upper cut, reaches +Inf and the
 // pending inserts.
 func TestNaNIsNeverIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -575,11 +571,10 @@ func TestNaNIsNeverIndexed(t *testing.T) {
 				if got, want := ix.Query(lo, hi), full.Query(lo, hi); !sameRows(got, want) {
 					t.Fatalf("query %d [%v,%v): %d rows, full scan %d", q, lo, hi, len(got), len(want))
 				}
-				p := &Parts[struct{}]{}
-				if _, err := ProbePartsFrom(ix, p, lo); err != nil {
+				got, _, err := ix.ProbeFrom(nil, lo)
+				if err != nil {
 					t.Fatal(err)
 				}
-				got := p.Rows
 				var want []int
 				for r, x := range live {
 					if x >= lo {
@@ -624,5 +619,126 @@ func TestStringCracking(t *testing.T) {
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProbesCrackAlike: under every variant, with pending inserts, merges
+// and deletes interleaved, every way into the index cracks alike: twins
+// fed the same steps through ProbeInto, through Query and through Count
+// keep the same cuts, crack count and piece count, and answer the same
+// rows or counts. A step with no upper bound, which Query and Count cannot
+// ask, reaches every twin as ProbeFrom, and must answer the rows a scan of
+// the live values finds.
+func TestProbesCrackAlike(t *testing.T) {
+	for _, opt := range concurrentVariants {
+		t.Run(opt.Variant.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			col := make([]int64, 4000)
+			for i := range col {
+				col[i] = rng.Int63n(1000)
+			}
+			opt.MaxPending = 64
+			rows, query, count := New(col, opt), New(col, opt), New(col, opt)
+			twins := []*Index[int64]{rows, query, count}
+			live := slices.Clone(col)
+			dead := map[int]bool{}
+			var buf []int
+			for step := 0; step < 300; step++ {
+				switch rng.Intn(8) {
+				case 0:
+					v := rng.Int63n(1000)
+					for _, ix := range twins {
+						ix.Insert(v)
+					}
+					live = append(live, v)
+				case 1:
+					r := rng.Intn(len(col))
+					for _, ix := range twins {
+						ix.Delete(r)
+					}
+					dead[r] = true
+				}
+				lo := rng.Int63n(1000)
+				hi := lo + rng.Int63n(300)
+				var st ProbeStats
+				var err error
+				if step%10 == 9 {
+					for i, ix := range twins {
+						got, s, err := ix.ProbeFrom(buf, lo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var want []int
+						for r, v := range live {
+							if v >= lo && !dead[r] {
+								want = append(want, r)
+							}
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("step %d twin %d [%d, top]: %d rows, scan %d", step, i, lo, len(got), len(want))
+						}
+						if i == 0 {
+							st, buf = s, got
+						}
+					}
+				} else {
+					buf, st, err = rows.ProbeInto(buf, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := query.Query(lo, hi); !slices.Equal(got, buf) {
+						t.Fatalf("step %d [%d, %d): Query %d rows, ProbeInto %d", step, lo, hi, len(got), len(buf))
+					}
+					if got := count.Count(lo, hi); got != len(buf) {
+						t.Fatalf("step %d [%d, %d): Count %d, ProbeInto %d rows", step, lo, hi, got, len(buf))
+					}
+				}
+				for i, ix := range twins {
+					if st.Pieces != ix.NumPieces() || st.Cracks != ix.Cracks() {
+						t.Fatalf("step %d: ProbeInto at %d pieces, %d cracks; twin %d at %d, %d",
+							step, st.Pieces, st.Cracks, i, ix.NumPieces(), ix.Cracks())
+					}
+				}
+			}
+			for i, ix := range twins {
+				if err := ix.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(rows.cuts, ix.cuts) {
+					t.Fatalf("twin %d left other cuts than ProbeInto", i)
+				}
+			}
+		})
+	}
+}
+
+// TestNewAtIsNewOverTheGatheredValues: an index over a subset of a
+// column's rows answers with positions in that subset exactly what an
+// index over the gathered values answers, NaN left out of both.
+func TestNewAtIsNewOverTheGatheredValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	col := make([]float64, 3000)
+	for i := range col {
+		if col[i] = rng.Float64(); rng.Intn(30) == 0 {
+			col[i] = math.NaN()
+		}
+	}
+	var rows []int
+	var gathered []float64
+	for r := range col {
+		if rng.Intn(3) == 0 {
+			rows, gathered = append(rows, r), append(gathered, col[r])
+		}
+	}
+	at, want := NewAt(col, rows, Options{}), New(gathered, Options{})
+	for q := 0; q < 100; q++ {
+		a, b := rng.Float64(), rng.Float64()
+		lo, hi := min(a, b), max(a, b)
+		if got, w := at.Query(lo, hi), want.Query(lo, hi); !slices.Equal(got, w) {
+			t.Fatalf("query %d [%v, %v): %v, want %v", q, lo, hi, got, w)
+		}
+	}
+	if at.Len() != want.Len() {
+		t.Fatalf("Len %d, want %d", at.Len(), want.Len())
 	}
 }

@@ -44,11 +44,6 @@ func (ix *Index[T]) Delete(row int) bool {
 	}
 	ix.live[row>>6] &^= 1 << uint(row&63)
 	ix.tombs++
-	// Finding the row's piece would cost a pass over the column, and
-	// deletes are rare: every piece builds its sets again.
-	for _, s := range ix.parts {
-		s.drop()
-	}
 	return true
 }
 
@@ -78,13 +73,9 @@ func (ix *Index[T]) mergePending() {
 // rippleInsert grows the cracked array by one and shifts exactly one
 // element per crossed piece (the classic cracking-update shuffle), keeping
 // every cut valid. Sorted-piece spans at or beyond the insertion point are
-// invalidated, since the inserted value is placed at an arbitrary slot,
-// and so are the partial sets of the piece it joins.
+// invalidated, since the inserted value is placed at an arbitrary slot.
 func (ix *Index[T]) rippleInsert(v T, row int) {
 	_, phi := ix.pieceAt(v)
-	// Only the piece v lands in changes rows; every crossed piece keeps
-	// its own, shifted one slot right.
-	ix.parts[sort.Search(len(ix.cuts), func(i int) bool { return ix.cuts[i].val > v })].drop()
 	var zero T
 	ix.vals = append(ix.vals, zero)
 	ix.rows = append(ix.rows, 0)

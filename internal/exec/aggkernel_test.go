@@ -312,7 +312,7 @@ func TestTypedGroupMatchesExecuteBitForBit(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, m := range []int{1, 16, 4096} {
-					got, err := ExecuteSel(context.Background(), enc, nil, s, q, ExecOptions{Parallelism: 1, MorselSize: m})
+					got, err := ExecuteSel(context.Background(), enc, Buckets{}, s, q, ExecOptions{Parallelism: 1, MorselSize: m})
 					if err != nil {
 						t.Fatal(err)
 					}

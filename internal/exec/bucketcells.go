@@ -64,24 +64,6 @@ func cellShape(ak *aggKernel, q Query) (group, input, why string) {
 	return group, input, ""
 }
 
-// CellShape reports whether cells can answer the aggregate q over t —
-// bucket cells or crack pieces' (storage.PieceCells) — and names the
-// columns they would be keyed by and aggregate: its dictionary group
-// column and its one plain INT or FLOAT input, "" for none. reason is ""
-// when they can, else the stable reason they cannot: a projection, an
-// aggregation the typed sinks do not take, a group key that is not
-// dictionary-coded, a run-coded input, or inputs over two columns.
-func CellShape(t *storage.Table, q Query) (group, input, reason string) {
-	if !q.HasAggregates() && len(q.GroupBy) == 0 {
-		return "", "", "projection"
-	}
-	ak, why := compileAggKernel(t, q)
-	if ak == nil {
-		return "", "", why
-	}
-	return cellShape(ak, q)
-}
-
 // chooseCells returns the bucket-cells index of a WHERE that is exactly
 // the intervals ivs, when the typed aggregation ak has a cell shape and
 // one interval, A, qualifies: its bucket run has an interior whose edge
@@ -217,12 +199,11 @@ func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
 	return r.IntKeys(iv.ILo, iv.IHi)
 }
 
-// addCells folds every cell slice of parts whose key lies in [kl, kh]
-// into the sink's state and returns the rows they hold. A grouped sink
-// folds them into the first worker accumulator a morsel made, which no
-// morsel touches any more; a scalar one into one more partial, merged
-// after the morsels'.
-func (s *typedSink) addCells(parts [][]storage.Cell, kl, kh int) (rows int) {
+// addCells folds the cells whose keys lie in [kl, kh] into the sink's
+// state and returns the rows they hold. A grouped sink folds them into the
+// first worker accumulator a morsel made, which no morsel touches any
+// more; a scalar one into one more partial, merged after the morsels'.
+func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 	var acc *aggAcc
 	if s.ak.mode != gmScalar {
 		for _, a := range s.locals {
@@ -238,9 +219,7 @@ func (s *typedSink) addCells(parts [][]storage.Cell, kl, kh int) (rows int) {
 			s.locals[0] = acc
 		}
 	}
-	for _, cells := range parts {
-		rows += acc.addCells(cells, kl, kh)
-	}
+	rows = acc.addCells(cells, kl, kh)
 	if s.ak.mode == gmScalar {
 		s.partials[len(s.partials)-1] = acc.states(0)
 	}

@@ -635,82 +635,136 @@ func TestBucketCellsBuiltOnceUnderConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestExecuteSelCellsMatchRows holds ExecuteSel over crack pieces' cells
-// (storage.PieceCells over rows met in shuffled order) plus pending rows
-// to ExecuteSel over the same rows as a selection alone, for every
-// cell-shaped select list, scalar and grouped by dictionary keys of 1 to
-// 40 codes, at one worker and four: bit for bit but for a finite FLOAT
-// SUM/AVG, group order and MIN/MAX ties included.
+// TestExecuteSelCellsMatchRows holds ExecuteSel over a range's Buckets
+// (RangeBuckets) plus the rows of its edge buckets inside the range — what
+// cracked mode hands over — to ExecuteCtx, exact mode's plan, for every
+// one-range query of cellsQueries and for projections and two-input
+// aggregates behind the same ranges, at one worker and four: the Buckets
+// fold the interior's cells exactly when exact mode does, and the answers
+// are bit for bit the same, a FLOAT SUM/AVG included, but for a grouped
+// one at four workers, whose per-worker accumulators follow scheduling.
+// The same Buckets with their interior read as rows, not cells, match
+// exact mode with the cells off, bit for bit too.
 func TestExecuteSelCellsMatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tab := cellsTable(rng, 6000)
-	for trial := 0; trial < 6; trial++ {
-		var rows []int
-		for r := 0; r < tab.NumRows(); r++ {
-			if rng.Intn(4) > 0 {
-				rows = append(rows, r)
+	all, _ := cellsQueries(tab)
+	var qs []Query
+	for _, q := range all {
+		if ivs, rest := expr.Intervals(tab.Schema(), q.Where); rest != "" || len(ivs) != 1 {
+			continue
+		}
+		qs = append(qs, q,
+			Query{Select: []SelectItem{{Col: "k"}, {Col: "x"}}, Where: q.Where},
+			Query{Select: []SelectItem{{Col: "x", Agg: AggSum}, {Col: "s", Agg: AggSum}}, Where: q.Where})
+	}
+	folded := 0
+	for _, q := range qs {
+		for _, par := range []int{1, 4} {
+			label := fmt.Sprintf("%s par %d", q, par)
+			opt := ExecOptions{Parallelism: par, MorselSize: 512}
+			ctx, root := trace.Start(context.Background(), "q")
+			want, err := ExecuteCtx(ctx, tab, q, opt)
+			root.End()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		shuffled := append([]int(nil), rows...)
-		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		pending := append([]int(nil), shuffled[:rng.Intn(200)]...)
-		sort.Ints(pending)
-		rest := shuffled[len(pending):]
-		var pieces [][]int
-		for len(rest) > 0 {
-			k := min(1+rng.Intn(1500), len(rest))
-			pieces, rest = append(pieces, rest[:k]), rest[k:]
-		}
-		for j, sel := range cellsItems {
-			for _, g := range []string{"", "g1", "g5", "g40"} {
-				q := Query{Select: sel}
-				if g != "" {
-					q = Query{Select: append([]SelectItem{{Col: g}}, sel...), GroupBy: []string{g}}
-				}
-				group, input, why := CellShape(tab, q)
-				if why != "" || group != g {
-					t.Fatalf("%s: CellShape %q %q %q", q, group, input, why)
-				}
-				var key *storage.DictColumn
-				var in storage.Column
-				if g != "" {
-					c, _ := tab.ColumnByName(g)
-					key = c.(*storage.DictColumn)
-				}
-				if input != "" {
-					in, _ = tab.ColumnByName(input)
-				}
-				parts := make([][]storage.Cell, len(pieces))
-				for i, p := range pieces {
-					parts[i] = storage.PieceCells(p, key, in, 1, 512)
-				}
-				for _, par := range []int{1, 4} {
-					opt := ExecOptions{Parallelism: par, MorselSize: 64}
-					want, err := ExecuteSel(context.Background(), tab, nil, rows, q, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := ExecuteSel(context.Background(), tab, parts, pending, q, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireCellsMatch(t, fmt.Sprintf("trial %d items %d by %q par %d", trial, j, g, par), tab, q, want, got)
+			b, err := RangeBuckets(context.Background(), tab, q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := cellSpan(root.JSON()) > 0; took != (b.ix.cells != nil) {
+				t.Fatalf("%s: exact mode folds cells %v, the Buckets %v", label, took, b.ix.cells != nil)
+			}
+			if b.ix.cells != nil {
+				folded++
+			}
+			sel := edgeRows(t, tab, b, q.Where)
+			got, err := ExecuteSel(context.Background(), tab, b, sel, q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := requireIdentical
+			if par > 1 && len(q.GroupBy) > 0 {
+				same = func(t *testing.T, label string, want, got *storage.Table) {
+					requireCellsMatch(t, label, tab, q, want, got)
 				}
 			}
+			same(t, label, want, got)
+			if b.ix.cells == nil {
+				continue
+			}
+			disableBucketCells = true
+			want, err = ExecuteCtx(context.Background(), tab, q, opt)
+			disableBucketCells = false
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := Buckets{rowIndex{col: b.ix.col, vi: b.ix.vi, bl: b.ix.bl, bh: b.ix.bh}}
+			if got, err = ExecuteSel(context.Background(), tab, rows, sel, q, opt); err != nil {
+				t.Fatal(err)
+			}
+			same(t, label+" interior rows", want, got)
 		}
+	}
+	if folded == 0 {
+		t.Fatal("no query folded cells")
 	}
 	// No rows at all: an empty group set, and the scalar answer of none.
 	q := Query{Select: cellsItems[0]}
-	want, _ := ExecuteSel(context.Background(), tab, nil, nil, q, ExecOptions{})
-	got, err := ExecuteSel(context.Background(), tab, [][]storage.Cell{}, nil, q, ExecOptions{})
+	want, _ := ExecuteSel(context.Background(), tab, Buckets{}, nil, q, ExecOptions{})
+	got, err := ExecuteCtx(context.Background(), tab, Query{Select: cellsItems[0], Where: expr.Cmp("f", expr.LT, storage.Float(math.Inf(-1)))}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireCellsMatch(t, "no rows", tab, q, want, got)
+	requireIdentical(t, "no rows", want, got)
 }
 
-// TestCellShapeReasons: CellShape names the group column and the one
-// input of every shape cells answer, and says why of every other.
+// edgeRows returns the rows inside where of b's edge buckets, ascending:
+// every row inside it when b has no value index.
+func edgeRows(t *testing.T, tab *storage.Table, b Buckets, where *expr.Pred) []int {
+	t.Helper()
+	in, err := expr.FilterRange(tab, where, 0, tab.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Index() == nil {
+		return in
+	}
+	edge := map[int]bool{}
+	if bl, bh := b.Run(); bl <= bh {
+		for _, k := range []int{bl, bh} {
+			for _, r := range b.Index().Bucket(k, nil) {
+				edge[r] = true
+			}
+		}
+	}
+	var out []int
+	for _, r := range in {
+		if edge[r] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// cellShapeOf is the cell-shape decision a plan makes: a projection has
+// none, an aggregation the typed sinks refuse has none, and cellShape
+// judges the rest.
+func cellShapeOf(t *storage.Table, q Query) (group, input, reason string) {
+	if !q.HasAggregates() && len(q.GroupBy) == 0 {
+		return "", "", "projection"
+	}
+	ak, why := compileAggKernel(t, q)
+	if ak == nil {
+		return "", "", why
+	}
+	return cellShape(ak, q)
+}
+
+// TestCellShapeReasons: the cell shape names the group column and the one
+// input of every shape cells answer, and says why of every other; and
+// ExecuteSel refuses a range's cells for a query they cannot answer.
 func TestCellShapeReasons(t *testing.T) {
 	tab := cellsTable(rand.New(rand.NewSource(42)), 100)
 	plain, err := storage.FromColumns("p", storage.Schema{{Name: "s", Type: storage.TString}, {Name: "x", Type: storage.TFloat}},
@@ -733,12 +787,18 @@ func TestCellShapeReasons(t *testing.T) {
 		{tab, Query{Select: []SelectItem{{Col: "g1"}, {Col: "g5"}, sum("x")}, GroupBy: []string{"g1", "g5"}}, "", "", "multi-column group"},
 		{plain, Query{Select: []SelectItem{{Col: "s"}, sum("x")}, GroupBy: []string{"s"}}, "", "", "group column type"},
 	} {
-		group, input, reason := CellShape(tc.tab, tc.q)
+		group, input, reason := cellShapeOf(tc.tab, tc.q)
 		if group != tc.group || input != tc.input || reason != tc.reason {
-			t.Errorf("%s: CellShape = %q, %q, %q; want %q, %q, %q", tc.q, group, input, reason, tc.group, tc.input, tc.reason)
+			t.Errorf("%s: cell shape = %q, %q, %q; want %q, %q, %q", tc.q, group, input, reason, tc.group, tc.input, tc.reason)
 		}
 	}
-	if _, err := ExecuteSel(context.Background(), tab, [][]storage.Cell{}, nil, Query{Select: []SelectItem{sum("x"), sum("s")}}, ExecOptions{}); err == nil {
+	where := expr.And(expr.Cmp("f", expr.GE, storage.Float(-100)), expr.Cmp("f", expr.LT, storage.Float(100)))
+	tab = cellsTable(rand.New(rand.NewSource(43)), 6000)
+	b, err := RangeBuckets(context.Background(), tab, Query{Select: []SelectItem{sum("x")}, Where: where}, ExecOptions{MorselSize: 64})
+	if err != nil || b.ix.cells == nil {
+		t.Fatalf("a wide range's Buckets: %v, cells %v", err, b.ix.cells != nil)
+	}
+	if _, err := ExecuteSel(context.Background(), tab, b, nil, Query{Select: []SelectItem{sum("x"), sum("s")}, Where: where}, ExecOptions{}); err == nil {
 		t.Error("ExecuteSel took cells for a query cells cannot answer")
 	}
 }

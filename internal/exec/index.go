@@ -31,7 +31,11 @@
 package exec
 
 import (
+	"context"
+	"fmt"
+
 	"dex/internal/expr"
+	"dex/internal/par"
 	"dex/internal/storage"
 	"dex/internal/trace"
 )
@@ -93,6 +97,13 @@ func (ix *rowIndex) keys() int {
 	return n
 }
 
+// interior reports whether the selection a plan reads is joined by the
+// rows of the buckets strictly inside the run: its index has an interior
+// of rows, not of cells.
+func (ix *rowIndex) interior() bool {
+	return ix.vi != nil && ix.cells == nil && ix.bh-ix.bl >= 2
+}
+
 // candidates appends morsel m's candidates to dst, ascending.
 func (ix *rowIndex) candidates(m int, dst []int) []int {
 	if ix.cells != nil {
@@ -108,6 +119,61 @@ func bucketRun(b *storage.ValueBuckets, iv expr.Interval) (bl, bh int) {
 	}
 	return b.IntRange(iv.ILo, iv.IHi)
 }
+
+// chooseRange is the one plan for a WHERE whose top-level conjunction
+// yields the intervals ivs (rest says why they are not all of it) under
+// the typed kernel kern, nil for the generic filter. Bucket cells answer
+// rows unrefined and refine their edges through the kernel, so they need a
+// compiled WHERE that is exactly its intervals; chooseCells decides the
+// rest. Otherwise chooseIndex picks an interval's value index.
+func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
+	if kern != nil && rest == "" {
+		if ix, err := chooseCells(t, ivs, ak, q, morsel, sp); err != nil || ix.vi != nil {
+			return ix, err
+		}
+	}
+	return chooseIndex(t, ivs, morsel, sp)
+}
+
+// Buckets is a one-column range split at its column's value buckets
+// (storage.ValueBuckets): the run [bl, bh] of the buckets the range
+// touches, whose interior buckets bl+1 … bh-1 hold only rows inside it and
+// whose edge buckets bl and bh it may cut. Cracked mode cracks the edge
+// buckets alone and hands ExecuteSel their rows inside the range with the
+// Buckets, which reads the interior from the value index: the interior's
+// bucket cells where exact mode's plan for the query folds them, else its
+// rows. The zero Buckets has no interior.
+type Buckets struct{ ix rowIndex }
+
+// RangeBuckets returns the Buckets of q over t, whose WHERE must be
+// exactly one interval of a numeric column, at opt's morsel size. They
+// are exact mode's plan for q (chooseRange): the bucket cells it folds,
+// else the interval's value index. Index is nil when the column has none
+// — a run-length column, an empty one, a morsel size past
+// storage.MaxIndexMorsel — and then one bucket holds every row: the whole
+// column is the edge. The lookups, and any build, run under the spans
+// exact mode opens for them.
+func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (Buckets, error) {
+	ivs, rest := expr.Intervals(t.Schema(), q.Where)
+	if rest != "" || len(ivs) != 1 {
+		return Buckets{}, fmt.Errorf("exec: %s is not one range", q.Where)
+	}
+	kern, _ := expr.CompileKernel(t, q.Where)
+	var ak *aggKernel
+	if q.HasAggregates() || len(q.GroupBy) > 0 {
+		ak, _ = compileAggKernel(t, q)
+	}
+	morsel := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
+	ix, err := chooseRange(t, ivs, rest, kern, ak, q, morsel, trace.FromContext(ctx))
+	return Buckets{ix}, err
+}
+
+// Index returns the value index the Buckets were cut from, nil when the
+// range's column has none.
+func (b Buckets) Index() *storage.ValueIndex { return b.ix.vi }
+
+// Run returns the bucket run [bl, bh]; bl > bh when the range is empty.
+func (b Buckets) Run() (bl, bh int) { return b.ix.bl, b.ix.bh }
 
 // chooseIndex picks, among the intervals on plain INT and FLOAT columns,
 // the one whose bucket run the column's sample puts the fewest rows in —

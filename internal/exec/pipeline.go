@@ -18,8 +18,8 @@
 //	            Kernel.Refine when they are few enough and the filter is
 //	            the kernel, else filter the morsel — either way into a
 //	            pooled selection buffer → sink.consume
-//	then:       the cells — the interior's, or crack pieces' — fold into
-//	            the sink → ordered merge
+//	then:       the interior's bucket cells fold into the sink → ordered
+//	            merge
 //	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
 //	            (finish); the row sinks apply their own
 //
@@ -27,12 +27,13 @@
 // aggregate shape the typed layer rejects selects the generic filter or sink
 // inside the same loop, and the stable fallback reason lands on the scan
 // span and the fallback counter. The input is the dense row range [0, n)
-// plus the WHERE clause (ExecuteCtx), a caller-supplied selection vector
-// of distinct, ascending row ids that stands in for it (ExecuteSel —
-// cracked mode hands over the index probe's row ids), or such a vector plus
-// cells that hold the rest of the answer's rows (ExecuteSel too — cracked
-// mode hands over its pieces' partials and the pending inserts). Either
-// way a row's position is its row id: there is no other position space.
+// plus the WHERE clause (ExecuteCtx), or a caller-supplied selection vector
+// of distinct, ascending row ids that stands in for it (ExecuteSel), which
+// cracked mode hands over with the interior of its range's value buckets:
+// the selection is the rows its edge buckets' crackers found, and the
+// interior comes from the value index, as rows or as bucket cells. Either
+// way the table's morsels are the unit of work and a row's position is its
+// row id: there is no other position space.
 //
 // The index's candidates are a superset of the morsel's qualifying rows,
 // read out ascending, and Refine applies the whole WHERE to them, so a
@@ -46,7 +47,11 @@
 // groups are re-sorted by the row id of their first row, which is what
 // bucket cells record too. Against the sequential reference evaluator
 // (Execute) the only observable difference is the floating-point
-// association order of SUM/AVG partials, bucket cells' included.
+// association order of SUM/AVG partials, bucket cells' included. A
+// selection splits at the same morsel boundaries, so a scalar partial of
+// ExecuteSel equals ExecuteCtx's over the same rows bit for bit; group
+// accumulators are per worker, so a grouped float SUM/AVG at more than one
+// worker follows scheduling in either.
 //
 // The scheduler checks ctx between morsel claims, so a cancelled query
 // stops within one morsel per worker, and ExecOptions.Scanned advances
@@ -56,7 +61,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,9 +113,9 @@ type ExecOptions struct {
 	// candidates. Shared and read like ZoneSkipped.
 	IndexMorsels *atomic.Int64
 	// CellQueries, when non-nil, counts the aggregate queries answered
-	// from cells: bucket cells for a range interior, behind one range, two
-	// or no WHERE, or crack pieces' cells (ExecuteSel). Shared and read
-	// like ZoneSkipped.
+	// from bucket cells: a range interior's, behind one range (cracked
+	// mode's included), two, or every cell of a column under no WHERE.
+	// Shared and read like ZoneSkipped.
 	CellQueries *atomic.Int64
 	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
 	// queries answered by the typed sinks vs the generic ones.
@@ -130,32 +134,35 @@ func ExecuteOpts(t *storage.Table, q Query, opt ExecOptions) (*storage.Table, er
 // between morsel claims, so a cancelled or timed-out query returns
 // ctx.Err() within one morsel's worth of work per worker.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
-	return execute(ctx, t, nil, nil, q, opt)
+	return execute(ctx, t, nil, rowIndex{}, q, opt)
 }
 
-// ExecuteSel runs the query over the rows of t listed in sel, plus, when
-// cells is non-nil, the rows those cells hold. sel must hold distinct row
-// ids in ascending order — what the cracker index's probes return — since
-// the sinks order groups, ties and projected rows by row id. The selection
-// stands in for the WHERE clause — q.Where is not evaluated — so an
-// operator that already knows the qualifying rows feeds them straight to
-// the sinks. Output order is that of Execute over t.Gather(sel).
+// ExecuteSel runs the query over the rows of t listed in sel plus the
+// interior of b. sel must hold distinct row ids in ascending order — what
+// the cracker index's probes return — since the sinks order groups, ties
+// and projected rows by row id; it is split at the table's morsel
+// boundaries, so every morsel hands its sink the rows, and a scalar
+// aggregate the partial, that ExecuteCtx's morsel would over the same
+// rows. The selection and b stand in for the WHERE clause — q.Where is not
+// evaluated — so an operator that already knows the qualifying rows feeds
+// them straight to the sinks. Output order is that of Execute over the
+// rows gathered in order.
 //
-// A non-nil cells, even an empty one, needs an aggregate q with a cell
-// shape (CellShape), every cell keyed by q's dictionary group code, or 0
-// when it has none, and aggregating its one input column, as
-// storage.PieceCells makes them; the rows they hold are ones sel does not
-// list. The typed sink folds the cells as it folds bucket cells
-// (addCells), after sel's rows, so the answer is that over all of those
-// rows, up to the association of a float SUM/AVG.
-func ExecuteSel(ctx context.Context, t *storage.Table, cells [][]storage.Cell, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
+// The zero Buckets has no interior: sel is the whole input. The Buckets of
+// q's range (RangeBuckets) adds the rows of the buckets strictly inside
+// its run, which lie inside the range; sel must then list the range's
+// rows in the run's edge buckets alone. Where exact mode's plan folds the
+// interior's bucket cells, so does this one, after sel's rows; otherwise
+// each morsel's interior rows, read from the value index, are merged into
+// its share of sel.
+func ExecuteSel(ctx context.Context, t *storage.Table, b Buckets, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
 	}
-	return execute(ctx, t, sel, cells, q, opt)
+	return execute(ctx, t, sel, b.ix, q, opt)
 }
 
-func execute(ctx context.Context, t *storage.Table, sel []int, parts [][]storage.Cell, q Query, opt ExecOptions) (*storage.Table, error) {
+func execute(ctx context.Context, t *storage.Table, sel []int, ix rowIndex, q Query, opt ExecOptions) (*storage.Table, error) {
 	if len(q.Select) == 0 {
 		return nil, ErrEmptySelect
 	}
@@ -169,7 +176,7 @@ func execute(ctx context.Context, t *storage.Table, sel []int, parts [][]storage
 		sp = trace.FromContext(ctx)
 	}
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize})
-	p, err := compile(t, sel, parts, q, pool, opt, sp)
+	p, err := compile(t, sel, ix, q, pool, opt, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -202,21 +209,21 @@ type sink interface {
 type plan struct {
 	t *storage.Table
 	q Query
-	n int // input length: table rows, or len(sel)
-	// sel is the input selection, distinct ascending row ids; nil means the
-	// dense range [0, n).
+	n int // table rows: the morsels run over [0, n)
+	// sel is the input selection, distinct ascending row ids, which each
+	// morsel reads its share of; nil means the dense range [0, n).
 	sel []int
 	// where is the predicate still to evaluate; nil means every input row
 	// qualifies (no WHERE, a trivial one, or selection input).
 	where        *expr.Pred
 	kern         *expr.Kernel // typed filter; nil with where set = generic FilterRange
 	kernFallback string
-	index        rowIndex // skips morsels and prunes rows; a nil vi scans every morsel
-	// cells are folded into the typed sink once every morsel is in: the
-	// interior of the index's bucket cells, or the crack pieces'
-	// (ExecuteSel); only keys in [kl, kh] are. nil folds none.
-	cells       [][]storage.Cell
-	kl, kh      int
+	// index skips morsels and prunes rows; a nil vi scans every morsel.
+	// With cells, the interior's cells whose keys lie in [kl, kh] are
+	// folded into the typed sink once every morsel is in. Under a
+	// selection it is the range's buckets (ExecuteSel), whose interior adds
+	// rows or cells.
+	index       rowIndex
 	sink        sink
 	stage       string // the merge span's name
 	agg         bool   // an aggregate query; else a projection
@@ -229,19 +236,24 @@ type plan struct {
 	// parked holds each morsel's pooled buffer while the gather sink still
 	// reads it; run returns them once the sink has finished.
 	parked []*[]int
+	// scratch holds, per worker, the candidate and merge buffers of a
+	// selection with interior rows, taken from the pool once a query
+	// rather than once a morsel; run returns them.
+	scratch [][2]*[]int
 }
 
-func compile(t *storage.Table, sel []int, parts [][]storage.Cell, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
-	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project", cells: parts, kh: math.MaxInt32}
+func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
+	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	var ak *aggKernel
 	var aggReason string
 	if p.agg {
 		ak, aggReason = compileAggKernel(t, q)
 	}
+	var err error
 	switch {
 	case sel != nil:
-		p.n = len(sel)
+		p.index = ix
 	case q.Where != nil && q.Where.Kind != expr.KTrue:
 		p.where = q.Where
 		if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
@@ -250,35 +262,23 @@ func compile(t *storage.Table, sel []int, parts [][]storage.Cell, q Query, pool 
 			}
 		}
 		ivs, rest := expr.Intervals(t.Schema(), p.where)
-		var err error
-		// Bucket cells answer rows unrefined, and refine their edges
-		// through the kernel, so they need a compiled WHERE that is exactly
-		// its intervals.
-		if p.kern != nil && rest == "" {
-			if p.index, err = chooseCells(t, ivs, ak, q, pool.MorselSize(), sp); err != nil {
-				return nil, err
-			}
-		}
-		if p.index.vi == nil {
-			if p.index, err = chooseIndex(t, ivs, pool.MorselSize(), sp); err != nil {
-				return nil, err
-			}
+		if p.index, err = chooseRange(t, ivs, rest, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
+			return nil, err
 		}
 	default: // no WHERE: the range that covers every bucket
-		var err error
 		if p.index, err = chooseAllCells(t, ak, q, pool.MorselSize(), sp); err != nil {
 			return nil, err
 		}
 	}
-	if ix := p.index; ix.cells != nil {
-		p.cells, p.kl, p.kh = [][]storage.Cell{ix.cells.Interior(ix.bl, ix.bh)}, ix.kl, ix.kh
-	}
-	if p.cells != nil {
+	if p.index.cells != nil {
 		if _, _, why := cellShape(ak, q); why != "" {
 			return nil, fmt.Errorf("exec: cells cannot answer %s: %s", q, why)
 		}
 	}
 	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
+	if sel != nil && p.index.interior() {
+		p.scratch = make([][2]*[]int, workers)
+	}
 	if !p.agg {
 		return p, p.compileRows(morsels, workers, pool.MorselSize())
 	}
@@ -291,7 +291,7 @@ func compile(t *storage.Table, sel []int, parts [][]storage.Cell, q Query, pool 
 		if opt.AggKernelHits != nil {
 			opt.AggKernelHits.Add(1)
 		}
-		if p.cells != nil && opt.CellQueries != nil {
+		if p.index.cells != nil && opt.CellQueries != nil {
 			opt.CellQueries.Add(1)
 		}
 		return p, nil
@@ -335,9 +335,9 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 	}
 	g := &gatherSink{out: out, limit: limit, m: m}
 	switch {
-	case p.sel != nil:
+	case p.sel != nil && !p.index.interior():
 		g.parts, p.known = [][]int{p.sel}, true
-	case p.where == nil: // the whole table: only its first LIMIT rows are read
+	case p.sel == nil && p.where == nil: // the whole table: only its first LIMIT rows are read
 		n := p.n
 		if limit > 0 {
 			n = min(n, limit)
@@ -359,11 +359,28 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 // caller must putSel once rows is dead. A nil rows (dense sink, no
 // predicate) means the whole range qualifies. cand refines the value
 // index's candidates of the morsel in place of scanning it; they come out
-// ascending, so rows is the same either way.
-func (p *plan) qualify(lo, hi, m int, cand bool) (rows []int, buf *[]int, err error) {
+// ascending, so rows is the same either way. Under a selection, the
+// morsel's share of it is merged with its interior rows, if any, in the
+// worker's scratch buffers — a pooled buffer when the gather sink keeps it.
+func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int, err error) {
 	switch {
 	case p.sel != nil:
-		return p.sel[lo:hi], nil, nil
+		i := sort.SearchInts(p.sel, lo)
+		rows = p.sel[i : i+sort.SearchInts(p.sel[i:], hi)]
+		if p.scratch == nil {
+			return rows, nil, nil
+		}
+		sc := &p.scratch[worker]
+		if sc[0] == nil {
+			sc[0], sc[1] = getSel(), getSel()
+		}
+		*sc[0] = p.index.vi.Candidates(lo/m, p.index.bl+1, p.index.bh-1, (*sc[0])[:0])
+		if p.parked == nil {
+			*sc[1] = MergeRows((*sc[1])[:0], *sc[0], rows)
+			return *sc[1], nil, nil
+		}
+		buf = getSel()
+		*buf = MergeRows(*buf, *sc[0], rows)
 	case cand:
 		buf = getSel()
 		*buf = p.kern.Refine(p.index.candidates(lo/m, *buf))
@@ -403,11 +420,17 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	// The gather sink reads the parked buffers at finish; the sweep also
 	// covers the error and cancellation paths, so no buffer outlives the
 	// query.
-	if p.parked != nil {
+	if p.parked != nil || p.scratch != nil {
 		defer func() {
 			for _, b := range p.parked {
 				if b != nil {
 					putSel(b)
+				}
+			}
+			for _, sc := range p.scratch {
+				if sc[0] != nil {
+					putSel(sc[0])
+					putSel(sc[1])
 				}
 			}
 		}()
@@ -418,13 +441,16 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	var err error
 	if p.known {
 		n.matched.Store(int64(p.n))
+		if p.sel != nil {
+			n.matched.Store(int64(len(p.sel)))
+		}
 	} else {
 		err = pool.ForEachErrCtx(ctx, p.n, func(worker, lo, hi int) error {
 			if ferr := fpScan.Hit(); ferr != nil {
 				return ferr
 			}
 			visited, cand := hi-lo, false
-			if ix := &p.index; ix.vi != nil {
+			if ix := &p.index; ix.vi != nil && p.sel == nil {
 				switch c := ix.count(lo / m); {
 				case c == 0:
 					// Skipped morsels are not scanned: no rows touched, no
@@ -437,7 +463,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 					n.candMorsels.Add(1)
 				}
 			}
-			rows, buf, ferr := p.qualify(lo, hi, m, cand)
+			rows, buf, ferr := p.qualify(worker, lo, hi, m, cand)
 			if ferr != nil {
 				return ferr
 			}
@@ -468,8 +494,8 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	}
 	// The cells fold in once every morsel's rows are in: no worker touches
 	// the sink any more.
-	if p.cells != nil && err == nil {
-		n.matched.Add(int64(p.sink.(*typedSink).addCells(p.cells, p.kl, p.kh)))
+	if ix := &p.index; ix.cells != nil && err == nil {
+		n.matched.Add(int64(p.sink.(*typedSink).addCells(ix.cells.Interior(ix.bl, ix.bh), ix.kl, ix.kh)))
 	}
 	if opt.ZoneSkipped != nil && n.indexSkipped.Load() > 0 {
 		opt.ZoneSkipped.Add(n.indexSkipped.Load())
@@ -482,7 +508,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		scanSp.SetInt("rows_out", n.matched.Load())
 		scanSp.SetInt("morsels", int64(pool.Morsels(p.n)))
 		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
-		if p.index.vi != nil {
+		if p.index.vi != nil && p.sel == nil {
 			scanSp.SetStr("index", p.index.col)
 			scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
 			scanSp.SetInt("index_candidates", n.candidates.Load())
@@ -490,7 +516,9 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 		}
 		if p.index.cells != nil {
 			scanSp.SetInt("bucket_cells", int64(p.index.buckets()))
-			scanSp.SetInt("edge_candidates", n.candidates.Load())
+			if p.sel == nil {
+				scanSp.SetInt("edge_candidates", n.candidates.Load())
+			}
 			scanSp.SetInt("cell_keys", int64(p.index.keys()))
 		}
 		if p.where != nil {
@@ -586,6 +614,19 @@ func (s *genericSink) finish() (*storage.Table, error) {
 		return gt.groups[gt.order[a]].first < gt.groups[gt.order[b]].first
 	})
 	return buildGroupOutput(s.t, s.q, gt)
+}
+
+// MergeRows appends to dst the rows of a and b, each ascending and the
+// two disjoint, in ascending order: two edge buckets' rows, say.
+func MergeRows(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // mergeScalarPartials folds morsel-indexed scalar partials, typed or

@@ -12,6 +12,7 @@ package rawload
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -118,7 +119,7 @@ func (r *RawTable) Query(q exec.Query) (*storage.Table, error) {
 	r.mu.Lock()
 	r.stats.Queries++
 	r.mu.Unlock()
-	return exec.Execute(t, q)
+	return exec.ExecuteCtx(context.Background(), t, q, exec.ExecOptions{})
 }
 
 // queryColumns returns the distinct column names a query touches.
@@ -376,7 +377,7 @@ func NewFullLoad(name, path string) (*FullLoad, error) {
 
 // Query executes against the pre-loaded table.
 func (f *FullLoad) Query(q exec.Query) (*storage.Table, error) {
-	return exec.Execute(f.table, q)
+	return exec.ExecuteCtx(context.Background(), f.table, q, exec.ExecOptions{})
 }
 
 // Table exposes the loaded table.
@@ -399,7 +400,7 @@ func (e *ExternalScan) Query(q exec.Query) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.Execute(t, q)
+	return exec.ExecuteCtx(context.Background(), t, q, exec.ExecOptions{})
 }
 
 // Querier is the common shape of RawTable, FullLoad and ExternalScan.

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Bucket cells pre-aggregate a range column's value buckets. A range whose
 // bucket run [bl, bh] spans more than two buckets contains every row of
@@ -20,13 +16,11 @@ import (
 // index they come from, cells are built lazily on first use
 // (Table.BucketCells), once, and are immutable afterwards.
 
-// Cell is one partial aggregate: of a (bucket, key) pair, or of a crack
-// piece's rows under one key (PieceCells). First is the least of its rows,
-// and a tie between equal extremes (int64s that meet in float64, -0 and
-// +0) keeps the lower row, in whatever order the rows were met — so only
-// Sum's association depends on that order: a bucket meets its rows
-// ascending, as a scan does. The extremes are kept as rows; their values
-// are the input column's at those rows.
+// Cell is one partial aggregate of a (bucket, key) pair. First is the
+// least of its rows, and a tie between equal extremes (int64s that meet in
+// float64, -0 and +0) keeps the lower row. A bucket meets its rows
+// ascending, as a scan does, so Sum adds them in row order. The extremes
+// are kept as rows; their values are the input column's at those rows.
 type Cell struct {
 	Group  int32   // the key: a group code, a numeric key column's bucket; 0 without a key
 	Rows   int     // rows in the cell
@@ -420,15 +414,13 @@ type ext struct{ lo, hi float64 }
 
 // addRow adds row r to the cell c, and addValue its input value x to c,
 // whose extremes' values are e: the one rule every cell is built by. x is
-// NaN for a NULL input or for none, which adds nothing. Rows may come in
-// any order: First is the least row, and a MIN/MAX tie goes to the lower row —
-// int extremes compare in float64, as Value.Compare does, so int64s that
-// meet in float64 tie, and so do -0 and +0. A bucket meets its rows
-// ascending, so there the earlier row wins, as in a scan; a crack piece
-// meets them in crack order, and ends up the same. Only Sum's association
-// follows the order.
+// NaN for a NULL input or for none, which adds nothing. A cell meets its
+// rows ascending, so First is the first row, and only a strictly better
+// extreme replaces the last: a MIN/MAX tie keeps the earlier row, as in a
+// scan. Int extremes compare in float64, as Value.Compare does, so int64s
+// that meet in float64 tie, and so do -0 and +0.
 func addRow(c *Cell, r int) {
-	if c.Rows == 0 || r < c.First {
+	if c.Rows == 0 {
 		c.First = r
 	}
 	c.Rows++
@@ -438,178 +430,12 @@ func addValue(c *Cell, e *ext, r int, x float64) {
 	if x != x {
 		return
 	}
-	if c.N == 0 || x < e.lo || x == e.lo && r < c.MinRow {
+	if c.N == 0 || x < e.lo {
 		c.MinRow, e.lo = r, x
 	}
-	if c.N == 0 || x > e.hi || x == e.hi && r < c.MaxRow {
+	if c.N == 0 || x > e.hi {
 		c.MaxRow, e.hi = r, x
 	}
 	c.N++
 	c.Sum += x
-}
-
-// merge folds the cell b, whose extremes' values are be, into c by the
-// same rule.
-func merge(c *Cell, e *ext, b *Cell, be *ext) {
-	if c.Rows == 0 || b.First < c.First {
-		c.First = b.First
-	}
-	c.Rows += b.Rows
-	switch {
-	case b.N == 0:
-		return
-	case c.N == 0:
-		c.MinRow, c.MaxRow, *e = b.MinRow, b.MaxRow, *be
-	default:
-		if be.lo < e.lo || be.lo == e.lo && b.MinRow < c.MinRow {
-			c.MinRow, e.lo = b.MinRow, be.lo
-		}
-		if be.hi > e.hi || be.hi == e.hi && b.MaxRow < c.MaxRow {
-			c.MaxRow, e.hi = b.MaxRow, be.hi
-		}
-	}
-	c.N += b.N
-	c.Sum += b.Sum
-}
-
-// at reads the input column v at row r as a cell adds it: as float64, and
-// NaN when there is no input column.
-func at[T int64 | float64](v []T, r int) float64 {
-	if v == nil {
-		return math.NaN()
-	}
-	return float64(v[r])
-}
-
-// PieceCells folds the rows, met in any order, into one cell per key —
-// the code of the dictionary column key, or 0 alone when key is nil — over
-// the plain INT or FLOAT input column in, nil for none, by the rule bucket
-// cells are built by (addRow, addValue), and returns only the cells some
-// row fell into. A crack piece's partials are these (crack.ProbeParts):
-// they never outnumber its rows, and a piece that a range covers folds
-// like an interior bucket. Rows past one morsel are folded a morsel at a time,
-// across up to workers goroutines, and the morsels' cells merged in the
-// rows' order, so the cells — a Sum's association included — do not
-// depend on how many goroutines ran.
-func PieceCells(rows []int, key *DictColumn, in Column, workers, morsel int) []Cell {
-	if len(rows) == 0 {
-		return nil
-	}
-	keys := 1
-	if key != nil {
-		keys = max(key.Card(), 1)
-	}
-	if len(rows) <= morsel {
-		// One morsel, the common case, folds on the stack: only the cells
-		// it returns are allocated.
-		var small [64]Cell
-		var smallExt [64]ext
-		cells, exts := small[:0], smallExt[:0]
-		if keys > len(small) {
-			cells, exts = make([]Cell, 0, keys), make([]ext, 0, keys)
-		}
-		cells, _ = foldPiece(cells, exts, rows, key, in)
-		return append([]Cell(nil), cells...)
-	}
-	parts := make([][]Cell, (len(rows)+morsel-1)/morsel)
-	exts := make([][]ext, len(parts))
-	fold := func(i int) {
-		rs := rows[i*morsel : min((i+1)*morsel, len(rows))]
-		n := min(keys, len(rs))
-		parts[i], exts[i] = foldPiece(make([]Cell, 0, n), make([]ext, 0, n), rs, key, in)
-	}
-	if workers = min(workers, len(parts)); workers <= 1 {
-		for i := range parts {
-			fold(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
-					fold(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	cells, ce := parts[0], exts[0]
-	slot := make([]int32, keys) // a key's cell in cells, plus one; 0 for none yet
-	for i := range cells {
-		slot[cells[i].Group] = int32(i + 1)
-	}
-	for p, part := range parts[1:] {
-		for i := range part {
-			b, be := &part[i], &exts[p+1][i]
-			if slot[b.Group] == 0 {
-				cells, ce = append(cells, *b), append(ce, *be)
-				slot[b.Group] = int32(len(cells))
-				continue
-			}
-			merge(&cells[slot[b.Group]-1], &ce[slot[b.Group]-1], b, be)
-		}
-	}
-	return cells
-}
-
-// foldPiece folds rows into cells, one per key met, whose extremes' values
-// are exts (PieceCells), and returns both; they have room for every key.
-func foldPiece(cells []Cell, exts []ext, rows []int, key *DictColumn, in Column) ([]Cell, []ext) {
-	switch v := in.(type) {
-	case *IntColumn:
-		return foldRows(cells, exts, rows, key, v.V)
-	case *FloatColumn:
-		return foldRows(cells, exts, rows, key, v.V)
-	}
-	return foldRows[float64](cells, exts, rows, key, nil)
-}
-
-func foldRows[T int64 | float64](cells []Cell, exts []ext, rows []int, key *DictColumn, v []T) ([]Cell, []ext) {
-	var codes []int32
-	var small [64]int32
-	slot := small[:] // a code's cell, plus one; 0 for none yet
-	if key == nil {
-		cells, exts = append(cells, Cell{}), append(exts, ext{})
-	} else {
-		codes = key.Codes()
-		if key.Card() > len(small) {
-			slot = make([]int32, key.Card())
-		}
-	}
-	// The rows come in crack order, all over the columns: a chunk's keys
-	// and inputs are read first, no load waiting on another, then folded.
-	const chunk = 256
-	var gs [chunk]int32
-	var xs [chunk]float64
-	for len(rows) > 0 {
-		rs := rows[:min(chunk, len(rows))]
-		rows = rows[len(rs):]
-		for j, r := range rs {
-			xs[j] = at(v, r)
-		}
-		if codes == nil {
-			for j, r := range rs {
-				addRow(&cells[0], r)
-				addValue(&cells[0], &exts[0], r, xs[j])
-			}
-			continue
-		}
-		for j, r := range rs {
-			gs[j] = codes[r]
-		}
-		for j, r := range rs {
-			g := gs[j]
-			if slot[g] == 0 {
-				cells, exts = append(cells, Cell{Group: g}), append(exts, ext{})
-				slot[g] = int32(len(cells))
-			}
-			k := slot[g] - 1
-			addRow(&cells[k], r)
-			addValue(&cells[k], &exts[k], r, xs[j])
-		}
-	}
-	return cells, exts
 }

@@ -260,6 +260,23 @@ func (x *ValueIndex) Edges(m, bl, bh int, dst []int) []int {
 	return dst
 }
 
+// Bucket appends to dst the rows of bucket b, ascending, and returns the
+// extended slice: each morsel's offsets in b, morsel after morsel.
+func (x *ValueIndex) Bucket(b int, dst []int) []int {
+	n := 0
+	for m := 0; m*x.morsel < x.n; m++ {
+		n += x.Count(m, b, b)
+	}
+	dst = slices.Grow(dst, n)
+	for base := 0; base < x.n; base += x.morsel {
+		st := x.starts[base/x.morsel*(valueBuckets+1):]
+		for _, o := range x.rows[base+int(st[b]) : base+int(st[b+1])] {
+			dst = append(dst, base+int(o))
+		}
+	}
+	return dst
+}
+
 // buildValueIndex runs the counting pass over c, morsels claimed by up to
 // GOMAXPROCS goroutines.
 func buildValueIndex(c Column, b *ValueBuckets, morsel int) *ValueIndex {

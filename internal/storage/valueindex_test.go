@@ -182,6 +182,50 @@ func TestValueIndexCoversIntervals(t *testing.T) {
 	}
 }
 
+// TestValueIndexBucket: a bucket's rows, read across every morsel, are
+// ascending, each bucket's rows are the rows whose value its run holds,
+// and the buckets together hold every non-NULL row once, at morsel sizes
+// that do and do not divide the table.
+func TestValueIndexBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	tab := viTable(t, rng, 10_001)
+	for _, col := range []string{"iw", "fw", "i9", "fn"} {
+		c, _ := tab.ColumnByName(col)
+		for _, m := range []int{64, 1000, storage.MaxIndexMorsel} {
+			vi, _, err := tab.ValueIndex(col, m)
+			if err != nil || vi == nil {
+				t.Fatal(vi, err)
+			}
+			seen := 0
+			for b := 0; b < storage.NumBuckets; b++ {
+				rows := vi.Bucket(b, nil)
+				seen += len(rows)
+				for i, r := range rows {
+					var bl, bh int
+					if fc, ok := c.(*storage.FloatColumn); ok {
+						bl, bh = vi.FloatRange(fc.V[r], fc.V[r])
+					} else {
+						v := c.(*storage.IntColumn).V[r]
+						bl, bh = vi.IntRange(v, v)
+					}
+					if bl != b || bh != b || i > 0 && rows[i-1] >= r {
+						t.Fatalf("%s morsel %d bucket %d: row %d (bucket %d) at %d, out of place or order", col, m, b, r, bl, i)
+					}
+				}
+			}
+			nonNull := 0
+			for r := 0; r < tab.NumRows(); r++ {
+				if v := c.Value(r); !(v.Typ == storage.TFloat && math.IsNaN(v.F)) {
+					nonNull++
+				}
+			}
+			if seen != nonNull {
+				t.Fatalf("%s morsel %d: buckets hold %d rows, %d are not NULL", col, m, seen, nonNull)
+			}
+		}
+	}
+}
+
 // TestValueIndexEstimates checks the sample's bucket counts against the
 // table: a bucket run's estimated share is close to its real one.
 func TestValueIndexEstimates(t *testing.T) {
