@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-merge bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-merge fuzz-decode bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -100,6 +100,14 @@ fuzz-cracked:
 # empty answers, MIN/MAX ties bit for bit, SUM/AVG within reassociation).
 fuzz-merge:
 	$(GO) test -fuzz=FuzzMergeVsSingleNode -fuzztime=60s -run '^$$' ./internal/exec/
+
+# Differential fuzz of the client's /query decoder: writeAnswer's bodies
+# for random result tables under every cached/degraded/coverage/trace
+# combination, mutated and cut short; decodeAnswer must fail when
+# json.Unmarshal does and otherwise make the same QueryResult, floats bit
+# for bit.
+fuzz-decode:
+	$(GO) test -fuzz=FuzzDecodeVsUnmarshal -fuzztime=60s -run '^$$' ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./internal/bench/

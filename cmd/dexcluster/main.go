@@ -21,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +28,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -126,26 +124,16 @@ func main() {
 func runSmoke(svc *server.Server, fleet *shard.ProcFleet, totalRows int64, heal bool) error {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	cl := ts.Client()
+	cl := server.NewClient(ts.URL)
+	cl.HTTP = ts.Client()
+	ctx := context.Background()
 
-	var sess struct {
-		ID string `json:"session_id"`
-	}
-	if err := post(cl, ts.URL+"/v1/sessions", "{}", &sess); err != nil {
+	sid, err := cl.CreateSession(ctx)
+	if err != nil {
 		return fmt.Errorf("create session: %w", err)
 	}
-
-	type result struct {
-		Rows     [][]any `json:"rows"`
-		Mode     string  `json:"mode"`
-		Degraded bool    `json:"degraded"`
-		Coverage float64 `json:"coverage"`
-	}
-	query := func(sql, mode string) (result, error) {
-		var res result
-		body := fmt.Sprintf(`{"sql":%q,"mode":%q}`, sql, mode)
-		err := post(cl, ts.URL+"/v1/sessions/"+sess.ID+"/query", body, &res)
-		return res, err
+	query := func(sql, mode string) (*server.QueryResult, error) {
+		return cl.Query(ctx, sid, server.QueryRequest{SQL: sql, Mode: mode})
 	}
 
 	for _, mode := range []string{"exact", "cracked", "approx", "online"} {
@@ -225,29 +213,9 @@ func runSmoke(svc *server.Server, fleet *shard.ProcFleet, totalRows int64, heal 
 	}
 }
 
-func post(cl *http.Client, url, body string, out any) error {
-	resp, err := cl.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&eb)
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, eb.Error)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 func toI64(v any) int64 {
-	switch x := v.(type) {
-	case float64:
+	if x, ok := v.(float64); ok {
 		return int64(x)
-	case int64:
-		return x
-	default:
-		return -1
 	}
+	return -1
 }

@@ -585,7 +585,7 @@ func TestInSituCrackedMode(t *testing.T) {
 	// Cracked range queries against an in-situ table: the first query
 	// materializes the column from the raw file and cracks it; repeats
 	// must agree with exact execution, and find the crackers the first
-	// made, though each query materializes a table of its own.
+	// made.
 	q := "SELECT count(*) FROM ticks WHERE volume >= 50 AND volume < 150"
 	exact, err := e.SQL(q, Exact)
 	if err != nil {
@@ -619,5 +619,59 @@ func TestInSituCrackedMode(t *testing.T) {
 	}
 	if crackedFloat.Row(0)[0].I != exactF.Row(0)[0].I {
 		t.Error("in-situ float cracked mismatch")
+	}
+}
+
+// TestInSituAggregateBuildsIndexOnce: an in-situ table materializes to the
+// same table until a new column is parsed, so a repeated aggregate in exact
+// or cracked mode folds the bucket cells the first one built, and a narrow
+// range on the same column finds the value index those cells were built
+// over.
+func TestInSituAggregateBuildsIndexOnce(t *testing.T) {
+	e := New(Options{Seed: 9})
+	ticks, err := workload.Ticks(rand.New(rand.NewSource(10)), 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := storage.WriteCSVFile(ticks, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachCSV("ticks", path, ticks.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	// built counts, by span name, the spans of one traced query that built
+	// a value index or bucket cells.
+	built := func(sql string, mode Mode) map[string]int {
+		t.Helper()
+		ctx, root := trace.Start(context.Background(), "q")
+		if _, err := e.ExecuteContext(ctx, "ticks", mustParse(t, sql), mode); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		n := map[string]int{}
+		var walk func(*trace.SpanJSON)
+		walk = func(sp *trace.SpanJSON) {
+			if sp.Attrs["built"] == true {
+				n[sp.Name]++
+			}
+			for _, c := range sp.Children {
+				walk(c)
+			}
+		}
+		walk(root.JSON())
+		return n
+	}
+	const q = "SELECT sum(volume) FROM ticks WHERE volume >= 50 AND volume < 400"
+	if got := built(q, Exact); got["cells"] != 1 {
+		t.Fatalf("first in-situ aggregate built %v, want the cells once", got)
+	}
+	for _, mode := range []Mode{Exact, Cracked, Exact} {
+		if got := built(q, mode); len(got) != 0 {
+			t.Fatalf("repeated in-situ aggregate (%v) built %v, want nothing", mode, got)
+		}
+	}
+	if got := built("SELECT sum(volume) FROM ticks WHERE volume >= 100 AND volume < 102", Exact); len(got) != 0 {
+		t.Fatalf("narrow in-situ range built %v, want the cells' value index", got)
 	}
 }

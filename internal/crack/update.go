@@ -72,10 +72,12 @@ func (ix *Index[T]) mergePending() {
 
 // rippleInsert grows the cracked array by one and shifts exactly one
 // element per crossed piece (the classic cracking-update shuffle), keeping
-// every cut valid. Sorted-piece spans at or beyond the insertion point are
-// invalidated, since the inserted value is placed at an arbitrary slot.
+// every cut valid. A sorted span is a run of whole pieces. The value lands
+// at the end of its piece and every piece above it rotates by one, so each
+// span keeps only its part below the value's piece: a span that reached
+// into that piece would cover part of a piece the next crack partitions.
 func (ix *Index[T]) rippleInsert(v T, row int) {
-	_, phi := ix.pieceAt(v)
+	plo, _ := ix.pieceAt(v)
 	var zero T
 	ix.vals = append(ix.vals, zero)
 	ix.rows = append(ix.rows, 0)
@@ -98,10 +100,9 @@ func (ix *Index[T]) rippleInsert(v T, row int) {
 	}
 	ix.vals[hole] = v
 	ix.rows[hole] = row
-	// Invalidate sorted spans the ripple may have scrambled.
 	kept := ix.sorted[:0]
 	for _, s := range ix.sorted {
-		if s.hi <= phi && s.hi <= hole {
+		if s.hi = min(s.hi, plo); s.lo < s.hi {
 			kept = append(kept, s)
 		}
 	}

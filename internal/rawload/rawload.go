@@ -62,6 +62,11 @@ type RawTable struct {
 	lineOff  []int32   // byte offset of each data line
 	fieldOff [][]int32 // positional map: per column, per row, offset in line; nil until built
 	cache    []storage.Column
+	// table holds every cached column in schema order; nil once a column
+	// is parsed or dropped, until the next Materialize. The engine keeps
+	// its indexes per *storage.Table, so repeated queries must get the
+	// same one.
+	table *storage.Table
 
 	stats Stats
 }
@@ -151,10 +156,12 @@ func queryColumns(q exec.Query) []string {
 }
 
 // Materialize returns an in-memory table holding the named columns,
-// parsing from the raw file whatever is not cached yet. Multiple missing
-// columns are parsed concurrently (the parallel in-situ processing idea of
-// [15]): each worker tokenizes independently from the nearest positional
-// map built by *previous* queries, so workers never depend on each other.
+// parsing from the raw file whatever is not cached yet. The table holds
+// every column parsed so far, in schema order, and is the same table from
+// call to call until another column is parsed. Multiple missing columns
+// are parsed concurrently (the parallel in-situ processing idea of [15]):
+// each worker tokenizes independently from the nearest positional map
+// built by *previous* queries, so workers never depend on each other.
 func (r *RawTable) Materialize(names ...string) (*storage.Table, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -162,16 +169,17 @@ func (r *RawTable) Materialize(names ...string) (*storage.Table, error) {
 		return nil, err
 	}
 	var missing []int
-	idxs := make([]int, 0, len(names))
 	for _, n := range names {
 		i := r.schema.Index(n)
 		if i < 0 {
 			return nil, fmt.Errorf("%q: %w", n, ErrNoSuchColumn)
 		}
-		idxs = append(idxs, i)
 		if r.cache[i] == nil {
 			missing = append(missing, i)
 		}
+	}
+	if len(missing) > 0 {
+		r.table = nil // before parsing: a failed parse may still cache a column
 	}
 	switch len(missing) {
 	case 0:
@@ -210,13 +218,22 @@ func (r *RawTable) Materialize(names ...string) (*storage.Table, error) {
 			r.stats.FieldsParsed += res.st.FieldsParsed
 		}
 	}
-	schema := make(storage.Schema, 0, len(names))
-	cols := make([]storage.Column, 0, len(names))
-	for _, i := range idxs {
-		schema = append(schema, r.schema[i])
-		cols = append(cols, r.cache[i])
+	if r.table == nil {
+		var schema storage.Schema
+		var cols []storage.Column
+		for i, c := range r.cache {
+			if c != nil {
+				schema = append(schema, r.schema[i])
+				cols = append(cols, c)
+			}
+		}
+		t, err := storage.FromColumns(r.name, schema, cols)
+		if err != nil {
+			return nil, err
+		}
+		r.table = t
 	}
-	return storage.FromColumns(r.name, schema, cols)
+	return r.table, nil
 }
 
 // ensureLines lazily loads the file and indexes data-line offsets.
@@ -358,6 +375,7 @@ func (r *RawTable) DropCache() {
 	for i := range r.cache {
 		r.cache[i] = nil
 	}
+	r.table = nil
 }
 
 // FullLoad is the traditional baseline: parse the entire file into a table

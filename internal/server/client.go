@@ -253,15 +253,19 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any,
 		return nil
 	}
 	// One read into one pooled buffer that grows as bytes arrive (a header
-	// never sizes an allocation), then one json.Unmarshal: no decoder
-	// refills. Unmarshal copies every string it keeps, so the decoded value
-	// never aliases the buffer; one that grew past maxPooledBody goes to
-	// the collector.
+	// never sizes an allocation), then one pass over it: decodeAnswer for a
+	// /query answer, json.Unmarshal for the rest. Both copy every string
+	// they keep, so the decoded value never aliases the buffer; one that
+	// grew past maxPooledBody goes to the collector.
 	buf := readPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, err = buf.ReadFrom(resp.Body)
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), out)
+		if res, ok := out.(*QueryResult); ok {
+			err = decodeAnswer(buf.Bytes(), res)
+		} else {
+			err = json.Unmarshal(buf.Bytes(), out)
+		}
 	}
 	if buf.Cap() <= maxPooledBody {
 		readPool.Put(buf)

@@ -21,7 +21,8 @@ import (
 // field order and omitempty fields, ints via strconv.AppendInt, floats by
 // encoding/json's 'f'/'e' rule with NaN (the engine's NULL) and ±Inf (an
 // unbounded CI) as null, strings escaped as json.Marshal escapes them, and
-// a dict column's strings quoted once per distinct code.
+// a dict column's strings quoted once per distinct code. Its mirror,
+// decode.go, parses this shape on the client side in one pass.
 
 // answer is a query's result as the server holds it. The result cache
 // stores answers, never rendered bodies: a hit re-renders one with its own
