@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-merge fuzz-decode bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -93,6 +93,16 @@ fuzz-rows:
 # morsels within 1e-9) and with exec.Execute up to float association.
 fuzz-cracked:
 	$(GO) test -fuzz=FuzzCrackedVsExact -fuzztime=60s -run '^$$' ./internal/core/
+
+# Differential fuzz of online mode against exact mode, over the cracked
+# fuzzer's tables and clauses, asked one aggregate at a time, as drawn,
+# with no WHERE or with a range on a second column ANDed on: with every
+# row in one batch the bucket cells' exact stratum plus the edge rows —
+# or the shuffle, for a shape the cells refuse — answer exactly, ci95 0;
+# at a batch of 1-64 rows the answer holds exact mode's groups or fewer,
+# its ci95 never NaN, and is exact once every edge row is read.
+fuzz-online:
+	$(GO) test -fuzz=FuzzOnlineVsExact -fuzztime=60s -run '^$$' ./internal/core/
 
 # Differential fuzz of partitioned execution: the twin tables cut into 1-4
 # in-order partitions, exec.Split's pushed query run on each and the merged

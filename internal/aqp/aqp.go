@@ -175,6 +175,8 @@ var nullBits = math.Float64bits(math.NaN())
 // groupAcc holds one group's sums over the rows added so far; a NULL
 // measure adds to none of them. A draw's contribution is y = w·x for SUM
 // and y = w for COUNT, so Σy is wx or wsum and only Σy² needs its own sum.
+// The exact stratum — the cells AddCell folds — keeps its own sums beside
+// them, which render with k = 0.
 type groupAcc struct {
 	key    string
 	val    storage.Value
@@ -183,6 +185,17 @@ type groupAcc struct {
 	wx     float64        // Σ w·x: SUM, and AVG's numerator
 	sumY2  float64        // Σ y²
 	stream metrics.Stream // the non-NULL measures: AVG interval, MIN, MAX
+	exact  stratum        // the cells' rows
+}
+
+// stratum is the exact stratum of one group: the rows of the cells folded
+// into it, what COUNT counts of them (every row, or the non-NULL
+// measures), the measures' sum and, once n > 0, their extremes.
+type stratum struct {
+	rows, n  int
+	count    float64
+	sum      float64
+	min, max float64
 }
 
 // NewEstimator validates q against t and returns an empty accumulator
@@ -206,7 +219,11 @@ func NewEstimator(t *storage.Table, q Query) (*Estimator, error) {
 		}
 		e.meas = bind(mcol)
 	}
-	if q.GroupBy != "" {
+	if q.GroupBy == "" {
+		// A scalar aggregate has one group whether or not a row qualifies:
+		// COUNT 0, SUM 0 and a NULL AVG, MIN or MAX, as exec answers.
+		e.register(storage.Value{})
+	} else {
 		gcol, err := t.ColumnByName(q.GroupBy)
 		if err != nil {
 			return nil, err
@@ -262,6 +279,47 @@ func (e *Estimator) AddRows(rows []int, w []float64) {
 	}
 }
 
+// AddCell folds one bucket cell of the table's rows into the exact
+// stratum of its group — the only group without GROUP BY, else the one of
+// the dictionary code c.Group. Every row of the cell must satisfy the
+// query's predicate. COUNT takes the cell's rows over a column that holds
+// no NULL and its non-NULL count over a FLOAT; SUM and AVG its sum; MIN
+// and MAX the measure at its extremes' rows. An empty cell leaves its
+// group unseen.
+func (e *Estimator) AddCell(c *storage.Cell) {
+	if c.Rows == 0 {
+		return
+	}
+	id := 0
+	if e.grp.kind == colDict {
+		code := c.Group
+		if id = e.slots[code]; id < 0 {
+			id = e.register(storage.String_(e.grp.strs[code]))
+			e.slots[code] = id
+		}
+	}
+	s := &e.groups[id].exact
+	s.rows += c.Rows
+	if e.meas.kind != colFloat {
+		s.count += float64(c.Rows)
+	} else {
+		s.count += float64(c.N)
+	}
+	if c.N == 0 || e.meas.kind == colNone {
+		return
+	}
+	lo, _ := e.meas.measure(c.MinRow)
+	hi, _ := e.meas.measure(c.MaxRow)
+	if s.n == 0 || lo < s.min {
+		s.min = lo
+	}
+	if s.n == 0 || hi > s.max {
+		s.max = hi
+	}
+	s.n += c.N
+	s.sum += c.Sum
+}
+
 // GroupIDs returns the group id of each row, registering unseen groups
 // without adding the rows to them.
 func (e *Estimator) GroupIDs(rows []int) []int {
@@ -280,9 +338,6 @@ func (e *Estimator) group(row int) int {
 	g := &e.grp
 	switch g.kind {
 	case colNone:
-		if len(e.groups) == 0 {
-			return e.register(storage.Value{})
-		}
 		return 0
 	case colDict:
 		code := g.codes[row]
@@ -356,6 +411,7 @@ func (e *Estimator) Estimates(k, scale float64) []GroupEstimate {
 //	AQP sample      k = sample rows        scale = 1 (w is the expansion weight)
 //	online prefix   k = m rows processed   scale = N/m
 //	index striding  k = m_g rows of g      scale = N_g/m_g, per group
+//	online edges    k = m edge rows read   scale = N_edge/m, beside the exact stratum
 //
 // SUM and COUNT are the Hansen-Hurwitz estimator: draw i contributes
 // t_i = k·scale·y_i (0 when it fails the predicate, falls outside the group
@@ -364,6 +420,16 @@ func (e *Estimator) Estimates(k, scale float64) []GroupEstimate {
 // with the CLT interval of the group's own values (unbounded until there
 // are two); MIN and MAX report the sample extreme, whose error a sample
 // cannot bound.
+//
+// The exact stratum (AddCell) renders with k = 0: it adds its count or sum
+// to the estimate and nothing to the interval. AVG beside it is the ratio
+// (S + scale·Σw·x) / (C + scale·Σw) of the two strata's sums and counts,
+// and its interval the delta method's: the CLT interval of the draws'
+// d_i = k·scale·(a_i − R·b_i), a_i the measure and b_i 1 for a draw that
+// is a non-NULL row of the group, over the estimated count. MIN and MAX
+// are the extreme of both strata, unbounded while an unread draw remains.
+// The draws beside an exact stratum carry weight 1. An interval an
+// infinite measure makes NaN is unbounded.
 func (e *Estimator) EstimatesBy(draws func(id int) (k, scale float64)) []GroupEstimate {
 	out := make([]GroupEstimate, 0, len(e.groups))
 	for _, id := range e.Order() {
@@ -380,26 +446,45 @@ func (e *Estimator) Len() int { return len(e.groups) }
 // for callers that inspect estimates without keeping them.
 func (e *Estimator) Estimate(id int, k, scale float64) GroupEstimate {
 	a := &e.groups[id]
-	ge := GroupEstimate{Group: a.val, N: a.n}
+	ex := &a.exact
+	ge := GroupEstimate{Group: a.val, N: a.n + ex.rows}
 	switch e.agg {
 	case exec.AggCount, exec.AggSum:
-		sumY := a.wsum
+		sumY, exY := a.wsum, ex.count
 		if e.agg == exec.AggSum {
-			sumY = a.wx
+			sumY, exY = a.wx, ex.sum
 		}
-		ge.Est = scale * sumY
+		ge.Est = scale*sumY + exY
 		if k > 1 {
 			// s² of the t_i: Σt² = (k·scale)²·Σy², Σt = k·scale·Σy.
 			s2 := scale * scale * (k*k*a.sumY2 - k*sumY*sumY) / (k - 1)
 			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k)
 		}
 	case exec.AggAvg:
-		ge.Est = a.wx / a.wsum // NaN (NULL) for a group of NULLs, as exec
-		if k > 0 {
-			ge.CI = a.stream.MeanCI(metrics.Z95)
-			if a.stream.N() < 2 {
-				ge.CI = math.Inf(1)
+		if ex.rows == 0 {
+			ge.Est = a.wx / a.wsum // NaN (NULL) for a group of NULLs, as exec
+			if k > 0 {
+				ge.CI = a.stream.MeanCI(metrics.Z95)
+				if a.stream.N() < 2 {
+					ge.CI = math.Inf(1)
+				}
 			}
+			break
+		}
+		c := ex.count + scale*a.wsum
+		ge.Est = (ex.sum + scale*a.wx) / c
+		switch {
+		case k > 1 && c > 0:
+			// Σd = Σa − R·Σb; Σd² = Σ(x − R)² over the non-NULL rows,
+			// Welford's m2 plus n·(mean − R)².
+			r, nb := ge.Est, float64(a.stream.N())
+			sumD := a.wx - r*a.wsum
+			dm := a.stream.Mean() - r
+			sumD2 := a.stream.Variance()*math.Max(nb-1, 0) + nb*dm*dm
+			s2 := scale * scale * (k*k*sumD2 - k*sumD*sumD) / (k - 1)
+			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k) / c
+		case k > 0:
+			ge.CI = math.Inf(1)
 		}
 	default: // MIN, MAX
 		ge.Est = math.NaN()
@@ -409,9 +494,20 @@ func (e *Estimator) Estimate(id int, k, scale float64) GroupEstimate {
 				ge.Est = a.stream.Max()
 			}
 		}
+		if ex.n > 0 {
+			switch {
+			case e.agg == exec.AggMin && !(ge.Est < ex.min):
+				ge.Est = ex.min
+			case e.agg == exec.AggMax && !(ge.Est > ex.max):
+				ge.Est = ex.max
+			}
+		}
 		if k > 0 {
 			ge.CI = math.Inf(1)
 		}
+	}
+	if ge.CI != ge.CI {
+		ge.CI = math.Inf(1) // an infinite measure's spread: no bound
 	}
 	return ge
 }

@@ -98,16 +98,32 @@ func FuzzCrackedVsExact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { crackedCase(t, data, nil) })
 }
 
-// crackedCase decodes and runs one FuzzCrackedVsExact input; seen, when
-// set, gets the crack span and whether cells answered the interior, of
-// every query's two runs.
-func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
+// crackFzAsk is one decoded clause and the shape it is asked in.
+type crackFzAsk struct {
+	where *expr.Pred
+	shape int
+	limit int
+}
+
+// crackFzCase is one decoded FuzzCrackedVsExact input: the engine options,
+// the plain table and its encoded twin (registered as "t"), and the asks.
+// fr stands after the input's last draw, for a fuzzer that draws more.
+type crackFzCase struct {
+	opt        Options
+	n          int
+	plain, enc *storage.Table
+	asks       []crackFzAsk
+	fr         *crackFzReader
+}
+
+// decodeCrackFz decodes one FuzzCrackedVsExact input.
+func decodeCrackFz(t *testing.T, data []byte) crackFzCase {
 	fr := &crackFzReader{b: data}
-	opt := Options{
+	c := crackFzCase{fr: fr, opt: Options{
 		Seed:         1,
 		CrackOptions: crack.Options{Variant: crack.Variant(fr.draw(3)), StochasticMin: 4, SortMin: 4, Seed: 1},
 		Exec:         exec.ExecOptions{Parallelism: 2, MorselSize: []int{2, 16, 1024}[fr.draw(3)]},
-	}
+	}}
 	base := fr.draw(48)
 	k, r, x := make([]int64, base), make([]int64, base), make([]float64, base)
 	for i := range k {
@@ -115,29 +131,25 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 		x[i] = crackFzFloats[fr.draw(len(crackFzFloats))]
 		r[i] = crackFzInts[fr.draw(len(crackFzInts))]
 	}
-	type ask struct {
-		where *expr.Pred
-		shape int
-		limit int
-	}
-	asks := make([]ask, 1+fr.draw(3))
-	for q := range asks {
+	c.asks = make([]crackFzAsk, 1+fr.draw(3))
+	for q := range c.asks {
 		col := []string{"k", "r", "x"}[fr.draw(3)]
 		leaves := make([]*expr.Pred, 1+fr.draw(3))
 		for i := range leaves {
 			leaves[i] = expr.Cmp(col, crackFzOps[fr.draw(len(crackFzOps))], fr.value())
 		}
-		asks[q].where = leaves[0]
+		c.asks[q].where = leaves[0]
 		if len(leaves) > 1 {
-			asks[q].where = expr.And(leaves...)
+			c.asks[q].where = expr.And(leaves...)
 		}
 	}
-	for q := range asks {
-		if asks[q].shape = fr.draw(3); asks[q].shape == 2 {
-			asks[q].limit = 1 + fr.draw(5)
+	for q := range c.asks {
+		if c.asks[q].shape = fr.draw(3); c.asks[q].shape == 2 {
+			c.asks[q].limit = 1 + fr.draw(5)
 		}
 	}
 	n := base << fr.draw(5)
+	c.n = n
 	id, kk, rr := make([]int64, n), make([]int64, n), make([]int64, n)
 	xx := make([]float64, n)
 	g := make([]string, n)
@@ -150,28 +162,49 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 		{Name: "id", Type: storage.TInt}, {Name: "k", Type: storage.TInt},
 		{Name: "r", Type: storage.TInt}, {Name: "x", Type: storage.TFloat}, {Name: "g", Type: storage.TString},
 	}
-	plain, err := storage.FromColumns("t", schema, []storage.Column{
+	var err error
+	c.plain, err = storage.FromColumns("t", schema, []storage.Column{
 		storage.NewIntColumn(id), storage.NewIntColumn(kk), storage.NewIntColumn(rr), storage.NewFloatColumn(xx),
 		storage.NewStringColumn(g),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := storage.FromColumns("t", schema, []storage.Column{
+	c.enc, err = storage.FromColumns("t", schema, []storage.Column{
 		storage.NewIntColumn(id), storage.NewIntColumn(kk), storage.EncodeRLE(rr), storage.NewFloatColumn(xx),
 		storage.EncodeDict(g),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// engine returns a new engine under the case's options, changed by tune,
+// with the encoded table registered.
+func (c crackFzCase) engine(t *testing.T, tune func(*Options)) *Engine {
+	opt := c.opt
+	if tune != nil {
+		tune(&opt)
+	}
 	e := New(opt)
-	if err := e.Register(enc); err != nil {
+	if err := e.Register(c.enc); err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+// crackedCase decodes and runs one FuzzCrackedVsExact input; seen, when
+// set, gets the crack span and whether cells answered the interior, of
+// every query's two runs.
+func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
+	c := decodeCrackFz(t, data)
+	opt, n := c.opt, c.n
+	e := c.engine(t, nil)
 	// More than one morsel: a grouped float SUM's per-worker association
 	// follows scheduling, in exact mode as in cracked.
 	parallel := n > opt.Exec.MorselSize
-	for _, a := range asks {
+	for _, a := range c.asks {
 		query := exec.Query{
 			Select: []exec.SelectItem{{Col: "id"}, {Col: "k"}, {Col: "r"}, {Col: "x"}},
 			Where:  a.where,
@@ -183,7 +216,7 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 			query.GroupBy = []string{"k"}
 		}
 		for _, q := range []exec.Query{query, cellAsk(a.shape, a.where)} {
-			oracle, err := exec.Execute(plain, q)
+			oracle, err := exec.Execute(c.plain, q)
 			if err != nil {
 				t.Fatal(err)
 			}

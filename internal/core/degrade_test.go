@@ -124,7 +124,9 @@ func (c *expiresAfter) Err() error {
 // TestOnlineAnswersAtTheDeadline is online mode's deadline contract: a
 // deadline that fires mid-run returns the current estimates and CIs as a
 // normal online answer, where a client cancellation at the same point
-// still returns its error.
+// still returns its error. The WHERE is one the bucket cells refuse (NE
+// gives no interval), so the query walks the shuffle; without it the
+// cells answer exactly, in one batch.
 func TestOnlineAnswersAtTheDeadline(t *testing.T) {
 	eng := New(Options{Seed: 1, OnlineBatch: 256, OnlineRelCI: 1e-9})
 	sales, err := workload.Sales(rand.New(rand.NewSource(7)), 20_000)
@@ -134,7 +136,7 @@ func TestOnlineAnswersAtTheDeadline(t *testing.T) {
 	if err := eng.Register(sales); err != nil {
 		t.Fatal(err)
 	}
-	q := mustParse(t, "SELECT region, avg(amount) FROM sales GROUP BY region")
+	q := mustParse(t, "SELECT region, avg(amount) FROM sales WHERE qty <> 0 GROUP BY region")
 	// One check on entry, then one per batch: the context expires before
 	// the fourth batch of a run that would otherwise scan the whole table.
 	ctx := &expiresAfter{Context: context.Background(), checks: 4, err: context.DeadlineExceeded}
@@ -155,5 +157,22 @@ func TestOnlineAnswersAtTheDeadline(t *testing.T) {
 	ctx = &expiresAfter{Context: context.Background(), checks: 4, err: context.Canceled}
 	if _, err := eng.ExecuteContext(ctx, "sales", q, Online); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled online query: err = %v, want Canceled", err)
+	}
+	// A range the bucket cells answer reads its edge rows, fewer than a
+	// batch, in its first batch: a deadline after it leaves the exact
+	// answer, a cancellation before it the error.
+	q = mustParse(t, "SELECT region, avg(amount) FROM sales WHERE amount >= 80 AND amount < 200 GROUP BY region")
+	ctx = &expiresAfter{Context: context.Background(), checks: 2, err: context.DeadlineExceeded}
+	if res, err = eng.ExecuteContext(ctx, "sales", q, Online); err != nil || res.NumRows() != 4 {
+		t.Fatalf("cells-path online query over its deadline: %v", err)
+	}
+	for r := 0; r < res.NumRows(); r++ {
+		if row := res.Row(r); row[2].F != 0 {
+			t.Fatalf("row %v: want the exact answer, ci95 0", row)
+		}
+	}
+	ctx = &expiresAfter{Context: context.Background(), checks: 1, err: context.Canceled}
+	if _, err := eng.ExecuteContext(ctx, "sales", q, Online); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cells-path online query: err = %v, want Canceled", err)
 	}
 }

@@ -54,6 +54,9 @@ const (
 	// confidence intervals (AQP).
 	Approx
 	// Online runs online aggregation until the relative CI target is met.
+	// An aggregate exact mode answers from bucket cells folds them as the
+	// exact part and samples only the edge buckets' rows — all of them in
+	// one batch when they fit, exactly; other shapes walk a shuffle.
 	Online
 )
 
@@ -952,13 +955,14 @@ func approxShape(q exec.Query) (aqp.Query, string, error) {
 }
 
 // estimatesTable renders group estimates as a result table with estimate,
-// ci95 and sample_n columns.
-func estimatesTable(name, groupCol, aggName string, ests []aqp.GroupEstimate) (*storage.Table, error) {
+// ci95 and sample_n columns; the group column keeps its type in t's
+// schema, rows or none.
+func estimatesTable(t *storage.Table, groupCol, aggName string, ests []aqp.GroupEstimate) (*storage.Table, error) {
 	schema := storage.Schema{}
 	if groupCol != "" {
 		typ := storage.TString
-		if len(ests) > 0 {
-			typ = ests[0].Group.Typ
+		if i := t.Schema().Index(groupCol); i >= 0 {
+			typ = t.Schema()[i].Type
 		}
 		schema = append(schema, storage.Field{Name: groupCol, Type: typ})
 	}
@@ -967,7 +971,7 @@ func estimatesTable(name, groupCol, aggName string, ests []aqp.GroupEstimate) (*
 		storage.Field{Name: "ci95", Type: storage.TFloat},
 		storage.Field{Name: "sample_n", Type: storage.TInt},
 	)
-	out, err := storage.NewTable(name, schema)
+	out, err := storage.NewTable(t.Name(), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -1015,9 +1019,17 @@ func (e *Engine) executeApprox(ctx context.Context, v *version, q exec.Query) (*
 	if err != nil && res == nil {
 		return nil, err
 	}
-	return estimatesTable(t.Name(), aq.GroupBy, aggName, res.Groups)
+	return estimatesTable(t, aq.GroupBy, aggName, res.Groups)
 }
 
+// executeOnline runs online aggregation. An aggregate exact mode answers
+// from bucket cells (exec.CellBuckets) is answered in two strata, after
+// AQP++: the interior's cells are its exact part, folded into the
+// estimator, and only the edge buckets' candidate rows are sampled — all
+// of them in the first batch when they fit in one, so the answer is exact.
+// Every other shape walks the version's shared shuffle. Either way the
+// query makes one engine-RNG draw, besides a shuffle's build: the
+// shuffle's rotation, or the seed of the edges' draws.
 func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	aq, aggName, err := approxShape(q)
 	if err != nil {
@@ -1027,31 +1039,23 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 	if err != nil {
 		return nil, err
 	}
-	// The version's shuffle is built by its first Online query and shared,
-	// read-only, by every later one; each query enters it at its own
-	// rotation, so prefixes differ from query to query while a fixed Seed
-	// still replays the same sequence. Both come from the engine rand.Rand
-	// — shared state, drawn under the engine lock.
 	osp := trace.FromContext(ctx).Child("online")
-	n := t.NumRows()
-	e.mu.Lock()
-	shuffle := v.shuffle
-	built := shuffle == nil
-	if built {
-		shuffle = e.rng.Perm(n)
-		v.shuffle = shuffle
-	}
-	start := int(e.rng.Int63() % int64(max(n, 1)))
-	e.mu.Unlock()
-	osp.SetBool("built", built)
-	r, err := onlineagg.NewShuffled(t, aq, shuffle, start)
+	defer osp.End()
+	b, cells, err := exec.CellBuckets(trace.With(ctx, osp), t, q, e.opt.Exec)
 	if err != nil {
-		osp.End()
 		return nil, err
 	}
-	scratch := e.takeRowVec(min(n, e.opt.OnlineBatch))
-	defer e.giveRowVec(scratch)
-	r.UseScratch(scratch)
+	var r *onlineagg.Runner
+	var vec []int // the runner's edges or scratch, back to the free list after
+	if cells {
+		r, vec, err = e.edgeRunner(t, aq, b, osp)
+	} else {
+		r, vec, err = e.shuffleRunner(t, v, aq, osp)
+	}
+	defer e.giveRowVec(vec)
+	if err != nil {
+		return nil, err
+	}
 	batches, err := r.Run(ctx, e.opt.OnlineRelCI, e.opt.OnlineBatch)
 	osp.SetInt("batches", int64(batches))
 	osp.SetInt("processed", int64(r.Processed()))
@@ -1063,9 +1067,52 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 			osp.SetStr("kernel_fallback", reason)
 		}
 	}
-	osp.End()
 	if err != nil {
 		return nil, err
 	}
-	return estimatesTable(t.Name(), aq.GroupBy, aggName, r.Estimates())
+	return estimatesTable(t, aq.GroupBy, aggName, r.Estimates())
+}
+
+// edgeRunner prepares the two-stratum runner of a cells plan b: the cells
+// folded, the edge candidates in a vector from the free list, and the
+// engine-RNG draw that seeds their draws.
+func (e *Engine) edgeRunner(t *storage.Table, aq aqp.Query, b exec.Buckets, osp *trace.Span) (*onlineagg.Runner, []int, error) {
+	e.mu.Lock()
+	seed := e.rng.Int63()
+	e.mu.Unlock()
+	edges := b.Edges(e.takeRowVec(0))
+	r, err := onlineagg.NewEdges(t, aq, edges, seed)
+	if err != nil {
+		return nil, edges, err
+	}
+	osp.SetInt("cells", int64(b.Cells(r.AddCell)))
+	osp.SetInt("edge_rows", int64(len(edges)))
+	return r, edges, nil
+}
+
+// shuffleRunner prepares the runner over v's shuffle. The version's
+// shuffle is built by its first such query and shared, read-only, by every
+// later one; each query enters it at its own rotation, so prefixes differ
+// from query to query while a fixed Seed still replays the same sequence.
+// Both come from the engine rand.Rand — shared state, drawn under the
+// engine lock.
+func (e *Engine) shuffleRunner(t *storage.Table, v *version, aq aqp.Query, osp *trace.Span) (*onlineagg.Runner, []int, error) {
+	n := t.NumRows()
+	e.mu.Lock()
+	shuffle := v.shuffle
+	built := shuffle == nil
+	if built {
+		shuffle = e.rng.Perm(n)
+		v.shuffle = shuffle
+	}
+	start := int(e.rng.Int63() % int64(max(n, 1)))
+	e.mu.Unlock()
+	osp.SetBool("built", built)
+	scratch := e.takeRowVec(min(n, e.opt.OnlineBatch))
+	r, err := onlineagg.NewShuffled(t, aq, shuffle, start)
+	if err != nil {
+		return nil, scratch, err
+	}
+	r.UseScratch(scratch)
+	return r, scratch, nil
 }

@@ -236,7 +236,7 @@ func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 	dict := a.ak.mode == gmDict
 	for i := range cells {
 		c := &cells[i]
-		if c.Rows == 0 || int(c.Group) < kl || int(c.Group) > kh {
+		if !cellIn(c, kl, kh) {
 			continue
 		}
 		rows += c.Rows
@@ -279,6 +279,12 @@ func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 		}
 	}
 	return rows
+}
+
+// cellIn reports whether a fold over the keys [kl, kh] takes the cell c:
+// it holds rows, and its key lies in the run.
+func cellIn(c *storage.Cell, kl, kh int) bool {
+	return c.Rows > 0 && int(c.Group) >= kl && int(c.Group) <= kh
 }
 
 // mergeExt is offer for an extreme met out of row order: it replaces the

@@ -33,6 +33,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dex/internal/expr"
 	"dex/internal/par"
@@ -135,14 +136,16 @@ func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.
 	return chooseIndex(t, ivs, morsel, sp)
 }
 
-// Buckets is a one-column range split at its column's value buckets
+// Buckets is a range split at its column's value buckets
 // (storage.ValueBuckets): the run [bl, bh] of the buckets the range
 // touches, whose interior buckets bl+1 … bh-1 hold only rows inside it and
 // whose edge buckets bl and bh it may cut. Cracked mode cracks the edge
 // buckets alone and hands ExecuteSel their rows inside the range with the
 // Buckets, which reads the interior from the value index: the interior's
 // bucket cells where exact mode's plan for the query folds them, else its
-// rows. The zero Buckets has no interior.
+// rows. Online mode folds the cells (Cells) as the exact part of its
+// answer and samples the edge buckets' rows (Edges). The zero Buckets has
+// no interior.
 type Buckets struct{ ix rowIndex }
 
 // RangeBuckets returns the Buckets of q over t, whose WHERE must be
@@ -159,13 +162,36 @@ func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOption
 		return Buckets{}, fmt.Errorf("exec: %s is not one range", q.Where)
 	}
 	kern, _ := expr.CompileKernel(t, q.Where)
-	var ak *aggKernel
+	ak, morsel := planOf(t, q, opt)
+	ix, err := chooseRange(t, ivs, rest, kern, ak, q, morsel, trace.FromContext(ctx))
+	return Buckets{ix}, err
+}
+
+// CellBuckets returns the Buckets of exact mode's bucket-cells plan for
+// the aggregate q over t at opt's morsel size — chooseAllCells for a
+// query with no WHERE, chooseCells for a compiled WHERE of one or two
+// intervals — and ok false when that plan folds no cells. Unlike
+// RangeBuckets it builds no value index for a query the cells refuse.
+func CellBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (b Buckets, ok bool, err error) {
+	ak, morsel := planOf(t, q, opt)
+	sp := trace.FromContext(ctx)
+	if q.Where == nil || q.Where.Kind == expr.KTrue {
+		b.ix, err = chooseAllCells(t, ak, q, morsel, sp)
+	} else if kern, _ := expr.CompileKernel(t, q.Where); kern != nil {
+		if ivs, rest := expr.Intervals(t.Schema(), q.Where); rest == "" {
+			b.ix, err = chooseCells(t, ivs, ak, q, morsel, sp)
+		}
+	}
+	return b, b.ix.cells != nil && err == nil, err
+}
+
+// planOf returns the typed aggregation of q over t, nil for a projection
+// or a shape it refuses, and the morsel size opt runs at.
+func planOf(t *storage.Table, q Query, opt ExecOptions) (ak *aggKernel, morsel int) {
 	if q.HasAggregates() || len(q.GroupBy) > 0 {
 		ak, _ = compileAggKernel(t, q)
 	}
-	morsel := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
-	ix, err := chooseRange(t, ivs, rest, kern, ak, q, morsel, trace.FromContext(ctx))
-	return Buckets{ix}, err
+	return ak, par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
 }
 
 // Index returns the value index the Buckets were cut from, nil when the
@@ -174,6 +200,46 @@ func (b Buckets) Index() *storage.ValueIndex { return b.ix.vi }
 
 // Run returns the bucket run [bl, bh]; bl > bh when the range is empty.
 func (b Buckets) Run() (bl, bh int) { return b.ix.bl, b.ix.bh }
+
+// Cells calls fold with each interior cell exact mode folds — one that
+// holds rows and whose key the plan qualifies — in (bucket, key) order,
+// and returns how many it folded; none without cells.
+func (b Buckets) Cells(fold func(*storage.Cell)) int {
+	ix := &b.ix
+	if ix.cells == nil {
+		return 0
+	}
+	n := 0
+	cells := ix.cells.Interior(ix.bl, ix.bh)
+	for i := range cells {
+		if c := &cells[i]; cellIn(c, ix.kl, ix.kh) {
+			fold(c)
+			n++
+		}
+	}
+	return n
+}
+
+// Edges appends to dst the rows of the run's edge buckets, ascending —
+// the candidates whose rows exact mode refines through the kernel beside
+// the cells — and returns the extended slice: none for a cells plan of a
+// query with no WHERE, or without cells.
+func (b Buckets) Edges(dst []int) []int {
+	ix := &b.ix
+	if ix.cells == nil || ix.bl < 0 {
+		return dst
+	}
+	morsels := ix.vi.Morsels()
+	n := 0
+	for m := 0; m < morsels; m++ {
+		n += ix.count(m)
+	}
+	dst = slices.Grow(dst, n)
+	for m := 0; m < morsels; m++ {
+		dst = ix.vi.Edges(m, ix.bl, ix.bh, dst)
+	}
+	return dst
+}
 
 // chooseIndex picks, among the intervals on plain INT and FLOAT columns,
 // the one whose bucket run the column's sample puts the fewest rows in —

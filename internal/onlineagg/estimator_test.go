@@ -82,11 +82,10 @@ func matchesTruth(q aqp.Query, ests []aqp.GroupEstimate, truth map[string]float6
 }
 
 // TestRunUntilNeverConvergesOnNothing: a predicate no row of the first
-// batch satisfies leaves zero groups, and "worst relative CI over zero
-// groups" used to read as converged — the run stopped after one batch and
-// answered [] with a nil error. It has to keep scanning until a group has
-// an estimate; here MIN/SUM over 3 qualifying rows in 100k never meet the
-// 1% target, so the scan completes and the answer is the exact one.
+// batch satisfies leaves the scalar group empty, and its 0 ± 0 is not
+// convergence: the run has to keep scanning until a row qualifies. Here
+// SUM over 3 qualifying rows in 100k never meets the 1% target, so the
+// scan completes and the answer is the exact one.
 func TestRunUntilNeverConvergesOnNothing(t *testing.T) {
 	const n = 100_000
 	xs := make([]int64, n)
@@ -107,7 +106,7 @@ func TestRunUntilNeverConvergesOnNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps[0].Groups) != 0 {
+	if len(snaps[0].Groups) != 1 || snaps[0].Groups[0].N != 0 {
 		t.Skip("seed put a qualifying row in the first batch; the test needs an empty one")
 	}
 	if msg := matchesTruth(q, r.Estimates(), execTruth(t, tbl, q)); msg != "" {
@@ -745,12 +744,37 @@ func coverageTable(tb testing.TB, n int, seed int64) *storage.Table {
 	return t
 }
 
+// mixedRun is the two-strata feed of online mode's cells path over
+// table: exact mode's bucket cells for q (exec.CellBuckets) folded as the
+// exact stratum, and frac of its edge candidates read. It fails the test
+// when the cells refuse q.
+func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac float64) ([]aqp.GroupEstimate, error) {
+	eq := exec.Query{Where: q.Where, Select: []exec.SelectItem{{Col: q.Col, Agg: q.Agg}}}
+	if q.GroupBy != "" {
+		eq.Select = append([]exec.SelectItem{{Col: q.GroupBy}}, eq.Select...)
+		eq.GroupBy = []string{q.GroupBy}
+	}
+	b, ok, err := exec.CellBuckets(context.Background(), table, eq, exec.ExecOptions{})
+	if err != nil || !ok {
+		tb.Fatalf("%v: cells refuse it (%v)", q, err)
+	}
+	edges := b.Edges(nil)
+	r, err := NewEdges(table, q, edges, seed)
+	if err != nil {
+		return nil, err
+	}
+	b.Cells(r.AddCell)
+	return r.Step(int(frac * float64(len(edges))))
+}
+
 // TestIntervalCoverageAtEveryStop: wherever a run is stopped — 5, 10, 25 or
 // 50 % of the rows in — the reported ci95 must cover the exact answer about
 // 95 % of the time, for each way the estimator is fed. Coverage is counted
 // per reported interval; the floor is the nominal 95 % less three binomial
 // standard deviations at the trial count (the intervals of one trial are
-// not independent, so the trial count is the honest sample size).
+// not independent, so the trial count is the honest sample size). The
+// two-strata feed is stopped at those shares of its edge stratum, which
+// its range's cut through two value buckets makes larger than a batch.
 func TestIntervalCoverageAtEveryStop(t *testing.T) {
 	const (
 		n      = 4000
@@ -758,6 +782,11 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 	)
 	floor := 0.95 - 3*math.Sqrt(0.95*0.05/trials)
 	tbl := coverageTable(t, n, 41)
+	big, _, err := storage.EncodeTable(coverageTable(t, 300_000, 43), storage.EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := expr.And(expr.Cmp("x", expr.GE, storage.Float(70)), expr.Cmp("x", expr.LT, storage.Float(260)))
 	xcol, err := tbl.ColumnByName("x")
 	if err != nil {
 		t.Fatal(err)
@@ -770,7 +799,8 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 	feeds := []struct {
 		name    string
 		queries []aqp.Query
-		run     func(q aqp.Query, seed int64, rows int) ([]aqp.GroupEstimate, error)
+		run     func(q aqp.Query, seed int64, rows int) ([]aqp.GroupEstimate, error) // nil: mixed
+		table   *storage.Table                                                       // nil: tbl
 	}{
 		{"uniform prefix", []aqp.Query{
 			{Agg: exec.AggSum, Col: "x"},
@@ -785,7 +815,7 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 				return nil, err
 			}
 			return r.Step(rows)
-		}},
+		}, nil},
 		{"strided", []aqp.Query{
 			{Agg: exec.AggSum, Col: "x", GroupBy: "g"},
 			{Agg: exec.AggAvg, Col: "x", GroupBy: "g"},
@@ -796,7 +826,7 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 				return nil, err
 			}
 			return r.Step(rows)
-		}},
+		}, nil},
 		{"weighted sample", []aqp.Query{
 			{Agg: exec.AggSum, Col: "x"},
 			{Agg: exec.AggCount, Col: "*", Where: where},
@@ -807,15 +837,33 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 				return nil, err
 			}
 			return aqp.OnView(tbl.Gather(s.Rows), s.Weights, q)
-		}},
+		}, nil},
+		{"cells plus edges", []aqp.Query{
+			{Agg: exec.AggCount, Col: "*", Where: span},
+			{Agg: exec.AggSum, Col: "x", Where: span},
+			{Agg: exec.AggAvg, Col: "x", Where: span},
+			{Agg: exec.AggCount, Col: "*", GroupBy: "g", Where: span},
+			{Agg: exec.AggSum, Col: "x", GroupBy: "g", Where: span},
+			{Agg: exec.AggAvg, Col: "x", GroupBy: "g", Where: span},
+		}, nil, big},
 	}
 	for _, f := range feeds {
+		table := tbl
+		if f.table != nil {
+			table = f.table
+		}
 		for _, q := range f.queries {
-			truth := execTruth(t, tbl, q)
+			truth := execTruth(t, table, q)
 			for _, frac := range []float64{0.05, 0.10, 0.25, 0.50} {
 				covered, intervals := 0, 0
 				for trial := int64(0); trial < trials; trial++ {
-					ests, err := f.run(q, 1000+trial, int(frac*n))
+					var ests []aqp.GroupEstimate
+					var err error
+					if f.run != nil {
+						ests, err = f.run(q, 1000+trial, int(frac*n))
+					} else {
+						ests, err = mixedRun(t, big, q, 1000+trial, frac)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

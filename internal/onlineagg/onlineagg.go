@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"dex/internal/aqp"
@@ -33,6 +34,11 @@ var (
 // predicate the kernel cannot compile is decided row by row with
 // Pred.Matches, which agrees with the kernel wherever both apply. The
 // survivors go to the estimator in one AddRows call.
+//
+// A runner made by NewEdges walks a stratum instead: candidate rows it
+// owns, beside an exact stratum of bucket cells (AddCell). It draws each
+// window from the rows not yet read by a lazy Fisher–Yates, so its prefix
+// is a uniform sample of the candidates, and refines the window in place.
 type Runner struct {
 	t        *storage.Table
 	kern     *expr.Kernel
@@ -44,6 +50,11 @@ type Runner struct {
 	pos      int   // rows consumed
 	matched  int   // rows that satisfied the predicate
 	sel      []int // scratch a window is filtered in
+	// owned says shuffle is the stratum's candidates, which the runner
+	// reorders and refines in place; rng is its draws' splitmix64 state.
+	owned bool
+	rng   uint64
+	exact int // rows of the exact stratum
 }
 
 // New prepares a runner over its own permutation, seeded deterministically.
@@ -68,6 +79,29 @@ func NewShuffled(t *storage.Table, q aqp.Query, shuffle []int, start int) (*Runn
 		}
 	}
 	return r, nil
+}
+
+// NewEdges prepares a runner over one stratum of t's rows: the candidate
+// row ids rows, which the runner owns and reorders, of which it reads
+// every one that satisfies q's predicate. Estimates scale the rows read to
+// len(rows), and add the exact stratum, the cells AddCell folds. A run
+// whose first batch takes every candidate reads them in the given order,
+// and its answer is exact; otherwise each batch is drawn from the
+// candidates not yet read, seeded by seed.
+func NewEdges(t *storage.Table, q aqp.Query, rows []int, seed int64) (*Runner, error) {
+	r, err := NewShuffled(t, q, rows, 0)
+	if err != nil {
+		return nil, err
+	}
+	r.owned, r.rng = true, uint64(seed)
+	return r, nil
+}
+
+// AddCell folds one bucket cell into the exact stratum: every row of c
+// must satisfy the predicate (aqp.Estimator.AddCell).
+func (r *Runner) AddCell(c *storage.Cell) {
+	r.est.AddCell(c)
+	r.exact += c.Rows
 }
 
 // UseScratch lends the runner buf's storage for the vector each batch is
@@ -120,6 +154,9 @@ func (r *Runner) advance(batch int) {
 	if a >= n {
 		a -= n
 	}
+	if r.owned && m < n-r.pos {
+		r.draw(a, m)
+	}
 	if b := a + m; b <= n {
 		r.feed(r.shuffle[a:b], m)
 	} else {
@@ -129,14 +166,33 @@ func (r *Runner) advance(batch int) {
 	r.pos += m
 }
 
+// draw moves m rows drawn uniformly from the unread shuffle[a:] to
+// shuffle[a:a+m], one Fisher–Yates step each. The bound is Lemire's
+// multiply-shift, whose bias, under n/2^64, no interval can see.
+func (r *Runner) draw(a, m int) {
+	rest := r.shuffle[a:]
+	for i := range m {
+		r.rng += 0x9e3779b97f4a7c15 // splitmix64
+		z := r.rng
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		j, _ := bits.Mul64(z^z>>31, uint64(len(rest)-i))
+		rest[i], rest[i+int(j)] = rest[i+int(j)], rest[i]
+	}
+}
+
 // feed adds the rows of one window that satisfy the predicate, in shuffle
-// order; batch sizes the scratch vector they are filtered in.
+// order; batch sizes the scratch vector they are filtered in. An owned
+// window is read once, so it is filtered where it lies.
 func (r *Runner) feed(rows []int, batch int) {
 	if r.kern != nil || r.where != nil {
-		if cap(r.sel) < len(rows) {
-			r.sel = make([]int, 0, batch)
+		sel := rows
+		if !r.owned {
+			if cap(r.sel) < len(rows) {
+				r.sel = make([]int, 0, batch)
+			}
+			sel = append(r.sel[:0], rows...)
 		}
-		sel := append(r.sel[:0], rows...)
 		if r.kern != nil {
 			sel = r.kern.Refine(sel)
 		} else {
@@ -180,8 +236,9 @@ type Snapshot struct {
 // RunUntil steps the runner in batches until every group's relative CI is
 // at or below target (or the scan completes), returning the full
 // convergence trajectory. A target <= 0 runs to completion, and so does a
-// query no processed row has qualified for yet: no estimate is not a
-// converged one.
+// query no row has qualified for yet, in the exact stratum or among the
+// rows processed: a scalar estimate of nothing reads 0 ± 0, which is not
+// a converged one.
 func (r *Runner) RunUntil(target float64, batch int) ([]Snapshot, error) {
 	return r.RunUntilCtx(context.Background(), target, batch)
 }
@@ -231,7 +288,7 @@ func (r *Runner) run(ctx context.Context, target float64, batch int, snap func(w
 		if snap != nil {
 			snap(worst)
 		}
-		if target > 0 && worst <= target && r.est.Len() > 0 && r.pos > 1 {
+		if target > 0 && worst <= target && r.matched+r.exact > 0 && r.pos > 1 {
 			break
 		}
 	}

@@ -183,12 +183,25 @@ func TestServerTraceModes(t *testing.T) {
 			t.Errorf("%s: crack span %+v reports a fallback", tc.sql, sp)
 		}
 		// An online span counts the rows its batches read and the ones that
-		// qualified; without a WHERE it names no kernel.
+		// qualified; without a WHERE it names no kernel. A query the bucket
+		// cells answer also counts the cells it folded and the edge rows it
+		// samples — none without a WHERE — and reads them all in one batch
+		// here; any other walks the shuffle.
 		if tc.stage == "online" {
 			processed, _ := sp.Attrs["processed"].(float64)
 			matched, ok := sp.Attrs["matched"].(float64)
-			if processed <= 0 || !ok || matched > processed {
-				t.Errorf("%s: online span %+v, want processed > 0 and matched <= processed", tc.sql, sp)
+			cells, _ := sp.Attrs["cells"].(float64)
+			edges, cellsPath := sp.Attrs["edge_rows"].(float64)
+			switch {
+			case !ok || matched > processed:
+				t.Errorf("%s: online span %+v, want matched <= processed", tc.sql, sp)
+			case cellsPath && (cells <= 0 || processed != edges || (tc.attrs == nil) != (edges == 0)):
+				t.Errorf("%s: online span %+v, want cells > 0 and every edge row processed, none without a WHERE", tc.sql, sp)
+			case !cellsPath && processed <= 0:
+				t.Errorf("%s: online span %+v, want processed > 0", tc.sql, sp)
+			}
+			if wantCells := tc.attrs["kernel"] != false; cellsPath != wantCells {
+				t.Errorf("%s: online span %+v: cells path %v, want %v", tc.sql, sp, cellsPath, wantCells)
 			}
 			if tc.attrs == nil && sp.Attrs["kernel"] != nil {
 				t.Errorf("%s: online span %+v names a kernel without a WHERE", tc.sql, sp)

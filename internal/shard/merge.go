@@ -166,6 +166,9 @@ func (p *Plan) mergeEstimates(parts []*storage.Table) (*storage.Table, error) {
 	for _, k := range order {
 		e := groups[k]
 		est, ci := e.est, e.ci
+		if !e.has {
+			est = math.NaN() // every shard's estimate was NULL: so is the fleet's
+		}
 		if p.estAgg == exec.AggAvg {
 			if e.n == 0 {
 				est, ci = math.NaN(), math.NaN()

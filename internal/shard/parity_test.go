@@ -513,3 +513,36 @@ func TestMergeEstimatesNullGroupsInKeyOrder(t *testing.T) {
 		t.Fatalf("NULL group merged to estimate %v over %d rows, want 2 over 20", est, n)
 	}
 }
+
+// TestMergeEstimatesNullStaysNull: a group whose every shard estimate is
+// NULL — a MIN or MAX over no non-NULL value, as a scalar estimate of a
+// WHERE no row satisfies answers on each shard — merges to NULL, not to
+// the 0 its accumulator starts at.
+func TestMergeEstimatesNullStaysNull(t *testing.T) {
+	q := exec.Query{Select: []exec.SelectItem{{Col: "v", Agg: exec.AggMax}}}
+	plan, err := shard.PlanQuery(q, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := storage.Schema{
+		{Name: "max(v)", Type: storage.TFloat}, {Name: "ci95", Type: storage.TFloat}, {Name: "sample_n", Type: storage.TInt},
+	}
+	var parts []*storage.Table
+	for range 3 {
+		tbl, err := storage.NewTable("ptab", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.AppendRow(storage.Float(math.NaN()), storage.Float(0), storage.Int(0)); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, tbl)
+	}
+	got, err := plan.Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 1 || !math.IsNaN(got.Column(0).Value(0).F) {
+		t.Fatalf("merged max of NULLs:\n%s\nwant one NULL row", got.Format(0))
+	}
+}

@@ -193,6 +193,9 @@ type ValueIndex struct {
 	rows   []uint16 // per morsel: offsets by bucket, then the NULL rows'
 }
 
+// Morsels returns how many morsels the index covers.
+func (x *ValueIndex) Morsels() int { return NumChunks(x.n, x.morsel) }
+
 // Count returns how many rows of morsel m lie in the bucket run [bl, bh].
 func (x *ValueIndex) Count(m, bl, bh int) int {
 	st := x.starts[m*(valueBuckets+1):]
