@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode bench bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode bench bench-smoke bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -121,6 +121,11 @@ fuzz-decode:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./internal/bench/
+
+# Every Benchmark* function in the module, once each, as CI's "Bench
+# smoke" step runs them: a run-time failure check, not a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Regenerate the concurrent-probe / value-index skipping baseline (E30) at full size
 # and refresh the committed JSON artifact.

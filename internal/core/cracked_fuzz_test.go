@@ -180,14 +180,10 @@ func decodeCrackFz(t *testing.T, data []byte) crackFzCase {
 	return c
 }
 
-// engine returns a new engine under the case's options, changed by tune,
-// with the encoded table registered.
-func (c crackFzCase) engine(t *testing.T, tune func(*Options)) *Engine {
-	opt := c.opt
-	if tune != nil {
-		tune(&opt)
-	}
-	e := New(opt)
+// engine returns a new engine under the case's options with the encoded
+// table registered.
+func (c crackFzCase) engine(t *testing.T) *Engine {
+	e := New(c.opt)
 	if err := e.Register(c.enc); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +196,7 @@ func (c crackFzCase) engine(t *testing.T, tune func(*Options)) *Engine {
 func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
 	c := decodeCrackFz(t, data)
 	opt, n := c.opt, c.n
-	e := c.engine(t, nil)
+	e := c.engine(t)
 	// More than one morsel: a grouped float SUM's per-worker association
 	// follows scheduling, in exact mode as in cracked.
 	parallel := n > opt.Exec.MorselSize

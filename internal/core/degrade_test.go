@@ -128,7 +128,8 @@ func (c *expiresAfter) Err() error {
 // gives no interval), so the query walks the shuffle; without it the
 // cells answer exactly, in one batch.
 func TestOnlineAnswersAtTheDeadline(t *testing.T) {
-	eng := New(Options{Seed: 1, OnlineBatch: 256, OnlineRelCI: 1e-9})
+	eng := New(Options{Seed: 1})
+	eng.batch, eng.relCI = 256, 1e-9
 	sales, err := workload.Sales(rand.New(rand.NewSource(7)), 20_000)
 	if err != nil {
 		t.Fatal(err)

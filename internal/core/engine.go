@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dex/internal/aqp"
@@ -54,9 +53,10 @@ const (
 	// confidence intervals (AQP).
 	Approx
 	// Online runs online aggregation until the relative CI target is met.
-	// An aggregate exact mode answers from bucket cells folds them as the
-	// exact part and samples only the edge buckets' rows — all of them in
-	// one batch when they fit, exactly; other shapes walk a shuffle.
+	// An aggregate folds the bucket cells exact mode folds as the exact
+	// part and samples only the candidate rows exact mode refines — all of
+	// them in one batch when they fit, exactly; other shapes walk a
+	// shuffle.
 	Online
 )
 
@@ -76,19 +76,23 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures an Engine.
+// The approximate modes' fixed targets: Approx mode's relative-error bound,
+// and Online mode's stopping rule — every group's ci95 within onlineRelCI
+// of its estimate — and its batch of rows read between checks.
+const (
+	approxRelErr = 0.05
+	onlineRelCI  = 0.01
+	onlineBatch  = 4096
+)
+
+// Options configures an Engine. Approx mode's relative-error bound and
+// Online mode's stopping rule and batch are fixed: approxRelErr (0.05),
+// onlineRelCI (0.01) and onlineBatch (4096 rows).
 type Options struct {
 	Seed int64
 	// SampleFracs are the uniform sample fractions built lazily per table
 	// for Approx mode. Default {0.01, 0.1}.
 	SampleFracs []float64
-	// ApproxRelErr is the default relative-error bound for Approx mode.
-	// Default 0.05.
-	ApproxRelErr float64
-	// OnlineRelCI is the stopping criterion for Online mode. Default 0.01.
-	OnlineRelCI float64
-	// OnlineBatch is the online-aggregation batch size. Default 4096.
-	OnlineBatch int
 	// CrackOptions configures the adaptive indexes: the crackers of the
 	// value buckets a cracked query's bounds fall in.
 	CrackOptions crack.Options
@@ -97,7 +101,9 @@ type Options struct {
 	// probe itself synchronizes inside the index; its row ids then feed the
 	// pipeline as a selection vector). The approximate modes — AQP, online
 	// aggregation — keep their sequential semantics: the sampling modes
-	// depend on a deterministic row visit order.
+	// depend on a deterministic row visit order. Its Counters are the
+	// engine's own, whatever the caller sets: RowsScanned and its siblings
+	// read them.
 	Exec exec.ExecOptions
 	// Degrade enables graceful degradation: an Exact or Cracked query that
 	// exceeds its deadline returns a sampled approximate answer tagged
@@ -114,15 +120,6 @@ type Options struct {
 func (o *Options) fill() {
 	if len(o.SampleFracs) == 0 {
 		o.SampleFracs = []float64{0.01, 0.1}
-	}
-	if o.ApproxRelErr <= 0 {
-		o.ApproxRelErr = 0.05
-	}
-	if o.OnlineRelCI <= 0 {
-		o.OnlineRelCI = 0.01
-	}
-	if o.OnlineBatch <= 0 {
-		o.OnlineBatch = 4096
 	}
 	if o.DegradeGrace <= 0 {
 		o.DegradeGrace = 2 * time.Second
@@ -145,6 +142,13 @@ type Engine struct {
 	opt     Options
 	rng     *rand.Rand
 	rowVecs [][]int // idle row vectors: online batches, cracked edge rows
+	// counters are what every query's pipeline counts into (opt.Exec's).
+	counters exec.Counters
+	// relCI and batch are Online mode's stopping rule and batch size:
+	// onlineRelCI and onlineBatch, which in-package tests lower to reach
+	// runs of many batches.
+	relCI float64
+	batch int
 	// pastSessions archives ended sessions for query recommendation.
 	pastSessions []recommend.Session
 }
@@ -166,33 +170,18 @@ type version struct {
 // New creates an engine.
 func New(opt Options) *Engine {
 	opt.fill()
-	// The engine always counts scanned rows: the service layer reads the
-	// counter live to tell a progressing query from a stalled one, and the
-	// per-morsel atomic add is noise against the scan itself. A caller that
-	// supplies its own counter keeps it.
-	if opt.Exec.Scanned == nil {
-		opt.Exec.Scanned = new(atomic.Int64)
-	}
-	if opt.Exec.ZoneSkipped == nil {
-		opt.Exec.ZoneSkipped = new(atomic.Int64)
-	}
-	if opt.Exec.IndexMorsels == nil {
-		opt.Exec.IndexMorsels = new(atomic.Int64)
-	}
-	if opt.Exec.CellQueries == nil {
-		opt.Exec.CellQueries = new(atomic.Int64)
-	}
-	if opt.Exec.AggKernelHits == nil {
-		opt.Exec.AggKernelHits = new(atomic.Int64)
-	}
-	if opt.Exec.AggKernelFallbacks == nil {
-		opt.Exec.AggKernelFallbacks = new(atomic.Int64)
-	}
-	return &Engine{
-		opt:    opt,
+	e := &Engine{
 		rng:    rand.New(rand.NewSource(opt.Seed)),
 		tables: map[string]*version{},
+		relCI:  onlineRelCI,
+		batch:  onlineBatch,
 	}
+	// The engine always counts: the service layer reads the scanned-row
+	// counter live to tell a progressing query from a stalled one, and the
+	// per-morsel atomic add is noise against the scan itself.
+	opt.Exec.Counters = &e.counters
+	e.opt = opt
+	return e
 }
 
 // Register adds an in-memory table in its encoded form: columns the
@@ -252,40 +241,40 @@ func (e *Engine) lookup(name string) (*version, error) {
 // the observability signal /admin/stats exposes and the cancellation tests
 // watch stop.
 func (e *Engine) RowsScanned() int64 {
-	return e.opt.Exec.Scanned.Load()
+	return e.counters.Scanned.Load()
 }
 
 // ZoneSkipped returns the engine's cumulative count of morsels the value
 // index skipped whole, as holding no candidate: never scanned.
 func (e *Engine) ZoneSkipped() int64 {
-	return e.opt.Exec.ZoneSkipped.Load()
+	return e.counters.IndexSkipped.Load()
 }
 
 // IndexMorsels returns the engine's cumulative count of morsels the value
 // index served in place of a scan: skipped as holding no candidate, or
 // answered by refining its candidates.
 func (e *Engine) IndexMorsels() int64 {
-	return e.opt.Exec.IndexMorsels.Load()
+	return e.counters.IndexMorsels.Load()
 }
 
 // CellQueries returns the engine's cumulative count of aggregate queries
 // answered from bucket cells: a range interior's, in exact or cracked
 // mode, or every bucket of a column for a query with no WHERE.
 func (e *Engine) CellQueries() int64 {
-	return e.opt.Exec.CellQueries.Load()
+	return e.counters.CellQueries.Load()
 }
 
 // AggKernelHits returns the engine's cumulative count of aggregate queries
 // answered by the typed accumulation kernels.
 func (e *Engine) AggKernelHits() int64 {
-	return e.opt.Exec.AggKernelHits.Load()
+	return e.counters.AggKernelHits.Load()
 }
 
 // AggKernelFallbacks returns the cumulative count of aggregate queries
 // that fell back to generic accumulation (multi-column groups, wide
 // dictionaries, string inputs).
 func (e *Engine) AggKernelFallbacks() int64 {
-	return e.opt.Exec.AggKernelFallbacks.Load()
+	return e.counters.AggKernelFallbacks.Load()
 }
 
 // TableRows reports the row count of a registered in-memory table, or ok
@@ -1014,7 +1003,7 @@ func (e *Engine) executeApprox(ctx context.Context, v *version, q exec.Query) (*
 		ssp.End()
 		return nil, err
 	}
-	res, err := cat.Approx(aq, aqp.Bound{RelErr: e.opt.ApproxRelErr})
+	res, err := cat.Approx(aq, aqp.Bound{RelErr: approxRelErr})
 	ssp.End()
 	if err != nil && res == nil {
 		return nil, err
@@ -1022,14 +1011,16 @@ func (e *Engine) executeApprox(ctx context.Context, v *version, q exec.Query) (*
 	return estimatesTable(t, aq.GroupBy, aggName, res.Groups)
 }
 
-// executeOnline runs online aggregation. An aggregate exact mode answers
-// from bucket cells (exec.CellBuckets) is answered in two strata, after
-// AQP++: the interior's cells are its exact part, folded into the
-// estimator, and only the edge buckets' candidate rows are sampled — all
-// of them in the first batch when they fit in one, so the answer is exact.
-// Every other shape walks the version's shared shuffle. Either way the
+// executeOnline runs online aggregation over exact mode's index plan for
+// the query (exec.RangeBuckets), in two strata after AQP++: the interior's
+// bucket cells, when the plan folds them, are the exact part, folded into
+// the estimator, and the candidates the plan refines — the edge buckets'
+// rows beside cells, else the rows of a run narrow enough to refine — are
+// sampled, all of them in the first batch when they fit in one, so the
+// answer is exact. A plan with no such candidates — no index, or a wide run
+// exact mode scans — walks the version's shared shuffle. Either way the
 // query makes one engine-RNG draw, besides a shuffle's build: the
-// shuffle's rotation, or the seed of the edges' draws.
+// shuffle's rotation, or the seed of the candidates' draws.
 func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	aq, aggName, err := approxShape(q)
 	if err != nil {
@@ -1041,22 +1032,23 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 	}
 	osp := trace.FromContext(ctx).Child("online")
 	defer osp.End()
-	b, cells, err := exec.CellBuckets(trace.With(ctx, osp), t, q, e.opt.Exec)
+	b, err := exec.RangeBuckets(trace.With(ctx, osp), t, q, e.opt.Exec)
 	if err != nil {
 		return nil, err
 	}
 	var r *onlineagg.Runner
-	var vec []int // the runner's edges or scratch, back to the free list after
-	if cells {
-		r, vec, err = e.edgeRunner(t, aq, b, osp)
+	vec, ok := b.Edges(e.takeRowVec(0)) // the runner's stratum or scratch, back to the free list after
+	if ok {
+		r, err = e.edgeRunner(t, aq, b, vec, osp)
 	} else {
+		e.giveRowVec(vec)
 		r, vec, err = e.shuffleRunner(t, v, aq, osp)
 	}
 	defer e.giveRowVec(vec)
 	if err != nil {
 		return nil, err
 	}
-	batches, err := r.Run(ctx, e.opt.OnlineRelCI, e.opt.OnlineBatch)
+	batches, err := r.Run(ctx, e.relCI, e.batch)
 	osp.SetInt("batches", int64(batches))
 	osp.SetInt("processed", int64(r.Processed()))
 	osp.SetInt("matched", int64(r.Matched()))
@@ -1073,21 +1065,20 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 	return estimatesTable(t, aq.GroupBy, aggName, r.Estimates())
 }
 
-// edgeRunner prepares the two-stratum runner of a cells plan b: the cells
-// folded, the edge candidates in a vector from the free list, and the
-// engine-RNG draw that seeds their draws.
-func (e *Engine) edgeRunner(t *storage.Table, aq aqp.Query, b exec.Buckets, osp *trace.Span) (*onlineagg.Runner, []int, error) {
+// edgeRunner prepares the two-stratum runner of the plan b: its cells
+// folded, its candidates edges sampled, and the engine-RNG draw that
+// seeds their draws.
+func (e *Engine) edgeRunner(t *storage.Table, aq aqp.Query, b exec.Buckets, edges []int, osp *trace.Span) (*onlineagg.Runner, error) {
 	e.mu.Lock()
 	seed := e.rng.Int63()
 	e.mu.Unlock()
-	edges := b.Edges(e.takeRowVec(0))
 	r, err := onlineagg.NewEdges(t, aq, edges, seed)
 	if err != nil {
-		return nil, edges, err
+		return nil, err
 	}
 	osp.SetInt("cells", int64(b.Cells(r.AddCell)))
 	osp.SetInt("edge_rows", int64(len(edges)))
-	return r, edges, nil
+	return r, nil
 }
 
 // shuffleRunner prepares the runner over v's shuffle. The version's
@@ -1108,7 +1099,7 @@ func (e *Engine) shuffleRunner(t *storage.Table, v *version, aq aqp.Query, osp *
 	start := int(e.rng.Int63() % int64(max(n, 1)))
 	e.mu.Unlock()
 	osp.SetBool("built", built)
-	scratch := e.takeRowVec(min(n, e.opt.OnlineBatch))
+	scratch := e.takeRowVec(min(n, e.batch))
 	r, err := onlineagg.NewShuffled(t, aq, shuffle, start)
 	if err != nil {
 		return nil, scratch, err

@@ -147,27 +147,31 @@ func onlineAsks(shape int, where *expr.Pred) []exec.Query {
 // (decodeCrackFz), each clause asked as drawn, without its WHERE, or ANDed
 // with one or two comparisons on a second column, over onlineAsks' single
 // aggregates. An engine whose batch holds every row answers every query,
-// cells path or shuffle, exactly: COUNT, MIN and MAX bit for bit, SUM and
-// AVG within 1e-9 of exact mode, ci95 0. An engine at a drawn batch of
-// 1–64 rows answers with a subset of exact mode's groups, each with a
-// ci95 that is 0, finite or +Inf, never NaN, a MIN never below the exact
-// one and a MAX never above; and exactly, once its run has read every edge
-// row, or every row off the cells path. The draws after decodeCrackFz's
-// are made in the order they were added, so older inputs keep their
-// tables and clauses. testdata/fuzz/FuzzOnlineVsExact holds entries that
-// reach the cells path's shapes (TestOnlineFuzzCorpusReachesCells).
+// cells, candidates or shuffle, exactly: COUNT, MIN and MAX bit for bit,
+// SUM and AVG within 1e-9 of exact mode, ci95 0. An engine at a drawn
+// batch of 1–64 rows answers with a subset of exact mode's groups, each
+// with a ci95 that is 0, finite or +Inf, never NaN, a MIN never below the
+// exact one and a MAX never above; and exactly, once its run has read every
+// row of its sampled stratum (edge_rows: the edge rows beside cells, else
+// the index plan's candidates), or every row of the shuffle. The draws
+// after decodeCrackFz's are made in the order they were added, so older
+// inputs keep their tables and clauses. testdata/fuzz/FuzzOnlineVsExact
+// holds entries that reach the cells path's shapes and the index plan with
+// no cells (TestOnlineFuzzCorpusReachesCells).
 func FuzzOnlineVsExact(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { onlineCase(t, data, nil) })
 }
 
 // onlineRun is one query of an onlineCase: the query, whether the cells
-// answered it, how many edge rows there were and how many the drawn-batch
-// run read.
+// answered it or the index plan's candidates alone (stratum without
+// cells), how many rows its sampled stratum held, how many the drawn-batch
+// run read, and the plan's bucket run.
 type onlineRun struct {
 	q                exec.Query
-	cells            bool
+	cells, stratum   bool
 	edges, processed int
+	bl, bh           int
 }
 
 // onlineCase decodes and runs one FuzzOnlineVsExact input; seen, when set,
@@ -175,8 +179,9 @@ type onlineRun struct {
 func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 	c := decodeCrackFz(t, data)
 	batch := 1 + c.fr.draw(64)
-	whole := c.engine(t, nil) // OnlineBatch 4096 > 47·16 rows
-	part := c.engine(t, func(o *Options) { o.OnlineBatch = batch })
+	whole := c.engine(t) // onlineBatch 4096 > 47·16 rows
+	part := c.engine(t)
+	part.batch = batch
 	for _, a := range c.asks {
 		where := a.where
 		switch c.fr.draw(3) {
@@ -202,13 +207,14 @@ func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 			}
 			got, sp = onlineTraced(t, part, "t", q)
 			run := onlineRun{q: q}
-			edges, cells := sp["edge_rows"].(int64)
+			edges, stratum := sp["edge_rows"].(int64)
 			processed, _ := sp["processed"].(int64)
-			run.cells, run.edges, run.processed = cells, int(edges), int(processed)
-			if cells && sp["built"] != nil {
-				t.Fatalf("%s: the cells path built a shuffle (span %v)", label, sp)
+			cells, _ := sp["cells"].(int64)
+			run.cells, run.stratum, run.edges, run.processed = cells > 0, stratum, int(edges), int(processed)
+			if stratum && sp["built"] != nil {
+				t.Fatalf("%s: the sampled stratum built a shuffle (span %v)", label, sp)
 			}
-			if cells && processed == edges || !cells && int(processed) == c.n {
+			if stratum && processed == edges || !stratum && int(processed) == c.n {
 				if err := matchesExact(q, want, got); err != nil {
 					t.Fatalf("%s, every row read: %v (span %v)", label, err, sp)
 				}
@@ -228,6 +234,11 @@ func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 				}
 			}
 			if seen != nil {
+				b, err := exec.RangeBuckets(context.Background(), current(t, part, "t").t, q, c.opt.Exec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run.bl, run.bh = b.Run()
 				seen(run)
 			}
 		}
@@ -237,8 +248,9 @@ func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 // TestOnlineFuzzCorpusReachesCells requires FuzzOnlineVsExact's corpus to
 // reach the cells path's shapes — a scalar aggregate over two ranges, an
 // aggregate with no WHERE, a grouped one — and edge strata larger than the
-// drawn batch, which the runner samples, so a change that sends them back
-// to the shuffle fails on the corpus itself.
+// drawn batch, which the runner samples; and the index plan with no cells,
+// over a run with no interior and over an empty run. So a change that
+// sends them back to the shuffle fails on the corpus itself.
 func TestOnlineFuzzCorpusReachesCells(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOnlineVsExact", "*"))
 	if err != nil || len(files) == 0 {
@@ -256,6 +268,14 @@ func TestOnlineFuzzCorpusReachesCells(t *testing.T) {
 			t.Fatalf("%s: not a v1 corpus entry (%v)", f, err)
 		}
 		onlineCase(t, []byte(s), func(run onlineRun) {
+			if run.stratum && !run.cells && run.q.Where != nil {
+				switch {
+				case run.bl > run.bh:
+					reached["candidates, empty run"]++
+				case run.bh-run.bl < 2:
+					reached["candidates, no interior"]++
+				}
+			}
 			if !run.cells {
 				return
 			}
@@ -274,9 +294,9 @@ func TestOnlineFuzzCorpusReachesCells(t *testing.T) {
 			}
 		})
 	}
-	for _, want := range []string{"no WHERE", "two ranges", "grouped", "sampled edges"} {
+	for _, want := range []string{"no WHERE", "two ranges", "grouped", "sampled edges", "candidates, no interior", "candidates, empty run"} {
 		if reached[want] == 0 {
-			t.Errorf("no corpus entry reaches %s on the cells path: %v", want, reached)
+			t.Errorf("no corpus entry reaches %s: %v", want, reached)
 		}
 	}
 }
@@ -420,7 +440,8 @@ func TestOnlineCellsReplayWithSeed(t *testing.T) {
 	const sql = "SELECT region, sum(amount) FROM sales WHERE amount >= 80 AND amount < 200 GROUP BY region"
 	q := mustParse(t, sql)
 	run := func() [2]map[string][2]float64 {
-		e := New(Options{Seed: 4, OnlineBatch: 64})
+		e := New(Options{Seed: 4})
+		e.batch = 64
 		sales, err := workload.Sales(rand.New(rand.NewSource(2)), 100_000)
 		if err != nil {
 			t.Fatal(err)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"dex/internal/storage"
 	"dex/internal/trace"
+	"dex/internal/workload"
 )
 
 // seqTable is a one-column table x = 0..n-1 under the given name.
@@ -59,14 +61,15 @@ func onlineSpan(t testing.TB, run func(context.Context) (*storage.Table, error))
 // them in the first batch, and "no group has an estimate yet" once counted
 // as converged — the engine answered an empty table. The answer has to be
 // the exact one: with three qualifying rows the 1% target is never met
-// short of the full scan.
+// short of the full scan. The OR gives no interval, so the query walks the
+// shuffle; a range alone reads only its value buckets' rows.
 func TestOnlineScansPastAnEmptyFirstBatch(t *testing.T) {
 	e := New(Options{Seed: 1})
 	if err := e.Register(seqTable(t, "seq", 100_000)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ { // five rotations of the shuffle
-		res, err := e.SQL("SELECT sum(x) FROM seq WHERE x >= 99997", Online)
+		res, err := e.SQL("SELECT sum(x) FROM seq WHERE x >= 99997 OR x < 0", Online)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +173,55 @@ func TestReplaceInvalidatesOnlineShuffle(t *testing.T) {
 	check(77, false)
 }
 
+// TestOnlineRangesReadOnlyTheirCandidates: a range the bucket cells refuse
+// — no interior, or no row in range — is sampled from the rows of its value
+// bucket run, exact mode's candidates, not from the table's shuffle, where
+// a few qualifying rows, or none, cost a walk of the whole table and an
+// early stop can leave the truth outside the interval. These candidates fit
+// in one batch, so each answer is exact mode's with ci95 0, and no query
+// reads more rows than its run holds or builds a shuffle.
+func TestOnlineRangesReadOnlyTheirCandidates(t *testing.T) {
+	const n = 100_000
+	e := New(Options{Seed: 1})
+	sales, err := workload.Sales(rand.New(rand.NewSource(7)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register(sales); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT sum(amount) FROM sales WHERE amount > 1e9",
+		"SELECT count(*) FROM sales WHERE amount >= 10 AND amount < 10.5",
+		"SELECT avg(amount) FROM sales WHERE amount >= 10 AND amount < 10.5",
+	} {
+		q := mustParse(t, sql)
+		want, err := e.Execute("sales", q, Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, sp := onlineTraced(t, e, "sales", q)
+		cands, ok := sp["edge_rows"].(int64)
+		if processed, _ := sp["processed"].(int64); !ok || processed > cands || cands > n/10 || sp["built"] != nil {
+			t.Errorf("%s: online span %v; want at most the run's candidates read, and no shuffle", sql, sp)
+		}
+		if err := matchesExact(q, want, got); err != nil {
+			t.Errorf("%s: %v (span %v)", sql, err, sp)
+		}
+	}
+	if current(t, e, "sales").shuffle != nil {
+		t.Error("a range query built the shuffle")
+	}
+}
+
 // TestConcurrentOnlineSessions shares one shuffle between many Online
 // queries while Replace keeps swapping the table between two lengths: the
 // race detector watches the shuffle cache and the engine rand.Rand, and
 // every answer must be the exact maximum of one of the two tables — a
 // shuffle paired with the wrong table would panic or miss rows.
 func TestConcurrentOnlineSessions(t *testing.T) {
-	e := New(Options{Seed: 11, OnlineBatch: 512})
+	e := New(Options{Seed: 11})
+	e.batch = 512
 	sizes := [2]int{6000, 2500}
 	if err := e.Register(seqTable(t, "seq", sizes[0])); err != nil {
 		t.Fatal(err)
@@ -227,7 +272,8 @@ func TestOnlineSkipsNullMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Seed: 2, OnlineRelCI: 1e-12})
+	e := New(Options{Seed: 2})
+	e.relCI = 1e-12
 	if err := e.Register(tbl); err != nil {
 		t.Fatal(err)
 	}

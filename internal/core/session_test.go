@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dex/internal/exec"
@@ -75,8 +74,7 @@ func TestSharedSessionConcurrency(t *testing.T) {
 // counter stops advancing once the query aborts. Both queries read two
 // numeric inputs, which no bucket-cell set aggregates, so they scan.
 func TestSessionQueryContextCancel(t *testing.T) {
-	var scanned atomic.Int64
-	e := New(Options{Seed: 4, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned}})
+	e := New(Options{Seed: 4, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 1024}})
 	rng := rand.New(rand.NewSource(4))
 	sales, err := workload.Sales(rng, 500_000)
 	if err != nil {
@@ -95,8 +93,8 @@ func TestSessionQueryContextCancel(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("cancelled query was recorded in history (len=%d)", s.Len())
 	}
-	if scanned.Load() != 0 {
-		t.Fatalf("scanned %d rows under a pre-cancelled context", scanned.Load())
+	if e.RowsScanned() != 0 {
+		t.Fatalf("scanned %d rows under a pre-cancelled context", e.RowsScanned())
 	}
 
 	// A live context completes and records.
@@ -106,7 +104,7 @@ func TestSessionQueryContextCancel(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("history length = %d, want 1", s.Len())
 	}
-	if scanned.Load() == 0 {
+	if e.RowsScanned() == 0 {
 		t.Fatal("scan counter never advanced for a completed query")
 	}
 }

@@ -276,7 +276,8 @@ func TestConcurrentCrackedAcrossReplace(t *testing.T) {
 func TestOldVersionKeepsItsDerivedState(t *testing.T) {
 	ctx := context.Background()
 	oldT, newT := versionTable(t, 1000, 0, 4), versionTable(t, 100, 0, 5)
-	e := New(Options{Seed: 6, OnlineRelCI: 1e-12, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 64}})
+	e := New(Options{Seed: 6, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 64}})
+	e.relCI = 1e-12
 	if err := e.Register(oldT); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"dex/internal/expr"
@@ -164,8 +163,8 @@ func TestAggSkipsGlobalSelection(t *testing.T) {
 func TestAggKernelCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	tbl := randParityTable(rng, 100, 0)
-	var hits, falls atomic.Int64
-	opt := ExecOptions{AggKernelHits: &hits, AggKernelFallbacks: &falls}
+	var c Counters
+	opt := ExecOptions{Counters: &c}
 	agg := Query{Select: []SelectItem{{Col: "x", Agg: AggSum}}}
 	if _, err := ExecuteOpts(tbl, agg, opt); err != nil {
 		t.Fatal(err)
@@ -179,8 +178,8 @@ func TestAggKernelCounters(t *testing.T) {
 	if _, err := ExecuteOpts(tbl, proj, opt); err != nil {
 		t.Fatal(err)
 	}
-	if hits.Load() != 1 || falls.Load() != 1 {
-		t.Fatalf("hits=%d fallbacks=%d, want 1/1", hits.Load(), falls.Load())
+	if c.AggKernelHits.Load() != 1 || c.AggKernelFallbacks.Load() != 1 {
+		t.Fatalf("hits=%d fallbacks=%d, want 1/1", c.AggKernelHits.Load(), c.AggKernelFallbacks.Load())
 	}
 }
 

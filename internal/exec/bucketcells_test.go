@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dex/internal/expr"
@@ -347,8 +346,8 @@ func TestBucketCellsMatchScan(t *testing.T) {
 func TestBucketCellsScanAccounting(t *testing.T) {
 	tab := indexTable(rand.New(rand.NewSource(44)), 40_000)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}, Where: expr.Between("k", storage.Int(-20_000), storage.Int(15_000))}
-	var scanned, served, cellQueries atomic.Int64
-	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, IndexMorsels: &served, CellQueries: &cellQueries}
+	var c Counters
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Counters: &c}
 	res, js, err := tracedExec(tab, q, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -379,13 +378,13 @@ func TestBucketCellsScanAccounting(t *testing.T) {
 		t.Fatalf("rows_out %d, count %d, interior rows %d", n("rows_out"), count, interior)
 	case edges != n("index_candidates") || edges < count-interior || edges > int64(tab.NumRows())/10:
 		t.Fatalf("edge candidates %d for %d edge matches", edges, count-interior)
-	case scanned.Load() != edges+count-interior:
-		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", scanned.Load(), edges, count-interior)
-	case cellQueries.Load() != 1:
-		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	case c.Scanned.Load() != edges+count-interior:
+		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", c.Scanned.Load(), edges, count-interior)
+	case c.CellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", c.CellQueries.Load())
 	}
-	if morsels := int64(storage.NumChunks(tab.NumRows(), 1024)); served.Load() != morsels {
-		t.Fatalf("index served %d morsels of %d", served.Load(), morsels)
+	if morsels := int64(storage.NumChunks(tab.NumRows(), 1024)); c.IndexMorsels.Load() != morsels {
+		t.Fatalf("index served %d morsels of %d", c.IndexMorsels.Load(), morsels)
 	}
 }
 
@@ -398,8 +397,8 @@ func TestBucketCellsScanAccounting(t *testing.T) {
 func TestWholeCellsScanAccounting(t *testing.T) {
 	tab := indexTable(rand.New(rand.NewSource(44)), 40_000)
 	q := Query{Select: []SelectItem{{Col: "s"}, {Col: "*", Agg: AggCount}, {Col: "k", Agg: AggMax}}, GroupBy: []string{"s"}}
-	var scanned, served, cellQueries atomic.Int64
-	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, IndexMorsels: &served, CellQueries: &cellQueries}
+	var c Counters
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Counters: &c}
 	res, js, err := tracedExec(tab, q, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -424,12 +423,12 @@ func TestWholeCellsScanAccounting(t *testing.T) {
 		t.Fatalf("scan span %+v: want %d live buckets holding %d rows; the cells hold %d", scan.Attrs, live, tab.NumRows(), cells.Rows())
 	case n("rows_out") != int64(tab.NumRows()) || n("edge_candidates") != 0 || n("index_candidates") != 0:
 		t.Fatalf("scan span %+v: want every row out, no candidate", scan.Attrs)
-	case n("index_skipped") != morsels || served.Load() != morsels:
-		t.Fatalf("index skipped %d, served %d morsels of %d", n("index_skipped"), served.Load(), morsels)
-	case scanned.Load() != 0:
-		t.Fatalf("scanned %d rows; want none", scanned.Load())
-	case cellQueries.Load() != 1:
-		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	case n("index_skipped") != morsels || c.IndexMorsels.Load() != morsels:
+		t.Fatalf("index skipped %d, served %d morsels of %d", n("index_skipped"), c.IndexMorsels.Load(), morsels)
+	case c.Scanned.Load() != 0:
+		t.Fatalf("scanned %d rows; want none", c.Scanned.Load())
+	case c.CellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", c.CellQueries.Load())
 	}
 }
 
@@ -487,9 +486,9 @@ func TestWholeCellsFallbacks(t *testing.T) {
 		{Select: []SelectItem{{Col: "s"}, {Col: "c", Agg: AggSum}, {Col: "*", Agg: AggCount}}, GroupBy: []string{"s"}},
 		{Select: []SelectItem{{Col: "*", Agg: AggCount}}},
 	} {
-		var scanned, cellQueries atomic.Int64
+		var c Counters
 		o := opt
-		o.Scanned, o.CellQueries = &scanned, &cellQueries
+		o.Counters = &c
 		got, js, err := tracedExec(nulls, q, o)
 		if err != nil {
 			t.Fatal(err)
@@ -499,8 +498,8 @@ func TestWholeCellsFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireCellsMatch(t, q.String(), nulls, q, want, got)
-		if cellSpan(js) != 0 || childSpan(js, "cells") != nil || cellQueries.Load() != 0 || scanned.Load() != n {
-			t.Fatalf("%s: %d buckets folded, %d rows scanned; want a scan of all %d", q, cellSpan(js), scanned.Load(), n)
+		if cellSpan(js) != 0 || childSpan(js, "cells") != nil || c.CellQueries.Load() != 0 || c.Scanned.Load() != n {
+			t.Fatalf("%s: %d buckets folded, %d rows scanned; want a scan of all %d", q, cellSpan(js), c.Scanned.Load(), n)
 		}
 	}
 }
@@ -515,8 +514,8 @@ func TestTwoRangeCellsScanAccounting(t *testing.T) {
 	tab := indexTable(rand.New(rand.NewSource(46)), 50_000)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}, {Col: "x", Agg: AggSum}},
 		Where: expr.And(expr.Between("k", storage.Int(-20_000), storage.Int(15_000)), expr.Cmp("g", expr.GE, storage.Int(3)))}
-	var scanned, cellQueries atomic.Int64
-	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, CellQueries: &cellQueries}
+	var c Counters
+	opt := ExecOptions{Parallelism: 1, MorselSize: 1024, Counters: &c}
 	res, js, err := tracedExec(tab, q, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -566,10 +565,10 @@ func TestTwoRangeCellsScanAccounting(t *testing.T) {
 		t.Fatalf("rows_out %d, count %d, interior rows %d", n("rows_out"), count, interior)
 	case edges < count-interior || edges > int64(tab.NumRows())/10:
 		t.Fatalf("edge candidates %d for %d edge matches", edges, count-interior)
-	case scanned.Load() != edges+count-interior:
-		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", scanned.Load(), edges, count-interior)
-	case cellQueries.Load() != 1:
-		t.Fatalf("CellQueries %d; want 1", cellQueries.Load())
+	case c.Scanned.Load() != edges+count-interior:
+		t.Fatalf("scanned %d; want edge candidates %d + edge matches %d", c.Scanned.Load(), edges, count-interior)
+	case c.CellQueries.Load() != 1:
+		t.Fatalf("CellQueries %d; want 1", c.CellQueries.Load())
 	}
 }
 

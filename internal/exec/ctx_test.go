@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"dex/internal/expr"
@@ -36,14 +35,14 @@ func TestExecuteCtxParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			var scanned atomic.Int64
-			got, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: workers, MorselSize: 256, Scanned: &scanned})
+			var c Counters
+			got, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: workers, MorselSize: 256, Counters: &c})
 			cancel()
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameTable(t, fmt.Sprintf("workers=%d query %d", workers, qi), want, got)
-			if scanned.Load() == 0 {
+			if c.Scanned.Load() == 0 {
 				t.Errorf("workers=%d query %d: scan counter never advanced", workers, qi)
 			}
 		}
@@ -69,25 +68,25 @@ func TestExecuteCtxCancelled(t *testing.T) {
 		GroupBy: []string{"s"},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var scanned atomic.Int64
+	var c Counters
 	// Cancel as soon as the scan makes first progress: the query must stop
 	// long before visiting all rows of both operator stages.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for scanned.Load() == 0 {
+		for c.Scanned.Load() == 0 {
 			runtime.Gosched()
 		}
 		cancel()
 	}()
-	_, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: 2, MorselSize: 1024, Scanned: &scanned})
+	_, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: 2, MorselSize: 1024, Counters: &c})
 	<-done
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	total := int64(2 * tbl.NumRows()) // filter pass + group-by pass
-	if got := scanned.Load(); got >= total {
+	if got := c.Scanned.Load(); got >= total {
 		t.Fatalf("scanned %d rows, want early stop below %d", got, total)
 	}
 }
@@ -101,12 +100,12 @@ func TestExecuteCtxDeadline(t *testing.T) {
 	cancel()
 	q := Query{Select: []SelectItem{{Col: "x", Agg: AggSum}},
 		Where: expr.Cmp("x", expr.GT, storage.Float(0))}
-	var scanned atomic.Int64
-	_, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: 1, MorselSize: 64, Scanned: &scanned})
+	var c Counters
+	_, err := ExecuteCtx(ctx, tbl, q, ExecOptions{Parallelism: 1, MorselSize: 64, Counters: &c})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if scanned.Load() != 0 {
-		t.Fatalf("scanned %d rows under a dead context", scanned.Load())
+	if c.Scanned.Load() != 0 {
+		t.Fatalf("scanned %d rows under a dead context", c.Scanned.Load())
 	}
 }

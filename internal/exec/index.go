@@ -32,7 +32,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"dex/internal/expr"
@@ -121,10 +120,26 @@ func bucketRun(b *storage.ValueBuckets, iv expr.Interval) (bl, bh int) {
 	return b.IntRange(iv.ILo, iv.IHi)
 }
 
-// chooseRange is the one plan for a WHERE whose top-level conjunction
-// yields the intervals ivs (rest says why they are not all of it) under
-// the typed kernel kern, nil for the generic filter. Bucket cells answer
-// rows unrefined and refine their edges through the kernel, so they need a
+// hasWhere reports whether q has a WHERE clause to evaluate.
+func hasWhere(q Query) bool { return q.Where != nil && q.Where.Kind != expr.KTrue }
+
+// choosePlan is the one index plan for q over t under the typed kernel kern
+// of its WHERE, nil for the generic filter or none, and the typed
+// aggregation ak, nil for none: with no WHERE the bucket cells of the range
+// that covers every bucket (chooseAllCells), else chooseRange over its
+// top-level conjunction's intervals.
+func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
+	if !hasWhere(q) {
+		return chooseAllCells(t, ak, q, morsel, sp)
+	}
+	ivs, rest := expr.Intervals(t.Schema(), q.Where)
+	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sp)
+}
+
+// chooseRange is the plan for a WHERE whose top-level conjunction yields
+// the intervals ivs (rest says why they are not all of it) under the typed
+// kernel kern, nil for the generic filter. Bucket cells answer rows
+// unrefined and refine their edges through the kernel, so they need a
 // compiled WHERE that is exactly its intervals; chooseCells decides the
 // rest. Otherwise chooseIndex picks an interval's value index.
 func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
@@ -136,66 +151,42 @@ func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.
 	return chooseIndex(t, ivs, morsel, sp)
 }
 
-// Buckets is a range split at its column's value buckets
-// (storage.ValueBuckets): the run [bl, bh] of the buckets the range
-// touches, whose interior buckets bl+1 … bh-1 hold only rows inside it and
-// whose edge buckets bl and bh it may cut. Cracked mode cracks the edge
-// buckets alone and hands ExecuteSel their rows inside the range with the
-// Buckets, which reads the interior from the value index: the interior's
-// bucket cells where exact mode's plan for the query folds them, else its
-// rows. Online mode folds the cells (Cells) as the exact part of its
-// answer and samples the edge buckets' rows (Edges). The zero Buckets has
-// no interior.
+// Buckets is exact mode's index plan for a query, split at its column's
+// value buckets (storage.ValueBuckets): the run [bl, bh] of the buckets
+// its range touches, whose interior buckets bl+1 … bh-1 hold only rows
+// inside it and whose edge buckets bl and bh it may cut. Cracked mode
+// cracks the edge buckets alone and hands ExecuteSel their rows inside the
+// range with the Buckets, which reads the interior from the value index:
+// the interior's bucket cells where exact mode's plan for the query folds
+// them, else its rows. Online mode folds the cells (Cells) as the exact
+// part of its answer and samples the candidates the plan refines (Edges).
+// The zero Buckets has no index and no interior.
 type Buckets struct{ ix rowIndex }
 
-// RangeBuckets returns the Buckets of q over t, whose WHERE must be
-// exactly one interval of a numeric column, at opt's morsel size. They
-// are exact mode's plan for q (chooseRange): the bucket cells it folds,
-// else the interval's value index. Index is nil when the column has none
-// — a run-length column, an empty one, a morsel size past
-// storage.MaxIndexMorsel — and then one bucket holds every row: the whole
-// column is the edge. The lookups, and any build, run under the spans
-// exact mode opens for them.
+// RangeBuckets returns exact mode's index plan for q over t at opt's
+// morsel size (choosePlan, the one compile runs): the bucket cells it
+// folds, else the value index of one of its WHERE's intervals, else none.
+// For a WHERE that is one interval of a numeric column, Index is nil when
+// the column has none — a run-length column, an empty one, a morsel size
+// past storage.MaxIndexMorsel — and then one bucket holds every row: the
+// whole column is the edge. The lookups, and any build, run under the
+// spans exact mode opens for them.
 func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (Buckets, error) {
-	ivs, rest := expr.Intervals(t.Schema(), q.Where)
-	if rest != "" || len(ivs) != 1 {
-		return Buckets{}, fmt.Errorf("exec: %s is not one range", q.Where)
-	}
-	kern, _ := expr.CompileKernel(t, q.Where)
-	ak, morsel := planOf(t, q, opt)
-	ix, err := chooseRange(t, ivs, rest, kern, ak, q, morsel, trace.FromContext(ctx))
-	return Buckets{ix}, err
-}
-
-// CellBuckets returns the Buckets of exact mode's bucket-cells plan for
-// the aggregate q over t at opt's morsel size — chooseAllCells for a
-// query with no WHERE, chooseCells for a compiled WHERE of one or two
-// intervals — and ok false when that plan folds no cells. Unlike
-// RangeBuckets it builds no value index for a query the cells refuse.
-func CellBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (b Buckets, ok bool, err error) {
-	ak, morsel := planOf(t, q, opt)
-	sp := trace.FromContext(ctx)
-	if q.Where == nil || q.Where.Kind == expr.KTrue {
-		b.ix, err = chooseAllCells(t, ak, q, morsel, sp)
-	} else if kern, _ := expr.CompileKernel(t, q.Where); kern != nil {
-		if ivs, rest := expr.Intervals(t.Schema(), q.Where); rest == "" {
-			b.ix, err = chooseCells(t, ivs, ak, q, morsel, sp)
-		}
-	}
-	return b, b.ix.cells != nil && err == nil, err
-}
-
-// planOf returns the typed aggregation of q over t, nil for a projection
-// or a shape it refuses, and the morsel size opt runs at.
-func planOf(t *storage.Table, q Query, opt ExecOptions) (ak *aggKernel, morsel int) {
+	var ak *aggKernel
 	if q.HasAggregates() || len(q.GroupBy) > 0 {
 		ak, _ = compileAggKernel(t, q)
 	}
-	return ak, par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
+	var kern *expr.Kernel
+	if hasWhere(q) {
+		kern, _ = expr.CompileKernel(t, q.Where)
+	}
+	morsel := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
+	ix, err := choosePlan(t, kern, ak, q, morsel, trace.FromContext(ctx))
+	return Buckets{ix}, err
 }
 
 // Index returns the value index the Buckets were cut from, nil when the
-// range's column has none.
+// plan has none.
 func (b Buckets) Index() *storage.ValueIndex { return b.ix.vi }
 
 // Run returns the bucket run [bl, bh]; bl > bh when the range is empty.
@@ -220,14 +211,19 @@ func (b Buckets) Cells(fold func(*storage.Cell)) int {
 	return n
 }
 
-// Edges appends to dst the rows of the run's edge buckets, ascending —
-// the candidates whose rows exact mode refines through the kernel beside
-// the cells — and returns the extended slice: none for a cells plan of a
-// query with no WHERE, or without cells.
-func (b Buckets) Edges(dst []int) []int {
+// Edges appends to dst the candidates exact mode's plan refines, over
+// every morsel, ascending — the edge buckets' rows beside cells, none for
+// the cells of a query with no WHERE, else the rows of the run — and
+// returns the extended slice, with ok true. They are a superset of the
+// rows the WHERE keeps outside the cells. It appends none and returns ok
+// false when the plan has no index, or no cells and a run the column's
+// sample puts more than indexCrossover of the rows in: exact mode scans
+// most of such a run's morsels, and its candidates would be most of the
+// table.
+func (b Buckets) Edges(dst []int) (_ []int, ok bool) {
 	ix := &b.ix
-	if ix.cells == nil || ix.bl < 0 {
-		return dst
+	if ix.vi == nil || ix.cells == nil && ix.vi.Fraction(ix.bl, ix.bh) > indexCrossover {
+		return dst, false
 	}
 	morsels := ix.vi.Morsels()
 	n := 0
@@ -236,9 +232,11 @@ func (b Buckets) Edges(dst []int) []int {
 	}
 	dst = slices.Grow(dst, n)
 	for m := 0; m < morsels; m++ {
-		dst = ix.vi.Edges(m, ix.bl, ix.bh, dst)
+		if ix.count(m) > 0 {
+			dst = ix.candidates(m, dst)
+		}
 	}
-	return dst
+	return dst, true
 }
 
 // chooseIndex picks, among the intervals on plain INT and FLOAT columns,

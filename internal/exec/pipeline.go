@@ -54,7 +54,7 @@
 // worker follows scheduling in either.
 //
 // The scheduler checks ctx between morsel claims, so a cancelled query
-// stops within one morsel per worker, and ExecOptions.Scanned advances
+// stops within one morsel per worker, and Counters.Scanned advances
 // morsel by morsel while the query runs.
 package exec
 
@@ -96,33 +96,37 @@ type ExecOptions struct {
 	// MorselSize is the rows per scheduling unit (0 = par.DefaultMorselSize).
 	// Inputs that fit in a single morsel always run inline.
 	MorselSize int
-	// Scanned, when non-nil, is incremented live with the number of rows
-	// each pipeline stage visits (predicate evaluation and aggregate
-	// accumulation). Several queries may share one counter; it advances
-	// with morsel granularity while execution is in flight, so a stalled
-	// counter means a stalled (or cancelled) query.
-	Scanned *atomic.Int64
-	// ZoneSkipped, when non-nil, accumulates the number of morsels the
-	// value index skipped whole, as holding no candidate. Like Scanned it
-	// may be shared across queries; /admin/stats and the shard Stats probe
-	// read it.
-	ZoneSkipped *atomic.Int64
-	// IndexMorsels, when non-nil, accumulates the number of morsels the
-	// value index served in place of a scan: skipped as holding no
-	// candidate (those ZoneSkipped counts), or answered by refining its
-	// candidates. Shared and read like ZoneSkipped.
-	IndexMorsels *atomic.Int64
-	// CellQueries, when non-nil, counts the aggregate queries answered
-	// from bucket cells: a range interior's, behind one range (cracked
-	// mode's included), two, or every cell of a column under no WHERE.
-	// Shared and read like ZoneSkipped.
-	CellQueries *atomic.Int64
-	// AggKernelHits / AggKernelFallbacks, when non-nil, count aggregate
-	// queries answered by the typed sinks vs the generic ones.
-	AggKernelHits      *atomic.Int64
-	AggKernelFallbacks *atomic.Int64
+	// Counters, when non-nil, accumulate what the queries run with them do.
+	// Several queries may share them; core.Engine always points this at
+	// its own.
+	Counters *Counters
 	// Nothing reads these three; benchmark/target.go still names them. The follow-up benchmark PR drops that literal, then the fields.
 	ZoneMap, Kernels, AggKernels bool
+}
+
+// Counters are the pipeline's cumulative counts, read live while queries
+// run: /admin/stats, /metrics and the shard Stats probe report them.
+type Counters struct {
+	// Scanned advances with the rows each pipeline stage visits (predicate
+	// evaluation and aggregate accumulation), morsel by morsel while a
+	// query runs, so a stalled counter means a stalled (or cancelled)
+	// query.
+	Scanned atomic.Int64
+	// IndexSkipped counts the morsels the value index skipped whole, as
+	// holding no candidate: never scanned.
+	IndexSkipped atomic.Int64
+	// IndexMorsels counts the morsels the value index served in place of a
+	// scan: skipped (those IndexSkipped counts), or answered by refining
+	// their candidates.
+	IndexMorsels atomic.Int64
+	// CellQueries counts the aggregate queries answered from bucket cells:
+	// a range interior's, behind one range (cracked mode's included), two,
+	// or every cell of a column under no WHERE.
+	CellQueries atomic.Int64
+	// AggKernelHits and AggKernelFallbacks count the aggregate queries the
+	// typed sinks answered and those the generic ones did.
+	AggKernelHits      atomic.Int64
+	AggKernelFallbacks atomic.Int64
 }
 
 // ExecuteOpts is ExecuteCtx under a background context.
@@ -169,6 +173,10 @@ func execute(ctx context.Context, t *storage.Table, sel []int, ix rowIndex, q Qu
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	c := opt.Counters
+	if c == nil {
+		c = new(Counters) // counted, then dropped
+	}
 	// The span is extracted once per query, never per morsel; when the
 	// request is untraced sp is nil and every call on it is a no-op.
 	var sp *trace.Span
@@ -176,11 +184,11 @@ func execute(ctx context.Context, t *storage.Table, sel []int, ix rowIndex, q Qu
 		sp = trace.FromContext(ctx)
 	}
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize})
-	p, err := compile(t, sel, ix, q, pool, opt, sp)
+	p, err := compile(t, sel, ix, q, pool, c, sp)
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.run(ctx, pool, opt, sp)
+	out, err := p.run(ctx, pool, c, sp)
 	if err != nil || !p.agg {
 		return out, err
 	}
@@ -242,7 +250,7 @@ type plan struct {
 	scratch [][2]*[]int
 }
 
-func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*plan, error) {
+func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, c *Counters, sp *trace.Span) (*plan, error) {
 	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	var ak *aggKernel
@@ -250,23 +258,19 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 	if p.agg {
 		ak, aggReason = compileAggKernel(t, q)
 	}
-	var err error
-	switch {
-	case sel != nil:
+	if sel != nil {
 		p.index = ix
-	case q.Where != nil && q.Where.Kind != expr.KTrue:
-		p.where = q.Where
-		if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
-			if err := fpKernel.Hit(); err != nil {
-				return nil, err
+	} else {
+		if hasWhere(q) {
+			p.where = q.Where
+			if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
+				if err := fpKernel.Hit(); err != nil {
+					return nil, err
+				}
 			}
 		}
-		ivs, rest := expr.Intervals(t.Schema(), p.where)
-		if p.index, err = chooseRange(t, ivs, rest, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
-			return nil, err
-		}
-	default: // no WHERE: the range that covers every bucket
-		if p.index, err = chooseAllCells(t, ak, q, pool.MorselSize(), sp); err != nil {
+		var err error
+		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
 			return nil, err
 		}
 	}
@@ -288,11 +292,9 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 	}
 	if ak != nil {
 		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, pool.MorselSize(), morsels, workers), true, true
-		if opt.AggKernelHits != nil {
-			opt.AggKernelHits.Add(1)
-		}
-		if p.index.cells != nil && opt.CellQueries != nil {
-			opt.CellQueries.Add(1)
+		c.AggKernelHits.Add(1)
+		if p.index.cells != nil {
+			c.CellQueries.Add(1)
 		}
 		return p, nil
 	}
@@ -303,9 +305,7 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 		return nil, err
 	}
 	p.sink, p.aggFallback = gs, aggReason
-	if opt.AggKernelFallbacks != nil {
-		opt.AggKernelFallbacks.Add(1)
-	}
+	c.AggKernelFallbacks.Add(1)
 	return p, nil
 }
 
@@ -410,13 +410,8 @@ func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int
 // A morsel the value index proves empty is skipped, and one with few
 // enough index candidates refines them through the kernel in place of a
 // scan.
-func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *trace.Span) (*storage.Table, error) {
+func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.Span) (*storage.Table, error) {
 	m := pool.MorselSize()
-	count := func(rows int) {
-		if opt.Scanned != nil {
-			opt.Scanned.Add(int64(rows))
-		}
-	}
 	// The gather sink reads the parked buffers at finish; the sweep also
 	// covers the error and cancellation paths, so no buffer outlives the
 	// query.
@@ -473,14 +468,14 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 			}
 			n.matched.Add(int64(qualified))
 			if p.where != nil {
-				count(visited)
+				c.Scanned.Add(int64(visited))
 			}
 			// A morsel no row of which qualifies costs the sink nothing,
 			// as a skipped one does: on a run-length column, which has no
 			// index, the kernel's run rejection is what skips it.
 			if qualified > 0 {
 				p.sink.consume(worker, lo, hi, rows)
-				count(qualified)
+				c.Scanned.Add(int64(qualified))
 			}
 			switch {
 			case buf == nil:
@@ -497,11 +492,11 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, opt ExecOptions, sp *tra
 	if ix := &p.index; ix.cells != nil && err == nil {
 		n.matched.Add(int64(p.sink.(*typedSink).addCells(ix.cells.Interior(ix.bl, ix.bh), ix.kl, ix.kh)))
 	}
-	if opt.ZoneSkipped != nil && n.indexSkipped.Load() > 0 {
-		opt.ZoneSkipped.Add(n.indexSkipped.Load())
+	if skipped := n.indexSkipped.Load(); skipped > 0 {
+		c.IndexSkipped.Add(skipped)
 	}
-	if served := n.indexSkipped.Load() + n.candMorsels.Load(); opt.IndexMorsels != nil && served > 0 {
-		opt.IndexMorsels.Add(served)
+	if served := n.indexSkipped.Load() + n.candMorsels.Load(); served > 0 {
+		c.IndexMorsels.Add(served)
 	}
 	if scanSp != nil {
 		scanSp.SetInt("rows_in", int64(p.n))

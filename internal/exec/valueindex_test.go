@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dex/internal/expr"
@@ -192,8 +191,8 @@ func TestIndexScanAccounting(t *testing.T) {
 	defer func() { disableBucketCells = false }()
 	tab := indexTable(rand.New(rand.NewSource(42)), 20_000)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}, Where: expr.Between("k", storage.Int(0), storage.Int(500))}
-	var scanned, served atomic.Int64
-	res, js, err := tracedExec(tab, q, ExecOptions{Parallelism: 1, MorselSize: 1024, Scanned: &scanned, IndexMorsels: &served})
+	var c Counters
+	res, js, err := tracedExec(tab, q, ExecOptions{Parallelism: 1, MorselSize: 1024, Counters: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +209,12 @@ func TestIndexScanAccounting(t *testing.T) {
 	count := res.Column(0).Value(0).I
 	// Scanned is the filter's visits, the candidates, plus the sink's, the
 	// matches.
-	if cands < count || cands >= int64(tab.NumRows())/2 || scanned.Load() != cands+count {
+	if cands < count || cands >= int64(tab.NumRows())/2 || c.Scanned.Load() != cands+count {
 		t.Fatalf("candidates %d, matches %d, scanned %d: want count <= candidates << rows, scanned = candidates + matches",
-			cands, count, scanned.Load())
+			cands, count, c.Scanned.Load())
 	}
-	if morsels := int64(storage.NumChunks(tab.NumRows(), 1024)); served.Load() != morsels {
-		t.Fatalf("index served %d morsels of %d", served.Load(), morsels)
+	if morsels := int64(storage.NumChunks(tab.NumRows(), 1024)); c.IndexMorsels.Load() != morsels {
+		t.Fatalf("index served %d morsels of %d", c.IndexMorsels.Load(), morsels)
 	}
 }
 

@@ -745,7 +745,7 @@ func coverageTable(tb testing.TB, n int, seed int64) *storage.Table {
 }
 
 // mixedRun is the two-strata feed of online mode's cells path over
-// table: exact mode's bucket cells for q (exec.CellBuckets) folded as the
+// table: exact mode's bucket cells for q (exec.RangeBuckets) folded as the
 // exact stratum, and frac of its edge candidates read. It fails the test
 // when the cells refuse q.
 func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac float64) ([]aqp.GroupEstimate, error) {
@@ -754,16 +754,18 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 		eq.Select = append([]exec.SelectItem{{Col: q.GroupBy}}, eq.Select...)
 		eq.GroupBy = []string{q.GroupBy}
 	}
-	b, ok, err := exec.CellBuckets(context.Background(), table, eq, exec.ExecOptions{})
-	if err != nil || !ok {
-		tb.Fatalf("%v: cells refuse it (%v)", q, err)
+	b, err := exec.RangeBuckets(context.Background(), table, eq, exec.ExecOptions{})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	edges := b.Edges(nil)
+	edges, _ := b.Edges(nil)
 	r, err := NewEdges(table, q, edges, seed)
 	if err != nil {
 		return nil, err
 	}
-	b.Cells(r.AddCell)
+	if b.Cells(r.AddCell) == 0 {
+		tb.Fatalf("%v: cells refuse it", q)
+	}
 	return r.Step(int(frac * float64(len(edges))))
 }
 

@@ -41,7 +41,7 @@ func rawPost(t *testing.T, url, body string) (int, errorBody) {
 // malformed or misaddressed request must come back as a typed JSON error
 // with the right status — never a panic, a hang, or a bare text body.
 func TestServerErrorPaths(t *testing.T) {
-	ts, cl, _, _ := newTestService(t, 100, Config{MaxBody: 4096}, exec.ExecOptions{})
+	ts, cl, _, _ := newTestService(t, 100, Config{}, exec.ExecOptions{})
 	ctx := context.Background()
 
 	liveID, err := cl.CreateSession(ctx)
@@ -55,7 +55,8 @@ func TestServerErrorPaths(t *testing.T) {
 	if err := cl.EndSession(ctx, endedID); err != nil {
 		t.Fatal(err)
 	}
-	oversized := fmt.Sprintf(`{"sql": %q}`, "SELECT * FROM sales WHERE "+strings.Repeat("amount >= 0 AND ", 4096)+"amount >= 0")
+	// Past maxBody (1 MiB): its SQL alone is longer.
+	oversized := fmt.Sprintf(`{"sql": %q}`, "SELECT * FROM sales WHERE "+strings.Repeat("amount >= 0 AND ", maxBody/16)+"amount >= 0")
 
 	cases := []struct {
 		name   string

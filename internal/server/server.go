@@ -64,7 +64,20 @@ var fpHandler = fault.Register("server/handler")
 // ErrDraining is returned (as HTTP 503) for new queries once drain begins.
 var ErrDraining = errors.New("server: draining")
 
-// Config tunes the service.
+// The request limits every server runs with: a query's deadline when the
+// client sends none, the cap on a deadline it asks for, the live sessions
+// and the bytes of a request body.
+const (
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 5 * time.Minute
+	maxSessions    = 4096
+	maxBody        = 1 << 20
+)
+
+// Config tunes the service. The request limits are fixed: a query runs
+// under a 30 s deadline unless the client asks for another, capped at
+// 5 min (defaultTimeout, maxTimeout); a session create past 4096 live
+// sessions gets 429 (maxSessions); a body over 1 MiB gets 413 (maxBody).
 type Config struct {
 	// MaxInFlight bounds concurrently executing queries (0 = GOMAXPROCS).
 	MaxInFlight int
@@ -74,20 +87,11 @@ type Config struct {
 	// QueueTimeout is the longest a query waits in the queue before a 429
 	// (default 2s).
 	QueueTimeout time.Duration
-	// DefaultTimeout is the per-query deadline when the client sends none
-	// (default 30s). MaxTimeout caps client-requested deadlines (default 5m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// CacheRows is the shared result cache budget in rows; 0 disables the
 	// cache. Only Exact-mode results are cached (the adaptive and
 	// approximate modes have useful side effects or non-deterministic
 	// output); any data change invalidates the whole cache.
 	CacheRows int64
-	// MaxSessions bounds live sessions (default 4096).
-	MaxSessions int
-	// MaxBody caps request body size in bytes; larger bodies get 413
-	// (default 1 MiB).
-	MaxBody int64
 	// Log receives request-level errors (default: log.Default()).
 	Log *log.Logger
 	// SlowThreshold keeps any query at or above this duration (whatever
@@ -120,18 +124,6 @@ func (c *Config) fill() {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 2 * time.Second
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 4096
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Log == nil {
 		c.Log = log.Default()
@@ -373,9 +365,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if len(s.sessions) >= maxSessions {
 		s.mu.Unlock()
-		s.reject(w, http.StatusTooManyRequests, fmt.Errorf("server: session limit %d reached", s.cfg.MaxSessions), &s.st.rejBusy)
+		s.reject(w, http.StatusTooManyRequests, fmt.Errorf("server: session limit %d reached", maxSessions), &s.st.rejBusy)
 		return
 	}
 	s.seq++
@@ -503,12 +495,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	timeout := s.cfg.DefaultTimeout
+	timeout := defaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
 	}
 	// r.Context() is cancelled when the client disconnects; the deadline
 	// layers the per-request budget on top. Both propagate through
@@ -581,11 +570,11 @@ func (s *Server) logRequest(session, mode, outcome string, d time.Duration, rows
 		slog.Int("rows", rows))
 }
 
-// decodeBody decodes a JSON request body under the configured size cap,
+// decodeBody decodes a JSON request body under the maxBody size cap,
 // writing the typed 4xx response itself on failure: 413 for an oversized
 // body, 400 for malformed JSON.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -295,6 +296,41 @@ func TestServerAdmissionRejects(t *testing.T) {
 	}
 	if snap.Active != 0 || snap.Queued != 0 {
 		t.Fatalf("gauges did not return to zero: active=%d queued=%d", snap.Active, snap.Queued)
+	}
+}
+
+// TestServerSessionLimit opens maxSessions sessions in process, through
+// the handler with no connection: the next create gets 429 and counts as a
+// busy rejection, and ending one session makes room for one more.
+func TestServerSessionLimit(t *testing.T) {
+	_, _, srv, _ := newTestService(t, 100, Config{}, exec.ExecOptions{})
+	create := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", nil))
+		return rec
+	}
+	var last string
+	for i := 0; i < maxSessions; i++ {
+		rec := create()
+		var body map[string]string
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
+			t.Fatalf("session %d: %d %s", i, rec.Code, rec.Body)
+		}
+		last = body["session_id"]
+	}
+	if rec := create(); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("session %d: %d %s, want 429", maxSessions+1, rec.Code, rec.Body)
+	}
+	if got := srv.Stats().Queries.RejectedBusy; got != 1 {
+		t.Fatalf("rejected_busy = %d, want 1", got)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+last, nil))
+	if rec.Code != http.StatusOK && rec.Code != http.StatusNoContent {
+		t.Fatalf("end session: %d %s", rec.Code, rec.Body)
+	}
+	if rec := create(); rec.Code != http.StatusCreated {
+		t.Fatalf("create after an end: %d %s", rec.Code, rec.Body)
 	}
 }
 
