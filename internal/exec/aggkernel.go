@@ -148,9 +148,9 @@ func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 }
 
 // aggItem holds one select item's accumulators as per-slot parallel arrays
-// (slot 0 for scalar aggregation, one slot per group otherwise). Only the
-// arrays the (kind, fn) pair actually reads are allocated; grow extends
-// exactly those. Semantics mirror aggState.add: NaN skipped before any
+// (one slot per morsel for scalar aggregation, one per group otherwise).
+// Only the arrays the (kind, fn) pair actually reads are allocated; grow
+// extends exactly those. Semantics mirror aggState.add: NaN skipped before any
 // counting, int MIN/MAX compared as float64, and a MIN/MAX slot remembers
 // the row id of its extreme so merges can break ties on it.
 type aggItem struct {
@@ -165,8 +165,10 @@ type aggItem struct {
 	has   []bool
 }
 
-// aggAcc is one typed accumulator instance: one per morsel for scalar
-// aggregation, one per worker for group-by.
+// aggAcc is one typed accumulator instance. Group-by keeps one per worker.
+// Scalar aggregation keeps one per query, the slab: slot k holds morsel k's
+// partial and the last slot the bucket cells'; the workers share its
+// arrays (see share).
 type aggAcc struct {
 	ak     *aggKernel
 	items  []aggItem
@@ -178,13 +180,14 @@ type aggAcc struct {
 	kcur   storage.RLECursor // group-key reader (gmRLE)
 }
 
-// newAcc allocates an accumulator: slot 0 preallocated for scalar mode,
-// a dense card-sized array for dict groups, grow-on-demand for int keys.
-func (ak *aggKernel) newAcc() *aggAcc {
+// newAcc allocates an accumulator: scalarSlots preallocated for scalar
+// mode, a dense card-sized array for dict groups, grow-on-demand for int
+// keys.
+func (ak *aggKernel) newAcc(scalarSlots int) *aggAcc {
 	slots := 0
 	switch ak.mode {
 	case gmScalar:
-		slots = 1
+		slots = scalarSlots
 	case gmDict:
 		slots = ak.gcard
 	}
@@ -233,6 +236,28 @@ func (ak *aggKernel) newAcc() *aggAcc {
 	return a
 }
 
+// share returns a scalar slab for one worker. The worker writes only the
+// slots of the morsels it runs, so the arrays are shared as they are; a
+// run-coded input's cursor is the one state a worker moves, so a slab
+// with such an input is copied, items and all, with cursors of its own.
+// No worker runs on a slab that has one, which keeps the copy race-free.
+func (a *aggAcc) share() *aggAcc {
+	for i := range a.items {
+		if a.items[i].spec.kind != aiRLE {
+			continue
+		}
+		b := *a
+		b.items = append([]aggItem(nil), a.items...)
+		for j := range b.items {
+			if it := &b.items[j]; it.spec.kind == aiRLE {
+				it.cur = it.spec.rle.Cursor()
+			}
+		}
+		return &b
+	}
+	return a
+}
+
 // offer hands x, read from row r, to MIN/MAX slot s of an item whose
 // extremes are ext (it.iext or it.fext). Ints compare in the float64
 // domain — exactly Value.Compare's rule — and only a strictly better value
@@ -256,7 +281,7 @@ func at(rows []int, base, j int) int {
 	return base + j
 }
 
-// addScalar accumulates one morsel into slot 0 (scalar aggregation). rows
+// addScalar accumulates one morsel into slot s (scalar aggregation). rows
 // lists the qualifying rows of the morsel's input [lo, hi); nil means the
 // whole dense range — the no-WHERE path, where no selection vector exists
 // at all. These are the hot loops: one pass per item, nothing boxed, the
@@ -264,7 +289,7 @@ func at(rows []int, base, j int) int {
 // folds whole runs (sum += value·length), which regroups the float
 // association; the parity harnesses compare SUM/AVG within relative
 // tolerance.
-func (a *aggAcc) addScalar(lo, hi int, rows []int) {
+func (a *aggAcc) addScalar(s, lo, hi int, rows []int) {
 	n := hi - lo
 	if rows != nil {
 		n = len(rows)
@@ -273,62 +298,62 @@ func (a *aggAcc) addScalar(lo, hi int, rows []int) {
 		it := &a.items[i]
 		switch it.spec.kind {
 		case aiCount:
-			it.count[0] += int64(n)
+			it.count[s] += int64(n)
 		case aiI64:
-			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo)
+			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo, s)
 		case aiF64:
-			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo)
+			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo, s)
 		case aiRLE:
 			switch {
 			case it.has != nil && rows == nil:
 				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, _ int) {
-					offer(it, it.iext, 0, x, rlo)
+					offer(it, it.iext, s, x, rlo)
 				})
 			case it.has != nil:
 				for _, r := range rows {
-					offer(it, it.iext, 0, it.cur.At(r), r)
+					offer(it, it.iext, s, it.cur.At(r), r)
 				}
 			case rows == nil:
-				sum, c := it.sum[0], it.count[0]
+				sum, c := it.sum[s], it.count[s]
 				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, rhi int) {
 					sum += float64(x) * float64(rhi-rlo)
 					c += int64(rhi - rlo)
 				})
-				it.sum[0], it.count[0] = sum, c
+				it.sum[s], it.count[s] = sum, c
 			default:
-				sum := it.sum[0]
+				sum := it.sum[s]
 				for _, r := range rows {
 					sum += float64(it.cur.At(r))
 				}
-				it.sum[0] = sum
-				it.count[0] += int64(n)
+				it.sum[s] = sum
+				it.count[s] += int64(n)
 			}
 		}
 	}
 }
 
 // scalarItem folds one item over its raw column v (see window) into slot
-// 0, in row order, with the running sum and count held in registers. ext
+// s, in row order, with the running sum and count held in registers. ext
 // is the item's MIN/MAX array of v's type; for int64 the NULL test x == x
 // folds away at compile time.
-func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int) {
+func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base, s int) {
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
 			for j, x := range v {
 				if x == x {
-					offer(it, ext, 0, x, base+j)
+					offer(it, ext, s, x, base+j)
 				}
 			}
 		} else {
 			for _, r := range rows {
 				if x := v[r]; x == x {
-					offer(it, ext, 0, x, r)
+					offer(it, ext, s, x, r)
 				}
 			}
 		}
 	case AggCount: // over a FLOAT: NULLs do not count
-		c := it.count[0]
+		c := it.count[s]
 		if rows == nil {
 			for _, x := range v {
 				if x == x {
@@ -342,9 +367,9 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int
 				}
 			}
 		}
-		it.count[0] = c
+		it.count[s] = c
 	default: // SUM/AVG
-		sum, c := it.sum[0], it.count[0]
+		sum, c := it.sum[s], it.count[s]
 		if rows == nil {
 			for _, x := range v {
 				if x == x {
@@ -360,7 +385,7 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int
 				}
 			}
 		}
-		it.sum[0], it.count[0] = sum, c
+		it.sum[s], it.count[s] = sum, c
 	}
 }
 
@@ -375,7 +400,7 @@ func (a *aggAcc) addGroups(lo, hi int, rows []int) {
 	slots, buf := a.slotPass(lo, hi, rows)
 	a.fold(slots, rows, lo)
 	if buf != nil {
-		slotPool.Put(buf)
+		slotFree.put(buf)
 	}
 }
 
@@ -385,7 +410,7 @@ func (a *aggAcc) addGroups(lo, hi int, rows []int) {
 // no copy), int keys cost one map probe per row, run-coded keys one probe
 // per run. New groups are registered with their first row, and every
 // item's arrays grow to cover them before the item pass. buf, when non-nil,
-// is the pooled vector backing slots, which the caller returns to slotPool.
+// is the pooled vector backing slots, which the caller returns to slotFree.
 func (a *aggAcc) slotPass(base, hi int, rows []int) (slots []int32, buf *[]int32) {
 	ak := a.ak
 	if ak.mode == gmDict && rows == nil {
@@ -596,33 +621,40 @@ func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []
 	}
 }
 
-// states renders one slot as generic aggState partials — the currency of
-// the existing merge and output builders. Items whose (kind, fn) skip an
-// array leave the corresponding fields zero; nothing downstream reads them
-// (result() touches only what the function defines, merge guards on has).
+// state renders item i's slot as a generic aggState partial — the
+// currency of the existing merge and output builders. Items whose (kind,
+// fn) skip an array leave the corresponding fields zero; nothing
+// downstream reads them (result() touches only what the function defines,
+// merge guards on has).
+func (a *aggAcc) state(i, slot int) aggState {
+	it := &a.items[i]
+	st := aggState{fn: it.spec.fn}
+	if it.count != nil {
+		st.count = it.count[slot]
+	}
+	if it.sum != nil {
+		st.sum = it.sum[slot]
+	}
+	if it.has != nil && it.has[slot] {
+		st.has, st.at = true, it.at[slot]
+		if it.iext != nil {
+			st.ext = storage.Int(it.iext[slot])
+		} else {
+			st.ext = storage.Float(it.fext[slot])
+		}
+	}
+	return st
+}
+
+// states renders one slot's items as heap partials, nil for a plain group
+// column.
 func (a *aggAcc) states(slot int) []*aggState {
 	out := make([]*aggState, len(a.items))
 	for i := range a.items {
-		it := &a.items[i]
-		if it.spec.kind == aiNone {
-			continue
+		if a.items[i].spec.kind != aiNone {
+			st := a.state(i, slot)
+			out[i] = &st
 		}
-		st := &aggState{fn: it.spec.fn}
-		if it.count != nil {
-			st.count = it.count[slot]
-		}
-		if it.sum != nil {
-			st.sum = it.sum[slot]
-		}
-		if it.has != nil && it.has[slot] {
-			st.has, st.at = true, it.at[slot]
-			if it.iext != nil {
-				st.ext = storage.Int(it.iext[slot])
-			} else {
-				st.ext = storage.Float(it.fext[slot])
-			}
-		}
-		out[i] = st
 	}
 	return out
 }
@@ -683,50 +715,67 @@ func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
 	return entries
 }
 
-// typedSink is the pipeline sink over a compiled aggKernel. Scalar partials
-// are morsel-indexed so the merge order — and the floating-point sum — is
-// deterministic for a given morsel size; group accumulators are
-// worker-local (dict mode: dense per-code arrays; int modes: raw-key hash),
-// merged and re-sorted by first row.
+// typedSink is the pipeline sink over a compiled aggKernel. Scalar
+// partials live in one slab per query, a slot per morsel, so the merge
+// order — and the floating-point sum — is deterministic for a given morsel
+// size, and a morsel costs the sink no allocation; group accumulators are
+// worker-local (dict mode: dense per-code arrays; int modes: raw-key
+// hash), merged and re-sorted by first row.
 type typedSink struct {
 	ak *aggKernel
 	t  *storage.Table
 	q  Query
 	m  int
-	// partials are the scalar partials, one per morsel and, last, the
-	// bucket cells' (see addCells).
-	partials [][]*aggState
-	locals   []*aggAcc // group-by: per worker
+	// slab holds the scalar partials, one slot per morsel and, last, the
+	// bucket cells' (see addCells); seen marks the slots written, and an
+	// unseen one — a morsel that contributed nothing — is skipped at merge.
+	slab   *aggAcc
+	seen   []bool
+	locals []*aggAcc // per worker: its group accumulator, or its share of the slab
 }
 
 func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers int) *typedSink {
-	s := &typedSink{ak: ak, t: t, q: q, m: m}
+	s := &typedSink{ak: ak, t: t, q: q, m: m, locals: make([]*aggAcc, workers)}
 	if ak.mode == gmScalar {
-		s.partials = make([][]*aggState, morsels+1)
-	} else {
-		s.locals = make([]*aggAcc, workers)
+		s.slab, s.seen = ak.newAcc(morsels+1), make([]bool, morsels+1)
 	}
 	return s
 }
 
 func (s *typedSink) consume(worker, lo, hi int, rows []int) {
-	if s.ak.mode == gmScalar {
-		acc := s.ak.newAcc()
-		acc.addScalar(lo, hi, rows)
-		s.partials[lo/s.m] = acc.states(0)
-		return
-	}
 	acc := s.locals[worker]
 	if acc == nil {
-		acc = s.ak.newAcc()
+		if s.slab != nil {
+			acc = s.slab.share()
+		} else {
+			acc = s.ak.newAcc(0)
+		}
 		s.locals[worker] = acc
+	}
+	if s.slab != nil {
+		k := lo / s.m
+		acc.addScalar(k, lo, hi, rows)
+		s.seen[k] = true
+		return
 	}
 	acc.addGroups(lo, hi, rows)
 }
 
 func (s *typedSink) finish() (*storage.Table, error) {
-	if s.ak.mode == gmScalar {
-		return mergeScalarPartials(s.t, s.q, s.partials)
+	if s.slab == nil {
+		return buildGroupEntries(s.t.Name(), s.t.Schema(), s.q, mergeGroupAccs(s.locals))
 	}
-	return buildGroupEntries(s.t.Name(), s.t.Schema(), s.q, mergeGroupAccs(s.locals))
+	// The slots fold in morsel order, the cells' last, through
+	// aggState.merge: the order fixes a float SUM's bits.
+	states := newAggStates(s.q)
+	for k, seen := range s.seen {
+		if !seen {
+			continue
+		}
+		for i, st := range states {
+			p := s.slab.state(i, k)
+			st.merge(&p)
+		}
+	}
+	return buildScalarOutput(s.t.Name(), s.q, states)
 }

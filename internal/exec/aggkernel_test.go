@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dex/internal/expr"
+	"dex/internal/par"
 	"dex/internal/storage"
 )
 
@@ -116,11 +117,8 @@ func TestAggKernelInt64Extremes(t *testing.T) {
 // predicate has to build the merged []int — megabytes at this row count —
 // and is the control that shows the measurement sees it; the aggregate's
 // whole footprint stays under a small constant, because its only
-// per-morsel buffer is pooled and returned.
+// per-morsel buffer comes from the free list and goes back.
 func TestAggSkipsGlobalSelection(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation count skipped under -race: sync.Pool drops a share of returned buffers on purpose")
-	}
 	const rows = 500_000
 	rng := rand.New(rand.NewSource(61))
 	tbl := randParityTable(rng, rows, 0)
@@ -131,7 +129,7 @@ func TestAggSkipsGlobalSelection(t *testing.T) {
 	// measurement, just the pipeline's own buffers.
 	opt := ExecOptions{Parallelism: 1}
 	allocPerRun := func(q Query) uint64 {
-		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm pools and caches
+		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm the free lists and caches
 			t.Fatal(err)
 		}
 		const reps = 5
@@ -407,15 +405,11 @@ func TestGroupMinMaxTiesBreakOnPosition(t *testing.T) {
 }
 
 // TestGroupSinkRecyclesSlotVector: the typed group sink's slot vectors come
-// from a pool, so a filtered dict GROUP BY allocates the same few kilobytes
+// from a free list, so a filtered dict GROUP BY allocates the same few kilobytes
 // whether its million rows arrive in 64 morsels or in 1024 — not a slot
 // vector per morsel, per worker or per qualifying row.
 func TestGroupSinkRecyclesSlotVector(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation count skipped under -race: sync.Pool drops a share of returned buffers on purpose")
-	}
-	// One P: a goroutine that changes Ps misses the pool's per-P cache, and
-	// that miss is scheduling noise, not what is measured here.
+	// One P: the query runs inline, and nothing else is scheduled beside it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(107))
@@ -435,7 +429,7 @@ func TestGroupSinkRecyclesSlotVector(t *testing.T) {
 		GroupBy: []string{"s"}, Where: expr.Cmp("x", expr.LT, storage.Float(0.5))}
 	allocPerQuery := func(m int) uint64 {
 		opt := ExecOptions{Parallelism: 1, MorselSize: m}
-		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm the pools
+		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm the free lists
 			t.Fatal(err)
 		}
 		const reps = 20
@@ -461,5 +455,116 @@ func TestGroupSinkRecyclesSlotVector(t *testing.T) {
 	// between them.
 	if many > few+4<<10 {
 		t.Fatalf("%d B per query at 1024 morsels against %d at 64: allocation grows with the morsel count", many, few)
+	}
+}
+
+// TestScalarSinkKeepsPartialsInOneSlab is the scalar twin of
+// TestGroupSinkRecyclesSlotVector: a filtered scalar aggregate keeps its
+// morsel partials in one slab per query, so its million rows in 1024
+// morsels cost a few typed slots per extra morsel over the same query in
+// 64 — not an accumulator, its items and a heap state per item each.
+func TestScalarSinkKeepsPartialsInOneSlab(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(109))
+	labels := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	ss := make([]string, n)
+	xs := make([]float64, n)
+	for i := range ss {
+		ss[i] = labels[rng.Intn(len(labels))]
+		xs[i] = rng.Float64()
+	}
+	tbl, err := storage.FromColumns("t", storage.Schema{{Name: "s", Type: storage.TString}, {Name: "x", Type: storage.TFloat}},
+		[]storage.Column{storage.EncodeDict(ss), storage.NewFloatColumn(xs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The WHERE is no range, so every morsel is filtered and reaches the
+	// sink: no index skips one, and no bucket cells stand in for them.
+	q := Query{Select: []SelectItem{{Col: "x", Agg: AggSum}, {Col: "*", Agg: AggCount}},
+		Where: expr.Cmp("s", expr.EQ, storage.String_("a"))}
+	perQuery := func(m int) (bytes, mallocs uint64) {
+		opt := ExecOptions{Parallelism: 1, MorselSize: m}
+		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm the free lists
+			t.Fatal(err)
+		}
+		const reps = 20
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			if _, err := ExecuteOpts(tbl, q, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / reps, (after.Mallocs - before.Mallocs) / reps
+	}
+	fewB, fewM := perQuery(16384)
+	manyB, manyM := perQuery(1024)
+	t.Logf("per query: %d B, %d mallocs at 64 morsels; %d B, %d mallocs at 1024", fewB, fewM, manyB, manyM)
+	const extra, items = 1024 - 64, 2
+	if manyB > fewB+32*extra*items {
+		t.Fatalf("%d B per query at 1024 morsels against %d at 64: more than 32 B per extra morsel per item", manyB, fewB)
+	}
+	if manyM > fewM+4 {
+		t.Fatalf("%d mallocs per query at 1024 morsels against %d at 64: allocation count grows with the morsel count", manyM, fewM)
+	}
+}
+
+// TestScalarSlabFillsOnlyCandidateMorsels: a morsel that holds no index
+// candidate costs the scalar sink nothing. On a table clustered by x, a
+// range whose candidates lie in 3 of 16 morsels fills exactly 3 slab
+// slots, at one worker and at four, and the answer — integral values, so
+// every association sums alike — equals Execute's bit for bit.
+func TestScalarSlabFillsOnlyCandidateMorsels(t *testing.T) {
+	const m, morsels = 1024, 16
+	xs := make([]int64, m*morsels)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i], ys[i] = int64(i), float64(i%7)
+	}
+	tbl, err := storage.FromColumns("t", storage.Schema{{Name: "x", Type: storage.TInt}, {Name: "y", Type: storage.TFloat}},
+		[]storage.Column{storage.NewIntColumn(xs), storage.NewFloatColumn(ys)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the middle of morsel 5 to the middle of morsel 7: the range's
+	// edge buckets lie inside those morsels. Two numeric inputs keep the
+	// bucket cells out, so every candidate morsel runs through the sink.
+	q := Query{
+		Select: []SelectItem{{Col: "x", Agg: AggSum}, {Col: "y", Agg: AggSum}, {Col: "*", Agg: AggCount},
+			{Col: "y", Agg: AggMax}, {Col: "x", Agg: AggMin}},
+		Where: expr.And(expr.Cmp("x", expr.GE, storage.Int(5*m+m/2)), expr.Cmp("x", expr.LT, storage.Int(7*m+m/2))),
+	}
+	oracle, err := Execute(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		pool := par.NewPool(par.Options{Parallelism: workers, MorselSize: m})
+		c := new(Counters)
+		p, err := compile(tbl, nil, rowIndex{}, q, pool, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.run(context.Background(), pool, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := p.sink.(*typedSink)
+		if !ok || p.index.vi == nil || p.index.cells != nil {
+			t.Fatalf("workers=%d: want the typed sink over index candidates, no cells", workers)
+		}
+		filled := 0
+		for _, seen := range s.seen {
+			if seen {
+				filled++
+			}
+		}
+		if filled != 3 || c.IndexSkipped.Load() != morsels-3 {
+			t.Fatalf("workers=%d: %d slots filled, %d morsels skipped; want 3 and %d", workers, filled, c.IndexSkipped.Load(), morsels-3)
+		}
+		requireIdentical(t, fmt.Sprintf("workers=%d", workers), oracle, out)
 	}
 }

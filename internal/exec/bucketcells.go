@@ -202,37 +202,35 @@ func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
 // addCells folds the cells whose keys lie in [kl, kh] into the sink's
 // state and returns the rows they hold. A grouped sink folds them into the
 // first worker accumulator a morsel made, which no morsel touches any
-// more; a scalar one into one more partial, merged after the morsels'.
+// more; a scalar one into the slab's last slot, merged after the morsels'.
 func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
+	if s.slab != nil {
+		last := len(s.seen) - 1
+		rows = s.slab.addCells(cells, kl, kh, last)
+		s.seen[last] = rows > 0
+		return rows
+	}
 	var acc *aggAcc
-	if s.ak.mode != gmScalar {
-		for _, a := range s.locals {
-			if a != nil {
-				acc = a
-				break
-			}
+	for _, a := range s.locals {
+		if a != nil {
+			acc = a
+			break
 		}
 	}
 	if acc == nil {
-		acc = s.ak.newAcc()
-		if s.ak.mode != gmScalar {
-			s.locals[0] = acc
-		}
+		acc = s.ak.newAcc(0)
+		s.locals[0] = acc
 	}
-	rows = acc.addCells(cells, kl, kh)
-	if s.ak.mode == gmScalar {
-		s.partials[len(s.partials)-1] = acc.states(0)
-	}
-	return rows
+	return acc.addCells(cells, kl, kh, 0)
 }
 
 // addCells folds the cells whose keys lie in [kl, kh] into the
 // accumulator, cell c into slot c.Group under a dict grouping, else slot
-// 0, and returns the rows they hold; an empty cell leaves its group
+// s0, and returns the rows they hold; an empty cell leaves its group
 // unseen. COUNT(*) and COUNT over a never-NULL column take a cell's rows,
 // the other items its non-NULL count and sum, and MIN/MAX its extreme's
 // row.
-func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
+func (a *aggAcc) addCells(cells []storage.Cell, kl, kh, s0 int) (rows int) {
 	dict := a.ak.mode == gmDict
 	for i := range cells {
 		c := &cells[i]
@@ -240,7 +238,7 @@ func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 			continue
 		}
 		rows += c.Rows
-		s := 0
+		s := s0
 		if dict {
 			s = int(c.Group)
 			switch f := a.firsts[s]; {

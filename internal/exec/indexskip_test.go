@@ -17,8 +17,9 @@ import (
 
 // The value index skips a morsel that holds no candidate, under the typed
 // kernel and the generic filter alike — the job per-morsel min/max zone
-// maps did before it. The tests that pinned the zone maps keep their
-// names, as the zone_skipped counters do, and pin the index's skipping.
+// maps did before it. The tests that pinned the zone maps pin the index's
+// skipping; those still named TestZoneMap* take TestIndex* names a few at
+// a time, as the zone_skipped counters will.
 
 // skipStats runs the query traced and returns the result plus the scan
 // span's index_skipped and morsels counters.
@@ -145,11 +146,11 @@ func TestZoneMapParityProperty(t *testing.T) {
 	}
 }
 
-// TestZoneMapSkipsClusteredMorsels pins the skipping: on a table clustered
+// TestIndexSkipsClusteredMorsels pins the skipping: on a table clustered
 // by the predicate column, a selective range scan skips most morsels
 // (visible in the scan span's index_skipped attr) and still returns the
 // exact row set.
-func TestZoneMapSkipsClusteredMorsels(t *testing.T) {
+func TestIndexSkipsClusteredMorsels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tbl := randParityTable(rng, 10_000, 0)
 	sorted, err := tbl.SortBy("k", false)
@@ -186,10 +187,10 @@ func TestZoneMapSkipsClusteredMorsels(t *testing.T) {
 	t.Logf("clustered skipped=%d/%d, unclustered skipped=%d", skipped, morsels, skippedU)
 }
 
-// TestZoneMapNonPrunableShapes: predicates skipping cannot reason about —
+// TestIndexNonPrunableShapes: predicates skipping cannot reason about —
 // disjunctions, negations, string comparisons, NE — skip nothing and stay
 // correct.
-func TestZoneMapNonPrunableShapes(t *testing.T) {
+func TestIndexNonPrunableShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	tbl := randParityTable(rng, 5_000, 0.05)
 	sorted, err := tbl.SortBy("k", false)

@@ -624,8 +624,8 @@ func MergeRows(dst, a, b []int) []int {
 	return append(append(dst, a...), b...)
 }
 
-// mergeScalarPartials folds morsel-indexed scalar partials, typed or
-// generic, in morsel order and renders the one-row output. A nil partial is
+// mergeScalarPartials folds the generic sink's morsel-indexed scalar
+// partials in morsel order and renders the one-row output. A nil partial is
 // a pruned morsel: it contributed nothing.
 func mergeScalarPartials(t *storage.Table, q Query, partials [][]*aggState) (*storage.Table, error) {
 	states := newAggStates(q)
@@ -640,13 +640,45 @@ func mergeScalarPartials(t *storage.Table, q Query, partials [][]*aggState) (*st
 	return buildScalarOutput(t.Name(), q, states)
 }
 
-// selPool recycles per-morsel selection buffers across queries.
-var selPool = sync.Pool{
-	New: func() any {
-		s := make([]int, 0, par.DefaultMorselSize)
-		return &s
-	},
+// A freeList recycles scratch buffers across morsels and queries, under
+// a mutex. Not a sync.Pool: two garbage collections in a row empty a
+// pool, and a gather query parks a selection buffer per qualifying
+// morsel, so a query that came after them allocated its whole set anew
+// (about 9 MB on a 1 M-row table) — bytes set by when the collector ran,
+// not by the query. The list keeps at most keep buffers; one put back
+// past that is left to the collector.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	bufs []*T
+	keep int
 }
+
+// get claims a buffer, or returns nil when the list is empty.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := l.bufs[n-1]
+	l.bufs[n-1] = nil
+	l.bufs = l.bufs[:n-1]
+	return b
+}
+
+func (l *freeList[T]) put(b *T) {
+	l.mu.Lock()
+	if len(l.bufs) < l.keep {
+		l.bufs = append(l.bufs, b)
+	}
+	l.mu.Unlock()
+}
+
+// selFree recycles per-morsel selection buffers across queries; it keeps
+// enough for two gather queries over a 2 M-row table at the default
+// morsel size (32 MB).
+var selFree = freeList[[]int]{keep: 256}
 
 // selOutstanding counts pool buffers currently claimed; it must return to
 // its starting value after every query, cancelled or not (the leak test's
@@ -655,28 +687,35 @@ var selOutstanding atomic.Int64
 
 func getSel() *[]int {
 	selOutstanding.Add(1)
-	buf := selPool.Get().(*[]int)
+	buf := selFree.get()
+	if buf == nil {
+		s := make([]int, 0, par.DefaultMorselSize)
+		return &s
+	}
 	*buf = (*buf)[:0] // reset: stale rows from a prior query must be unreachable
 	return buf
 }
 
 func putSel(buf *[]int) {
-	selPool.Put(buf)
+	selFree.put(buf)
 	selOutstanding.Add(-1)
 }
 
-// slotPool recycles the typed group sink's per-morsel slot vectors across
-// morsels and queries, as selPool does the selection buffers: a vector per
+// slotFree recycles the typed group sink's per-morsel slot vectors across
+// morsels and queries, as selFree does the selection buffers: a vector per
 // worker accumulator would cost a morsel's worth of int32s per worker per
 // query. A vector is allocated for a whole default morsel at least: sized
 // to the first morsel's qualifying rows, it would be reallocated each time
-// a later morsel qualified more.
-var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+// a later morsel qualified more. One is claimed per worker at a time.
+var slotFree = freeList[[]int32]{keep: 64}
 
 // getSlots claims a slot vector of length n; its entries are stale and the
-// slot pass overwrites every one. The claimer puts it back in slotPool.
+// slot pass overwrites every one. The claimer puts it back in slotFree.
 func getSlots(n int) *[]int32 {
-	buf := slotPool.Get().(*[]int32)
+	buf := slotFree.get()
+	if buf == nil {
+		buf = new([]int32)
+	}
 	if cap(*buf) < n {
 		*buf = make([]int32, n, max(n, par.DefaultMorselSize))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -299,6 +300,40 @@ func TestSelPoolNoLeak(t *testing.T) {
 		if got := selOutstanding.Load(); got != baseline {
 			t.Fatalf("q%d cancellation path: %d buffers outstanding", qi, got-baseline)
 		}
+	}
+}
+
+// TestSelBuffersSurviveCollection: the selection buffers a gather query
+// parks, one per qualifying morsel, come back from the free list after any
+// number of garbage collections, so what the query allocates does not
+// depend on when the collector ran. Two collections empty a sync.Pool,
+// and the query then allocated every parked buffer again.
+func TestSelBuffersSurviveCollection(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	tbl := randParityTable(rng, 200_000, 0)
+	// About 1 % of the rows, in every one of the 49 morsels.
+	q := Query{Select: []SelectItem{{Col: "k"}}, Where: expr.Cmp("k", expr.GE, storage.Int(490))}
+	opt := ExecOptions{Parallelism: 1, MorselSize: 4096}
+	allocAfter := func(collections int) uint64 {
+		if _, err := ExecuteOpts(tbl, q, opt); err != nil { // warm the free list
+			t.Fatal(err)
+		}
+		for i := 0; i < collections; i++ {
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ExecuteOpts(tbl, q, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	quiet, collected := allocAfter(0), allocAfter(3)
+	t.Logf("bytes per query: %d with no collection before it, %d after three", quiet, collected)
+	// One reallocated selection buffer is 128 KB; 49 were 6 MB.
+	if collected > quiet+64<<10 {
+		t.Fatalf("%d B per query after three collections against %d with none: parked buffers were allocated anew", collected, quiet)
 	}
 }
 

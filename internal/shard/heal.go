@@ -283,8 +283,9 @@ func (c *Coordinator) maybeRepartition(i int) {
 }
 
 // adopt moves partition p from shard `from` (lost) onto shard j: the
-// adopter leaves query rotation while its worker re-gathers the enlarged
-// slice, and ownership (and so coverage) moves only after the worker
+// adopter leaves query rotation while its worker re-stages the enlarged
+// slice (Load, then Partition: a worker keeps no source once its slice is
+// cut), and ownership (and so coverage) moves only after the worker
 // confirms the expected row count.
 func (c *Coordinator) adopt(j, from, p int) bool {
 	c.mu.Lock()
@@ -295,6 +296,7 @@ func (c *Coordinator) adopt(j, from, p int) bool {
 	c.states[j] = StateRestaging
 	newOwned := append(append([]int(nil), c.owned[j]...), p)
 	sort.Ints(newOwned)
+	load := c.load
 	part := c.partitionMsgFor(j, newOwned)
 	var expect int64
 	for _, q := range newOwned {
@@ -303,7 +305,7 @@ func (c *Coordinator) adopt(j, from, p int) bool {
 	c.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), stageTimeout)
-	rows, err := c.clients[j].Partition(ctx, part)
+	rows, err := c.stage(ctx, j, load, part)
 	cancel()
 	ok := err == nil && rows == expect
 	c.mu.Lock()
@@ -314,7 +316,7 @@ func (c *Coordinator) adopt(j, from, p int) bool {
 		c.placement[from] -= c.partRows[p]
 		c.states[j] = StateHealthy
 	} else {
-		// The adopter's registered slice is now unknown (the Partition may
+		// The adopter's registered slice is now unknown (the staging may
 		// or may not have landed); hand it to the lost path, which rebuilds
 		// exactly its still-unchanged owned set.
 		c.states[j] = StateLost
@@ -366,6 +368,7 @@ func (c *Coordinator) healRejoin(i int) {
 		}
 		c.states[holder] = StateRestaging
 		shrunk := removeInt(append([]int(nil), c.owned[holder]...), home)
+		load := c.load
 		part := c.partitionMsgFor(holder, shrunk)
 		var expect int64
 		for _, q := range shrunk {
@@ -374,7 +377,7 @@ func (c *Coordinator) healRejoin(i int) {
 		c.mu.Unlock()
 
 		sctx, scancel := context.WithTimeout(context.Background(), stageTimeout)
-		rows, err := c.clients[holder].Partition(sctx, part)
+		rows, err := c.stage(sctx, holder, load, part)
 		scancel()
 		c.mu.Lock()
 		if err != nil || rows != expect {

@@ -3,6 +3,8 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,5 +472,44 @@ func TestFleetCrackedSessionsAcrossAdoption(t *testing.T) {
 		if i == 0 && want != rows {
 			t.Errorf("%s = %d, want every row (%d)", sql, want, rows)
 		}
+	}
+}
+
+// TestWorkerDropsStagedSourceAfterPartition: a worker keeps only the slice
+// it serves. After Bootstrap's Load + Partition its staged source is gone,
+// so a bare Partition fails as not staged — which is why every healer path
+// that re-cuts a slice sends Load first — and a Partition after a fresh
+// Load cuts the same slice again.
+func TestWorkerDropsStagedSourceAfterPartition(t *testing.T) {
+	const rows = 2_000
+	ctx := context.Background()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := shard.NewWorker(8)
+	w.Start(lis)
+	defer w.Close()
+	addr := lis.Addr().String()
+	coord, err := shard.New(shard.Config{Spec: shard.Spec{Table: "sales", Column: "amount", Shards: 1}, Workers: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	load := protocol.Load{Name: "sales", Kind: "sales", Rows: rows, Seed: 8}
+	if err := coord.Bootstrap(ctx, load); err != nil {
+		t.Fatal(err)
+	}
+	cl := shard.NewClient(0, addr)
+	defer cl.Close()
+	part := protocol.Partition{Table: "sales", Column: "amount", Scheme: shard.Hash.String(), Index: 0, Count: 1}
+	if _, err := cl.Partition(ctx, part); err == nil || !strings.Contains(err.Error(), "not staged") {
+		t.Fatalf("bare Partition after Bootstrap: err=%v, want not staged", err)
+	}
+	if _, err := cl.Load(ctx, load); err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := cl.Partition(ctx, part); err != nil || kept != rows {
+		t.Fatalf("Partition after a fresh Load: kept=%d err=%v, want %d rows", kept, err, rows)
 	}
 }

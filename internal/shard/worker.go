@@ -258,8 +258,10 @@ func (w *Worker) handleLoad(m protocol.Load) (int64, error) {
 // handlePartition keeps this worker's slice of a staged table and
 // registers it for queries as a new version of the table, which builds
 // its own crack indexes and samples; queries still running on the old
-// slice finish there. The reply carries a zero-row table so the
-// coordinator learns the schema without shipping rows. When a Range spec
+// slice finish there. The source is dropped once the slice is cut: a
+// worker holds only what it serves, so every Partition follows its own
+// Load (the healer's stage sends both). The reply carries a zero-row
+// table so the coordinator learns the schema without shipping rows. When a Range spec
 // arrives without bounds, the worker derives equi-depth bounds itself —
 // every worker stages the identical seeded source, so they all derive the
 // identical split points.
@@ -313,6 +315,7 @@ func (w *Worker) handlePartition(m protocol.Partition) (int64, protocol.WireTabl
 	part := src.Gather(sel)
 	w.eng.Replace(part)
 	w.mu.Lock()
+	delete(w.staged, m.Table)
 	w.shard = m.Index
 	w.mu.Unlock()
 	return int64(len(sel)), protocol.FromTable(src.Gather(nil)), nil
