@@ -29,12 +29,15 @@ test-cpus:
 # queries building a table's value index and bucket cells, whether the
 # first query is a drill-down, a two-range query or an aggregate with no
 # WHERE, and cracked aggregates reading an edge bucket's cracker while a
-# writer cracks inside it. The last line is CI's: exec's parity harnesses
-# at more cores, where a scalar aggregate's workers write adjacent slots
-# of one shared slab of morsel partials.
+# writer cracks inside it. The last two lines are CI's: the concurrent
+# cracked-probe harnesses at more cores, where concurrent touches of an
+# edge bucket count under one lock and make one cracker, and exec's parity
+# harnesses, where a scalar aggregate's workers write adjacent slots of one
+# shared slab of morsel partials.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage
+	$(GO) test -race -run 'ConcurrentProbe|CrackedParallel|ConcurrentCracked|ConcurrentReaders' -cpu 1,4,8 -count=2 ./internal/crack/ ./internal/core/
 	$(GO) test -race -run 'BitForBit|ParityMatrix|AggKernel' -cpu 1,4,8 -count=2 ./internal/exec
 
 vet:

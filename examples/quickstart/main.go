@@ -46,8 +46,9 @@ func main() {
 	}
 	fmt.Print(res.Format(10))
 
-	// 2. Adaptive indexing: the first range query cracks the qty column;
-	//    repeats get faster without any CREATE INDEX.
+	// 2. Adaptive indexing: a range's edge buckets of the qty column are
+	//    read as rows until their third touch cracks them; repeats then
+	//    probe the cracks, without any CREATE INDEX.
 	fmt.Println("\n== cracked (adaptive indexing) ==")
 	for i := 0; i < 3; i++ {
 		res, err = e.SQL("SELECT count(*) FROM orders WHERE qty >= 100 AND qty < 200", dex.Cracked)

@@ -80,7 +80,10 @@ func TestChaosInvariants(t *testing.T) {
 // are the same — every query classified, no leaks — plus the adaptive
 // index must not be corrupted: faults there fail individual queries, never
 // future ones (a poisoned index would turn later queries into untyped
-// wrong answers or hangs).
+// wrong answers or hangs). An edge bucket gets its cracker on its third
+// touch, so each client asks 24 statements: enough drill-downs come back
+// to a bucket for the escalation seam to be hit many times, not only once
+// or twice.
 func TestChaosCrackedMode(t *testing.T) {
 	for _, seed := range seeds(t) {
 		seed := seed
@@ -91,7 +94,7 @@ func TestChaosCrackedMode(t *testing.T) {
 			rep, err := Run(Config{
 				Seed:             seed,
 				Clients:          3,
-				QueriesPerClient: 8,
+				QueriesPerClient: 24,
 				Rows:             10_000,
 				Mode:             "cracked",
 				Timeout:          120 * time.Millisecond,
@@ -112,6 +115,9 @@ func TestChaosCrackedMode(t *testing.T) {
 			}
 			if fires == 0 {
 				t.Fatalf("schedule armed but nothing fired: %+v", rep.FaultStats)
+			}
+			if rep.FaultStats["crack/escalate"].Hits == 0 {
+				t.Fatalf("no probe reached the crack escalation seam: %+v", rep.FaultStats)
 			}
 			t.Logf("seed %d: issued=%d outcomes=%+v fires=%d", seed, rep.Issued, rep.Outcomes, fires)
 		})

@@ -26,13 +26,15 @@ import (
 // by an aggregate cells can answer (cellAsk), over a dictionary column g
 // derived from id and chosen by the same draw, so it costs no byte. A last
 // draw tiles the table's rows 1, 2, 4, 8 or 16 times, so a range can have
-// an interior the bucket cells answer. Each query runs twice in cracked
-// mode, the second time against the cuts the first one left, and must
-// answer exactly what exact mode answers at the same parallelism and
-// morsel size, bit for bit — rows, groups, MIN/MAX ties and a float
-// SUM/AVG, but a grouped one over more than one morsel, whose per-worker
-// accumulators follow scheduling — and what the reference evaluator
-// exec.Execute answers, in order, a SUM up to float association. The
+// an interior the bucket cells answer. Each query runs crackTouch+1 times
+// in cracked mode — its edge buckets read as rows until the crackTouch-th
+// touch makes their crackers, the later rounds against the cuts the
+// earlier ones left — and must answer exactly what exact mode answers at
+// the same parallelism and morsel size, bit for bit — rows, groups,
+// MIN/MAX ties and a float SUM/AVG, but a grouped one over more than one
+// morsel, whose per-worker accumulators follow scheduling — and what the
+// reference evaluator exec.Execute answers, in order, a SUM up to float
+// association. The
 // draws are made in the order they were added, so inputs from before a
 // draw existed decode to the same tables and clauses.
 // testdata/fuzz/FuzzCrackedVsExact holds one input per bug this caught —
@@ -192,7 +194,7 @@ func (c crackFzCase) engine(t *testing.T) *Engine {
 
 // crackedCase decodes and runs one FuzzCrackedVsExact input; seen, when
 // set, gets the crack span and whether cells answered the interior, of
-// every query's two runs.
+// every query's crackTouch+1 runs.
 func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
 	c := decodeCrackFz(t, data)
 	opt, n := c.opt, c.n
@@ -220,7 +222,7 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 			if err != nil {
 				t.Fatal(err)
 			}
-			for round := 0; round < 2; round++ {
+			for round := 0; round <= crackTouch; round++ {
 				got, run := crackSpan(t, e, q)
 				label := fmt.Sprintf("%v, morsel %d, %d rows, round %d, %s", opt.CrackOptions.Variant,
 					opt.Exec.MorselSize, n, round, q)
@@ -239,11 +241,12 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 }
 
 // TestCrackedFuzzCorpusReachesEdges requires FuzzCrackedVsExact's corpus
-// to reach both levels of cracked mode's partition: queries whose
-// interior the bucket cells answer beside cracked edge buckets, scalar and
-// grouped (the edges-cells-* entries were checked in for this), and
-// ranges that lie inside one value bucket, which crack that bucket alone
-// (edges-one-bucket); and, in every entry, the second asking of a query
+// to reach both levels of cracked mode's partition through built
+// crackers, not only edges read as rows: queries whose interior the
+// bucket cells answer beside cracked edge buckets, scalar and grouped (the
+// edges-cells-* entries were checked in for this), and ranges that lie
+// inside one value bucket, which crack that bucket alone
+// (edges-one-bucket); and, in every entry, the last asking of a query
 // builds no cracker, so a change that stops crackers being kept or found
 // again fails on the corpus itself, not only in a long fuzzing run.
 func TestCrackedFuzzCorpusReachesEdges(t *testing.T) {
@@ -264,9 +267,11 @@ func TestCrackedFuzzCorpusReachesEdges(t *testing.T) {
 		}
 		name := filepath.Base(f)
 		crackedCase(t, []byte(s), func(q exec.Query, round int, run crackedRun) {
-			edges, _ := run.crack["edges"].(int64)
-			if round == 1 && run.crack["edges_built"] != nil && run.crack["edges_built"] != int64(0) {
-				t.Errorf("%s: %s asked again built %v crackers", name, q, run.crack["edges_built"])
+			all, _ := run.crack["edges"].(int64)
+			scanned, _ := run.crack["edges_scanned"].(int64)
+			edges := all - scanned // probed through a cracker
+			if round == crackTouch && run.crack["edges_built"] != nil && run.crack["edges_built"] != int64(0) {
+				t.Errorf("%s: %s asked for the last time built %v crackers", name, q, run.crack["edges_built"])
 			}
 			switch {
 			case run.cells && edges > 0 && len(q.GroupBy) == 0:

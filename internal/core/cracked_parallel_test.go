@@ -91,10 +91,11 @@ func TestCrackedParallelParity(t *testing.T) {
 }
 
 // TestCrackedParallelHistoryIndependent: a cracked answer does not depend
-// on how far the index has cracked. A projection and a group-by are asked,
-// a dozen probes at bounds inside their range reorganize the column, and
-// the same two queries must come back bit for bit identical, at one worker
-// and at four.
+// on how far the index has cracked. A projection and a group-by are asked
+// through their edge buckets' crackers, a dozen probes at bounds inside
+// their range, each asked until it cracks, reorganize the column, and the
+// same two queries must come back bit for bit identical, at one worker and
+// at four.
 func TestCrackedParallelHistoryIndependent(t *testing.T) {
 	plain := crackedParityTable(t, rand.New(rand.NewSource(23)), 20_000)
 	queries := []string{
@@ -118,15 +119,20 @@ func TestCrackedParallelHistoryIndependent(t *testing.T) {
 				}
 				return out
 			}
+			warmUp(func() { ask() })
 			before := ask()
 			_, cracks, _ := e.CrackStats("t", "amount")
 			rng := rand.New(rand.NewSource(5))
 			for i := 0; i < 12; i++ {
 				lo := 50 + rng.Float64()*90
 				sql := fmt.Sprintf("SELECT count(*) FROM t WHERE amount >= %.4f AND amount < %.4f", lo, lo+rng.Float64()*10)
-				if _, err := e.SQL(sql, Cracked); err != nil {
-					t.Fatal(err)
+				probe := func() {
+					if _, err := e.SQL(sql, Cracked); err != nil {
+						t.Fatal(err)
+					}
 				}
+				warmUp(probe)
+				probe()
 			}
 			if _, after, _ := e.CrackStats("t", "amount"); after < cracks+12 {
 				t.Fatalf("cracks %d -> %d: the probes did not reorganize the column", cracks, after)

@@ -120,6 +120,15 @@ func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, crackedRu
 	return res, run
 }
 
+// warmUp asks crackTouch-1 times, so that the next asking of the same
+// range is its edge buckets' crackTouch-th touch, which makes their
+// crackers.
+func warmUp(ask func()) {
+	for i := 1; i < crackTouch; i++ {
+		ask()
+	}
+}
+
 // TestCrackedPartsMatchOracle is the two-level partition's oracle: under
 // every cracking variant, on an INT and a FLOAT column, at one worker and
 // four, cracked queries — cell-shaped aggregates over INT and FLOAT inputs,
@@ -215,14 +224,16 @@ func TestCrackedPartsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCrackedPartsReuseAndRebuild: a range's edge buckets get a cracker
-// each on first touch, under the write lock; asked again it probes them
-// under the read lock and makes none; a range inside one bucket makes and
-// cracks that bucket's alone; another input or shape behind the same
-// range reuses the same crackers, which belong to the column, not to the
-// query; the interior is folded from cells when the shape allows, and read
-// as rows when it does not; the answers equal exact mode's throughout, and
-// a query folding cells reads only its edge rows.
+// TestCrackedPartsReuseAndRebuild: a range's edge buckets are read as rows
+// on their first crackTouch-1 touches, with no cracker made and nothing
+// cracked; on the crackTouch-th they get a cracker each, under the write
+// lock; asked again it probes them under the read lock and makes none; a
+// range inside one bucket makes and cracks that bucket's alone; another
+// input or shape behind the same range reuses the same crackers, which
+// belong to the column, not to the query; the interior is folded from
+// cells when the shape allows, and read as rows when it does not; the
+// answers equal exact mode's throughout, and a query folding cells reads
+// only its edge rows.
 func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(62)), 24_000)
 	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 256}})
@@ -234,20 +245,34 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 	twoInputs := func(where *expr.Pred) exec.Query {
 		return exec.Query{Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}, {Col: "f", Agg: exec.AggSum}}, Where: where}
 	}
-	for _, step := range []struct {
-		q            exec.Query
-		edges, built int64
-		lock         string
-		cells        bool
-		what         string
-	}{
-		{partsQuery(wide, "f", true), 2, 2, "write", true, "first asking: two edge crackers, made"},
-		{partsQuery(wide, "f", true), 2, 0, "read", true, "asked again: the crackers are reused"},
-		{partsQuery(narrow, "f", true), 1, 1, "write", false, "a range inside one bucket: its cracker alone"},
-		{partsQuery(narrow, "f", true), 1, 0, "read", false, "and then reused"},
-		{partsQuery(wide, "n", false), 2, 0, "read", true, "another input reuses the column's crackers"},
-		{twoInputs(wide), 2, 0, "read", false, "a shape cells refuse reads the interior's rows"},
-	} {
+	type step struct {
+		q                     exec.Query
+		edges, scanned, built int64
+		lock                  string
+		cells                 bool
+		what                  string
+	}
+	// touches are a range's first crackTouch-1 askings: every edge read as
+	// rows, none cracked.
+	touches := func(q exec.Query, edges int64, cells bool, what string) []step {
+		var out []step
+		for i := 1; i < crackTouch; i++ {
+			out = append(out, step{q, edges, edges, 0, "read", cells, fmt.Sprintf("%s, touch %d: rows read, no cracker", what, i)})
+		}
+		return out
+	}
+	var steps []step
+	steps = append(steps, touches(partsQuery(wide, "f", true), 2, true, "a wide range")...)
+	steps = append(steps,
+		step{partsQuery(wide, "f", true), 2, 0, 2, "write", true, "touch crackTouch: two edge crackers, made"},
+		step{partsQuery(wide, "f", true), 2, 0, 0, "read", true, "asked again: the crackers are reused"})
+	steps = append(steps, touches(partsQuery(narrow, "f", true), 1, false, "a range inside one bucket")...)
+	steps = append(steps,
+		step{partsQuery(narrow, "f", true), 1, 0, 1, "write", false, "a range inside one bucket: its cracker alone"},
+		step{partsQuery(narrow, "f", true), 1, 0, 0, "read", false, "and then reused"},
+		step{partsQuery(wide, "n", false), 2, 0, 0, "read", true, "another input reuses the column's crackers"},
+		step{twoInputs(wide), 2, 0, 0, "read", false, "a shape cells refuse reads the interior's rows"})
+	for _, step := range steps {
 		want, err := e.Execute("t", step.q, Exact)
 		if err != nil {
 			t.Fatal(err)
@@ -257,9 +282,13 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 			t.Fatalf("%s: %v", step.what, err)
 		}
 		c := run.crack
-		if c["edges"] != step.edges || c["edges_built"] != step.built || c["lock_mode"] != step.lock || run.cells != step.cells {
-			t.Errorf("%s: crack span %v, cells %v; want %d edges, %d made, %s lock, cells %v",
-				step.what, c, run.cells, step.edges, step.built, step.lock, step.cells)
+		if c["edges"] != step.edges || c["edges_scanned"] != step.scanned || c["edges_built"] != step.built ||
+			c["lock_mode"] != step.lock || run.cells != step.cells {
+			t.Errorf("%s: crack span %v, cells %v; want %d edges, %d read as rows, %d made, %s lock, cells %v",
+				step.what, c, run.cells, step.edges, step.scanned, step.built, step.lock, step.cells)
+		}
+		if step.scanned == step.edges && (c["pieces"] != int64(0) || c["cracks"] != int64(0)) {
+			t.Errorf("%s: crack span %v; want no cracker probed", step.what, c)
 		}
 	}
 	if pieces, _, ok := e.CrackStats("t", "k"); !ok || pieces < 3 {
@@ -271,6 +300,119 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 	if !run.cells || e.RowsScanned()-before != run.crack["rows_out"] {
 		t.Errorf("a cells query read %d rows; want its %v edge rows", e.RowsScanned()-before, run.crack["rows_out"])
 	}
+}
+
+// TestCrackedEdgesBuildOnTheKthTouch: a range's first crackTouch-1
+// touches make no cracker and read its edge buckets as exact mode does —
+// the rows scanned grow by exactly the edge buckets' rows beside the
+// cells, plus the rows the sink takes, as an exact query's do — and the
+// crackTouch-th makes the crackers, after which the query reads only the
+// rows it keeps. An INT and a FLOAT column, scalar and grouped.
+func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
+	if crackTouch < 2 {
+		t.Fatalf("crackTouch = %d: a bucket's first touch must not make its cracker", crackTouch)
+	}
+	tab := partsTable(rand.New(rand.NewSource(67)), 24_000)
+	opt := exec.ExecOptions{Parallelism: 1, MorselSize: 256}
+	e := New(Options{Seed: 1, Exec: opt})
+	if err := e.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []exec.Query{
+		partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(150)), expr.Cmp("k", expr.LT, storage.Int(850))), "f", false),
+		partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(12.5)), expr.Cmp("x", expr.LT, storage.Float(77.5))), "n", true),
+	} {
+		b, err := exec.RangeBuckets(context.Background(), current(t, e, "t").t, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edgeRows, ok := b.Edges(nil)
+		if !ok {
+			t.Fatalf("%s: no edge rows beside cells", q)
+		}
+		for touch := 1; touch <= crackTouch+1; touch++ {
+			before := e.RowsScanned()
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactRead := e.RowsScanned() - before
+			before = e.RowsScanned()
+			got, run := crackSpan(t, e, q)
+			read := e.RowsScanned() - before
+			if err := tablesIdentical(want, got); err != nil {
+				t.Fatalf("%s, touch %d: %v", q, touch, err)
+			}
+			c := run.crack
+			kept, _ := c["rows_out"].(int64)
+			if !run.cells {
+				t.Fatalf("%s, touch %d: the interior was not folded from cells", q, touch)
+			}
+			switch {
+			case touch < crackTouch:
+				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read != exactRead {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges read as rows, none made, %d edge rows and %d kept",
+						q, touch, c, read, exactRead, len(edgeRows), kept)
+				}
+			default:
+				built := int64(0)
+				if touch == crackTouch {
+					built = 2
+				}
+				if c["edges_scanned"] != int64(0) || c["edges_built"] != built || read != kept {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read; want both edges probed, %d made, only the %d rows kept read",
+						q, touch, c, read, built, kept)
+				}
+			}
+		}
+	}
+}
+
+// TestCrackedTouchesRestartUnderNewBounds: a bucket's touches count under
+// the bounds it was cut under. Once the table grows and its buckets are
+// drawn again, the count starts at zero: the next crackTouch-1 touches
+// read the bucket as rows, and the crackTouch-th makes its cracker.
+func TestCrackedTouchesRestartUnderNewBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	k := make([]int64, 24_000)
+	for i := range k {
+		k[i] = rng.Int63n(1000)
+	}
+	tab, err := storage.FromColumns("t", storage.Schema{{Name: "k", Type: storage.TInt}},
+		[]storage.Column{storage.NewIntColumn(k)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 1, MorselSize: 256}})
+	if err := e.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	q := exec.Query{Select: []exec.SelectItem{{Col: "*", Agg: exec.AggCount}},
+		Where: expr.And(expr.Cmp("k", expr.GE, storage.Int(400)), expr.Cmp("k", expr.LT, storage.Int(401)))}
+	ask := func(what string, scanned, built int64) {
+		t.Helper()
+		want, err := e.Execute("t", q, Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, run := crackSpan(t, e, q)
+		if err := tablesIdentical(want, got); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if c := run.crack; c["edges"] != int64(1) || c["edges_scanned"] != scanned || c["edges_built"] != built {
+			t.Errorf("%s: crack span %v; want 1 edge, %d read as rows, %d made", what, c, scanned, built)
+		}
+	}
+	for i := 1; i < crackTouch; i++ {
+		ask(fmt.Sprintf("touch %d", i), 1, 0)
+	}
+	if err := current(t, e, "t").t.AppendRow(storage.Int(400)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < crackTouch; i++ {
+		ask(fmt.Sprintf("touch %d under the new bounds", i), 1, 0)
+	}
+	ask("touch crackTouch under the new bounds", 0, 1)
 }
 
 // TestCrackedPartsHistoryIndependent: a cracked answer does not depend on
@@ -440,6 +582,56 @@ func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
 			e.mu.Unlock()
 			if n != 3 {
 				t.Errorf("%d crackers; want one per edge bucket, 3", n)
+			}
+		})
+	}
+}
+
+// TestConcurrentCrackedKthTouchBuildsOnce: under every variant, concurrent
+// queries over a range whose edge buckets have had crackTouch-1 touches
+// make one cracker per edge bucket — the touch counted first makes it, the
+// others find it — and none reads an edge as rows; every answer equals
+// exact mode's. Run it with -race.
+func TestConcurrentCrackedKthTouchBuildsOnce(t *testing.T) {
+	tab := partsTable(rand.New(rand.NewSource(68)), 24_000)
+	for _, copt := range []crack.Options{
+		{Variant: crack.Standard},
+		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
+		{Variant: crack.HybridSort, SortMin: 16},
+	} {
+		t.Run(copt.Variant.String(), func(t *testing.T) {
+			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 512}})
+			if err := e.Register(tab); err != nil {
+				t.Fatal(err)
+			}
+			q := partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(300)), expr.Cmp("k", expr.LT, storage.Int(700))), "f", true)
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmUp(func() { crackSpan(t, e, q) })
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			built := int64(0)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, run := crackSpan(t, e, q)
+					mu.Lock()
+					defer mu.Unlock()
+					if err := sameAnswer(q, want, got, true); err != nil || run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
+						t.Errorf("%s: %v, crack span %v", q, err, run.crack)
+					}
+					built += run.crack["edges_built"].(int64)
+				}()
+			}
+			wg.Wait()
+			e.mu.Lock()
+			n, left := len(current(t, e, "t").cracks), len(current(t, e, "t").touches)
+			e.mu.Unlock()
+			if built != 2 || n != 2 || left != 0 {
+				t.Errorf("concurrent touches %d on made %d crackers, %d kept, %d touch counts left; want 2, 2, 0", crackTouch, built, n, left)
 			}
 		})
 	}

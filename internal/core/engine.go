@@ -160,9 +160,10 @@ type Engine struct {
 // fields. (Not a slot on storage.Table, which could hold it only as an
 // any: aqp imports storage.)
 type version struct {
-	t       *storage.Table       // nil for an in-situ table
-	raw     *rawload.RawTable    // nil for an in-memory table
-	cracks  map[crackKey]cracker // a column's value bucket → its cracker
+	t       *storage.Table          // nil for an in-situ table
+	raw     *rawload.RawTable       // nil for an in-memory table
+	cracks  map[crackKey]cracker    // a column's value bucket → its cracker
+	touches map[crackKey]touchCount // a value bucket → its touches while it has no cracker
 	samples *aqp.Catalog
 	shuffle []int // Online mode's row order
 }
@@ -214,7 +215,7 @@ func (e *Engine) Replace(t *storage.Table) {
 
 // store makes v name's version; a taken name is ErrTableExists unless replace.
 func (e *Engine) store(name string, v *version, replace bool) error {
-	v.cracks = map[crackKey]cracker{}
+	v.cracks, v.touches = map[crackKey]cracker{}, map[crackKey]touchCount{}
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
 	if _, ok := e.tables[name]; ok && !replace {
@@ -594,11 +595,14 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 // (exec.RangeBuckets). The buckets strictly inside the range's bucket run
 // hold only rows inside it, so only the one or two edge buckets its bounds
 // cut are cracked, each through a crack index over that bucket's rows
-// alone, made the first time a bound falls inside it (edgeCracker). The
+// alone, made on the crackTouch-th touch of the bucket (edgeCracker).
+// Until then a touch reads the bucket's rows from the value index and
+// keeps those inside the range, the candidates exact mode refines. The
 // edge rows inside the range, ascending, are the pipeline's selection, and
 // the interior is read as exact mode reads it: folded from its bucket
 // cells when exact mode's plan does, else as the index's rows. A column
-// with no value index is one bucket: its cracker holds the whole column.
+// with no value index is one bucket: its cracker holds the whole column
+// and is made on the first touch, so a run-length column is decoded once.
 // Either way the answer equals exact mode's at the same parallelism and
 // morsel size bit for bit — group order, projection order, MIN/MAX values
 // and ties, and a float SUM/AVG but a grouped one at more than one worker —
@@ -646,6 +650,7 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 		csp.SetInt("buckets", int64(max(bh-bl+1, 0)))
 	}
 	csp.SetInt("edges", int64(st.edges))
+	csp.SetInt("edges_scanned", int64(st.scanned))
 	csp.SetInt("edges_built", int64(st.built))
 	csp.SetStr("lock_mode", st.lock.String())
 	csp.SetInt("pieces", int64(st.pieces))
@@ -661,12 +666,12 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	return exec.ExecuteSel(ctx, t, b, sel, q, e.opt.Exec)
 }
 
-// edgeStats sums what a query's edge probes saw: the crackers probed and
-// made, the write lock if any probe took it, and the probed crackers'
-// pieces and cracks.
+// edgeStats sums what a query's edge probes saw: the edges read, those
+// read without a cracker and the crackers made, the write lock if any
+// probe took it, and the probed crackers' pieces and cracks.
 type edgeStats struct {
-	edges, built, pieces, cracks int
-	lock                         crack.LockMode
+	edges, scanned, built, pieces, cracks int
+	lock                                  crack.LockMode
 }
 
 // crackEdges returns the rows of b's edge buckets whose value v in column
@@ -703,12 +708,17 @@ func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col 
 
 // probeEdge returns the rows of col's value bucket k (the whole column
 // when vi is nil) whose value v satisfies lo <= v < above (lo <= v when
-// not bounded), ascending, through the bucket's cracker, and adds the
-// probe to st.
+// not bounded), ascending, through the bucket's cracker, or from its rows
+// while it has none, and adds the probe to st.
 func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
 	ed, built, err := edgeCracker[T](e, v, t, col, vi, k)
 	if err != nil {
 		return nil, err
+	}
+	st.edges++
+	if ed == nil {
+		st.scanned++
+		return scanEdge(e, t, col, vi, k, lo, above, bounded)
 	}
 	var rows []int
 	var ps crack.ProbeStats
@@ -727,7 +737,6 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 			rows[i] = ed.rows[p]
 		}
 	}
-	st.edges++
 	if built {
 		st.built++
 	}
@@ -735,6 +744,26 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 	st.pieces += ps.Pieces
 	st.cracks += ps.Cracks
 	return rows, nil
+}
+
+// scanEdge returns the rows of col's value bucket k whose value v
+// satisfies lo <= v < above (lo <= v when not bounded), ascending: the
+// bucket's rows, read from the value index and kept in place, which is
+// what exact mode refines. It counts them as scanned, as exact mode does.
+func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *storage.ValueIndex, k int, lo, above T, bounded bool) ([]int, error) {
+	xs, err := crackValues[T](t, col)
+	if err != nil {
+		return nil, err
+	}
+	rows := vi.Bucket(k, e.takeRowVec(0))
+	e.counters.Scanned.Add(int64(len(rows)))
+	out := rows[:0]
+	for _, r := range rows {
+		if x := xs[r]; lo <= x && (!bounded || x < above) {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
@@ -793,13 +822,38 @@ type edge[T int64 | float64] struct {
 	rows   []int                 // the bucket's rows, ascending; nil for a whole column, whose positions are rows
 }
 
-// edgeCracker returns (making it on first touch) v's cracker of bucket k
-// of t's column col, cut under vi's bounds, or of the whole column when vi
-// is nil; built reports whether this call made it. An INT or run-coded INT
-// column cracks as int64, a FLOAT one as float64. A cracker cut under
-// other bounds — the table grew and its buckets were drawn again — is made
-// anew; bounds drawn again to the same values, as an in-situ table's are
-// for each query's materialized table, keep it.
+// crackTouch is the touch of a value bucket that makes its cracker. The
+// touches before it read the bucket's rows, so a bucket no later query
+// comes back to costs no copy of them: the cost-aware trigger of adaptive
+// adaptive indexing (Schuhknecht, Dittrich and Linden, ICDE 2018), per
+// bucket.
+const crackTouch = 3
+
+// touchCount counts a value bucket's touches while it has no cracker, under
+// the bounds the bucket was cut under.
+type touchCount struct {
+	bounds *storage.ValueBuckets
+	n      int
+}
+
+// sameBounds reports whether bucket bounds a and b are drawn to the same
+// values; nil, a whole column's, matches only nil.
+func sameBounds(a, b *storage.ValueBuckets) bool {
+	return a == b || a != nil && b != nil && *a == *b
+}
+
+// edgeCracker returns v's cracker of bucket k of t's column col, cut under
+// vi's bounds, or of the whole column when vi is nil; built reports
+// whether this call made it. A bucket's cracker is made on its
+// crackTouch-th touch: a touch before that counts itself and returns a nil
+// cracker, and the caller reads the bucket's rows. The whole column's is
+// made on the first. Counting and making share one critical section, so
+// concurrent crackTouch-th touches make one cracker. An INT or run-coded
+// INT column cracks as int64, a FLOAT one as float64. Under other bounds —
+// the table grew and its buckets were drawn again — the count starts
+// again and the cracker is made anew; bounds drawn again to the same
+// values, as an in-situ table's are for each query's materialized table,
+// keep both.
 func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int) (ed *edge[T], built bool, err error) {
 	key := crackKey{col, -1}
 	var bounds *storage.ValueBuckets
@@ -808,12 +862,42 @@ func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ed, ok := v.cracks[key].(*edge[T]); ok && (ed.bounds == bounds || *ed.bounds == *bounds) {
+	if ed, ok := v.cracks[key].(*edge[T]); ok && sameBounds(ed.bounds, bounds) {
 		return ed, false, nil
 	}
-	c, err := t.ColumnByName(col)
+	if vi != nil {
+		tc := v.touches[key]
+		if !sameBounds(tc.bounds, bounds) {
+			tc = touchCount{bounds: bounds}
+		}
+		if tc.n++; tc.n < crackTouch {
+			v.touches[key] = tc
+			return nil, false, nil
+		}
+		delete(v.touches, key)
+	}
+	xs, err := crackValues[T](t, col)
 	if err != nil {
 		return nil, false, err
+	}
+	ed = &edge[T]{bounds: bounds}
+	if vi == nil {
+		ed.Index = crack.New(xs, e.opt.CrackOptions)
+	} else {
+		ed.rows = vi.Bucket(k, nil)
+		ed.Index = crack.NewAt(xs, ed.rows, e.opt.CrackOptions)
+	}
+	v.cracks[key] = ed
+	return ed, true, nil
+}
+
+// crackValues returns the values of t's column col as a cracker reads
+// them: an INT or run-coded INT column's as int64, a FLOAT one's as
+// float64.
+func crackValues[T int64 | float64](t *storage.Table, col string) ([]T, error) {
+	c, err := t.ColumnByName(col)
+	if err != nil {
+		return nil, err
 	}
 	var vals any
 	switch c := c.(type) {
@@ -828,17 +912,9 @@ func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col
 	}
 	xs, ok := vals.([]T)
 	if !ok {
-		return nil, false, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
+		return nil, fmt.Errorf("core: cracking needs an INT or FLOAT column, %q is %v", col, c.Type())
 	}
-	ed = &edge[T]{bounds: bounds}
-	if vi == nil {
-		ed.Index = crack.New(xs, e.opt.CrackOptions)
-	} else {
-		ed.rows = vi.Bucket(k, nil)
-		ed.Index = crack.NewAt(xs, ed.rows, e.opt.CrackOptions)
-	}
-	v.cracks[key] = ed
-	return ed, true, nil
+	return xs, nil
 }
 
 // crackers copies out v's crackers of column col, every column's when col

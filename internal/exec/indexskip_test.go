@@ -18,8 +18,7 @@ import (
 // The value index skips a morsel that holds no candidate, under the typed
 // kernel and the generic filter alike — the job per-morsel min/max zone
 // maps did before it. The tests that pinned the zone maps pin the index's
-// skipping; those still named TestZoneMap* take TestIndex* names a few at
-// a time, as the zone_skipped counters will.
+// skipping, and all of them here are named TestIndex*.
 
 // skipStats runs the query traced and returns the result plus the scan
 // span's index_skipped and morsels counters.
@@ -38,7 +37,7 @@ func skipStats(t *testing.T, tbl *storage.Table, q Query, opt ExecOptions) (res 
 	return res, skipped, morsels
 }
 
-// TestZoneMapParityProperty is the index-skip correctness harness: for
+// TestIndexParityProperty is the index-skip correctness harness: for
 // random tables (clustered and unclustered, NaN-polluted, all-NaN and
 // clean) and random queries — including the OR/NOT/string shapes skipping
 // must ignore, and generic-filter WHEREs (a LIKE leaf) beside an interval
@@ -47,7 +46,7 @@ func skipStats(t *testing.T, tbl *storage.Table, q Query, opt ExecOptions) (res 
 // morsels of two rows holding only int64s past 2^53 (which compare in
 // float64 against a FLOAT constant, so 2^53+1 equals 2^53.0), ±Inf and
 // NULLs, and unsatisfiable conjunctions, which must skip every morsel.
-func TestZoneMapParityProperty(t *testing.T) {
+func TestIndexParityProperty(t *testing.T) {
 	// check returns how many morsels the generic filter skipped.
 	check := func(label string, tbl *storage.Table, q Query, opt ExecOptions) (genericSkipped int64) {
 		t.Helper()
@@ -221,11 +220,11 @@ func TestIndexNonPrunableShapes(t *testing.T) {
 	}
 }
 
-// TestZoneMapMixedConjunction: in a conjunction, the comparison conjunct
+// TestIndexMixedConjunction: in a conjunction, the comparison conjunct
 // skips morsels and the rest — a string equality the kernel compiles, or
 // a LIKE that puts the query on the generic filter — just filters. Either
 // way the query must both skip morsels and produce the exact rows.
-func TestZoneMapMixedConjunction(t *testing.T) {
+func TestIndexMixedConjunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tbl := randParityTable(rng, 10_000, 0)
 	sorted, err := tbl.SortBy("k", false)
@@ -253,12 +252,12 @@ func TestZoneMapMixedConjunction(t *testing.T) {
 	}
 }
 
-// TestZoneMapBuildFaultFailsScan: an armed storage/index-build failpoint
+// TestIndexBuildFaultFailsScan: an armed storage/index-build failpoint
 // fails a query whose predicate yields an interval with the injected
 // error; a predicate with no interval never touches the build and
 // succeeds; and the next query with an interval builds the index and
 // matches the reference evaluator.
-func TestZoneMapBuildFaultFailsScan(t *testing.T) {
+func TestIndexBuildFaultFailsScan(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
 	rng := rand.New(rand.NewSource(43))
