@@ -29,15 +29,19 @@ test-cpus:
 # queries building a table's value index and bucket cells, whether the
 # first query is a drill-down, a two-range query or an aggregate with no
 # WHERE, and cracked aggregates reading an edge bucket's cracker while a
-# writer cracks inside it. The last two lines are CI's: the concurrent
-# cracked-probe harnesses at more cores, where concurrent touches of an
-# edge bucket count under one lock and make one cracker, and exec's parity
-# harnesses, where a scalar aggregate's workers write adjacent slots of one
-# shared slab of morsel partials.
+# writer cracks inside it. The last three lines are CI's "Concurrent probe
+# parity (race)" step: the concurrent cracked-probe harnesses at more
+# cores, where concurrent touches of an edge bucket count under one lock
+# and make one cracker; the built-once and index-build-fault tests, where
+# concurrent first queries share one value-index or bucket-cells build and
+# a failed build is retried by a waiter; and exec's parity harnesses, where
+# a scalar aggregate's workers write adjacent slots of one shared slab of
+# morsel partials.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage
 	$(GO) test -race -run 'ConcurrentProbe|CrackedParallel|ConcurrentCracked|ConcurrentReaders' -cpu 1,4,8 -count=2 ./internal/crack/ ./internal/core/
+	$(GO) test -race -run 'BuiltOnce|IndexBuildFault' -cpu 1,4,8 -count=2 ./internal/exec ./internal/storage
 	$(GO) test -race -run 'BitForBit|ParityMatrix|AggKernel' -cpu 1,4,8 -count=2 ./internal/exec
 
 vet:
@@ -104,7 +108,7 @@ fuzz-cracked:
 # fuzzer's tables and clauses, asked one aggregate at a time, as drawn,
 # with no WHERE or with a range on a second column ANDed on: with every
 # row in one batch the bucket cells' exact stratum plus the edge rows —
-# or the shuffle, for a shape the cells refuse — answer exactly, ci95 0;
+# or a walk of the table, for a shape the cells refuse — answer exactly, ci95 0;
 # at a batch of 1-64 rows the answer holds exact mode's groups or fewer,
 # its ci95 never NaN, and is exact once every edge row is read.
 fuzz-online:

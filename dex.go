@@ -11,10 +11,10 @@
 //	fmt.Print(res.Format(20))
 //
 // Exact executes fully; Cracked builds adaptive indexes as a side effect of
-// range queries (database cracking); Approx answers aggregates from
-// pre-built samples with confidence intervals (BlinkDB-style AQP); Online
-// streams an answer whose confidence interval shrinks until it meets the
-// target (online aggregation).
+// range queries (database cracking); Approx answers aggregates from a
+// random sample with confidence intervals (AQP), read until a 5% error
+// bound or a tenth of the rows; Online reads on until its confidence
+// interval meets a 1% target (online aggregation).
 //
 // The technique families themselves — adaptive indexing, adaptive loading,
 // adaptive storage, sampling, prefetching, cube exploration,

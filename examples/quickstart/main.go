@@ -61,7 +61,7 @@ func main() {
 		fmt.Printf("(index built as a side effect: %d pieces after %d cracks)\n", pieces, cracks)
 	}
 
-	// 3. Approximate: answers from a sample, with a confidence interval.
+	// 3. Approximate: answers from a random sample, with a confidence interval.
 	fmt.Println("\n== approx (sampling + error bounds) ==")
 	res, err = e.SQL("SELECT avg(amount) FROM orders", dex.Approx)
 	if err != nil {

@@ -231,9 +231,8 @@ func TestStratifiedBeatsUniformOnRareGroups(t *testing.T) {
 	if err := cat.AddStratified(rng, "g", 100); err != nil {
 		t.Fatal(err)
 	}
-	samples := cat.Samples()
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d", len(samples))
+	if len(cat.uniform) != 1 || cat.strat["g"] == nil || len(cat.strat) != 1 {
+		t.Fatalf("samples: %d uniform, stratified %v", len(cat.uniform), cat.strat)
 	}
 	rareErr := func(s *Stored) float64 {
 		est, err := OnView(s.View, s.Weights, q)
@@ -258,12 +257,8 @@ func TestStratifiedBeatsUniformOnRareGroups(t *testing.T) {
 		}
 		return worst
 	}
-	uniWorst := rareErr(samples[0])
-	stWorst := rareErr(samples[1])
-	if samples[1].StratCol != "g" {
-		// order: uniform first then stratified by Samples(); adjust
-		uniWorst, stWorst = stWorst, uniWorst
-	}
+	uniWorst := rareErr(cat.uniform[0])
+	stWorst := rareErr(cat.strat["g"])
 	if stWorst >= uniWorst {
 		t.Errorf("stratified worst-group err %.3f >= uniform %.3f", stWorst, uniWorst)
 	}

@@ -73,20 +73,6 @@ func (c *Catalog) AddStratified(rng *rand.Rand, col string, perStratum int) erro
 	return nil
 }
 
-// Samples lists every stored sample, uniforms first (ascending size).
-func (c *Catalog) Samples() []*Stored {
-	out := append([]*Stored(nil), c.uniform...)
-	keys := make([]string, 0, len(c.strat))
-	for k := range c.strat {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, c.strat[k])
-	}
-	return out
-}
-
 // Bound expresses the user's accuracy/latency contract: answer within
 // RelErr relative error (0 = don't care) reading at most MaxRows sample
 // rows (0 = don't care). At least one must be set for Approx to do

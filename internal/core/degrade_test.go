@@ -125,7 +125,7 @@ func (c *expiresAfter) Err() error {
 // deadline that fires mid-run returns the current estimates and CIs as a
 // normal online answer, where a client cancellation at the same point
 // still returns its error. The WHERE is one the bucket cells refuse (NE
-// gives no interval), so the query walks the shuffle; without it the
+// gives no interval), so the query walks the table; without it the
 // cells answer exactly, in one batch.
 func TestOnlineAnswersAtTheDeadline(t *testing.T) {
 	eng := New(Options{Seed: 1})

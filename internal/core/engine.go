@@ -1,8 +1,8 @@
 // Package core is the engine facade: it wires registered tables, the
-// adaptive cracking indexes, the AQP sample catalog, online aggregation and
-// in-situ raw tables behind one query entry point with selectable execution
-// modes — the "exploration-ready database system" the tutorial's future
-// section calls for, in miniature.
+// adaptive cracking indexes, sampled estimates (AQP and online
+// aggregation) and in-situ raw tables behind one query entry point with
+// selectable execution modes — the "exploration-ready database system" the
+// tutorial's future section calls for, in miniature.
 package core
 
 import (
@@ -49,14 +49,15 @@ const (
 	// Cracked routes eligible range predicates through the adaptive
 	// cracker index, building it as a side effect (adaptive indexing).
 	Cracked
-	// Approx answers aggregate queries from pre-built samples with
-	// confidence intervals (AQP).
+	// Approx answers aggregate queries from a random sample with
+	// confidence intervals (AQP): Online mode's runner, stopped at a 5 %
+	// relative error or a tenth of the rows, whichever comes first.
 	Approx
 	// Online runs online aggregation until the relative CI target is met.
 	// An aggregate folds the bucket cells exact mode folds as the exact
 	// part and samples only the candidate rows exact mode refines — all of
-	// them in one batch when they fit, exactly; other shapes walk a
-	// shuffle.
+	// them in one batch when they fit, exactly; other shapes walk the rows
+	// in a keyed random order.
 	Online
 )
 
@@ -76,41 +77,42 @@ func (m Mode) String() string {
 	}
 }
 
-// The approximate modes' fixed targets: Approx mode's relative-error bound,
-// and Online mode's stopping rule — every group's ci95 within onlineRelCI
-// of its estimate — and its batch of rows read between checks.
+// The approximate modes' fixed targets: Approx mode's relative-error bound
+// and its row cap, a 1/approxShare share of the table's rows; Online mode's
+// stopping rule — every group's ci95 within onlineRelCI of its estimate;
+// and the batch of rows both read between checks.
 const (
 	approxRelErr = 0.05
+	approxShare  = 10
 	onlineRelCI  = 0.01
 	onlineBatch  = 4096
 )
 
-// Options configures an Engine. Approx mode's relative-error bound and
-// Online mode's stopping rule and batch are fixed: approxRelErr (0.05),
-// onlineRelCI (0.01) and onlineBatch (4096 rows).
+// Options configures an Engine. Approx mode's relative-error bound and row
+// cap and Online mode's stopping rule and batch are fixed: approxRelErr
+// (0.05), a tenth of the rows (approxShare), onlineRelCI (0.01) and
+// onlineBatch (4096 rows).
 type Options struct {
 	Seed int64
-	// SampleFracs are the uniform sample fractions built lazily per table
-	// for Approx mode. Default {0.01, 0.1}.
-	SampleFracs []float64
 	// CrackOptions configures the adaptive indexes: the crackers of the
 	// value buckets a cracked query's bounds fall in.
 	CrackOptions crack.Options
 	// Exec tunes the execution pipeline used by the Exact mode, the
 	// post-join query, and the post-probe stage of Cracked mode (the crack
 	// probe itself synchronizes inside the index; its row ids then feed the
-	// pipeline as a selection vector). The approximate modes — AQP, online
-	// aggregation — keep their sequential semantics: the sampling modes
-	// depend on a deterministic row visit order. Its Counters are the
-	// engine's own, whatever the caller sets: RowsScanned and its siblings
-	// read them.
+	// pipeline as a selection vector), and the index plan the approximate
+	// modes take their cells and candidates from. Their runner itself reads
+	// its rows sequentially, in an order the query's seed fixes, so a fixed
+	// Seed replays its answers. Its Counters are the engine's own, whatever
+	// the caller sets: RowsScanned and its siblings read them.
 	Exec exec.ExecOptions
 	// Degrade enables graceful degradation: an Exact or Cracked query that
-	// exceeds its deadline returns a sampled approximate answer tagged
-	// Degraded instead of a DeadlineExceeded error, when its shape allows
-	// it (exactly one aggregate, at most one GROUP BY column — the same
-	// shapes Approx mode serves). Client cancellation never degrades: a
-	// disconnected client is not waiting for any answer.
+	// exceeds its deadline returns Approx mode's answer, run under
+	// DegradeGrace and tagged Degraded, instead of a DeadlineExceeded
+	// error, when its shape allows it (exactly one aggregate, at most one
+	// GROUP BY column — the shapes Approx mode serves). Client
+	// cancellation never degrades: a disconnected client is not waiting for
+	// any answer.
 	Degrade bool
 	// DegradeGrace is the time budget for computing the approximate
 	// fallback answer after the exact deadline fired (default 2s).
@@ -118,9 +120,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if len(o.SampleFracs) == 0 {
-		o.SampleFracs = []float64{0.01, 0.1}
-	}
 	if o.DegradeGrace <= 0 {
 		o.DegradeGrace = 2 * time.Second
 	}
@@ -141,12 +140,12 @@ type Engine struct {
 	mu      sync.Mutex
 	opt     Options
 	rng     *rand.Rand
-	rowVecs [][]int // idle row vectors: online batches, cracked edge rows
+	rowVecs [][]int // idle row vectors: sampled strata and batches, cracked edge rows
 	// counters are what every query's pipeline counts into (opt.Exec's).
 	counters exec.Counters
-	// relCI and batch are Online mode's stopping rule and batch size:
-	// onlineRelCI and onlineBatch, which in-package tests lower to reach
-	// runs of many batches.
+	// relCI is Online mode's stopping rule and batch both approximate
+	// modes' batch size: onlineRelCI and onlineBatch, which in-package
+	// tests lower to reach runs of many batches.
 	relCI float64
 	batch int
 	// pastSessions archives ended sessions for query recommendation.
@@ -158,14 +157,12 @@ type Engine struct {
 // and builds everything there, so what a query that Replace overtakes
 // builds stays with the rows it started on. Engine.mu guards the derived
 // fields. (Not a slot on storage.Table, which could hold it only as an
-// any: aqp imports storage.)
+// any: crack imports storage.)
 type version struct {
 	t       *storage.Table          // nil for an in-situ table
 	raw     *rawload.RawTable       // nil for an in-memory table
 	cracks  map[crackKey]cracker    // a column's value bucket → its cracker
 	touches map[crackKey]touchCount // a value bucket → its touches while it has no cracker
-	samples *aqp.Catalog
-	shuffle []int // Online mode's row order
 }
 
 // New creates an engine.
@@ -488,9 +485,9 @@ type Answer struct {
 
 // ExecuteAnswer is ExecuteContext with the degradation contract applied:
 // when Options.Degrade is set and an Exact or Cracked query returns
-// context.DeadlineExceeded, the engine computes a sampled approximate
-// answer under a fresh DegradeGrace budget and returns it tagged
-// Degraded, instead of the error. Queries whose shape the approximate
+// context.DeadlineExceeded, the engine answers the query in Approx mode
+// under a fresh DegradeGrace budget and returns that tagged Degraded,
+// instead of the error. Queries whose shape the approximate
 // path cannot serve, and client cancellations, keep the original error.
 func (e *Engine) ExecuteAnswer(ctx context.Context, table string, q exec.Query, mode Mode) (Answer, error) {
 	v, q, err := e.plan(ctx, table, q, mode)
@@ -520,16 +517,15 @@ func (e *Engine) degradedAnswer(parent context.Context, v *version, q exec.Query
 	defer sp.End()
 	ctx, cancel := context.WithTimeout(trace.With(context.Background(), sp), e.opt.DegradeGrace)
 	defer cancel()
-	return e.executeApprox(ctx, v, q)
+	return e.estimate(ctx, v, q, Approx)
 }
 
 // ExecuteContext is Execute under a context, on the table's version as of
 // entry. Cancellation points per mode: Exact checks between morsel claims,
 // Cracked before and after the crack and then between morsel claims,
-// Online between batches, Approx at the mode boundaries (sample lookups
-// are sub-millisecond once built). Online mode treats an expired deadline
-// as its stopping rule, not a failure: once a batch is in, the estimates
-// at the deadline are the answer.
+// Approx and Online between batches. Both treat an expired deadline as a
+// stopping rule, not a failure: once a batch is in, the estimates at the
+// deadline are the answer.
 func (e *Engine) ExecuteContext(ctx context.Context, table string, q exec.Query, mode Mode) (*storage.Table, error) {
 	v, q, err := e.plan(ctx, table, q, mode)
 	if err != nil {
@@ -564,10 +560,8 @@ func (e *Engine) execute(ctx context.Context, v *version, q exec.Query, mode Mod
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	case Cracked:
 		return e.executeCracked(ctx, v, q)
-	case Approx:
-		return e.executeApprox(ctx, v, q)
-	case Online:
-		return e.executeOnline(ctx, v, q)
+	case Approx, Online:
+		return e.estimate(ctx, v, q, mode)
 	default:
 		return nil, fmt.Errorf("%v: %w", mode, ErrBadMode)
 	}
@@ -767,10 +761,10 @@ func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *st
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
-// online batch, or a cracked query's edge rows: the largest recycled one,
-// grown to n, else a new one. A free list under the engine's lock rather
-// than a sync.Pool, whose per-P caches and GC sweeps make the hit rate —
-// and so the bytes a query allocates — differ from run to run.
+// estimate's stratum or batch, or a cracked query's edge rows: the largest
+// recycled one, grown to n, else a new one. A free list under the engine's
+// lock rather than a sync.Pool, whose per-P caches and GC sweeps make the
+// hit rate — and so the bytes a query allocates — differ from run to run.
 func (e *Engine) takeRowVec(n int) []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1053,51 +1047,21 @@ func estimatesTable(t *storage.Table, groupCol, aggName string, ests []aqp.Group
 	return out, nil
 }
 
-func (e *Engine) executeApprox(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
-	aq, aggName, err := approxShape(q)
-	if err != nil {
-		return nil, err
-	}
-	t, err := v.table(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ssp := trace.FromContext(ctx).Child("sample")
-	e.mu.Lock()
-	cat := v.samples
-	built := cat == nil
-	if built {
-		cat, err = aqp.NewCatalog(t, e.rng, e.opt.SampleFracs...)
-		v.samples = cat
-	}
-	e.mu.Unlock()
-	ssp.SetBool("built", built)
-	if err != nil {
-		ssp.End()
-		return nil, err
-	}
-	res, err := cat.Approx(aq, aqp.Bound{RelErr: approxRelErr})
-	ssp.End()
-	if err != nil && res == nil {
-		return nil, err
-	}
-	return estimatesTable(t, aq.GroupBy, aggName, res.Groups)
-}
-
-// executeOnline runs online aggregation over exact mode's index plan for
-// the query (exec.RangeBuckets), in two strata after AQP++: the interior's
-// bucket cells, when the plan folds them, are the exact part, folded into
-// the estimator, and the candidates the plan refines — the edge buckets'
-// rows beside cells, else the rows of a run narrow enough to refine — are
-// sampled, all of them in the first batch when they fit in one, so the
-// answer is exact. A plan with no such candidates — no index, or a wide run
-// exact mode scans — walks the version's shared shuffle. Either way the
-// query makes one engine-RNG draw, besides a shuffle's build: the
-// shuffle's rotation, or the seed of the candidates' draws.
-func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
+// estimate answers q in Approx or Online mode with one runner over exact
+// mode's index plan for the query (exec.RangeBuckets), in two strata after
+// AQP++: the interior's bucket cells, when the plan folds them, are the
+// exact part, folded into the estimator, and the candidates the plan
+// refines — the edge buckets' rows beside cells, else the rows of a run
+// narrow enough to refine — are sampled, all of them in the first batch
+// when they fit in one, so the answer is exact. A plan with no such
+// candidates — no index, or a wide run exact mode scans — walks the
+// table's rows in the order of a keyed permutation (onlineagg.New), which
+// costs no memory beyond a batch's scratch vector. Either way the query
+// makes one engine-RNG draw, the seed of its order, so a fixed Seed
+// replays. Online mode stops at its CI target (Engine.relCI); Approx mode
+// at approxRelErr or after a tenth of the rows (approxShare), whichever
+// comes first.
+func (e *Engine) estimate(ctx context.Context, v *version, q exec.Query, mode Mode) (*storage.Table, error) {
 	aq, aggName, err := approxShape(q)
 	if err != nil {
 		return nil, err
@@ -1112,19 +1076,43 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 	if err != nil {
 		return nil, err
 	}
-	var r *onlineagg.Runner
-	vec, ok := b.Edges(e.takeRowVec(0)) // the runner's stratum or scratch, back to the free list after
-	if ok {
-		r, err = e.edgeRunner(t, aq, b, vec, osp)
-	} else {
-		e.giveRowVec(vec)
-		r, vec, err = e.shuffleRunner(t, v, aq, osp)
+	e.mu.Lock()
+	seed := e.rng.Int63()
+	e.mu.Unlock()
+	// The stratum and the scratch vector a batch's window is mapped into
+	// come from the free list and go back to it after. With no stratum the
+	// stratum's vector is the scratch; a stratum that fits in one batch
+	// needs none, being read where it lies.
+	vec, ok := b.Edges(e.takeRowVec(0))
+	if !ok {
+		vec = slices.Grow(vec, min(t.NumRows(), e.batch))
 	}
 	defer e.giveRowVec(vec)
+	var r *onlineagg.Runner
+	if ok {
+		if r, err = onlineagg.NewEdges(t, aq, vec, seed); err == nil {
+			osp.SetInt("cells", int64(b.Cells(r.AddCell)))
+			osp.SetInt("edge_rows", int64(len(vec)))
+		}
+	} else {
+		r, err = onlineagg.New(t, aq, seed)
+	}
 	if err != nil {
 		return nil, err
 	}
-	batches, err := r.Run(ctx, e.relCI, e.batch)
+	switch {
+	case !ok:
+		r.UseScratch(vec)
+	case len(vec) > e.batch:
+		scratch := e.takeRowVec(e.batch)
+		defer e.giveRowVec(scratch)
+		r.UseScratch(scratch)
+	}
+	target, limit := e.relCI, 0
+	if mode == Approx {
+		target, limit = approxRelErr, (t.NumRows()+approxShare-1)/approxShare
+	}
+	batches, err := r.Run(ctx, target, e.batch, limit)
 	osp.SetInt("batches", int64(batches))
 	osp.SetInt("processed", int64(r.Processed()))
 	osp.SetInt("matched", int64(r.Matched()))
@@ -1139,47 +1127,4 @@ func (e *Engine) executeOnline(ctx context.Context, v *version, q exec.Query) (*
 		return nil, err
 	}
 	return estimatesTable(t, aq.GroupBy, aggName, r.Estimates())
-}
-
-// edgeRunner prepares the two-stratum runner of the plan b: its cells
-// folded, its candidates edges sampled, and the engine-RNG draw that
-// seeds their draws.
-func (e *Engine) edgeRunner(t *storage.Table, aq aqp.Query, b exec.Buckets, edges []int, osp *trace.Span) (*onlineagg.Runner, error) {
-	e.mu.Lock()
-	seed := e.rng.Int63()
-	e.mu.Unlock()
-	r, err := onlineagg.NewEdges(t, aq, edges, seed)
-	if err != nil {
-		return nil, err
-	}
-	osp.SetInt("cells", int64(b.Cells(r.AddCell)))
-	osp.SetInt("edge_rows", int64(len(edges)))
-	return r, nil
-}
-
-// shuffleRunner prepares the runner over v's shuffle. The version's
-// shuffle is built by its first such query and shared, read-only, by every
-// later one; each query enters it at its own rotation, so prefixes differ
-// from query to query while a fixed Seed still replays the same sequence.
-// Both come from the engine rand.Rand — shared state, drawn under the
-// engine lock.
-func (e *Engine) shuffleRunner(t *storage.Table, v *version, aq aqp.Query, osp *trace.Span) (*onlineagg.Runner, []int, error) {
-	n := t.NumRows()
-	e.mu.Lock()
-	shuffle := v.shuffle
-	built := shuffle == nil
-	if built {
-		shuffle = e.rng.Perm(n)
-		v.shuffle = shuffle
-	}
-	start := int(e.rng.Int63() % int64(max(n, 1)))
-	e.mu.Unlock()
-	osp.SetBool("built", built)
-	scratch := e.takeRowVec(min(n, e.batch))
-	r, err := onlineagg.NewShuffled(t, aq, shuffle, start)
-	if err != nil {
-		return nil, scratch, err
-	}
-	r.UseScratch(scratch)
-	return r, scratch, nil
 }

@@ -147,13 +147,13 @@ func onlineAsks(shape int, where *expr.Pred) []exec.Query {
 // (decodeCrackFz), each clause asked as drawn, without its WHERE, or ANDed
 // with one or two comparisons on a second column, over onlineAsks' single
 // aggregates. An engine whose batch holds every row answers every query,
-// cells, candidates or shuffle, exactly: COUNT, MIN and MAX bit for bit,
+// cells, candidates or table walk, exactly: COUNT, MIN and MAX bit for bit,
 // SUM and AVG within 1e-9 of exact mode, ci95 0. An engine at a drawn
 // batch of 1–64 rows answers with a subset of exact mode's groups, each
 // with a ci95 that is 0, finite or +Inf, never NaN, a MIN never below the
 // exact one and a MAX never above; and exactly, once its run has read every
 // row of its sampled stratum (edge_rows: the edge rows beside cells, else
-// the index plan's candidates), or every row of the shuffle. The draws
+// the index plan's candidates), or every row of the table. The draws
 // after decodeCrackFz's are made in the order they were added, so older
 // inputs keep their tables and clauses. testdata/fuzz/FuzzOnlineVsExact
 // holds entries that reach the cells path's shapes and the index plan with
@@ -211,9 +211,6 @@ func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 			processed, _ := sp["processed"].(int64)
 			cells, _ := sp["cells"].(int64)
 			run.cells, run.stratum, run.edges, run.processed = cells > 0, stratum, int(edges), int(processed)
-			if stratum && sp["built"] != nil {
-				t.Fatalf("%s: the sampled stratum built a shuffle (span %v)", label, sp)
-			}
 			if stratum && processed == edges || !stratum && int(processed) == c.n {
 				if err := matchesExact(q, want, got); err != nil {
 					t.Fatalf("%s, every row read: %v (span %v)", label, err, sp)
@@ -250,7 +247,7 @@ func onlineCase(t *testing.T, data []byte, seen func(onlineRun)) {
 // aggregate with no WHERE, a grouped one — and edge strata larger than the
 // drawn batch, which the runner samples; and the index plan with no cells,
 // over a run with no interior and over an empty run. So a change that
-// sends them back to the shuffle fails on the corpus itself.
+// sends them back to the table walk fails on the corpus itself.
 func TestOnlineFuzzCorpusReachesCells(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOnlineVsExact", "*"))
 	if err != nil || len(files) == 0 {
@@ -305,7 +302,7 @@ func TestOnlineFuzzCorpusReachesCells(t *testing.T) {
 // answer race Replace flipping the table between two versions. Each
 // answer must be exact mode's on one of the two versions, whole — every
 // group from the same one — with ci95 0, since the edge rows fit in one
-// batch; and no query builds a shuffle, on either version.
+// batch.
 func TestConcurrentOnlineCellsAcrossReplace(t *testing.T) {
 	var tables [2]*storage.Table
 	// Large enough for the cells of a range keyed by qty's buckets, within
@@ -356,8 +353,8 @@ func TestConcurrentOnlineCellsAcrossReplace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, cells := sp["cells"]; !cells || sp["built"] != nil || sp["processed"] != sp["edge_rows"] {
-					errs <- fmt.Errorf("%s: online span %v, want the cells path, every edge row read, no shuffle", q, sp)
+				if _, cells := sp["cells"]; !cells || sp["processed"] != sp["edge_rows"] {
+					errs <- fmt.Errorf("%s: online span %v, want the cells path, every edge row read", q, sp)
 					return
 				}
 				e0, e1 := matchesExact(q, want[0][qi], got), matchesExact(q, want[1][qi], got)
@@ -376,9 +373,6 @@ func TestConcurrentOnlineCellsAcrossReplace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if current(t, e, "sales").shuffle != nil {
-		t.Error("a cells-path query built the current version's shuffle")
 	}
 }
 

@@ -29,46 +29,18 @@ func seqTable(t testing.TB, name string, n int) *storage.Table {
 	return tbl
 }
 
-// onlineBuilt runs sql in Online mode under a trace and returns the result
-// with the online span's "built" attribute.
-func onlineBuilt(t testing.TB, e *Engine, sql string) (*storage.Table, bool) {
-	t.Helper()
-	return onlineSpan(t, func(ctx context.Context) (*storage.Table, error) {
-		return e.SQLContext(ctx, sql, Online)
-	})
-}
-
-// onlineSpan runs one Online query under a trace and returns the result
-// with the online span's "built" attribute.
-func onlineSpan(t testing.TB, run func(context.Context) (*storage.Table, error)) (*storage.Table, bool) {
-	t.Helper()
-	ctx, sp := trace.Start(context.Background(), "q")
-	res, err := run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.End()
-	for _, c := range sp.JSON().Children {
-		if c.Name == "online" {
-			return res, c.Attrs["built"] == true
-		}
-	}
-	t.Fatal("no online span")
-	return nil, false
-}
-
 // TestOnlineScansPastAnEmptyFirstBatch: three rows of 100k qualify, none of
 // them in the first batch, and "no group has an estimate yet" once counted
 // as converged — the engine answered an empty table. The answer has to be
 // the exact one: with three qualifying rows the 1% target is never met
 // short of the full scan. The OR gives no interval, so the query walks the
-// shuffle; a range alone reads only its value buckets' rows.
+// table; a range alone reads only its value buckets' rows.
 func TestOnlineScansPastAnEmptyFirstBatch(t *testing.T) {
 	e := New(Options{Seed: 1})
 	if err := e.Register(seqTable(t, "seq", 100_000)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ { // five rotations of the shuffle
+	for i := 0; i < 5; i++ { // five keys of the permutation
 		res, err := e.SQL("SELECT sum(x) FROM seq WHERE x >= 99997 OR x < 0", Online)
 		if err != nil {
 			t.Fatal(err)
@@ -79,33 +51,33 @@ func TestOnlineScansPastAnEmptyFirstBatch(t *testing.T) {
 	}
 }
 
-// TestOnlineShuffleIsBuiltOncePerTable: the table's first Online query pays
-// for the O(n) shuffle, every later one reuses it — no per-query allocation
-// anywhere near the 8·n bytes of a permutation — and a fixed Seed replays
+// TestOnlineShuffleIsBuiltOncePerTable: an Online query that walks the
+// table orders its rows by a keyed permutation it computes as it reads, not
+// one it stores: no query, the table's first included, allocates anywhere
+// near the 8·n bytes an order of the rows would take. A fixed Seed replays
 // the same answers, which still differ from query to query because each
-// enters the shuffle at its own rotation. The WHERE keeps the query off
-// the bucket cells (NE gives no interval), which would answer it exactly.
+// keys its own order. The WHERE keeps the query off the bucket cells (NE
+// gives no interval), which would answer it exactly.
 func TestOnlineShuffleIsBuiltOncePerTable(t *testing.T) {
 	const n = 200_000
 	const sql = "SELECT avg(amount) FROM sales WHERE qty <> 0"
 	run := func() (first, second float64) {
 		e := mkEngine(t, n)
-		res, built := onlineBuilt(t, e, sql)
-		if !built {
-			t.Error("first online query: built = false, want the shuffle built under its span")
+		ask := func(which string) float64 {
+			t.Helper()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := e.SQL(sql, Online)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > n {
+				t.Errorf("%s online query allocated %d bytes; a computed order should keep it far below a stored one's %d", which, got, 8*n)
+			}
+			return res.Row(0)[0].F
 		}
-		first = res.Row(0)[0].F
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, built = onlineBuilt(t, e, sql)
-		runtime.ReadMemStats(&after)
-		if built {
-			t.Error("second online query rebuilt the shuffle")
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > n {
-			t.Errorf("second online query allocated %d bytes; the cached shuffle should keep it far below the permutation's %d", got, 8*n)
-		}
-		return first, res.Row(0)[0].F
+		return ask("first"), ask("second")
 	}
 	a1, a2 := run()
 	b1, b2 := run()
@@ -117,69 +89,60 @@ func TestOnlineShuffleIsBuiltOncePerTable(t *testing.T) {
 	}
 }
 
-// TestReplaceInvalidatesOnlineShuffle: a shuffle indexes rows of the table
-// it was built for. After Replace swaps in a shorter or a longer table the
-// next Online query must build a new one — a stale shuffle would index past
-// the end, or never reach the new rows. MIN and MAX never converge early,
-// so each answer is a full scan and must be exact. The WHERE keeps the
-// query off the bucket cells (NE gives no interval), which build no
-// shuffle.
+// TestReplaceInvalidatesOnlineShuffle: an Online walk reads the rows of the
+// version its query resolved. After Replace swaps in a shorter or a longer
+// table every query must read the new rows — an order of the old rows
+// would index past the end, or never reach the new ones — and a query that
+// resolved the old version before Replace must read the old rows. MIN and
+// MAX never converge early, so each answer is a full scan and must be
+// exact. The WHERE keeps the query off the bucket cells (NE gives no
+// interval).
 func TestReplaceInvalidatesOnlineShuffle(t *testing.T) {
 	e := New(Options{Seed: 3})
 	if err := e.Register(seqTable(t, "seq", 5000)); err != nil {
 		t.Fatal(err)
 	}
-	check := func(n int, wantBuilt bool) {
+	const sql = "SELECT max(x) FROM seq WHERE x <> -1"
+	check := func(n int) {
 		t.Helper()
-		res, built := onlineBuilt(t, e, "SELECT max(x) FROM seq WHERE x <> -1")
-		if built != wantBuilt {
-			t.Errorf("n=%d: built = %v, want %v", n, built, wantBuilt)
+		res, err := e.SQL(sql, Online)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got := res.Row(0)[0].F; got != float64(n-1) {
 			t.Errorf("n=%d: online max(x) = %v, want %d", n, got, n-1)
 		}
-		if got := len(current(t, e, "seq").shuffle); got != n {
-			t.Errorf("n=%d: cached shuffle has %d entries", n, got)
-		}
 	}
-	check(5000, true)
-	check(5000, false)
+	check(5000)
+	check(5000)
 	for _, n := range []int{1200, 9000} {
 		e.Replace(seqTable(t, "seq", n))
-		if current(t, e, "seq").shuffle != nil {
-			t.Fatalf("n=%d: Replace kept the old table's shuffle", n)
-		}
-		check(n, true)
-		check(n, false)
+		check(n)
+		check(n)
 	}
-	// A query that resolved the old version before Replace builds its
-	// shuffle after it: the shuffle is the old version's and indexes the old
-	// rows, and the new version's first query builds its own.
+	// A query that resolved the old version before Replace runs after it,
+	// over the old rows.
 	e.Replace(seqTable(t, "seq", 3000))
 	old := current(t, e, "seq")
 	e.Replace(seqTable(t, "seq", 77))
-	q := mustParse(t, "SELECT max(x) FROM seq WHERE x <> -1")
-	res, built := onlineSpan(t, func(ctx context.Context) (*storage.Table, error) {
-		return e.execute(ctx, old, q, Online)
-	})
-	if !built || res.Row(0)[0].F != 3000-1 || len(old.shuffle) != 3000 {
-		t.Errorf("old version: built = %v, max(x) = %v, shuffle of %d; want a 3000-entry build and 2999",
-			built, res.Row(0)[0].F, len(old.shuffle))
+	res, err := e.execute(context.Background(), old, mustParse(t, sql), Online)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if current(t, e, "seq").shuffle != nil {
-		t.Fatal("the old version's query stored its shuffle on the new version")
+	if got := res.Row(0)[0].F; got != 3000-1 {
+		t.Errorf("old version: max(x) = %v, want 2999", got)
 	}
-	check(77, true)
-	check(77, false)
+	check(77)
+	check(77)
 }
 
 // TestOnlineRangesReadOnlyTheirCandidates: a range the bucket cells refuse
 // — no interior, or no row in range — is sampled from the rows of its value
-// bucket run, exact mode's candidates, not from the table's shuffle, where
-// a few qualifying rows, or none, cost a walk of the whole table and an
+// bucket run, exact mode's candidates, not by a walk of the table, where
+// a few qualifying rows, or none, cost reading every row and an
 // early stop can leave the truth outside the interval. These candidates fit
 // in one batch, so each answer is exact mode's with ci95 0, and no query
-// reads more rows than its run holds or builds a shuffle.
+// reads more rows than its run holds.
 func TestOnlineRangesReadOnlyTheirCandidates(t *testing.T) {
 	const n = 100_000
 	e := New(Options{Seed: 1})
@@ -202,29 +165,85 @@ func TestOnlineRangesReadOnlyTheirCandidates(t *testing.T) {
 		}
 		got, sp := onlineTraced(t, e, "sales", q)
 		cands, ok := sp["edge_rows"].(int64)
-		if processed, _ := sp["processed"].(int64); !ok || processed > cands || cands > n/10 || sp["built"] != nil {
-			t.Errorf("%s: online span %v; want at most the run's candidates read, and no shuffle", sql, sp)
+		if processed, _ := sp["processed"].(int64); !ok || processed > cands || cands > n/10 {
+			t.Errorf("%s: online span %v; want at most the run's candidates read", sql, sp)
 		}
 		if err := matchesExact(q, want, got); err != nil {
 			t.Errorf("%s: %v (span %v)", sql, err, sp)
 		}
 	}
-	if current(t, e, "sales").shuffle != nil {
-		t.Error("a range query built the shuffle")
+}
+
+// TestApproxStopsAtItsRowCap: Approx mode runs Online mode's runner to a
+// 5 % target or a tenth of the rows, whichever comes first. MAX never meets
+// a target, so an approx MAX that walks the table reads exactly its cap,
+// ⌈5003/10⌉ = 501 rows, its second batch cut to fit, and reports the
+// sample's maximum with an unbounded interval; a COUNT every row satisfies
+// meets the target after its first batch and is exact.
+func TestApproxStopsAtItsRowCap(t *testing.T) {
+	const n = 5003
+	e := New(Options{Seed: 4})
+	e.batch = 256
+	if err := e.Register(seqTable(t, "seq", n)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql                string
+		processed, batches int64
+		est, ci            func(float64) bool
+	}{
+		{"SELECT max(x) FROM seq WHERE x <> -1", 501, 2,
+			func(v float64) bool { return v >= 0 && v < n }, func(ci float64) bool { return math.IsInf(ci, 1) }},
+		{"SELECT count(*) FROM seq WHERE x <> -1", 256, 1,
+			func(v float64) bool { return math.Abs(v-n) <= 1e-9*n }, func(ci float64) bool { return ci == 0 }},
+	} {
+		ctx, root := trace.Start(context.Background(), "q")
+		res, err := e.ExecuteContext(ctx, "seq", mustParse(t, c.sql), Approx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		var sp map[string]any
+		for _, ch := range root.JSON().Children {
+			if ch.Name == "online" {
+				sp = ch.Attrs
+			}
+		}
+		if sp["processed"] != c.processed || sp["batches"] != c.batches {
+			t.Errorf("%s: online span %v, want %d rows in %d batches", c.sql, sp, c.processed, c.batches)
+		}
+		if row := res.Row(0); !c.est(row[0].F) || !c.ci(row[1].F) {
+			t.Errorf("%s: approx answer %v", c.sql, row)
+		}
 	}
 }
 
-// TestConcurrentOnlineSessions shares one shuffle between many Online
-// queries while Replace keeps swapping the table between two lengths: the
-// race detector watches the shuffle cache and the engine rand.Rand, and
-// every answer must be the exact maximum of one of the two tables — a
-// shuffle paired with the wrong table would panic or miss rows.
+// TestConcurrentOnlineSessions runs many Online and Approx queries while
+// Replace keeps swapping the table between two lengths: the race detector
+// watches the engine rand.Rand that keys each walk, the free list its
+// scratch vectors come from and the versions the queries resolve. One
+// query the bucket cells answer reads no row; the cells refuse the other
+// two (NE gives no interval), which walk the table in the order of a keyed
+// permutation. Every Online answer must be the exact maximum of one of the
+// two tables, and every Approx count one of their lengths — every row
+// matches, so the estimate is exact whatever share of the rows it read: an
+// order paired with the wrong table would panic or miss rows.
 func TestConcurrentOnlineSessions(t *testing.T) {
 	e := New(Options{Seed: 11})
 	e.batch = 512
 	sizes := [2]int{6000, 2500}
 	if err := e.Register(seqTable(t, "seq", sizes[0])); err != nil {
 		t.Fatal(err)
+	}
+	stmts := []struct {
+		sql  string
+		mode Mode
+		want func(n int) float64
+		tol  float64 // relative: a count scaled up from a share of the rows
+	}{
+		{"SELECT max(x) FROM seq", Online, func(n int) float64 { return float64(n - 1) }, 0},
+		{"SELECT max(x) FROM seq WHERE x <> -1", Online, func(n int) float64 { return float64(n - 1) }, 0},
+		{"SELECT count(*) FROM seq WHERE x <> -1", Approx, func(n int) float64 { return float64(n) }, 1e-9},
 	}
 	const goroutines, perG = 6, 12
 	errs := make(chan error, goroutines)
@@ -234,13 +253,15 @@ func TestConcurrentOnlineSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				res, err := e.SQL("SELECT max(x) FROM seq", Online)
+				st := stmts[(g+i)%len(stmts)]
+				res, err := e.SQL(st.sql, st.mode)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if got := res.Row(0)[0].F; got != float64(sizes[0]-1) && got != float64(sizes[1]-1) {
-					errs <- fmt.Errorf("online max(x) = %v, want %d or %d", got, sizes[0]-1, sizes[1]-1)
+				got, w0, w1 := res.Row(0)[0].F, st.want(sizes[0]), st.want(sizes[1])
+				if math.Abs(got-w0) > st.tol*w0 && math.Abs(got-w1) > st.tol*w1 {
+					errs <- fmt.Errorf("%v %s = %v, want %v or %v", st.mode, st.sql, got, w0, w1)
 					return
 				}
 			}

@@ -17,8 +17,9 @@ import (
 )
 
 // These tests hold the one estimator in internal/aqp to its three feeds —
-// a stored sample (aqp.OnView), a shuffled prefix (Runner) and per-group
-// prefixes (StridedRunner) — against the reference evaluator exec.Execute.
+// a stored sample (aqp.OnView), a prefix of a keyed permutation (Runner)
+// and per-group prefixes (StridedRunner) — against the reference evaluator
+// exec.Execute.
 
 // execTruth answers q with the reference evaluator, keyed by group
 // ("" without GROUP BY).
@@ -225,7 +226,7 @@ func TestNullMeasuresFollowExec(t *testing.T) {
 // and AQP share one estimator: a Runner stopped after m of N rows reports
 // exactly what aqp.OnView reports for those m rows as a sample whose every
 // expansion weight is N/m — same estimates, same intervals, same counts —
-// wherever in the shuffle the runner started. At Done it is aqp.Exact.
+// whatever key orders its rows. At Done it is aqp.Exact.
 func TestPrefixIsAWeightedView(t *testing.T) {
 	tbl := nullTable(t, 3000, 31)
 	n := tbl.NumRows()
@@ -239,8 +240,9 @@ func TestPrefixIsAWeightedView(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			q.Where = expr.Cmp("i", expr.LT, storage.Int(int64(5+rng.Intn(90))))
 		}
-		shuffle, start, m := rng.Perm(n), rng.Intn(n), 2+rng.Intn(n-2)
-		r, err := NewShuffled(tbl, q, shuffle, start)
+		seed, m := rng.Int63(), 2+rng.Intn(n-2)
+		order := permOrder(n, seed)
+		r, err := New(tbl, q, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +252,7 @@ func TestPrefixIsAWeightedView(t *testing.T) {
 		}
 		prefix, weights := make([]int, m), make([]float64, m)
 		for i := range prefix {
-			prefix[i] = shuffle[(start+i)%n]
+			prefix[i] = order[i]
 			weights[i] = float64(n) / float64(m)
 		}
 		want, err := aqp.OnView(tbl.Gather(prefix), weights, q)
@@ -263,7 +265,7 @@ func TestPrefixIsAWeightedView(t *testing.T) {
 		for i := range want {
 			g, w := got[i], want[i]
 			if g.Group != w.Group || g.N != w.N || !sameFloat(g.Est, w.Est, 1e-9) || !sameFloat(g.CI, w.CI, 1e-9) {
-				t.Fatalf("trial %d %v m=%d start=%d group %v:\n runner %+v\n view   %+v", trial, q, m, start, w.Group, g, w)
+				t.Fatalf("trial %d %v m=%d seed=%d group %v:\n runner %+v\n view   %+v", trial, q, m, seed, w.Group, g, w)
 			}
 		}
 		if _, err := r.RunUntil(0, 512); err != nil {
@@ -415,16 +417,10 @@ func (o *rowOracle) estimates(draws func(id int) (k, scale float64)) []aqp.Group
 }
 
 // oracleStep is the Runner.Step loop the batch lane replaced: consume up to
-// batch rows of shuffle from position start+pos, testing each with
-// Pred.Matches. It returns the new position.
-func oracleStep(o *rowOracle, t *storage.Table, where *expr.Pred, shuffle []int, start, pos, batch int) int {
-	n := len(shuffle)
-	for end := min(pos+batch, n); pos < end; pos++ {
-		at := start + pos
-		if at >= n {
-			at -= n
-		}
-		row := shuffle[at]
+// batch rows of order from position pos, testing each with Pred.Matches. It returns the new position.
+func oracleStep(o *rowOracle, t *storage.Table, where *expr.Pred, order []int, pos, batch int) int {
+	for end := min(pos+batch, len(order)); pos < end; pos++ {
+		row := order[pos]
 		if where == nil || where.Matches(t, row) {
 			o.add(o.group(row), row)
 		}
@@ -532,20 +528,20 @@ func laneQueries(groups ...string) []aqp.Query {
 	return out
 }
 
-// TestBatchLaneMatchesRowOracle: at every batch, on every rotation of the
-// shuffle — including ones whose window wraps past its end — the typed
-// batch lane (window copy, kernel Refine or the Matches fallback, AddRows)
-// renders exactly what the row-at-a-time loop renders, bit for bit, and a
-// run stops after the same number of rows.
+// TestBatchLaneMatchesRowOracle: at every batch, under every key of the
+// permutation, the typed batch lane (window mapped into scratch, kernel
+// Refine or the Matches fallback, AddRows) renders exactly what the
+// row-at-a-time loop renders over the same order, bit for bit, and a run
+// stops after the same number of rows.
 func TestBatchLaneMatchesRowOracle(t *testing.T) {
 	const n, batch = 997, 97
 	tbl := laneTable(t, n, 51)
-	shuffle := rand.New(rand.NewSource(52)).Perm(n)
 	for _, w := range laneWheres {
 		for _, q := range laneQueries("", "d", "p", "r", "k", "f") {
 			q.Where = w.p
-			for _, start := range []int{0, n - 1, n - batch/2, 409} {
-				r, err := NewShuffled(tbl, q, shuffle, start)
+			for _, key := range []int64{0, 52, -1, 409} {
+				order := permOrder(n, key)
+				r, err := New(tbl, q, key)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -559,9 +555,9 @@ func TestBatchLaneMatchesRowOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pos = oracleStep(o, tbl, q.Where, shuffle, start, pos, batch)
+					pos = oracleStep(o, tbl, q.Where, order, pos, batch)
 					if r.Processed() != pos {
-						t.Fatalf("%v start %d: lane at %d rows, oracle at %d", q, start, r.Processed(), pos)
+						t.Fatalf("%v key %d: lane at %d rows, oracle at %d", q, key, r.Processed(), pos)
 					}
 					want := o.estimates(func(int) (float64, float64) {
 						if pos == n {
@@ -570,7 +566,7 @@ func TestBatchLaneMatchesRowOracle(t *testing.T) {
 						return float64(pos), float64(n) / float64(pos)
 					})
 					if msg := sameBits(got, want); msg != "" {
-						t.Fatalf("%v start %d after %d rows: %s", q, start, pos, msg)
+						t.Fatalf("%v key %d after %d rows: %s", q, key, pos, msg)
 					}
 					worst := 0.0
 					for _, g := range want {
@@ -583,7 +579,7 @@ func TestBatchLaneMatchesRowOracle(t *testing.T) {
 					}
 				}
 				// Run and RunUntil stop where the row loop's rule stopped.
-				stop, err := NewShuffled(tbl, q, shuffle, start)
+				stop, err := New(tbl, q, key)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -591,21 +587,21 @@ func TestBatchLaneMatchesRowOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run, err := NewShuffled(tbl, q, shuffle, start)
+				run, err := New(tbl, q, key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				batches, err := run.Run(context.Background(), 0.05, batch)
+				batches, err := run.Run(context.Background(), 0.05, batch, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if batches != len(snaps) || run.Processed() != stopAt || stop.Processed() != stopAt {
-					t.Fatalf("%v start %d: Run stopped after %d batches / %d rows, RunUntil after %d / %d, the row loop after %d rows",
-						q, start, batches, run.Processed(), len(snaps), stop.Processed(), stopAt)
+					t.Fatalf("%v key %d: Run stopped after %d batches / %d rows, RunUntil after %d / %d, the row loop after %d rows",
+						q, key, batches, run.Processed(), len(snaps), stop.Processed(), stopAt)
 				}
 				for i, s := range snaps {
 					if s.Processed != min((i+1)*batch, n) {
-						t.Fatalf("%v start %d: snapshot %d at %d rows", q, start, i, s.Processed)
+						t.Fatalf("%v key %d: snapshot %d at %d rows", q, key, i, s.Processed)
 					}
 				}
 			}
@@ -744,6 +740,36 @@ func coverageTable(tb testing.TB, n int, seed int64) *storage.Table {
 	return t
 }
 
+// orderedTable is n rows whose measure follows row position, as in a
+// sorted load or a time series: x = i, and g in runs, "a" on the first
+// 60 % of the rows, "b" on the next 30 % and "c" on the last 10 %. A
+// prefix of a walk that leans toward either end of the table misses
+// its answers.
+func orderedTable(tb testing.TB, n int) *storage.Table {
+	tb.Helper()
+	gv := make([]string, n)
+	xv := make([]float64, n)
+	for i := range gv {
+		switch {
+		case i < n*6/10:
+			gv[i] = "a"
+		case i < n*9/10:
+			gv[i] = "b"
+		default:
+			gv[i] = "c"
+		}
+		xv[i] = float64(i)
+	}
+	t, err := storage.FromColumns("o", storage.Schema{
+		{Name: "g", Type: storage.TString},
+		{Name: "x", Type: storage.TFloat},
+	}, []storage.Column{storage.NewStringColumn(gv), storage.NewFloatColumn(xv)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return t
+}
+
 // mixedRun is the two-strata feed of online mode's cells path over
 // table: exact mode's bucket cells for q (exec.RangeBuckets) folded as the
 // exact stratum, and frac of its edge candidates read. It fails the test
@@ -777,6 +803,10 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 // not independent, so the trial count is the honest sample size). The
 // two-strata feed is stopped at those shares of its edge stratum, which
 // its range's cut through two value buckets makes larger than a batch.
+// The permutation is read twice: over rows drawn independently of their
+// position, and over rows whose measure and group follow their position,
+// where only a walk whose every prefix is spread over the whole table
+// covers.
 func TestIntervalCoverageAtEveryStop(t *testing.T) {
 	const (
 		n      = 4000
@@ -798,6 +828,19 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 		importance[i] = 50 + xcol.Value(i).AsFloat()
 	}
 	where := expr.Cmp("x", expr.GT, storage.Float(60))
+	ordered := orderedTable(t, n)
+	upper := expr.Cmp("x", expr.GE, storage.Float(n/2))
+	prefix := func(table *storage.Table) func(q aqp.Query, seed int64, rows int) ([]aqp.GroupEstimate, error) {
+		return func(q aqp.Query, seed int64, rows int) ([]aqp.GroupEstimate, error) {
+			// The permutation keyed by the trial's seed, as core's
+			// Online mode keys it by the query's engine-RNG draw.
+			r, err := New(table, q, seed)
+			if err != nil {
+				return nil, err
+			}
+			return r.Step(rows)
+		}
+	}
 	feeds := []struct {
 		name    string
 		queries []aqp.Query
@@ -809,15 +852,13 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 			{Agg: exec.AggCount, Col: "*", Where: where},
 			{Agg: exec.AggAvg, Col: "x", GroupBy: "g"},
 			{Agg: exec.AggSum, Col: "x", GroupBy: "g", Where: where},
-		}, func(q aqp.Query, seed int64, rows int) ([]aqp.GroupEstimate, error) {
-			// A shared shuffle entered at a per-trial rotation, as
-			// core's Online mode does, every fourth trial from a fresh one.
-			r, err := NewShuffled(tbl, q, rand.New(rand.NewSource(seed/4)).Perm(n), int(seed*7919)%n)
-			if err != nil {
-				return nil, err
-			}
-			return r.Step(rows)
-		}, nil},
+		}, prefix(tbl), nil},
+		{"uniform prefix, ordered rows", []aqp.Query{
+			{Agg: exec.AggSum, Col: "x"},
+			{Agg: exec.AggCount, Col: "*", Where: upper},
+			{Agg: exec.AggAvg, Col: "x", GroupBy: "g"},
+			{Agg: exec.AggSum, Col: "x", GroupBy: "g", Where: upper},
+		}, prefix(ordered), ordered},
 		{"strided", []aqp.Query{
 			{Agg: exec.AggSum, Col: "x", GroupBy: "g"},
 			{Agg: exec.AggAvg, Col: "x", GroupBy: "g"},

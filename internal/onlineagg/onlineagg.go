@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/bits"
-	"math/rand"
 
 	"dex/internal/aqp"
 	"dex/internal/expr"
@@ -23,77 +21,54 @@ var (
 	ErrBadBatch = errors.New("onlineagg: batch must be positive")
 )
 
-// Runner incrementally evaluates one aggregate query over a shuffle of the
-// table's rows. Each Step consumes a batch of rows in O(batch) and the
-// current estimates are available at any time; the estimator itself is
-// aqp's, fed the processed prefix.
-//
-// A batch is a window of the shuffle (two slices where it wraps past the
-// end). With a WHERE, the window is copied into a scratch vector and the
-// compiled predicate kernel refines it in place, keeping shuffle order; a
-// predicate the kernel cannot compile is decided row by row with
-// Pred.Matches, which agrees with the kernel wherever both apply. The
-// survivors go to the estimator in one AddRows call.
-//
-// A runner made by NewEdges walks a stratum instead: candidate rows it
-// owns, beside an exact stratum of bucket cells (AddCell). It draws each
-// window from the rows not yet read by a lazy Fisher–Yates, so its prefix
-// is a uniform sample of the candidates, and refines the window in place.
+// Runner incrementally evaluates one aggregate query over the table's rows,
+// or a stratum of them (NewEdges), in the order of a keyed permutation
+// (perm). Each Step maps a batch's window of the order into a scratch
+// vector, which the compiled predicate kernel refines in place — or
+// Pred.Matches, row by row, where the kernel does not compile — and hands
+// the survivors to aqp's estimator in one AddRows call; the estimates of
+// the processed prefix are available at any time.
 type Runner struct {
 	t        *storage.Table
 	kern     *expr.Kernel
 	where    *expr.Pred // decided row by row only when kern is nil
 	fallback string     // why the kernel did not compile
 	est      *aqp.Estimator
-	shuffle  []int // a permutation of the row ids; read-only, may be shared
-	start    int   // position in shuffle of the first row consumed
+	rows     []int // the stratum's candidates; nil for a walk of the table
+	order    perm  // the walk's order, of the table's rows or of rows' positions
 	pos      int   // rows consumed
 	matched  int   // rows that satisfied the predicate
-	sel      []int // scratch a window is filtered in
-	// owned says shuffle is the stratum's candidates, which the runner
-	// reorders and refines in place; rng is its draws' splitmix64 state.
-	owned bool
-	rng   uint64
-	exact int // rows of the exact stratum
+	sel      []int // scratch a window of the order is mapped into
+	exact    int   // rows of the exact stratum
 }
 
-// New prepares a runner over its own permutation, seeded deterministically.
+// New prepares a runner over every row of t, in the order of the
+// permutation seed keys: a fixed seed replays the same order, and two
+// seeds give two orders.
 func New(t *storage.Table, q aqp.Query, seed int64) (*Runner, error) {
-	return NewShuffled(t, q, rand.New(rand.NewSource(seed)).Perm(t.NumRows()), 0)
+	return newRunner(t, q, nil, t.NumRows(), seed)
 }
 
-// NewShuffled prepares a runner that walks shuffle — a uniformly random
-// permutation of t's row ids, which the runner only reads — from position
-// start, wrapping around. A window of a random permutation is a uniform
-// sample wherever it starts, so many runners can share one shuffle and
-// still see different prefixes by starting at different positions.
-func NewShuffled(t *storage.Table, q aqp.Query, shuffle []int, start int) (*Runner, error) {
+// NewEdges prepares a runner over one stratum of t's rows, the candidate
+// row ids rows, which the runner owns: estimates scale the rows read to
+// len(rows) and add the exact stratum, the cells AddCell folds. A first
+// batch that takes every candidate reads them in the given order, where
+// they lie, and its answer is exact.
+func NewEdges(t *storage.Table, q aqp.Query, rows []int, seed int64) (*Runner, error) {
+	return newRunner(t, q, rows, len(rows), seed)
+}
+
+func newRunner(t *storage.Table, q aqp.Query, rows []int, n int, seed int64) (*Runner, error) {
 	est, err := aqp.NewEstimator(t, q)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{t: t, est: est, shuffle: shuffle, start: start}
+	r := &Runner{t: t, est: est, rows: rows, order: newPerm(n, seed)}
 	if q.Where != nil {
 		if r.kern, r.fallback = expr.CompileKernel(t, q.Where); r.kern == nil {
 			r.where = q.Where
 		}
 	}
-	return r, nil
-}
-
-// NewEdges prepares a runner over one stratum of t's rows: the candidate
-// row ids rows, which the runner owns and reorders, of which it reads
-// every one that satisfies q's predicate. Estimates scale the rows read to
-// len(rows), and add the exact stratum, the cells AddCell folds. A run
-// whose first batch takes every candidate reads them in the given order,
-// and its answer is exact; otherwise each batch is drawn from the
-// candidates not yet read, seeded by seed.
-func NewEdges(t *storage.Table, q aqp.Query, rows []int, seed int64) (*Runner, error) {
-	r, err := NewShuffled(t, q, rows, 0)
-	if err != nil {
-		return nil, err
-	}
-	r.owned, r.rng = true, uint64(seed)
 	return r, nil
 }
 
@@ -105,9 +80,7 @@ func (r *Runner) AddCell(c *storage.Cell) {
 }
 
 // UseScratch lends the runner buf's storage for the vector each batch is
-// filtered in, so a caller running many queries can recycle one vector
-// across them; a buf too small for a batch is replaced. buf is the
-// runner's until its last Step or Run returns.
+// filtered in, replaced if too small, until its last Step or Run returns.
 func (r *Runner) UseScratch(buf []int) { r.sel = buf[:0] }
 
 // KernelFallback returns why the WHERE is decided row by row instead of
@@ -123,14 +96,14 @@ func (r *Runner) Matched() int { return r.matched }
 
 // Progress returns the fraction of the table consumed, in [0,1].
 func (r *Runner) Progress() float64 {
-	if len(r.shuffle) == 0 {
+	if r.order.n == 0 {
 		return 1
 	}
-	return float64(r.pos) / float64(len(r.shuffle))
+	return float64(r.pos) / float64(r.order.n)
 }
 
 // Done reports whether the scan has consumed every row.
-func (r *Runner) Done() bool { return r.pos >= len(r.shuffle) }
+func (r *Runner) Done() bool { return r.pos >= r.order.n }
 
 // Step consumes up to batch more rows and returns the updated estimates.
 // After the final row the estimates are exact (CIs collapse to 0) and
@@ -146,66 +119,42 @@ func (r *Runner) Step(batch int) ([]aqp.GroupEstimate, error) {
 	return r.Estimates(), nil
 }
 
-// advance consumes the next min(batch, rows left) positions of the shuffle.
+// advance consumes the next min(batch, rows left) rows of the walk: a
+// window of the order, or a whole stratum read in one batch, where it lies.
 func (r *Runner) advance(batch int) {
-	n := len(r.shuffle)
+	n := r.order.n
 	m := min(batch, n-r.pos)
-	a := r.start + r.pos
-	if a >= n {
-		a -= n
+	win := r.rows
+	if m < n || win == nil {
+		if cap(r.sel) < m {
+			r.sel = make([]int, 0, m)
+		}
+		win = r.sel[:m]
+		r.order.fill(win, r.pos)
+		if r.rows != nil {
+			for i, j := range win {
+				win[i] = r.rows[j]
+			}
+		}
 	}
-	if r.owned && m < n-r.pos {
-		r.draw(a, m)
-	}
-	if b := a + m; b <= n {
-		r.feed(r.shuffle[a:b], m)
-	} else {
-		r.feed(r.shuffle[a:], m)
-		r.feed(r.shuffle[:b-n], m)
-	}
+	r.feed(win)
 	r.pos += m
 }
 
-// draw moves m rows drawn uniformly from the unread shuffle[a:] to
-// shuffle[a:a+m], one Fisher–Yates step each. The bound is Lemire's
-// multiply-shift, whose bias, under n/2^64, no interval can see.
-func (r *Runner) draw(a, m int) {
-	rest := r.shuffle[a:]
-	for i := range m {
-		r.rng += 0x9e3779b97f4a7c15 // splitmix64
-		z := r.rng
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		j, _ := bits.Mul64(z^z>>31, uint64(len(rest)-i))
-		rest[i], rest[i+int(j)] = rest[i+int(j)], rest[i]
-	}
-}
-
-// feed adds the rows of one window that satisfy the predicate, in shuffle
-// order; batch sizes the scratch vector they are filtered in. An owned
-// window is read once, so it is filtered where it lies.
-func (r *Runner) feed(rows []int, batch int) {
-	if r.kern != nil || r.where != nil {
-		sel := rows
-		if !r.owned {
-			if cap(r.sel) < len(rows) {
-				r.sel = make([]int, 0, batch)
+// feed adds the rows of one window, the runner's own, that satisfy the
+// predicate, filtering them where they lie.
+func (r *Runner) feed(rows []int) {
+	if r.kern != nil {
+		rows = r.kern.Refine(rows)
+	} else if r.where != nil {
+		k := 0
+		for _, row := range rows {
+			if r.where.Matches(r.t, row) {
+				rows[k] = row
+				k++
 			}
-			sel = append(r.sel[:0], rows...)
 		}
-		if r.kern != nil {
-			sel = r.kern.Refine(sel)
-		} else {
-			k := 0
-			for _, row := range sel {
-				if r.where.Matches(r.t, row) {
-					sel[k] = row
-					k++
-				}
-			}
-			sel = sel[:k]
-		}
-		rows = sel
+		rows = rows[:k]
 	}
 	r.est.AddRows(rows, nil)
 	r.matched += len(rows)
@@ -222,7 +171,7 @@ func (r *Runner) draws() (k, scale float64) {
 		return 0, 1
 	}
 	m := float64(r.pos)
-	return m, float64(len(r.shuffle)) / m
+	return m, float64(r.order.n) / m
 }
 
 // Snapshot is one point on the convergence curve RunUntil produces.
@@ -255,34 +204,39 @@ func (r *Runner) RunUntil(target float64, batch int) ([]Snapshot, error) {
 // confidence intervals as wide as the processed fraction makes them.
 func (r *Runner) RunUntilCtx(ctx context.Context, target float64, batch int) ([]Snapshot, error) {
 	var snaps []Snapshot
-	_, err := r.run(ctx, target, batch, func(worst float64) {
+	_, err := r.run(ctx, target, batch, 0, func(worst float64) {
 		snaps = append(snaps, Snapshot{Processed: r.pos, Groups: r.Estimates(), MaxRelCI: worst})
 	})
 	return snaps, err
 }
 
 // Run is RunUntilCtx without the trajectory: the same batches, stopping
-// rule and deadline rule, reporting only how many batches ran. Its stop
-// check renders no estimate slice, so a batch allocates nothing.
-func (r *Runner) Run(ctx context.Context, target float64, batch int) (int, error) {
-	return r.run(ctx, target, batch, nil)
+// rule and deadline rule, and a row cap — a limit > 0 stops the run once
+// limit rows are read, its last batch cut to fit — reporting only how many
+// batches ran. Its stop check renders no estimate slice, so a batch
+// allocates nothing.
+func (r *Runner) Run(ctx context.Context, target float64, batch, limit int) (int, error) {
+	return r.run(ctx, target, batch, limit, nil)
 }
 
 // run is RunUntilCtx and Run; snap, when not nil, sees each batch's worst
 // relative interval.
-func (r *Runner) run(ctx context.Context, target float64, batch int, snap func(worst float64)) (int, error) {
+func (r *Runner) run(ctx context.Context, target float64, batch, limit int, snap func(worst float64)) (int, error) {
 	if batch <= 0 {
 		return 0, ErrBadBatch
 	}
+	if limit <= 0 || limit > r.order.n {
+		limit = r.order.n
+	}
 	batches := 0
-	for !r.Done() {
+	for r.pos < limit {
 		if err := ctx.Err(); err != nil {
 			if batches > 0 && errors.Is(err, context.DeadlineExceeded) {
 				return batches, nil
 			}
 			return batches, err
 		}
-		r.advance(batch)
+		r.advance(min(batch, limit-r.pos))
 		batches++
 		worst := r.worstRelCI()
 		if snap != nil {

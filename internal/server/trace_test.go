@@ -159,7 +159,7 @@ func TestServerTraceModes(t *testing.T) {
 		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty <= 99999999999999999999", "crack", map[string]any{"col": "qty"}},
 		{"cracked", "SELECT COUNT(*) FROM sales WHERE qty = 'a'", "crack", map[string]any{"fallback": "not numeric"}},
 		{"cracked", "SELECT COUNT(*) FROM sales", "crack", map[string]any{"fallback": "no range"}},
-		{"approx", "SELECT AVG(amount) FROM sales", "sample", nil},
+		{"approx", "SELECT AVG(amount) FROM sales", "online", nil},
 		{"online", "SELECT AVG(amount) FROM sales", "online", nil},
 		{"online", "SELECT AVG(amount) FROM sales WHERE amount > 50", "online", map[string]any{"kernel": true}},
 		{"online", "SELECT AVG(amount) FROM sales WHERE amount > 50 OR qty < 3", "online",
@@ -186,7 +186,7 @@ func TestServerTraceModes(t *testing.T) {
 		// qualified; without a WHERE it names no kernel. A query the bucket
 		// cells answer also counts the cells it folded and the edge rows it
 		// samples — none without a WHERE — and reads them all in one batch
-		// here; any other walks the shuffle.
+		// here; any other walks the table. Approx mode runs the same runner.
 		if tc.stage == "online" {
 			processed, _ := sp.Attrs["processed"].(float64)
 			matched, ok := sp.Attrs["matched"].(float64)

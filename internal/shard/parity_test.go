@@ -233,11 +233,7 @@ func shardEngines(t *testing.T, tbl *storage.Table, spec shard.Spec, seedBase in
 	engines := make([]*core.Engine, spec.Shards)
 	for i, sel := range sels {
 		total += len(sel)
-		// A 10% sample floor keeps per-partition AQP samples big enough
-		// for the CLT intervals the merge algebra combines: at 8-way
-		// splits of the test table the default 1% sample is ~50 rows,
-		// where the single-node z-interval itself under-covers.
-		engines[i] = core.New(core.Options{Seed: seedBase + int64(i), SampleFracs: []float64{0.1}})
+		engines[i] = core.New(core.Options{Seed: seedBase + int64(i)})
 		if err := engines[i].Register(tbl.Gather(sel)); err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +321,9 @@ func TestMergeParityOracle(t *testing.T) {
 // acceptance bar is 95% minus two binomial standard errors (~90% at 100
 // trials): the intervals are honestly calibrated, not conservative, so a
 // hard ≥95% empirical cutoff would reject a perfect estimator about half
-// the time.
+// the time. Each partition stops at its row cap, a tenth of its rows
+// (about 2000 at 2 shards, 1000 at 4), so at least 90 of the merged
+// intervals must have a width, or the bar measures nothing.
 func TestMergeEstimatesCICoverage(t *testing.T) {
 	const rows = 40_000
 	const trials = 100
@@ -341,21 +339,23 @@ func TestMergeEstimatesCICoverage(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		spec := shard.Spec{Table: "ptab", Column: "v", Scheme: shard.Hash, Shards: n}
 		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
-			covered := 0
+			covered, sampled := 0, 0
 			for i := 0; i < trials; i++ {
-				// Fresh engines every trial: the AQP catalog samples each
-				// partition once and reuses it, so one unlucky draw would
-				// otherwise bias every trial identically — the coverage
+				// Fresh engines every trial, seeded apart: the coverage
 				// statistic needs independent samples.
 				engines := shardEngines(t, tbl, spec, int64(100+i*16))
 				q := exec.Query{
 					Select: []exec.SelectItem{{Col: "v", Agg: aggs[rng.Intn(len(aggs))]}},
 				}
-				// Wide predicates only, as in the single-node CI oracle.
+				// Wide predicates only, as in the single-node CI oracle,
+				// and, as there, a d <> -1 leaf every row satisfies keeps
+				// the range off the bucket cells: each partition walks its
+				// rows under its row cap and returns a finite ci95.
 				lo := rng.Int63n(int64(rows / 2))
 				q.Where = expr.And(
 					expr.Cmp("id", expr.GE, storage.Int(lo)),
 					expr.Cmp("id", expr.LT, storage.Int(lo+int64(rows)/3)),
+					expr.Cmp("d", expr.NE, storage.Int(-1)),
 				)
 				exact, err := oracle.Execute("ptab", q, core.Exact)
 				if err != nil {
@@ -389,12 +389,16 @@ func TestMergeEstimatesCICoverage(t *testing.T) {
 					}
 					continue
 				}
+				sampled++
 				if math.Abs(est-truth) <= ci {
 					covered++
 				}
 			}
 			coverage := float64(covered) / trials
-			t.Logf("shards=%d: %d/%d trials inside merged ci95 (%.1f%%)", n, covered, trials, 100*coverage)
+			t.Logf("shards=%d: %d/%d trials inside merged ci95 (%.1f%%), %d with ci95 > 0", n, covered, trials, 100*coverage, sampled)
+			if sampled < trials*9/10 {
+				t.Fatalf("only %d of %d merged estimates had ci95 > 0: interval merging went unmeasured", sampled, trials)
+			}
 			if coverage < bar {
 				t.Fatalf("merged CI coverage %.1f%% < %.1f%%: interval merging is optimistic", 100*coverage, 100*bar)
 			}

@@ -46,12 +46,12 @@ func intSkips(x *ValueIndex, m int, lo, hi int64) bool {
 	return x.Count(m, bl, bh) == 0
 }
 
-// TestZoneMapBuildAndPrune pins which morsels of a small INT column the
+// TestIndexBuildAndPrune pins which morsels of a small INT column the
 // index skips. All twelve values are split points, so a range whose bounds
 // are values of the column skips exactly the morsels holding none of its
 // rows; a bound between two values widens the run to the bucket of the
 // value below it, so a skip stays sound but may be missed.
-func TestZoneMapBuildAndPrune(t *testing.T) {
+func TestIndexBuildAndPrune(t *testing.T) {
 	tab := zmTable(t)
 	x, built, err := tab.ValueIndex("i", 4)
 	if err != nil || x == nil || !built {
@@ -94,9 +94,9 @@ func TestZoneMapBuildAndPrune(t *testing.T) {
 	}
 }
 
-// TestZoneMapFloatNaNMorsel: a morsel holding only NaN (NULL) has no row in
+// TestIndexFloatNaNMorsel: a morsel holding only NaN (NULL) has no row in
 // any bucket, so every range skips it, the widest one included.
-func TestZoneMapFloatNaNMorsel(t *testing.T) {
+func TestIndexFloatNaNMorsel(t *testing.T) {
 	tab := zmTable(t)
 	x, _, err := tab.ValueIndex("f", 4)
 	if err != nil || x == nil {
