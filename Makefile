@@ -18,15 +18,20 @@ test:
 # So is storage: concurrent first queries share one value-index build and
 # one bucket-cells build — a drill-down's, a two-range query's, or an
 # aggregate's with no WHERE racing a drill-down over the same cell set.
+# And so is the morsel scheduler itself: its worker ids, cancellation,
+# error, panic and injected-fault paths take other interleavings at more
+# than one core.
 test-cpus:
-	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage ./internal/par
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
 # The engine packages run again at one and four cores: per-worker
 # accumulators and the pooled selection and slot vectors interleave
-# differently when goroutines cannot overlap, and so do concurrent first
-# queries building a table's value index and bucket cells, whether the
+# differently when goroutines cannot overlap, and so do the scheduler's
+# workers stopping on an error, a panic or a cancelled context, and
+# concurrent first queries building a table's value index and bucket
+# cells, whether the
 # first query is a drill-down, a two-range query or an aggregate with no
 # WHERE, and cracked aggregates reading an edge bucket's cracker while a
 # writer cracks inside it. The last three lines are CI's "Concurrent probe
@@ -39,7 +44,7 @@ test-cpus:
 # morsel partials.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage
+	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage ./internal/par
 	$(GO) test -race -run 'ConcurrentProbe|CrackedParallel|ConcurrentCracked|ConcurrentReaders' -cpu 1,4,8 -count=2 ./internal/crack/ ./internal/core/
 	$(GO) test -race -run 'BuiltOnce|IndexBuildFault' -cpu 1,4,8 -count=2 ./internal/exec ./internal/storage
 	$(GO) test -race -run 'BitForBit|ParityMatrix|AggKernel' -cpu 1,4,8 -count=2 ./internal/exec
@@ -156,11 +161,12 @@ bench-kernels:
 	$(GO) run ./cmd/experiments -run E34 -json BENCH_kernels.json
 
 # Seeded chaos harness + cross-mode differential oracles + concurrent
-# Online sessions under the race detector, twice per seed, on one core and
-# on four (CI runs the same line with DEX_CHAOS_SEED pinned per matrix
-# job). `go run ./cmd/dexd chaos` drives bigger schedules.
+# Online sessions + the degradation contract under the race detector,
+# twice per seed, on one core and on four (CI runs the same line with
+# DEX_CHAOS_SEED pinned per matrix job). `go run ./cmd/dexd chaos` drives
+# bigger schedules.
 chaos:
-	$(GO) test -race -run 'Chaos|Oracle|ConcurrentOnline' -cpu 1,4 -count=2 ./internal/chaos/ ./internal/exec/ ./internal/core/
+	$(GO) test -race -run 'Chaos|Oracle|ConcurrentOnline|Degrade' -cpu 1,4 -count=2 ./internal/chaos/ ./internal/exec/ ./internal/core/
 
 # End-to-end observability smoke: boots dexd as a child process, drives a
 # traced session, validates /metrics exposition and /admin/slow,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"dex/internal/exec"
@@ -118,10 +119,12 @@ func medianTime(reps int, fn func() error) (time.Duration, error) {
 		}
 		ds = append(ds, time.Since(start))
 	}
-	for i := 1; i < len(ds); i++ { // insertion sort, reps is tiny
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	return ds[len(ds)/2], nil
+	return median(ds), nil
+}
+
+// median returns the median of ds (the upper one of an even count),
+// sorting ds in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }

@@ -173,10 +173,9 @@ func Run(cfg Config) (*Report, error) {
 	// In-process service: degradation on, a small admission envelope so
 	// the schedule can actually saturate it.
 	eng := core.New(core.Options{
-		Seed:         cfg.Seed,
-		Degrade:      true,
-		DegradeGrace: time.Second,
-		Exec:         exec.ExecOptions{Parallelism: cfg.Parallelism, MorselSize: cfg.MorselSize},
+		Seed:    cfg.Seed,
+		Degrade: true,
+		Exec:    exec.ExecOptions{Parallelism: cfg.Parallelism, MorselSize: cfg.MorselSize},
 	})
 	sales, err := workload.Sales(rand.New(rand.NewSource(42)), cfg.Rows)
 	if err != nil {

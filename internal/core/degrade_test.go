@@ -5,9 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"dex/internal/storage"
+	"dex/internal/trace"
 	"dex/internal/workload"
 )
 
@@ -69,6 +72,82 @@ func TestDegradedAnswerReplacesDeadlineError(t *testing.T) {
 	if sess.Len() != 2 {
 		t.Fatalf("history length = %d, want 2", sess.Len())
 	}
+}
+
+// TestDegradedAnswerIsApproxAnswer: a degraded answer is, column for
+// column and bit for bit, what Approx mode answers on a twin engine with
+// the same seed — for a range the bucket cells serve, a table walk, and a
+// grouped walk whose predicate matches so few rows that it runs to Approx
+// mode's row cap. The expired deadline does not stop the estimate: its
+// traced online span, under the degrade span, reads at most a tenth of
+// the rows, the cap alone.
+func TestDegradedAnswerIsApproxAnswer(t *testing.T) {
+	deg, twin := degradeEngine(t, true), degradeEngine(t, false)
+	const limit = (20_000 + approxShare - 1) / approxShare
+	for _, tc := range []struct {
+		sql    string
+		capped bool // the walk reads exactly limit rows
+	}{
+		{"SELECT sum(amount) FROM sales WHERE amount >= 50 AND amount < 200", false},
+		{"SELECT avg(amount) FROM sales WHERE qty <> 0", false},
+		{"SELECT region, count(*) FROM sales WHERE product = 'p12' AND qty <> 5 GROUP BY region", true},
+	} {
+		q := mustParse(t, tc.sql)
+		ctx, root := trace.Start(expiredCtx(t), "q")
+		ans, err := deg.ExecuteAnswer(ctx, "sales", q, Exact)
+		root.End()
+		if err != nil || !ans.Degraded || ans.Mode != Approx {
+			t.Fatalf("%s: err=%v degraded=%v mode=%v, want a degraded approx answer", tc.sql, err, ans.Degraded, ans.Mode)
+		}
+		want, err := twin.Execute("sales", q, Approx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(ans.Table, want) {
+			t.Fatalf("%s: degraded answer differs from Approx mode's:\n%v\n%v", tc.sql, rowsOf(ans.Table), rowsOf(want))
+		}
+		var online map[string]any
+		for _, c := range root.JSON().Children {
+			if c.Name != "degrade" {
+				continue
+			}
+			for _, g := range c.Children {
+				if g.Name == "online" {
+					online = g.Attrs
+				}
+			}
+		}
+		processed, ok := online["processed"].(int64)
+		if !ok || processed > limit || tc.capped && processed != limit {
+			t.Fatalf("%s: degrade's online span %v, want processed <= %d (= it when capped: %v)", tc.sql, online, limit, tc.capped)
+		}
+	}
+}
+
+// sameBits reports whether two tables hold the same schema and the same
+// values, floats compared bit for bit.
+func sameBits(a, b *storage.Table) bool {
+	if !slices.Equal(a.Schema().Names(), b.Schema().Names()) || a.NumRows() != b.NumRows() {
+		return false
+	}
+	for r := 0; r < a.NumRows(); r++ {
+		ra, rb := a.Row(r), b.Row(r)
+		for c := range ra {
+			x, y := ra[c], rb[c]
+			if x.Typ != y.Typ || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func rowsOf(t *storage.Table) [][]storage.Value {
+	out := make([][]storage.Value, t.NumRows())
+	for r := range out {
+		out[r] = t.Row(r)
+	}
+	return out
 }
 
 // TestDegradeRefusals: shapes the approximate path cannot serve, disabled

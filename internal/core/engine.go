@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"dex/internal/aqp"
 	"dex/internal/crack"
@@ -107,22 +106,14 @@ type Options struct {
 	// the caller sets: RowsScanned and its siblings read them.
 	Exec exec.ExecOptions
 	// Degrade enables graceful degradation: an Exact or Cracked query that
-	// exceeds its deadline returns Approx mode's answer, run under
-	// DegradeGrace and tagged Degraded, instead of a DeadlineExceeded
-	// error, when its shape allows it (exactly one aggregate, at most one
-	// GROUP BY column — the shapes Approx mode serves). Client
-	// cancellation never degrades: a disconnected client is not waiting for
-	// any answer.
+	// exceeds its deadline returns Approx mode's answer, tagged Degraded,
+	// instead of a DeadlineExceeded error, when its shape allows it
+	// (exactly one aggregate, at most one GROUP BY column — the shapes
+	// Approx mode serves). The estimate runs past the expired deadline,
+	// bounded by Approx mode's own stopping rule: a 5 % relative error or
+	// a tenth of the rows. Client cancellation never degrades: a
+	// disconnected client is not waiting for any answer.
 	Degrade bool
-	// DegradeGrace is the time budget for computing the approximate
-	// fallback answer after the exact deadline fired (default 2s).
-	DegradeGrace time.Duration
-}
-
-func (o *Options) fill() {
-	if o.DegradeGrace <= 0 {
-		o.DegradeGrace = 2 * time.Second
-	}
 }
 
 // Engine is the exploration engine. Cracked-mode probes need no
@@ -167,7 +158,6 @@ type version struct {
 
 // New creates an engine.
 func New(opt Options) *Engine {
-	opt.fill()
 	e := &Engine{
 		rng:    rand.New(rand.NewSource(opt.Seed)),
 		tables: map[string]*version{},
@@ -485,10 +475,12 @@ type Answer struct {
 
 // ExecuteAnswer is ExecuteContext with the degradation contract applied:
 // when Options.Degrade is set and an Exact or Cracked query returns
-// context.DeadlineExceeded, the engine answers the query in Approx mode
-// under a fresh DegradeGrace budget and returns that tagged Degraded,
-// instead of the error. Queries whose shape the approximate
-// path cannot serve, and client cancellations, keep the original error.
+// context.DeadlineExceeded, the engine answers the query in Approx mode on
+// the same version and returns that tagged Degraded, instead of the error.
+// The estimate keeps the request's values (its trace, under a degrade
+// span) but not its expired deadline: Approx mode's stopping rule is its
+// only bound. Queries whose shape the approximate path cannot serve, and
+// client cancellations, keep the original error.
 func (e *Engine) ExecuteAnswer(ctx context.Context, table string, q exec.Query, mode Mode) (Answer, error) {
 	v, q, err := e.plan(ctx, table, q, mode)
 	if err != nil {
@@ -501,23 +493,13 @@ func (e *Engine) ExecuteAnswer(ctx context.Context, table string, q exec.Query, 
 	if !e.opt.Degrade || (mode != Exact && mode != Cracked) || !errors.Is(err, context.DeadlineExceeded) {
 		return Answer{}, err
 	}
-	dres, derr := e.degradedAnswer(ctx, v, q)
+	sp := trace.FromContext(ctx).Child("degrade")
+	dres, derr := e.estimate(trace.With(context.WithoutCancel(ctx), sp), v, q, Approx)
+	sp.End()
 	if derr != nil {
 		return Answer{}, err // surface the original deadline overrun
 	}
 	return Answer{Table: dres, Degraded: true, Mode: Approx}, nil
-}
-
-// degradedAnswer computes the approximate stand-in for a timed-out exact
-// query on the same version, under its own grace budget, detached from the
-// expired request context. Only the trace span survives the detachment, so
-// the fallback work still shows up in the query's profile.
-func (e *Engine) degradedAnswer(parent context.Context, v *version, q exec.Query) (*storage.Table, error) {
-	sp := trace.FromContext(parent).Child("degrade")
-	defer sp.End()
-	ctx, cancel := context.WithTimeout(trace.With(context.Background(), sp), e.opt.DegradeGrace)
-	defer cancel()
-	return e.estimate(ctx, v, q, Approx)
 }
 
 // ExecuteContext is Execute under a context, on the table's version as of

@@ -440,7 +440,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 			n.matched.Store(int64(len(p.sel)))
 		}
 	} else {
-		err = pool.ForEachErrCtx(ctx, p.n, func(worker, lo, hi int) error {
+		err = pool.ForEach(ctx, p.n, func(worker, lo, hi int) error {
 			if ferr := fpScan.Hit(); ferr != nil {
 				return ferr
 			}

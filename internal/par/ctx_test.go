@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestForEachCtxCompletes checks the ctx variants cover every row exactly
-// once when the context never fires, at both serial and parallel widths.
+// TestForEachCtxCompletes checks ForEach covers every row exactly once
+// when a cancellable context never fires, at both serial and parallel
+// widths.
 func TestForEachCtxCompletes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 4} {
 		for _, n := range []int{1, 63, 64, 1000} {
-			pool := NewPool(Options{Parallelism: workers, MorselSize: 64, SerialCutoff: -1})
 			visits := make([]int32, n)
-			err := pool.ForEachCtx(context.Background(), n, func(_, lo, hi int) {
+			err := NewPool(Options{Parallelism: workers, MorselSize: 64}).ForEach(ctx, n, func(_, lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&visits[i], 1)
 				}
+				return nil
 			})
 			if err != nil {
 				t.Fatalf("workers=%d n=%d: unexpected error %v", workers, n, err)
@@ -37,10 +40,9 @@ func TestForEachCtxCompletes(t *testing.T) {
 func TestForEachCtxCancelStops(t *testing.T) {
 	const n = 1 << 20
 	for _, workers := range []int{1, 4} {
-		pool := NewPool(Options{Parallelism: workers, MorselSize: 256, SerialCutoff: -1})
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen atomic.Int64
-		err := pool.ForEachErrCtx(ctx, n, func(_, lo, hi int) error {
+		err := NewPool(Options{Parallelism: workers, MorselSize: 256}).ForEach(ctx, n, func(_, lo, hi int) error {
 			if seen.Add(int64(hi-lo)) > 10*256 {
 				cancel() // fire mid-run, from inside a morsel callback
 			}
@@ -59,27 +61,33 @@ func TestForEachCtxCancelStops(t *testing.T) {
 	}
 }
 
-// TestForEachCtxPreCancelled checks an already-dead context does no work.
+// TestForEachCtxPreCancelled checks an already-dead context does no work,
+// serial or parallel, in ForEach or Do.
 func TestForEachCtxPreCancelled(t *testing.T) {
-	pool := NewPool(Options{Parallelism: 4, MorselSize: 64, SerialCutoff: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	called := false
-	err := pool.ForEachCtx(ctx, 1000, func(_, _, _ int) { called = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if called {
-		t.Fatal("callback ran under a pre-cancelled context")
+	for _, workers := range []int{1, 4} {
+		pool := NewPool(Options{Parallelism: workers, MorselSize: 64})
+		called := false
+		err := pool.ForEach(ctx, 1000, func(_, _, _ int) error { called = true; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		err = pool.Do(ctx, 10, func(int) error { called = true; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Do err = %v, want context.Canceled", workers, err)
+		}
+		if called {
+			t.Fatalf("workers=%d: callback ran under a pre-cancelled context", workers)
+		}
 	}
 }
 
 // TestForEachCtxErrorWins checks a worker error is reported even when the
 // context also dies later.
 func TestForEachCtxErrorWins(t *testing.T) {
-	pool := NewPool(Options{Parallelism: 2, MorselSize: 8, SerialCutoff: -1})
 	boom := errors.New("boom")
-	err := pool.ForEachErrCtx(context.Background(), 1000, func(_, lo, _ int) error {
+	err := NewPool(Options{Parallelism: 2, MorselSize: 8}).ForEach(context.Background(), 1000, func(_, lo, _ int) error {
 		if lo >= 16 {
 			return boom
 		}

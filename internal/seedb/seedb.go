@@ -13,6 +13,7 @@
 package seedb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -353,10 +354,12 @@ func runExhaustive(t *storage.Table, inTarget []bool, views []View, opt Options)
 	// independent, so they fan out across the pool one task per view.
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism})
 	perView := make([]Stats, len(views))
-	_ = pool.Do(len(views), func(i int) error {
+	if err := pool.Do(context.TODO(), len(views), func(i int) error {
 		scanRange(pairs[i:i+1], inTarget, accs[i:i+1], 0, t.NumRows(), &perView[i])
 		return nil
-	})
+	}); err != nil {
+		return nil, stats, err
+	}
 	for _, s := range perView {
 		stats.add(s)
 	}
@@ -375,13 +378,9 @@ func runShared(t *storage.Table, inTarget []bool, views []View, opt Options) ([]
 	}
 	n := t.NumRows()
 	pool := par.NewPool(par.Options{Parallelism: opt.Parallelism})
-	w := pool.WorkersFor(n)
-	if w <= 1 {
-		scanRange(pairs, inTarget, accs, 0, n, &stats)
-		return topK(accs, opt.K), stats, nil
-	}
 	// One shared pass split over morsels: each worker owns a full set of
 	// thread-local accumulators, merged per view afterwards.
+	w := pool.WorkersFor(n)
 	locals := make([][]*viewAcc, w)
 	perWorker := make([]Stats, w)
 	for wi := range locals {
@@ -390,9 +389,12 @@ func runShared(t *storage.Table, inTarget []bool, views []View, opt Options) ([]
 			locals[wi][i] = newViewAcc(v)
 		}
 	}
-	pool.ForEach(n, func(worker, lo, hi int) {
+	if err := pool.ForEach(context.TODO(), n, func(worker, lo, hi int) error {
 		scanRange(pairs, inTarget, locals[worker], lo, hi, &perWorker[worker])
-	})
+		return nil
+	}); err != nil {
+		return nil, stats, err
+	}
 	for wi := range locals {
 		stats.add(perWorker[wi])
 		for i := range accs {

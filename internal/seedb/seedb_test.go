@@ -7,6 +7,7 @@ import (
 
 	"dex/internal/exec"
 	"dex/internal/expr"
+	"dex/internal/fault"
 	"dex/internal/storage"
 )
 
@@ -172,5 +173,24 @@ func TestCountViewNeedsNoNumericMeasure(t *testing.T) {
 func TestStrategyString(t *testing.T) {
 	if Exhaustive.String() != "exhaustive" || SharedScan.String() != "shared-scan" || Pruned.String() != "pruned" {
 		t.Error("strategy names")
+	}
+}
+
+// TestSchedulerFaultIsReturned: an injected par/claim fault fails both
+// pooled strategies with that error, at one worker and at several, instead
+// of a ranking over the views or rows read before it fired.
+func TestSchedulerFaultIsReturned(t *testing.T) {
+	tbl := mkCensus(t, 6000, 3)
+	if err := fault.Enable("par/claim", "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable("par/claim")
+	for _, strategy := range []Strategy{Exhaustive, SharedScan} {
+		for _, workers := range []int{1, 4} {
+			top, _, err := Recommend(tbl, target(), views(), Options{K: 3, Strategy: strategy, Parallelism: workers})
+			if !errors.Is(err, fault.ErrInjected) || top != nil {
+				t.Fatalf("%v at %d workers: err = %v, top = %v; want the injected fault", strategy, workers, err, top)
+			}
+		}
 	}
 }

@@ -49,8 +49,8 @@ func newAdmission(maxInFlight, maxQueue int, queueTimeout time.Duration) *admiss
 
 // acquire claims an execution slot, waiting in the bounded queue if none is
 // free. It returns ErrQueueFull / ErrQueueTimeout on rejection, or the
-// context error if the client gave up while queued. On nil the caller must
-// release().
+// context error if the request's deadline fired or the client gave up
+// while queued. On nil the caller must release().
 func (a *admission) acquire(ctx context.Context) error {
 	if err := fpAdmit.Hit(); err != nil {
 		// Injected admission failure surfaces as the queue-full rejection:

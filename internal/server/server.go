@@ -85,7 +85,8 @@ type Config struct {
 	// negative = no queue, reject immediately when saturated).
 	MaxQueue int
 	// QueueTimeout is the longest a query waits in the queue before a 429
-	// (default 2s).
+	// (default 2s). The wait also spends the request's deadline: one that
+	// fires first ends it with a 504.
 	QueueTimeout time.Duration
 	// CacheRows is the shared result cache budget in rows; 0 disables the
 	// cache. Only Exact-mode results are cached (the adaptive and
@@ -478,7 +479,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	timeout := defaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
+	}
+	// r.Context() is cancelled when the client disconnects; the deadline
+	// layers the per-request budget on top, from here on: the wait for an
+	// execution slot spends it too. Both propagate through core -> exec ->
+	// par and stop the morsel scheduler.
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+
 	// Admission control: bounded in-flight, bounded queue, reject beyond.
+	// A wait in the queue ends at QueueTimeout or the deadline, whichever
+	// comes first.
 	asp := root.Child("admission")
 	err = s.adm.acquire(ctx)
 	asp.End()
@@ -487,23 +501,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQueueTimeout):
 			outcome = "rejected"
 			s.reject(w, http.StatusTooManyRequests, err, &s.st.rejBusy)
-		default: // client gave up while queued
-			outcome = "cancelled"
-			s.st.count(&s.st.cancelled)
+		default: // the deadline fired or the client gave up while queued
+			outcome = s.queryError(w, r, err)
 		}
 		return
 	}
 	defer s.adm.release()
-
-	timeout := defaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
-	}
-	// r.Context() is cancelled when the client disconnects; the deadline
-	// layers the per-request budget on top. Both propagate through
-	// core -> exec -> par and stop the morsel scheduler.
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
 
 	execStart := time.Now()
 	var ans *answer

@@ -299,6 +299,50 @@ func TestServerAdmissionRejects(t *testing.T) {
 	}
 }
 
+// TestQueueWaitSpendsTheDeadline: a request's timeout_ms covers its wait
+// for an execution slot. With the one slot held by a slow scan for over a
+// second, a queued query with a 50 ms budget gets its 504 when the budget
+// runs out — not a fresh budget once the slot frees, nor a 429 at
+// QueueTimeout — and counts as timed out, not as a client cancel.
+func TestQueueWaitSpendsTheDeadline(t *testing.T) {
+	_, cl, srv, _ := newTestService(t, 1<<18,
+		Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 2 * time.Second},
+		exec.ExecOptions{Parallelism: 1, MorselSize: 256})
+	slowScan(t, time.Millisecond) // 1024 morsels: the slow query holds its slot ≥ 1 s
+
+	ctx := context.Background()
+	id, err := cl.CreateSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT sum(amount) FROM sales WHERE qty <> 0"
+	slowCtx, stopSlow := context.WithCancel(ctx)
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		_, _ = cl.Query(slowCtx, id, QueryRequest{SQL: sql})
+	}()
+	defer func() { stopSlow(); <-slowDone }()
+	for srv.Stats().Active != 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	_, err = cl.Query(ctx, id, QueryRequest{SQL: sql, TimeoutMS: 50})
+	waited := time.Since(start)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusGatewayTimeout {
+		t.Fatalf("queued query: err = %v, want a 504", err)
+	}
+	if waited > 500*time.Millisecond {
+		t.Fatalf("queued query answered after %v, want its 50 ms deadline to end the wait", waited)
+	}
+	q := srv.Stats().Queries
+	if q.TimedOut != 1 || q.Cancelled != 0 || q.RejectedBusy != 0 {
+		t.Fatalf("timed_out=%d cancelled=%d rejected_busy=%d, want 1, 0, 0", q.TimedOut, q.Cancelled, q.RejectedBusy)
+	}
+}
+
 // TestServerSessionLimit opens maxSessions sessions in process, through
 // the handler with no connection: the next create gets 429 and counts as a
 // busy rejection, and ending one session makes room for one more.

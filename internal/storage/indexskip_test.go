@@ -126,7 +126,7 @@ func TestIndexFloatNaNMorsel(t *testing.T) {
 // TestZoneMapUnsupportedAndEmpty: a string column, a morsel size the index
 // cannot serve and an empty column get no index and no error; an unknown
 // column is an error.
-func TestZoneMapUnsupportedAndEmpty(t *testing.T) {
+func TestIndexUnsupportedAndEmpty(t *testing.T) {
 	tab := zmTable(t)
 	for _, c := range []struct {
 		col    string
@@ -151,7 +151,7 @@ func TestZoneMapUnsupportedAndEmpty(t *testing.T) {
 // TestZoneMapCacheAndStaleness: a second lookup shares the cached index, a
 // morsel size is its own entry, and growing the table rebuilds the index,
 // which then counts the new row — a stale index would skip its morsel.
-func TestZoneMapCacheAndStaleness(t *testing.T) {
+func TestIndexCacheAndStaleness(t *testing.T) {
 	tab := zmTable(t)
 	x1, _, err := tab.ValueIndex("i", 4)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestZoneMapCacheAndStaleness(t *testing.T) {
 // TestZoneMapBuildFailpoint: an armed storage/index-build fails a value
 // index build and a bucket cell build with the injected error, and leaves
 // the entry unbuilt — disarmed, the next request builds and serves it.
-func TestZoneMapBuildFailpoint(t *testing.T) {
+func TestIndexBuildFailpoint(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
 	tab := zmTable(t)
