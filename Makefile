@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode bench bench-smoke bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode fuzz-sum bench bench-smoke bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -20,9 +20,10 @@ test:
 # aggregate's with no WHERE racing a drill-down over the same cell set.
 # And so is the morsel scheduler itself: its worker ids, cancellation,
 # error, panic and injected-fault paths take other interleavings at more
-# than one core.
+# than one core. So is the one float sum every SUM/AVG keeps (rsum), whose
+# bits may follow no worker count.
 test-cpus:
-	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage ./internal/par
+	$(GO) test -cpu 1,2,4 ./internal/exec ./internal/core ./internal/server ./internal/shard ./internal/aqp ./internal/onlineagg ./internal/crack ./internal/storage ./internal/par ./internal/rsum
 
 # Full suite under the race detector; the concurrency tests in
 # internal/core and internal/par are written to give it something to bite.
@@ -39,12 +40,12 @@ test-cpus:
 # cores, where concurrent touches of an edge bucket count under one lock
 # and make one cracker; the built-once and index-build-fault tests, where
 # concurrent first queries share one value-index or bucket-cells build and
-# a failed build is retried by a waiter; and exec's parity harnesses, where
-# a scalar aggregate's workers write adjacent slots of one shared slab of
-# morsel partials.
+# a failed build is retried by a waiter; and exec's parity harnesses and
+# TestFloatSumBitForBitAcrossPaths, where every worker's accumulator, each
+# with its own order-free sums, merges in whatever order the workers end.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage ./internal/par
+	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage ./internal/par ./internal/rsum
 	$(GO) test -race -run 'ConcurrentProbe|CrackedParallel|ConcurrentCracked|ConcurrentReaders' -cpu 1,4,8 -count=2 ./internal/crack/ ./internal/core/
 	$(GO) test -race -run 'BuiltOnce|IndexBuildFault' -cpu 1,4,8 -count=2 ./internal/exec ./internal/storage
 	$(GO) test -race -run 'BitForBit|ParityMatrix|AggKernel' -cpu 1,4,8 -count=2 ./internal/exec
@@ -62,11 +63,11 @@ fmt-check:
 # their intervals, the cracker index, the columns with their value
 # indexes and bucket cells), so code leaving exec or core for them
 # stays visible, and of the surface around the engine (the binaries, the
-# paper-reproduction experiments and the session driver). A refactor that
-# holds the benchmark and the fuzzers steady should make these numbers go
-# down.
+# paper-reproduction experiments and the session driver). The engine lane
+# counts the one float sum (rsum) too. A refactor that holds the benchmark
+# and the fuzzers steady should make these numbers go down.
 loc:
-	@for lane in "internal/exec internal/core internal/server internal/shard" "internal/aqp internal/onlineagg" "internal/expr internal/crack internal/storage" "cmd/* internal/bench internal/idebench"; do \
+	@for lane in "internal/exec internal/core internal/server internal/shard internal/rsum" "internal/aqp internal/onlineagg" "internal/expr internal/crack internal/storage" "cmd/* internal/bench internal/idebench"; do \
 		total=0; for p in $$lane; do \
 			n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); \
 			printf '%-18s %6d\n' $$p $$n; total=$$((total+n)); \
@@ -104,8 +105,7 @@ fuzz-rows:
 # predicates under all three cracking variants, asked as a projection, a
 # LIMIT projection and a GROUP BY, each followed by an aggregate bucket
 # cells can answer, over tables tiled up to 16 times; answers compared in
-# order with exact mode bit for bit (a grouped float SUM over several
-# morsels within 1e-9) and with exec.Execute up to float association.
+# order, bit for bit, with exact mode and with exec.Execute.
 fuzz-cracked:
 	$(GO) test -fuzz=FuzzCrackedVsExact -fuzztime=60s -run '^$$' ./internal/core/
 
@@ -122,9 +122,19 @@ fuzz-online:
 # Differential fuzz of partitioned execution: the twin tables cut into 1-4
 # in-order partitions, exec.Split's pushed query run on each and the merged
 # partials held to exec.Execute over the whole table (NULL group keys,
-# empty answers, MIN/MAX ties bit for bit, SUM/AVG within reassociation).
+# empty answers, MIN/MAX ties bit for bit, SUM/AVG within 1e-9: a part's
+# SUM crosses as one rounded float64), and the parts merged in reverse
+# order to the same COUNT, SUM and AVG bits.
 fuzz-merge:
 	$(GO) test -fuzz=FuzzMergeVsSingleNode -fuzztime=60s -run '^$$' ./internal/exec/
+
+# Differential fuzz of the one float sum (rsum): random multisets of
+# floats and ints (NaN, ±Inf, subnormals, 2^53 neighbours, int64 extremes,
+# raw bits), permuted, split into morsels and merged in a random tree, must
+# give the bits of the values added in order, within the stated bound of a
+# math/big sum.
+fuzz-sum:
+	$(GO) test -fuzz=FuzzSumVsBig -fuzztime=60s -run '^$$' ./internal/rsum/
 
 # Differential fuzz of the client's /query decoder: writeAnswer's bodies
 # for random result tables under every cached/degraded/coverage/trace

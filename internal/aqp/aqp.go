@@ -15,6 +15,7 @@ import (
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/metrics"
+	"dex/internal/rsum"
 	"dex/internal/storage"
 )
 
@@ -88,7 +89,7 @@ func OnView(view *storage.Table, weights []float64, q Query) ([]GroupEstimate, e
 		return nil, err
 	}
 	est.AddRows(sel, weights)
-	return est.Estimates(float64(len(weights)), 1), nil
+	return est.Estimates(float64(len(weights)), 1, 0), nil
 }
 
 // Estimator is the one estimate accumulator of the middleware lane: AQP
@@ -190,11 +191,12 @@ type groupAcc struct {
 
 // stratum is the exact stratum of one group: the rows of the cells folded
 // into it, what COUNT counts of them (every row, or the non-NULL
-// measures), the measures' sum and, once n > 0, their extremes.
+// measures), the measures' sum, merged as the cells keep it, and, once
+// n > 0, their extremes.
 type stratum struct {
 	rows, n  int
 	count    float64
-	sum      float64
+	sum      rsum.Sum
 	min, max float64
 }
 
@@ -231,7 +233,9 @@ func NewEstimator(t *storage.Table, q Query) (*Estimator, error) {
 		e.grp = bind(gcol)
 		switch e.grp.kind {
 		case colDict:
+			// The dictionary bounds the groups: one allocation holds them.
 			e.slots = make([]int, len(e.grp.strs))
+			e.groups = make([]groupAcc, 0, len(e.grp.strs))
 			for i := range e.slots {
 				e.slots[i] = -1
 			}
@@ -317,7 +321,7 @@ func (e *Estimator) AddCell(c *storage.Cell) {
 		s.max = hi
 	}
 	s.n += c.N
-	s.sum += c.Sum
+	s.sum.Merge(&c.Sum)
 }
 
 // GroupIDs returns the group id of each row, registering unseen groups
@@ -398,20 +402,27 @@ func (e *Estimator) Order() []int {
 	return e.order
 }
 
-// Estimates renders every group with the same (k, scale); see EstimatesBy.
-func (e *Estimator) Estimates(k, scale float64) []GroupEstimate {
-	return e.EstimatesBy(func(int) (float64, float64) { return k, scale })
+// Estimates renders every group with the same (k, scale, n); see
+// EstimatesBy.
+func (e *Estimator) Estimates(k, scale, n float64) []GroupEstimate {
+	return e.EstimatesBy(func(int) (float64, float64, float64) { return k, scale, n })
 }
 
 // EstimatesBy renders the current estimates, asking draws for each group's
-// (k, scale): the added rows are the qualifying ones among k random draws,
-// each standing for scale·w population rows. k = 0 says the rows are the
-// population itself, so every interval is zero.
+// (k, scale, n): the added rows are the qualifying ones among k random
+// draws, each standing for scale·w population rows. k = 0 says the rows are
+// the population itself, so every interval is zero. n > 0 says the draws
+// are k of a population of n rows, drawn without replacement: the CLT
+// intervals over the k draws — SUM's, COUNT's and the delta method's of an
+// AVG beside an exact stratum — take the finite-population correction
+// 1 − k/n of their variance, so a walk that has read every row reports 0.
+// n = 0 says there is no such population (weighted draws), and no
+// correction applies.
 //
-//	AQP sample      k = sample rows        scale = 1 (w is the expansion weight)
-//	online prefix   k = m rows processed   scale = N/m
-//	index striding  k = m_g rows of g      scale = N_g/m_g, per group
-//	online edges    k = m edge rows read   scale = N_edge/m, beside the exact stratum
+//	AQP sample      k = sample rows        scale = 1 (w is the expansion weight)         n = 0
+//	online prefix   k = m rows processed   scale = N/m                                   n = N
+//	index striding  k = m_g rows of g      scale = N_g/m_g, per group                    n = N_g
+//	online edges    k = m edge rows read   scale = N_edge/m, beside the exact stratum    n = N_edge
 //
 // SUM and COUNT are the Hansen-Hurwitz estimator: draw i contributes
 // t_i = k·scale·y_i (0 when it fails the predicate, falls outside the group
@@ -430,11 +441,11 @@ func (e *Estimator) Estimates(k, scale float64) []GroupEstimate {
 // are the extreme of both strata, unbounded while an unread draw remains.
 // The draws beside an exact stratum carry weight 1. An interval an
 // infinite measure makes NaN is unbounded.
-func (e *Estimator) EstimatesBy(draws func(id int) (k, scale float64)) []GroupEstimate {
+func (e *Estimator) EstimatesBy(draws func(id int) (k, scale, n float64)) []GroupEstimate {
 	out := make([]GroupEstimate, 0, len(e.groups))
 	for _, id := range e.Order() {
-		k, scale := draws(id)
-		out = append(out, e.Estimate(id, k, scale))
+		k, scale, n := draws(id)
+		out = append(out, e.Estimate(id, k, scale, n))
 	}
 	return out
 }
@@ -442,23 +453,27 @@ func (e *Estimator) EstimatesBy(draws func(id int) (k, scale float64)) []GroupEs
 // Len returns the number of groups seen so far; their ids are 0..Len()-1.
 func (e *Estimator) Len() int { return len(e.groups) }
 
-// Estimate renders group id alone with (k, scale), as EstimatesBy would,
-// for callers that inspect estimates without keeping them.
-func (e *Estimator) Estimate(id int, k, scale float64) GroupEstimate {
+// Estimate renders group id alone with (k, scale, n), as EstimatesBy
+// would, for callers that inspect estimates without keeping them.
+func (e *Estimator) Estimate(id int, k, scale, n float64) GroupEstimate {
 	a := &e.groups[id]
 	ex := &a.exact
 	ge := GroupEstimate{Group: a.val, N: a.n + ex.rows}
+	fpc := 1.0 // the finite-population correction of the variance
+	if n > 0 {
+		fpc = math.Max(1-k/n, 0)
+	}
 	switch e.agg {
 	case exec.AggCount, exec.AggSum:
 		sumY, exY := a.wsum, ex.count
 		if e.agg == exec.AggSum {
-			sumY, exY = a.wx, ex.sum
+			sumY, exY = a.wx, ex.sum.Float64()
 		}
 		ge.Est = scale*sumY + exY
 		if k > 1 {
 			// s² of the t_i: Σt² = (k·scale)²·Σy², Σt = k·scale·Σy.
 			s2 := scale * scale * (k*k*a.sumY2 - k*sumY*sumY) / (k - 1)
-			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k)
+			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k*fpc)
 		}
 	case exec.AggAvg:
 		if ex.rows == 0 {
@@ -472,7 +487,7 @@ func (e *Estimator) Estimate(id int, k, scale float64) GroupEstimate {
 			break
 		}
 		c := ex.count + scale*a.wsum
-		ge.Est = (ex.sum + scale*a.wx) / c
+		ge.Est = (ex.sum.Float64() + scale*a.wx) / c
 		switch {
 		case k > 1 && c > 0:
 			// Σd = Σa − R·Σb; Σd² = Σ(x − R)² over the non-NULL rows,
@@ -482,7 +497,7 @@ func (e *Estimator) Estimate(id int, k, scale float64) GroupEstimate {
 			dm := a.stream.Mean() - r
 			sumD2 := a.stream.Variance()*math.Max(nb-1, 0) + nb*dm*dm
 			s2 := scale * scale * (k*k*sumD2 - k*sumD*sumD) / (k - 1)
-			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k) / c
+			ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k*fpc) / c
 		case k > 0:
 			ge.CI = math.Inf(1)
 		}

@@ -350,3 +350,41 @@ func TestRelCI(t *testing.T) {
 		t.Error("relci x/0")
 	}
 }
+
+// TestFinitePopulationCorrection pins the correction of an interval over k
+// rows read, without replacement, of a population of n: it is √(1 − k/n)
+// of the interval the same draws report with no population (weighted
+// draws), for SUM and COUNT, and a walk that has read all n rows reports 0.
+func TestFinitePopulationCorrection(t *testing.T) {
+	tbl := mkSkewed(t, 2000, 5)
+	n := float64(tbl.NumRows())
+	for _, agg := range []exec.AggFunc{exec.AggSum, exec.AggCount} {
+		est, err := NewEstimator(tbl, Query{Agg: agg, Col: "x", GroupBy: "g"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rand.New(rand.NewSource(6)).Perm(tbl.NumRows())
+		read := 0
+		for _, k := range []int{50, 400, 1000, 1999} {
+			est.AddRows(rows[read:k], nil)
+			read = k
+			kf := float64(k)
+			for id := 0; id < est.Len(); id++ {
+				plain, fpc := est.Estimate(id, kf, n/kf, 0), est.Estimate(id, kf, n/kf, n)
+				if plain.Est != fpc.Est {
+					t.Fatalf("%v k=%d: the correction moved the estimate %v to %v", agg, k, plain.Est, fpc.Est)
+				}
+				want := plain.CI * math.Sqrt(1-kf/n)
+				if math.Abs(fpc.CI-want) > 1e-12*want {
+					t.Fatalf("%v k=%d group %v: ci95 %v, want %v·√(1−k/n) = %v", agg, k, fpc.Group, fpc.CI, plain.CI, want)
+				}
+			}
+		}
+		est.AddRows(rows[read:], nil)
+		for id := 0; id < est.Len(); id++ {
+			if g := est.Estimate(id, n, 1, n); g.CI != 0 {
+				t.Fatalf("%v: a walk of all %v rows reports ci95 %v for group %v, want 0", agg, n, g.CI, g.Group)
+			}
+		}
+	}
+}

@@ -30,11 +30,9 @@ import (
 // in cracked mode — its edge buckets read as rows until the crackTouch-th
 // touch makes their crackers, the later rounds against the cuts the
 // earlier ones left — and must answer exactly what exact mode answers at
-// the same parallelism and morsel size, bit for bit — rows, groups,
-// MIN/MAX ties and a float SUM/AVG, but a grouped one over more than one
-// morsel, whose per-worker accumulators follow scheduling — and what the
-// reference evaluator exec.Execute answers, in order, a SUM up to float
-// association. The
+// the same parallelism and morsel size and what the reference evaluator
+// exec.Execute answers, in order and bit for bit: rows, groups, MIN/MAX
+// ties and every SUM/AVG, grouped over any number of morsels too. The
 // draws are made in the order they were added, so inputs from before a
 // draw existed decode to the same tables and clauses.
 // testdata/fuzz/FuzzCrackedVsExact holds one input per bug this caught —
@@ -76,17 +74,18 @@ func (f *crackFzReader) value() storage.Value {
 
 // cellAsk is the aggregate bucket cells can answer after an ask of the
 // given shape draw: over x, scalar and grouped by g, and over k — whose
-// int64 extremes and 2^53 neighbours tie in float64 — grouped by g, with
-// no SUM, which those would make depend on association.
+// int64 extremes and 2^53 neighbours tie in float64, and whose SUM is the
+// exact int64 total rounded once — grouped by g.
 func cellAsk(shape int, where *expr.Pred) exec.Query {
 	in := "x"
 	if shape == 2 {
 		in = "k"
 	}
 	q := exec.Query{Where: where, Select: []exec.SelectItem{{Col: "*", Agg: exec.AggCount},
-		{Col: in, Agg: exec.AggCount}, {Col: in, Agg: exec.AggMin}, {Col: in, Agg: exec.AggMax}}}
+		{Col: in, Agg: exec.AggCount}, {Col: in, Agg: exec.AggMin}, {Col: in, Agg: exec.AggMax},
+		{Col: in, Agg: exec.AggSum}}}
 	if in == "x" {
-		q.Select = append(q.Select, exec.SelectItem{Col: in, Agg: exec.AggSum}, exec.SelectItem{Col: in, Agg: exec.AggAvg})
+		q.Select = append(q.Select, exec.SelectItem{Col: in, Agg: exec.AggAvg})
 	}
 	if shape > 0 {
 		q.Select = append([]exec.SelectItem{{Col: "g"}}, q.Select...)
@@ -199,9 +198,6 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 	c := decodeCrackFz(t, data)
 	opt, n := c.opt, c.n
 	e := c.engine(t)
-	// More than one morsel: a grouped float SUM's per-worker association
-	// follows scheduling, in exact mode as in cracked.
-	parallel := n > opt.Exec.MorselSize
 	for _, a := range c.asks {
 		query := exec.Query{
 			Select: []exec.SelectItem{{Col: "id"}, {Col: "k"}, {Col: "r"}, {Col: "x"}},
@@ -226,10 +222,10 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 				got, run := crackSpan(t, e, q)
 				label := fmt.Sprintf("%v, morsel %d, %d rows, round %d, %s", opt.CrackOptions.Variant,
 					opt.Exec.MorselSize, n, round, q)
-				if err := tablesMatch(oracle, got); err != nil {
+				if err := tablesIdentical(oracle, got); err != nil {
 					t.Fatalf("%s: against exec.Execute: %v", label, err)
 				}
-				if err := sameAnswer(q, want, got, parallel); err != nil {
+				if err := tablesIdentical(want, got); err != nil {
 					t.Fatalf("%s: against exact mode: %v", label, err)
 				}
 				if seen != nil {

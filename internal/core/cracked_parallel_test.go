@@ -29,35 +29,9 @@ func mkParEngine(t *testing.T, rows int, opt exec.ExecOptions) *Engine {
 	return e
 }
 
-// tablesMatch compares two result tables cell by cell, with a relative
-// tolerance on floats: parallel aggregation may reassociate float sums by
-// an ulp, nothing more.
-func tablesMatch(a, b *storage.Table) error {
-	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
-		return fmt.Errorf("dims %dx%d vs %dx%d", a.NumRows(), a.NumCols(), b.NumRows(), b.NumCols())
-	}
-	for r := 0; r < a.NumRows(); r++ {
-		av, bv := a.Row(r), b.Row(r)
-		for c := range av {
-			switch av[c].Typ {
-			case storage.TFloat:
-				x, y := av[c].F, bv[c].F
-				if x != y && math.Abs(x-y) > 1e-9*math.Max(math.Abs(x), math.Abs(y)) {
-					return fmt.Errorf("row %d col %d: %v vs %v", r, c, x, y)
-				}
-			default:
-				if av[c] != bv[c] {
-					return fmt.Errorf("row %d col %d: %v vs %v", r, c, av[c], bv[c])
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // TestCrackedParallelParity: cracked-mode queries run their post-probe
 // stage through the configured parallel pipeline, and the answers must
-// match a one-worker engine bit-for-bit (modulo float association). A
+// match a one-worker engine bit for bit, float SUM/AVG included. A
 // small morsel size makes even the probed selections large enough to
 // actually fan out. (The name keeps the CrackedParallel prefix CI's
 // concurrent-probe job selects on.)
@@ -83,7 +57,7 @@ func TestCrackedParallelParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (par): %v", q, err)
 			}
-			if err := tablesMatch(want, got); err != nil {
+			if err := tablesIdentical(want, got); err != nil {
 				t.Errorf("%s: %v", q, err)
 			}
 		}

@@ -72,19 +72,6 @@ func partsQuery(where *expr.Pred, input string, grouped bool) exec.Query {
 	return q
 }
 
-// sameAnswer holds a cracked answer to exact mode's at the same
-// parallelism and morsel size bit for bit — counts, MIN/MAX down to the
-// sign of a zero and the row a tie keeps, SUM/AVG, groups and their order
-// — except a grouped answer over more than one morsel (parallel), whose
-// per-worker accumulators add a float SUM in an order scheduling picks:
-// that one gets tablesMatch's tolerance.
-func sameAnswer(q exec.Query, want, got *storage.Table, parallel bool) error {
-	if parallel && len(q.GroupBy) > 0 {
-		return tablesMatch(want, got)
-	}
-	return tablesIdentical(want, got)
-}
-
 // crackedRun is what a traced cracked query's spans say: the crack span's
 // attributes, whether the range had value buckets, and whether their
 // interior was folded from bucket cells.
@@ -136,9 +123,8 @@ func warmUp(ask func()) {
 // and two-input aggregates, whose interior rows the value index lists;
 // ranges inside one bucket, two-sided and one-sided, the top bound
 // ProbeFrom serves — crack the edge buckets step after step. Every answer
-// must equal exact mode's (sameAnswer) and exec.Execute's up to float
-// association, and the same query asked again at once must make no
-// cracker and give the same bits.
+// must equal exact mode's and exec.Execute's bit for bit, and the same
+// query asked again at once must make no cracker and give the same bits.
 func TestCrackedPartsMatchOracle(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(61)), 24_000)
 	variants := []crack.Options{
@@ -194,14 +180,14 @@ func TestCrackedPartsMatchOracle(t *testing.T) {
 							t.Fatal(err)
 						}
 						got, run := crackSpan(t, e, q)
-						if err := sameAnswer(q, want, got, par > 1); err != nil {
+						if err := tablesIdentical(want, got); err != nil {
 							t.Fatalf("step %d: %s: against exact mode: %v", step, q, err)
 						}
-						if err := tablesMatch(oracle, got); err != nil {
+						if err := tablesIdentical(oracle, got); err != nil {
 							t.Fatalf("step %d: %s: against exec.Execute: %v", step, q, err)
 						}
 						again, arun := crackSpan(t, e, q)
-						if err := sameAnswer(q, got, again, par > 1); err != nil || arun.crack["edges_built"] != int64(0) {
+						if err := tablesIdentical(got, again); err != nil || arun.crack["edges_built"] != int64(0) {
 							t.Fatalf("step %d: %s asked again: %v, crack span %v; want the same answer from the same crackers", step, q, err, arun.crack)
 						}
 						switch edges := run.crack["edges"]; {
@@ -419,9 +405,8 @@ func TestCrackedTouchesRestartUnderNewBounds(t *testing.T) {
 // how far its edge buckets have cracked. Scalar and grouped aggregates
 // over INT and FLOAT inputs are asked, a dozen probes at bounds inside
 // their edge buckets cut those, and the same aggregates must come back
-// bit for bit identical, a FLOAT SUM/AVG included — at one worker, and at
-// four but for a grouped FLOAT SUM/AVG, whose per-worker association
-// follows scheduling there.
+// bit for bit identical, a FLOAT SUM/AVG included — at one worker and at
+// four.
 func TestCrackedPartsHistoryIndependent(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(63)), 24_000)
 	where := expr.And(expr.Cmp("x", expr.GE, storage.Float(20)), expr.Cmp("x", expr.LT, storage.Float(80)))
@@ -457,7 +442,7 @@ func TestCrackedPartsHistoryIndependent(t *testing.T) {
 				t.Fatalf("%d cracks, %d before: the probes did not cut the edge buckets", after, cracks)
 			}
 			for i, got := range ask() {
-				if err := sameAnswer(queries[i], before[i], got, par > 1); err != nil {
+				if err := tablesIdentical(before[i], got); err != nil {
 					t.Errorf("%s after the cracks: %v", queries[i], err)
 				}
 			}
@@ -498,7 +483,7 @@ func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
 				j := (g + i) % len(queries)
 				got, err := e.Execute("t", queries[j], Cracked)
 				if err == nil {
-					err = sameAnswer(queries[j], wants[j], got, true)
+					err = tablesIdentical(wants[j], got)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d, %s: %w", g, queries[j], err)
@@ -566,7 +551,7 @@ func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
 						got, run := crackSpan(t, e, q)
 						mu.Lock()
 						defer mu.Unlock()
-						if err := sameAnswer(q, want, got, true); err != nil || run.crack["edges"] != step.edges {
+						if err := tablesIdentical(want, got); err != nil || run.crack["edges"] != step.edges {
 							t.Errorf("%s: %v, crack span %v", q, err, run.crack)
 						}
 						built += run.crack["edges_built"].(int64)
@@ -620,7 +605,7 @@ func TestConcurrentCrackedKthTouchBuildsOnce(t *testing.T) {
 					got, run := crackSpan(t, e, q)
 					mu.Lock()
 					defer mu.Unlock()
-					if err := sameAnswer(q, want, got, true); err != nil || run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
+					if err := tablesIdentical(want, got); err != nil || run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
 						t.Errorf("%s: %v, crack span %v", q, err, run.crack)
 					}
 					built += run.crack["edges_built"].(int64)

@@ -579,10 +579,10 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 // cells when exact mode's plan does, else as the index's rows. A column
 // with no value index is one bucket: its cracker holds the whole column
 // and is made on the first touch, so a run-length column is decoded once.
-// Either way the answer equals exact mode's at the same parallelism and
-// morsel size bit for bit — group order, projection order, MIN/MAX values
-// and ties, and a float SUM/AVG but a grouped one at more than one worker —
-// however far the crackers have cracked.
+// Either way the answer equals exact mode's bit for bit — group order,
+// projection order, MIN/MAX values and ties, and every SUM/AVG, whose one
+// float sum no worker count or fold order moves — however far the
+// crackers have cracked.
 func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	t, err := v.table(ctx, q)
 	if err != nil {

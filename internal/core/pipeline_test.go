@@ -68,7 +68,7 @@ func TestEnginePipelineOracle(t *testing.T) {
 						qi := (g + i) % len(queries)
 						res, err := e.SQL(queries[qi].sql, queries[qi].mode)
 						if err == nil {
-							err = tablesMatch(oracle[qi], res)
+							err = tablesIdentical(oracle[qi], res)
 						}
 						if err != nil {
 							errs <- fmt.Errorf("%s: %v", queries[qi].sql, err)
@@ -193,8 +193,8 @@ func crackedParityTable(t *testing.T, rng *rand.Rand, n int) *storage.Table {
 // TestCrackedMatchesGatherOracle is the cracked-mode parity contract: a
 // cracked query answers exactly what the reference evaluator exec.Execute
 // answers over the plain table with the WHERE clause kept — row for row,
-// group order, projection order and MIN/MAX ties included, SUM/AVG up to
-// float association. The probe hands the pipeline its row ids ascending,
+// group order, projection order, MIN/MAX ties and SUM/AVG included. The
+// probe hands the pipeline its row ids ascending,
 // so nothing about the answer depends on how the index happens to be
 // cracked; each probe is warmed up to its crackers' making and the probe
 // sequence repeats, so the rows read before a cracker exists, the
@@ -245,7 +245,7 @@ func TestCrackedMatchesGatherOracle(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", sql, err)
 							}
-							if err := tablesMatch(want, got); err != nil {
+							if err := tablesIdentical(want, got); err != nil {
 								t.Fatalf("round %d: %s: %v", round, sql, err)
 							}
 						}

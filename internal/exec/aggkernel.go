@@ -25,6 +25,7 @@ package exec
 import (
 	"sort"
 
+	"dex/internal/rsum"
 	"dex/internal/storage"
 )
 
@@ -148,27 +149,25 @@ func compileAggKernel(t *storage.Table, q Query) (*aggKernel, string) {
 }
 
 // aggItem holds one select item's accumulators as per-slot parallel arrays
-// (one slot per morsel for scalar aggregation, one per group otherwise).
-// Only the arrays the (kind, fn) pair actually reads are allocated; grow
-// extends exactly those. Semantics mirror aggState.add: NaN skipped before any
-// counting, int MIN/MAX compared as float64, and a MIN/MAX slot remembers
-// the row id of its extreme so merges can break ties on it.
+// (one slot for scalar aggregation, one per group otherwise). Only the
+// arrays the (kind, fn) pair actually reads are allocated; grow extends
+// exactly those. Semantics mirror aggState.add: NaN skipped before any
+// counting, SUM/AVG through the one order-free sum (rsum), int MIN/MAX
+// compared as float64, and a MIN/MAX slot remembers the row id of its
+// extreme so merges can break ties on it.
 type aggItem struct {
 	spec  aggSpec
 	cur   storage.RLECursor // aiRLE input reader
 	sg    float64           // MIN/MAX: +1 keeps the least value, -1 the greatest
 	count []int64
-	sum   []float64
+	sum   []rsum.Sum
 	iext  []int64   // MIN/MAX over int input: the extreme so far
 	fext  []float64 // MIN/MAX over float input: the extreme so far
 	at    []int     // MIN/MAX: row id of the extreme
 	has   []bool
 }
 
-// aggAcc is one typed accumulator instance. Group-by keeps one per worker.
-// Scalar aggregation keeps one per query, the slab: slot k holds morsel k's
-// partial and the last slot the bucket cells'; the workers share its
-// arrays (see share).
+// aggAcc is one typed accumulator instance; every worker keeps its own.
 type aggAcc struct {
 	ak     *aggKernel
 	items  []aggItem
@@ -180,14 +179,13 @@ type aggAcc struct {
 	kcur   storage.RLECursor // group-key reader (gmRLE)
 }
 
-// newAcc allocates an accumulator: scalarSlots preallocated for scalar
-// mode, a dense card-sized array for dict groups, grow-on-demand for int
-// keys.
-func (ak *aggKernel) newAcc(scalarSlots int) *aggAcc {
+// newAcc allocates an accumulator: one slot for scalar mode, a dense
+// card-sized array for dict groups, grow-on-demand for int keys.
+func (ak *aggKernel) newAcc() *aggAcc {
 	slots := 0
 	switch ak.mode {
 	case gmScalar:
-		slots = scalarSlots
+		slots = 1
 	case gmDict:
 		slots = ak.gcard
 	}
@@ -230,30 +228,8 @@ func (ak *aggKernel) newAcc(scalarSlots int) *aggAcc {
 			it.has = make([]bool, slots)
 		default: // SUM/AVG
 			it.count = make([]int64, slots)
-			it.sum = make([]float64, slots)
+			it.sum = make([]rsum.Sum, slots)
 		}
-	}
-	return a
-}
-
-// share returns a scalar slab for one worker. The worker writes only the
-// slots of the morsels it runs, so the arrays are shared as they are; a
-// run-coded input's cursor is the one state a worker moves, so a slab
-// with such an input is copied, items and all, with cursors of its own.
-// No worker runs on a slab that has one, which keeps the copy race-free.
-func (a *aggAcc) share() *aggAcc {
-	for i := range a.items {
-		if a.items[i].spec.kind != aiRLE {
-			continue
-		}
-		b := *a
-		b.items = append([]aggItem(nil), a.items...)
-		for j := range b.items {
-			if it := &b.items[j]; it.spec.kind == aiRLE {
-				it.cur = it.spec.rle.Cursor()
-			}
-		}
-		return &b
 	}
 	return a
 }
@@ -281,15 +257,14 @@ func at(rows []int, base, j int) int {
 	return base + j
 }
 
-// addScalar accumulates one morsel into slot s (scalar aggregation). rows
-// lists the qualifying rows of the morsel's input [lo, hi); nil means the
-// whole dense range — the no-WHERE path, where no selection vector exists
-// at all. These are the hot loops: one pass per item, nothing boxed, the
+// addScalar accumulates one morsel into the scalar slot, 0. rows lists the
+// qualifying rows of the morsel's input [lo, hi); nil means the whole
+// dense range — the no-WHERE path, where no selection vector exists at
+// all. These are the hot loops: one pass per item, nothing boxed, the
 // fn/kind dispatch hoisted out of the loop. A dense range of RLE input
-// folds whole runs (sum += value·length), which regroups the float
-// association; the parity harnesses compare SUM/AVG within relative
-// tolerance.
-func (a *aggAcc) addScalar(s, lo, hi int, rows []int) {
+// folds whole runs, each as its length's deposits of its value at once.
+func (a *aggAcc) addScalar(lo, hi int, rows []int) {
+	const s = 0
 	n := hi - lo
 	if rows != nil {
 		n = len(rows)
@@ -300,9 +275,9 @@ func (a *aggAcc) addScalar(s, lo, hi int, rows []int) {
 		case aiCount:
 			it.count[s] += int64(n)
 		case aiI64:
-			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo, s)
+			scalarItem(it, it.iext, window(it.spec.i64, rows, lo, n), rows, lo)
 		case aiF64:
-			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo, s)
+			scalarItem(it, it.fext, window(it.spec.f64, rows, lo, n), rows, lo)
 		case aiRLE:
 			switch {
 			case it.has != nil && rows == nil:
@@ -314,29 +289,27 @@ func (a *aggAcc) addScalar(s, lo, hi int, rows []int) {
 					offer(it, it.iext, s, it.cur.At(r), r)
 				}
 			case rows == nil:
-				sum, c := it.sum[s], it.count[s]
+				sum := &it.sum[s]
 				it.spec.rle.ForEachRun(lo, hi, func(x int64, rlo, rhi int) {
-					sum += float64(x) * float64(rhi-rlo)
-					c += int64(rhi - rlo)
+					sum.AddIntN(x, rhi-rlo)
 				})
-				it.sum[s], it.count[s] = sum, c
+				it.count[s] += int64(n)
 			default:
-				sum := it.sum[s]
 				for _, r := range rows {
-					sum += float64(it.cur.At(r))
+					it.sum[s].AddInt(it.cur.At(r))
 				}
-				it.sum[s] = sum
 				it.count[s] += int64(n)
 			}
 		}
 	}
 }
 
-// scalarItem folds one item over its raw column v (see window) into slot
-// s, in row order, with the running sum and count held in registers. ext
-// is the item's MIN/MAX array of v's type; for int64 the NULL test x == x
-// folds away at compile time.
-func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base, s int) {
+// scalarItem folds one item over its raw column v (see window) into the
+// scalar slot, with the running count held in a register and a SUM/AVG's
+// folds in rsum's. ext is the item's MIN/MAX array of v's type; for int64
+// the NULL test x == x folds away at compile time.
+func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base int) {
+	const s = 0
 	switch it.spec.fn {
 	case AggMin, AggMax:
 		if rows == nil {
@@ -369,23 +342,7 @@ func scalarItem[T int64 | float64](it *aggItem, ext, v []T, rows []int, base, s 
 		}
 		it.count[s] = c
 	default: // SUM/AVG
-		sum, c := it.sum[s], it.count[s]
-		if rows == nil {
-			for _, x := range v {
-				if x == x {
-					sum += float64(x)
-					c++
-				}
-			}
-		} else {
-			for _, r := range rows {
-				if x := v[r]; x == x {
-					sum += float64(x)
-					c++
-				}
-			}
-		}
-		it.sum[s], it.count[s] = sum, c
+		it.count[s] += int64(rsum.FoldAt(&it.sum[s], v, rows))
 	}
 }
 
@@ -529,8 +486,7 @@ func growTo[T any](s []T, n int) []T {
 
 // fold is the item pass: one loop per select item over the morsel, with
 // the (kind, fn) dispatch hoisted out of it. Row at(rows, base, j) lands in
-// slots[j]. Rows reach each slot in row order, as in the sequential
-// evaluator, so every SUM/AVG is bit-identical to it.
+// slots[j].
 func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 	for i := range a.items {
 		it := &a.items[i]
@@ -549,7 +505,7 @@ func (a *aggAcc) fold(slots []int32, rows []int, base int) {
 				if x := it.cur.At(r); it.has != nil {
 					offer(it, it.iext, int(s), x, r)
 				} else {
-					it.sum[s] += float64(x)
+					it.sum[s].AddInt(x)
 					it.count[s]++
 				}
 			}
@@ -602,22 +558,7 @@ func foldItem[T int64 | float64](it *aggItem, ext, v []T, slots []int32, rows []
 			}
 		}
 	default: // SUM/AVG
-		sum, count := it.sum, it.count
-		if rows == nil {
-			for j, s := range slots {
-				if x := v[j]; x == x {
-					sum[s] += float64(x)
-					count[s]++
-				}
-			}
-		} else {
-			for j, s := range slots {
-				if x := v[rows[j]]; x == x {
-					sum[s] += float64(x)
-					count[s]++
-				}
-			}
-		}
+		rsum.FoldSlots(it.sum, it.count, slots, v, rows)
 	}
 }
 
@@ -715,65 +656,47 @@ func mergeGroupAccs(accs []*aggAcc) []*groupEntry {
 	return entries
 }
 
-// typedSink is the pipeline sink over a compiled aggKernel. Scalar
-// partials live in one slab per query, a slot per morsel, so the merge
-// order — and the floating-point sum — is deterministic for a given morsel
-// size, and a morsel costs the sink no allocation; group accumulators are
-// worker-local (dict mode: dense per-code arrays; int modes: raw-key
-// hash), merged and re-sorted by first row.
+// typedSink is the pipeline sink over a compiled aggKernel. Every worker
+// keeps its own accumulator — one slot for a scalar aggregate; dict mode's
+// dense per-code arrays or int modes' raw-key hash for a grouped one — and
+// finish merges them in any order: counts and rsum's sums are order-free,
+// and MIN/MAX ties go to the earlier row. Groups are re-sorted by first
+// row. A morsel costs the sink no allocation.
 type typedSink struct {
-	ak *aggKernel
-	t  *storage.Table
-	q  Query
-	m  int
-	// slab holds the scalar partials, one slot per morsel and, last, the
-	// bucket cells' (see addCells); seen marks the slots written, and an
-	// unseen one — a morsel that contributed nothing — is skipped at merge.
-	slab   *aggAcc
-	seen   []bool
-	locals []*aggAcc // per worker: its group accumulator, or its share of the slab
+	ak     *aggKernel
+	t      *storage.Table
+	q      Query
+	locals []*aggAcc // per worker
 }
 
-func newTypedSink(ak *aggKernel, t *storage.Table, q Query, m, morsels, workers int) *typedSink {
-	s := &typedSink{ak: ak, t: t, q: q, m: m, locals: make([]*aggAcc, workers)}
-	if ak.mode == gmScalar {
-		s.slab, s.seen = ak.newAcc(morsels+1), make([]bool, morsels+1)
-	}
-	return s
+func newTypedSink(ak *aggKernel, t *storage.Table, q Query, workers int) *typedSink {
+	return &typedSink{ak: ak, t: t, q: q, locals: make([]*aggAcc, workers)}
 }
 
 func (s *typedSink) consume(worker, lo, hi int, rows []int) {
 	acc := s.locals[worker]
 	if acc == nil {
-		if s.slab != nil {
-			acc = s.slab.share()
-		} else {
-			acc = s.ak.newAcc(0)
-		}
+		acc = s.ak.newAcc()
 		s.locals[worker] = acc
 	}
-	if s.slab != nil {
-		k := lo / s.m
-		acc.addScalar(k, lo, hi, rows)
-		s.seen[k] = true
+	if s.ak.mode == gmScalar {
+		acc.addScalar(lo, hi, rows)
 		return
 	}
 	acc.addGroups(lo, hi, rows)
 }
 
 func (s *typedSink) finish() (*storage.Table, error) {
-	if s.slab == nil {
+	if s.ak.mode != gmScalar {
 		return buildGroupEntries(s.t.Name(), s.t.Schema(), s.q, mergeGroupAccs(s.locals))
 	}
-	// The slots fold in morsel order, the cells' last, through
-	// aggState.merge: the order fixes a float SUM's bits.
 	states := newAggStates(s.q)
-	for k, seen := range s.seen {
-		if !seen {
+	for _, acc := range s.locals {
+		if acc == nil {
 			continue
 		}
 		for i, st := range states {
-			p := s.slab.state(i, k)
+			p := acc.state(i, 0)
 			st.merge(&p)
 		}
 	}

@@ -160,60 +160,6 @@ func afQuery(f *afReader) Query {
 	return q
 }
 
-// sumSlack returns, per select item, the absolute slack a reassociated
-// float sum is allowed: 1e-9·Σ|x| over the item's whole input column, zero
-// for items that are not SUM/AVG. The value pools put ±9.2e18 next to 1 and
-// 42, so a group's SUM can cancel catastrophically: the sequential order
-// keeps the small addends, a worker-local partial that meets the huge pair
-// first absorbs them, and the two correct answers differ by far more than
-// any tolerance relative to the (tiny) result. Relative to the magnitude of
-// what was added, both are exact — that is the engine's documented
-// contract (association order of SUM/AVG partials), and which worker
-// claims which morsel decides the order on a multi-core host.
-func sumSlack(plain *storage.Table, q Query) []float64 {
-	slack := make([]float64, len(q.Select))
-	for i, item := range q.Select {
-		if item.Agg != AggSum && item.Agg != AggAvg {
-			continue
-		}
-		c, err := plain.ColumnByName(item.Col)
-		if err != nil {
-			continue
-		}
-		for r := 0; r < c.Len(); r++ {
-			if x := math.Abs(c.Value(r).AsFloat()); !math.IsInf(x, 0) && !math.IsNaN(x) {
-				slack[i] += 1e-9 * x
-			}
-		}
-	}
-	return slack
-}
-
-// requireSameAgg is requireSameTable with sumSlack applied to finite
-// SUM/AVG cells; every other cell (and every non-finite one) compares as
-// requireSameTable does.
-func requireSameAgg(t *testing.T, label string, slack []float64, a, b *storage.Table) {
-	t.Helper()
-	if a.Schema().String() != b.Schema().String() || a.NumRows() != b.NumRows() {
-		requireSameTable(t, label, a, b)
-	}
-	for r := 0; r < a.NumRows(); r++ {
-		for c := 0; c < a.NumCols(); c++ {
-			av, bv := a.Column(c).Value(r), b.Column(c).Value(r)
-			if valuesClose(av, bv) {
-				continue
-			}
-			finite := av.Typ == storage.TFloat && bv.Typ == storage.TFloat &&
-				!math.IsInf(av.F, 0) && !math.IsInf(bv.F, 0) && !math.IsNaN(av.F) && !math.IsNaN(bv.F)
-			if finite && math.Abs(av.F-bv.F) <= slack[c] {
-				continue
-			}
-			t.Fatalf("%s: cell [%d,%d] (%s) oracle=%v got=%v (slack %g)",
-				label, r, c, a.Schema()[c].Name, av, bv, slack[c])
-		}
-	}
-}
-
 // narrowRange draws, from what is left of the input, an optional narrow
 // range to AND onto where: one pool value of the INT column k or of the
 // FLOAT column x, as a two-sided range, which the value index serves from
@@ -270,7 +216,6 @@ func FuzzAggKernelVsGeneric(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, enc, q := aggCase(t, data)
 		oracle, oracleErr := Execute(plain, q)
-		slack := sumSlack(plain, q)
 		for _, arm := range fuzzArms {
 			tbl := plain
 			if arm.enc {
@@ -284,7 +229,7 @@ func FuzzAggKernelVsGeneric(f *testing.F) {
 			if oracleErr != nil {
 				continue
 			}
-			requireSameAgg(t, label, slack, oracle, got)
+			requireSameTable(t, label, oracle, got)
 		}
 	})
 }

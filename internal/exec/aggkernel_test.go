@@ -388,14 +388,14 @@ func TestGroupMinMaxTiesBreakOnPosition(t *testing.T) {
 				if ak == nil {
 					t.Fatalf("fell back: %s", reason)
 				}
-				got, err := feed(newTypedSink(ak, tc.tbl, q, m, morsels, morsels), dense)
+				got, err := feed(newTypedSink(ak, tc.tbl, q, morsels), dense)
 				check(t, q, got, err)
 			})
 		}
 	}
 	t.Run("generic string key", func(t *testing.T) {
 		q := query("s")
-		gs, err := newGenericSink(plain, q, m, morsels, morsels)
+		gs, err := newGenericSink(plain, q, morsels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,10 +459,10 @@ func TestGroupSinkRecyclesSlotVector(t *testing.T) {
 }
 
 // TestScalarSinkKeepsPartialsInOneSlab is the scalar twin of
-// TestGroupSinkRecyclesSlotVector: a filtered scalar aggregate keeps its
-// morsel partials in one slab per query, so its million rows in 1024
-// morsels cost a few typed slots per extra morsel over the same query in
-// 64 — not an accumulator, its items and a heap state per item each.
+// TestGroupSinkRecyclesSlotVector: a filtered scalar aggregate keeps one
+// accumulator per worker, so its million rows in 1024 morsels cost nothing
+// per extra morsel over the same query in 64 — not a slot, an accumulator
+// or a heap state per item each.
 func TestScalarSinkKeepsPartialsInOneSlab(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 20
@@ -503,20 +503,20 @@ func TestScalarSinkKeepsPartialsInOneSlab(t *testing.T) {
 	fewB, fewM := perQuery(16384)
 	manyB, manyM := perQuery(1024)
 	t.Logf("per query: %d B, %d mallocs at 64 morsels; %d B, %d mallocs at 1024", fewB, fewM, manyB, manyM)
-	const extra, items = 1024 - 64, 2
-	if manyB > fewB+32*extra*items {
-		t.Fatalf("%d B per query at 1024 morsels against %d at 64: more than 32 B per extra morsel per item", manyB, fewB)
+	// The slack is a stray allocation beside the query, averaged over the
+	// reps: the 960 extra morsels may not cost one byte each between them.
+	if manyB > fewB+64 {
+		t.Fatalf("%d B per query at 1024 morsels against %d at 64: an extra morsel costs bytes", manyB, fewB)
 	}
-	if manyM > fewM+4 {
+	if manyM > fewM+1 {
 		t.Fatalf("%d mallocs per query at 1024 morsels against %d at 64: allocation count grows with the morsel count", manyM, fewM)
 	}
 }
 
 // TestScalarSlabFillsOnlyCandidateMorsels: a morsel that holds no index
 // candidate costs the scalar sink nothing. On a table clustered by x, a
-// range whose candidates lie in 3 of 16 morsels fills exactly 3 slab
-// slots, at one worker and at four, and the answer — integral values, so
-// every association sums alike — equals Execute's bit for bit.
+// range whose candidates lie in 3 of 16 morsels skips the other 13, at one
+// worker and at four, and the answer equals Execute's bit for bit.
 func TestScalarSlabFillsOnlyCandidateMorsels(t *testing.T) {
 	const m, morsels = 1024, 16
 	xs := make([]int64, m*morsels)
@@ -552,18 +552,11 @@ func TestScalarSlabFillsOnlyCandidateMorsels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := p.sink.(*typedSink)
-		if !ok || p.index.vi == nil || p.index.cells != nil {
+		if _, ok := p.sink.(*typedSink); !ok || p.index.vi == nil || p.index.cells != nil {
 			t.Fatalf("workers=%d: want the typed sink over index candidates, no cells", workers)
 		}
-		filled := 0
-		for _, seen := range s.seen {
-			if seen {
-				filled++
-			}
-		}
-		if filled != 3 || c.IndexSkipped.Load() != morsels-3 {
-			t.Fatalf("workers=%d: %d slots filled, %d morsels skipped; want 3 and %d", workers, filled, c.IndexSkipped.Load(), morsels-3)
+		if c.IndexSkipped.Load() != morsels-3 {
+			t.Fatalf("workers=%d: %d morsels skipped; want %d", workers, c.IndexSkipped.Load(), morsels-3)
 		}
 		requireIdentical(t, fmt.Sprintf("workers=%d", workers), oracle, out)
 	}

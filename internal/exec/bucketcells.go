@@ -15,11 +15,11 @@
 // column with no NULL: its run [-1, NumBuckets] has no edge bucket, so
 // every cell is folded and no row is read.
 //
-// The fold follows the merge rules partials already obey: counts and sums
-// add, a MIN/MAX tie goes to the earlier row, and a group's first row is
-// the least of its cells' and its edge rows' — the typed sink orders rows
-// by row id, as the cells do. So only a float SUM/AVG can tell the cells
-// path from a scan, by the association of its partials.
+// The fold follows the merge rules partials already obey: counts add, sums
+// merge through rsum, a MIN/MAX tie goes to the earlier row, and a group's
+// first row is the least of its cells' and its edge rows' — the typed sink
+// orders rows by row id, as the cells do. So no answer can tell the cells
+// path from a scan, a float SUM/AVG's included.
 package exec
 
 import (
@@ -200,16 +200,9 @@ func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
 }
 
 // addCells folds the cells whose keys lie in [kl, kh] into the sink's
-// state and returns the rows they hold. A grouped sink folds them into the
-// first worker accumulator a morsel made, which no morsel touches any
-// more; a scalar one into the slab's last slot, merged after the morsels'.
+// state and returns the rows they hold: into the first worker accumulator
+// a morsel made, which no morsel touches any more.
 func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
-	if s.slab != nil {
-		last := len(s.seen) - 1
-		rows = s.slab.addCells(cells, kl, kh, last)
-		s.seen[last] = rows > 0
-		return rows
-	}
 	var acc *aggAcc
 	for _, a := range s.locals {
 		if a != nil {
@@ -218,19 +211,19 @@ func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 		}
 	}
 	if acc == nil {
-		acc = s.ak.newAcc(0)
+		acc = s.ak.newAcc()
 		s.locals[0] = acc
 	}
-	return acc.addCells(cells, kl, kh, 0)
+	return acc.addCells(cells, kl, kh)
 }
 
 // addCells folds the cells whose keys lie in [kl, kh] into the
 // accumulator, cell c into slot c.Group under a dict grouping, else slot
-// s0, and returns the rows they hold; an empty cell leaves its group
+// 0, and returns the rows they hold; an empty cell leaves its group
 // unseen. COUNT(*) and COUNT over a never-NULL column take a cell's rows,
 // the other items its non-NULL count and sum, and MIN/MAX its extreme's
 // row.
-func (a *aggAcc) addCells(cells []storage.Cell, kl, kh, s0 int) (rows int) {
+func (a *aggAcc) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 	dict := a.ak.mode == gmDict
 	for i := range cells {
 		c := &cells[i]
@@ -238,7 +231,7 @@ func (a *aggAcc) addCells(cells []storage.Cell, kl, kh, s0 int) (rows int) {
 			continue
 		}
 		rows += c.Rows
-		s := s0
+		s := 0
 		if dict {
 			s = int(c.Group)
 			switch f := a.firsts[s]; {
@@ -269,7 +262,7 @@ func (a *aggAcc) addCells(cells []storage.Cell, kl, kh, s0 int) (rows int) {
 					mergeExt(it, it.fext, s, it.spec.f64[r], r)
 				}
 			case it.sum != nil:
-				it.sum[s] += c.Sum
+				it.sum[s].Merge(&c.Sum)
 				it.count[s] += int64(c.N)
 			default: // COUNT over a FLOAT
 				it.count[s] += int64(c.N)

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"dex/internal/expr"
+	"dex/internal/rsum"
 	"dex/internal/storage"
 )
 
@@ -205,6 +206,8 @@ func Execute(t *storage.Table, q Query) (*storage.Table, error) {
 // row via addCountOnly). Skipping NaN also makes the state a commutative
 // monoid under merge, which the parallel operators rely on: without it,
 // MIN/MAX folds over incomparable values would depend on morsel boundaries.
+// SUM and AVG keep the one order-free sum (rsum), so the state's bits do
+// not depend on how its values were split or merged either.
 //
 // MIN and MAX keep one extreme, ext, and the input position it came from.
 // Values can tie under Value.Compare and still differ — int64s past 2^53
@@ -216,7 +219,7 @@ type aggState struct {
 	fn    AggFunc
 	has   bool // MIN/MAX: ext holds a value
 	count int64
-	sum   float64
+	sum   rsum.Sum      // SUM/AVG
 	ext   storage.Value // MIN/MAX: the extreme so far
 	at    int           // MIN/MAX: input position of ext
 }
@@ -227,9 +230,14 @@ func (a *aggState) add(v storage.Value, pos int) {
 		return
 	}
 	a.count++
-	a.sum += v.AsFloat()
-	if a.fn == AggMin || a.fn == AggMax {
+	switch {
+	case a.fn == AggMin || a.fn == AggMax:
 		a.offer(v, pos)
+	case a.fn != AggSum && a.fn != AggAvg:
+	case v.Typ == storage.TInt:
+		a.sum.AddInt(v.I)
+	default:
+		a.sum.Add(v.F)
 	}
 }
 
@@ -256,7 +264,7 @@ func (a *aggState) offer(v storage.Value, pos int) {
 // morsels, then partials merge pairwise.
 func (a *aggState) merge(b *aggState) {
 	a.count += b.count
-	a.sum += b.sum
+	a.sum.Merge(&b.sum)
 	if b.has {
 		a.offer(b.ext, b.at)
 	}
@@ -267,12 +275,12 @@ func (a *aggState) result() storage.Value {
 	case AggCount:
 		return storage.Int(a.count)
 	case AggSum:
-		return storage.Float(a.sum)
+		return storage.Float(a.sum.Float64())
 	case AggAvg:
 		if a.count == 0 {
 			return storage.Float(math.NaN())
 		}
-		return storage.Float(a.sum / float64(a.count))
+		return storage.Float(a.sum.Float64() / float64(a.count))
 	case AggMin, AggMax:
 		if !a.has {
 			return storage.Float(math.NaN())

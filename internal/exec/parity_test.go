@@ -12,9 +12,8 @@ import (
 
 // The parity harness: for randomly generated tables and Query values, the
 // parallel operators must produce exactly the sequential output — same
-// schema, same rows, same (deterministic) row order. Floats compare with a
-// tight relative tolerance because parallel SUM/AVG merge partials in
-// morsel/worker order, which can move the result by an ulp.
+// schema, same rows, same (deterministic) row order, the same float bits:
+// SUM/AVG keep the one order-free sum, so no merge order moves them.
 
 // randParityTable builds a table with an int key, a small-domain int
 // dimension, a float measure (NaN-polluted when nanFrac > 0 — NaN is the
@@ -105,8 +104,7 @@ func randQuery(rng *rand.Rand) Query {
 			SelectItem{Col: "x", Agg: aggs[rng.Intn(len(aggs))]},
 			SelectItem{Col: "*", Agg: AggCount},
 		)
-		// Order by the group columns only: ordering by a float aggregate
-		// could flip on the ulp-level sum differences parallel merge allows.
+		// Order by the group columns only.
 		if rng.Intn(2) == 0 {
 			q.OrderBy = []OrderKey{{Col: dims[0], Desc: rng.Intn(2) == 0}}
 		}
@@ -120,25 +118,13 @@ func randQuery(rng *rand.Rand) Query {
 	return q
 }
 
-// valuesClose compares cells: exact for INT/TEXT, relative 1e-9 for floats,
-// NaN equal to NaN.
-func valuesClose(a, b storage.Value) bool {
-	if a.Typ != b.Typ {
-		return false
+// sameValue compares cells exactly: floats by their bits, NaN equal to
+// NaN.
+func sameValue(a, b storage.Value) bool {
+	if a.Typ == storage.TFloat && b.Typ == storage.TFloat {
+		return math.Float64bits(a.F) == math.Float64bits(b.F) || a.F != a.F && b.F != b.F
 	}
-	if a.Typ != storage.TFloat {
-		return a == b
-	}
-	x, y := a.F, b.F
-	if math.IsNaN(x) || math.IsNaN(y) {
-		return math.IsNaN(x) && math.IsNaN(y)
-	}
-	if x == y {
-		return true
-	}
-	diff := math.Abs(x - y)
-	scale := math.Max(math.Abs(x), math.Abs(y))
-	return diff <= 1e-9*scale
+	return a == b
 }
 
 // requireSameTable asserts b matches a row-for-row. Both paths are
@@ -155,7 +141,7 @@ func requireSameTable(t *testing.T, label string, a, b *storage.Table) {
 	for r := 0; r < a.NumRows(); r++ {
 		for c := 0; c < a.NumCols(); c++ {
 			av, bv := a.Column(c).Value(r), b.Column(c).Value(r)
-			if !valuesClose(av, bv) {
+			if !sameValue(av, bv) {
 				t.Fatalf("%s: cell [%d,%d] (%s) seq=%v par=%v",
 					label, r, c, a.Schema()[c].Name, av, bv)
 			}

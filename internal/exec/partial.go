@@ -117,9 +117,11 @@ func (p *Partials) Merge(parts []*storage.Table) (*storage.Table, error) {
 }
 
 // fold merges row r of part pi into states, rebuilding each partial cell
-// as the state that produced it. A MIN/MAX partial sits at position pi, so
-// a tie goes to the earlier part: in partition order, that is the value a
-// scan of the whole input meets first.
+// as the state that produced it. A SUM partial arrives rounded to a float64
+// and is deposited as one value, so the merge does not depend on the order
+// of the parts. A MIN/MAX partial sits at position pi, so a tie goes to the
+// earlier part: in partition order, that is the value a scan of the whole
+// input meets first.
 func (p *Partials) fold(states []*aggState, t *storage.Table, r, pi int) {
 	for i, st := range states {
 		if st == nil {
@@ -130,10 +132,17 @@ func (p *Partials) fold(states []*aggState, t *storage.Table, r, pi int) {
 		switch st.fn {
 		case AggCount:
 			part.count = v.AsInt()
-		case AggSum:
-			part.sum = v.AsFloat()
-		case AggAvg:
-			part.sum, part.count = v.AsFloat(), t.Column(p.cnt[i]).Value(r).AsInt()
+		case AggSum, AggAvg:
+			// A part's SUM is NaN only when it met both infinities.
+			if x := v.AsFloat(); x == x {
+				part.sum.Add(x)
+			} else {
+				part.sum.Add(math.Inf(1))
+				part.sum.Add(math.Inf(-1))
+			}
+			if st.fn == AggAvg {
+				part.count = t.Column(p.cnt[i]).Value(r).AsInt()
+			}
 		default: // MIN, MAX: a NULL partial met no value
 			part.has = v.Typ != storage.TFloat || !math.IsNaN(v.F)
 			part.ext, part.at = v, pi

@@ -39,19 +39,15 @@
 // read out ascending, and Refine applies the whole WHERE to them, so a
 // morsel hands its sink the same rows in the same order on either path.
 //
-// Parallel execution is semantically transparent: qualifying rows reach the
-// sink ascending within a morsel, scalar partials are morsel-indexed and
-// merged in morsel order (so a float SUM is deterministic for a given
-// morsel size, whatever the scheduling), aggregate states are a commutative
-// monoid under merge (NaN — the engine's NULL — is skipped), and merged
-// groups are re-sorted by the row id of their first row, which is what
-// bucket cells record too. Against the sequential reference evaluator
-// (Execute) the only observable difference is the floating-point
-// association order of SUM/AVG partials, bucket cells' included. A
-// selection splits at the same morsel boundaries, so a scalar partial of
-// ExecuteSel equals ExecuteCtx's over the same rows bit for bit; group
-// accumulators are per worker, so a grouped float SUM/AVG at more than one
-// worker follows scheduling in either.
+// Parallel execution is semantically transparent, bit for bit: qualifying
+// rows reach the sink ascending within a morsel, every worker keeps its own
+// accumulator, and aggregate states are a commutative monoid under merge —
+// NaN, the engine's NULL, is skipped, a MIN/MAX tie goes to the earlier
+// row, and SUM/AVG keep the one order-free sum (rsum), so no worker count,
+// morsel size or bucket-cell fold moves a float SUM's bits. Merged groups
+// are re-sorted by the row id of their first row, which is what bucket
+// cells record too. So ExecuteCtx and ExecuteSel over the same rows answer
+// what the sequential reference evaluator (Execute) does, bit for bit.
 //
 // The scheduler checks ctx between morsel claims, so a cancelled query
 // stops within one morsel per worker, and Counters.Scanned advances
@@ -145,12 +141,11 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 // interior of b. sel must hold distinct row ids in ascending order — what
 // the cracker index's probes return — since the sinks order groups, ties
 // and projected rows by row id; it is split at the table's morsel
-// boundaries, so every morsel hands its sink the rows, and a scalar
-// aggregate the partial, that ExecuteCtx's morsel would over the same
-// rows. The selection and b stand in for the WHERE clause — q.Where is not
-// evaluated — so an operator that already knows the qualifying rows feeds
-// them straight to the sinks. Output order is that of Execute over the
-// rows gathered in order.
+// boundaries, so every morsel hands its sink the rows that ExecuteCtx's
+// morsel would over the same rows. The selection and b stand in for the
+// WHERE clause — q.Where is not evaluated — so an operator that already
+// knows the qualifying rows feeds them straight to the sinks. Output order
+// is that of Execute over the rows gathered in order.
 //
 // The zero Buckets has no interior: sel is the whole input. The Buckets of
 // q's range (RangeBuckets) adds the rows of the buckets strictly inside
@@ -208,7 +203,8 @@ type sink interface {
 	// only a dense plan's sink is ever handed. Calls with the same worker
 	// id never overlap.
 	consume(worker, lo, hi int, rows []int)
-	// finish merges the per-morsel and per-worker state in input order and
+	// finish merges the per-worker state — in input order for the row sinks,
+	// in any order for the aggregates, whose merge is order-free — and
 	// renders the output table (pre-HAVING for aggregates).
 	finish() (*storage.Table, error)
 }
@@ -291,7 +287,7 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 		p.stage = "group_by"
 	}
 	if ak != nil {
-		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, pool.MorselSize(), morsels, workers), true, true
+		p.sink, p.typed, p.dense = newTypedSink(ak, t, q, workers), true, true
 		c.AggKernelHits.Add(1)
 		if p.index.cells != nil {
 			c.CellQueries.Add(1)
@@ -300,7 +296,7 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 	}
 	// An invalid select list falls back too: the generic sink re-derives
 	// and reports the canonical error.
-	gs, err := newGenericSink(t, q, pool.MorselSize(), morsels, workers)
+	gs, err := newGenericSink(t, q, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -556,37 +552,36 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 }
 
 // genericSink is the boxed fallback accumulator, built from the same
-// aggState and groupTable pieces as the reference evaluator: scalar
-// aggregation keeps one partial per morsel, group-by one hash table per
-// worker.
+// aggState and groupTable pieces as the reference evaluator: every worker
+// keeps its own scalar states or hash table, merged in any order.
 type genericSink struct {
 	t         *storage.Table
 	q         Query
-	m         int
 	groupCols []storage.Column // nil for scalar aggregation
 	inputs    []storage.Column
-	partials  [][]*aggState // scalar: per morsel
+	scalars   [][]*aggState // scalar: per worker
 	locals    []*groupTable // group-by: per worker
 }
 
-func newGenericSink(t *storage.Table, q Query, m, morsels, workers int) (*genericSink, error) {
-	s := &genericSink{t: t, q: q, m: m}
+func newGenericSink(t *storage.Table, q Query, workers int) (*genericSink, error) {
+	s := &genericSink{t: t, q: q}
 	var err error
 	if len(q.GroupBy) > 0 {
 		s.groupCols, s.inputs, err = groupInputs(t, q)
 		s.locals = make([]*groupTable, workers)
 	} else {
 		s.inputs, err = scalarInputs(t, q)
-		s.partials = make([][]*aggState, morsels)
+		s.scalars = make([][]*aggState, workers)
 	}
 	return s, err
 }
 
-func (s *genericSink) consume(worker, lo, _ int, rows []int) {
+func (s *genericSink) consume(worker, _, _ int, rows []int) {
 	if s.groupCols == nil {
-		states := newAggStates(s.q)
-		accumulateScalar(s.inputs, states, rows)
-		s.partials[lo/s.m] = states
+		if s.scalars[worker] == nil {
+			s.scalars[worker] = newAggStates(s.q)
+		}
+		accumulateScalar(s.inputs, s.scalars[worker], rows)
 		return
 	}
 	if s.locals[worker] == nil {
@@ -597,7 +592,13 @@ func (s *genericSink) consume(worker, lo, _ int, rows []int) {
 
 func (s *genericSink) finish() (*storage.Table, error) {
 	if s.groupCols == nil {
-		return mergeScalarPartials(s.t, s.q, s.partials)
+		states := newAggStates(s.q)
+		for _, w := range s.scalars {
+			for i, st := range w {
+				states[i].merge(st)
+			}
+		}
+		return buildScalarOutput(s.t.Name(), s.q, states)
 	}
 	gt := newGroupTable()
 	for _, o := range s.locals {
@@ -622,22 +623,6 @@ func MergeRows(dst, a, b []int) []int {
 		}
 	}
 	return append(append(dst, a...), b...)
-}
-
-// mergeScalarPartials folds the generic sink's morsel-indexed scalar
-// partials in morsel order and renders the one-row output. A nil partial is
-// a pruned morsel: it contributed nothing.
-func mergeScalarPartials(t *storage.Table, q Query, partials [][]*aggState) (*storage.Table, error) {
-	states := newAggStates(q)
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		for i, st := range states {
-			st.merge(p[i])
-		}
-	}
-	return buildScalarOutput(t.Name(), q, states)
 }
 
 // A freeList recycles scratch buffers across morsels and queries, under

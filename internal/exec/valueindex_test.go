@@ -143,11 +143,9 @@ func narrowQueries(tab *storage.Table) []Query {
 
 // TestIndexPathMatchesScanBitForBit runs every narrow query with the value
 // index on and off (disableIndex) and requires the same answer bit for bit:
-// the index hands each morsel's sink the rows the scan would, in the same
-// order, so even float SUMs keep their association. The one exception is
-// a grouped float SUM/AVG at four workers, whose per-worker partials merge
-// in scheduling order with or without the index; it is held to the parity
-// tolerance instead. All three index paths must come up. The bucket cells
+// the index hands each morsel's sink the rows the scan would, and a float
+// SUM/AVG is order-free, at four workers too. All three index paths must
+// come up. The bucket cells
 // stay off: they answer a range's interior without its rows, which only
 // TestBucketCellsMatchScan holds to the scan.
 func TestIndexPathMatchesScanBitForBit(t *testing.T) {
@@ -168,11 +166,7 @@ func TestIndexPathMatchesScanBitForBit(t *testing.T) {
 			if offErr != nil || onErr != nil {
 				t.Fatalf("%s: off=%v on=%v", label, offErr, onErr)
 			}
-			if len(q.GroupBy) > 0 && opt.Parallelism > 1 {
-				requireSameTable(t, label, off, on)
-			} else {
-				requireIdentical(t, label, off, on)
-			}
+			requireIdentical(t, label, off, on)
 			paths.add(scanIndexPaths(js))
 		}
 	}

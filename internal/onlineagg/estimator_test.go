@@ -225,7 +225,9 @@ func TestNullMeasuresFollowExec(t *testing.T) {
 // TestPrefixIsAWeightedView is the identity that lets online aggregation
 // and AQP share one estimator: a Runner stopped after m of N rows reports
 // exactly what aqp.OnView reports for those m rows as a sample whose every
-// expansion weight is N/m — same estimates, same intervals, same counts —
+// expansion weight is N/m — same estimates, same counts, and the same
+// intervals but for the finite-population correction √(1 − m/N) a SUM's or
+// a COUNT's takes for m rows read of N, which weighted draws do not take —
 // whatever key orders its rows. At Done it is aqp.Exact.
 func TestPrefixIsAWeightedView(t *testing.T) {
 	tbl := nullTable(t, 3000, 31)
@@ -264,7 +266,11 @@ func TestPrefixIsAWeightedView(t *testing.T) {
 		}
 		for i := range want {
 			g, w := got[i], want[i]
-			if g.Group != w.Group || g.N != w.N || !sameFloat(g.Est, w.Est, 1e-9) || !sameFloat(g.CI, w.CI, 1e-9) {
+			fpc := 1.0
+			if q.Agg == exec.AggSum || q.Agg == exec.AggCount {
+				fpc = math.Sqrt(1 - float64(m)/float64(n))
+			}
+			if g.Group != w.Group || g.N != w.N || !sameFloat(g.Est, w.Est, 1e-9) || !sameFloat(g.CI, w.CI*fpc, 1e-9) {
 				t.Fatalf("trial %d %v m=%d seed=%d group %v:\n runner %+v\n view   %+v", trial, q, m, seed, w.Group, g, w)
 			}
 		}
@@ -374,11 +380,15 @@ func (o *rowOracle) order() []int {
 	return ids
 }
 
-func (o *rowOracle) estimates(draws func(id int) (k, scale float64)) []aqp.GroupEstimate {
+func (o *rowOracle) estimates(draws func(id int) (k, scale, n float64)) []aqp.GroupEstimate {
 	var out []aqp.GroupEstimate
 	for _, id := range o.order() {
 		a := &o.groups[id]
-		k, scale := draws(id)
+		k, scale, n := draws(id)
+		fpc := 1.0
+		if n > 0 {
+			fpc = math.Max(1-k/n, 0)
+		}
 		ge := aqp.GroupEstimate{Group: a.val, N: a.n}
 		switch o.agg {
 		case exec.AggCount, exec.AggSum:
@@ -389,7 +399,7 @@ func (o *rowOracle) estimates(draws func(id int) (k, scale float64)) []aqp.Group
 			ge.Est = scale * sumY
 			if k > 1 {
 				s2 := scale * scale * (k*k*a.sumY2 - k*sumY*sumY) / (k - 1)
-				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k)
+				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k*fpc)
 			}
 		case exec.AggAvg:
 			ge.Est = a.wx / a.wsum
@@ -559,11 +569,11 @@ func TestBatchLaneMatchesRowOracle(t *testing.T) {
 					if r.Processed() != pos {
 						t.Fatalf("%v key %d: lane at %d rows, oracle at %d", q, key, r.Processed(), pos)
 					}
-					want := o.estimates(func(int) (float64, float64) {
+					want := o.estimates(func(int) (float64, float64, float64) {
 						if pos == n {
-							return 0, 1
+							return 0, 1, 0
 						}
-						return float64(pos), float64(n) / float64(pos)
+						return float64(pos), float64(n) / float64(pos), n
 					})
 					if msg := sameBits(got, want); msg != "" {
 						t.Fatalf("%v key %d after %d rows: %s", q, key, pos, msg)
@@ -669,11 +679,11 @@ func TestStridedLaneMatchesRowOracle(t *testing.T) {
 					done++
 					consumed++
 				}
-				want := o.estimates(func(id int) (float64, float64) {
+				want := o.estimates(func(id int) (float64, float64, float64) {
 					if next[id] == 0 || next[id] == len(rows[id]) {
-						return 0, 1
+						return 0, 1, 0
 					}
-					return float64(next[id]), float64(len(rows[id])) / float64(next[id])
+					return float64(next[id]), float64(len(rows[id])) / float64(next[id]), float64(len(rows[id]))
 				})
 				if msg := sameBits(got, want); msg != "" {
 					t.Fatalf("%v after %d rows: %s", q, done, msg)

@@ -165,13 +165,14 @@ func (r *Runner) feed(rows []int) {
 // complete they are the population and all intervals are zero.
 func (r *Runner) Estimates() []aqp.GroupEstimate { return r.est.Estimates(r.draws()) }
 
-// draws returns the (k, scale) the processed prefix renders with.
-func (r *Runner) draws() (k, scale float64) {
+// draws returns the (k, scale, n) the processed prefix renders with: m of
+// the walk's N rows, read without replacement.
+func (r *Runner) draws() (k, scale, n float64) {
 	if r.Done() {
-		return 0, 1
+		return 0, 1, 0
 	}
-	m := float64(r.pos)
-	return m, float64(r.order.n) / m
+	m, pop := float64(r.pos), float64(r.order.n)
+	return m, pop / m, pop
 }
 
 // Snapshot is one point on the convergence curve RunUntil produces.
@@ -253,10 +254,10 @@ func (r *Runner) run(ctx context.Context, target float64, batch, limit int, snap
 // a group whose estimate is zero with an unbounded interval. Groups are
 // rendered one at a time, unordered: the maximum does not depend on order.
 func (r *Runner) worstRelCI() float64 {
-	k, scale := r.draws()
+	k, scale, n := r.draws()
 	worst := 0.0
 	for id := range r.est.Len() {
-		g := r.est.Estimate(id, k, scale)
+		g := r.est.Estimate(id, k, scale, n)
 		rel := g.RelCI()
 		if math.IsInf(rel, 1) && g.Est == 0 {
 			continue

@@ -101,11 +101,11 @@ func (r *StridedRunner) Step(batch int) ([]aqp.GroupEstimate, error) {
 // from bucketing), so est = (N_g/m_g)·sum_g and striding's distorted prefix
 // proportions cannot bias the answers. An exhausted group is exact.
 func (r *StridedRunner) Estimates() []aqp.GroupEstimate {
-	return r.est.EstimatesBy(func(id int) (k, scale float64) {
+	return r.est.EstimatesBy(func(id int) (k, scale, n float64) {
 		g := r.groups[id]
 		if g.next == 0 || g.next == len(g.rows) {
-			return 0, 1
+			return 0, 1, 0
 		}
-		return float64(g.next), float64(len(g.rows)) / float64(g.next)
+		return float64(g.next), float64(len(g.rows)) / float64(g.next), float64(len(g.rows))
 	})
 }

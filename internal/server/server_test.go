@@ -55,8 +55,8 @@ func slowScan(t *testing.T, d time.Duration) {
 }
 
 // sameResult compares a wire-format result against a direct-engine result,
-// exact for ints and strings, to 1e-9 relative for floats (the parallel
-// aggregates are ulp-nondeterministic).
+// exact for ints and strings, to 1e-9 relative for floats: a fleet's SUM
+// merges its shards' partials, each rounded to one float64 on the wire.
 func sameResult(t *testing.T, label string, got *QueryResult, want *QueryResult) {
 	t.Helper()
 	if len(got.Columns) != len(want.Columns) || len(got.Rows) != len(want.Rows) {

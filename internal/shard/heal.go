@@ -168,7 +168,7 @@ func (c *Coordinator) healLost(i int) {
 		return
 	}
 	c.mu.Lock()
-	expect := c.expectedRowsLocked(i)
+	expect := c.rowsOf(c.owned[i])
 	table := c.cfg.Spec.Table
 	c.mu.Unlock()
 	if expect > 0 {
@@ -205,16 +205,7 @@ func (c *Coordinator) restage(i int) {
 		return
 	}
 	c.states[i] = StateRestaging
-	load := c.load
-	part := c.partitionMsgLocked(i)
-	expect := c.expectedRowsLocked(i)
-	c.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), stageTimeout)
-	defer cancel()
-	rows, err := c.stage(ctx, i, load, part)
-	ok := err == nil && rows == expect
-	c.mu.Lock()
+	ok := c.stage(i, append([]int(nil), c.owned[i]...))
 	if ok {
 		c.states[i] = StateHealthy
 	} else {
@@ -228,12 +219,21 @@ func (c *Coordinator) restage(i int) {
 	}
 }
 
-// stage runs the Load+Partition staging sequence against one worker.
-func (c *Coordinator) stage(ctx context.Context, i int, load protocol.Load, part protocol.Partition) (int64, error) {
+// stage runs the Load+Partition staging sequence that gives worker i the
+// owned partitions, under stageTimeout, and reports whether it confirmed
+// every row they hold. The caller holds c.mu, which stage releases while
+// the worker stages and holds again when it returns.
+func (c *Coordinator) stage(i int, owned []int) bool {
+	load, part, expect := c.load, c.partitionMsgFor(i, owned), c.rowsOf(owned)
+	c.mu.Unlock()
+	defer c.mu.Lock()
+	ctx, cancel := context.WithTimeout(context.Background(), stageTimeout)
+	defer cancel()
 	if _, err := c.clients[i].Load(ctx, load); err != nil {
-		return 0, err
+		return false
 	}
-	return c.clients[i].Partition(ctx, part)
+	rows, err := c.clients[i].Partition(ctx, part)
+	return err == nil && rows == expect
 }
 
 // maybeRepartition moves a long-dead shard's partitions onto survivors,
@@ -296,19 +296,7 @@ func (c *Coordinator) adopt(j, from, p int) bool {
 	c.states[j] = StateRestaging
 	newOwned := append(append([]int(nil), c.owned[j]...), p)
 	sort.Ints(newOwned)
-	load := c.load
-	part := c.partitionMsgFor(j, newOwned)
-	var expect int64
-	for _, q := range newOwned {
-		expect += c.partRows[q]
-	}
-	c.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), stageTimeout)
-	rows, err := c.stage(ctx, j, load, part)
-	cancel()
-	ok := err == nil && rows == expect
-	c.mu.Lock()
+	ok := c.stage(j, newOwned)
 	if ok {
 		c.owned[j] = newOwned
 		c.placement[j] += c.partRows[p]
@@ -368,19 +356,7 @@ func (c *Coordinator) healRejoin(i int) {
 		}
 		c.states[holder] = StateRestaging
 		shrunk := removeInt(append([]int(nil), c.owned[holder]...), home)
-		load := c.load
-		part := c.partitionMsgFor(holder, shrunk)
-		var expect int64
-		for _, q := range shrunk {
-			expect += c.partRows[q]
-		}
-		c.mu.Unlock()
-
-		sctx, scancel := context.WithTimeout(context.Background(), stageTimeout)
-		rows, err := c.stage(sctx, holder, load, part)
-		scancel()
-		c.mu.Lock()
-		if err != nil || rows != expect {
+		if !c.stage(holder, shrunk) {
 			c.states[holder] = StateLost
 			c.lostSince[holder] = time.Now()
 			c.mu.Unlock()
@@ -396,16 +372,7 @@ func (c *Coordinator) healRejoin(i int) {
 	c.owned[i] = []int{home}
 	c.placement[i] = c.partRows[home]
 	c.states[i] = StateRestaging
-	load := c.load
-	part := c.partitionMsgLocked(i)
-	expect := c.partRows[home]
-	c.mu.Unlock()
-
-	sctx, scancel := context.WithTimeout(context.Background(), stageTimeout)
-	defer scancel()
-	rows, err := c.stage(sctx, i, load, part)
-	ok := err == nil && rows == expect
-	c.mu.Lock()
+	ok := c.stage(i, []int{home})
 	if ok {
 		c.states[i] = StateHealthy
 	} else {
@@ -418,20 +385,13 @@ func (c *Coordinator) healRejoin(i int) {
 	}
 }
 
-// expectedRowsLocked is Σ partRows over shard i's owned partitions.
-// Callers hold c.mu.
-func (c *Coordinator) expectedRowsLocked(i int) int64 {
+// rowsOf is Σ partRows over the owned partitions. Callers hold c.mu.
+func (c *Coordinator) rowsOf(owned []int) int64 {
 	var n int64
-	for _, p := range c.owned[i] {
+	for _, p := range owned {
 		n += c.partRows[p]
 	}
 	return n
-}
-
-// partitionMsgLocked builds shard i's Partition message from its current
-// owned set. Callers hold c.mu.
-func (c *Coordinator) partitionMsgLocked(i int) protocol.Partition {
-	return c.partitionMsgFor(i, append([]int(nil), c.owned[i]...))
 }
 
 // partitionMsgFor builds a Partition message assigning shard i the given

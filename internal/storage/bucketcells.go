@@ -1,6 +1,10 @@
 package storage
 
-import "math"
+import (
+	"math"
+
+	"dex/internal/rsum"
+)
 
 // Bucket cells pre-aggregate a range column's value buckets. A range whose
 // bucket run [bl, bh] spans more than two buckets contains every row of
@@ -18,17 +22,18 @@ import "math"
 
 // Cell is one partial aggregate of a (bucket, key) pair. First is the
 // least of its rows, and a tie between equal extremes (int64s that meet in
-// float64, -0 and +0) keeps the lower row. A bucket meets its rows
-// ascending, as a scan does, so Sum adds them in row order. The extremes
-// are kept as rows; their values are the input column's at those rows.
+// float64, -0 and +0) keeps the lower row. Sum is the one order-free sum
+// every SUM/AVG keeps (rsum), so merging a cell into a scan's partial gives
+// the bits a scan of its rows would. The extremes are kept as rows; their
+// values are the input column's at those rows.
 type Cell struct {
-	Group  int32   // the key: a group code, a numeric key column's bucket; 0 without a key
-	Rows   int     // rows in the cell
-	First  int     // the least of them
-	N      int     // rows whose input is not NULL
-	Sum    float64 // their input values, added as float64 in the order met
-	MinRow int     // the least row holding the least input value; valid when N > 0
-	MaxRow int     // the least row holding the greatest
+	Group  int32    // the key: a group code, a numeric key column's bucket; 0 without a key
+	Rows   int      // rows in the cell
+	First  int      // the least of them
+	N      int      // rows whose input is not NULL
+	Sum    rsum.Sum // their input values
+	MinRow int      // the least row holding the least input value; valid when N > 0
+	MaxRow int      // the least row holding the greatest
 }
 
 // BucketCells are the cells of one (range, key, input) column triple.
@@ -153,15 +158,15 @@ func below[T int64 | float64](v T) T {
 
 // cellsPerRow caps a cell set's size: cells are built only while the
 // buckets that can hold a value times the keys — the cells — stay at or
-// under the column's rows divided by it. A cell takes 56 bytes, so a set
-// costs at most 3.5 bytes per row — under twice the value index's own two
-// — and folding every cell of a full-range query costs at most a
+// under the column's rows divided by it. A cell takes 80 bytes, so a set
+// costs at most 5 bytes per row — two and a half times the value index's
+// own two — and folding every cell of a full-range query costs at most a
 // sixteenth of scanning its rows; a set nearly as large as its column
 // would save neither memory nor time. A table's sets are not capped
 // together: there is at most one per (range, key, input) column triple,
-// each at most 14 KB per key, and a shared budget would make the path a
-// query takes — and so a float SUM's last bits — depend on the queries
-// before it (DESIGN.md, "Bucket cells").
+// each at most 20 KB per key, and a shared budget would make the path a
+// query takes depend on the queries before it (DESIGN.md, "Bucket
+// cells").
 const cellsPerRow = 16
 
 // liveBuckets maps each bucket that can hold a value to its number among
@@ -357,7 +362,7 @@ func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, k
 					r := base + int(o)
 					addRow(&cs[codes[r]], r)
 					if v != nil {
-						addValue(&cs[codes[r]], &es[codes[r]], r, float64(v[r]))
+						addValue(&cs[codes[r]], &es[codes[r]], r, v[r])
 					}
 				}
 			default:
@@ -365,7 +370,7 @@ func foldCells[T, K int64 | float64](x *ValueIndex, live *[valueBuckets]int32, k
 					r := base + int(o)
 					addRow(&cs[0], r)
 					if v != nil {
-						addValue(&cs[0], &es[0], r, float64(v[r]))
+						addValue(&cs[0], &es[0], r, v[r])
 					}
 				}
 			}
@@ -391,7 +396,7 @@ func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, es []ext, base i
 		k := key.slot[kb]
 		addRow(&cs[k], r)
 		if v != nil {
-			addValue(&cs[k], &es[k], r, float64(v[r]))
+			addValue(&cs[k], &es[k], r, v[r])
 		}
 	}
 	i := 0
@@ -413,12 +418,12 @@ func foldKeyed[T, K int64 | float64](key *numKey[K], cs []Cell, es []ext, base i
 type ext struct{ lo, hi float64 }
 
 // addRow adds row r to the cell c, and addValue its input value x to c,
-// whose extremes' values are e: the one rule every cell is built by. x is
-// NaN for a NULL input or for none, which adds nothing. A cell meets its
-// rows ascending, so First is the first row, and only a strictly better
-// extreme replaces the last: a MIN/MAX tie keeps the earlier row, as in a
-// scan. Int extremes compare in float64, as Value.Compare does, so int64s
-// that meet in float64 tie, and so do -0 and +0.
+// whose extremes' values are e: the one rule every cell is built by. A NaN
+// x, a NULL input, adds nothing. A cell meets its rows ascending, so First
+// is the first row, and only a strictly better extreme replaces the last:
+// a MIN/MAX tie keeps the earlier row, as in a scan. Int extremes compare
+// in float64, as Value.Compare does, so int64s that meet in float64 tie,
+// and so do -0 and +0.
 func addRow(c *Cell, r int) {
 	if c.Rows == 0 {
 		c.First = r
@@ -426,10 +431,11 @@ func addRow(c *Cell, r int) {
 	c.Rows++
 }
 
-func addValue(c *Cell, e *ext, r int, x float64) {
-	if x != x {
+func addValue[T int64 | float64](c *Cell, e *ext, r int, v T) {
+	if v != v {
 		return
 	}
+	x := float64(v)
 	if c.N == 0 || x < e.lo {
 		c.MinRow, e.lo = r, x
 	}
@@ -437,5 +443,5 @@ func addValue(c *Cell, e *ext, r int, x float64) {
 		c.MaxRow, e.hi = r, x
 	}
 	c.N++
-	c.Sum += x
+	rsum.Put(&c.Sum, v)
 }

@@ -47,7 +47,11 @@ func cellsOracle(vi *storage.ValueIndex, n, morsel int, key func(r int) (int, bo
 						c.MaxRow = r
 					}
 					c.N++
-					c.Sum += x
+					if in != nil {
+						c.Sum.Add(x)
+					} else {
+						c.Sum.AddInt(inInt[r])
+					}
 				}
 				out[[2]int{b, g}] = c
 			}
@@ -149,7 +153,7 @@ func TestBucketCellsMatchIndex(t *testing.T) {
 						got++
 						w := want[[2]int{b, int(c.Group)}]
 						if c.Rows != w.Rows || c.First != w.First || c.N != w.N ||
-							math.Float64bits(c.Sum) != math.Float64bits(w.Sum) ||
+							math.Float64bits(c.Sum.Float64()) != math.Float64bits(w.Sum.Float64()) ||
 							c.N > 0 && (c.MinRow != w.MinRow || c.MaxRow != w.MaxRow) {
 							t.Fatalf("%s bucket %d key %d: cell %+v, recount %+v", label, b, c.Group, c, w)
 						}
