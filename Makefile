@@ -39,10 +39,12 @@ test-cpus:
 # parity (race)" step: the concurrent cracked-probe harnesses at more
 # cores, where concurrent touches of an edge bucket count under one lock
 # and make one cracker; the built-once and index-build-fault tests, where
-# concurrent first queries share one value-index or bucket-cells build and
-# a failed build is retried by a waiter; and exec's parity harnesses and
-# TestFloatSumBitForBitAcrossPaths, where every worker's accumulator, each
-# with its own order-free sums, merges in whatever order the workers end.
+# concurrent first queries share one value-index, bucket-cells or edge
+# second-level build and a failed build is retried by a waiter or the next
+# query; and exec's parity harnesses, TestFloatSumBitForBitAcrossPaths and
+# TestSubCellsMatchScanBitForBit, where every worker's accumulator, each
+# with its own order-free sums, merges in whatever order the workers end,
+# beside the cells and sub-cells the plan folds.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/exec ./internal/core ./internal/storage ./internal/par ./internal/rsum
@@ -113,7 +115,8 @@ fuzz-cracked:
 # fuzzer's tables and clauses, asked one aggregate at a time, as drawn,
 # with no WHERE or with a range on a second column ANDed on: with every
 # row in one batch the bucket cells' exact stratum plus the edge rows —
-# or a walk of the table, for a shape the cells refuse — answer exactly, ci95 0;
+# or a walk of the table, for a shape the cells refuse — answer exactly,
+# bit for bit, SUM and AVG included, ci95 0;
 # at a batch of 1-64 rows the answer holds exact mode's groups or fewer,
 # its ci95 never NaN, and is exact once every edge row is read.
 fuzz-online:

@@ -169,6 +169,19 @@ func (c *column) measure(row int) (float64, bool) {
 	}
 }
 
+// put adds row's non-NULL measure x to s as exec adds it: an INT
+// measure's int64 exactly, not x, its float64 rounding.
+func (c *column) put(s *rsum.Sum, row int, x float64) {
+	switch c.kind {
+	case colInt:
+		s.AddInt(c.i64[row])
+	case colRLE:
+		s.AddInt(c.cur.At(row))
+	default:
+		s.Add(x)
+	}
+}
+
 // nullBits is the one key every NaN of a FLOAT group column maps to: the
 // NULL group, as Value.String's "NaN" made it.
 var nullBits = math.Float64bits(math.NaN())
@@ -176,14 +189,15 @@ var nullBits = math.Float64bits(math.NaN())
 // groupAcc holds one group's sums over the rows added so far; a NULL
 // measure adds to none of them. A draw's contribution is y = w·x for SUM
 // and y = w for COUNT, so Σy is wx or wsum and only Σy² needs its own sum.
-// The exact stratum — the cells AddCell folds — keeps its own sums beside
-// them, which render with k = 0.
+// wx is the one order-free sum exec keeps (rsum), so a walk that has read
+// every row sums them to exec's bits. The exact stratum — the cells
+// AddCell folds — keeps its own sums beside them, which render with k = 0.
 type groupAcc struct {
 	key    string
 	val    storage.Value
 	n      int            // qualifying rows, NULL measures included
 	wsum   float64        // Σ w: COUNT, and AVG's denominator
-	wx     float64        // Σ w·x: SUM, and AVG's numerator
+	wx     rsum.Sum       // Σ w·x: SUM, and AVG's numerator; kept for those alone
 	sumY2  float64        // Σ y²
 	stream metrics.Stream // the non-NULL measures: AVG interval, MIN, MAX
 	exact  stratum        // the cells' rows
@@ -261,6 +275,7 @@ func NewEstimator(t *storage.Table, q Query) (*Estimator, error) {
 // ignore it.
 func (e *Estimator) AddRows(rows []int, w []float64) {
 	sum := e.agg == exec.AggSum
+	sums := sum || e.agg == exec.AggAvg
 	for _, row := range rows {
 		a := &e.groups[e.group(row)]
 		a.n++
@@ -277,7 +292,13 @@ func (e *Estimator) AddRows(rows []int, w []float64) {
 			y = wt * x
 		}
 		a.wsum += wt
-		a.wx += wt * x
+		switch {
+		case !sums:
+		case w == nil:
+			e.meas.put(&a.wx, row, x)
+		default:
+			a.wx.Add(wt * x)
+		}
 		a.sumY2 += y * y
 		a.stream.Add(x)
 	}
@@ -465,11 +486,11 @@ func (e *Estimator) Estimate(id int, k, scale, n float64) GroupEstimate {
 	}
 	switch e.agg {
 	case exec.AggCount, exec.AggSum:
-		sumY, exY := a.wsum, ex.count
+		sumY := a.wsum
+		ge.Est = scale*sumY + ex.count
 		if e.agg == exec.AggSum {
-			sumY, exY = a.wx, ex.sum.Float64()
+			sumY, ge.Est = a.wx.Float64(), a.total(scale)
 		}
-		ge.Est = scale*sumY + exY
 		if k > 1 {
 			// s² of the t_i: Σt² = (k·scale)²·Σy², Σt = k·scale·Σy.
 			s2 := scale * scale * (k*k*a.sumY2 - k*sumY*sumY) / (k - 1)
@@ -477,7 +498,7 @@ func (e *Estimator) Estimate(id int, k, scale, n float64) GroupEstimate {
 		}
 	case exec.AggAvg:
 		if ex.rows == 0 {
-			ge.Est = a.wx / a.wsum // NaN (NULL) for a group of NULLs, as exec
+			ge.Est = a.wx.Float64() / a.wsum // NaN (NULL) for a group of NULLs, as exec
 			if k > 0 {
 				ge.CI = a.stream.MeanCI(metrics.Z95)
 				if a.stream.N() < 2 {
@@ -487,13 +508,13 @@ func (e *Estimator) Estimate(id int, k, scale, n float64) GroupEstimate {
 			break
 		}
 		c := ex.count + scale*a.wsum
-		ge.Est = (ex.sum.Float64() + scale*a.wx) / c
+		ge.Est = a.total(scale) / c
 		switch {
 		case k > 1 && c > 0:
 			// Σd = Σa − R·Σb; Σd² = Σ(x − R)² over the non-NULL rows,
 			// Welford's m2 plus n·(mean − R)².
 			r, nb := ge.Est, float64(a.stream.N())
-			sumD := a.wx - r*a.wsum
+			sumD := a.wx.Float64() - r*a.wsum
 			dm := a.stream.Mean() - r
 			sumD2 := a.stream.Variance()*math.Max(nb-1, 0) + nb*dm*dm
 			s2 := scale * scale * (k*k*sumD2 - k*sumD*sumD) / (k - 1)
@@ -525,4 +546,18 @@ func (e *Estimator) Estimate(id int, k, scale, n float64) GroupEstimate {
 		ge.CI = math.Inf(1) // an infinite measure's spread: no bound
 	}
 	return ge
+}
+
+// total returns the group's sum S + scale·Σw·x over both strata. At scale
+// 1 the draws stand for themselves — every row of their stratum, or a
+// weighted sample whose weights carry the scale, beside no exact stratum —
+// so the two sums merge and round once, as exec's one sum over the same
+// rows does.
+func (a *groupAcc) total(scale float64) float64 {
+	if scale == 1 {
+		s := a.exact.sum
+		s.Merge(&a.wx)
+		return s.Float64()
+	}
+	return a.exact.sum.Float64() + scale*a.wx.Float64()
 }

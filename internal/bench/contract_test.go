@@ -26,8 +26,9 @@ import (
 // The work contract: a fixed IDEBench trace replayed through core.Engine in
 // exact, cracked and online modes at two table sizes, on one worker, with
 // the work every op does counted the way the engine counts it — rows read
-// (RowsScanned), bucket cells folded, edge buckets cracked and scanned,
-// rows sampled — and the bytes and mallocs it allocates. Those counts are
+// (RowsScanned), bucket cells folded, edge buckets' sub-cells folded,
+// edge buckets cracked and scanned, rows sampled — and the bytes and
+// mallocs it allocates. Those counts are
 // exact and repeatable where the host's timings are not, so they are held
 // to a golden file: a count may not change at all, and bytes per op may not
 // grow by more than contractBytesSlack. A change that lowers a count
@@ -55,6 +56,7 @@ type opWork struct {
 	Ops          int   `json:"ops"`
 	Rows         int64 `json:"rows"`          // rows read: RowsScanned
 	Cells        int64 `json:"cells"`         // bucket cells folded
+	SubCells     int64 `json:"sub_cells"`     // edge buckets' sub-cells folded
 	EdgesCracked int64 `json:"edges_cracked"` // edge buckets whose cracker was built
 	EdgesScanned int64 `json:"edges_scanned"` // edge buckets read as rows
 	Sampled      int64 `json:"sampled"`       // rows an estimate read
@@ -123,6 +125,8 @@ func replay(t *testing.T, tbl *storage.Table, mode core.Mode, sqls []string, tra
 			switch sp.Name {
 			case "scan":
 				w.Cells += n("bucket_cells") * n("cell_keys")
+			case "cells":
+				w.SubCells += n("sub_cells")
 			case "crack":
 				w.EdgesCracked += n("edges_built")
 				w.EdgesScanned += n("edges_scanned")
@@ -174,6 +178,7 @@ func measureContract(t *testing.T) map[string]*opWork {
 				w.Ops++
 				w.Rows += c.Rows
 				w.Cells += c.Cells
+				w.SubCells += c.SubCells
 				w.EdgesCracked += c.EdgesCracked
 				w.EdgesScanned += c.EdgesScanned
 				w.Sampled += c.Sampled
@@ -192,8 +197,11 @@ func measureContract(t *testing.T) map[string]*opWork {
 // TestWorkContract holds the trace's work to the golden file and prints,
 // per mode, how rows read per op scale from 125k rows to 1M.
 func TestWorkContract(t *testing.T) {
-	// One P: the queries run on one worker, and so do the value index
-	// builds, whose scratch is one buffer per goroutine.
+	// One P, so the bytes follow no host's cores: the queries run on one
+	// worker on any host, but sync.Pool keeps a cache per P (the value
+	// index's candidate bitmaps), and a buffer put back on one P is a miss
+	// on another. A value index build's scratch follows no core count: it
+	// runs at most storage's buildWorkers goroutines, one buffer each.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	got := measureContract(t)
 	for _, mode := range []core.Mode{core.Exact, core.Cracked, core.Online} {
@@ -250,7 +258,7 @@ func TestWorkContract(t *testing.T) {
 			t.Errorf("%s: in the golden, not in the trace", k)
 			continue
 		}
-		if g.Ops != w.Ops || g.Rows != w.Rows || g.Cells != w.Cells || g.EdgesCracked != w.EdgesCracked ||
+		if g.Ops != w.Ops || g.Rows != w.Rows || g.Cells != w.Cells || g.SubCells != w.SubCells || g.EdgesCracked != w.EdgesCracked ||
 			g.EdgesScanned != w.EdgesScanned || g.Sampled != w.Sampled {
 			t.Errorf("%s: work changed:\n got  %+v\n want %+v", k, *g, *w)
 		}

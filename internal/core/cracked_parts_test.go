@@ -289,11 +289,13 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 }
 
 // TestCrackedEdgesBuildOnTheKthTouch: a range's first crackTouch-1
-// touches make no cracker and read its edge buckets as exact mode does —
-// the rows scanned grow by exactly the edge buckets' rows beside the
-// cells, plus the rows the sink takes, as an exact query's do — and the
-// crackTouch-th makes the crackers, after which the query reads only the
-// rows it keeps. An INT and a FLOAT column, scalar and grouped.
+// touches make no cracker and read its edge buckets whole, as exact mode's
+// plan does without its edges' second level — the rows scanned grow by
+// exactly the edge buckets' rows beside the cells, plus the rows the sink
+// takes, and never by fewer than an exact query's, which refines only the
+// sub-buckets holding the bounds — and the crackTouch-th makes the
+// crackers, after which the query reads only the rows it keeps. An INT
+// and a FLOAT column, scalar and grouped.
 func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 	if crackTouch < 2 {
 		t.Fatalf("crackTouch = %d: a bucket's first touch must not make its cracker", crackTouch)
@@ -336,7 +338,7 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 			}
 			switch {
 			case touch < crackTouch:
-				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read != exactRead {
+				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read < exactRead {
 					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges read as rows, none made, %d edge rows and %d kept",
 						q, touch, c, read, exactRead, len(edgeRows), kept)
 				}

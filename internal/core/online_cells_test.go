@@ -47,15 +47,12 @@ func onlineAttrs(e *Engine, table string, q exec.Query) (*storage.Table, map[str
 	return nil, nil, fmt.Errorf("%s: no online span", q)
 }
 
-// exactValue reports whether online's value got for the aggregate agg
-// is exact mode's want: COUNT, MIN and MAX bit for bit, SUM and AVG within
-// 1e-9 of it, NULL (NaN) for NULL.
-func exactValue(agg exec.AggFunc, got, want float64) bool {
-	switch {
-	case math.IsNaN(got) || math.IsNaN(want):
+// exactValue reports whether online's value got is exact mode's want: bit
+// for bit, SUM and AVG included — the estimator keeps exec's one float sum
+// and adds an INT measure's int64s exactly — and NULL (NaN) for NULL.
+func exactValue(got, want float64) bool {
+	if math.IsNaN(got) || math.IsNaN(want) {
 		return math.IsNaN(got) && math.IsNaN(want)
-	case agg == exec.AggSum || agg == exec.AggAvg:
-		return got == want || math.Abs(got-want) <= 1e-9*math.Abs(want)
 	}
 	return math.Float64bits(got) == math.Float64bits(want)
 }
@@ -109,7 +106,7 @@ func matchesExact(q exec.Query, want, got *storage.Table) error {
 		switch {
 		case !ok:
 			return fmt.Errorf("group %q missing", key)
-		case !exactValue(aggOf(q), gv[0], wv[0]) || gv[1] != 0:
+		case !exactValue(gv[0], wv[0]) || gv[1] != 0:
 			return fmt.Errorf("group %q: %v ± %v, exact mode %v", key, gv[0], gv[1], wv[0])
 		}
 	}
@@ -118,14 +115,14 @@ func matchesExact(q exec.Query, want, got *storage.Table) error {
 
 // onlineAsks splits an ask of FuzzCrackedVsExact's shape into the
 // single-aggregate queries online mode takes: cellAsk's aggregates one at
-// a time, which the cells can answer, but for its SUM over k, whose int64
-// extremes the estimator adds as float64s; the GROUP BY k ask's, which they
-// cannot (an INT group); and a run-coded measure's, nor those.
+// a time, which the cells can answer, SUM over k's int64 extremes
+// included; the GROUP BY k ask's, which they cannot (an INT group); and a
+// run-coded measure's, nor those.
 func onlineAsks(shape int, where *expr.Pred) []exec.Query {
 	var out []exec.Query
 	split := func(q exec.Query) {
 		for _, s := range q.Select {
-			if s.Agg == exec.AggNone || s.Agg == exec.AggSum && s.Col == "k" {
+			if s.Agg == exec.AggNone {
 				continue
 			}
 			one := exec.Query{Where: where, GroupBy: q.GroupBy, Select: []exec.SelectItem{s}}
@@ -148,8 +145,8 @@ func onlineAsks(shape int, where *expr.Pred) []exec.Query {
 // (decodeCrackFz), each clause asked as drawn, without its WHERE, or ANDed
 // with one or two comparisons on a second column, over onlineAsks' single
 // aggregates. An engine whose batch holds every row answers every query,
-// cells, candidates or table walk, exactly: COUNT, MIN and MAX bit for bit,
-// SUM and AVG within 1e-9 of exact mode, ci95 0. An engine at a drawn
+// cells, candidates or table walk, exactly: every value bit for bit with
+// exact mode's, SUM and AVG included, ci95 0. An engine at a drawn
 // batch of 1–64 rows answers with a subset of exact mode's groups, each
 // with a ci95 that is 0, finite or +Inf, never NaN, a MIN never below the
 // exact one and a MAX never above; and exactly, once its run has read every
@@ -400,7 +397,7 @@ func TestEmptyAnswersAcrossModes(t *testing.T) {
 				if m == Exact {
 					want = got
 				}
-				if !exactValue(exec.AggCount, got, want) {
+				if !exactValue(got, want) {
 					t.Errorf("%s, %v: %v, exact mode %v", sql, m, got, want)
 				}
 			}

@@ -15,6 +15,13 @@
 // column with no NULL: its run [-1, NumBuckets] has no edge bucket, so
 // every cell is folded and no row is read.
 //
+// Exact mode's plan also cuts each edge bucket at its second level
+// (storage.SubCells): the sub-cells of the sub-buckets between a bound
+// and the interior fold with the interior's cells, and only the rows of
+// the sub-bucket holding the bound are refined — about an eighth of the
+// edge. The plan RangeBuckets hands cracked and online modes keeps whole
+// edge buckets.
+//
 // The fold follows the merge rules partials already obey: counts add, sums
 // merge through rsum, a MIN/MAX tie goes to the earlier row, and a group's
 // first row is the least of its cells' and its edge rows' — the typed sink
@@ -79,8 +86,9 @@ func cellShape(ak *aggKernel, q Query) (group, input, why string) {
 // open-ended buckets. Otherwise it returns the zero rowIndex, and the
 // caller tries the candidate path. The lookups, and the build on the first
 // such query of a (column, key, input) triple, run under a "cells" span,
-// whose built attribute is set once a set is asked for.
-func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
+// whose built attribute is set once a set is asked for. With sub set, the
+// edges take their second level (subLevel).
+func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (ix rowIndex, err error) {
 	group, input, why := cellShape(ak, q)
 	if disableIndex || disableBucketCells || why != "" || len(ivs) > 2 || len(ivs) == 2 && group != "" {
 		return ix, nil
@@ -135,9 +143,66 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 				return rowIndex{}, nil
 			}
 		}
+		ix.pl, ix.ph, ix.csp = storage.Whole, storage.Whole, csp
+		if sub {
+			if err := ix.subLevel(iv); err != nil {
+				return rowIndex{}, err
+			}
+		}
 		return ix, nil
 	}
 	return ix, nil
+}
+
+// subLevel cuts the plan's edge buckets at their second level, building
+// each on its first such query: the lower edge at the sub-bucket holding
+// the interval's lower bound, the upper at the one holding its upper
+// bound. The sub-cells between them and the interior join the fold, and
+// the edges' parts shrink to the two sub-buckets. The cells span counts
+// the sub-cells folded (sub_cells), says whether this query built a level
+// (sub_built), and names the rule when an edge has none (sub_refused).
+func (ix *rowIndex) subLevel(iv expr.Interval) error {
+	b := ix.vi.ValueBuckets
+	var jl, jh int
+	if iv.Float {
+		jl, jh = b.FloatSub(ix.bl, iv.FLo), b.FloatSub(ix.bh, iv.FHi)
+	} else {
+		jl, jh = b.IntSub(ix.bl, iv.ILo), b.IntSub(ix.bh, iv.IHi)
+	}
+	lo, builtL, err := ix.cells.Sub(ix.bl)
+	if err != nil {
+		return err
+	}
+	hi, builtH, err := ix.cells.Sub(ix.bh)
+	if err != nil {
+		return err
+	}
+	ix.lo, ix.hi, ix.pl, ix.ph = lo, hi, lo.Part(jl), hi.Part(jh)
+	if ix.csp != nil {
+		n := 0
+		for _, cells := range ix.subCells() {
+			for i := range cells {
+				if g := int(cells[i].Group); g >= ix.kl && g <= ix.kh {
+					n++
+				}
+			}
+		}
+		ix.csp.SetInt("sub_cells", int64(n))
+		ix.csp.SetBool("sub_built", builtL || builtH)
+		if lo.Subs() == 1 || hi.Subs() == 1 {
+			ix.csp.SetStr("sub_refused", "cells per row")
+		}
+	}
+	return nil
+}
+
+// subCells returns the edges' sub-cells outside their parts — those the
+// plan folds — none without a second level.
+func (ix *rowIndex) subCells() [2][]storage.Cell {
+	if ix.lo == nil {
+		return [2][]storage.Cell{}
+	}
+	return [2][]storage.Cell{ix.lo.Above(ix.pl), ix.hi.Below(ix.ph)}
 }
 
 // chooseAllCells returns the bucket-cells index of an aggregate with no
@@ -199,10 +264,11 @@ func keyRun(r keyResolver, iv expr.Interval) (kl, kh int, ok bool) {
 	return r.IntKeys(iv.ILo, iv.IHi)
 }
 
-// addCells folds the cells whose keys lie in [kl, kh] into the sink's
-// state and returns the rows they hold: into the first worker accumulator
-// a morsel made, which no morsel touches any more.
-func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
+// addCells folds the plan's cells whose keys lie in [kl, kh] — the
+// interior's and the edges' sub-cells — into the sink's state and returns
+// the rows they hold: into the first worker accumulator a morsel made,
+// which no morsel touches any more.
+func (s *typedSink) addCells(ix *rowIndex) (rows int) {
 	var acc *aggAcc
 	for _, a := range s.locals {
 		if a != nil {
@@ -214,7 +280,11 @@ func (s *typedSink) addCells(cells []storage.Cell, kl, kh int) (rows int) {
 		acc = s.ak.newAcc()
 		s.locals[0] = acc
 	}
-	return acc.addCells(cells, kl, kh)
+	rows = acc.addCells(ix.cells.Interior(ix.bl, ix.bh), ix.kl, ix.kh)
+	for _, cells := range ix.subCells() {
+		rows += acc.addCells(cells, ix.kl, ix.kh)
+	}
+	return rows
 }
 
 // addCells folds the cells whose keys lie in [kl, kh] into the

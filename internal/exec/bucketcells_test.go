@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -331,10 +332,12 @@ func TestBucketCellsMatchScan(t *testing.T) {
 }
 
 // TestBucketCellsScanAccounting is TestIndexScanAccounting's twin on the
-// cells path: Scanned counts the edge buckets' candidates plus their
-// matches, and nothing visits the interior's rows; rows_out still counts
+// cells path: Scanned counts the candidates of the edge buckets'
+// sub-buckets holding a bound plus their matches, and nothing visits the
+// rows of the interior or of the edges' sub-cells; rows_out still counts
 // every matching row, the scan span names the interior buckets served and
-// the edge candidates, and CellQueries counts the query once.
+// the edge candidates, the cells span the sub-cells folded and the edge
+// rows refined, and CellQueries counts the query once.
 func TestBucketCellsScanAccounting(t *testing.T) {
 	tab := indexTable(rand.New(rand.NewSource(44)), 40_000)
 	q := Query{Select: []SelectItem{{Col: "*", Agg: AggCount}}, Where: expr.Between("k", storage.Int(-20_000), storage.Int(15_000))}
@@ -357,13 +360,26 @@ func TestBucketCellsScanAccounting(t *testing.T) {
 	}
 	ivs, _ := expr.Intervals(tab.Schema(), q.Where)
 	bl, bh := bucketRun(vi.ValueBuckets, ivs[0])
-	interior := int64(0)
-	for _, c := range cells.Interior(bl, bh) {
+	lo, _, err := cells.Sub(bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, _, err := cells.Sub(bh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	above := lo.Above(lo.Part(vi.IntSub(bl, ivs[0].ILo)))
+	below := hi.Below(hi.Part(vi.IntSub(bh, ivs[0].IHi)))
+	interior := int64(0) // the rows of the interior's cells and the edges' sub-cells
+	for _, c := range slices.Concat(cells.Interior(bl, bh), above, below) {
 		interior += int64(c.Rows)
 	}
 	n := func(k string) int64 { v, _ := scan.Attrs[k].(int64); return v }
 	edges := n("edge_candidates")
+	csp := childSpan(js, "cells")
 	switch {
+	case csp == nil || csp.Attrs["edge_rows"] != edges || csp.Attrs["sub_cells"] != int64(len(above)+len(below)) || len(above)+len(below) == 0:
+		t.Fatalf("cells span %+v: want edge_rows %d and %d sub-cells", csp, edges, len(above)+len(below))
 	case n("bucket_cells") != int64(bh-bl-1) || bh-bl < 10:
 		t.Fatalf("scan span %+v: want %d interior buckets", scan.Attrs, bh-bl-1)
 	case n("rows_out") != count || interior == 0 || interior >= count:

@@ -26,8 +26,11 @@
 // buckets strictly inside one interval's bucket run hold only rows inside
 // it, so their pre-aggregated cells — those whose key bucket lies inside
 // the other interval, if any — stand in for them, and only the two edge
-// buckets' candidates are refined; no morsel is scanned. An aggregate with
-// no WHERE folds every cell of a column with no NULL and refines nothing.
+// buckets' candidates are refined; no morsel is scanned. Exact mode goes
+// one level further down: each edge bucket's sub-buckets wholly inside the
+// interval fold their sub-cells too, and only the rows of the sub-bucket
+// holding the bound are refined. An aggregate with no WHERE folds every
+// cell of a column with no NULL and refines nothing.
 package exec
 
 import (
@@ -59,17 +62,26 @@ const indexCrossover = 0.1
 // and the bucket run its interval covers. With cells set, the cells of the
 // buckets strictly between bl and bh whose keys lie in [kl, kh] are
 // folded in (bucketcells.go), and a morsel's candidates are the rows of
-// the edge buckets bl and bh alone — none when bl is -1: the run of a
-// query with no WHERE, which covers every bucket.
+// the edge buckets' parts pl and ph alone — none when bl is -1: the run of
+// a query with no WHERE, which covers every bucket. The parts are whole
+// buckets unless the edges' second levels lo and hi cut them (subLevel),
+// whose sub-cells outside the parts then fold with the interior.
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
 	bl, bh int
 	cells  *storage.BucketCells
 	kl, kh int
+	pl, ph storage.Part
+	lo, hi *storage.SubCells
+	// csp is the cells span the plan was chosen under; run adds the edge
+	// rows refined to it.
+	csp *trace.Span
 }
 
-// count returns how many candidates morsel m holds.
+// count returns how many candidates morsel m holds; with cells, how many
+// rows its edge buckets hold, of which the candidates are those in the
+// edges' parts.
 func (ix *rowIndex) count(m int) int {
 	switch {
 	case ix.cells == nil:
@@ -107,7 +119,7 @@ func (ix *rowIndex) interior() bool {
 // candidates appends morsel m's candidates to dst, ascending.
 func (ix *rowIndex) candidates(m int, dst []int) []int {
 	if ix.cells != nil {
-		return ix.vi.Edges(m, ix.bl, ix.bh, dst)
+		return ix.vi.Edges(m, ix.bl, ix.bh, ix.pl, ix.ph, dst)
 	}
 	return ix.vi.Candidates(m, ix.bl, ix.bh, dst)
 }
@@ -127,13 +139,15 @@ func hasWhere(q Query) bool { return q.Where != nil && q.Where.Kind != expr.KTru
 // of its WHERE, nil for the generic filter or none, and the typed
 // aggregation ak, nil for none: with no WHERE the bucket cells of the range
 // that covers every bucket (chooseAllCells), else chooseRange over its
-// top-level conjunction's intervals.
-func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
+// top-level conjunction's intervals. sub asks for the edge buckets' second
+// level under bucket cells: exact mode's own plan does, RangeBuckets'
+// keeps whole edge buckets.
+func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (rowIndex, error) {
 	if !hasWhere(q) {
 		return chooseAllCells(t, ak, q, morsel, sp)
 	}
 	ivs, rest := expr.Intervals(t.Schema(), q.Where)
-	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sp)
+	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sub, sp)
 }
 
 // chooseRange is the plan for a WHERE whose top-level conjunction yields
@@ -142,9 +156,9 @@ func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, mor
 // unrefined and refine their edges through the kernel, so they need a
 // compiled WHERE that is exactly its intervals; chooseCells decides the
 // rest. Otherwise chooseIndex picks an interval's value index.
-func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
+func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (rowIndex, error) {
 	if kern != nil && rest == "" {
-		if ix, err := chooseCells(t, ivs, ak, q, morsel, sp); err != nil || ix.vi != nil {
+		if ix, err := chooseCells(t, ivs, ak, q, morsel, sub, sp); err != nil || ix.vi != nil {
 			return ix, err
 		}
 	}
@@ -166,6 +180,7 @@ type Buckets struct{ ix rowIndex }
 // RangeBuckets returns exact mode's index plan for q over t at opt's
 // morsel size (choosePlan, the one compile runs): the bucket cells it
 // folds, else the value index of one of its WHERE's intervals, else none.
+// Its edge buckets are whole: the plan takes no second level.
 // For a WHERE that is one interval of a numeric column, Index is nil when
 // the column has none — a run-length column, an empty one, a morsel size
 // past storage.MaxIndexMorsel — and then one bucket holds every row: the
@@ -181,7 +196,7 @@ func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOption
 		kern, _ = expr.CompileKernel(t, q.Where)
 	}
 	morsel := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
-	ix, err := choosePlan(t, kern, ak, q, morsel, trace.FromContext(ctx))
+	ix, err := choosePlan(t, kern, ak, q, morsel, false, trace.FromContext(ctx))
 	return Buckets{ix}, err
 }
 

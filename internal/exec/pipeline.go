@@ -14,12 +14,13 @@
 //	                    ORDER BY, else a gather over the parked buffers
 //	                    (rows.go)
 //	per morsel: skip (no index candidate) → the index's candidates —
-//	            under bucket cells, the two edge buckets' alone — through
+//	            under bucket cells, the two edge buckets' alone, and in
+//	            exact mode only their sub-buckets holding a bound — through
 //	            Kernel.Refine when they are few enough and the filter is
 //	            the kernel, else filter the morsel — either way into a
 //	            pooled selection buffer → sink.consume
-//	then:       the interior's bucket cells fold into the sink → ordered
-//	            merge
+//	then:       the interior's bucket cells and the edges' covered
+//	            sub-cells fold into the sink → ordered merge
 //	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
 //	            (finish); the row sinks apply their own
 //
@@ -266,7 +267,7 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 			}
 		}
 		var err error
-		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
+		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), true, sp); err != nil {
 			return nil, err
 		}
 	}
@@ -351,20 +352,22 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 }
 
 // qualify returns the qualifying rows of the morsel's input [lo, hi),
-// ascending. buf, when non-nil, is the pooled buffer backing rows, which the
-// caller must putSel once rows is dead. A nil rows (dense sink, no
+// ascending, and how many rows it visited: the candidates it refined, else
+// the morsel's. buf, when non-nil, is the pooled buffer backing rows, which
+// the caller must putSel once rows is dead. A nil rows (dense sink, no
 // predicate) means the whole range qualifies. cand refines the value
 // index's candidates of the morsel in place of scanning it; they come out
 // ascending, so rows is the same either way. Under a selection, the
 // morsel's share of it is merged with its interior rows, if any, in the
 // worker's scratch buffers — a pooled buffer when the gather sink keeps it.
-func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int, err error) {
+func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int, visited int, err error) {
+	visited = hi - lo
 	switch {
 	case p.sel != nil:
 		i := sort.SearchInts(p.sel, lo)
 		rows = p.sel[i : i+sort.SearchInts(p.sel[i:], hi)]
 		if p.scratch == nil {
-			return rows, nil, nil
+			return rows, nil, visited, nil
 		}
 		sc := &p.scratch[worker]
 		if sc[0] == nil {
@@ -373,32 +376,34 @@ func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int
 		*sc[0] = p.index.vi.Candidates(lo/m, p.index.bl+1, p.index.bh-1, (*sc[0])[:0])
 		if p.parked == nil {
 			*sc[1] = MergeRows((*sc[1])[:0], *sc[0], rows)
-			return *sc[1], nil, nil
+			return *sc[1], nil, visited, nil
 		}
 		buf = getSel()
 		*buf = MergeRows(*buf, *sc[0], rows)
 	case cand:
 		buf = getSel()
-		*buf = p.kern.Refine(p.index.candidates(lo/m, *buf))
+		*buf = p.index.candidates(lo/m, *buf)
+		visited = len(*buf)
+		*buf = p.kern.Refine(*buf)
 	case p.kern != nil:
 		buf = getSel()
 		*buf = p.kern.Run(lo, hi, *buf)
 	case p.where != nil:
 		generic, ferr := expr.FilterRange(p.t, p.where, lo, hi)
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, nil, 0, ferr
 		}
 		buf = getSel()
 		*buf = append(*buf, generic...)
 	case p.dense:
-		return nil, nil, nil
+		return nil, nil, visited, nil
 	default:
 		buf = getSel()
 		for r := lo; r < hi; r++ {
 			*buf = append(*buf, r)
 		}
 	}
-	return *buf, buf, nil
+	return *buf, buf, visited, nil
 }
 
 // run is the one morsel driver: for each morsel skip → qualify → consume,
@@ -440,7 +445,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 			if ferr := fpScan.Hit(); ferr != nil {
 				return ferr
 			}
-			visited, cand := hi-lo, false
+			cand := false
 			if ix := &p.index; ix.vi != nil && p.sel == nil {
 				switch c := ix.count(lo / m); {
 				case c == 0:
@@ -449,14 +454,16 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 					n.indexSkipped.Add(1)
 					return nil
 				case p.kern != nil && (ix.cells != nil || c <= int(indexCrossover*float64(hi-lo))):
-					visited, cand = c, true
-					n.candidates.Add(int64(c))
+					cand = true
 					n.candMorsels.Add(1)
 				}
 			}
-			rows, buf, ferr := p.qualify(worker, lo, hi, m, cand)
+			rows, buf, visited, ferr := p.qualify(worker, lo, hi, m, cand)
 			if ferr != nil {
 				return ferr
+			}
+			if cand {
+				n.candidates.Add(int64(visited))
 			}
 			qualified := hi - lo
 			if rows != nil {
@@ -486,7 +493,10 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 	// The cells fold in once every morsel's rows are in: no worker touches
 	// the sink any more.
 	if ix := &p.index; ix.cells != nil && err == nil {
-		n.matched.Add(int64(p.sink.(*typedSink).addCells(ix.cells.Interior(ix.bl, ix.bh), ix.kl, ix.kh)))
+		n.matched.Add(int64(p.sink.(*typedSink).addCells(ix)))
+		if p.sel == nil {
+			ix.csp.SetInt("edge_rows", n.candidates.Load())
+		}
 	}
 	if skipped := n.indexSkipped.Load(); skipped > 0 {
 		c.IndexSkipped.Add(skipped)

@@ -12,6 +12,7 @@ import (
 	"dex/internal/exec"
 	"dex/internal/expr"
 	"dex/internal/metrics"
+	"dex/internal/rsum"
 	"dex/internal/sample"
 	"dex/internal/storage"
 )
@@ -306,11 +307,12 @@ type rowOracle struct {
 }
 
 type oracleGroup struct {
-	key             string
-	val             storage.Value
-	n               int
-	wsum, wx, sumY2 float64
-	stream          metrics.Stream
+	key         string
+	val         storage.Value
+	n           int
+	wsum, sumY2 float64
+	wx          rsum.Sum
+	stream      metrics.Stream
 }
 
 func newRowOracle(tb testing.TB, t *storage.Table, q aqp.Query) *rowOracle {
@@ -358,6 +360,11 @@ func (o *rowOracle) add(id, row int) {
 			return
 		}
 		x = v.AsFloat()
+		if v.Typ == storage.TInt {
+			a.wx.AddInt(v.I)
+		} else {
+			a.wx.Add(x)
+		}
 	}
 	w := 1.0
 	y := w
@@ -365,7 +372,6 @@ func (o *rowOracle) add(id, row int) {
 		y = w * x
 	}
 	a.wsum += w
-	a.wx += w * x
 	a.sumY2 += y * y
 	a.stream.Add(x)
 }
@@ -394,7 +400,7 @@ func (o *rowOracle) estimates(draws func(id int) (k, scale, n float64)) []aqp.Gr
 		case exec.AggCount, exec.AggSum:
 			sumY := a.wsum
 			if o.agg == exec.AggSum {
-				sumY = a.wx
+				sumY = a.wx.Float64()
 			}
 			ge.Est = scale * sumY
 			if k > 1 {
@@ -402,7 +408,7 @@ func (o *rowOracle) estimates(draws func(id int) (k, scale, n float64)) []aqp.Gr
 				ge.CI = metrics.Z95 * math.Sqrt(math.Max(s2, 0)/k*fpc)
 			}
 		case exec.AggAvg:
-			ge.Est = a.wx / a.wsum
+			ge.Est = a.wx.Float64() / a.wsum
 			if k > 0 {
 				ge.CI = a.stream.MeanCI(metrics.Z95)
 				if a.stream.N() < 2 {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"sync"
 
 	"dex/internal/rsum"
 )
@@ -19,6 +20,15 @@ import (
 // whose key bucket lies wholly inside its second range. Like the value
 // index they come from, cells are built lazily on first use
 // (Table.BucketCells), once, and are immutable afterwards.
+//
+// Each bucket has a second level: its rows cut at the index's sub-buckets,
+// one cell per (sub-bucket, key). A range's edge bucket bl holds its lower
+// bound lo in sub-bucket s, and the sub-buckets above s hold only values
+// above lo (and below the range's upper bound, which lies in a later
+// bucket), so their cells stand in for their rows as the interior's do,
+// and only sub-bucket s's rows need their values tested; likewise below
+// the sub-bucket of bh holding the upper bound. A bucket's second level is
+// built (BucketCells.Sub) the first time a query asks for it, once.
 
 // Cell is one partial aggregate of a (bucket, key) pair. First is the
 // least of its rows, and a tie between equal extremes (int64s that meet in
@@ -49,7 +59,51 @@ type BucketCells struct {
 	ispan []keySpan[int64]
 	fspan []keySpan[float64] // per bucket of an INT or FLOAT key column
 	rows  int                // rows in cells
+	// What a bucket's second level is folded from: the index, the key
+	// column (nil for none) and the input column (nil for none).
+	x      *ValueIndex
+	kc, in Column
+	subMu  sync.Mutex // guards subs' entries, not their builds
+	subs   [valueBuckets]*lazy[*SubCells]
 }
+
+// SubCells are one bucket's second level: a cell per (sub-bucket, key),
+// in that order, the index's sub-buckets merged in runs of 1<<shift when
+// the cellsPerRow rule allows no more than subBuckets>>shift of them.
+// A bucket the rule allows fewer than two has none: its one sub-bucket is
+// the bucket itself, and cells is empty.
+type SubCells struct {
+	shift uint8
+	cells []Cell
+}
+
+// Subs returns how many sub-buckets the level cuts its bucket into: 8, 4
+// or 2, or 1 when the cellsPerRow rule refused it a level.
+func (s *SubCells) Subs() int { return subBuckets >> s.shift }
+
+// Part returns the part of the bucket its level's sub-bucket holding the
+// index's sub-bucket j covers.
+func (s *SubCells) Part(j int) Part {
+	lo := j >> s.shift << s.shift
+	return Part{uint8(lo), uint8(lo + 1<<s.shift - 1)}
+}
+
+// Above returns, for the part p of a range's lower edge holding its lower
+// bound, the cells of the sub-buckets above p, every row of which lies
+// inside the range.
+func (s *SubCells) Above(p Part) []Cell {
+	return s.cells[(int(p.Hi)+1)>>s.shift*s.keys():]
+}
+
+// Below is Above for the part p of a range's upper edge holding its upper
+// bound: the cells of the sub-buckets below p.
+func (s *SubCells) Below(p Part) []Cell {
+	return s.cells[:int(p.Lo)>>s.shift*s.keys()]
+}
+
+// keys returns how many keys each sub-bucket has cells for, 0 without a
+// level.
+func (s *SubCells) keys() int { return len(s.cells) / s.Subs() }
 
 // keySpan is the least and greatest value one bucket of a numeric key
 // column holds among the rows in cells; both are unset when rows is 0.
@@ -158,10 +212,12 @@ func below[T int64 | float64](v T) T {
 
 // cellsPerRow caps a cell set's size: cells are built only while the
 // buckets that can hold a value times the keys — the cells — stay at or
-// under the column's rows divided by it. A cell takes 80 bytes, so a set
-// costs at most 5 bytes per row — two and a half times the value index's
-// own two — and folding every cell of a full-range query costs at most a
-// sixteenth of scanning its rows; a set nearly as large as its column
+// under the column's rows divided by it. A bucket's second level obeys it
+// per bucket: its sub-buckets times the keys stay at or under the
+// bucket's rows divided by it. A cell takes 80 bytes, so a set costs at
+// most 5 bytes per row beside the value index's own three, and its
+// second levels at most 5 more, and folding every cell of a full-range
+// query costs at most a sixteenth of scanning its rows; a set nearly as large as its column
 // would save neither memory nor time. A table's sets are not capped
 // together: there is at most one per (range, key, input) column triple,
 // each at most 20 KB per key, and a shared budget would make the path a
@@ -263,7 +319,7 @@ func (t *Table) BucketCells(col, key, input string, morsel int) (c *BucketCells,
 // into them.
 func buildBucketCells(x *ValueIndex, float bool, kc Column, kb *ValueBuckets, in Column) *BucketCells {
 	live, nlive := x.liveBuckets(float)
-	c := &BucketCells{key: kb}
+	c := &BucketCells{key: kb, x: x, kc: kc, in: in}
 	var slot [valueBuckets]int32 // a numeric key bucket's place among the keys
 	switch k := kc.(type) {
 	case nil:
@@ -314,6 +370,120 @@ func buildBucketCells(x *ValueIndex, float bool, kc Column, kb *ValueBuckets, in
 		c.rows += c.cells[i].Rows
 	}
 	return c
+}
+
+// Sub returns bucket b's second level, building it on the first call for
+// b that gets past the storage/index-build failpoint; built reports
+// whether this call did. Concurrent first callers share one build, and a
+// failed one leaves the level for the next caller to build, as the cells'
+// own lazy entry does.
+func (c *BucketCells) Sub(b int) (s *SubCells, built bool, err error) {
+	c.subMu.Lock()
+	e := c.subs[b]
+	if e == nil {
+		e = new(lazy[*SubCells])
+		c.subs[b] = e
+	}
+	c.subMu.Unlock()
+	return e.get(func() *SubCells { return c.buildSub(b) })
+}
+
+// buildSub lays out bucket b's second level — as many sub-buckets as the
+// cellsPerRow rule allows the bucket's rows, halving from subBuckets down
+// to two — and folds the bucket's rows into it, morsel by morsel, so every
+// cell meets its rows ascending.
+func (c *BucketCells) buildSub(b int) *SubCells {
+	keys := len(c.keys)
+	rows := 0
+	for _, cell := range c.cells[c.start[b]:c.start[b+1]] {
+		rows += cell.Rows
+	}
+	s := &SubCells{}
+	for s.Subs()*keys > rows/cellsPerRow {
+		if s.shift++; s.Subs() < 2 {
+			return s
+		}
+	}
+	s.cells = make([]Cell, s.Subs()*keys)
+	for i := range s.cells {
+		s.cells[i].Group = c.keys[i%keys]
+	}
+	var scratch [64]ext // exts of a level of up to 64 cells stay off the heap
+	exts := scratch[:]
+	if len(s.cells) > len(scratch) {
+		exts = make([]ext, len(s.cells))
+	}
+	var slot [valueBuckets]int32 // a numeric key bucket's place among the keys
+	var k cellKeyer
+	switch kc := c.kc.(type) {
+	case *DictColumn:
+		k.codes = kc.Codes()
+	case *IntColumn:
+		slot, _ = c.key.liveBuckets(false)
+		k.ik, k.isplit, k.slot = kc.V, &c.key.isplit, &slot
+	case *FloatColumn:
+		slot, _ = c.key.liveBuckets(true)
+		k.fk, k.fsplit, k.slot = kc.V, &c.key.fsplit, &slot
+	}
+	switch v := c.in.(type) {
+	case *IntColumn:
+		foldSub(c.x, b, s, exts, keys, &k, v.V)
+	case *FloatColumn:
+		foldSub(c.x, b, s, exts, keys, &k, v.V)
+	default:
+		foldSub[float64](c.x, b, s, exts, keys, &k, nil)
+	}
+	return s
+}
+
+// cellKeyer gives a row its cell key: its dictionary code, its numeric key
+// column's bucket's place among the keys, or 0 without a key.
+type cellKeyer struct {
+	codes  []int32
+	ik     []int64
+	fk     []float64
+	isplit *[valueBuckets]int64
+	fsplit *[valueBuckets]float64
+	slot   *[valueBuckets]int32
+}
+
+// key returns row r's cell key, -1 for a NULL numeric key, which lies in
+// no cell.
+func (k *cellKeyer) key(r int) int {
+	switch {
+	case k.codes != nil:
+		return int(k.codes[r])
+	case k.ik != nil:
+		return int(k.slot[bucketOf(k.isplit, k.ik[r])])
+	case k.fk != nil:
+		if v := k.fk[r]; v == v {
+			return int(k.slot[bucketOf(k.fsplit, v)])
+		}
+		return -1
+	}
+	return 0
+}
+
+// foldSub adds every row of bucket b to its cell of the level s; v is the
+// input column, nil for none.
+func foldSub[T int64 | float64](x *ValueIndex, b int, s *SubCells, exts []ext, keys int, k *cellKeyer, v []T) {
+	for m := 0; m*x.morsel < x.n; m++ {
+		base := m * x.morsel
+		st := x.starts[m*(valueBuckets+1):]
+		lo, hi := base+int(st[b]), base+int(st[b+1])
+		for i, o := range x.rows[lo:hi] {
+			r := base + int(o)
+			key := k.key(r)
+			if key < 0 {
+				continue
+			}
+			at := int(x.sub[lo+i]>>s.shift)*keys + key
+			addRow(&s.cells[at], r)
+			if v != nil {
+				addValue(&s.cells[at], &exts[at], r, v[r])
+			}
+		}
+	}
 }
 
 // numKey is a numeric key column as the fold reads it: its values and

@@ -11,3 +11,6 @@ func (c *BucketCells) KeySpan(k int) (rows int, lo, hi Value) {
 	s := c.fspan[k]
 	return s.rows, Float(s.lo), Float(s.hi)
 }
+
+// Cells returns every cell of the level, in (sub-bucket, key) order.
+func (s *SubCells) Cells() []Cell { return s.cells }

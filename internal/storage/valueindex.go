@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,9 +21,13 @@ import (
 // v, so lo <= v <= hi puts bucket(v) inside the run. A NULL (NaN) row lies
 // in no bucket, as it lies in no range. An index is built lazily on first
 // use (Table.ValueIndex), once, in one O(n) counting pass parallel per
-// morsel, and is immutable afterwards. It costs two bytes per row plus one
-// bucket-start table per morsel. Run-length columns get none: their kernel
-// already rejects a whole run at a time.
+// morsel, and is immutable afterwards. Beside each row offset it keeps the
+// row's sub-bucket: each bucket is cut again into subBuckets equi-depth
+// sub-buckets, whose sub-splits come from the same sample, so a range's
+// edge bucket can be split at the sub-bucket holding its bound (bucket
+// cells' second level, bucketcells.go). It costs three bytes per row plus
+// one bucket-start table per morsel. Run-length columns get none: their
+// kernel already rejects a whole run at a time.
 
 // fpIndexBuild injects faults into the index cache's builds: it is hit
 // once per value index or bucket cell set build, the moment a query first
@@ -41,6 +44,13 @@ const valueBuckets = 256
 // [0, NumBuckets-1], and BucketCells.Interior(-1, NumBuckets) is every cell.
 const NumBuckets = valueBuckets
 
+// subBuckets is the number of sub-buckets each bucket is cut into: a power
+// of two, so the sub-bucket search is a fixed three steps and a sub-bucket
+// fits a byte beside a bucket number in the counting pass's scratch. Eight
+// cut an edge bucket's rows eightfold while a sub-level costs at most
+// eight cells per key (DESIGN.md, "Bucket cells").
+const subBuckets = 8
+
 // valueSample is about how many rows the bucket bounds are drawn from.
 const valueSample = 64 * valueBuckets
 
@@ -52,14 +62,21 @@ const MaxIndexMorsel = 1 << 16
 // the sample they were drawn from. Bucket b holds the values v with exactly
 // b split points at or below v; equal split points leave empty buckets
 // between them, which costs nothing. Only the I or the F splits are used,
-// after the column's type.
+// after the column's type. Likewise, sub-bucket s of bucket b holds b's
+// values with exactly s of b's sub-splits at or below them.
 type ValueBuckets struct {
 	n      int                 // column length at build time (staleness check)
 	isplit [valueBuckets]int64 // the last entry is never read
 	fsplit [valueBuckets]float64
+	isub   *subSplits[int64] // nil for a FLOAT column
+	fsub   *subSplits[float64]
 	freq   [valueBuckets]int32 // sampled non-NULL rows per bucket
 	sample int                 // rows sampled, NULLs included
 }
+
+// subSplits are every bucket's sub-splits; each row's last entry is never
+// read.
+type subSplits[T int64 | float64] [valueBuckets][subBuckets]T
 
 // bucketOf returns the number of the first valueBuckets-1 splits at or
 // below v: a binary search over a sorted array in eight fixed steps, each
@@ -87,21 +104,52 @@ func bucketOf4[T int64 | float64](s *[valueBuckets]T, v0, v1, v2, v3 T) (k0, k1,
 	return k0, k1, k2, k3
 }
 
-// bucketize writes each value's bucket number to ids, valueBuckets for a
-// NULL (NaN, which bucketOf puts in bucket 0), four values at a time.
-func bucketize[T int64 | float64](s *[valueBuckets]T, vals []T, ids []uint16) {
+// subOf returns the number of the first subBuckets-1 sub-splits at or
+// below v: bucketOf within one bucket, in three fixed steps.
+func subOf[T int64 | float64](s *[subBuckets]T, v T) int {
+	i := 0
+	for w := subBuckets / 2; w > 0; w >>= 1 {
+		i += w & -b2i(s[(i+w-1)&(subBuckets-1)] <= v)
+	}
+	return i
+}
+
+// subOf4 is subOf of four values, each in its own bucket's sub-splits.
+func subOf4[T int64 | float64](s0, s1, s2, s3 *[subBuckets]T, v0, v1, v2, v3 T) (j0, j1, j2, j3 int) {
+	for w := subBuckets / 2; w > 0; w >>= 1 {
+		j0 += w & -b2i(s0[(j0+w-1)&(subBuckets-1)] <= v0)
+		j1 += w & -b2i(s1[(j1+w-1)&(subBuckets-1)] <= v1)
+		j2 += w & -b2i(s2[(j2+w-1)&(subBuckets-1)] <= v2)
+		j3 += w & -b2i(s3[(j3+w-1)&(subBuckets-1)] <= v3)
+	}
+	return j0, j1, j2, j3
+}
+
+// The counting pass's scratch id of a row: its bucket number in the low
+// idBits bits, valueBuckets for a NULL (NaN, which bucketOf puts in bucket
+// 0), and its sub-bucket above them.
+const (
+	idBits = 9
+	idMask = 1<<idBits - 1
+)
+
+// bucketize writes each value's scratch id to ids, four values at a time.
+func bucketize[T int64 | float64](s *[valueBuckets]T, sub *subSplits[T], vals []T, ids []uint16) {
 	null := func(v T) int { return valueBuckets & -b2i(v != v) }
 	i := 0
 	for ; i+4 <= len(vals); i += 4 {
 		v0, v1, v2, v3 := vals[i], vals[i+1], vals[i+2], vals[i+3]
 		k0, k1, k2, k3 := bucketOf4(s, v0, v1, v2, v3)
-		ids[i] = uint16(k0 | null(v0))
-		ids[i+1] = uint16(k1 | null(v1))
-		ids[i+2] = uint16(k2 | null(v2))
-		ids[i+3] = uint16(k3 | null(v3))
+		j0, j1, j2, j3 := subOf4(&sub[uint8(k0)], &sub[uint8(k1)], &sub[uint8(k2)], &sub[uint8(k3)], v0, v1, v2, v3)
+		ids[i] = uint16(k0 | null(v0) | j0<<idBits)
+		ids[i+1] = uint16(k1 | null(v1) | j1<<idBits)
+		ids[i+2] = uint16(k2 | null(v2) | j2<<idBits)
+		ids[i+3] = uint16(k3 | null(v3) | j3<<idBits)
 	}
 	for ; i < len(vals); i++ {
-		ids[i] = uint16(bucketOf(s, vals[i]) | null(vals[i]))
+		v := vals[i]
+		k := bucketOf(s, v)
+		ids[i] = uint16(k | null(v) | subOf(&sub[uint8(k)], v)<<idBits)
 	}
 }
 
@@ -132,6 +180,14 @@ func run[T int64 | float64](s *[valueBuckets]T, lo, hi T) (bl, bh int) {
 	return bl, bucketOf(s, hi)
 }
 
+// IntSub returns the sub-bucket of bucket k that would hold v, a value
+// of k: the count of k's sub-splits at or below it. Only valid on an INT
+// column's buckets.
+func (b *ValueBuckets) IntSub(k int, v int64) int { return subOf(&b.isub[uint8(k)], v) }
+
+// FloatSub is IntSub for a FLOAT column's buckets.
+func (b *ValueBuckets) FloatSub(k int, v float64) int { return subOf(&b.fsub[uint8(k)], v) }
+
 // Fraction estimates the share of the column's rows in the bucket run
 // [bl, bh] from the sample the bounds were drawn from; an empty run has 0.
 func (b *ValueBuckets) Fraction(bl, bh int) float64 {
@@ -150,19 +206,23 @@ func newValueBuckets(c Column) *ValueBuckets {
 	b := &ValueBuckets{n: c.Len()}
 	switch cc := c.(type) {
 	case *IntColumn:
-		b.sample = sampleSplits(cc.V, &b.isplit, &b.freq)
+		b.isub = new(subSplits[int64])
+		b.sample = sampleSplits(cc.V, &b.isplit, b.isub, &b.freq)
 	case *FloatColumn:
-		b.sample = sampleSplits(cc.V, &b.fsplit, &b.freq)
+		b.fsub = new(subSplits[float64])
+		b.sample = sampleSplits(cc.V, &b.fsplit, b.fsub, &b.freq)
 	}
 	return b
 }
 
 // sampleSplits samples every stride-th value, stride chosen for about
 // valueSample of them, sets split k to the sample's (k+1)/valueBuckets
-// quantile and counts the sample per bucket. It returns how many values it
-// sampled, NULLs included. With no non-NULL value sampled the splits stay
-// zero: any splits give a correct index.
-func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, freq *[valueBuckets]int32) (sampled int) {
+// quantile, counts the sample per bucket and sets bucket k's sub-split j
+// to the (j+1)/subBuckets quantile of the sample's values in it. It
+// returns how many values it sampled, NULLs included. With no non-NULL
+// value sampled the splits stay zero, and so do the sub-splits of a bucket
+// no sampled value fell in: any sorted splits give a correct index.
+func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, sub *subSplits[T], freq *[valueBuckets]int32) (sampled int) {
 	var s []T
 	stride := max(1, (len(vals)+valueSample-1)/valueSample)
 	for r := 0; r < len(vals); r += stride {
@@ -178,6 +238,14 @@ func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, freq *[va
 	for _, v := range s {
 		freq[bucketOf(split, v)]++
 	}
+	// bucketOf is non-decreasing, so each bucket's values are a run of s.
+	at := 0
+	for k, f := range freq {
+		for j := 0; j < subBuckets-1 && f > 0; j++ {
+			sub[k][j] = s[at+(j+1)*int(f)/subBuckets]
+		}
+		at += int(f)
+	}
 	return sampled
 }
 
@@ -185,12 +253,30 @@ func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, freq *[va
 // covers rows [m*morsel, min((m+1)*morsel, n)) — the morsels a scan runs
 // with — and its bucket b's rows are m*morsel plus the offsets
 // rows[m*morsel+starts[b] : m*morsel+starts[b+1]], where starts is the
-// morsel's row of valueBuckets+1 entries.
+// morsel's row of valueBuckets+1 entries; sub at the same positions holds
+// each of those rows' sub-bucket.
 type ValueIndex struct {
 	*ValueBuckets
 	morsel int
 	starts []uint32
 	rows   []uint16 // per morsel: offsets by bucket, then the NULL rows'
+	sub    []uint8  // the sub-bucket of the row at the same position of rows
+}
+
+// Part is the sub-buckets Lo through Hi of a bucket: the part of an edge
+// bucket a query refines.
+type Part struct{ Lo, Hi uint8 }
+
+// Whole is the Part holding every sub-bucket of a bucket.
+var Whole = Part{0, subBuckets - 1}
+
+// next returns the first position at or after i of subs whose sub-bucket
+// lies in p, len(subs) for none.
+func (p Part) next(subs []uint8, i int) int {
+	for i < len(subs) && subs[i]-p.Lo > p.Hi-p.Lo {
+		i++
+	}
+	return i
 }
 
 // Morsels returns how many morsels the index covers.
@@ -239,26 +325,30 @@ func (x *ValueIndex) Candidates(m, bl, bh int, dst []int) []int {
 	return dst
 }
 
-// Edges appends to dst the rows of morsel m in bucket bl or bucket bh
-// (bl < bh) in ascending order and returns the extended slice: the two
-// buckets' ascending offsets, merged.
-func (x *ValueIndex) Edges(m, bl, bh int, dst []int) []int {
+// Edges appends to dst the rows of morsel m in part pl of bucket bl or in
+// part ph of bucket bh (bl < bh) in ascending order and returns the
+// extended slice: the two buckets' ascending offsets, each kept where its
+// sub-bucket lies in its part, merged.
+func (x *ValueIndex) Edges(m, bl, bh int, pl, ph Part, dst []int) []int {
 	st := x.starts[m*(valueBuckets+1):]
 	base := m * x.morsel
-	a := x.rows[base+int(st[bl]) : base+int(st[bl+1])]
-	b := x.rows[base+int(st[bh]) : base+int(st[bh+1])]
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			dst, a = append(dst, base+int(a[0])), a[1:]
+	la, ha := base+int(st[bl]), base+int(st[bl+1])
+	lb, hb := base+int(st[bh]), base+int(st[bh+1])
+	a, as := x.rows[la:ha], x.sub[la:ha]
+	b, bs := x.rows[lb:hb], x.sub[lb:hb]
+	i, j := pl.next(as, 0), ph.next(bs, 0)
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			dst, i = append(dst, base+int(a[i])), pl.next(as, i+1)
 		} else {
-			dst, b = append(dst, base+int(b[0])), b[1:]
+			dst, j = append(dst, base+int(b[j])), ph.next(bs, j+1)
 		}
 	}
-	for _, o := range a {
-		dst = append(dst, base+int(o))
+	for ; i < len(a); i = pl.next(as, i+1) {
+		dst = append(dst, base+int(a[i]))
 	}
-	for _, o := range b {
-		dst = append(dst, base+int(o))
+	for ; j < len(b); j = ph.next(bs, j+1) {
+		dst = append(dst, base+int(b[j]))
 	}
 	return dst
 }
@@ -280,16 +370,21 @@ func (x *ValueIndex) Bucket(b int, dst []int) []int {
 	return dst
 }
 
+// buildWorkers is how many goroutines a value index build runs at most.
+// Each holds a morsel of scratch, so the count is the column's alone, not
+// the host's: a build allocates the same bytes on any core count.
+const buildWorkers = 4
+
 // buildValueIndex runs the counting pass over c, morsels claimed by up to
-// GOMAXPROCS goroutines.
+// buildWorkers goroutines.
 func buildValueIndex(c Column, b *ValueBuckets, morsel int) *ValueIndex {
 	n := c.Len()
 	nm := NumChunks(n, morsel)
 	x := &ValueIndex{ValueBuckets: b, morsel: morsel,
-		starts: make([]uint32, nm*(valueBuckets+1)), rows: make([]uint16, n)}
+		starts: make([]uint32, nm*(valueBuckets+1)), rows: make([]uint16, n), sub: make([]uint8, n)}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), nm); w > 0; w-- {
+	for w := min(buildWorkers, nm); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -305,19 +400,20 @@ func buildValueIndex(c Column, b *ValueBuckets, morsel int) *ValueIndex {
 }
 
 // fill indexes the morsel m starting at row lo: one pass numbers each
-// row's bucket (valueBuckets for NULL), the starts are the bucket counts'
-// prefix sums, and a last pass places each offset at its bucket's cursor,
-// so offsets stay ascending within a bucket.
+// row's bucket (valueBuckets for NULL) and sub-bucket, the starts are the
+// bucket counts' prefix sums, and a last pass places each offset and its
+// sub-bucket at its bucket's cursor, so offsets stay ascending within a
+// bucket.
 func (x *ValueIndex) fill(c Column, m, lo int, ids []uint16) {
 	switch cc := c.(type) {
 	case *IntColumn:
-		bucketize(&x.isplit, cc.V[lo:lo+len(ids)], ids)
+		bucketize(&x.isplit, x.isub, cc.V[lo:lo+len(ids)], ids)
 	case *FloatColumn:
-		bucketize(&x.fsplit, cc.V[lo:lo+len(ids)], ids)
+		bucketize(&x.fsplit, x.fsub, cc.V[lo:lo+len(ids)], ids)
 	}
 	var count [valueBuckets + 1]uint32
-	for _, k := range ids {
-		count[k]++
+	for _, id := range ids {
+		count[id&idMask]++
 	}
 	// The last start, bucket valueBuckets-1's end, is where the NULL rows go.
 	st := x.starts[m*(valueBuckets+1):][:valueBuckets+1]
@@ -327,9 +423,10 @@ func (x *ValueIndex) fill(c Column, m, lo int, ids []uint16) {
 		st[k], at[k] = sum, sum
 		sum += cnt
 	}
-	rows := x.rows[lo : lo+len(ids)]
-	for i, k := range ids {
-		rows[at[k]] = uint16(i)
+	rows, sub := x.rows[lo:lo+len(ids)], x.sub[lo:lo+len(ids)]
+	for i, id := range ids {
+		k := id & idMask
+		rows[at[k]], sub[at[k]] = uint16(i), uint8(id>>idBits)
 		at[k]++
 	}
 }
@@ -411,7 +508,8 @@ func (t *Table) ValueIndex(col string, morsel int) (x *ValueIndex, built bool, e
 // lazy is one value index or cell set of the table's cache, made under the
 // cache mutex for one set of bucket bounds and built outside it, once: a
 // build reads a whole column, and holding the mutex across it would stall
-// every bounds and index lookup on the table behind it. Concurrent first
+// every bounds and index lookup on the table behind it. A bucket's second
+// level (BucketCells.Sub) is one too, made under its cell set's mutex. Concurrent first
 // callers of one key wait on its mutex and share the build; a build that
 // fails leaves done unset, so the next caller, waiting or later, tries
 // again.
