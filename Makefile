@@ -37,8 +37,9 @@ test-cpus:
 # WHERE, and cracked aggregates reading an edge bucket's cracker while a
 # writer cracks inside it. The last three lines are CI's "Concurrent probe
 # parity (race)" step: the concurrent cracked-probe harnesses at more
-# cores, where concurrent touches of an edge bucket count under one lock
-# and make one cracker; the built-once and index-build-fault tests, where
+# cores, where concurrent touches of an edge bucket, or of the sub-bucket
+# holding a bound (TestConcurrentCrackedSubPartsBuildOnce), count under
+# one lock and make one cracker; the built-once and index-build-fault tests, where
 # concurrent first queries share one value-index, bucket-cells or edge
 # second-level build and a failed build is retried by a waiter or the next
 # query; and exec's parity harnesses, TestFloatSumBitForBitAcrossPaths and

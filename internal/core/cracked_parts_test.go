@@ -73,12 +73,14 @@ func partsQuery(where *expr.Pred, input string, grouped bool) exec.Query {
 }
 
 // crackedRun is what a traced cracked query's spans say: the crack span's
-// attributes, whether the range had value buckets, and whether their
-// interior was folded from bucket cells.
+// attributes, whether the range had value buckets, whether their interior
+// was folded from bucket cells, and how many of the edges' sub-cells were
+// folded beside them.
 type crackedRun struct {
 	crack    map[string]any
 	bucketed bool
 	cells    bool
+	subCells int64
 }
 
 // crackSpan runs q in cracked mode under a trace and returns the answer
@@ -99,6 +101,8 @@ func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, crackedRu
 			_, run.bucketed = c.Attrs["buckets"]
 		case "scan":
 			_, run.cells = c.Attrs["bucket_cells"]
+		case "cells":
+			run.subCells, _ = c.Attrs["sub_cells"].(int64)
 		}
 	}
 	if run.crack == nil {
@@ -289,13 +293,12 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 }
 
 // TestCrackedEdgesBuildOnTheKthTouch: a range's first crackTouch-1
-// touches make no cracker and read its edge buckets whole, as exact mode's
-// plan does without its edges' second level — the rows scanned grow by
-// exactly the edge buckets' rows beside the cells, plus the rows the sink
-// takes, and never by fewer than an exact query's, which refines only the
-// sub-buckets holding the bounds — and the crackTouch-th makes the
-// crackers, after which the query reads only the rows it keeps. An INT
-// and a FLOAT column, scalar and grouped.
+// touches make no cracker and read the parts of its edge buckets exact
+// mode's plan refines — the rows scanned grow by exactly the edges' rows
+// beside the cells and sub-cells, plus the rows the sink takes, which is
+// what an exact query reads — and the crackTouch-th makes the crackers,
+// after which the query reads only the rows it keeps, never more than an
+// exact query. An INT and a FLOAT column, scalar and grouped.
 func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 	if crackTouch < 2 {
 		t.Fatalf("crackTouch = %d: a bucket's first touch must not make its cracker", crackTouch)
@@ -338,7 +341,7 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 			}
 			switch {
 			case touch < crackTouch:
-				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read < exactRead {
+				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read != exactRead {
 					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges read as rows, none made, %d edge rows and %d kept",
 						q, touch, c, read, exactRead, len(edgeRows), kept)
 				}
@@ -347,12 +350,98 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 				if touch == crackTouch {
 					built = 2
 				}
-				if c["edges_scanned"] != int64(0) || c["edges_built"] != built || read != kept {
-					t.Errorf("%s, touch %d: crack span %v, %d rows read; want both edges probed, %d made, only the %d rows kept read",
-						q, touch, c, read, built, kept)
+				if c["edges_scanned"] != int64(0) || c["edges_built"] != built || read != kept || read > exactRead {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges probed, %d made, only the %d rows kept read",
+						q, touch, c, read, exactRead, built, kept)
 				}
 			}
 		}
+	}
+}
+
+// TestCrackedSubPartsMatchExact: at 2^17 rows, where an edge bucket has a
+// second level (the fuzzers' tables, of at most 510 rows, have none),
+// cracked aggregates over an INT and a FLOAT column, scalar and
+// dict-grouped, fold the edges' covered sub-cells and crack only the
+// sub-buckets holding their bounds. Each query is asked crackTouch+1
+// times — its edges read as rows, then cracked, then probed — and every
+// answer must equal exact mode's bit for bit and read no more rows than
+// exact mode's, exactly as many where both edges are read as rows. Every
+// cracker made holds one sub-bucket's rows, fewer than its bucket's; a
+// scalar and a grouped query over one range share them.
+func TestCrackedSubPartsMatchExact(t *testing.T) {
+	tab := partsTable(rand.New(rand.NewSource(70)), 1<<17)
+	const morsel = 4096
+	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: morsel}})
+	if err := e.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(71))
+	var queries []exec.Query
+	for _, col := range []string{"k", "x"} {
+		for i, input := range []string{"n", "f", "m"} {
+			lo, hi := storage.Int(rng.Int63n(400)), storage.Int(500+rng.Int63n(400))
+			if col == "x" {
+				lo, hi = storage.Float(rng.Float64()*40), storage.Float(50+rng.Float64()*40)
+			}
+			where := expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, []expr.Op{expr.LT, expr.LE}[i%2], hi))
+			queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true))
+		}
+	}
+	var folded, shared int
+	for _, q := range queries {
+		for touch := 1; touch <= crackTouch+1; touch++ {
+			before := e.RowsScanned()
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactRead := e.RowsScanned() - before
+			before = e.RowsScanned()
+			got, run := crackSpan(t, e, q)
+			read := e.RowsScanned() - before
+			if err := tablesIdentical(want, got); err != nil {
+				t.Fatalf("%s, touch %d: %v", q, touch, err)
+			}
+			c := run.crack
+			if !run.cells || c["edges"] != int64(2) {
+				t.Fatalf("%s, touch %d: crack span %v, cells %v; want two edges beside cells", q, touch, c, run.cells)
+			}
+			if read > exactRead || c["edges_scanned"] == int64(2) && read != exactRead {
+				t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d", q, touch, c, read, exactRead)
+			}
+			if run.subCells > 0 {
+				folded++
+			}
+			if touch == 1 && c["edges_scanned"] == int64(0) {
+				shared++
+			}
+		}
+	}
+	if folded == 0 || shared == 0 {
+		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made; want some of each", folded, shared)
+	}
+	v := current(t, e, "t")
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for key, c := range v.cracks {
+		rows := 0
+		switch ed := c.(type) {
+		case *edge[int64]:
+			rows = len(ed.rows)
+		case *edge[float64]:
+			rows = len(ed.rows)
+		}
+		vi, _, err := v.t.ValueIndex(key.col, morsel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bucket := len(vi.BucketPart(key.bucket, storage.Whole, nil)); key.sub < 0 || rows >= bucket {
+			t.Errorf("cracker %+v holds %d rows of its bucket's %d; want one sub-bucket's", key, rows, bucket)
+		}
+	}
+	if len(v.cracks) == 0 {
+		t.Error("no cracker made")
 	}
 }
 
@@ -624,6 +713,63 @@ func TestConcurrentCrackedKthTouchBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestConcurrentCrackedSubPartsBuildOnce: under every variant, at 2^17
+// rows, where a range's edge buckets are cut at their second level,
+// concurrent queries at the crackTouch-th touch of the sub-buckets holding
+// its bounds make one cracker per (bucket, sub-bucket) — the touch
+// counted first makes it, the others find it — and none reads an edge as
+// rows; every answer equals exact mode's. Run it with -race.
+func TestConcurrentCrackedSubPartsBuildOnce(t *testing.T) {
+	tab := partsTable(rand.New(rand.NewSource(72)), 1<<17)
+	for _, copt := range []crack.Options{
+		{Variant: crack.Standard},
+		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
+		{Variant: crack.HybridSort, SortMin: 16},
+	} {
+		t.Run(copt.Variant.String(), func(t *testing.T) {
+			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 4096}})
+			if err := e.Register(tab); err != nil {
+				t.Fatal(err)
+			}
+			q := partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(17.3)), expr.Cmp("x", expr.LT, storage.Float(81.9))), "n", false)
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmUp(func() { crackSpan(t, e, q) })
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			built := int64(0)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, run := crackSpan(t, e, q)
+					mu.Lock()
+					defer mu.Unlock()
+					if err := tablesIdentical(want, got); err != nil || run.subCells == 0 ||
+						run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
+						t.Errorf("%s: %v, crack span %v, %d sub-cells", q, err, run.crack, run.subCells)
+					}
+					built += run.crack["edges_built"].(int64)
+				}()
+			}
+			wg.Wait()
+			v := current(t, e, "t")
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			for key := range v.cracks {
+				if key.sub < 0 {
+					t.Errorf("cracker %+v holds a whole bucket; want a sub-bucket's", key)
+				}
+			}
+			if n, left := len(v.cracks), len(v.touches); built != 2 || n != 2 || left != 0 {
+				t.Errorf("concurrent touches %d on made %d crackers, %d kept, %d touch counts left; want 2, 2, 0", crackTouch, built, n, left)
+			}
+		})
+	}
+}
+
 // blockingCracker is a cracker whose stats wait until release is closed,
 // as a real one's wait while a probe holds its write lock.
 type blockingCracker struct {
@@ -667,7 +813,7 @@ func TestConcurrentCrackedStatsDoNotBlockQueries(t *testing.T) {
 	} {
 		b := &blockingCracker{entered: make(chan struct{}), release: make(chan struct{})}
 		e.mu.Lock()
-		current(t, e, "blocked").cracks[crackKey{"v", -1}] = b
+		current(t, e, "blocked").cracks[crackKey{"v", -1, -1}] = b
 		e.mu.Unlock()
 		done := make(chan struct{})
 		go func() {

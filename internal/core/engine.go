@@ -152,8 +152,8 @@ type Engine struct {
 type version struct {
 	t       *storage.Table          // nil for an in-situ table
 	raw     *rawload.RawTable       // nil for an in-memory table
-	cracks  map[crackKey]cracker    // a column's value bucket → its cracker
-	touches map[crackKey]touchCount // a value bucket → its touches while it has no cracker
+	cracks  map[crackKey]cracker    // a column's value bucket or sub-bucket → its cracker
+	touches map[crackKey]touchCount // a bucket or sub-bucket → its touches while it has no cracker
 }
 
 // New creates an engine.
@@ -567,22 +567,26 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 }
 
 // executeCracked answers a one-column range query through the range
-// partition the column's value index already has: its equi-depth buckets
-// (exec.RangeBuckets). The buckets strictly inside the range's bucket run
-// hold only rows inside it, so only the one or two edge buckets its bounds
-// cut are cracked, each through a crack index over that bucket's rows
-// alone, made on the crackTouch-th touch of the bucket (edgeCracker).
-// Until then a touch reads the bucket's rows from the value index and
-// keeps those inside the range, the candidates exact mode refines. The
-// edge rows inside the range, ascending, are the pipeline's selection, and
-// the interior is read as exact mode reads it: folded from its bucket
-// cells when exact mode's plan does, else as the index's rows. A column
-// with no value index is one bucket: its cracker holds the whole column
-// and is made on the first touch, so a run-length column is decoded once.
-// Either way the answer equals exact mode's bit for bit — group order,
-// projection order, MIN/MAX values and ties, and every SUM/AVG, whose one
-// float sum no worker count or fold order moves — however far the
-// crackers have cracked.
+// partition the column's value index already has, at the level exact
+// mode's plan for it refines (exec.RangeBuckets): its equi-depth buckets,
+// and under bucket cells each edge bucket's sub-buckets. The buckets
+// strictly inside the range's bucket run hold only rows inside it, and so
+// do an edge's sub-buckets past the one holding its bound, so only the
+// parts of the one or two edge buckets the plan refines (Buckets.Parts)
+// are cracked, each through a crack index over its own rows, made on its
+// crackTouch-th touch (edgeCracker): over the sub-bucket holding the bound
+// where the plan cuts the edge, else over the whole bucket. Until then a
+// touch reads the part's rows from the value index and keeps those inside
+// the range, the candidates exact mode refines. The edge rows inside the
+// range, ascending, are the pipeline's selection, and the rest is read as
+// exact mode reads it: the interior's bucket cells and the edges' covered
+// sub-cells folded when exact mode's plan folds them, else the interior's
+// rows. A column with no value index is one bucket: its cracker holds the
+// whole column and is made on the first touch, so a run-length column is
+// decoded once. Either way the answer equals exact mode's bit for bit —
+// group order, projection order, MIN/MAX values and ties, and every
+// SUM/AVG, whose one float sum no worker count or fold order moves —
+// however far the crackers have cracked.
 func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	t, err := v.table(ctx, q)
 	if err != nil {
@@ -611,10 +615,10 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	var st edgeStats
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.FLo, above, bounded, math.Inf(-1))
+		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.FLo, iv.FHi, above, bounded, math.Inf(-1))
 	} else {
 		above, bounded := iv.IntAbove()
-		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.ILo, above, bounded, math.MinInt64)
+		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.ILo, iv.IHi, above, bounded, math.MinInt64)
 	}
 	if err != nil {
 		csp.End()
@@ -650,51 +654,82 @@ type edgeStats struct {
 	lock                                  crack.LockMode
 }
 
-// crackEdges returns the rows of b's edge buckets whose value v in column
-// col satisfies lo <= v < above (lo <= v when not bounded), ascending, in
-// a vector from the engine's free list. The low edge bucket is probed from
-// lo up: every value it holds is under above unless it is the run's only
-// bucket. The high one is probed from least, the type's least value, so
-// that each of its probes cracks at most at above, and a drill-down in
-// its range reads every value it holds below above.
-func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, above T, bounded bool, least T) ([]int, edgeStats, error) {
+// edgePart is what a cracked query reads of one edge bucket: bucket k of
+// the value index (-1 for a column with none, whose one bucket is the
+// whole column) and the part p of it the plan refines. sub is the index's
+// sub-bucket holding the edge's bound, -1 when p is the whole bucket. low
+// marks the run's lower edge, whose sub-buckets above sub lie inside the
+// range; the upper edge's below sub do.
+type edgePart struct {
+	k, sub int
+	p      storage.Part
+	low    bool
+}
+
+// edgeAt returns the edge bucket k whose part p holds the bound x.
+func edgeAt[T int64 | float64](vi *storage.ValueIndex, k int, p storage.Part, x T, low bool) edgePart {
+	ep := edgePart{k: k, sub: -1, p: p, low: low}
+	if p != storage.Whole {
+		ep.sub = subOf(vi, k, x)
+	}
+	return ep
+}
+
+// subOf returns the sub-bucket of vi's bucket k that holds x.
+func subOf[T int64 | float64](vi *storage.ValueIndex, k int, x T) int {
+	if f, ok := any(x).(float64); ok {
+		return vi.FloatSub(k, f)
+	}
+	return vi.IntSub(k, any(x).(int64))
+}
+
+// crackEdges returns the rows of the parts of b's edge buckets whose value
+// v in column col satisfies lo <= v < above (lo <= v when not bounded),
+// ascending, in a vector from the engine's free list; hi is the range's
+// greatest value, which the upper edge's part holds. The low edge is
+// probed from lo up: every value it holds is under above unless it is the
+// run's only bucket. The high one is probed from least, the type's least
+// value, so that each of its probes cracks at most at above, and a
+// drill-down in its range reads every value it holds below above.
+func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, hi, above T, bounded bool, least T) ([]int, edgeStats, error) {
 	var st edgeStats
 	vi := b.Index()
 	bl, bh := b.Run()
+	pl, ph := b.Parts()
 	if vi == nil {
 		bl, bh = -1, -1 // one bucket, the whole column
 	}
 	if bl > bh {
 		return e.takeRowVec(0), st, nil
 	}
-	low, err := probeEdge(e, v, t, col, vi, bl, lo, above, bounded && bl == bh, &st)
+	low, err := probeEdge(e, v, t, col, vi, edgeAt(vi, bl, pl, lo, true), lo, above, bounded && bl == bh, &st)
 	if err != nil || bl == bh {
 		return low, st, err
 	}
-	high, err := probeEdge(e, v, t, col, vi, bh, least, above, bounded, &st)
+	high, err := probeEdge(e, v, t, col, vi, edgeAt(vi, bh, ph, hi, false), least, above, bounded, &st)
 	if err != nil {
 		e.giveRowVec(low)
 		return nil, st, err
 	}
-	sel := exec.MergeRows(e.takeRowVec(len(low)+len(high)), low, high)
-	e.giveRowVec(low)
-	e.giveRowVec(high)
-	return sel, st, nil
+	return e.mergeRowVecs(low, high), st, nil
 }
 
-// probeEdge returns the rows of col's value bucket k (the whole column
-// when vi is nil) whose value v satisfies lo <= v < above (lo <= v when
-// not bounded), ascending, through the bucket's cracker, or from its rows
-// while it has none, and adds the probe to st.
-func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
-	ed, built, err := edgeCracker[T](e, v, t, col, vi, k)
+// probeEdge returns the rows of edge ep's part (the whole column when vi
+// is nil) whose value v satisfies lo <= v < above (lo <= v when not
+// bounded), ascending, and adds the probe to st. While the part has no
+// cracker its rows are read (scanEdge). A whole bucket's cracker serves
+// any part of its bucket, probed within the part's values; a sub-bucket's
+// serves its own rows, and the part's other sub-buckets on the range's
+// side of the bound, wholly inside the range, are read from the index.
+func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
+	ed, built, err := edgeCracker[T](e, v, t, col, vi, ep.k, ep.sub)
 	if err != nil {
 		return nil, err
 	}
 	st.edges++
 	if ed == nil {
 		st.scanned++
-		return scanEdge(e, t, col, vi, k, lo, above, bounded)
+		return scanEdge(e, t, col, vi, ep, lo, above, bounded)
 	}
 	var rows []int
 	var ps crack.ProbeStats
@@ -707,8 +742,8 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 		return nil, err
 	}
 	if ed.rows != nil {
-		// The cracker's row ids are positions in the bucket's ascending
-		// rows, so mapping them keeps them ascending.
+		// The cracker's row ids are positions in its ascending rows, so
+		// mapping them keeps them ascending.
 		for i, p := range rows {
 			rows[i] = ed.rows[p]
 		}
@@ -719,19 +754,49 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 	st.lock = max(st.lock, ps.Lock)
 	st.pieces += ps.Pieces
 	st.cracks += ps.Cracks
+	switch {
+	case ed.sub < 0 && ep.p != storage.Whole:
+		return keepPart[T](t, col, vi, ep, rows)
+	case ed.sub >= 0:
+		from, to := int(ep.p.Lo), ed.sub-1
+		if ep.low {
+			from, to = ed.sub+1, int(ep.p.Hi)
+		}
+		if from <= to { // the cellsPerRow rule merged sub-buckets into the part
+			rest := vi.BucketPart(ep.k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, e.takeRowVec(0))
+			rows = e.mergeRowVecs(rows, rest)
+		}
+	}
 	return rows, nil
 }
 
-// scanEdge returns the rows of col's value bucket k whose value v
-// satisfies lo <= v < above (lo <= v when not bounded), ascending: the
-// bucket's rows, read from the value index and kept in place, which is
-// what exact mode refines. It counts them as scanned, as exact mode does.
-func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *storage.ValueIndex, k int, lo, above T, bounded bool) ([]int, error) {
+// keepPart keeps, in place, the rows of edge ep's bucket whose value lies
+// in its part: a whole bucket's cracker serves a part of its bucket so,
+// probed at the range's bounds, which cracks it at no new value.
+func keepPart[T int64 | float64](t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, rows []int) ([]int, error) {
 	xs, err := crackValues[T](t, col)
 	if err != nil {
 		return nil, err
 	}
-	rows := vi.Bucket(k, e.takeRowVec(0))
+	out := rows[:0]
+	for _, r := range rows {
+		if j := subOf(vi, ep.k, xs[r]); j >= int(ep.p.Lo) && j <= int(ep.p.Hi) {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// scanEdge returns the rows of edge ep's part whose value v satisfies
+// lo <= v < above (lo <= v when not bounded), ascending: the part's rows,
+// read from the value index and kept in place, which is what exact mode
+// refines. It counts them as scanned, as exact mode does.
+func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, lo, above T, bounded bool) ([]int, error) {
+	xs, err := crackValues[T](t, col)
+	if err != nil {
+		return nil, err
+	}
+	rows := vi.BucketPart(ep.k, ep.p, e.takeRowVec(0))
 	e.counters.Scanned.Add(int64(len(rows)))
 	out := rows[:0]
 	for _, r := range rows {
@@ -740,6 +805,15 @@ func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *st
 		}
 	}
 	return out, nil
+}
+
+// mergeRowVecs merges a and b, each ascending and the two disjoint, into
+// a vector from the free list, and gives both back to it.
+func (e *Engine) mergeRowVecs(a, b []int) []int {
+	out := exec.MergeRows(e.takeRowVec(len(a)+len(b)), a, b)
+	e.giveRowVec(a)
+	e.giveRowVec(b)
+	return out
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
@@ -764,23 +838,27 @@ func (e *Engine) takeRowVec(n int) []int {
 	return slices.Grow(v, n)
 }
 
-// giveRowVec recycles v; three vectors per core are kept, since more
+// giveRowVec recycles v; four vectors per core are kept, since more
 // queries than that do not run at once for long, and a cracked query
-// holds three.
+// holds four at most: one edge's rows while the other's cracker rows, the
+// rows beside them in its part and their merge are out.
 func (e *Engine) giveRowVec(v []int) {
 	e.mu.Lock()
-	if len(e.rowVecs) < 3*runtime.GOMAXPROCS(0) {
+	if len(e.rowVecs) < 4*runtime.GOMAXPROCS(0) {
 		e.rowVecs = append(e.rowVecs, v[:0])
 	}
 	e.mu.Unlock()
 }
 
 // crackKey names one of a version's crackers: the value bucket of a
-// column it cracks, or bucket -1 for a column with no value index, whose
-// one bucket is the whole column.
+// column it cracks and the value index's sub-bucket of it whose rows it
+// holds — the one holding a range's bound, which depends on the data
+// alone, so every input and key over the column shares it — or sub -1 for
+// the whole bucket; bucket -1 is a column with no value index, whose one
+// bucket is the whole column.
 type crackKey struct {
-	col    string
-	bucket int
+	col         string
+	bucket, sub int
 }
 
 // cracker is what the engine reads of a cracker, whichever the type of the
@@ -790,23 +868,24 @@ type cracker interface {
 	Cracks() int
 }
 
-// edge is one bucket's cracker: a crack index over the values of the
-// bucket's rows, whose row ids are positions in rows.
+// edge is one bucket's cracker, or one sub-bucket's: a crack index over
+// the values of its rows, whose row ids are positions in rows.
 type edge[T int64 | float64] struct {
 	*crack.Index[T]
 	bounds *storage.ValueBuckets // the bucket bounds it was cut under; nil for a whole column
-	rows   []int                 // the bucket's rows, ascending; nil for a whole column, whose positions are rows
+	sub    int                   // the sub-bucket whose rows it holds; -1 for a whole bucket or column
+	rows   []int                 // its rows, ascending; nil for a whole column, whose positions are rows
 }
 
-// crackTouch is the touch of a value bucket that makes its cracker. The
-// touches before it read the bucket's rows, so a bucket no later query
-// comes back to costs no copy of them: the cost-aware trigger of adaptive
-// adaptive indexing (Schuhknecht, Dittrich and Linden, ICDE 2018), per
-// bucket.
+// crackTouch is the touch of a cracker's key — a value bucket, or the
+// sub-bucket of one holding a bound — that makes its cracker. The touches
+// before it read the part's rows, so a part no later query comes back to
+// costs no copy of them: the cost-aware trigger of adaptive adaptive
+// indexing (Schuhknecht, Dittrich and Linden, ICDE 2018), per part.
 const crackTouch = 3
 
-// touchCount counts a value bucket's touches while it has no cracker, under
-// the bounds the bucket was cut under.
+// touchCount counts a cracker key's touches while it has no cracker, under
+// the bounds its bucket was cut under.
 type touchCount struct {
 	bounds *storage.ValueBuckets
 	n      int
@@ -818,28 +897,32 @@ func sameBounds(a, b *storage.ValueBuckets) bool {
 	return a == b || a != nil && b != nil && *a == *b
 }
 
-// edgeCracker returns v's cracker of bucket k of t's column col, cut under
-// vi's bounds, or of the whole column when vi is nil; built reports
-// whether this call made it. A bucket's cracker is made on its
-// crackTouch-th touch: a touch before that counts itself and returns a nil
-// cracker, and the caller reads the bucket's rows. The whole column's is
-// made on the first. Counting and making share one critical section, so
-// concurrent crackTouch-th touches make one cracker. An INT or run-coded
-// INT column cracks as int64, a FLOAT one as float64. Under other bounds —
-// the table grew and its buckets were drawn again — the count starts
-// again and the cracker is made anew; bounds drawn again to the same
-// values, as an in-situ table's are for each query's materialized table,
-// keep both.
-func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k int) (ed *edge[T], built bool, err error) {
-	key := crackKey{col, -1}
+// edgeCracker returns v's cracker of the rows of bucket k of t's column
+// col in the value index's sub-bucket sub, or of the whole bucket when sub
+// is -1, cut under vi's bounds, or of the whole column when vi is nil;
+// built reports whether this call made it. Where the bucket has a whole
+// cracker, that is returned for any sub-bucket of it: it serves every
+// part. A cracker is made on the crackTouch-th touch of its key: a touch
+// before that counts itself and returns a nil cracker, and the caller
+// reads the rows. The whole column's is made on the first. Counting and
+// making share one critical section, so concurrent crackTouch-th touches
+// make one cracker. An INT or run-coded INT column cracks as int64, a
+// FLOAT one as float64. Under other bounds — the table grew and its
+// buckets were drawn again — the count starts again and the cracker is
+// made anew; bounds drawn again to the same values, as an in-situ table's
+// are for each query's materialized table, keep both.
+func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k, sub int) (ed *edge[T], built bool, err error) {
+	key := crackKey{col, -1, -1}
 	var bounds *storage.ValueBuckets
 	if vi != nil {
-		key.bucket, bounds = k, vi.ValueBuckets
+		key.bucket, key.sub, bounds = k, sub, vi.ValueBuckets
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ed, ok := v.cracks[key].(*edge[T]); ok && sameBounds(ed.bounds, bounds) {
-		return ed, false, nil
+	for _, at := range [2]crackKey{{col, key.bucket, -1}, key} {
+		if ed, ok := v.cracks[at].(*edge[T]); ok && sameBounds(ed.bounds, bounds) {
+			return ed, false, nil
+		}
 	}
 	if vi != nil {
 		tc := v.touches[key]
@@ -856,11 +939,15 @@ func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col
 	if err != nil {
 		return nil, false, err
 	}
-	ed = &edge[T]{bounds: bounds}
+	ed = &edge[T]{bounds: bounds, sub: key.sub}
 	if vi == nil {
 		ed.Index = crack.New(xs, e.opt.CrackOptions)
 	} else {
-		ed.rows = vi.Bucket(k, nil)
+		p := storage.Whole
+		if sub >= 0 {
+			p = storage.Part{Lo: uint8(sub), Hi: uint8(sub)}
+		}
+		ed.rows = vi.BucketPart(k, p, nil)
 		ed.Index = crack.NewAt(xs, ed.rows, e.opt.CrackOptions)
 	}
 	v.cracks[key] = ed
@@ -1031,9 +1118,10 @@ func estimatesTable(t *storage.Table, groupCol, aggName string, ests []aqp.Group
 
 // estimate answers q in Approx or Online mode with one runner over exact
 // mode's index plan for the query (exec.RangeBuckets), in two strata after
-// AQP++: the interior's bucket cells, when the plan folds them, are the
-// exact part, folded into the estimator, and the candidates the plan
-// refines — the edge buckets' rows beside cells, else the rows of a run
+// AQP++: the interior's bucket cells and the edges' covered sub-cells,
+// when the plan folds them, are the exact part, folded into the
+// estimator, and the candidates the plan refines — the rows of the
+// sub-buckets holding the bounds beside cells, else the rows of a run
 // narrow enough to refine — are sampled, all of them in the first batch
 // when they fit in one, so the answer is exact. A plan with no such
 // candidates — no index, or a wide run exact mode scans — walks the

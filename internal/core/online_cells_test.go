@@ -424,6 +424,59 @@ func TestEmptyAnswersAcrossModes(t *testing.T) {
 	}
 }
 
+// TestOnlineSubBatchEdgesAnswerExactly: at 2^17 rows an online aggregate
+// the cells answer cuts its edge buckets at their second level, as exact
+// mode does, so its edge stratum — the rows of the two sub-buckets holding
+// the bounds — fits in one batch. The first batch reads it whole, and the
+// answer is exact mode's bit for bit with ci95 0: the served path reports
+// no interval for a stratum of one batch or less. INT and FLOAT ranges,
+// scalar and dict-grouped.
+func TestOnlineSubBatchEdgesAnswerExactly(t *testing.T) {
+	e := New(Options{Seed: 5})
+	if err := e.Register(partsTable(rand.New(rand.NewSource(73)), 1<<17)); err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []*expr.Pred{
+		expr.And(expr.Cmp("k", expr.GE, storage.Int(120)), expr.Cmp("k", expr.LT, storage.Int(870))),
+		expr.And(expr.Cmp("x", expr.GE, storage.Float(8.25)), expr.Cmp("x", expr.LE, storage.Float(91.5))),
+	} {
+		for _, q := range []exec.Query{
+			{Where: where, Select: []exec.SelectItem{{Col: "n", Agg: exec.AggSum}}},
+			{Where: where, Select: []exec.SelectItem{{Col: "g"}, {Col: "f", Agg: exec.AggAvg}}, GroupBy: []string{"g"}},
+		} {
+			want, err := e.Execute("t", q, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, root := trace.Start(context.Background(), "q")
+			got, err := e.ExecuteContext(ctx, "t", q, Online)
+			root.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var online, cells map[string]any
+			for _, c := range root.JSON().Children {
+				if c.Name != "online" {
+					continue
+				}
+				online = c.Attrs
+				for _, cc := range c.Children {
+					if cc.Name == "cells" {
+						cells = cc.Attrs
+					}
+				}
+			}
+			edges, _ := online["edge_rows"].(int64)
+			if sub, _ := cells["sub_cells"].(int64); sub == 0 || edges == 0 || edges > onlineBatch || online["processed"] != edges {
+				t.Errorf("%s: online span %v, cells span %v; want sub-cells folded and every edge row of one batch read", q, online, cells)
+			}
+			if err := matchesExact(q, want, got); err != nil {
+				t.Errorf("%s: %v", q, err)
+			}
+		}
+	}
+}
+
 // TestOnlineCellsReplayWithSeed: when the edge rows outnumber a batch the
 // cells path samples them, drawn from the one engine-RNG draw its query
 // makes, so a fixed Seed replays the same estimates query for query, while

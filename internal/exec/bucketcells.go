@@ -19,8 +19,7 @@
 // (storage.SubCells): the sub-cells of the sub-buckets between a bound
 // and the interior fold with the interior's cells, and only the rows of
 // the sub-bucket holding the bound are refined — about an eighth of the
-// edge. The plan RangeBuckets hands cracked and online modes keeps whole
-// edge buckets.
+// edge. RangeBuckets hands the same plan to cracked and online modes.
 //
 // The fold follows the merge rules partials already obey: counts add, sums
 // merge through rsum, a MIN/MAX tie goes to the earlier row, and a group's
@@ -86,9 +85,10 @@ func cellShape(ak *aggKernel, q Query) (group, input, why string) {
 // open-ended buckets. Otherwise it returns the zero rowIndex, and the
 // caller tries the candidate path. The lookups, and the build on the first
 // such query of a (column, key, input) triple, run under a "cells" span,
-// whose built attribute is set once a set is asked for. With sub set, the
-// edges take their second level (subLevel).
-func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (ix rowIndex, err error) {
+// whose built attribute is set once a set is asked for. The edges take
+// their second level (subLevel), so a cracked or online query over the
+// same plan reads only the parts exact mode refines.
+func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, morsel int, sp *trace.Span) (ix rowIndex, err error) {
 	group, input, why := cellShape(ak, q)
 	if disableIndex || disableBucketCells || why != "" || len(ivs) > 2 || len(ivs) == 2 && group != "" {
 		return ix, nil
@@ -143,11 +143,9 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 				return rowIndex{}, nil
 			}
 		}
-		ix.pl, ix.ph, ix.csp = storage.Whole, storage.Whole, csp
-		if sub {
-			if err := ix.subLevel(iv); err != nil {
-				return rowIndex{}, err
-			}
+		ix.csp = csp
+		if err := ix.subLevel(iv); err != nil {
+			return rowIndex{}, err
 		}
 		return ix, nil
 	}

@@ -139,15 +139,14 @@ func hasWhere(q Query) bool { return q.Where != nil && q.Where.Kind != expr.KTru
 // of its WHERE, nil for the generic filter or none, and the typed
 // aggregation ak, nil for none: with no WHERE the bucket cells of the range
 // that covers every bucket (chooseAllCells), else chooseRange over its
-// top-level conjunction's intervals. sub asks for the edge buckets' second
-// level under bucket cells: exact mode's own plan does, RangeBuckets'
-// keeps whole edge buckets.
-func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (rowIndex, error) {
+// top-level conjunction's intervals. compile runs it, and RangeBuckets
+// hands it to cracked and online modes.
+func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
 	if !hasWhere(q) {
 		return chooseAllCells(t, ak, q, morsel, sp)
 	}
 	ivs, rest := expr.Intervals(t.Schema(), q.Where)
-	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sub, sp)
+	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sp)
 }
 
 // chooseRange is the plan for a WHERE whose top-level conjunction yields
@@ -156,9 +155,9 @@ func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, mor
 // unrefined and refine their edges through the kernel, so they need a
 // compiled WHERE that is exactly its intervals; chooseCells decides the
 // rest. Otherwise chooseIndex picks an interval's value index.
-func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sub bool, sp *trace.Span) (rowIndex, error) {
+func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.Kernel, ak *aggKernel, q Query, morsel int, sp *trace.Span) (rowIndex, error) {
 	if kern != nil && rest == "" {
-		if ix, err := chooseCells(t, ivs, ak, q, morsel, sub, sp); err != nil || ix.vi != nil {
+		if ix, err := chooseCells(t, ivs, ak, q, morsel, sp); err != nil || ix.vi != nil {
 			return ix, err
 		}
 	}
@@ -168,24 +167,26 @@ func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.
 // Buckets is exact mode's index plan for a query, split at its column's
 // value buckets (storage.ValueBuckets): the run [bl, bh] of the buckets
 // its range touches, whose interior buckets bl+1 … bh-1 hold only rows
-// inside it and whose edge buckets bl and bh it may cut. Cracked mode
-// cracks the edge buckets alone and hands ExecuteSel their rows inside the
-// range with the Buckets, which reads the interior from the value index:
-// the interior's bucket cells where exact mode's plan for the query folds
-// them, else its rows. Online mode folds the cells (Cells) as the exact
-// part of its answer and samples the candidates the plan refines (Edges).
-// The zero Buckets has no index and no interior.
+// inside it and whose edge buckets bl and bh it may cut, and the parts of
+// the edge buckets the plan refines (Parts): under bucket cells, the
+// sub-buckets holding the bounds, whose covered neighbours' sub-cells the
+// plan folds; else the whole buckets. Cracked mode cracks the edges' parts
+// alone and hands ExecuteSel their rows inside the range with the
+// Buckets, which reads the rest as exact mode does: the interior's bucket
+// cells and the edges' covered sub-cells where exact mode's plan for the
+// query folds them, else the interior's rows. Online mode folds the cells
+// (Cells) as the exact part of its answer and samples the candidates the
+// plan refines (Edges). The zero Buckets has no index and no interior.
 type Buckets struct{ ix rowIndex }
 
 // RangeBuckets returns exact mode's index plan for q over t at opt's
 // morsel size (choosePlan, the one compile runs): the bucket cells it
-// folds, else the value index of one of its WHERE's intervals, else none.
-// Its edge buckets are whole: the plan takes no second level.
-// For a WHERE that is one interval of a numeric column, Index is nil when
-// the column has none — a run-length column, an empty one, a morsel size
-// past storage.MaxIndexMorsel — and then one bucket holds every row: the
-// whole column is the edge. The lookups, and any build, run under the
-// spans exact mode opens for them.
+// folds, with its edges' second level, else the value index of one of its
+// WHERE's intervals, else none. For a WHERE that is one interval of a
+// numeric column, Index is nil when the column has none — a run-length
+// column, an empty one, a morsel size past storage.MaxIndexMorsel — and
+// then one bucket holds every row: the whole column is the edge. The
+// lookups, and any build, run under the spans exact mode opens for them.
 func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (Buckets, error) {
 	var ak *aggKernel
 	if q.HasAggregates() || len(q.GroupBy) > 0 {
@@ -196,7 +197,7 @@ func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOption
 		kern, _ = expr.CompileKernel(t, q.Where)
 	}
 	morsel := par.NewPool(par.Options{Parallelism: opt.Parallelism, MorselSize: opt.MorselSize}).MorselSize()
-	ix, err := choosePlan(t, kern, ak, q, morsel, false, trace.FromContext(ctx))
+	ix, err := choosePlan(t, kern, ak, q, morsel, trace.FromContext(ctx))
 	return Buckets{ix}, err
 }
 
@@ -207,31 +208,44 @@ func (b Buckets) Index() *storage.ValueIndex { return b.ix.vi }
 // Run returns the bucket run [bl, bh]; bl > bh when the range is empty.
 func (b Buckets) Run() (bl, bh int) { return b.ix.bl, b.ix.bh }
 
-// Cells calls fold with each interior cell exact mode folds — one that
-// holds rows and whose key the plan qualifies — in (bucket, key) order,
-// and returns how many it folded; none without cells.
+// Parts returns the parts of the edge buckets bl and bh the plan refines:
+// the runs of sub-buckets holding the bounds, or storage.Whole where the
+// plan has no second level.
+func (b Buckets) Parts() (pl, ph storage.Part) {
+	if b.ix.lo == nil {
+		return storage.Whole, storage.Whole
+	}
+	return b.ix.pl, b.ix.ph
+}
+
+// Cells calls fold with each cell exact mode folds — one that holds rows
+// and whose key the plan qualifies — the interior's in (bucket, key)
+// order, then the edges' covered sub-cells, and returns how many it
+// folded; none without cells.
 func (b Buckets) Cells(fold func(*storage.Cell)) int {
 	ix := &b.ix
 	if ix.cells == nil {
 		return 0
 	}
 	n := 0
-	cells := ix.cells.Interior(ix.bl, ix.bh)
-	for i := range cells {
-		if c := &cells[i]; cellIn(c, ix.kl, ix.kh) {
-			fold(c)
-			n++
+	subs := ix.subCells()
+	for _, cells := range [][]storage.Cell{ix.cells.Interior(ix.bl, ix.bh), subs[0], subs[1]} {
+		for i := range cells {
+			if c := &cells[i]; cellIn(c, ix.kl, ix.kh) {
+				fold(c)
+				n++
+			}
 		}
 	}
 	return n
 }
 
 // Edges appends to dst the candidates exact mode's plan refines, over
-// every morsel, ascending — the edge buckets' rows beside cells, none for
-// the cells of a query with no WHERE, else the rows of the run — and
-// returns the extended slice, with ok true. They are a superset of the
-// rows the WHERE keeps outside the cells. It appends none and returns ok
-// false when the plan has no index, or no cells and a run the column's
+// every morsel, ascending — the rows of the edges' parts beside cells,
+// none for the cells of a query with no WHERE, else the rows of the run —
+// and returns the extended slice, with ok true. They are a superset of
+// the rows the WHERE keeps outside the cells. It appends none and returns
+// ok false when the plan has no index, or no cells and a run the column's
 // sample puts more than indexCrossover of the rows in: exact mode scans
 // most of such a run's morsels, and its candidates would be most of the
 // table.

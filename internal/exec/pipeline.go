@@ -151,10 +151,11 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions)
 // The zero Buckets has no interior: sel is the whole input. The Buckets of
 // q's range (RangeBuckets) adds the rows of the buckets strictly inside
 // its run, which lie inside the range; sel must then list the range's
-// rows in the run's edge buckets alone. Where exact mode's plan folds the
-// interior's bucket cells, so does this one, after sel's rows; otherwise
-// each morsel's interior rows, read from the value index, are merged into
-// its share of sel.
+// rows in the parts of the run's edge buckets alone (Buckets.Parts).
+// Where exact mode's plan folds the interior's bucket cells and the edges'
+// covered sub-cells, so does this one, after sel's rows; otherwise each
+// morsel's interior rows, read from the value index, are merged into its
+// share of sel.
 func ExecuteSel(ctx context.Context, t *storage.Table, b Buckets, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
@@ -267,7 +268,7 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 			}
 		}
 		var err error
-		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), true, sp); err != nil {
+		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
 			return nil, err
 		}
 	}

@@ -26,13 +26,30 @@ import (
 // ("" without GROUP BY).
 func execTruth(tb testing.TB, t *storage.Table, q aqp.Query) map[string]float64 {
 	tb.Helper()
+	return truthBy(tb, t, q, exec.Execute)
+}
+
+// pipelineTruth is execTruth from exact mode's pipeline at one worker,
+// which holds a morsel's rows at a time where the reference evaluator
+// holds a vector of the table's: on a table of millions of rows, some
+// hundred megabytes.
+func pipelineTruth(tb testing.TB, t *storage.Table, q aqp.Query) map[string]float64 {
+	tb.Helper()
+	return truthBy(tb, t, q, func(t *storage.Table, q exec.Query) (*storage.Table, error) {
+		return exec.ExecuteOpts(t, q, exec.ExecOptions{Parallelism: 1})
+	})
+}
+
+// truthBy is q's exact answer per group, by run.
+func truthBy(tb testing.TB, t *storage.Table, q aqp.Query, run func(*storage.Table, exec.Query) (*storage.Table, error)) map[string]float64 {
+	tb.Helper()
 	eq := exec.Query{Where: q.Where}
 	if q.GroupBy != "" {
 		eq.Select = append(eq.Select, exec.SelectItem{Col: q.GroupBy})
 		eq.GroupBy = []string{q.GroupBy}
 	}
 	eq.Select = append(eq.Select, exec.SelectItem{Col: q.Col, Agg: q.Agg})
-	res, err := exec.Execute(t, eq)
+	res, err := run(t, eq)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -730,26 +747,32 @@ func TestLaneAtDoneIsExec(t *testing.T) {
 }
 
 // coverageTable has three groups of unequal size (60/30/10 %) with
-// different, mildly skewed measure distributions.
-func coverageTable(tb testing.TB, n int, seed int64) *storage.Table {
+// different, mildly skewed measure distributions. The groups are appended
+// to g, an empty string column: a plain one, or a dictionary-coded one
+// (storage.EncodeDict(nil)), which holds no string per row, so a table of
+// millions of rows costs its codes and measures alone.
+func coverageTable(tb testing.TB, n int, seed int64, g storage.Column) *storage.Table {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	gv := make([]string, n)
 	xv := make([]float64, n)
-	for i := range gv {
+	for i := range xv {
+		var group string
 		switch u := rng.Float64(); {
 		case u < 0.6:
-			gv[i], xv[i] = "a", 100+rng.NormFloat64()*15
+			group, xv[i] = "a", 100+rng.NormFloat64()*15
 		case u < 0.9:
-			gv[i], xv[i] = "b", 40+rng.ExpFloat64()*20
+			group, xv[i] = "b", 40+rng.ExpFloat64()*20
 		default:
-			gv[i], xv[i] = "c", 300+rng.NormFloat64()*60
+			group, xv[i] = "c", 300+rng.NormFloat64()*60
+		}
+		if err := g.Append(storage.String_(group)); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	t, err := storage.FromColumns("d", storage.Schema{
 		{Name: "g", Type: storage.TString},
 		{Name: "x", Type: storage.TFloat},
-	}, []storage.Column{storage.NewStringColumn(gv), storage.NewFloatColumn(xv)})
+	}, []storage.Column{g, storage.NewFloatColumn(xv)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -786,10 +809,17 @@ func orderedTable(tb testing.TB, n int) *storage.Table {
 	return t
 }
 
+// servedBatch is online mode's batch (core's onlineBatch): a stratum of
+// at most that many rows is read whole in the served path's first batch,
+// which then reports no interval.
+const servedBatch = 4096
+
 // mixedRun is the two-strata feed of online mode's cells path over
-// table: exact mode's bucket cells for q (exec.RangeBuckets) folded as the
-// exact stratum, and frac of its edge candidates read. It fails the test
-// when the cells refuse q.
+// table: exact mode's bucket cells for q (exec.RangeBuckets), with its
+// edges' covered sub-cells, folded as the exact stratum, and frac of its
+// edge candidates — the rows of the two sub-buckets holding the bounds —
+// read. It fails the test when the cells refuse q, or when the edge
+// stratum fits in one served batch, whose interval is never reported.
 func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac float64) ([]aqp.GroupEstimate, error) {
 	eq := exec.Query{Where: q.Where, Select: []exec.SelectItem{{Col: q.Col, Agg: q.Agg}}}
 	if q.GroupBy != "" {
@@ -801,6 +831,9 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 		tb.Fatal(err)
 	}
 	edges, _ := b.Edges(nil)
+	if len(edges) <= servedBatch {
+		tb.Fatalf("%v: an edge stratum of %d rows fits in one batch of %d", q, len(edges), servedBatch)
+	}
 	r, err := NewEdges(table, q, edges, seed)
 	if err != nil {
 		return nil, err
@@ -817,8 +850,10 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 // per reported interval; the floor is the nominal 95 % less three binomial
 // standard deviations at the trial count (the intervals of one trial are
 // not independent, so the trial count is the honest sample size). The
-// two-strata feed is stopped at those shares of its edge stratum, which
-// its range's cut through two value buckets makes larger than a batch.
+// two-strata feed is stopped at those shares of its edge stratum, the
+// rows of the two sub-buckets its range's bounds fall in, which its
+// 5M-row table makes larger than a batch: a stratum of one batch or
+// less is read whole on the served path and reports no interval.
 // The permutation is read twice: over rows drawn independently of their
 // position, and over rows whose measure and group follow their position,
 // where only a walk whose every prefix is spread over the whole table
@@ -829,11 +864,8 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 		trials = 200
 	)
 	floor := 0.95 - 3*math.Sqrt(0.95*0.05/trials)
-	tbl := coverageTable(t, n, 41)
-	big, _, err := storage.EncodeTable(coverageTable(t, 300_000, 43), storage.EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := coverageTable(t, n, 41, storage.NewStringColumn(nil))
+	big := coverageTable(t, 5_000_000, 43, storage.EncodeDict(nil))
 	span := expr.And(expr.Cmp("x", expr.GE, storage.Float(70)), expr.Cmp("x", expr.LT, storage.Float(260)))
 	xcol, err := tbl.ColumnByName("x")
 	if err != nil {
@@ -912,7 +944,11 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 			table = f.table
 		}
 		for _, q := range f.queries {
-			truth := execTruth(t, table, q)
+			exact := execTruth
+			if table == big {
+				exact = pipelineTruth
+			}
+			truth := exact(t, table, q)
 			for _, frac := range []float64{0.05, 0.10, 0.25, 0.50} {
 				covered, intervals := 0, 0
 				for trial := int64(0); trial < trials; trial++ {

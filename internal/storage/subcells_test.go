@@ -30,8 +30,11 @@ func subOfRow(b *storage.ValueBuckets, c storage.Column, r int) (k, j int, ok bo
 // (IntSub, FloatSub), through ValueIndex.Edges asked for one sub-bucket of
 // two adjacent buckets at a time: each row it returns lies in one of them
 // and in that sub-bucket, and the eight sub-buckets return every row of
-// the two. The columns are the adversarial ones: the int64 extremes, 2^53
-// neighbours, NaN, ±Inf, both zeros, 9 values, and all-equal.
+// the two. ValueIndex.BucketPart, asked for runs of sub-buckets that
+// cover a bucket, returns the bucket's rows in each run, ascending, and
+// every row once. The columns are the adversarial ones: the int64
+// extremes, 2^53 neighbours, NaN, ±Inf, both zeros, 9 values, and
+// all-equal.
 func TestSubBucketsMatchValues(t *testing.T) {
 	const n, morsel = 30_001, 1000
 	tab := viTable(t, rand.New(rand.NewSource(36)), n)
@@ -59,6 +62,22 @@ func TestSubBucketsMatchValues(t *testing.T) {
 				if want := vi.Count(m, b, b+1); total != want {
 					t.Fatalf("%s morsel %d buckets %d,%d: %d rows over the sub-buckets, %d in the buckets", col, m, b, b+1, total, want)
 				}
+			}
+		}
+		for b := 0; b < storage.NumBuckets; b++ {
+			total := 0
+			for _, p := range []storage.Part{{Lo: 0, Hi: 0}, {Lo: 1, Hi: 2}, {Lo: 3, Hi: 6}, {Lo: 7, Hi: 7}} {
+				rows = vi.BucketPart(b, p, rows[:0])
+				for i, r := range rows {
+					k, sub, ok := subOfRow(vi.ValueBuckets, c, r)
+					if !ok || k != b || sub < int(p.Lo) || sub > int(p.Hi) || i > 0 && r <= rows[i-1] {
+						t.Fatalf("%s bucket %d part %v: row %d (%v) is in bucket %d sub-bucket %d", col, b, p, r, c.Value(r), k, sub)
+					}
+				}
+				total += len(rows)
+			}
+			if want := len(vi.BucketPart(b, storage.Whole, nil)); total != want {
+				t.Fatalf("%s bucket %d: %d rows over its parts, %d in it", col, b, total, want)
 			}
 		}
 	}

@@ -353,18 +353,29 @@ func (x *ValueIndex) Edges(m, bl, bh int, pl, ph Part, dst []int) []int {
 	return dst
 }
 
-// Bucket appends to dst the rows of bucket b, ascending, and returns the
-// extended slice: each morsel's offsets in b, morsel after morsel.
-func (x *ValueIndex) Bucket(b int, dst []int) []int {
+// BucketPart appends to dst the rows of bucket b whose sub-bucket lies in
+// part p (Whole: every row of b), ascending — each morsel's offsets in b,
+// morsel after morsel — and returns the extended slice; dst grows once,
+// by exactly their count.
+func (x *ValueIndex) BucketPart(b int, p Part, dst []int) []int {
 	n := 0
-	for m := 0; m*x.morsel < x.n; m++ {
-		n += x.Count(m, b, b)
+	for base := 0; base < x.n; base += x.morsel {
+		st := x.starts[base/x.morsel*(valueBuckets+1):]
+		if p == Whole {
+			n += int(st[b+1] - st[b])
+			continue
+		}
+		for _, s := range x.sub[base+int(st[b]) : base+int(st[b+1])] {
+			n += b2i(s-p.Lo <= p.Hi-p.Lo)
+		}
 	}
 	dst = slices.Grow(dst, n)
 	for base := 0; base < x.n; base += x.morsel {
 		st := x.starts[base/x.morsel*(valueBuckets+1):]
-		for _, o := range x.rows[base+int(st[b]) : base+int(st[b+1])] {
-			dst = append(dst, base+int(o))
+		lo, hi := base+int(st[b]), base+int(st[b+1])
+		offs, subs := x.rows[lo:hi], x.sub[lo:hi]
+		for i := p.next(subs, 0); i < len(offs); i = p.next(subs, i+1) {
+			dst = append(dst, base+int(offs[i]))
 		}
 	}
 	return dst

@@ -198,7 +198,7 @@ func TestValueIndexBucket(t *testing.T) {
 			}
 			seen := 0
 			for b := 0; b < storage.NumBuckets; b++ {
-				rows := vi.Bucket(b, nil)
+				rows := vi.BucketPart(b, storage.Whole, nil)
 				seen += len(rows)
 				for i, r := range rows {
 					var bl, bh int
