@@ -14,7 +14,8 @@ test:
 # cancellation, admission and scheduling tests behave differently on one
 # core than on four, and tier-1 has to be green at all of them. The cracker
 # index is among them: read-locked probes share its mark-bitmap free list,
-# and concurrent first cracked queries make one cracker per edge bucket.
+# and concurrent first cracked queries make one cracker per (bucket,
+# sub-bucket).
 # So is storage: concurrent first queries share one value-index build and
 # one bucket-cells build — a drill-down's, a two-range query's, or an
 # aggregate's with no WHERE racing a drill-down over the same cell set.
@@ -37,9 +38,8 @@ test-cpus:
 # WHERE, and cracked aggregates reading an edge bucket's cracker while a
 # writer cracks inside it. The last three lines are CI's "Concurrent probe
 # parity (race)" step: the concurrent cracked-probe harnesses at more
-# cores, where concurrent touches of an edge bucket, or of the sub-bucket
-# holding a bound (TestConcurrentCrackedSubPartsBuildOnce), count under
-# one lock and make one cracker; the built-once and index-build-fault tests, where
+# cores, where concurrent touches of the sub-bucket holding a bound
+# count under one lock and make one cracker per (bucket, sub-bucket); the built-once and index-build-fault tests, where
 # concurrent first queries share one value-index, bucket-cells or edge
 # second-level build and a failed build is retried by a waiter or the next
 # query; and exec's parity harnesses, TestFloatSumBitForBitAcrossPaths and

@@ -127,8 +127,8 @@ func TestAggKernelNeverSlower(t *testing.T) {
 }
 
 // TestCrackedPartsNeverSlower holds cracked mode's two-level partition —
-// the value index's buckets, with only the edge buckets a range cuts
-// cracked, and the interior folded from bucket cells — to the path it
+// the value index's buckets, with only the sub-buckets holding a range's
+// bounds cracked, and the interior folded from bucket cells — to the path it
 // replaced: on a fixed session of drill-downs and roll-ups over one column
 // of a fresh index — each aggregate grouped by a dictionary column over
 // one input, as IDEBench's closing window asks them — the engine must
@@ -136,9 +136,9 @@ func TestAggKernelNeverSlower(t *testing.T) {
 // over the whole column for the row ids and runs the same aggregate over
 // them (ExecuteSel), at one worker. Best of five fresh sessions each, plus
 // the guards' jitter allowance. Then the arm cracking must win, a range
-// narrower than one bucket: once its cracker is made (the bucket is read
-// as rows until then, as exact mode reads it) and has converged on the
-// bounds, cracked mode reads fewer rows than exact mode refines, every
+// narrower than one bucket: once its crackers are made (the sub-buckets
+// holding its bounds are read as rows until then) and have converged on
+// the bounds, cracked mode reads fewer rows than exact mode refines, every
 // row of the bucket (its edge candidates).
 func TestCrackedPartsNeverSlower(t *testing.T) {
 	if testing.Short() {

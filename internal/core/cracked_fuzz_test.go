@@ -27,7 +27,7 @@ import (
 // derived from id and chosen by the same draw, so it costs no byte. A last
 // draw tiles the table's rows 1, 2, 4, 8 or 16 times, so a range can have
 // an interior the bucket cells answer. Each query runs crackTouch+1 times
-// in cracked mode — its edge buckets read as rows until the crackTouch-th
+// in cracked mode — its bound sub-buckets read as rows until the crackTouch-th
 // touch makes their crackers, the later rounds against the cuts the
 // earlier ones left — and must answer exactly what exact mode answers at
 // the same parallelism and morsel size and what the reference evaluator
@@ -239,12 +239,16 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 // TestCrackedFuzzCorpusReachesEdges requires FuzzCrackedVsExact's corpus
 // to reach both levels of cracked mode's partition through built
 // crackers, not only edges read as rows: queries whose interior the
-// bucket cells answer beside cracked edge buckets, scalar and grouped (the
-// edges-cells-* entries were checked in for this), and ranges that lie
-// inside one value bucket, which crack that bucket alone
-// (edges-one-bucket); and, in every entry, the last asking of a query
-// builds no cracker, so a change that stops crackers being kept or found
-// again fails on the corpus itself, not only in a long fuzzing run.
+// bucket cells answer beside cracked bound sub-buckets, scalar and grouped
+// (the edges-cells-* entries were checked in for this); ranges that lie
+// inside one value bucket, which crack the one sub-bucket holding both
+// bounds, or the two holding them (edges-one-bucket-two-subs: a range
+// below the column's least value, in bucket 0, whose sub-splits no
+// sampled row drew); and ranges over the run-length column r, which has
+// no value index and answers as exact mode does (no-index-rle). In every
+// entry the last asking of a query builds no cracker, so a change that
+// stops crackers being kept or found again fails on the corpus itself,
+// not only in a long fuzzing run.
 func TestCrackedFuzzCorpusReachesEdges(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCrackedVsExact", "*"))
 	if err != nil || len(files) == 0 {
@@ -274,12 +278,17 @@ func TestCrackedFuzzCorpusReachesEdges(t *testing.T) {
 				reached["cells and edges, scalar"]++
 			case run.cells && edges > 0:
 				reached["cells and edges, grouped"]++
-			case run.bucketed && edges == 1:
+			case run.crack["buckets"] == int64(1) && edges == 1:
 				reached["one bucket"]++
+			case run.crack["buckets"] == int64(1) && edges == 2:
+				reached["one bucket, two sub-buckets"]++
+			case run.crack["fallback"] == "no index":
+				reached["no index"]++
 			}
 		})
 	}
-	for _, want := range []string{"cells and edges, scalar", "cells and edges, grouped", "one bucket"} {
+	for _, want := range []string{"cells and edges, scalar", "cells and edges, grouped", "one bucket",
+		"one bucket, two sub-buckets", "no index"} {
 		if reached[want] == 0 {
 			t.Errorf("no corpus entry reaches %s: %v", want, reached)
 		}

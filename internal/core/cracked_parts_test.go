@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,12 +74,10 @@ func partsQuery(where *expr.Pred, input string, grouped bool) exec.Query {
 }
 
 // crackedRun is what a traced cracked query's spans say: the crack span's
-// attributes, whether the range had value buckets, whether their interior
-// was folded from bucket cells, and how many of the edges' sub-cells were
-// folded beside them.
+// attributes, whether the range's interior was folded from bucket cells,
+// and how many of the edges' sub-cells were folded beside them.
 type crackedRun struct {
 	crack    map[string]any
-	bucketed bool
 	cells    bool
 	subCells int64
 }
@@ -98,7 +97,6 @@ func crackSpan(t *testing.T, e *Engine, q exec.Query) (*storage.Table, crackedRu
 		switch c.Name {
 		case "crack":
 			run.crack = c.Attrs
-			_, run.bucketed = c.Attrs["buckets"]
 		case "scan":
 			_, run.cells = c.Attrs["bucket_cells"]
 		case "cells":
@@ -214,11 +212,12 @@ func TestCrackedPartsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCrackedPartsReuseAndRebuild: a range's edge buckets are read as rows
-// on their first crackTouch-1 touches, with no cracker made and nothing
-// cracked; on the crackTouch-th they get a cracker each, under the write
-// lock; asked again it probes them under the read lock and makes none; a
-// range inside one bucket makes and cracks that bucket's alone; another
+// TestCrackedPartsReuseAndRebuild: the sub-buckets holding a range's
+// bounds are read as rows on their first crackTouch-1 touches, with no
+// cracker made and nothing cracked; on the crackTouch-th they get a
+// cracker each, under the write lock; asked again it probes them under the
+// read lock and makes none; a range inside one sub-bucket makes and cracks
+// that sub-bucket's alone; another
 // input or shape behind the same range reuses the same crackers, which
 // belong to the column, not to the query; the interior is folded from
 // cells when the shape allows, and read as rows when it does not; the
@@ -292,34 +291,122 @@ func TestCrackedPartsReuseAndRebuild(t *testing.T) {
 	}
 }
 
+// boundSubs is where a cracked range's bounds fall in its column's value
+// index: the run's edge buckets bl and bh, the sub-bucket sl of bl holding
+// its least value and the sub-bucket sh of bh holding its greatest.
+type boundSubs struct{ bl, bh, sl, sh int }
+
+// subsOf returns the value index of e's table t's column col at the given
+// morsel size, and where the range lo <= col <= hi falls in it (lo and hi
+// are truncated for an INT column).
+func subsOf(t *testing.T, e *Engine, col string, morsel int, lo, hi float64) (*storage.ValueIndex, boundSubs) {
+	t.Helper()
+	vi, _, err := current(t, e, "t").t.ValueIndex(col, morsel)
+	if err != nil || vi == nil {
+		t.Fatalf("%s: no value index (%v)", col, err)
+	}
+	var s boundSubs
+	if col == "x" || col == "f" {
+		s.bl, s.bh = vi.FloatRange(lo, hi)
+		s.sl, s.sh = vi.FloatSub(s.bl, lo), vi.FloatSub(s.bh, hi)
+	} else {
+		s.bl, s.bh = vi.IntRange(int64(lo), int64(hi))
+		s.sl, s.sh = vi.IntSub(s.bl, int64(lo)), vi.IntSub(s.bh, int64(hi))
+	}
+	return vi, s
+}
+
+// keys returns the keys of the crackers the range cracks over column col:
+// one per sub-bucket holding a bound.
+func (s boundSubs) keys(col string) []crackKey {
+	if s.bl == s.bh && s.sl == s.sh {
+		return []crackKey{{col, s.bl, s.sl}}
+	}
+	return []crackKey{{col, s.bl, s.sl}, {col, s.bh, s.sh}}
+}
+
+// subRows returns the rows of vi's bucket k in its sub-buckets from
+// through to, none when from > to.
+func subRows(vi *storage.ValueIndex, k, from, to int) []int {
+	if from > to {
+		return nil
+	}
+	return vi.BucketPart(k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, nil)
+}
+
+// findRange returns the first range lo <= x <= lo+w over e's table t,
+// w stepping up from 0.001, whose bounds' buckets and sub-buckets in x's
+// value index at the given morsel size satisfy ok, and where they fall.
+func findRange(t *testing.T, e *Engine, morsel int, lo float64, ok func(boundSubs) bool) (*expr.Pred, boundSubs) {
+	t.Helper()
+	for w := 0.001; w < 10; w += 0.001 {
+		if _, s := subsOf(t, e, "x", morsel, lo, lo+w); ok(s) {
+			return expr.And(expr.Cmp("x", expr.GE, storage.Float(lo)), expr.Cmp("x", expr.LE, storage.Float(lo+w))), s
+		}
+	}
+	t.Fatalf("no range on x from %v satisfies the arm", lo)
+	return nil, boundSubs{}
+}
+
+// twoSubsOfOneBucket reports whether a range lies inside one bucket with
+// its bounds in different sub-buckets.
+func twoSubsOfOneBucket(s boundSubs) bool { return s.bl == s.bh && s.sl != s.sh }
+
 // TestCrackedEdgesBuildOnTheKthTouch: a range's first crackTouch-1
-// touches make no cracker and read the parts of its edge buckets exact
-// mode's plan refines — the rows scanned grow by exactly the edges' rows
-// beside the cells and sub-cells, plus the rows the sink takes, which is
-// what an exact query reads — and the crackTouch-th makes the crackers,
-// after which the query reads only the rows it keeps, never more than an
-// exact query. An INT and a FLOAT column, scalar and grouped.
+// touches make no cracker and read only the rows of the two sub-buckets
+// holding its bounds, which they filter, beside the rest of the edges'
+// parts exact mode refines, which lies wholly inside the range and is
+// listed from the value index unread. The rows scanned grow by exactly the
+// bound sub-buckets' rows plus the rows the sink takes — the bound
+// sub-buckets' rows inside the range and the listed rest — computed here
+// from the value index and the column, and never by more than an exact
+// query's. The crackTouch-th touch makes the crackers, after which the
+// query reads only the rows it keeps. An INT and a FLOAT column, scalar
+// and grouped.
 func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 	if crackTouch < 2 {
 		t.Fatalf("crackTouch = %d: a bucket's first touch must not make its cracker", crackTouch)
 	}
 	tab := partsTable(rand.New(rand.NewSource(67)), 24_000)
-	opt := exec.ExecOptions{Parallelism: 1, MorselSize: 256}
+	const morsel = 256
+	opt := exec.ExecOptions{Parallelism: 1, MorselSize: morsel}
 	e := New(Options{Seed: 1, Exec: opt})
 	if err := e.Register(tab); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []exec.Query{
-		partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(150)), expr.Cmp("k", expr.LT, storage.Int(850))), "f", false),
-		partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(12.5)), expr.Cmp("x", expr.LT, storage.Float(77.5))), "n", true),
+	for _, c := range []struct {
+		col       string
+		lo, above float64
+		q         exec.Query
+	}{
+		{"k", 150, 850, partsQuery(expr.And(expr.Cmp("k", expr.GE, storage.Int(150)), expr.Cmp("k", expr.LT, storage.Int(850))), "f", false)},
+		{"x", 12.5, 77.5, partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(12.5)), expr.Cmp("x", expr.LT, storage.Float(77.5))), "n", true)},
 	} {
+		q := c.q
 		b, err := exec.RangeBuckets(context.Background(), current(t, e, "t").t, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edgeRows, ok := b.Edges(nil)
-		if !ok {
-			t.Fatalf("%s: no edge rows beside cells", q)
+		hi := c.above - 1
+		if c.col == "x" {
+			hi = math.Nextafter(c.above, math.Inf(-1))
+		}
+		vi, s := subsOf(t, e, c.col, morsel, c.lo, hi)
+		if bl, bh := b.Run(); s.bl != bl || s.bh != bh || bl >= bh {
+			t.Fatalf("%s: run [%d, %d], the index puts it at [%d, %d]; want two edge buckets", q, bl, bh, s.bl, s.bh)
+		}
+		pl, ph := b.Parts()
+		bound := append(subRows(vi, s.bl, s.sl, s.sl), subRows(vi, s.bh, s.sh, s.sh)...)
+		rest := len(subRows(vi, s.bl, s.sl+1, int(pl.Hi))) + len(subRows(vi, s.bh, int(ph.Lo), s.sh-1))
+		col, err := current(t, e, "t").t.ColumnByName(c.col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKept := int64(rest)
+		for _, r := range bound {
+			if x := col.Value(r).AsFloat(); x >= c.lo && x < c.above {
+				wantKept++
+			}
 		}
 		for touch := 1; touch <= crackTouch+1; touch++ {
 			before := e.RowsScanned()
@@ -334,25 +421,28 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 			if err := tablesIdentical(want, got); err != nil {
 				t.Fatalf("%s, touch %d: %v", q, touch, err)
 			}
-			c := run.crack
-			kept, _ := c["rows_out"].(int64)
+			cs := run.crack
 			if !run.cells {
 				t.Fatalf("%s, touch %d: the interior was not folded from cells", q, touch)
 			}
+			if cs["rows_out"] != wantKept || read > exactRead {
+				t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want %d edge rows kept, no more read than exact mode",
+					q, touch, cs, read, exactRead, wantKept)
+			}
 			switch {
 			case touch < crackTouch:
-				if c["edges_scanned"] != int64(2) || c["edges_built"] != int64(0) || read != int64(len(edgeRows))+kept || read != exactRead {
-					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges read as rows, none made, %d edge rows and %d kept",
-						q, touch, c, read, exactRead, len(edgeRows), kept)
+				if cs["edges_scanned"] != int64(2) || cs["edges_built"] != int64(0) || read != int64(len(bound))+wantKept {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read; want both bound sub-buckets read as rows, none made, %d of their rows and %d kept",
+						q, touch, cs, read, len(bound), wantKept)
 				}
 			default:
 				built := int64(0)
 				if touch == crackTouch {
 					built = 2
 				}
-				if c["edges_scanned"] != int64(0) || c["edges_built"] != built || read != kept || read > exactRead {
-					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both edges probed, %d made, only the %d rows kept read",
-						q, touch, c, read, exactRead, built, kept)
+				if cs["edges_scanned"] != int64(0) || cs["edges_built"] != built || read != wantKept {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read; want both edges probed, %d made, only the %d rows kept read",
+						q, touch, cs, read, built, wantKept)
 				}
 			}
 		}
@@ -361,14 +451,19 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 
 // TestCrackedSubPartsMatchExact: at 2^17 rows, where an edge bucket has a
 // second level (the fuzzers' tables, of at most 510 rows, have none),
-// cracked aggregates over an INT and a FLOAT column, scalar and
-// dict-grouped, fold the edges' covered sub-cells and crack only the
-// sub-buckets holding their bounds. Each query is asked crackTouch+1
-// times — its edges read as rows, then cracked, then probed — and every
-// answer must equal exact mode's bit for bit and read no more rows than
-// exact mode's, exactly as many where both edges are read as rows. Every
-// cracker made holds one sub-bucket's rows, fewer than its bucket's; a
-// scalar and a grouped query over one range share them.
+// cracked queries over an INT and a FLOAT column crack only the
+// sub-buckets holding their bounds: aggregates, scalar and dict-grouped,
+// over a wide range, which fold the edges' covered sub-cells beside the
+// interior's cells; a range inside one bucket whose bounds fall in
+// different sub-buckets, which cracks both and lists the ones between;
+// and plans with no cells, whose edge parts are whole buckets — a
+// projection over a wide range and an aggregate over two adjacent
+// buckets. Each query is asked crackTouch+1 times — its bound sub-buckets
+// read as rows, then cracked, then probed — and on every touch the answer
+// must equal exact mode's bit for bit, read no more rows than exact
+// mode's (exactly as many where a cells plan reads both edges as rows),
+// and every cracker made must hold exactly one sub-bucket's rows. A
+// scalar and a grouped query over one range share their crackers.
 func TestCrackedSubPartsMatchExact(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(70)), 1<<17)
 	const morsel = 4096
@@ -376,8 +471,13 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 	if err := e.Register(tab); err != nil {
 		t.Fatal(err)
 	}
+	type ask struct {
+		q     exec.Query
+		cells bool
+		what  string
+	}
 	rng := rand.New(rand.NewSource(71))
-	var queries []exec.Query
+	var asks []ask
 	for _, col := range []string{"k", "x"} {
 		for i, input := range []string{"n", "f", "m"} {
 			lo, hi := storage.Int(rng.Int63n(400)), storage.Int(500+rng.Int63n(400))
@@ -385,11 +485,46 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 				lo, hi = storage.Float(rng.Float64()*40), storage.Float(50+rng.Float64()*40)
 			}
 			where := expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, []expr.Op{expr.LT, expr.LE}[i%2], hi))
-			queries = append(queries, partsQuery(where, input, false), partsQuery(where, input, true))
+			asks = append(asks, ask{partsQuery(where, input, false), true, "cells"}, ask{partsQuery(where, input, true), true, "cells"})
+		}
+	}
+	if _, err := e.Execute("t", asks[len(asks)-1].q, Exact); err != nil { // builds x's value index
+		t.Fatal(err)
+	}
+	oneBucket, _ := findRange(t, e, morsel, 33.3, twoSubsOfOneBucket)
+	adjacent, _ := findRange(t, e, morsel, 61.7, func(s boundSubs) bool { return s.bh == s.bl+1 })
+	wide := expr.And(expr.Cmp("k", expr.GE, storage.Int(250)), expr.Cmp("k", expr.LT, storage.Int(750)))
+	asks = append(asks,
+		ask{partsQuery(oneBucket, "f", true), false, "one bucket, two sub-buckets"},
+		ask{exec.Query{Select: []exec.SelectItem{{Col: "n"}, {Col: "f"}}, Where: wide}, false, "a projection"},
+		ask{partsQuery(adjacent, "n", false), false, "two adjacent buckets"})
+	// oneSub fails unless every cracker holds exactly the rows of its
+	// sub-bucket.
+	oneSub := func(what string) {
+		t.Helper()
+		v := current(t, e, "t")
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for key, c := range v.cracks {
+			var rows []int
+			switch ed := c.(type) {
+			case *edge[int64]:
+				rows = ed.rows
+			case *edge[float64]:
+				rows = ed.rows
+			}
+			vi, _, err := v.t.ValueIndex(key.col, morsel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := subRows(vi, key.bucket, key.sub, key.sub); !slices.Equal(rows, want) {
+				t.Errorf("%s: cracker %+v holds %d rows; want its sub-bucket's %d", what, key, len(rows), len(want))
+			}
 		}
 	}
 	var folded, shared int
-	for _, q := range queries {
+	for _, a := range asks {
+		q := a.q
 		for touch := 1; touch <= crackTouch+1; touch++ {
 			before := e.RowsScanned()
 			want, err := e.Execute("t", q, Exact)
@@ -400,15 +535,16 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			before = e.RowsScanned()
 			got, run := crackSpan(t, e, q)
 			read := e.RowsScanned() - before
+			what := fmt.Sprintf("%s: %s, touch %d", a.what, q, touch)
 			if err := tablesIdentical(want, got); err != nil {
-				t.Fatalf("%s, touch %d: %v", q, touch, err)
+				t.Fatalf("%s: %v", what, err)
 			}
 			c := run.crack
-			if !run.cells || c["edges"] != int64(2) {
-				t.Fatalf("%s, touch %d: crack span %v, cells %v; want two edges beside cells", q, touch, c, run.cells)
+			if run.cells != a.cells || c["edges"] != int64(2) {
+				t.Fatalf("%s: crack span %v, cells %v; want two edges, cells %v", what, c, run.cells, a.cells)
 			}
-			if read > exactRead || c["edges_scanned"] == int64(2) && read != exactRead {
-				t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d", q, touch, c, read, exactRead)
+			if read > exactRead || a.cells && c["edges_scanned"] == int64(2) && read != exactRead {
+				t.Errorf("%s: crack span %v, %d rows read, exact mode %d", what, c, read, exactRead)
 			}
 			if run.subCells > 0 {
 				folded++
@@ -416,31 +552,13 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			if touch == 1 && c["edges_scanned"] == int64(0) {
 				shared++
 			}
+			oneSub(what)
 		}
 	}
 	if folded == 0 || shared == 0 {
 		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made; want some of each", folded, shared)
 	}
-	v := current(t, e, "t")
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for key, c := range v.cracks {
-		rows := 0
-		switch ed := c.(type) {
-		case *edge[int64]:
-			rows = len(ed.rows)
-		case *edge[float64]:
-			rows = len(ed.rows)
-		}
-		vi, _, err := v.t.ValueIndex(key.col, morsel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bucket := len(vi.BucketPart(key.bucket, storage.Whole, nil)); key.sub < 0 || rows >= bucket {
-			t.Errorf("cracker %+v holds %d rows of its bucket's %d; want one sub-bucket's", key, rows, bucket)
-		}
-	}
-	if len(v.cracks) == 0 {
+	if len(current(t, e, "t").cracks) == 0 {
 		t.Error("no cracker made")
 	}
 }
@@ -604,33 +722,43 @@ func TestConcurrentCrackedPartsMatchOracle(t *testing.T) {
 }
 
 // TestConcurrentCrackedEdgesBuiltOnce: under every variant, concurrent
-// first queries over the same range make one cracker per edge bucket — the
-// losers of the race find the winner's — and concurrent first queries of a
-// range inside one bucket make that bucket's alone; every answer equals
-// exact mode's. Run it with -race.
+// first queries over the same range make exactly one cracker per
+// (bucket, sub-bucket) key they touch — the sub-buckets holding its two
+// bounds, read from the value index — and the losers of the race find the
+// winner's: a wide range makes two, and a range inside one bucket makes
+// two when its bounds' sub-buckets differ, one when they share one. Every
+// answer equals exact mode's, and the crackers kept are exactly the keys
+// touched. Run it with -race.
 func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(65)), 24_000)
+	const morsel = 512
 	for _, copt := range []crack.Options{
 		{Variant: crack.Standard},
 		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
 		{Variant: crack.HybridSort, SortMin: 16},
 	} {
 		t.Run(copt.Variant.String(), func(t *testing.T) {
-			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 512}})
+			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: morsel}})
 			if err := e.Register(tab); err != nil {
 				t.Fatal(err)
 			}
-			for _, step := range []struct {
-				where *expr.Pred
-				edges int64
-			}{
-				{expr.And(expr.Cmp("x", expr.GE, storage.Float(10)), expr.Cmp("x", expr.LT, storage.Float(90))), 2},
-				{expr.And(expr.Cmp("x", expr.GE, storage.Float(50)), expr.Cmp("x", expr.LT, storage.Float(50.01))), 1},
-			} {
-				q := partsQuery(step.where, "n", true)
+			touched := map[crackKey]bool{}
+			for _, r := range []struct {
+				lo, above float64
+				oneBucket bool
+			}{{10, 90, false}, {50, 50.01, true}} {
+				q := partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(r.lo)), expr.Cmp("x", expr.LT, storage.Float(r.above))), "n", true)
 				want, err := e.Execute("t", q, Exact)
 				if err != nil {
 					t.Fatal(err)
+				}
+				_, s := subsOf(t, e, "x", morsel, r.lo, math.Nextafter(r.above, math.Inf(-1)))
+				if (s.bl == s.bh) != r.oneBucket {
+					t.Fatalf("%s: run [%d, %d]; want one bucket %v", q, s.bl, s.bh, r.oneBucket)
+				}
+				keys := s.keys("x")
+				for _, k := range keys {
+					touched[k] = true
 				}
 				var mu sync.Mutex
 				var wg sync.WaitGroup
@@ -642,31 +770,36 @@ func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
 						got, run := crackSpan(t, e, q)
 						mu.Lock()
 						defer mu.Unlock()
-						if err := tablesIdentical(want, got); err != nil || run.crack["edges"] != step.edges {
-							t.Errorf("%s: %v, crack span %v", q, err, run.crack)
+						if err := tablesIdentical(want, got); err != nil || run.crack["edges"] != int64(len(keys)) {
+							t.Errorf("%s: %v, crack span %v; want %d edges", q, err, run.crack, len(keys))
 						}
 						built += run.crack["edges_built"].(int64)
 					}()
 				}
 				wg.Wait()
-				if built != step.edges {
-					t.Errorf("%s: concurrent first queries made %d crackers for %d edge buckets", q, built, step.edges)
+				if built != int64(len(keys)) {
+					t.Errorf("%s: concurrent first queries made %d crackers for the %d sub-buckets %v", q, built, len(keys), keys)
 				}
 			}
 			e.mu.Lock()
-			n := len(current(t, e, "t").cracks)
-			e.mu.Unlock()
-			if n != 3 {
-				t.Errorf("%d crackers; want one per edge bucket, 3", n)
+			defer e.mu.Unlock()
+			cracks := current(t, e, "t").cracks
+			for k := range cracks {
+				if !touched[k] {
+					t.Errorf("cracker %+v; no query's bound lies in it", k)
+				}
+			}
+			if len(cracks) != len(touched) {
+				t.Errorf("%d crackers; want one per (bucket, sub-bucket) touched, %d: %v", len(cracks), len(touched), touched)
 			}
 		})
 	}
 }
 
 // TestConcurrentCrackedKthTouchBuildsOnce: under every variant, concurrent
-// queries over a range whose edge buckets have had crackTouch-1 touches
-// make one cracker per edge bucket — the touch counted first makes it, the
-// others find it — and none reads an edge as rows; every answer equals
+// queries over a range whose bound sub-buckets have had crackTouch-1
+// touches make one cracker per sub-bucket — the touch counted first makes
+// it, the others find it — and none reads an edge as rows; every answer equals
 // exact mode's. Run it with -race.
 func TestConcurrentCrackedKthTouchBuildsOnce(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(68)), 24_000)
@@ -718,53 +851,78 @@ func TestConcurrentCrackedKthTouchBuildsOnce(t *testing.T) {
 // concurrent queries at the crackTouch-th touch of the sub-buckets holding
 // its bounds make one cracker per (bucket, sub-bucket) — the touch
 // counted first makes it, the others find it — and none reads an edge as
-// rows; every answer equals exact mode's. Run it with -race.
+// rows: a wide range beside sub-cells, and a range inside one bucket whose
+// bounds fall in two sub-buckets, each making two. Every answer equals
+// exact mode's, and the crackers kept are exactly the bound sub-buckets'.
+// Run it with -race.
 func TestConcurrentCrackedSubPartsBuildOnce(t *testing.T) {
 	tab := partsTable(rand.New(rand.NewSource(72)), 1<<17)
+	const morsel = 4096
 	for _, copt := range []crack.Options{
 		{Variant: crack.Standard},
 		{Variant: crack.Stochastic, StochasticMin: 16, Seed: 3},
 		{Variant: crack.HybridSort, SortMin: 16},
 	} {
 		t.Run(copt.Variant.String(), func(t *testing.T) {
-			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 4096}})
+			e := New(Options{Seed: 1, CrackOptions: copt, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: morsel}})
 			if err := e.Register(tab); err != nil {
 				t.Fatal(err)
 			}
-			q := partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(17.3)), expr.Cmp("x", expr.LT, storage.Float(81.9))), "n", false)
-			want, err := e.Execute("t", q, Exact)
-			if err != nil {
+			wide := partsQuery(expr.And(expr.Cmp("x", expr.GE, storage.Float(17.3)), expr.Cmp("x", expr.LT, storage.Float(81.9))), "n", false)
+			if _, err := e.Execute("t", wide, Exact); err != nil { // builds x's value index
 				t.Fatal(err)
 			}
-			warmUp(func() { crackSpan(t, e, q) })
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			built := int64(0)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got, run := crackSpan(t, e, q)
-					mu.Lock()
-					defer mu.Unlock()
-					if err := tablesIdentical(want, got); err != nil || run.subCells == 0 ||
-						run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
-						t.Errorf("%s: %v, crack span %v, %d sub-cells", q, err, run.crack, run.subCells)
-					}
-					built += run.crack["edges_built"].(int64)
-				}()
-			}
-			wg.Wait()
-			v := current(t, e, "t")
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			for key := range v.cracks {
-				if key.sub < 0 {
-					t.Errorf("cracker %+v holds a whole bucket; want a sub-bucket's", key)
+			_, ws := subsOf(t, e, "x", morsel, 17.3, math.Nextafter(81.9, math.Inf(-1)))
+			narrow, ns := findRange(t, e, morsel, 44.4, twoSubsOfOneBucket)
+			touched := map[crackKey]bool{}
+			for _, step := range []struct {
+				q     exec.Query
+				cells bool
+				keys  []crackKey
+			}{
+				{wide, true, ws.keys("x")},
+				{partsQuery(narrow, "f", true), false, ns.keys("x")},
+			} {
+				q := step.q
+				want, err := e.Execute("t", q, Exact)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if n, left := len(v.cracks), len(v.touches); built != 2 || n != 2 || left != 0 {
-				t.Errorf("concurrent touches %d on made %d crackers, %d kept, %d touch counts left; want 2, 2, 0", crackTouch, built, n, left)
+				warmUp(func() { crackSpan(t, e, q) })
+				var mu sync.Mutex
+				var wg sync.WaitGroup
+				built := int64(0)
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got, run := crackSpan(t, e, q)
+						mu.Lock()
+						defer mu.Unlock()
+						if err := tablesIdentical(want, got); err != nil || (run.subCells > 0) != step.cells ||
+							run.crack["edges"] != int64(2) || run.crack["edges_scanned"] != int64(0) {
+							t.Errorf("%s: %v, crack span %v, %d sub-cells", q, err, run.crack, run.subCells)
+						}
+						built += run.crack["edges_built"].(int64)
+					}()
+				}
+				wg.Wait()
+				for _, k := range step.keys {
+					touched[k] = true
+				}
+				v := current(t, e, "t")
+				e.mu.Lock()
+				n, left := len(v.cracks), len(v.touches)
+				for key := range v.cracks {
+					if !touched[key] {
+						t.Errorf("%s: cracker %+v; want only the bound sub-buckets' %v", q, key, touched)
+					}
+				}
+				e.mu.Unlock()
+				if built != 2 || n != len(touched) || left != 0 {
+					t.Errorf("%s: concurrent touches %d on made %d crackers, %d kept, %d touch counts left; want 2, %d, 0",
+						q, crackTouch, built, n, left, len(touched))
+				}
 			}
 		})
 	}
@@ -813,7 +971,7 @@ func TestConcurrentCrackedStatsDoNotBlockQueries(t *testing.T) {
 	} {
 		b := &blockingCracker{entered: make(chan struct{}), release: make(chan struct{})}
 		e.mu.Lock()
-		current(t, e, "blocked").cracks[crackKey{"v", -1, -1}] = b
+		current(t, e, "blocked").cracks[crackKey{"v", 0, 0}] = b
 		e.mu.Unlock()
 		done := make(chan struct{})
 		go func() {

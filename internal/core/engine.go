@@ -94,7 +94,7 @@ const (
 type Options struct {
 	Seed int64
 	// CrackOptions configures the adaptive indexes: the crackers of the
-	// value buckets a cracked query's bounds fall in.
+	// value sub-buckets a cracked query's bounds fall in.
 	CrackOptions crack.Options
 	// Exec tunes the execution pipeline used by the Exact mode, the
 	// post-join query, and the post-probe stage of Cracked mode (the crack
@@ -152,8 +152,8 @@ type Engine struct {
 type version struct {
 	t       *storage.Table          // nil for an in-situ table
 	raw     *rawload.RawTable       // nil for an in-memory table
-	cracks  map[crackKey]cracker    // a column's value bucket or sub-bucket → its cracker
-	touches map[crackKey]touchCount // a bucket or sub-bucket → its touches while it has no cracker
+	cracks  map[crackKey]cracker    // a column's value sub-bucket → its cracker
+	touches map[crackKey]touchCount // a sub-bucket → its touches while it has no cracker
 }
 
 // New creates an engine.
@@ -569,47 +569,52 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 // executeCracked answers a one-column range query through the range
 // partition the column's value index already has, at the level exact
 // mode's plan for it refines (exec.RangeBuckets): its equi-depth buckets,
-// and under bucket cells each edge bucket's sub-buckets. The buckets
-// strictly inside the range's bucket run hold only rows inside it, and so
-// do an edge's sub-buckets past the one holding its bound, so only the
-// parts of the one or two edge buckets the plan refines (Buckets.Parts)
-// are cracked, each through a crack index over its own rows, made on its
-// crackTouch-th touch (edgeCracker): over the sub-bucket holding the bound
-// where the plan cuts the edge, else over the whole bucket. Until then a
-// touch reads the part's rows from the value index and keeps those inside
-// the range, the candidates exact mode refines. The edge rows inside the
-// range, ascending, are the pipeline's selection, and the rest is read as
-// exact mode reads it: the interior's bucket cells and the edges' covered
-// sub-cells folded when exact mode's plan folds them, else the interior's
-// rows. A column with no value index is one bucket: its cracker holds the
-// whole column and is made on the first touch, so a run-length column is
-// decoded once. Either way the answer equals exact mode's bit for bit —
-// group order, projection order, MIN/MAX values and ties, and every
-// SUM/AVG, whose one float sum no worker count or fold order moves —
-// however far the crackers have cracked.
+// each cut into the index's sub-buckets. The buckets strictly inside the
+// range's bucket run hold only rows inside it, and so does every
+// sub-bucket of an edge bucket between its bound's sub-bucket and the
+// range's other side, so only the sub-buckets holding the two bounds are
+// cracked (crackEdges), each through a crack index over its own rows,
+// made on its crackTouch-th touch (edgeCracker). Until then a touch reads
+// the sub-bucket's rows from the value index and keeps those inside the
+// range. The rest of each edge's part (Buckets.Parts; storage.Whole where
+// the plan has no second level) is listed from the index unfiltered. The
+// edge rows inside the range, ascending, are the pipeline's selection, and
+// the rest is read as exact mode reads it: the interior's bucket cells and
+// the edges' covered sub-cells folded when exact mode's plan folds them,
+// else the interior's rows. A column with no value index — run-length
+// coded, empty, or under a morsel size past storage.MaxIndexMorsel — has
+// no partition to crack and runs exact mode's pipeline. Either way the
+// answer equals exact mode's bit for bit — group order, projection order,
+// MIN/MAX values and ties, and every SUM/AVG, whose one float sum no
+// worker count or fold order moves — however far the crackers have
+// cracked.
 func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	t, err := v.table(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	iv, reason := crackable(q.Where, t.Schema())
+	var b exec.Buckets
+	if reason == "" {
+		if b, err = exec.RangeBuckets(ctx, t, q, e.opt.Exec); err != nil {
+			return nil, err
+		}
+		if b.Index() == nil {
+			reason = "no index"
+		}
+	}
+	// Every cracked-mode query opens the span, so one that did not crack
+	// says why.
+	csp := trace.FromContext(ctx).Child("crack")
 	if reason != "" {
-		// Every cracked-mode query opens the span, so one that did not
-		// crack says why.
-		csp := trace.FromContext(ctx).Child("crack")
 		csp.SetStr("fallback", reason)
 		csp.End()
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
-	}
-	b, err := exec.RangeBuckets(ctx, t, q, e.opt.Exec)
-	if err != nil {
-		return nil, err
 	}
 	// The probes synchronize inside each cracker: boundary-aligned lookups
 	// share its read lock, reorganizing ones take the write lock. The stats
 	// come from the probes' own critical sections, so the span reflects the
 	// crackers this query actually saw.
-	csp := trace.FromContext(ctx).Child("crack")
 	csp.SetStr("col", iv.Col)
 	var sel []int
 	var st edgeStats
@@ -625,10 +630,8 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 		return nil, err
 	}
 	defer e.giveRowVec(sel)
-	if b.Index() != nil {
-		bl, bh := b.Run()
-		csp.SetInt("buckets", int64(max(bh-bl+1, 0)))
-	}
+	bl, bh := b.Run()
+	csp.SetInt("buckets", int64(max(bh-bl+1, 0)))
 	csp.SetInt("edges", int64(st.edges))
 	csp.SetInt("edges_scanned", int64(st.scanned))
 	csp.SetInt("edges_built", int64(st.built))
@@ -646,33 +649,12 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	return exec.ExecuteSel(ctx, t, b, sel, q, e.opt.Exec)
 }
 
-// edgeStats sums what a query's edge probes saw: the edges read, those
-// read without a cracker and the crackers made, the write lock if any
-// probe took it, and the probed crackers' pieces and cracks.
+// edgeStats sums what a query's edge probes saw: the sub-buckets probed,
+// those read without a cracker and the crackers made, the write lock if
+// any probe took it, and the probed crackers' pieces and cracks.
 type edgeStats struct {
 	edges, scanned, built, pieces, cracks int
 	lock                                  crack.LockMode
-}
-
-// edgePart is what a cracked query reads of one edge bucket: bucket k of
-// the value index (-1 for a column with none, whose one bucket is the
-// whole column) and the part p of it the plan refines. sub is the index's
-// sub-bucket holding the edge's bound, -1 when p is the whole bucket. low
-// marks the run's lower edge, whose sub-buckets above sub lie inside the
-// range; the upper edge's below sub do.
-type edgePart struct {
-	k, sub int
-	p      storage.Part
-	low    bool
-}
-
-// edgeAt returns the edge bucket k whose part p holds the bound x.
-func edgeAt[T int64 | float64](vi *storage.ValueIndex, k int, p storage.Part, x T, low bool) edgePart {
-	ep := edgePart{k: k, sub: -1, p: p, low: low}
-	if p != storage.Whole {
-		ep.sub = subOf(vi, k, x)
-	}
-	return ep
 }
 
 // subOf returns the sub-bucket of vi's bucket k that holds x.
@@ -683,53 +665,84 @@ func subOf[T int64 | float64](vi *storage.ValueIndex, k int, x T) int {
 	return vi.IntSub(k, any(x).(int64))
 }
 
-// crackEdges returns the rows of the parts of b's edge buckets whose value
-// v in column col satisfies lo <= v < above (lo <= v when not bounded),
-// ascending, in a vector from the engine's free list; hi is the range's
-// greatest value, which the upper edge's part holds. The low edge is
-// probed from lo up: every value it holds is under above unless it is the
-// run's only bucket. The high one is probed from least, the type's least
+// crackEdges returns the rows of b's edge buckets whose value v in column
+// col satisfies lo <= v < above (lo <= v when not bounded), but for those
+// in the sub-cells exact mode folds, ascending, in a vector from the
+// engine's free list; hi is the range's greatest value. The sub-buckets holding lo
+// and hi are probed (probeSub), the one holding both once. The lower one
+// is probed from lo up: every value it holds is under above unless it
+// holds hi too. The upper one is probed from least, the type's least
 // value, so that each of its probes cracks at most at above, and a
-// drill-down in its range reads every value it holds below above.
+// drill-down in its range reads every value it holds below above. The
+// sub-buckets between them within their edge's part — within the one
+// bucket, for a range inside one — hold only values inside the range and
+// are listed from the index.
 func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, hi, above T, bounded bool, least T) ([]int, edgeStats, error) {
 	var st edgeStats
 	vi := b.Index()
 	bl, bh := b.Run()
-	pl, ph := b.Parts()
-	if vi == nil {
-		bl, bh = -1, -1 // one bucket, the whole column
-	}
 	if bl > bh {
 		return e.takeRowVec(0), st, nil
 	}
-	low, err := probeEdge(e, v, t, col, vi, edgeAt(vi, bl, pl, lo, true), lo, above, bounded && bl == bh, &st)
-	if err != nil || bl == bh {
-		return low, st, err
+	sl, sh := subOf(vi, bl, lo), subOf(vi, bh, hi)
+	if bl == bh && sl == sh {
+		rows, err := probeSub(e, v, t, col, vi, bl, sl, lo, above, bounded, &st)
+		return rows, st, err
 	}
-	high, err := probeEdge(e, v, t, col, vi, edgeAt(vi, bh, ph, hi, false), least, above, bounded, &st)
+	low, err := probeSub(e, v, t, col, vi, bl, sl, lo, above, false, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	high, err := probeSub(e, v, t, col, vi, bh, sh, least, above, bounded, &st)
 	if err != nil {
 		e.giveRowVec(low)
 		return nil, st, err
 	}
-	return e.mergeRowVecs(low, high), st, nil
+	rows := e.mergeRowVecs(low, high)
+	if bl == bh {
+		return e.listSubs(rows, vi, bl, sl+1, sh-1), st, nil
+	}
+	pl, ph := b.Parts()
+	rows = e.listSubs(rows, vi, bl, sl+1, int(pl.Hi))
+	return e.listSubs(rows, vi, bh, int(ph.Lo), sh-1), st, nil
 }
 
-// probeEdge returns the rows of edge ep's part (the whole column when vi
-// is nil) whose value v satisfies lo <= v < above (lo <= v when not
-// bounded), ascending, and adds the probe to st. While the part has no
-// cracker its rows are read (scanEdge). A whole bucket's cracker serves
-// any part of its bucket, probed within the part's values; a sub-bucket's
-// serves its own rows, and the part's other sub-buckets on the range's
-// side of the bound, wholly inside the range, are read from the index.
-func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
-	ed, built, err := edgeCracker[T](e, v, t, col, vi, ep.k, ep.sub)
+// listSubs merges into rows, ascending, the rows of vi's bucket k in its
+// sub-buckets from through to (none when from > to).
+func (e *Engine) listSubs(rows []int, vi *storage.ValueIndex, k, from, to int) []int {
+	if from > to {
+		return rows
+	}
+	part := vi.BucketPart(k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, e.takeRowVec(0))
+	return e.mergeRowVecs(rows, part)
+}
+
+// probeSub returns the rows of sub-bucket j of vi's bucket k whose value v
+// satisfies lo <= v < above (lo <= v when not bounded), ascending, and
+// adds the probe to st. While the sub-bucket has no cracker its rows are
+// read from the index and kept in place, which is what exact mode
+// refines, and counted as scanned, as exact mode counts them.
+func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k, j int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
+	ed, built, err := edgeCracker[T](e, v, t, col, vi, k, j)
 	if err != nil {
 		return nil, err
 	}
 	st.edges++
 	if ed == nil {
 		st.scanned++
-		return scanEdge(e, t, col, vi, ep, lo, above, bounded)
+		xs, err := crackValues[T](t, col)
+		if err != nil {
+			return nil, err
+		}
+		rows := vi.BucketPart(k, storage.Part{Lo: uint8(j), Hi: uint8(j)}, e.takeRowVec(0))
+		e.counters.Scanned.Add(int64(len(rows)))
+		out := rows[:0]
+		for _, r := range rows {
+			if x := xs[r]; lo <= x && (!bounded || x < above) {
+				out = append(out, r)
+			}
+		}
+		return out, nil
 	}
 	var rows []int
 	var ps crack.ProbeStats
@@ -741,12 +754,10 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 	if err != nil {
 		return nil, err
 	}
-	if ed.rows != nil {
-		// The cracker's row ids are positions in its ascending rows, so
-		// mapping them keeps them ascending.
-		for i, p := range rows {
-			rows[i] = ed.rows[p]
-		}
+	// The cracker's row ids are positions in its ascending rows, so
+	// mapping them keeps them ascending.
+	for i, p := range rows {
+		rows[i] = ed.rows[p]
 	}
 	if built {
 		st.built++
@@ -754,57 +765,7 @@ func probeEdge[T int64 | float64](e *Engine, v *version, t *storage.Table, col s
 	st.lock = max(st.lock, ps.Lock)
 	st.pieces += ps.Pieces
 	st.cracks += ps.Cracks
-	switch {
-	case ed.sub < 0 && ep.p != storage.Whole:
-		return keepPart[T](t, col, vi, ep, rows)
-	case ed.sub >= 0:
-		from, to := int(ep.p.Lo), ed.sub-1
-		if ep.low {
-			from, to = ed.sub+1, int(ep.p.Hi)
-		}
-		if from <= to { // the cellsPerRow rule merged sub-buckets into the part
-			rest := vi.BucketPart(ep.k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, e.takeRowVec(0))
-			rows = e.mergeRowVecs(rows, rest)
-		}
-	}
 	return rows, nil
-}
-
-// keepPart keeps, in place, the rows of edge ep's bucket whose value lies
-// in its part: a whole bucket's cracker serves a part of its bucket so,
-// probed at the range's bounds, which cracks it at no new value.
-func keepPart[T int64 | float64](t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, rows []int) ([]int, error) {
-	xs, err := crackValues[T](t, col)
-	if err != nil {
-		return nil, err
-	}
-	out := rows[:0]
-	for _, r := range rows {
-		if j := subOf(vi, ep.k, xs[r]); j >= int(ep.p.Lo) && j <= int(ep.p.Hi) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// scanEdge returns the rows of edge ep's part whose value v satisfies
-// lo <= v < above (lo <= v when not bounded), ascending: the part's rows,
-// read from the value index and kept in place, which is what exact mode
-// refines. It counts them as scanned, as exact mode does.
-func scanEdge[T int64 | float64](e *Engine, t *storage.Table, col string, vi *storage.ValueIndex, ep edgePart, lo, above T, bounded bool) ([]int, error) {
-	xs, err := crackValues[T](t, col)
-	if err != nil {
-		return nil, err
-	}
-	rows := vi.BucketPart(ep.k, ep.p, e.takeRowVec(0))
-	e.counters.Scanned.Add(int64(len(rows)))
-	out := rows[:0]
-	for _, r := range rows {
-		if x := xs[r]; lo <= x && (!bounded || x < above) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // mergeRowVecs merges a and b, each ascending and the two disjoint, into
@@ -840,8 +801,8 @@ func (e *Engine) takeRowVec(n int) []int {
 
 // giveRowVec recycles v; four vectors per core are kept, since more
 // queries than that do not run at once for long, and a cracked query
-// holds four at most: one edge's rows while the other's cracker rows, the
-// rows beside them in its part and their merge are out.
+// holds three at most: its edge rows so far, a probe's or a listed part's
+// rows, and their merge.
 func (e *Engine) giveRowVec(v []int) {
 	e.mu.Lock()
 	if len(e.rowVecs) < 4*runtime.GOMAXPROCS(0) {
@@ -851,11 +812,9 @@ func (e *Engine) giveRowVec(v []int) {
 }
 
 // crackKey names one of a version's crackers: the value bucket of a
-// column it cracks and the value index's sub-bucket of it whose rows it
-// holds — the one holding a range's bound, which depends on the data
-// alone, so every input and key over the column shares it — or sub -1 for
-// the whole bucket; bucket -1 is a column with no value index, whose one
-// bucket is the whole column.
+// column and the value index's sub-bucket of it whose rows it holds — one
+// holding a range's bound, which depends on the data alone, so every
+// input and key over the column shares it.
 type crackKey struct {
 	col         string
 	bucket, sub int
@@ -868,20 +827,19 @@ type cracker interface {
 	Cracks() int
 }
 
-// edge is one bucket's cracker, or one sub-bucket's: a crack index over
-// the values of its rows, whose row ids are positions in rows.
+// edge is one sub-bucket's cracker: a crack index over the values of its
+// rows, whose row ids are positions in rows.
 type edge[T int64 | float64] struct {
 	*crack.Index[T]
-	bounds *storage.ValueBuckets // the bucket bounds it was cut under; nil for a whole column
-	sub    int                   // the sub-bucket whose rows it holds; -1 for a whole bucket or column
-	rows   []int                 // its rows, ascending; nil for a whole column, whose positions are rows
+	bounds *storage.ValueBuckets // the bucket bounds it was cut under
+	rows   []int                 // its rows, ascending
 }
 
-// crackTouch is the touch of a cracker's key — a value bucket, or the
-// sub-bucket of one holding a bound — that makes its cracker. The touches
-// before it read the part's rows, so a part no later query comes back to
-// costs no copy of them: the cost-aware trigger of adaptive adaptive
-// indexing (Schuhknecht, Dittrich and Linden, ICDE 2018), per part.
+// crackTouch is the touch of a cracker's key — the sub-bucket of a value
+// bucket holding a bound — that makes its cracker. The touches before it
+// read the sub-bucket's rows, so a sub-bucket no later query comes back
+// to costs no copy of them: the cost-aware trigger of adaptive adaptive
+// indexing (Schuhknecht, Dittrich and Linden, ICDE 2018), per sub-bucket.
 const crackTouch = 3
 
 // touchCount counts a cracker key's touches while it has no cracker, under
@@ -892,71 +850,47 @@ type touchCount struct {
 }
 
 // sameBounds reports whether bucket bounds a and b are drawn to the same
-// values; nil, a whole column's, matches only nil.
-func sameBounds(a, b *storage.ValueBuckets) bool {
-	return a == b || a != nil && b != nil && *a == *b
-}
+// values.
+func sameBounds(a, b *storage.ValueBuckets) bool { return a == b || *a == *b }
 
-// edgeCracker returns v's cracker of the rows of bucket k of t's column
-// col in the value index's sub-bucket sub, or of the whole bucket when sub
-// is -1, cut under vi's bounds, or of the whole column when vi is nil;
-// built reports whether this call made it. Where the bucket has a whole
-// cracker, that is returned for any sub-bucket of it: it serves every
-// part. A cracker is made on the crackTouch-th touch of its key: a touch
-// before that counts itself and returns a nil cracker, and the caller
-// reads the rows. The whole column's is made on the first. Counting and
-// making share one critical section, so concurrent crackTouch-th touches
-// make one cracker. An INT or run-coded INT column cracks as int64, a
-// FLOAT one as float64. Under other bounds — the table grew and its
-// buckets were drawn again — the count starts again and the cracker is
-// made anew; bounds drawn again to the same values, as an in-situ table's
-// are for each query's materialized table, keep both.
+// edgeCracker returns v's cracker of the rows of sub-bucket sub of bucket
+// k of t's column col, cut under vi's bounds; built reports whether this
+// call made it. A cracker is made on the crackTouch-th touch of its key: a
+// touch before that counts itself and returns a nil cracker, and the
+// caller reads the rows. Counting and making share one critical section,
+// so concurrent crackTouch-th touches make one cracker. An INT column
+// cracks as int64, a FLOAT one as float64. Under other bounds — the table
+// grew and its buckets were drawn again — the count starts again and the
+// cracker is made anew; bounds drawn again to the same values, as an
+// in-situ table's are for each query's materialized table, keep both.
 func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k, sub int) (ed *edge[T], built bool, err error) {
-	key := crackKey{col, -1, -1}
-	var bounds *storage.ValueBuckets
-	if vi != nil {
-		key.bucket, key.sub, bounds = k, sub, vi.ValueBuckets
-	}
+	key, bounds := crackKey{col, k, sub}, vi.ValueBuckets
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, at := range [2]crackKey{{col, key.bucket, -1}, key} {
-		if ed, ok := v.cracks[at].(*edge[T]); ok && sameBounds(ed.bounds, bounds) {
-			return ed, false, nil
-		}
+	if ed, ok := v.cracks[key].(*edge[T]); ok && sameBounds(ed.bounds, bounds) {
+		return ed, false, nil
 	}
-	if vi != nil {
-		tc := v.touches[key]
-		if !sameBounds(tc.bounds, bounds) {
-			tc = touchCount{bounds: bounds}
-		}
-		if tc.n++; tc.n < crackTouch {
-			v.touches[key] = tc
-			return nil, false, nil
-		}
-		delete(v.touches, key)
+	tc, ok := v.touches[key]
+	if !ok || !sameBounds(tc.bounds, bounds) {
+		tc = touchCount{bounds: bounds}
 	}
+	if tc.n++; tc.n < crackTouch {
+		v.touches[key] = tc
+		return nil, false, nil
+	}
+	delete(v.touches, key)
 	xs, err := crackValues[T](t, col)
 	if err != nil {
 		return nil, false, err
 	}
-	ed = &edge[T]{bounds: bounds, sub: key.sub}
-	if vi == nil {
-		ed.Index = crack.New(xs, e.opt.CrackOptions)
-	} else {
-		p := storage.Whole
-		if sub >= 0 {
-			p = storage.Part{Lo: uint8(sub), Hi: uint8(sub)}
-		}
-		ed.rows = vi.BucketPart(k, p, nil)
-		ed.Index = crack.NewAt(xs, ed.rows, e.opt.CrackOptions)
-	}
+	rows := vi.BucketPart(k, storage.Part{Lo: uint8(sub), Hi: uint8(sub)}, nil)
+	ed = &edge[T]{Index: crack.NewAt(xs, rows, e.opt.CrackOptions), bounds: bounds, rows: rows}
 	v.cracks[key] = ed
 	return ed, true, nil
 }
 
 // crackValues returns the values of t's column col as a cracker reads
-// them: an INT or run-coded INT column's as int64, a FLOAT one's as
-// float64.
+// them: an INT column's as int64, a FLOAT one's as float64.
 func crackValues[T int64 | float64](t *storage.Table, col string) ([]T, error) {
 	c, err := t.ColumnByName(col)
 	if err != nil {
@@ -966,10 +900,6 @@ func crackValues[T int64 | float64](t *storage.Table, col string) ([]T, error) {
 	switch c := c.(type) {
 	case *storage.IntColumn:
 		vals = c.V
-	case *storage.RLEIntColumn:
-		// Cracking reorganizes its own copy of the values, which defeats the
-		// run-length representation anyway — decode once and crack that.
-		vals = c.Decode().V
 	case *storage.FloatColumn:
 		vals = c.V
 	}

@@ -27,8 +27,9 @@
 // inside a range partition it already has, the coarse-granular index of
 // Schuhknecht, Jindal and Dittrich ("The Uncracked Pieces in Database
 // Cracking", PVLDB 2013): the value index's equi-depth buckets are the top
-// level, and an Index over one bucket's values alone is the bottom level,
-// made the first time a query's bound falls inside that bucket. An Index
+// level, and an Index over the values of one of a bucket's sub-buckets
+// alone is the bottom level, made once enough queries' bounds have fallen
+// inside that sub-bucket. An Index
 // knows nothing of that: its row ids are positions in the slice it was
 // made from, which the engine maps back to table rows.
 //

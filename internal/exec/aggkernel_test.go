@@ -505,7 +505,9 @@ func TestScalarSinkKeepsPartialsInOneSlab(t *testing.T) {
 	t.Logf("per query: %d B, %d mallocs at 64 morsels; %d B, %d mallocs at 1024", fewB, fewM, manyB, manyM)
 	// The slack is a stray allocation beside the query, averaged over the
 	// reps: the 960 extra morsels may not cost one byte each between them.
-	if manyB > fewB+64 {
+	// The race detector's own allocations move the bytes by more than
+	// that, so under it only the allocation count is held.
+	if manyB > fewB+64 && !raceEnabled {
 		t.Fatalf("%d B per query at 1024 morsels against %d at 64: an extra morsel costs bytes", manyB, fewB)
 	}
 	if manyM > fewM+1 {

@@ -170,9 +170,10 @@ func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.
 // inside it and whose edge buckets bl and bh it may cut, and the parts of
 // the edge buckets the plan refines (Parts): under bucket cells, the
 // sub-buckets holding the bounds, whose covered neighbours' sub-cells the
-// plan folds; else the whole buckets. Cracked mode cracks the edges' parts
-// alone and hands ExecuteSel their rows inside the range with the
-// Buckets, which reads the rest as exact mode does: the interior's bucket
+// plan folds; else the whole buckets. Cracked mode cracks the sub-buckets
+// holding the bounds, lists the rest of the edges' parts, and hands
+// ExecuteSel those rows inside the range with the Buckets, which reads the
+// rest as exact mode does: the interior's bucket
 // cells and the edges' covered sub-cells where exact mode's plan for the
 // query folds them, else the interior's rows. Online mode folds the cells
 // (Cells) as the exact part of its answer and samples the candidates the
@@ -185,8 +186,8 @@ type Buckets struct{ ix rowIndex }
 // WHERE's intervals, else none. For a WHERE that is one interval of a
 // numeric column, Index is nil when the column has none — a run-length
 // column, an empty one, a morsel size past storage.MaxIndexMorsel — and
-// then one bucket holds every row: the whole column is the edge. The
-// lookups, and any build, run under the spans exact mode opens for them.
+// cracked mode then runs exact mode's pipeline. The lookups, and any
+// build, run under the spans exact mode opens for them.
 func RangeBuckets(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (Buckets, error) {
 	var ak *aggKernel
 	if q.HasAggregates() || len(q.GroupBy) > 0 {

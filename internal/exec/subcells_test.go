@@ -290,9 +290,12 @@ func TestConcurrentSubCellsBuiltOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the cells first, so the clients race on the second level alone.
+	// Build the cells, and the upper edge's second level, first, so the
+	// clients race on the lower edge's level alone: were both edges' levels
+	// left to build, one client could build each, and two spans would say
+	// sub_built with every level still built once.
 	if _, _, err := tracedExec(tab, Query{Select: q.Select, GroupBy: q.GroupBy,
-		Where: expr.And(expr.Cmp("f", expr.GE, storage.Float(-10)), expr.Cmp("f", expr.LT, storage.Float(10)))}, ExecOptions{}); err != nil {
+		Where: expr.And(expr.Cmp("f", expr.GE, storage.Float(-10)), expr.Cmp("f", expr.LT, storage.Float(70)))}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	const clients = 12

@@ -262,7 +262,9 @@ func TestValueIndexBuildBytesFollowNoCores(t *testing.T) {
 		}
 		return b
 	}
-	if one, four := least(1), least(4); one != four {
+	// The race detector's own allocations, and sync.Pool's random drops
+	// under it, move the bytes, so under it the builds run unchecked.
+	if one, four := least(1), least(4); one != four && !raceEnabled {
 		t.Fatalf("a build allocates %d bytes at one P and %d at four", one, four)
 	}
 }
