@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-cpus race vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode fuzz-sum bench bench-smoke bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
+.PHONY: all build test test-cpus race byte-checks vet fmt-check loc fuzz fuzz-kernels fuzz-aggkernels fuzz-rows fuzz-cracked fuzz-online fuzz-merge fuzz-decode fuzz-sum bench bench-smoke bench-concurrency bench-kernels chaos metrics-smoke cluster-smoke
 
 all: vet fmt-check build test
 
@@ -40,8 +40,9 @@ test-cpus:
 # parity (race)" step: the concurrent cracked-probe harnesses at more
 # cores, where concurrent touches of the sub-bucket holding a bound
 # count under one lock and make one cracker per (bucket, sub-bucket); the built-once and index-build-fault tests, where
-# concurrent first queries share one value-index, bucket-cells or edge
-# second-level build and a failed build is retried by a waiter or the next
+# concurrent first queries share one value-index, bucket-cells, edge
+# second-level or sub-bucket row-list build and a failed build is retried
+# by a waiter or the next
 # query; and exec's parity harnesses, TestFloatSumBitForBitAcrossPaths and
 # TestSubCellsMatchScanBitForBit, where every worker's accumulator, each
 # with its own order-free sums, merges in whatever order the workers end,
@@ -52,6 +53,16 @@ race:
 	$(GO) test -race -run 'ConcurrentProbe|CrackedParallel|ConcurrentCracked|ConcurrentReaders' -cpu 1,4,8 -count=2 ./internal/crack/ ./internal/core/
 	$(GO) test -race -run 'BuiltOnce|IndexBuildFault' -cpu 1,4,8 -count=2 ./internal/exec ./internal/storage
 	$(GO) test -race -run 'BitForBit|ParityMatrix|AggKernel' -cpu 1,4,8 -count=2 ./internal/exec
+
+# The byte-exact checks on their own, three times each: a check of the
+# bytes a build or a query allocates can pass inside its package's whole
+# run and fail alone, when what it measures depends on what ran before it
+# (a recycled buffer, a cached goroutine descriptor). CI's "Byte checks
+# alone" step.
+byte-checks:
+	$(GO) test -count=3 -run '^TestValueIndexBuildBytesFollowNoCores$$' ./internal/storage
+	$(GO) test -count=3 -run '^TestScalarSinkKeepsPartialsInOneSlab$$' ./internal/exec
+	$(GO) test -count=3 -run '^TestWorkContract$$' ./internal/bench
 
 vet:
 	$(GO) vet ./...

@@ -24,9 +24,10 @@ import (
 // shapes: a projection, a GROUP BY k with COUNT(*), SUM(x) and MIN(x), and
 // a projection under LIMIT — none of them with ORDER BY. Each is followed
 // by an aggregate cells can answer (cellAsk), over a dictionary column g
-// derived from id and chosen by the same draw, so it costs no byte. A last
+// derived from id and chosen by the same draw, so it costs no byte. A
 // draw tiles the table's rows 1, 2, 4, 8 or 16 times, so a range can have
-// an interior the bucket cells answer. Each query runs crackTouch+1 times
+// an interior the bucket cells answer, and a last one may spread the tiled
+// copies' x apart (spreadX), so a value bucket can hold several values. Each query runs crackTouch+1 times
 // in cracked mode — its bound sub-buckets read as rows until the crackTouch-th
 // touch makes their crackers, the later rounds against the cuts the
 // earlier ones left — and must answer exactly what exact mode answers at
@@ -111,10 +112,22 @@ type crackFzAsk struct {
 // fr stands after the input's last draw, for a fuzzer that draws more.
 type crackFzCase struct {
 	opt        Options
-	n          int
+	base, n    int
 	plain, enc *storage.Table
+	x          []float64 // the FLOAT column x, which both tables share
 	asks       []crackFzAsk
 	fr         *crackFzReader
+}
+
+// spreadX raises the x of every copy c of the base rows by c, so the tiled
+// table holds many distinct FLOAT values, each a few times: a value bucket
+// then holds more than one value, and a range inside it can have its bounds
+// in two of its sub-buckets, which a tiled table of the pools' values alone
+// never gives. It runs before any query, as the table's last draw.
+func (c crackFzCase) spreadX() {
+	for i := c.base; i < len(c.x); i++ {
+		c.x[i] += float64(i / c.base)
+	}
 }
 
 // decodeCrackFz decodes one FuzzCrackedVsExact input.
@@ -150,9 +163,10 @@ func decodeCrackFz(t *testing.T, data []byte) crackFzCase {
 		}
 	}
 	n := base << fr.draw(5)
-	c.n = n
+	c.base, c.n = base, n
 	id, kk, rr := make([]int64, n), make([]int64, n), make([]int64, n)
 	xx := make([]float64, n)
+	c.x = xx
 	g := make([]string, n)
 	for i := range id {
 		id[i] = int64(i)
@@ -196,6 +210,9 @@ func (c crackFzCase) engine(t *testing.T) *Engine {
 // every query's crackTouch+1 runs.
 func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, run crackedRun)) {
 	c := decodeCrackFz(t, data)
+	if c.fr.draw(2) == 1 {
+		c.spreadX()
+	}
 	opt, n := c.opt, c.n
 	e := c.engine(t)
 	for _, a := range c.asks {
@@ -242,10 +259,14 @@ func crackedCase(t *testing.T, data []byte, seen func(q exec.Query, round int, r
 // bucket cells answer beside cracked bound sub-buckets, scalar and grouped
 // (the edges-cells-* entries were checked in for this); ranges that lie
 // inside one value bucket, which crack the one sub-bucket holding both
-// bounds, or the two holding them (edges-one-bucket-two-subs: a range
-// below the column's least value, in bucket 0, whose sub-splits no
-// sampled row drew); and ranges over the run-length column r, which has
-// no value index and answers as exact mode does (no-index-rle). In every
+// bounds, or the two holding them (edges-one-bucket-two-subs-spread:
+// x >= -1 AND x < 0 over a table whose x is spread, in a bucket holding
+// several values — a tiled table of the pools' values holds one value
+// per bucket, every bound of which lies in one sub-bucket, as
+// edges-one-bucket-two-subs's range below the column's least value, in
+// bucket 0, now does); and ranges
+// over the run-length column r, which has no value index and answers as
+// exact mode does (no-index-rle). In every
 // entry the last asking of a query builds no cracker, so a change that
 // stops crackers being kept or found again fails on the corpus itself,
 // not only in a long fuzzing run.

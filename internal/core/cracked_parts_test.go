@@ -59,6 +59,32 @@ func partsTable(rng *rand.Rand, rows int) *storage.Table {
 	return tab
 }
 
+// withDict12 returns tab with a 12-code dictionary column g12 appended,
+// drawn from rng: at 2^17 rows a range's edge buckets grouped by it take a
+// level of two sub-buckets (8 sub-buckets or 4 times 12 keys would break
+// the 16-rows-per-cell rule over a bucket's 512 rows).
+func withDict12(t *testing.T, tab *storage.Table, rng *rand.Rand) *storage.Table {
+	t.Helper()
+	schema, cols := tab.Schema(), []storage.Column{}
+	for _, f := range schema {
+		c, err := tab.ColumnByName(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, c)
+	}
+	g := make([]string, tab.NumRows())
+	for r := range g {
+		g[r] = fmt.Sprintf("h%02d", rng.Intn(12))
+	}
+	out, err := storage.FromColumns(tab.Name(), append(slices.Clone(schema), storage.Field{Name: "g12", Type: storage.TString}),
+		append(cols, storage.EncodeDict(g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // partsQuery is a cell-shaped aggregate over input behind where: COUNT(*),
 // COUNT, SUM, AVG, MIN and MAX, grouped by g or scalar.
 func partsQuery(where *expr.Pred, input string, grouped bool) exec.Query {
@@ -326,12 +352,35 @@ func (s boundSubs) keys(col string) []crackKey {
 }
 
 // subRows returns the rows of vi's bucket k in its sub-buckets from
-// through to, none when from > to.
-func subRows(vi *storage.ValueIndex, k, from, to int) []int {
-	if from > to {
-		return nil
+// through to, none when from > to, ascending: the bucket's rows read from
+// the index's offsets, each kept when the sub-bucket its value in col
+// gets from the bounds lies in [from, to].
+func subRows(col storage.Column, vi *storage.ValueIndex, k, from, to int) []int {
+	var rows []int
+	for m := range vi.Morsels() {
+		for _, r := range vi.Candidates(m, k, k, nil) {
+			var j int
+			switch c := col.(type) {
+			case *storage.IntColumn:
+				j = vi.IntSub(k, c.V[r])
+			case *storage.FloatColumn:
+				j = vi.FloatSub(k, c.V[r])
+			}
+			if from <= j && j <= to {
+				rows = append(rows, r)
+			}
+		}
 	}
-	return vi.BucketPart(k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, nil)
+	return rows
+}
+
+// ints returns a row list as ints.
+func ints(rows []int32) []int {
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = int(r)
+	}
+	return out
 }
 
 // findRange returns the first range lo <= x <= lo+w over e's table t,
@@ -396,12 +445,12 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 			t.Fatalf("%s: run [%d, %d], the index puts it at [%d, %d]; want two edge buckets", q, bl, bh, s.bl, s.bh)
 		}
 		pl, ph := b.Parts()
-		bound := append(subRows(vi, s.bl, s.sl, s.sl), subRows(vi, s.bh, s.sh, s.sh)...)
-		rest := len(subRows(vi, s.bl, s.sl+1, int(pl.Hi))) + len(subRows(vi, s.bh, int(ph.Lo), s.sh-1))
 		col, err := current(t, e, "t").t.ColumnByName(c.col)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bound := append(subRows(col, vi, s.bl, s.sl, s.sl), subRows(col, vi, s.bh, s.sh, s.sh)...)
+		rest := len(subRows(col, vi, s.bl, s.sl+1, int(pl.Hi))) + len(subRows(col, vi, s.bh, int(ph.Lo), s.sh-1))
 		wantKept := int64(rest)
 		for _, r := range bound {
 			if x := col.Value(r).AsFloat(); x >= c.lo && x < c.above {
@@ -463,9 +512,12 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 // must equal exact mode's bit for bit, read no more rows than exact
 // mode's (exactly as many where a cells plan reads both edges as rows),
 // and every cracker made must hold exactly one sub-bucket's rows. A
-// scalar and a grouped query over one range share their crackers.
+// scalar and a grouped query over one range share their crackers. Queries
+// grouped by a 12-code dictionary column g12 cut their edges at a level of
+// two sub-buckets, so the part exact mode refines beside the bound's
+// sub-bucket is the merge of four row lists.
 func TestCrackedSubPartsMatchExact(t *testing.T) {
-	tab := partsTable(rand.New(rand.NewSource(70)), 1<<17)
+	tab := withDict12(t, partsTable(rand.New(rand.NewSource(70)), 1<<17), rand.New(rand.NewSource(74)))
 	const morsel = 4096
 	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: morsel}})
 	if err := e.Register(tab); err != nil {
@@ -486,6 +538,9 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			}
 			where := expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, []expr.Op{expr.LT, expr.LE}[i%2], hi))
 			asks = append(asks, ask{partsQuery(where, input, false), true, "cells"}, ask{partsQuery(where, input, true), true, "cells"})
+			g12 := partsQuery(where, input, true)
+			g12.Select[0], g12.GroupBy = exec.SelectItem{Col: "g12"}, []string{"g12"}
+			asks = append(asks, ask{g12, true, "cells, a level of two"})
 		}
 	}
 	if _, err := e.Execute("t", asks[len(asks)-1].q, Exact); err != nil { // builds x's value index
@@ -509,22 +564,36 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			var rows []int
 			switch ed := c.(type) {
 			case *edge[int64]:
-				rows = ed.rows
+				rows = ints(ed.rows)
 			case *edge[float64]:
-				rows = ed.rows
+				rows = ints(ed.rows)
 			}
 			vi, _, err := v.t.ValueIndex(key.col, morsel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := subRows(vi, key.bucket, key.sub, key.sub); !slices.Equal(rows, want) {
+			col, err := v.t.ColumnByName(key.col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := subRows(col, vi, key.bucket, key.sub, key.sub); !slices.Equal(rows, want) {
 				t.Errorf("%s: cracker %+v holds %d rows; want its sub-bucket's %d", what, key, len(rows), len(want))
 			}
 		}
 	}
-	var folded, shared int
+	var folded, shared, merged int
 	for _, a := range asks {
 		q := a.q
+		if a.what == "cells, a level of two" {
+			b, err := exec.RangeBuckets(context.Background(), current(t, e, "t").t, q, e.opt.Exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl, ph := b.Parts(); pl.Hi-pl.Lo != 3 || ph.Hi-ph.Lo != 3 {
+				t.Fatalf("%s: edge parts %v and %v; want four sub-buckets each", q, pl, ph)
+			}
+			merged++
+		}
 		for touch := 1; touch <= crackTouch+1; touch++ {
 			before := e.RowsScanned()
 			want, err := e.Execute("t", q, Exact)
@@ -555,8 +624,8 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			oneSub(what)
 		}
 	}
-	if folded == 0 || shared == 0 {
-		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made; want some of each", folded, shared)
+	if folded == 0 || shared == 0 || merged == 0 {
+		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made, %d at a level of two; want some of each", folded, shared, merged)
 	}
 	if len(current(t, e, "t").cracks) == 0 {
 		t.Error("no cracker made")

@@ -575,9 +575,9 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 // range's other side, so only the sub-buckets holding the two bounds are
 // cracked (crackEdges), each through a crack index over its own rows,
 // made on its crackTouch-th touch (edgeCracker). Until then a touch reads
-// the sub-bucket's rows from the value index and keeps those inside the
-// range. The rest of each edge's part (Buckets.Parts; storage.Whole where
-// the plan has no second level) is listed from the index unfiltered. The
+// the sub-bucket's row list and keeps the rows inside the range. The rest
+// of each edge's part (Buckets.Parts; storage.Whole where the plan has no
+// second level) is merged in from its sub-buckets' row lists unfiltered. The
 // edge rows inside the range, ascending, are the pipeline's selection, and
 // the rest is read as exact mode reads it: the interior's bucket cells and
 // the edges' covered sub-cells folded when exact mode's plan folds them,
@@ -604,11 +604,14 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 		}
 	}
 	// Every cracked-mode query opens the span, so one that did not crack
-	// says why.
+	// says why. A column with no index runs under the plan already chosen.
 	csp := trace.FromContext(ctx).Child("crack")
 	if reason != "" {
 		csp.SetStr("fallback", reason)
 		csp.End()
+		if reason == "no index" {
+			return exec.ExecutePlanned(ctx, t, b, q, e.opt.Exec)
+		}
 		return exec.ExecuteCtx(ctx, t, q, e.opt.Exec)
 	}
 	// The probes synchronize inside each cracker: boundary-aligned lookups
@@ -676,7 +679,7 @@ func subOf[T int64 | float64](vi *storage.ValueIndex, k int, x T) int {
 // drill-down in its range reads every value it holds below above. The
 // sub-buckets between them within their edge's part — within the one
 // bucket, for a range inside one — hold only values inside the range and
-// are listed from the index.
+// are merged in from their row lists.
 func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, hi, above T, bounded bool, least T) ([]int, edgeStats, error) {
 	var st edgeStats
 	vi := b.Index()
@@ -689,38 +692,52 @@ func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col 
 		rows, err := probeSub(e, v, t, col, vi, bl, sl, lo, above, bounded, &st)
 		return rows, st, err
 	}
-	low, err := probeSub(e, v, t, col, vi, bl, sl, lo, above, false, &st)
-	if err != nil {
-		return nil, st, err
+	// The listed sub-buckets merge first, into a vector with room for the
+	// two probed ones' rows too, whose lists lead lists only to size it;
+	// each probe's rows then merge into it.
+	var buf [2 * storage.NumSubBuckets][]int32
+	lists, err := buf[:0], error(nil)
+	list := func(k, from, to int) {
+		if err == nil {
+			lists, err = vi.PartLists(lists, k, from, to)
+		}
 	}
-	high, err := probeSub(e, v, t, col, vi, bh, sh, least, above, bounded, &st)
-	if err != nil {
-		e.giveRowVec(low)
-		return nil, st, err
-	}
-	rows := e.mergeRowVecs(low, high)
+	list(bl, sl, sl)
+	list(bh, sh, sh)
 	if bl == bh {
-		return e.listSubs(rows, vi, bl, sl+1, sh-1), st, nil
+		list(bl, sl+1, sh-1)
+	} else {
+		pl, ph := b.Parts()
+		list(bl, sl+1, int(pl.Hi))
+		list(bh, int(ph.Lo), sh-1)
 	}
-	pl, ph := b.Parts()
-	rows = e.listSubs(rows, vi, bl, sl+1, int(pl.Hi))
-	return e.listSubs(rows, vi, bh, int(ph.Lo), sh-1), st, nil
-}
-
-// listSubs merges into rows, ascending, the rows of vi's bucket k in its
-// sub-buckets from through to (none when from > to).
-func (e *Engine) listSubs(rows []int, vi *storage.ValueIndex, k, from, to int) []int {
-	if from > to {
-		return rows
+	if err != nil {
+		return nil, st, err
 	}
-	part := vi.BucketPart(k, storage.Part{Lo: uint8(from), Hi: uint8(to)}, e.takeRowVec(0))
-	return e.mergeRowVecs(rows, part)
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	rows := storage.MergeLists(e.takeRowVec(n), lists[2:])
+	for _, p := range []struct {
+		k, j    int
+		from    T
+		bounded bool
+	}{{bl, sl, lo, false}, {bh, sh, least, bounded}} {
+		probed, err := probeSub(e, v, t, col, vi, p.k, p.j, p.from, above, p.bounded, &st)
+		if err != nil {
+			e.giveRowVec(rows)
+			return nil, st, err
+		}
+		rows = e.mergeInto(rows, probed)
+	}
+	return rows, st, nil
 }
 
 // probeSub returns the rows of sub-bucket j of vi's bucket k whose value v
 // satisfies lo <= v < above (lo <= v when not bounded), ascending, and
-// adds the probe to st. While the sub-bucket has no cracker its rows are
-// read from the index and kept in place, which is what exact mode
+// adds the probe to st. While the sub-bucket has no cracker its row list
+// is read and the rows inside the range kept, which is what exact mode
 // refines, and counted as scanned, as exact mode counts them.
 func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k, j int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
 	ed, built, err := edgeCracker[T](e, v, t, col, vi, k, j)
@@ -734,12 +751,15 @@ func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col st
 		if err != nil {
 			return nil, err
 		}
-		rows := vi.BucketPart(k, storage.Part{Lo: uint8(j), Hi: uint8(j)}, e.takeRowVec(0))
-		e.counters.Scanned.Add(int64(len(rows)))
-		out := rows[:0]
-		for _, r := range rows {
+		list, _, err := vi.SubRows(k, j)
+		if err != nil {
+			return nil, err
+		}
+		e.counters.Scanned.Add(int64(len(list)))
+		out := e.takeRowVec(len(list))
+		for _, r := range list {
 			if x := xs[r]; lo <= x && (!bounded || x < above) {
-				out = append(out, r)
+				out = append(out, int(r))
 			}
 		}
 		return out, nil
@@ -757,7 +777,7 @@ func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col st
 	// The cracker's row ids are positions in its ascending rows, so
 	// mapping them keeps them ascending.
 	for i, p := range rows {
-		rows[i] = ed.rows[p]
+		rows[i] = int(ed.rows[p])
 	}
 	if built {
 		st.built++
@@ -768,13 +788,22 @@ func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col st
 	return rows, nil
 }
 
-// mergeRowVecs merges a and b, each ascending and the two disjoint, into
-// a vector from the free list, and gives both back to it.
-func (e *Engine) mergeRowVecs(a, b []int) []int {
-	out := exec.MergeRows(e.takeRowVec(len(a)+len(b)), a, b)
+// mergeInto merges a, ascending and disjoint from rows, into rows, which
+// stays ascending, and gives a back to the free list. The merge runs from
+// the back, in rows' own room when it has enough, so it needs no third
+// vector.
+func (e *Engine) mergeInto(rows, a []int) []int {
+	i, j := len(rows)-1, len(a)-1
+	rows = slices.Grow(rows, len(a))[:len(rows)+len(a)]
+	for k := len(rows) - 1; j >= 0; k-- {
+		if i >= 0 && rows[i] > a[j] {
+			rows[k], i = rows[i], i-1
+		} else {
+			rows[k], j = a[j], j-1
+		}
+	}
 	e.giveRowVec(a)
-	e.giveRowVec(b)
-	return out
+	return rows
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
@@ -801,8 +830,8 @@ func (e *Engine) takeRowVec(n int) []int {
 
 // giveRowVec recycles v; four vectors per core are kept, since more
 // queries than that do not run at once for long, and a cracked query
-// holds three at most: its edge rows so far, a probe's or a listed part's
-// rows, and their merge.
+// holds three at most: its two probes' rows and the edge rows they merge
+// into.
 func (e *Engine) giveRowVec(v []int) {
 	e.mu.Lock()
 	if len(e.rowVecs) < 4*runtime.GOMAXPROCS(0) {
@@ -832,7 +861,7 @@ type cracker interface {
 type edge[T int64 | float64] struct {
 	*crack.Index[T]
 	bounds *storage.ValueBuckets // the bucket bounds it was cut under
-	rows   []int                 // its rows, ascending
+	rows   []int32               // its rows, ascending: the index's row list, shared
 }
 
 // crackTouch is the touch of a cracker's key — the sub-bucket of a value
@@ -883,7 +912,10 @@ func edgeCracker[T int64 | float64](e *Engine, v *version, t *storage.Table, col
 	if err != nil {
 		return nil, false, err
 	}
-	rows := vi.BucketPart(k, storage.Part{Lo: uint8(sub), Hi: uint8(sub)}, nil)
+	rows, _, err := vi.SubRows(k, sub)
+	if err != nil {
+		return nil, false, err
+	}
 	ed = &edge[T]{Index: crack.NewAt(xs, rows, e.opt.CrackOptions), bounds: bounds, rows: rows}
 	v.cracks[key] = ed
 	return ed, true, nil
@@ -1083,7 +1115,11 @@ func (e *Engine) estimate(ctx context.Context, v *version, q exec.Query, mode Mo
 	// come from the free list and go back to it after. With no stratum the
 	// stratum's vector is the scratch; a stratum that fits in one batch
 	// needs none, being read where it lies.
-	vec, ok := b.Edges(e.takeRowVec(0))
+	vec, ok, err := b.Edges(e.takeRowVec(0))
+	if err != nil {
+		e.giveRowVec(vec)
+		return nil, err
+	}
 	if !ok {
 		vec = slices.Grow(vec, min(t.NumRows(), e.batch))
 	}

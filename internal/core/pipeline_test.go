@@ -330,6 +330,61 @@ func TestCrackedOverRLEColumn(t *testing.T) {
 	}
 }
 
+// TestCrackedNoIndexPlansOnce: a cracked query over a run-length column,
+// which has no value index, chooses its plan once — one cells span and one
+// index span, both before the crack span — and runs under it: no span
+// after the crack span looks the plan up again.
+func TestCrackedNoIndexPlansOnce(t *testing.T) {
+	n := 4000
+	bucket, amounts := make([]int64, n), make([]float64, n)
+	for i := range bucket {
+		bucket[i], amounts[i] = int64(i/100), float64(i%37)
+	}
+	tab, err := storage.FromColumns("rle", storage.Schema{{Name: "b", Type: storage.TInt}, {Name: "amount", Type: storage.TFloat}},
+		[]storage.Column{storage.EncodeRLE(bucket), storage.NewFloatColumn(amounts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: 512}})
+	if err := e.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"SELECT count(*) FROM rle WHERE b >= 3 AND b < 9", "SELECT sum(amount) FROM rle WHERE b >= 12 AND b <= 30"} {
+		q := mustParse(t, sql)
+		want, err := e.Execute("rle", q, Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, root := trace.Start(context.Background(), "q")
+		got, err := e.ExecuteContext(ctx, "rle", q, Cracked)
+		root.End()
+		if err != nil {
+			t.Fatal(sql, err)
+		}
+		if err := tablesIdentical(want, got); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		count := map[string]int{}
+		crackAt := -1
+		var names []string
+		for i, c := range root.JSON().Children {
+			names = append(names, c.Name)
+			switch c.Name {
+			case "crack":
+				crackAt = i
+			case "cells", "index":
+				if crackAt >= 0 {
+					t.Errorf("%s: a %s span after the crack span: %v", sql, c.Name, names)
+				}
+				count[c.Name]++
+			}
+		}
+		if crackAt < 0 || count["cells"] != 1 || count["index"] != 1 {
+			t.Errorf("%s: spans %v; want one cells and one index span before the crack span", sql, names)
+		}
+	}
+}
+
 // TestCrackedReusesItsProbeVector: a converged cracked query that selects
 // most of the table allocates a small fraction of the row-id vector a fresh
 // probe result would cost (8 bytes a row): the engine recycles its edge

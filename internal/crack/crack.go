@@ -175,7 +175,7 @@ func New[T cmp.Ordered](col []T, opt Options) *Index[T] {
 
 // NewAt is New over the values col[rows[0]], col[rows[1]], …: its row ids
 // are positions in rows, which it does not keep.
-func NewAt[T cmp.Ordered](col []T, rows []int, opt Options) *Index[T] {
+func NewAt[T cmp.Ordered](col []T, rows []int32, opt Options) *Index[T] {
 	return newIndex(len(rows), func(i int) T { return col[rows[i]] }, opt)
 }
 

@@ -737,11 +737,11 @@ func TestNewAtIsNewOverTheGatheredValues(t *testing.T) {
 			col[i] = math.NaN()
 		}
 	}
-	var rows []int
+	var rows []int32
 	var gathered []float64
 	for r := range col {
 		if rng.Intn(3) == 0 {
-			rows, gathered = append(rows, r), append(gathered, col[r])
+			rows, gathered = append(rows, int32(r)), append(gathered, col[r])
 		}
 	}
 	at, want := NewAt(col, rows, Options{}), New(gathered, Options{})

@@ -546,7 +546,7 @@ func TestScalarSlabFillsOnlyCandidateMorsels(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		pool := par.NewPool(par.Options{Parallelism: workers, MorselSize: m})
 		c := new(Counters)
-		p, err := compile(tbl, nil, rowIndex{}, q, pool, c, nil)
+		p, err := compile(tbl, nil, nil, q, pool, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -740,9 +740,12 @@ func edgeRows(t *testing.T, tab *storage.Table, b Buckets, where *expr.Pred) []i
 	}
 	edge := map[int]bool{}
 	if bl, bh := b.Run(); bl <= bh {
-		for _, k := range []int{bl, bh} {
-			for _, r := range b.Index().BucketPart(k, storage.Whole, nil) {
-				edge[r] = true
+		vi := b.Index()
+		for m := range vi.Morsels() {
+			for _, k := range []int{bl, bh} {
+				for _, r := range vi.Candidates(m, k, k, nil) {
+					edge[r] = true
+				}
 			}
 		}
 	}

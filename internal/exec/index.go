@@ -65,7 +65,8 @@ const indexCrossover = 0.1
 // the edge buckets' parts pl and ph alone — none when bl is -1: the run of
 // a query with no WHERE, which covers every bucket. The parts are whole
 // buckets unless the edges' second levels lo and hi cut them (subLevel),
-// whose sub-cells outside the parts then fold with the interior.
+// whose sub-cells outside the parts then fold with the interior. A scan
+// reads the parts' rows from edges, listed once per query (listScan).
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
@@ -77,11 +78,13 @@ type rowIndex struct {
 	// csp is the cells span the plan was chosen under; run adds the edge
 	// rows refined to it.
 	csp *trace.Span
+	// edges are the rows of the parts, ascending, and morsel m's share of
+	// them is edges[starts[m]:starts[m+1]], which its refine compacts in
+	// place; both nil until a scan lists them.
+	edges, starts []int
 }
 
-// count returns how many candidates morsel m holds; with cells, how many
-// rows its edge buckets hold, of which the candidates are those in the
-// edges' parts.
+// count returns how many candidates morsel m holds.
 func (ix *rowIndex) count(m int) int {
 	switch {
 	case ix.cells == nil:
@@ -89,7 +92,47 @@ func (ix *rowIndex) count(m int) int {
 	case ix.bl < 0:
 		return 0
 	}
-	return ix.vi.Count(m, ix.bl, ix.bl) + ix.vi.Count(m, ix.bh, ix.bh)
+	return ix.starts[m+1] - ix.starts[m]
+}
+
+// listEdges appends the rows of the edges' parts to dst, ascending — none
+// for the run of a query with no WHERE, which has no edge — and returns
+// the extended slice: each part the merge of its sub-buckets' row lists,
+// built on their first use (storage.ValueIndex.SubRows).
+func (ix *rowIndex) listEdges(dst []int) ([]int, error) {
+	if ix.bl < 0 {
+		return dst, nil
+	}
+	var buf [2 * storage.NumSubBuckets][]int32
+	lists, err := ix.vi.PartLists(buf[:0], ix.bl, int(ix.pl.Lo), int(ix.pl.Hi))
+	if err != nil {
+		return dst, err
+	}
+	if lists, err = ix.vi.PartLists(lists, ix.bh, int(ix.ph.Lo), int(ix.ph.Hi)); err != nil {
+		return dst, err
+	}
+	return storage.MergeLists(dst, lists), nil
+}
+
+// listScan lists the edges' rows into buf (listEdges), followed by where
+// each of the morsels of the given size over n rows starts among them,
+// and points edges and starts into it; buf, the extended slice, must
+// outlive the scan.
+func (ix *rowIndex) listScan(buf []int, n, morsel int) ([]int, error) {
+	buf, err := ix.listEdges(buf)
+	if err != nil {
+		return buf, err
+	}
+	rows := len(buf)
+	for at, lo := 0, 0; lo < n; lo += morsel {
+		for at < rows && buf[at] < lo {
+			at++
+		}
+		buf = append(buf, at)
+	}
+	buf = append(buf, rows)
+	ix.edges, ix.starts = buf[:rows], buf[rows:]
+	return buf, nil
 }
 
 // buckets returns how many of the interior's buckets hold cells: those
@@ -114,14 +157,6 @@ func (ix *rowIndex) keys() int {
 // of rows, not of cells.
 func (ix *rowIndex) interior() bool {
 	return ix.vi != nil && ix.cells == nil && ix.bh-ix.bl >= 2
-}
-
-// candidates appends morsel m's candidates to dst, ascending.
-func (ix *rowIndex) candidates(m int, dst []int) []int {
-	if ix.cells != nil {
-		return ix.vi.Edges(m, ix.bl, ix.bh, ix.pl, ix.ph, dst)
-	}
-	return ix.vi.Candidates(m, ix.bl, ix.bh, dst)
 }
 
 // bucketRun maps an interval onto the bucket run of its column's buckets.
@@ -244,29 +279,34 @@ func (b Buckets) Cells(fold func(*storage.Cell)) int {
 // Edges appends to dst the candidates exact mode's plan refines, over
 // every morsel, ascending — the rows of the edges' parts beside cells,
 // none for the cells of a query with no WHERE, else the rows of the run —
-// and returns the extended slice, with ok true. They are a superset of
-// the rows the WHERE keeps outside the cells. It appends none and returns
-// ok false when the plan has no index, or no cells and a run the column's
-// sample puts more than indexCrossover of the rows in: exact mode scans
-// most of such a run's morsels, and its candidates would be most of the
-// table.
-func (b Buckets) Edges(dst []int) (_ []int, ok bool) {
+// and returns the extended slice, grown once by exactly their count, with
+// ok true. They are a superset of the rows the WHERE keeps outside the
+// cells. It appends none and returns ok false when the plan has no index,
+// or no cells and a run the column's sample puts more than indexCrossover
+// of the rows in: exact mode scans most of such a run's morsels, and its
+// candidates would be most of the table. err is a failed build of an
+// edge's row list.
+func (b Buckets) Edges(dst []int) (_ []int, ok bool, err error) {
 	ix := &b.ix
-	if ix.vi == nil || ix.cells == nil && ix.vi.Fraction(ix.bl, ix.bh) > indexCrossover {
-		return dst, false
+	switch {
+	case ix.vi == nil || ix.cells == nil && ix.vi.Fraction(ix.bl, ix.bh) > indexCrossover:
+		return dst, false, nil
+	case ix.cells != nil:
+		dst, err = ix.listEdges(dst)
+		return dst, err == nil, err
 	}
 	morsels := ix.vi.Morsels()
 	n := 0
 	for m := 0; m < morsels; m++ {
-		n += ix.count(m)
+		n += ix.vi.Count(m, ix.bl, ix.bh)
 	}
 	dst = slices.Grow(dst, n)
 	for m := 0; m < morsels; m++ {
-		if ix.count(m) > 0 {
-			dst = ix.candidates(m, dst)
+		if ix.vi.Count(m, ix.bl, ix.bh) > 0 {
+			dst = ix.vi.Candidates(m, ix.bl, ix.bh, dst)
 		}
 	}
-	return dst, true
+	return dst, true, nil
 }
 
 // chooseIndex picks, among the intervals on plain INT and FLOAT columns,

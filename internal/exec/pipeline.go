@@ -135,7 +135,13 @@ func ExecuteOpts(t *storage.Table, q Query, opt ExecOptions) (*storage.Table, er
 // between morsel claims, so a cancelled or timed-out query returns
 // ctx.Err() within one morsel's worth of work per worker.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opt ExecOptions) (*storage.Table, error) {
-	return execute(ctx, t, nil, rowIndex{}, q, opt)
+	return execute(ctx, t, nil, nil, q, opt)
+}
+
+// ExecutePlanned is ExecuteCtx under the index plan b that RangeBuckets
+// chose for q at the same options: the pipeline does not choose it again.
+func ExecutePlanned(ctx context.Context, t *storage.Table, b Buckets, q Query, opt ExecOptions) (*storage.Table, error) {
+	return execute(ctx, t, nil, &b.ix, q, opt)
 }
 
 // ExecuteSel runs the query over the rows of t listed in sel plus the
@@ -160,10 +166,12 @@ func ExecuteSel(ctx context.Context, t *storage.Table, b Buckets, sel []int, q Q
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
 	}
-	return execute(ctx, t, sel, b.ix, q, opt)
+	return execute(ctx, t, sel, &b.ix, q, opt)
 }
 
-func execute(ctx context.Context, t *storage.Table, sel []int, ix rowIndex, q Query, opt ExecOptions) (*storage.Table, error) {
+// execute runs q over sel (nil: every row) under the index plan ix, or the
+// one compile chooses when ix is nil.
+func execute(ctx context.Context, t *storage.Table, sel []int, ix *rowIndex, q Query, opt ExecOptions) (*storage.Table, error) {
 	if len(q.Select) == 0 {
 		return nil, ErrEmptySelect
 	}
@@ -248,7 +256,7 @@ type plan struct {
 	scratch [][2]*[]int
 }
 
-func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, c *Counters, sp *trace.Span) (*plan, error) {
+func compile(t *storage.Table, sel []int, ix *rowIndex, q Query, pool *par.Pool, c *Counters, sp *trace.Span) (*plan, error) {
 	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	var ak *aggKernel
@@ -256,17 +264,17 @@ func compile(t *storage.Table, sel []int, ix rowIndex, q Query, pool *par.Pool, 
 	if p.agg {
 		ak, aggReason = compileAggKernel(t, q)
 	}
-	if sel != nil {
-		p.index = ix
-	} else {
-		if hasWhere(q) {
-			p.where = q.Where
-			if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
-				if err := fpKernel.Hit(); err != nil {
-					return nil, err
-				}
+	if sel == nil && hasWhere(q) {
+		p.where = q.Where
+		if p.kern, p.kernFallback = expr.CompileKernel(t, p.where); p.kern != nil {
+			if err := fpKernel.Hit(); err != nil {
+				return nil, err
 			}
 		}
+	}
+	if ix != nil {
+		p.index = *ix
+	} else {
 		var err error
 		if p.index, err = choosePlan(t, p.kern, ak, q, pool.MorselSize(), sp); err != nil {
 			return nil, err
@@ -357,10 +365,12 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 // the morsel's. buf, when non-nil, is the pooled buffer backing rows, which
 // the caller must putSel once rows is dead. A nil rows (dense sink, no
 // predicate) means the whole range qualifies. cand refines the value
-// index's candidates of the morsel in place of scanning it; they come out
-// ascending, so rows is the same either way. Under a selection, the
-// morsel's share of it is merged with its interior rows, if any, in the
-// worker's scratch buffers — a pooled buffer when the gather sink keeps it.
+// index's candidates of the morsel in place of scanning it — a cells
+// plan's share of its edges' rows, where they lie, else a pooled copy of
+// the run's — they come out ascending, so rows is the same either way.
+// Under a selection, the morsel's share of it is merged with its interior
+// rows, if any, in the worker's scratch buffers — a pooled buffer when the
+// gather sink keeps it.
 func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int, visited int, err error) {
 	visited = hi - lo
 	switch {
@@ -381,9 +391,14 @@ func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int
 		}
 		buf = getSel()
 		*buf = MergeRows(*buf, *sc[0], rows)
+	case cand && p.index.cells != nil:
+		// The morsel's share of the edges' rows is its own to compact.
+		ix := &p.index
+		rows = ix.edges[ix.starts[lo/m]:ix.starts[lo/m+1]]
+		return p.kern.Refine(rows), nil, len(rows), nil
 	case cand:
 		buf = getSel()
-		*buf = p.index.candidates(lo/m, *buf)
+		*buf = p.index.vi.Candidates(lo/m, p.index.bl, p.index.bh, *buf)
 		visited = len(*buf)
 		*buf = p.kern.Refine(*buf)
 	case p.kern != nil:
@@ -431,6 +446,16 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 				}
 			}
 		}()
+	}
+	// A cells plan's scan reads its edges' rows from one vector, listed
+	// here, once, in a buffer of the free list.
+	if ix := &p.index; ix.cells != nil && ix.bl >= 0 && p.sel == nil {
+		buf := getSel()
+		defer putSel(buf)
+		var err error
+		if *buf, err = ix.listScan(*buf, p.n, m); err != nil {
+			return nil, err
+		}
 	}
 	scanSp := sp.Child("scan")
 	// One struct, so the morsel closure captures one heap object, not four.

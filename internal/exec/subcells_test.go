@@ -184,7 +184,9 @@ func subQueries(t *testing.T, tab *storage.Table) (qs []Query, lower, upper map[
 // rows, and every float SUM/AVG. The bounds must reach every sub-bucket
 // of their buckets, and the levels folded must include 8, 4 and 2
 // sub-buckets and a refused one; where a level is folded, the rows
-// refined must be fewer than the edges hold.
+// refined must be fewer than the edges hold, and at a level of two —
+// where each part is the merge of four sub-buckets' row lists — exactly
+// the rows the parts hold.
 func TestSubCellsMatchScanBitForBit(t *testing.T) {
 	defer func() { disableBucketCells = false }()
 	tab := subTable(rand.New(rand.NewSource(53)), 1<<17)
@@ -199,7 +201,7 @@ func TestSubCellsMatchScanBitForBit(t *testing.T) {
 		}
 		qs = thin
 	}
-	var folded, refused, cut int
+	var folded, refused, cut, merged int
 	for _, q := range qs {
 		want, err := Execute(tab, q)
 		if err != nil {
@@ -238,10 +240,21 @@ func TestSubCellsMatchScanBitForBit(t *testing.T) {
 				}
 				cut++
 			}
+			// At a level of two sub-buckets each edge's part is four of the
+			// index's, read as the merge of their row lists: the rows
+			// refined are exactly the parts' rows, counted from the index's
+			// offsets and the values' sub-buckets.
+			if rows, subs := partRows(t, tab, q, opt); subs == 4 {
+				if n("edge_rows") != rows {
+					t.Fatalf("%s: %d edge rows refined; the parts hold %d", label, n("edge_rows"), rows)
+				}
+				merged++
+			}
 		}
 	}
-	if folded == 0 || refused == 0 || cut == 0 {
-		t.Fatalf("%d answers folded sub-cells, %d had a level refused, %d refined part of an edge; want some of each", folded, refused, cut)
+	if folded == 0 || refused == 0 || cut == 0 || merged == 0 {
+		t.Fatalf("%d answers folded sub-cells, %d had a level refused, %d refined part of an edge, %d at a level of two; want some of each",
+			folded, refused, cut, merged)
 	}
 	levels := map[int]bool{}
 	for _, key := range []string{"", "g5", "g12", "g20", "q"} {
@@ -274,7 +287,86 @@ func coarseEdges(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) int
 		t.Fatalf("%s: no index", q)
 	}
 	bl, bh := b.Run()
-	return int64(len(vi.BucketPart(bl, storage.Whole, nil)) + len(vi.BucketPart(bh, storage.Whole, nil)))
+	n := 0
+	for m := range vi.Morsels() {
+		n += vi.Count(m, bl, bl) + vi.Count(m, bh, bh)
+	}
+	return int64(n)
+}
+
+// partRows returns how many rows the edges' parts of q's cells plan hold,
+// counted from the value index's offsets of the edge buckets and the
+// sub-bucket each row's value gets, and how many of the index's
+// sub-buckets the lower part spans; 0, 0 when the plan has no cells.
+func partRows(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) (rows int64, subs int) {
+	t.Helper()
+	b, err := RangeBuckets(t.Context(), tab, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := &b.ix
+	if ix.cells == nil || ix.bl < 0 {
+		return 0, 0
+	}
+	c, err := tab.ColumnByName(ix.col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := func(k, r int) int {
+		if fc, ok := c.(*storage.FloatColumn); ok {
+			return ix.vi.FloatSub(k, fc.V[r])
+		}
+		return ix.vi.IntSub(k, c.(*storage.IntColumn).V[r])
+	}
+	pl, ph := b.Parts()
+	for m := range ix.vi.Morsels() {
+		for _, e := range []struct {
+			k int
+			p storage.Part
+		}{{ix.bl, pl}, {ix.bh, ph}} {
+			for _, r := range ix.vi.Candidates(m, e.k, e.k, nil) {
+				if j := sub(e.k, r); j >= int(e.p.Lo) && j <= int(e.p.Hi) {
+					rows++
+				}
+			}
+		}
+	}
+	return rows, int(pl.Hi-pl.Lo) + 1
+}
+
+// TestListScanSplitsAtMorsels: a cells plan's edge rows, listed once for
+// a scan, are ascending and exactly the rows of the edges' parts
+// (partRows), and each morsel's share of them lies inside the morsel, at
+// morsel sizes that do and do not divide the table.
+func TestListScanSplitsAtMorsels(t *testing.T) {
+	tab := subTable(rand.New(rand.NewSource(55)), 1<<17)
+	q := Query{Select: []SelectItem{{Col: "g12"}, {Col: "x", Agg: AggSum}}, GroupBy: []string{"g12"},
+		Where: expr.And(expr.Cmp("f", expr.GE, storage.Float(-30)), expr.Cmp("f", expr.LT, storage.Float(40)))}
+	for _, morsel := range []int{1000, 4096, 1 << 16} {
+		opt := ExecOptions{Parallelism: 1, MorselSize: morsel}
+		b, err := RangeBuckets(t.Context(), tab, q, opt)
+		if err != nil || b.ix.cells == nil {
+			t.Fatalf("morsel %d: cells %v, err %v", morsel, b.ix.cells, err)
+		}
+		ix := b.ix
+		if _, err := ix.listScan(nil, tab.NumRows(), morsel); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := partRows(t, tab, q, opt); int64(len(ix.edges)) != want || !slices.IsSorted(ix.edges) {
+			t.Fatalf("morsel %d: %d edge rows listed (sorted %v); the parts hold %d", morsel, len(ix.edges), slices.IsSorted(ix.edges), want)
+		}
+		morsels := storage.NumChunks(tab.NumRows(), morsel)
+		if len(ix.starts) != morsels+1 || ix.starts[morsels] != len(ix.edges) {
+			t.Fatalf("morsel %d: %d starts for %d morsels, the last %d of %d rows", morsel, len(ix.starts), morsels, ix.starts[len(ix.starts)-1], len(ix.edges))
+		}
+		for m := 0; m < morsels; m++ {
+			for _, r := range ix.edges[ix.starts[m]:ix.starts[m+1]] {
+				if r < m*morsel || r >= (m+1)*morsel {
+					t.Fatalf("morsel %d: row %d in the share of morsel %d", morsel, r, m)
+				}
+			}
+		}
+	}
 }
 
 // TestConcurrentSubCellsBuiltOnce: concurrent first queries whose range

@@ -830,7 +830,10 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 	if err != nil {
 		tb.Fatal(err)
 	}
-	edges, _ := b.Edges(nil)
+	edges, _, err := b.Edges(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if len(edges) <= servedBatch {
 		tb.Fatalf("%v: an edge stratum of %d rows fits in one batch of %d", q, len(edges), servedBatch)
 	}

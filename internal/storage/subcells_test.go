@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"dex/internal/storage"
@@ -27,12 +28,10 @@ func subOfRow(b *storage.ValueBuckets, c storage.Column, r int) (k, j int, ok bo
 
 // TestSubBucketsMatchValues holds the sub-bucket the index keeps beside
 // every row offset to the one its value gets from the bounds' sub-splits
-// (IntSub, FloatSub), through ValueIndex.Edges asked for one sub-bucket of
-// two adjacent buckets at a time: each row it returns lies in one of them
-// and in that sub-bucket, and the eight sub-buckets return every row of
-// the two. ValueIndex.BucketPart, asked for runs of sub-buckets that
-// cover a bucket, returns the bucket's rows in each run, ascending, and
-// every row once. The columns are the adversarial ones: the int64
+// (IntSub, FloatSub), through the row lists of runs of sub-buckets that
+// cover each bucket, merged (PartLists, MergeLists): each run's rows are
+// ascending, lie in the bucket and in the run, and the runs hold every row
+// of the bucket once. The columns are the adversarial ones: the int64
 // extremes, 2^53 neighbours, NaN, ±Inf, both zeros, 9 values, and
 // all-equal.
 func TestSubBucketsMatchValues(t *testing.T) {
@@ -45,42 +44,37 @@ func TestSubBucketsMatchValues(t *testing.T) {
 			t.Fatal(col, err)
 		}
 		c, _ := tab.ColumnByName(col)
-		for m := 0; m*morsel < n; m++ {
-			for b := 0; b+1 < storage.NumBuckets; b++ {
-				total := 0
-				for j := uint8(0); j < 8; j++ {
-					rows = vi.Edges(m, b, b+1, storage.Part{Lo: j, Hi: j}, storage.Part{Lo: j, Hi: j}, rows[:0])
-					for i, r := range rows {
-						k, sub, ok := subOfRow(vi.ValueBuckets, c, r)
-						if !ok || k != b && k != b+1 || sub != int(j) || i > 0 && r <= rows[i-1] {
-							t.Fatalf("%s morsel %d buckets %d,%d sub-bucket %d: row %d (%v) is in bucket %d sub-bucket %d",
-								col, m, b, b+1, j, r, c.Value(r), k, sub)
-						}
-					}
-					total += len(rows)
-				}
-				if want := vi.Count(m, b, b+1); total != want {
-					t.Fatalf("%s morsel %d buckets %d,%d: %d rows over the sub-buckets, %d in the buckets", col, m, b, b+1, total, want)
-				}
-			}
-		}
 		for b := 0; b < storage.NumBuckets; b++ {
 			total := 0
-			for _, p := range []storage.Part{{Lo: 0, Hi: 0}, {Lo: 1, Hi: 2}, {Lo: 3, Hi: 6}, {Lo: 7, Hi: 7}} {
-				rows = vi.BucketPart(b, p, rows[:0])
+			for _, p := range [][2]int{{0, 0}, {1, 2}, {3, 6}, {7, 7}} {
+				lists, err := vi.PartLists(nil, b, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = storage.MergeLists(rows[:0], lists)
 				for i, r := range rows {
 					k, sub, ok := subOfRow(vi.ValueBuckets, c, r)
-					if !ok || k != b || sub < int(p.Lo) || sub > int(p.Hi) || i > 0 && r <= rows[i-1] {
-						t.Fatalf("%s bucket %d part %v: row %d (%v) is in bucket %d sub-bucket %d", col, b, p, r, c.Value(r), k, sub)
+					if !ok || k != b || sub < p[0] || sub > p[1] || i > 0 && r <= rows[i-1] {
+						t.Fatalf("%s bucket %d sub-buckets %v: row %d (%v) is in bucket %d sub-bucket %d", col, b, p, r, c.Value(r), k, sub)
 					}
 				}
 				total += len(rows)
 			}
-			if want := len(vi.BucketPart(b, storage.Whole, nil)); total != want {
-				t.Fatalf("%s bucket %d: %d rows over its parts, %d in it", col, b, total, want)
+			if want := len(bucketRows(vi, b)); total != want {
+				t.Fatalf("%s bucket %d: %d rows over its sub-buckets, %d in it", col, b, total, want)
 			}
 		}
 	}
+}
+
+// bucketRows returns the rows of vi's bucket b, ascending, read morsel by
+// morsel from the index's offsets.
+func bucketRows(vi *storage.ValueIndex, b int) []int {
+	var rows []int
+	for m := range vi.Morsels() {
+		rows = vi.Candidates(m, b, b, rows)
+	}
+	return rows
 }
 
 // TestSubCellsMatchIndex holds every bucket's second level to a recount
@@ -262,6 +256,24 @@ func TestValueIndexBuildBytesFollowNoCores(t *testing.T) {
 		}
 		return b
 	}
+	// A build's workers take goroutine descriptors from their P's cache,
+	// then the runtime's global one, and allocate one when both are empty:
+	// at four P the workers end on other Ps than the one that starts the
+	// next build, so whether a build allocates descriptors would depend on
+	// how many goroutines the tests run before this one ended. Ending many
+	// goroutines at four P stocks the global cache, and one unmeasured
+	// round of builds there settles the rest, so both measured rounds find
+	// their descriptors cached.
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		var wg sync.WaitGroup
+		for i := 0; i < 512; i++ {
+			wg.Add(1)
+			go wg.Done()
+		}
+		wg.Wait()
+	}()
+	least(4)
 	// The race detector's own allocations, and sync.Pool's random drops
 	// under it, move the bytes, so under it the builds run unchecked.
 	if one, four := least(1), least(4); one != four && !raceEnabled {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -26,13 +27,18 @@ import (
 // sub-buckets, whose sub-splits come from the same sample, so a range's
 // edge bucket can be split at the sub-bucket holding its bound (bucket
 // cells' second level, bucketcells.go). It costs three bytes per row plus
-// one bucket-start table per morsel. Run-length columns get none: their
-// kernel already rejects a whole run at a time.
+// one bucket-start table per morsel. A range's edge is read from one more
+// level, built lazily too: per (bucket, sub-bucket), the sub-bucket's row
+// ids over the whole column, ascending (SubRows), made the first time a
+// query reads that sub-bucket's rows and kept as long as the index, at four
+// bytes per listed row. Run-length columns get none: their kernel already
+// rejects a whole run at a time.
 
 // fpIndexBuild injects faults into the index cache's builds: it is hit
-// once per value index or bucket cell set build, the moment a query first
-// asks for one. An error fails the requesting query and leaves the entry
-// unbuilt, so the next query builds it.
+// once per value index, bucket cell set, bucket's second level or
+// sub-bucket row list build, the moment a query first asks for one. An
+// error fails the requesting query and leaves the entry unbuilt, so the
+// next query builds it.
 var fpIndexBuild = fault.Register("storage/index-build")
 
 // valueBuckets is the number of buckets per column: a power of two, so the
@@ -50,6 +56,10 @@ const NumBuckets = valueBuckets
 // cut an edge bucket's rows eightfold while a sub-level costs at most
 // eight cells per key (DESIGN.md, "Bucket cells").
 const subBuckets = 8
+
+// NumSubBuckets is subBuckets for other packages: every sub-bucket of a
+// bucket lies in [0, NumSubBuckets-1].
+const NumSubBuckets = subBuckets
 
 // valueSample is about how many rows the bucket bounds are drawn from.
 const valueSample = 64 * valueBuckets
@@ -218,10 +228,13 @@ func newValueBuckets(c Column) *ValueBuckets {
 // sampleSplits samples every stride-th value, stride chosen for about
 // valueSample of them, sets split k to the sample's (k+1)/valueBuckets
 // quantile, counts the sample per bucket and sets bucket k's sub-split j
-// to the (j+1)/subBuckets quantile of the sample's values in it. It
+// to the (j+1)/subBuckets quantile of the sample's values in it. A bucket
+// no sampled value fell in takes its lower split as every sub-split —
+// bucket 0, which has none, split 0 — so each of its values lies in one
+// sub-bucket: the last above a lower split, the first below split 0. It
 // returns how many values it sampled, NULLs included. With no non-NULL
-// value sampled the splits stay zero, and so do the sub-splits of a bucket
-// no sampled value fell in: any sorted splits give a correct index.
+// value sampled every split and sub-split stays zero: any sorted splits
+// give a correct index.
 func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, sub *subSplits[T], freq *[valueBuckets]int32) (sampled int) {
 	var s []T
 	stride := max(1, (len(vals)+valueSample-1)/valueSample)
@@ -241,8 +254,15 @@ func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, sub *subS
 	// bucketOf is non-decreasing, so each bucket's values are a run of s.
 	at := 0
 	for k, f := range freq {
-		for j := 0; j < subBuckets-1 && f > 0; j++ {
-			sub[k][j] = s[at+(j+1)*int(f)/subBuckets]
+		for j := 0; j < subBuckets-1; j++ {
+			switch {
+			case f > 0:
+				sub[k][j] = s[at+(j+1)*int(f)/subBuckets]
+			case k > 0:
+				sub[k][j] = split[k-1]
+			default:
+				sub[k][j] = split[0]
+			}
 		}
 		at += int(f)
 	}
@@ -254,13 +274,16 @@ func sampleSplits[T int64 | float64](vals []T, split *[valueBuckets]T, sub *subS
 // with — and its bucket b's rows are m*morsel plus the offsets
 // rows[m*morsel+starts[b] : m*morsel+starts[b+1]], where starts is the
 // morsel's row of valueBuckets+1 entries; sub at the same positions holds
-// each of those rows' sub-bucket.
+// each of those rows' sub-bucket. lists holds the row lists of the
+// sub-buckets read so far (SubRows).
 type ValueIndex struct {
 	*ValueBuckets
 	morsel int
 	starts []uint32
-	rows   []uint16 // per morsel: offsets by bucket, then the NULL rows'
-	sub    []uint8  // the sub-bucket of the row at the same position of rows
+	rows   []uint16   // per morsel: offsets by bucket, then the NULL rows'
+	sub    []uint8    // the sub-bucket of the row at the same position of rows
+	listMu sync.Mutex // guards lists' entries, not their builds
+	lists  [valueBuckets]*[subBuckets]lazy[[]int32]
 }
 
 // Part is the sub-buckets Lo through Hi of a bucket: the part of an edge
@@ -269,15 +292,6 @@ type Part struct{ Lo, Hi uint8 }
 
 // Whole is the Part holding every sub-bucket of a bucket.
 var Whole = Part{0, subBuckets - 1}
-
-// next returns the first position at or after i of subs whose sub-bucket
-// lies in p, len(subs) for none.
-func (p Part) next(subs []uint8, i int) int {
-	for i < len(subs) && subs[i]-p.Lo > p.Hi-p.Lo {
-		i++
-	}
-	return i
-}
 
 // Morsels returns how many morsels the index covers.
 func (x *ValueIndex) Morsels() int { return NumChunks(x.n, x.morsel) }
@@ -325,57 +339,140 @@ func (x *ValueIndex) Candidates(m, bl, bh int, dst []int) []int {
 	return dst
 }
 
-// Edges appends to dst the rows of morsel m in part pl of bucket bl or in
-// part ph of bucket bh (bl < bh) in ascending order and returns the
-// extended slice: the two buckets' ascending offsets, each kept where its
-// sub-bucket lies in its part, merged.
-func (x *ValueIndex) Edges(m, bl, bh int, pl, ph Part, dst []int) []int {
-	st := x.starts[m*(valueBuckets+1):]
-	base := m * x.morsel
-	la, ha := base+int(st[bl]), base+int(st[bl+1])
-	lb, hb := base+int(st[bh]), base+int(st[bh+1])
-	a, as := x.rows[la:ha], x.sub[la:ha]
-	b, bs := x.rows[lb:hb], x.sub[lb:hb]
-	i, j := pl.next(as, 0), ph.next(bs, 0)
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst, i = append(dst, base+int(a[i])), pl.next(as, i+1)
-		} else {
-			dst, j = append(dst, base+int(b[j])), ph.next(bs, j+1)
+// SubRows returns the rows of sub-bucket j of bucket b, ascending: its
+// row list, shared and immutable. The list is built on the first call for
+// (b, j) that gets past the storage/index-build failpoint, once for
+// concurrent first callers, as a bucket's second level of cells is
+// (BucketCells.Sub); built reports whether this call did, and a failed
+// build leaves the list for the next caller to build.
+func (x *ValueIndex) SubRows(b, j int) (rows []int32, built bool, err error) {
+	x.listMu.Lock()
+	l := x.lists[b]
+	if l == nil {
+		l = new([subBuckets]lazy[[]int32])
+		x.lists[b] = l
+	}
+	x.listMu.Unlock()
+	return l[j].get(func() []int32 { return x.listSub(b, j) })
+}
+
+// PartLists appends to lists the row lists of bucket b's sub-buckets lo
+// through hi (none when lo > hi), building each on first use (SubRows),
+// and returns the extended slice; MergeLists reads them out as one
+// ascending run of rows.
+func (x *ValueIndex) PartLists(lists [][]int32, b, lo, hi int) ([][]int32, error) {
+	for j := lo; j <= hi; j++ {
+		rows, _, err := x.SubRows(b, j)
+		if err != nil {
+			return lists, err
+		}
+		lists = append(lists, rows)
+	}
+	return lists, nil
+}
+
+// listSub lists the rows of sub-bucket j of bucket b, morsel by morsel —
+// each morsel's offsets in b are ascending — in a slice of exactly their
+// count.
+func (x *ValueIndex) listSub(b, j int) []int32 {
+	n := 0
+	for m := range x.Morsels() {
+		st := x.starts[m*(valueBuckets+1):]
+		base := m * x.morsel
+		for _, s := range x.sub[base+int(st[b]) : base+int(st[b+1])] {
+			n += b2i(int(s) == j)
 		}
 	}
-	for ; i < len(a); i = pl.next(as, i+1) {
-		dst = append(dst, base+int(a[i]))
+	rows := make([]int32, 0, n)
+	for m := range x.Morsels() {
+		st := x.starts[m*(valueBuckets+1):]
+		base := m * x.morsel
+		lo, hi := base+int(st[b]), base+int(st[b+1])
+		for i, s := range x.sub[lo:hi] {
+			if int(s) == j {
+				rows = append(rows, int32(base+int(x.rows[lo+i])))
+			}
+		}
 	}
-	for ; j < len(b); j = ph.next(bs, j+1) {
-		dst = append(dst, base+int(b[j]))
+	return rows
+}
+
+// MergeLists appends to dst the rows of lists — ascending row lists, no
+// two sharing a row — merged into one ascending run, and returns the
+// extended slice; dst grows once, by exactly their count. Two lists merge
+// head to head; three or more, a part several sub-buckets wide, are
+// marked into a bitmap (markLists), where a head-to-head merge would pay
+// a comparison per list for every row. The entries of lists are resliced
+// as they are read.
+func MergeLists(dst []int, lists [][]int32) []int {
+	n, live := 0, lists[:0]
+	for _, l := range lists {
+		if len(l) > 0 {
+			live, n = append(live, l), n+len(l)
+		}
+	}
+	dst = slices.Grow(dst, n)
+	switch len(live) {
+	case 0:
+		return dst
+	case 1:
+		return appendRows(dst, live[0])
+	case 2:
+		a, b := live[0], live[1]
+		for len(a) > 0 && len(b) > 0 {
+			if a[0] < b[0] {
+				dst, a = append(dst, int(a[0])), a[1:]
+			} else {
+				dst, b = append(dst, int(b[0])), b[1:]
+			}
+		}
+		return appendRows(appendRows(dst, a), b)
+	}
+	return markLists(dst, live)
+}
+
+// appendRows appends the rows of l to dst.
+func appendRows(dst []int, l []int32) []int {
+	for _, r := range l {
+		dst = append(dst, int(r))
 	}
 	return dst
 }
 
-// BucketPart appends to dst the rows of bucket b whose sub-bucket lies in
-// part p (Whole: every row of b), ascending — each morsel's offsets in b,
-// morsel after morsel — and returns the extended slice; dst grows once,
-// by exactly their count.
-func (x *ValueIndex) BucketPart(b int, p Part, dst []int) []int {
-	n := 0
-	for base := 0; base < x.n; base += x.morsel {
-		st := x.starts[base/x.morsel*(valueBuckets+1):]
-		if p == Whole {
-			n += int(st[b+1] - st[b])
-			continue
+// markWords is the size of markLists' bitmap: a window of 64 Ki rows,
+// a morsel's worth of the index's largest morsels.
+const markWords = 1024
+
+// markLists merges the non-empty lists window by window: the window starts
+// at the least head, every list gives up its rows inside it, which are
+// marked into a bitmap and read back out ascending, clearing it.
+func markLists(dst []int, live [][]int32) []int {
+	var marks [markWords]uint64
+	for len(live) > 0 {
+		base := live[0][0]
+		for _, l := range live[1:] {
+			base = min(base, l[0])
 		}
-		for _, s := range x.sub[base+int(st[b]) : base+int(st[b+1])] {
-			n += b2i(s-p.Lo <= p.Hi-p.Lo)
+		end, top, k := int64(base)+markWords*64, 0, 0
+		for _, l := range live {
+			i := 0
+			for ; i < len(l) && int64(l[i]) < end; i++ {
+				o := l[i] - base
+				marks[o>>6] |= 1 << (o & 63)
+			}
+			if i > 0 {
+				top = max(top, int(l[i-1]-base)>>6)
+			}
+			if i < len(l) {
+				live[k], k = l[i:], k+1
+			}
 		}
-	}
-	dst = slices.Grow(dst, n)
-	for base := 0; base < x.n; base += x.morsel {
-		st := x.starts[base/x.morsel*(valueBuckets+1):]
-		lo, hi := base+int(st[b]), base+int(st[b+1])
-		offs, subs := x.rows[lo:hi], x.sub[lo:hi]
-		for i := p.next(subs, 0); i < len(offs); i = p.next(subs, i+1) {
-			dst = append(dst, base+int(offs[i]))
+		live = live[:k]
+		for w := range marks[:top+1] {
+			for word := marks[w]; word != 0; word &= word - 1 {
+				dst = append(dst, int(base)+w<<6+bits.TrailingZeros64(word))
+			}
+			marks[w] = 0
 		}
 	}
 	return dst
@@ -474,10 +571,13 @@ func (t *Table) ValueBuckets(col string) (*ValueBuckets, error) {
 	return t.bucketsLocked(col, c), nil
 }
 
+// indexable reports whether c can have a value index: a plain INT or
+// FLOAT column, not empty, whose row ids fit the int32 of a sub-bucket's
+// row list.
 func indexable(c Column) bool {
 	switch c.(type) {
 	case *IntColumn, *FloatColumn:
-		return c.Len() > 0
+		return c.Len() > 0 && c.Len() <= math.MaxInt32
 	}
 	return false
 }
@@ -520,10 +620,11 @@ func (t *Table) ValueIndex(col string, morsel int) (x *ValueIndex, built bool, e
 // cache mutex for one set of bucket bounds and built outside it, once: a
 // build reads a whole column, and holding the mutex across it would stall
 // every bounds and index lookup on the table behind it. A bucket's second
-// level (BucketCells.Sub) is one too, made under its cell set's mutex. Concurrent first
-// callers of one key wait on its mutex and share the build; a build that
-// fails leaves done unset, so the next caller, waiting or later, tries
-// again.
+// level (BucketCells.Sub) is one too, made under its cell set's mutex, and
+// so is a sub-bucket's row list (ValueIndex.SubRows), made under its
+// index's. Concurrent first callers of one key wait on its mutex and share
+// the build; a build that fails leaves done unset, so the next caller,
+// waiting or later, tries again.
 type lazy[V any] struct {
 	b    *ValueBuckets // the bounds it is built under
 	done atomic.Bool
