@@ -59,11 +59,12 @@ func partsTable(rng *rand.Rand, rows int) *storage.Table {
 	return tab
 }
 
-// withDict12 returns tab with a 12-code dictionary column g12 appended,
-// drawn from rng: at 2^17 rows a range's edge buckets grouped by it take a
-// level of two sub-buckets (8 sub-buckets or 4 times 12 keys would break
-// the 16-rows-per-cell rule over a bucket's 512 rows).
-func withDict12(t *testing.T, tab *storage.Table, rng *rand.Rand) *storage.Table {
+// withDict returns tab with a dictionary column g<codes> of that many
+// codes appended, drawn from rng: at 2^17 rows a range's edge buckets
+// grouped by g12 take a level of two sub-buckets (8 sub-buckets or 4 times
+// 12 keys would break the 16-rows-per-cell rule over a bucket's 512 rows),
+// and grouped by g20 none.
+func withDict(t *testing.T, tab *storage.Table, rng *rand.Rand, codes int) *storage.Table {
 	t.Helper()
 	schema, cols := tab.Schema(), []storage.Column{}
 	for _, f := range schema {
@@ -75,9 +76,9 @@ func withDict12(t *testing.T, tab *storage.Table, rng *rand.Rand) *storage.Table
 	}
 	g := make([]string, tab.NumRows())
 	for r := range g {
-		g[r] = fmt.Sprintf("h%02d", rng.Intn(12))
+		g[r] = fmt.Sprintf("h%02d", rng.Intn(codes))
 	}
-	out, err := storage.FromColumns(tab.Name(), append(slices.Clone(schema), storage.Field{Name: "g12", Type: storage.TString}),
+	out, err := storage.FromColumns(tab.Name(), append(slices.Clone(schema), storage.Field{Name: fmt.Sprint("g", codes), Type: storage.TString}),
 		append(cols, storage.EncodeDict(g)))
 	if err != nil {
 		t.Fatal(err)
@@ -397,6 +398,37 @@ func findRange(t *testing.T, e *Engine, morsel int, lo float64, ok func(boundSub
 	return nil, boundSubs{}
 }
 
+// partsOf returns the parts of the edge buckets s.bl and s.bh that exact
+// mode's cells plan for q, a range over col, reads — the sub-buckets of
+// their second levels holding the bounds' sub-buckets s.sl and s.sh — and
+// how many sub-buckets the lower edge's level has, 1 where it was refused.
+func partsOf(t *testing.T, e *Engine, col string, q exec.Query, morsel int, s boundSubs) (pl, ph storage.Part, subs int) {
+	t.Helper()
+	key, input := "", ""
+	if len(q.GroupBy) > 0 {
+		key = q.GroupBy[0]
+	}
+	for _, it := range q.Select {
+		if it.Agg != exec.AggNone && it.Col != "*" {
+			input = it.Col
+			break
+		}
+	}
+	cells, _, _, err := current(t, e, "t").t.BucketCells(col, key, input, morsel)
+	if err != nil || cells == nil {
+		t.Fatalf("%s: no cells over %s keyed by %q (%v)", q, col, key, err)
+	}
+	lo, _, err := cells.Sub(s.bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, _, err := cells.Sub(s.bh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo.Part(s.sl), hi.Part(s.sh), lo.Subs()
+}
+
 // twoSubsOfOneBucket reports whether a range lies inside one bucket with
 // its bounds in different sub-buckets.
 func twoSubsOfOneBucket(s boundSubs) bool { return s.bl == s.bh && s.sl != s.sh }
@@ -404,14 +436,14 @@ func twoSubsOfOneBucket(s boundSubs) bool { return s.bl == s.bh && s.sl != s.sh 
 // TestCrackedEdgesBuildOnTheKthTouch: a range's first crackTouch-1
 // touches make no cracker and read only the rows of the two sub-buckets
 // holding its bounds, which they filter, beside the rest of the edges'
-// parts exact mode refines, which lies wholly inside the range and is
-// listed from the value index unread. The rows scanned grow by exactly the
-// bound sub-buckets' rows plus the rows the sink takes — the bound
-// sub-buckets' rows inside the range and the listed rest — computed here
-// from the value index and the column, and never by more than an exact
-// query's. The crackTouch-th touch makes the crackers, after which the
-// query reads only the rows it keeps. An INT and a FLOAT column, scalar
-// and grouped.
+// parts, which lies wholly inside the range and is listed from the value
+// index unread. The rows scanned grow by exactly the bound sub-buckets'
+// rows plus the rows the sink takes — the bound sub-buckets' rows inside
+// the range and the listed rest — computed here from the value index and
+// the column, and by exactly an exact query's, which reads its edges with
+// the same reader. The crackTouch-th touch makes the crackers, after which
+// the query reads only the rows it keeps. An INT and a FLOAT column,
+// scalar at a level of four sub-buckets and grouped at a refused one.
 func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 	if crackTouch < 2 {
 		t.Fatalf("crackTouch = %d: a bucket's first touch must not make its cracker", crackTouch)
@@ -444,7 +476,7 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 		if bl, bh := b.Run(); s.bl != bl || s.bh != bh || bl >= bh {
 			t.Fatalf("%s: run [%d, %d], the index puts it at [%d, %d]; want two edge buckets", q, bl, bh, s.bl, s.bh)
 		}
-		pl, ph := b.Parts()
+		pl, ph, _ := partsOf(t, e, c.col, q, morsel, s)
 		col, err := current(t, e, "t").t.ColumnByName(c.col)
 		if err != nil {
 			t.Fatal(err)
@@ -480,9 +512,9 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 			}
 			switch {
 			case touch < crackTouch:
-				if cs["edges_scanned"] != int64(2) || cs["edges_built"] != int64(0) || read != int64(len(bound))+wantKept {
-					t.Errorf("%s, touch %d: crack span %v, %d rows read; want both bound sub-buckets read as rows, none made, %d of their rows and %d kept",
-						q, touch, cs, read, len(bound), wantKept)
+				if cs["edges_scanned"] != int64(2) || cs["edges_built"] != int64(0) || read != int64(len(bound))+wantKept || read != exactRead {
+					t.Errorf("%s, touch %d: crack span %v, %d rows read, exact mode %d; want both bound sub-buckets read as rows, none made, %d of their rows and %d kept, as exact mode",
+						q, touch, cs, read, exactRead, len(bound), wantKept)
 				}
 			default:
 				built := int64(0)
@@ -510,14 +542,16 @@ func TestCrackedEdgesBuildOnTheKthTouch(t *testing.T) {
 // buckets. Each query is asked crackTouch+1 times — its bound sub-buckets
 // read as rows, then cracked, then probed — and on every touch the answer
 // must equal exact mode's bit for bit, read no more rows than exact
-// mode's (exactly as many where a cells plan reads both edges as rows),
+// mode's, exactly as many where a cells plan reads both edges as rows,
 // and every cracker made must hold exactly one sub-bucket's rows. A
-// scalar and a grouped query over one range share their crackers. Queries
-// grouped by a 12-code dictionary column g12 cut their edges at a level of
-// two sub-buckets, so the part exact mode refines beside the bound's
-// sub-bucket is the merge of four row lists.
+// scalar and a grouped query over one range share their crackers. The
+// cells plans' edges are cut at levels of 8 (scalar), 4 (grouped by g), 2
+// (grouped by a 12-code dictionary column g12, whose part beside the
+// bound's sub-bucket is the merge of three row lists) and at a refused
+// level (grouped by a 20-code one, g20: a whole bucket).
 func TestCrackedSubPartsMatchExact(t *testing.T) {
-	tab := withDict12(t, partsTable(rand.New(rand.NewSource(70)), 1<<17), rand.New(rand.NewSource(74)))
+	tab := partsTable(rand.New(rand.NewSource(70)), 1<<17)
+	tab = withDict(t, withDict(t, tab, rand.New(rand.NewSource(74)), 12), rand.New(rand.NewSource(75)), 20)
 	const morsel = 4096
 	e := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 2, MorselSize: morsel}})
 	if err := e.Register(tab); err != nil {
@@ -532,15 +566,27 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 	var asks []ask
 	for _, col := range []string{"k", "x"} {
 		for i, input := range []string{"n", "f", "m"} {
-			lo, hi := storage.Int(rng.Int63n(400)), storage.Int(500+rng.Int63n(400))
-			if col == "x" {
-				lo, hi = storage.Float(rng.Float64()*40), storage.Float(50+rng.Float64()*40)
+			draw := func() *expr.Pred {
+				lo, hi := storage.Int(rng.Int63n(400)), storage.Int(500+rng.Int63n(400))
+				if col == "x" {
+					lo, hi = storage.Float(rng.Float64()*40), storage.Float(50+rng.Float64()*40)
+				}
+				return expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, []expr.Op{expr.LT, expr.LE}[i%2], hi))
 			}
-			where := expr.And(expr.Cmp(col, expr.GE, lo), expr.Cmp(col, []expr.Op{expr.LT, expr.LE}[i%2], hi))
-			asks = append(asks, ask{partsQuery(where, input, false), true, "cells"}, ask{partsQuery(where, input, true), true, "cells"})
-			g12 := partsQuery(where, input, true)
-			g12.Select[0], g12.GroupBy = exec.SelectItem{Col: "g12"}, []string{"g12"}
-			asks = append(asks, ask{g12, true, "cells, a level of two"})
+			// The scalar and the g-grouped query share a range and so its
+			// crackers; which reads its bounds' sub-buckets as rows first
+			// alternates. g12 and g20 each take a range of their own.
+			where := draw()
+			pair := []ask{{partsQuery(where, input, false), true, "cells"}, {partsQuery(where, input, true), true, "cells"}}
+			if i%2 == 1 {
+				pair[0], pair[1] = pair[1], pair[0]
+			}
+			asks = append(asks, pair...)
+			for _, g := range []string{"g12", "g20"} {
+				gq := partsQuery(draw(), input, true)
+				gq.Select[0], gq.GroupBy = exec.SelectItem{Col: g}, []string{g}
+				asks = append(asks, ask{gq, true, "cells"})
+			}
 		}
 	}
 	if _, err := e.Execute("t", asks[len(asks)-1].q, Exact); err != nil { // builds x's value index
@@ -581,18 +627,24 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			}
 		}
 	}
-	var folded, shared, merged int
+	var folded, shared int
+	levels := map[int]int{} // the cells asks that read both edges as rows, by their lower edge's level
 	for _, a := range asks {
 		q := a.q
-		if a.what == "cells, a level of two" {
-			b, err := exec.RangeBuckets(context.Background(), current(t, e, "t").t, q, e.opt.Exec)
-			if err != nil {
-				t.Fatal(err)
+		subs := 0
+		if a.cells {
+			col := q.Where.Kids[0].Col
+			hi := q.Where.Kids[1].Val
+			if hi.Typ == storage.TInt && q.Where.Kids[1].Op == expr.LT {
+				hi.I--
+			} else if q.Where.Kids[1].Op == expr.LT {
+				hi.F = math.Nextafter(hi.F, math.Inf(-1))
 			}
-			if pl, ph := b.Parts(); pl.Hi-pl.Lo != 3 || ph.Hi-ph.Lo != 3 {
-				t.Fatalf("%s: edge parts %v and %v; want four sub-buckets each", q, pl, ph)
+			_, s := subsOf(t, e, col, morsel, q.Where.Kids[0].Val.AsFloat(), hi.AsFloat())
+			var pl storage.Part
+			if pl, _, subs = partsOf(t, e, col, q, morsel, s); int(pl.Hi-pl.Lo)+1 != 8/subs {
+				t.Fatalf("%s: lower part %v at a level of %d sub-buckets", q, pl, subs)
 			}
-			merged++
 		}
 		for touch := 1; touch <= crackTouch+1; touch++ {
 			before := e.RowsScanned()
@@ -615,6 +667,9 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			if read > exactRead || a.cells && c["edges_scanned"] == int64(2) && read != exactRead {
 				t.Errorf("%s: crack span %v, %d rows read, exact mode %d", what, c, read, exactRead)
 			}
+			if a.cells && c["edges_scanned"] == int64(2) {
+				levels[subs]++
+			}
 			if run.subCells > 0 {
 				folded++
 			}
@@ -624,8 +679,8 @@ func TestCrackedSubPartsMatchExact(t *testing.T) {
 			oneSub(what)
 		}
 	}
-	if folded == 0 || shared == 0 || merged == 0 {
-		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made, %d at a level of two; want some of each", folded, shared, merged)
+	if folded == 0 || shared == 0 || levels[8] == 0 || levels[4] == 0 || levels[2] == 0 || levels[1] == 0 {
+		t.Errorf("%d asks folded sub-cells, %d queries found their crackers made, levels %v; want some of each, at 8, 4, 2 and 1 sub-buckets", folded, shared, levels)
 	}
 	if len(current(t, e, "t").cracks) == 0 {
 		t.Error("no cracker made")
@@ -863,6 +918,127 @@ func TestConcurrentCrackedEdgesBuiltOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentCrackedExactOnlineShareEdges: on a fresh table, exact,
+// cracked and online queries over one range race on its edges — the value
+// index and the bound sub-buckets' row lists, built once on first use,
+// which all three modes read through the one edge reader, and the
+// crackers the cracked queries make on the bounds' crackTouch-th touch. A
+// scalar and a grouped SUM are asked in every mode, at one worker and two.
+// Every exact and cracked answer equals a serial exact query's bit for
+// bit, every online one holds its sums bit for bit with ci95 0 (the edge
+// stratum fits in one batch), and exactly one cracker is made per (bucket,
+// sub-bucket) key touched: the two holding the range's bounds. Run it with
+// -race. (The name keeps the ConcurrentCracked prefix CI's
+// concurrent-probe job selects on.)
+func TestConcurrentCrackedExactOnlineShareEdges(t *testing.T) {
+	where := expr.And(expr.Cmp("k", expr.GE, storage.Int(230)), expr.Cmp("k", expr.LT, storage.Int(770)))
+	queries := []exec.Query{
+		{Select: []exec.SelectItem{{Col: "f", Agg: exec.AggSum}}, Where: where},
+		{Select: []exec.SelectItem{{Col: "g"}, {Col: "f", Agg: exec.AggSum}}, GroupBy: []string{"g"}, Where: where},
+	}
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			opt := exec.ExecOptions{Parallelism: par, MorselSize: 512}
+			serial := New(Options{Seed: 1, Exec: exec.ExecOptions{Parallelism: 1}})
+			if err := serial.Register(partsTable(rand.New(rand.NewSource(73)), 24_000)); err != nil {
+				t.Fatal(err)
+			}
+			wants := make([]*storage.Table, len(queries))
+			for i, q := range queries {
+				var err error
+				if wants[i], err = serial.Execute("t", q, Exact); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := New(Options{Seed: 1, Exec: opt})
+			if err := e.Register(partsTable(rand.New(rand.NewSource(73)), 24_000)); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			built := int64(0)
+			for g := 0; g < 6; g++ {
+				mode := []Mode{Exact, Cracked, Online}[g%3]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 2*crackTouch; i++ {
+						j := (g + i) % len(queries)
+						q, want := queries[j], wants[j]
+						ctx, root := trace.Start(context.Background(), "q")
+						got, err := e.ExecuteContext(ctx, "t", q, mode)
+						root.End()
+						if err == nil && mode == Online {
+							err = estimatesExact(want, got)
+						} else if err == nil {
+							err = tablesIdentical(want, got)
+						}
+						if err != nil {
+							t.Errorf("%v, %s: %v", mode, q, err)
+							return
+						}
+						for _, c := range root.JSON().Children {
+							if n, ok := c.Attrs["edges_built"].(int64); ok && c.Name == "crack" {
+								mu.Lock()
+								built += n
+								mu.Unlock()
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			_, s := subsOf(t, e, "k", 512, 230, 769)
+			touched := map[crackKey]bool{}
+			for _, k := range s.keys("k") {
+				touched[k] = true
+			}
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			cracks := current(t, e, "t").cracks
+			for k := range cracks {
+				if !touched[k] {
+					t.Errorf("cracker %+v; no bound lies in it", k)
+				}
+			}
+			if len(cracks) != len(touched) || built != int64(len(touched)) {
+				t.Errorf("%d crackers kept, %d made; want one per key touched, %d: %v", len(cracks), built, len(touched), touched)
+			}
+		})
+	}
+}
+
+// estimatesExact reports how an online answer got differs from exact
+// mode's want, a SUM per group or a scalar one: the same groups, each
+// estimate the exact sum's bits, its ci95 0.
+func estimatesExact(want, got *storage.Table) error {
+	grouped := want.NumCols() == 2
+	sums := map[string]float64{}
+	for r := 0; r < want.NumRows(); r++ {
+		row := want.Row(r)
+		key := ""
+		if grouped {
+			key = row[0].String()
+		}
+		sums[key] = row[len(row)-1].AsFloat()
+	}
+	if got.NumRows() != len(sums) {
+		return fmt.Errorf("%d estimates for %d groups", got.NumRows(), len(sums))
+	}
+	for r := 0; r < got.NumRows(); r++ {
+		row := got.Row(r)
+		key, at := "", 0
+		if grouped {
+			key, at = row[0].String(), 1
+		}
+		est, ci := row[at].AsFloat(), row[at+1].AsFloat()
+		if want, ok := sums[key]; !ok || math.Float64bits(est) != math.Float64bits(want) || ci != 0 {
+			return fmt.Errorf("group %q: estimate %v ci95 %v; want %v ci95 0", key, est, ci, want)
+		}
+	}
+	return nil
 }
 
 // TestConcurrentCrackedKthTouchBuildsOnce: under every variant, concurrent

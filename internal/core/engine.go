@@ -572,22 +572,21 @@ func crackable(w *expr.Pred, schema storage.Schema) (expr.Interval, string) {
 // each cut into the index's sub-buckets. The buckets strictly inside the
 // range's bucket run hold only rows inside it, and so does every
 // sub-bucket of an edge bucket between its bound's sub-bucket and the
-// range's other side, so only the sub-buckets holding the two bounds are
-// cracked (crackEdges), each through a crack index over its own rows,
-// made on its crackTouch-th touch (edgeCracker). Until then a touch reads
-// the sub-bucket's row list and keeps the rows inside the range. The rest
-// of each edge's part (Buckets.Parts; storage.Whole where the plan has no
-// second level) is merged in from its sub-buckets' row lists unfiltered. The
-// edge rows inside the range, ascending, are the pipeline's selection, and
-// the rest is read as exact mode reads it: the interior's bucket cells and
-// the edges' covered sub-cells folded when exact mode's plan folds them,
-// else the interior's rows. A column with no value index — run-length
-// coded, empty, or under a morsel size past storage.MaxIndexMorsel — has
-// no partition to crack and runs exact mode's pipeline. Either way the
-// answer equals exact mode's bit for bit — group order, projection order,
-// MIN/MAX values and ties, and every SUM/AVG, whose one float sum no
-// worker count or fold order moves — however far the crackers have
-// cracked.
+// range's other side, so the one edge reader (Buckets.ReadEdges) lists
+// those, and cracked mode supplies only its read of the sub-buckets
+// holding the two bounds (crackRead): each through a crack index over its
+// own rows, made on its crackTouch-th touch (edgeCracker). Until then the
+// read declines, and the reader refines the sub-bucket's row list as exact
+// mode does. The edge rows inside the range, ascending, are the pipeline's
+// selection, and the rest is read as exact mode reads it: the interior's
+// bucket cells and the edges' covered sub-cells folded when exact mode's
+// plan folds them, else the interior's rows. A column with no value index —
+// run-length coded, empty, or under a morsel size past
+// storage.MaxIndexMorsel — has no partition to crack and runs exact mode's
+// pipeline. Either way the answer equals exact mode's bit for bit — group
+// order, projection order, MIN/MAX values and ties, and every SUM/AVG,
+// whose one float sum no worker count or fold order moves — however far
+// the crackers have cracked.
 func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (*storage.Table, error) {
 	t, err := v.table(ctx, q)
 	if err != nil {
@@ -619,20 +618,22 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	// come from the probes' own critical sections, so the span reflects the
 	// crackers this query actually saw.
 	csp.SetStr("col", iv.Col)
-	var sel []int
 	var st edgeStats
+	var read exec.BoundRead
 	if iv.Float {
 		above, bounded := iv.FloatAbove()
-		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.FLo, iv.FHi, above, bounded, math.Inf(-1))
+		read = crackRead(e, v, t, iv.Col, b.Index(), iv.FLo, above, bounded, math.Inf(-1), &st)
 	} else {
 		above, bounded := iv.IntAbove()
-		sel, st, err = crackEdges(e, v, t, iv.Col, b, iv.ILo, iv.IHi, above, bounded, math.MinInt64)
+		read = crackRead(e, v, t, iv.Col, b.Index(), iv.ILo, above, bounded, math.MinInt64, &st)
 	}
+	sel, refined, err := b.ReadEdges(e.takeRowVec(0), read)
+	defer e.giveRowVec(sel)
+	e.counters.Scanned.Add(int64(refined))
 	if err != nil {
 		csp.End()
 		return nil, err
 	}
-	defer e.giveRowVec(sel)
 	bl, bh := b.Run()
 	csp.SetInt("buckets", int64(max(bh-bl+1, 0)))
 	csp.SetInt("edges", int64(st.edges))
@@ -652,158 +653,60 @@ func (e *Engine) executeCracked(ctx context.Context, v *version, q exec.Query) (
 	return exec.ExecuteSel(ctx, t, b, sel, q, e.opt.Exec)
 }
 
-// edgeStats sums what a query's edge probes saw: the sub-buckets probed,
-// those read without a cracker and the crackers made, the write lock if
-// any probe took it, and the probed crackers' pieces and cracks.
+// edgeStats sums what a query's edge reads saw: the sub-buckets read,
+// those declined for want of a cracker and the crackers made, the write
+// lock if any probe took it, and the probed crackers' pieces and cracks.
 type edgeStats struct {
 	edges, scanned, built, pieces, cracks int
 	lock                                  crack.LockMode
 }
 
-// subOf returns the sub-bucket of vi's bucket k that holds x.
-func subOf[T int64 | float64](vi *storage.ValueIndex, k int, x T) int {
-	if f, ok := any(x).(float64); ok {
-		return vi.FloatSub(k, f)
-	}
-	return vi.IntSub(k, any(x).(int64))
-}
-
-// crackEdges returns the rows of b's edge buckets whose value v in column
-// col satisfies lo <= v < above (lo <= v when not bounded), but for those
-// in the sub-cells exact mode folds, ascending, in a vector from the
-// engine's free list; hi is the range's greatest value. The sub-buckets holding lo
-// and hi are probed (probeSub), the one holding both once. The lower one
-// is probed from lo up: every value it holds is under above unless it
-// holds hi too. The upper one is probed from least, the type's least
-// value, so that each of its probes cracks at most at above, and a
-// drill-down in its range reads every value it holds below above. The
-// sub-buckets between them within their edge's part — within the one
-// bucket, for a range inside one — hold only values inside the range and
-// are merged in from their row lists.
-func crackEdges[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, b exec.Buckets, lo, hi, above T, bounded bool, least T) ([]int, edgeStats, error) {
-	var st edgeStats
-	vi := b.Index()
-	bl, bh := b.Run()
-	if bl > bh {
-		return e.takeRowVec(0), st, nil
-	}
-	sl, sh := subOf(vi, bl, lo), subOf(vi, bh, hi)
-	if bl == bh && sl == sh {
-		rows, err := probeSub(e, v, t, col, vi, bl, sl, lo, above, bounded, &st)
-		return rows, st, err
-	}
-	// The listed sub-buckets merge first, into a vector with room for the
-	// two probed ones' rows too, whose lists lead lists only to size it;
-	// each probe's rows then merge into it.
-	var buf [2 * storage.NumSubBuckets][]int32
-	lists, err := buf[:0], error(nil)
-	list := func(k, from, to int) {
-		if err == nil {
-			lists, err = vi.PartLists(lists, k, from, to)
-		}
-	}
-	list(bl, sl, sl)
-	list(bh, sh, sh)
-	if bl == bh {
-		list(bl, sl+1, sh-1)
-	} else {
-		pl, ph := b.Parts()
-		list(bl, sl+1, int(pl.Hi))
-		list(bh, int(ph.Lo), sh-1)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	rows := storage.MergeLists(e.takeRowVec(n), lists[2:])
-	for _, p := range []struct {
-		k, j    int
-		from    T
-		bounded bool
-	}{{bl, sl, lo, false}, {bh, sh, least, bounded}} {
-		probed, err := probeSub(e, v, t, col, vi, p.k, p.j, p.from, above, p.bounded, &st)
+// crackRead is cracked mode's read of a bound's sub-bucket for the edge
+// reader, over the rows whose value v in column col satisfies lo <= v <
+// above (lo <= v when not bounded), adding each read to st: the
+// sub-bucket's cracker's probe, or a decline while it has none. The lower
+// bound's sub-bucket is probed from lo up: every value it holds is under
+// above unless it holds the upper bound too. The upper bound's is probed
+// from least, the type's least value, so that each of its probes cracks at
+// most at above, and a drill-down in its range reads every value it holds
+// below above.
+func crackRead[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, lo, above T, bounded bool, least T, st *edgeStats) exec.BoundRead {
+	return func(dst []int, k, j int, lower, upper bool) ([]int, bool, error) {
+		ed, built, err := edgeCracker[T](e, v, t, col, vi, k, j)
 		if err != nil {
-			e.giveRowVec(rows)
-			return nil, st, err
+			return dst, false, err
 		}
-		rows = e.mergeInto(rows, probed)
-	}
-	return rows, st, nil
-}
-
-// probeSub returns the rows of sub-bucket j of vi's bucket k whose value v
-// satisfies lo <= v < above (lo <= v when not bounded), ascending, and
-// adds the probe to st. While the sub-bucket has no cracker its row list
-// is read and the rows inside the range kept, which is what exact mode
-// refines, and counted as scanned, as exact mode counts them.
-func probeSub[T int64 | float64](e *Engine, v *version, t *storage.Table, col string, vi *storage.ValueIndex, k, j int, lo, above T, bounded bool, st *edgeStats) ([]int, error) {
-	ed, built, err := edgeCracker[T](e, v, t, col, vi, k, j)
-	if err != nil {
-		return nil, err
-	}
-	st.edges++
-	if ed == nil {
-		st.scanned++
-		xs, err := crackValues[T](t, col)
-		if err != nil {
-			return nil, err
+		st.edges++
+		if ed == nil {
+			st.scanned++
+			return dst, false, nil
 		}
-		list, _, err := vi.SubRows(k, j)
-		if err != nil {
-			return nil, err
+		from := least
+		if lower {
+			from = lo
 		}
-		e.counters.Scanned.Add(int64(len(list)))
-		out := e.takeRowVec(len(list))
-		for _, r := range list {
-			if x := xs[r]; lo <= x && (!bounded || x < above) {
-				out = append(out, int(r))
-			}
-		}
-		return out, nil
-	}
-	var rows []int
-	var ps crack.ProbeStats
-	if bounded {
-		rows, ps, err = ed.ProbeInto(e.takeRowVec(0), lo, above)
-	} else {
-		rows, ps, err = ed.ProbeFrom(e.takeRowVec(0), lo)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The cracker's row ids are positions in its ascending rows, so
-	// mapping them keeps them ascending.
-	for i, p := range rows {
-		rows[i] = int(ed.rows[p])
-	}
-	if built {
-		st.built++
-	}
-	st.lock = max(st.lock, ps.Lock)
-	st.pieces += ps.Pieces
-	st.cracks += ps.Cracks
-	return rows, nil
-}
-
-// mergeInto merges a, ascending and disjoint from rows, into rows, which
-// stays ascending, and gives a back to the free list. The merge runs from
-// the back, in rows' own room when it has enough, so it needs no third
-// vector.
-func (e *Engine) mergeInto(rows, a []int) []int {
-	i, j := len(rows)-1, len(a)-1
-	rows = slices.Grow(rows, len(a))[:len(rows)+len(a)]
-	for k := len(rows) - 1; j >= 0; k-- {
-		if i >= 0 && rows[i] > a[j] {
-			rows[k], i = rows[i], i-1
+		var ps crack.ProbeStats
+		if upper && bounded {
+			dst, ps, err = ed.ProbeInto(dst, from, above)
 		} else {
-			rows[k], j = a[j], j-1
+			dst, ps, err = ed.ProbeFrom(dst, from)
 		}
+		if err != nil {
+			return dst, false, err
+		}
+		// The cracker's row ids are positions in its ascending rows, so
+		// mapping them keeps them ascending.
+		for i, p := range dst {
+			dst[i] = int(ed.rows[p])
+		}
+		if built {
+			st.built++
+		}
+		st.lock = max(st.lock, ps.Lock)
+		st.pieces += ps.Pieces
+		st.cracks += ps.Cracks
+		return dst, true, nil
 	}
-	e.giveRowVec(a)
-	return rows
 }
 
 // takeRowVec returns an empty row-id vector with room for n row ids — an
@@ -829,9 +732,8 @@ func (e *Engine) takeRowVec(n int) []int {
 }
 
 // giveRowVec recycles v; four vectors per core are kept, since more
-// queries than that do not run at once for long, and a cracked query
-// holds three at most: its two probes' rows and the edge rows they merge
-// into.
+// queries than that do not run at once for long, and a query holds two at
+// most: an estimate's stratum and scratch, or a cracked query's edge rows.
 func (e *Engine) giveRowVec(v []int) {
 	e.mu.Lock()
 	if len(e.rowVecs) < 4*runtime.GOMAXPROCS(0) {

@@ -17,9 +17,12 @@
 //
 // Exact mode's plan also cuts each edge bucket at its second level
 // (storage.SubCells): the sub-cells of the sub-buckets between a bound
-// and the interior fold with the interior's cells, and only the rows of
-// the sub-bucket holding the bound are refined — about an eighth of the
-// edge. RangeBuckets hands the same plan to cracked and online modes.
+// and the interior fold with the interior's cells, and the edge reader
+// (readEdges) refines only the rows of the index's sub-bucket holding the
+// bound — about an eighth of the edge — and lists the rest of the level's
+// sub-bucket from its row lists. RangeBuckets hands the same plan to
+// cracked and online modes, which read the bound's sub-bucket their own
+// way through the same reader.
 //
 // The fold follows the merge rules partials already obey: counts add, sums
 // merge through rsum, a MIN/MAX tie goes to the earlier row, and a group's
@@ -137,7 +140,7 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 		if ix.bl, ix.bh = bucketRun(vi.ValueBuckets, iv); ix.bh-ix.bl < 2 {
 			return rowIndex{}, nil // the bounds were redrawn meanwhile
 		}
-		if kiv != nil {
+		if ix.keyed = kiv != nil; ix.keyed {
 			var ok bool
 			if ix.kl, ix.kh, ok = keyRun(cells, *kiv); !ok {
 				return rowIndex{}, nil
@@ -156,17 +159,13 @@ func chooseCells(t *storage.Table, ivs []expr.Interval, ak *aggKernel, q Query, 
 // each on its first such query: the lower edge at the sub-bucket holding
 // the interval's lower bound, the upper at the one holding its upper
 // bound. The sub-cells between them and the interior join the fold, and
-// the edges' parts shrink to the two sub-buckets. The cells span counts
+// the edges' parts shrink to the two sub-buckets, which the edge reader
+// reads (readEdges): the index's sub-bucket holding the bound, and the rest
+// of the part listed. The cells span counts
 // the sub-cells folded (sub_cells), says whether this query built a level
 // (sub_built), and names the rule when an edge has none (sub_refused).
 func (ix *rowIndex) subLevel(iv expr.Interval) error {
-	b := ix.vi.ValueBuckets
-	var jl, jh int
-	if iv.Float {
-		jl, jh = b.FloatSub(ix.bl, iv.FLo), b.FloatSub(ix.bh, iv.FHi)
-	} else {
-		jl, jh = b.IntSub(ix.bl, iv.ILo), b.IntSub(ix.bh, iv.IHi)
-	}
+	ix.boundSubs(iv)
 	lo, builtL, err := ix.cells.Sub(ix.bl)
 	if err != nil {
 		return err
@@ -175,7 +174,7 @@ func (ix *rowIndex) subLevel(iv expr.Interval) error {
 	if err != nil {
 		return err
 	}
-	ix.lo, ix.hi, ix.pl, ix.ph = lo, hi, lo.Part(jl), hi.Part(jh)
+	ix.lo, ix.hi, ix.pl, ix.ph = lo, hi, lo.Part(ix.sl), hi.Part(ix.sh)
 	if ix.csp != nil {
 		n := 0
 		for _, cells := range ix.subCells() {

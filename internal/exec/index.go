@@ -26,11 +26,14 @@
 // buckets strictly inside one interval's bucket run hold only rows inside
 // it, so their pre-aggregated cells — those whose key bucket lies inside
 // the other interval, if any — stand in for them, and only the two edge
-// buckets' candidates are refined; no morsel is scanned. Exact mode goes
-// one level further down: each edge bucket's sub-buckets wholly inside the
-// interval fold their sub-cells too, and only the rows of the sub-bucket
-// holding the bound are refined. An aggregate with no WHERE folds every
-// cell of a column with no NULL and refines nothing.
+// buckets are read; no morsel is scanned. Exact mode goes one level
+// further down: each edge bucket's sub-buckets wholly inside the interval
+// fold their sub-cells too. What is left of an edge is read by the one
+// edge reader (readEdges), which every mode shares and which differs per
+// mode only in how it reads the index's sub-bucket holding the bound:
+// exact mode refines its rows, cracked mode probes its cracker, online
+// mode samples it whole. An aggregate with no WHERE folds every cell of a
+// column with no NULL and reads no row.
 package exec
 
 import (
@@ -59,80 +62,121 @@ var disableIndex bool
 const indexCrossover = 0.1
 
 // rowIndex is the value index a plan prunes rows with: one column's index
-// and the bucket run its interval covers. With cells set, the cells of the
-// buckets strictly between bl and bh whose keys lie in [kl, kh] are
-// folded in (bucketcells.go), and a morsel's candidates are the rows of
-// the edge buckets' parts pl and ph alone — none when bl is -1: the run of
-// a query with no WHERE, which covers every bucket. The parts are whole
+// and the bucket run its interval covers, whose edge buckets bl and bh hold
+// the interval's bounds in the index's sub-buckets sl and sh. With cells
+// set, the cells of the buckets strictly between bl and bh whose keys lie
+// in [kl, kh] are folded in (bucketcells.go), and the plan reads its
+// edges' parts pl and ph (readEdges) — none when bl is -1: the run of a
+// query with no WHERE, which covers every bucket. The parts are whole
 // buckets unless the edges' second levels lo and hi cut them (subLevel),
-// whose sub-cells outside the parts then fold with the interior. A scan
-// reads the parts' rows from edges, listed once per query (listScan).
+// whose sub-cells outside the parts then fold with the interior.
 type rowIndex struct {
 	col    string
 	vi     *storage.ValueIndex
 	bl, bh int
+	sl, sh int
 	cells  *storage.BucketCells
 	kl, kh int
+	// keyed: a second interval keys the cells, so the rest of a part, which
+	// lies inside this one, is refined too.
+	keyed  bool
 	pl, ph storage.Part
 	lo, hi *storage.SubCells
+	// kern is the compiled WHERE the edges' rows are refined through.
+	kern *expr.Kernel
 	// csp is the cells span the plan was chosen under; run adds the edge
 	// rows refined to it.
 	csp *trace.Span
-	// edges are the rows of the parts, ascending, and morsel m's share of
-	// them is edges[starts[m]:starts[m+1]], which its refine compacts in
-	// place; both nil until a scan lists them.
-	edges, starts []int
 }
 
-// count returns how many candidates morsel m holds.
-func (ix *rowIndex) count(m int) int {
-	switch {
-	case ix.cells == nil:
-		return ix.vi.Count(m, ix.bl, ix.bh)
-	case ix.bl < 0:
-		return 0
+// A BoundRead is a mode's read of sub-bucket j of edge bucket k, the
+// index's sub-bucket holding the range's lower bound, its upper bound or
+// both: it writes the rows it keeps into dst, which is empty, ascending —
+// rows of the sub-bucket, a superset of those inside the range — and
+// returns them with ok true. Or it declines, ok false, and the edge reader
+// refines the sub-bucket's row list through the range's kernel, as exact
+// mode does.
+type BoundRead func(dst []int, k, j int, lower, upper bool) (_ []int, ok bool, err error)
+
+// readEdges is the one edge reader every mode reads a plan's edges with:
+// it appends to dst the rows of the edge buckets' parts that lie inside the
+// range, but for those of the bounds' sub-buckets read keeps instead,
+// ascending, and returns the extended slice and how many rows it refined.
+// Each edge's sub-bucket holding a bound — one, for a range whose bounds
+// share one — is read through read; where read is nil or declines, its row
+// list (storage.ValueIndex.SubRows) is refined through the kernel. The
+// rest of each part, between the bound's sub-bucket and the range's other
+// side, holds only rows inside the range and merges in from its
+// sub-buckets' row lists unread, or refined where a second interval keys
+// the cells. dst grows once, by at most the parts' rows.
+func (ix *rowIndex) readEdges(dst []int, read BoundRead) (_ []int, refined int, err error) {
+	bl, bh := ix.bl, ix.bh
+	if bl < 0 || bl > bh {
+		return dst, 0, nil
 	}
-	return ix.starts[m+1] - ix.starts[m]
-}
-
-// listEdges appends the rows of the edges' parts to dst, ascending — none
-// for the run of a query with no WHERE, which has no edge — and returns
-// the extended slice: each part the merge of its sub-buckets' row lists,
-// built on their first use (storage.ValueIndex.SubRows).
-func (ix *rowIndex) listEdges(dst []int) ([]int, error) {
-	if ix.bl < 0 {
-		return dst, nil
+	type bound struct {
+		k, j         int
+		lower, upper bool
+	}
+	one := bl == bh && ix.sl == ix.sh
+	bounds := []bound{{bl, ix.sl, true, one}, {bh, ix.sh, false, true}}
+	if one {
+		bounds = bounds[:1]
 	}
 	var buf [2 * storage.NumSubBuckets][]int32
-	lists, err := ix.vi.PartLists(buf[:0], ix.bl, int(ix.pl.Lo), int(ix.pl.Hi))
+	rest := buf[:0]
+	if bl == bh {
+		rest, err = ix.vi.PartLists(rest, bl, ix.sl+1, ix.sh-1)
+	} else if rest, err = ix.vi.PartLists(rest, bl, ix.sl+1, int(ix.pl.Hi)); err == nil {
+		rest, err = ix.vi.PartLists(rest, bh, int(ix.ph.Lo), ix.sh-1)
+	}
 	if err != nil {
-		return dst, err
+		return dst, 0, err
 	}
-	if lists, err = ix.vi.PartLists(lists, ix.bh, int(ix.ph.Lo), int(ix.ph.Hi)); err != nil {
-		return dst, err
+	all := rest // then the bounds' lists
+	for _, b := range bounds {
+		if all, err = ix.vi.PartLists(all, b.k, b.j, b.j); err != nil {
+			return dst, 0, err
+		}
 	}
-	return storage.MergeLists(dst, lists), nil
+	lists, n := all[len(rest):], 0
+	for _, l := range all {
+		n += len(l)
+	}
+	// rows is dst's room, which holds every row the reader can keep, so
+	// the merges never move it.
+	dst = slices.Grow(dst, n)
+	rows := storage.MergeLists(dst[len(dst):], rest)
+	if ix.keyed {
+		refined = len(rows)
+		rows = ix.kern.Refine(rows)
+	}
+	scratch := getSel()
+	defer putSel(scratch)
+	for i, b := range bounds {
+		ok := false
+		if read != nil {
+			if *scratch, ok, err = read((*scratch)[:0], b.k, b.j, b.lower, b.upper); err != nil {
+				return dst, refined, err
+			}
+		}
+		if !ok {
+			refined += len(lists[i])
+			*scratch = ix.kern.Refine(storage.MergeLists((*scratch)[:0], lists[i:i+1]))
+		}
+		rows = mergeInto(rows, *scratch)
+	}
+	return dst[:len(dst)+len(rows)], refined, nil
 }
 
-// listScan lists the edges' rows into buf (listEdges), followed by where
-// each of the morsels of the given size over n rows starts among them,
-// and points edges and starts into it; buf, the extended slice, must
-// outlive the scan.
-func (ix *rowIndex) listScan(buf []int, n, morsel int) ([]int, error) {
-	buf, err := ix.listEdges(buf)
-	if err != nil {
-		return buf, err
+// boundSubs sets sl and sh to the index's sub-buckets of the edge buckets
+// holding iv's bounds.
+func (ix *rowIndex) boundSubs(iv expr.Interval) {
+	if iv.Float {
+		ix.sl, ix.sh = ix.vi.FloatSub(ix.bl, iv.FLo), ix.vi.FloatSub(ix.bh, iv.FHi)
+	} else {
+		ix.sl, ix.sh = ix.vi.IntSub(ix.bl, iv.ILo), ix.vi.IntSub(ix.bh, iv.IHi)
 	}
-	rows := len(buf)
-	for at, lo := 0, 0; lo < n; lo += morsel {
-		for at < rows && buf[at] < lo {
-			at++
-		}
-		buf = append(buf, at)
-	}
-	buf = append(buf, rows)
-	ix.edges, ix.starts = buf[:rows], buf[rows:]
-	return buf, nil
 }
 
 // buckets returns how many of the interior's buckets hold cells: those
@@ -181,7 +225,9 @@ func choosePlan(t *storage.Table, kern *expr.Kernel, ak *aggKernel, q Query, mor
 		return chooseAllCells(t, ak, q, morsel, sp)
 	}
 	ivs, rest := expr.Intervals(t.Schema(), q.Where)
-	return chooseRange(t, ivs, rest, kern, ak, q, morsel, sp)
+	ix, err := chooseRange(t, ivs, rest, kern, ak, q, morsel, sp)
+	ix.kern = kern
+	return ix, err
 }
 
 // chooseRange is the plan for a WHERE whose top-level conjunction yields
@@ -203,16 +249,17 @@ func chooseRange(t *storage.Table, ivs []expr.Interval, rest string, kern *expr.
 // value buckets (storage.ValueBuckets): the run [bl, bh] of the buckets
 // its range touches, whose interior buckets bl+1 … bh-1 hold only rows
 // inside it and whose edge buckets bl and bh it may cut, and the parts of
-// the edge buckets the plan refines (Parts): under bucket cells, the
-// sub-buckets holding the bounds, whose covered neighbours' sub-cells the
-// plan folds; else the whole buckets. Cracked mode cracks the sub-buckets
-// holding the bounds, lists the rest of the edges' parts, and hands
-// ExecuteSel those rows inside the range with the Buckets, which reads the
-// rest as exact mode does: the interior's bucket
-// cells and the edges' covered sub-cells where exact mode's plan for the
-// query folds them, else the interior's rows. Online mode folds the cells
-// (Cells) as the exact part of its answer and samples the candidates the
-// plan refines (Edges). The zero Buckets has no index and no interior.
+// the edge buckets the plan reads: under bucket cells, the sub-buckets
+// holding the bounds, whose covered neighbours' sub-cells the plan folds;
+// else the whole buckets. Every mode reads the parts with the one edge
+// reader (ReadEdges), and the modes differ only in how they read the
+// index's sub-bucket holding each bound: exact mode refines it, cracked
+// mode probes its cracker (ReadEdges, then ExecuteSel, which reads the
+// rest as exact mode does: the interior's bucket cells and the edges'
+// covered sub-cells where exact mode's plan for the query folds them, else
+// the interior's rows), and online mode samples it whole (Edges) beside
+// the cells it folds (Cells). The zero Buckets has no index and no
+// interior.
 type Buckets struct{ ix rowIndex }
 
 // RangeBuckets returns exact mode's index plan for q over t at opt's
@@ -244,14 +291,15 @@ func (b Buckets) Index() *storage.ValueIndex { return b.ix.vi }
 // Run returns the bucket run [bl, bh]; bl > bh when the range is empty.
 func (b Buckets) Run() (bl, bh int) { return b.ix.bl, b.ix.bh }
 
-// Parts returns the parts of the edge buckets bl and bh the plan refines:
-// the runs of sub-buckets holding the bounds, or storage.Whole where the
-// plan has no second level.
-func (b Buckets) Parts() (pl, ph storage.Part) {
-	if b.ix.lo == nil {
-		return storage.Whole, storage.Whole
-	}
-	return b.ix.pl, b.ix.ph
+// ReadEdges appends to dst the rows of the plan's edges inside its range,
+// ascending, but for those of the bounds' sub-buckets read keeps instead
+// (nil: exact mode's refine), and returns the extended slice and how many
+// rows it refined, the rows its caller counts as scanned: the one edge
+// reader, exact mode's own. With no index, or the run of a query with no
+// WHERE, there are none. err is a failed build of an edge's row list, or
+// read's error.
+func (b Buckets) ReadEdges(dst []int, read BoundRead) (_ []int, refined int, err error) {
+	return b.ix.readEdges(dst, read)
 }
 
 // Cells calls fold with each cell exact mode folds — one that holds rows
@@ -276,9 +324,10 @@ func (b Buckets) Cells(fold func(*storage.Cell)) int {
 	return n
 }
 
-// Edges appends to dst the candidates exact mode's plan refines, over
-// every morsel, ascending — the rows of the edges' parts beside cells,
-// none for the cells of a query with no WHERE, else the rows of the run —
+// Edges appends to dst the candidates exact mode's plan reads, over every
+// morsel, ascending — beside cells, the rows of the edges' parts, read by
+// the one edge reader with every row of the bounds' sub-buckets kept;
+// none for the cells of a query with no WHERE; else the rows of the run —
 // and returns the extended slice, grown once by exactly their count, with
 // ok true. They are a superset of the rows the WHERE keeps outside the
 // cells. It appends none and returns ok false when the plan has no index,
@@ -291,8 +340,11 @@ func (b Buckets) Edges(dst []int) (_ []int, ok bool, err error) {
 	switch {
 	case ix.vi == nil || ix.cells == nil && ix.vi.Fraction(ix.bl, ix.bh) > indexCrossover:
 		return dst, false, nil
-	case ix.cells != nil:
-		dst, err = ix.listEdges(dst)
+	case ix.cells != nil: // online mode's read keeps a bound's sub-bucket whole
+		dst, _, err = ix.readEdges(dst, func(dst []int, k, j int, _, _ bool) ([]int, bool, error) {
+			list, _, err := ix.vi.SubRows(k, j)
+			return storage.MergeLists(dst, [][]int32{list}), err == nil, err
+		})
 		return dst, err == nil, err
 	}
 	morsels := ix.vi.Morsels()
@@ -345,7 +397,8 @@ func chooseIndex(t *storage.Table, ivs []expr.Interval, morsel int, sp *trace.Sp
 	}
 	isp.SetStr("col", iv.Col)
 	isp.SetBool("built", built)
-	ix = rowIndex{col: iv.Col, vi: vi}
+	ix = rowIndex{col: iv.Col, vi: vi, pl: storage.Whole, ph: storage.Whole}
 	ix.bl, ix.bh = bucketRun(vi.ValueBuckets, iv)
+	ix.boundSubs(iv)
 	return ix, nil
 }

@@ -13,12 +13,13 @@
 //	                    a projection's sink is a per-worker top-k heap under
 //	                    ORDER BY, else a gather over the parked buffers
 //	                    (rows.go)
-//	per morsel: skip (no index candidate) → the index's candidates —
-//	            under bucket cells, the two edge buckets' alone, and in
-//	            exact mode only their sub-buckets holding a bound — through
-//	            Kernel.Refine when they are few enough and the filter is
-//	            the kernel, else filter the morsel — either way into a
-//	            pooled selection buffer → sink.consume
+//	per morsel: skip (no index candidate) → the index's candidates
+//	            through Kernel.Refine when they are few enough and the
+//	            filter is the kernel, else filter the morsel — either way
+//	            into a pooled selection buffer → sink.consume; under a
+//	            selection, skip (no share of it, no interior row) → its
+//	            share, merged with the morsel's interior rows if any →
+//	            sink.consume
 //	then:       the interior's bucket cells and the edges' covered
 //	            sub-cells fold into the sink → ordered merge
 //	            (sink.finish) → aggregates only: HAVING / ORDER BY / LIMIT
@@ -28,11 +29,14 @@
 // aggregate shape the typed layer rejects selects the generic filter or sink
 // inside the same loop, and the stable fallback reason lands on the scan
 // span and the fallback counter. The input is the dense row range [0, n)
-// plus the WHERE clause (ExecuteCtx), or a caller-supplied selection vector
-// of distinct, ascending row ids that stands in for it (ExecuteSel), which
-// cracked mode hands over with the interior of its range's value buckets:
-// the selection is the rows its edge buckets' crackers found, and the
-// interior comes from the value index, as rows or as bucket cells. Either
+// plus the WHERE clause (ExecuteCtx), or a selection vector of distinct,
+// ascending row ids that stands in for it. A bucket-cells plan makes its
+// own: the one edge reader (readEdges) reads its edges' parts once, before
+// any morsel runs, refining the index's sub-buckets holding the bounds.
+// Cracked mode hands one over (ExecuteSel): the same reader's rows, with
+// the bounds' sub-buckets probed through their crackers, and the interior
+// of its range's value buckets comes from the value index, as rows or as
+// bucket cells. A selection is split at the morsels once per query. Either
 // way the table's morsels are the unit of work and a row's position is its
 // row id: there is no other position space.
 //
@@ -58,6 +62,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -157,11 +162,12 @@ func ExecutePlanned(ctx context.Context, t *storage.Table, b Buckets, q Query, o
 // The zero Buckets has no interior: sel is the whole input. The Buckets of
 // q's range (RangeBuckets) adds the rows of the buckets strictly inside
 // its run, which lie inside the range; sel must then list the range's
-// rows in the parts of the run's edge buckets alone (Buckets.Parts).
-// Where exact mode's plan folds the interior's bucket cells and the edges'
-// covered sub-cells, so does this one, after sel's rows; otherwise each
-// morsel's interior rows, read from the value index, are merged into its
-// share of sel.
+// rows in the parts of the run's edge buckets alone, as the edge reader
+// (Buckets.ReadEdges) does. Where exact mode's plan folds the interior's
+// bucket cells and the edges' covered sub-cells, so does this one, after
+// sel's rows; otherwise each morsel's interior rows, read from the value
+// index, are merged into its share of sel. A morsel with neither is
+// skipped, and counted as the index skipping it.
 func ExecuteSel(ctx context.Context, t *storage.Table, b Buckets, sel []int, q Query, opt ExecOptions) (*storage.Table, error) {
 	if sel == nil {
 		sel = []int{} // non-nil marks selection input, even when empty
@@ -224,9 +230,13 @@ type plan struct {
 	t *storage.Table
 	q Query
 	n int // table rows: the morsels run over [0, n)
-	// sel is the input selection, distinct ascending row ids, which each
-	// morsel reads its share of; nil means the dense range [0, n).
-	sel []int
+	// sel is the input selection, distinct ascending row ids, and morsel m
+	// reads its share sel[starts[m]:starts[m+1]]; nil means the dense range
+	// [0, n).
+	sel, starts []int
+	// given: sel is the caller's (ExecuteSel); else the plan read it
+	// itself, refining edge rows of its own, which its spans report.
+	given bool
 	// where is the predicate still to evaluate; nil means every input row
 	// qualifies (no WHERE, a trivial one, or selection input).
 	where        *expr.Pred
@@ -250,14 +260,14 @@ type plan struct {
 	// parked holds each morsel's pooled buffer while the gather sink still
 	// reads it; run returns them once the sink has finished.
 	parked []*[]int
-	// scratch holds, per worker, the candidate and merge buffers of a
-	// selection with interior rows, taken from the pool once a query
-	// rather than once a morsel; run returns them.
-	scratch [][2]*[]int
+	// scratch holds, per worker, the buffer a selection's share merges with
+	// its interior rows in, taken from the pool once a query rather than
+	// once a morsel; run returns them.
+	scratch []*[]int
 }
 
 func compile(t *storage.Table, sel []int, ix *rowIndex, q Query, pool *par.Pool, c *Counters, sp *trace.Span) (*plan, error) {
-	p := &plan{t: t, q: q, sel: sel, n: t.NumRows(), stage: "project"}
+	p := &plan{t: t, q: q, sel: sel, given: sel != nil, n: t.NumRows(), stage: "project"}
 	p.agg = q.HasAggregates() || len(q.GroupBy) > 0
 	var ak *aggKernel
 	var aggReason string
@@ -287,7 +297,7 @@ func compile(t *storage.Table, sel []int, ix *rowIndex, q Query, pool *par.Pool,
 	}
 	morsels, workers := pool.Morsels(p.n), pool.WorkersFor(p.n)
 	if sel != nil && p.index.interior() {
-		p.scratch = make([][2]*[]int, workers)
+		p.scratch = make([]*[]int, workers)
 	}
 	if !p.agg {
 		return p, p.compileRows(morsels, workers, pool.MorselSize())
@@ -361,41 +371,32 @@ func (p *plan) compileRows(morsels, workers, m int) error {
 }
 
 // qualify returns the qualifying rows of the morsel's input [lo, hi),
-// ascending, and how many rows it visited: the candidates it refined, else
-// the morsel's. buf, when non-nil, is the pooled buffer backing rows, which
-// the caller must putSel once rows is dead. A nil rows (dense sink, no
-// predicate) means the whole range qualifies. cand refines the value
-// index's candidates of the morsel in place of scanning it — a cells
-// plan's share of its edges' rows, where they lie, else a pooled copy of
-// the run's — they come out ascending, so rows is the same either way.
-// Under a selection, the morsel's share of it is merged with its interior
-// rows, if any, in the worker's scratch buffers — a pooled buffer when the
-// gather sink keeps it.
+// ascending, and how many rows it visited: the candidates it refined, the
+// morsel's, or none for a selection. buf, when non-nil, is the pooled
+// buffer backing rows, which the caller must putSel once rows is dead. A
+// nil rows (dense sink, no predicate) means the whole range qualifies.
+// cand refines a pooled copy of the value index's candidates of the morsel
+// in place of scanning it — they come out ascending, so rows is the same
+// either way. Under a selection, the morsel's share of it is merged with
+// its interior rows, if any, in the worker's scratch buffer — a pooled
+// buffer when the gather sink keeps it.
 func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int, visited int, err error) {
 	visited = hi - lo
 	switch {
 	case p.sel != nil:
-		i := sort.SearchInts(p.sel, lo)
-		rows = p.sel[i : i+sort.SearchInts(p.sel[i:], hi)]
+		rows = p.sel[p.starts[lo/m]:p.starts[lo/m+1]]
 		if p.scratch == nil {
-			return rows, nil, visited, nil
+			return rows, nil, 0, nil
 		}
-		sc := &p.scratch[worker]
-		if sc[0] == nil {
-			sc[0], sc[1] = getSel(), getSel()
+		if buf = p.scratch[worker]; p.parked != nil || buf == nil {
+			buf = getSel()
 		}
-		*sc[0] = p.index.vi.Candidates(lo/m, p.index.bl+1, p.index.bh-1, (*sc[0])[:0])
+		*buf = mergeInto(p.index.vi.Candidates(lo/m, p.index.bl+1, p.index.bh-1, (*buf)[:0]), rows)
 		if p.parked == nil {
-			*sc[1] = MergeRows((*sc[1])[:0], *sc[0], rows)
-			return *sc[1], nil, visited, nil
+			p.scratch[worker] = buf
+			return *buf, nil, 0, nil
 		}
-		buf = getSel()
-		*buf = MergeRows(*buf, *sc[0], rows)
-	case cand && p.index.cells != nil:
-		// The morsel's share of the edges' rows is its own to compact.
-		ix := &p.index
-		rows = ix.edges[ix.starts[lo/m]:ix.starts[lo/m+1]]
-		return p.kern.Refine(rows), nil, len(rows), nil
+		return *buf, buf, 0, nil
 	case cand:
 		buf = getSel()
 		*buf = p.index.vi.Candidates(lo/m, p.index.bl, p.index.bh, *buf)
@@ -426,7 +427,8 @@ func (p *plan) qualify(worker, lo, hi, m int, cand bool) (rows []int, buf *[]int
 // then the ordered merge. It is the only place query execution fans out.
 // A morsel the value index proves empty is skipped, and one with few
 // enough index candidates refines them through the kernel in place of a
-// scan.
+// scan; under a selection, one with no share of it and no interior row is
+// skipped.
 func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.Span) (*storage.Table, error) {
 	m := pool.MorselSize()
 	// The gather sink reads the parked buffers at finish; the sweep also
@@ -439,27 +441,36 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 					putSel(b)
 				}
 			}
-			for _, sc := range p.scratch {
-				if sc[0] != nil {
-					putSel(sc[0])
-					putSel(sc[1])
+			for _, b := range p.scratch {
+				if b != nil {
+					putSel(b)
 				}
 			}
 		}()
 	}
-	// A cells plan's scan reads its edges' rows from one vector, listed
-	// here, once, in a buffer of the free list.
-	if ix := &p.index; ix.cells != nil && ix.bl >= 0 && p.sel == nil {
-		buf := getSel()
-		defer putSel(buf)
-		var err error
-		if *buf, err = ix.listScan(*buf, p.n, m); err != nil {
-			return nil, err
-		}
-	}
-	scanSp := sp.Child("scan")
 	// One struct, so the morsel closure captures one heap object, not four.
 	var n struct{ matched, indexSkipped, candidates, candMorsels atomic.Int64 }
+	// A cells plan reads its edges once, here, with the one edge reader,
+	// and runs on that selection; a selection is split at the morsels once.
+	// Both go in one buffer of the free list: the edges, then the starts.
+	if ix := &p.index; (ix.cells != nil || p.sel != nil) && !p.known {
+		buf := getSel()
+		defer putSel(buf)
+		if p.sel == nil {
+			refined := 0
+			var err error
+			if *buf, refined, err = ix.readEdges(*buf, nil); err != nil {
+				return nil, err
+			}
+			n.candidates.Store(int64(refined))
+			c.Scanned.Add(int64(refined))
+			p.sel = *buf
+		}
+		at := len(*buf)
+		*buf = splitAt(*buf, p.sel, p.n, m)
+		p.starts = (*buf)[at:]
+	}
+	scanSp := sp.Child("scan")
 	var err error
 	if p.known {
 		n.matched.Store(int64(p.n))
@@ -472,14 +483,25 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 				return ferr
 			}
 			cand := false
-			if ix := &p.index; ix.vi != nil && p.sel == nil {
-				switch c := ix.count(lo / m); {
+			switch ix := &p.index; {
+			case p.sel != nil:
+				if p.starts[lo/m] == p.starts[lo/m+1] && (!ix.interior() || ix.vi.Count(lo/m, ix.bl+1, ix.bh-1) == 0) {
+					if ix.vi != nil {
+						n.indexSkipped.Add(1)
+					}
+					return nil
+				}
+				if ix.vi != nil {
+					n.candMorsels.Add(1)
+				}
+			case ix.vi != nil:
+				switch c := ix.vi.Count(lo/m, ix.bl, ix.bh); {
 				case c == 0:
 					// Skipped morsels are not scanned: no rows touched, no
 					// progress counted — the live counter reflects real work.
 					n.indexSkipped.Add(1)
 					return nil
-				case p.kern != nil && (ix.cells != nil || c <= int(indexCrossover*float64(hi-lo))):
+				case p.kern != nil && c <= int(indexCrossover*float64(hi-lo)):
 					cand = true
 					n.candMorsels.Add(1)
 				}
@@ -520,7 +542,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 	// the sink any more.
 	if ix := &p.index; ix.cells != nil && err == nil {
 		n.matched.Add(int64(p.sink.(*typedSink).addCells(ix)))
-		if p.sel == nil {
+		if !p.given {
 			ix.csp.SetInt("edge_rows", n.candidates.Load())
 		}
 	}
@@ -535,7 +557,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 		scanSp.SetInt("rows_out", n.matched.Load())
 		scanSp.SetInt("morsels", int64(pool.Morsels(p.n)))
 		scanSp.SetInt("workers", int64(pool.WorkersFor(p.n)))
-		if p.index.vi != nil && p.sel == nil {
+		if p.index.vi != nil && !p.given {
 			scanSp.SetStr("index", p.index.col)
 			scanSp.SetInt("index_morsels", n.indexSkipped.Load()+n.candMorsels.Load())
 			scanSp.SetInt("index_candidates", n.candidates.Load())
@@ -543,7 +565,7 @@ func (p *plan) run(ctx context.Context, pool *par.Pool, c *Counters, sp *trace.S
 		}
 		if p.index.cells != nil {
 			scanSp.SetInt("bucket_cells", int64(p.index.buckets()))
-			if p.sel == nil {
+			if !p.given {
 				scanSp.SetInt("edge_candidates", n.candidates.Load())
 			}
 			scanSp.SetInt("cell_keys", int64(p.index.keys()))
@@ -648,17 +670,36 @@ func (s *genericSink) finish() (*storage.Table, error) {
 	return buildGroupOutput(s.t, s.q, gt)
 }
 
-// MergeRows appends to dst the rows of a and b, each ascending and the
-// two disjoint, in ascending order: two edge buckets' rows, say.
-func MergeRows(dst, a, b []int) []int {
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			dst, a = append(dst, a[0]), a[1:]
+// mergeInto merges a, ascending and disjoint from rows, into rows, which
+// stays ascending, and returns the extended slice: a bound's rows into an
+// edge's, or a selection's share into a morsel's interior rows. It merges
+// from the back, in rows' own room, grown when short, so it needs no third
+// vector; a is only read.
+func mergeInto(rows, a []int) []int {
+	i, j := len(rows)-1, len(a)-1
+	rows = slices.Grow(rows, len(a))[:len(rows)+len(a)]
+	for k := len(rows) - 1; j >= 0; k-- {
+		if i >= 0 && rows[i] > a[j] {
+			rows[k], i = rows[i], i-1
 		} else {
-			dst, b = append(dst, b[0]), b[1:]
+			rows[k], j = a[j], j-1
 		}
 	}
-	return append(append(dst, a...), b...)
+	return rows
+}
+
+// splitAt appends to starts where each morsel of the given size over n
+// rows starts in sel, ascending row ids, then len(sel), and returns the
+// extended slice: morsel m's share of sel is sel[starts[m]:starts[m+1]].
+func splitAt(starts, sel []int, n, morsel int) []int {
+	at := 0
+	for lo := 0; lo < n; lo += morsel {
+		for at < len(sel) && sel[at] < lo {
+			at++
+		}
+		starts = append(starts, at)
+	}
+	return append(starts, len(sel))
 }
 
 // A freeList recycles scratch buffers across morsels and queries, under

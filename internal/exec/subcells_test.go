@@ -183,10 +183,13 @@ func subQueries(t *testing.T, tab *storage.Table) (qs []Query, lower, upper map[
 // scan path): counts, group order, MIN/MAX down to which of two tying
 // rows, and every float SUM/AVG. The bounds must reach every sub-bucket
 // of their buckets, and the levels folded must include 8, 4 and 2
-// sub-buckets and a refused one; where a level is folded, the rows
-// refined must be fewer than the edges hold, and at a level of two —
-// where each part is the merge of four sub-buckets' row lists — exactly
-// the rows the parts hold.
+// sub-buckets and a refused one. On every arm, the refused level's
+// included, the rows refined (edge_rows) are exactly the rows of the
+// index's sub-buckets holding the bounds — and the rest of the edges'
+// parts too when a second range keys the cells — counted from the index's
+// offsets and the values' sub-buckets, and the rows scanned are those plus
+// the rows the sink takes: the parts' rows inside the range. At a level of
+// two, each part's rest is three of the index's sub-buckets, listed unread.
 func TestSubCellsMatchScanBitForBit(t *testing.T) {
 	defer func() { disableBucketCells = false }()
 	tab := subTable(rand.New(rand.NewSource(53)), 1<<17)
@@ -218,6 +221,8 @@ func TestSubCellsMatchScanBitForBit(t *testing.T) {
 			{Parallelism: 1}, {Parallelism: 2, MorselSize: 4096}, {Parallelism: 4, MorselSize: 4096}, {Parallelism: 8, MorselSize: 1024},
 		} {
 			label := fmt.Sprintf("P%d m%d: %s", opt.Parallelism, opt.MorselSize, q)
+			var c Counters
+			opt.Counters = &c
 			got, js, err := tracedExec(tab, q, opt)
 			if err != nil {
 				t.Fatal(label, err)
@@ -234,26 +239,28 @@ func TestSubCellsMatchScanBitForBit(t *testing.T) {
 			case n("sub_cells") > 0:
 				folded++
 			}
+			e := edgeParts(t, tab, q, opt)
+			wantRefined := e.bound
+			if csp.Attrs["key"] == "q" {
+				wantRefined += e.rest
+			}
+			if n("edge_rows") != wantRefined || c.Scanned.Load() != wantRefined+e.kept {
+				t.Fatalf("%s: %d edge rows refined, %d rows scanned; the bounds' sub-buckets hold %d, the rest of the parts %d, and %d of their rows lie inside the range",
+					label, n("edge_rows"), c.Scanned.Load(), e.bound, e.rest, e.kept)
+			}
 			if edges := n("edge_rows"); csp.Attrs["sub_refused"] == nil && edges > 0 {
 				if whole := coarseEdges(t, tab, q, opt); edges >= whole {
 					t.Fatalf("%s: %d edge rows refined of the edges' %d", label, edges, whole)
 				}
 				cut++
 			}
-			// At a level of two sub-buckets each edge's part is four of the
-			// index's, read as the merge of their row lists: the rows
-			// refined are exactly the parts' rows, counted from the index's
-			// offsets and the values' sub-buckets.
-			if rows, subs := partRows(t, tab, q, opt); subs == 4 {
-				if n("edge_rows") != rows {
-					t.Fatalf("%s: %d edge rows refined; the parts hold %d", label, n("edge_rows"), rows)
-				}
+			if e.subs == 4 && e.rest > 0 {
 				merged++
 			}
 		}
 	}
 	if folded == 0 || refused == 0 || cut == 0 || merged == 0 {
-		t.Fatalf("%d answers folded sub-cells, %d had a level refused, %d refined part of an edge, %d at a level of two; want some of each",
+		t.Fatalf("%d answers folded sub-cells, %d had a level refused, %d refined part of an edge, %d listed the rest of a level of two; want some of each",
 			folded, refused, cut, merged)
 	}
 	levels := map[int]bool{}
@@ -294,11 +301,20 @@ func coarseEdges(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) int
 	return int64(n)
 }
 
-// partRows returns how many rows the edges' parts of q's cells plan hold,
-// counted from the value index's offsets of the edge buckets and the
-// sub-bucket each row's value gets, and how many of the index's
-// sub-buckets the lower part spans; 0, 0 when the plan has no cells.
-func partRows(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) (rows int64, subs int) {
+// partCount is what edgeParts counts of a cells plan's edges.
+type partCount struct {
+	bound, rest, kept int64 // rows of the bounds' sub-buckets, of the parts' rest, inside the range
+	subs              int   // the index's sub-buckets the lower part spans
+	rows              []int // the parts' rows inside the range, ascending
+}
+
+// edgeParts counts the edges' parts of q's cells plan from the value
+// index's offsets of the edge buckets and the sub-bucket each row's value
+// gets: the rows of the index's sub-buckets holding q's bounds on the
+// range column, those of the rest of the parts, between a bound's
+// sub-bucket and the range's other side, and those of either inside q's
+// WHERE, which it lists too; zeros when the plan has no cells.
+func edgeParts(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) (e partCount) {
 	t.Helper()
 	b, err := RangeBuckets(t.Context(), tab, q, opt)
 	if err != nil {
@@ -306,39 +322,92 @@ func partRows(t *testing.T, tab *storage.Table, q Query, opt ExecOptions) (rows 
 	}
 	ix := &b.ix
 	if ix.cells == nil || ix.bl < 0 {
-		return 0, 0
+		return e
 	}
 	c, err := tab.ColumnByName(ix.col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ivs, _ := expr.Intervals(tab.Schema(), q.Where)
+	var sl, sh int
 	sub := func(k, r int) int {
 		if fc, ok := c.(*storage.FloatColumn); ok {
 			return ix.vi.FloatSub(k, fc.V[r])
 		}
 		return ix.vi.IntSub(k, c.(*storage.IntColumn).V[r])
 	}
-	pl, ph := b.Parts()
+	for _, iv := range ivs {
+		if iv.Col != ix.col {
+			continue
+		}
+		if iv.Float {
+			sl, sh = ix.vi.FloatSub(ix.bl, iv.FLo), ix.vi.FloatSub(ix.bh, iv.FHi)
+		} else {
+			sl, sh = ix.vi.IntSub(ix.bl, iv.ILo), ix.vi.IntSub(ix.bh, iv.IHi)
+		}
+	}
 	for m := range ix.vi.Morsels() {
-		for _, e := range []struct {
-			k int
-			p storage.Part
-		}{{ix.bl, pl}, {ix.bh, ph}} {
-			for _, r := range ix.vi.Candidates(m, e.k, e.k, nil) {
-				if j := sub(e.k, r); j >= int(e.p.Lo) && j <= int(e.p.Hi) {
-					rows++
+		for _, edge := range []struct{ k, bound, from, to int }{
+			{ix.bl, sl, sl + 1, int(ix.pl.Hi)}, {ix.bh, sh, int(ix.ph.Lo), sh - 1},
+		} {
+			for _, r := range ix.vi.Candidates(m, edge.k, edge.k, nil) {
+				j := sub(edge.k, r)
+				switch {
+				case j == edge.bound:
+					e.bound++
+				case j >= edge.from && j <= edge.to:
+					e.rest++
+				default:
+					continue
+				}
+				if q.Where.Matches(tab, r) {
+					e.kept++
+					e.rows = append(e.rows, r)
 				}
 			}
 		}
 	}
-	return rows, int(pl.Hi-pl.Lo) + 1
+	slices.Sort(e.rows)
+	e.subs = int(ix.pl.Hi-ix.pl.Lo) + 1
+	return e
 }
 
-// TestListScanSplitsAtMorsels: a cells plan's edge rows, listed once for
-// a scan, are ascending and exactly the rows of the edges' parts
-// (partRows), and each morsel's share of them lies inside the morsel, at
-// morsel sizes that do and do not divide the table.
-func TestListScanSplitsAtMorsels(t *testing.T) {
+// TestSelectionSplitsAtMorsels: a selection is split at the morsels once
+// per query (splitAt), and each morsel's share lies inside it: an empty
+// selection, one whose morsels between its rows are empty, one ending on
+// the table's last row, and one row per morsel, at morsel sizes that do
+// and do not divide the table. A cells plan's edge rows (readEdges) are
+// ascending and exactly the parts' rows inside the range (edgeParts). And
+// a selection of two rows over a table of hundreds of morsels — an exact
+// query's whose edge reader keeps two rows, and a cracked query's, handed
+// over (ExecuteSel) — consumes at most two morsels and counts every other
+// as skipped by the index.
+func TestSelectionSplitsAtMorsels(t *testing.T) {
+	const n = 1000
+	perMorsel := func(morsel int) (sel []int) {
+		for lo := 0; lo < n; lo += morsel {
+			sel = append(sel, lo+(morsel-1)/2)
+		}
+		return sel
+	}
+	for _, morsel := range []int{7, 100, 1000, 4096} {
+		for _, sel := range [][]int{{}, {3, 4, 650, 651, 652}, {0, 517, n - 1}, perMorsel(morsel)} {
+			sel = slices.DeleteFunc(slices.Clone(sel), func(r int) bool { return r >= n })
+			starts := splitAt(nil, sel, n, morsel)
+			morsels := storage.NumChunks(n, morsel)
+			if len(starts) != morsels+1 || starts[morsels] != len(sel) {
+				t.Fatalf("morsel %d, %v: starts %v for %d morsels", morsel, sel, starts, morsels)
+			}
+			for m := 0; m < morsels; m++ {
+				for _, r := range sel[starts[m]:starts[m+1]] {
+					if r < m*morsel || r >= (m+1)*morsel {
+						t.Fatalf("morsel %d, %v: row %d in the share of morsel %d", morsel, sel, r, m)
+					}
+				}
+			}
+		}
+	}
+
 	tab := subTable(rand.New(rand.NewSource(55)), 1<<17)
 	q := Query{Select: []SelectItem{{Col: "g12"}, {Col: "x", Agg: AggSum}}, GroupBy: []string{"g12"},
 		Where: expr.And(expr.Cmp("f", expr.GE, storage.Float(-30)), expr.Cmp("f", expr.LT, storage.Float(40)))}
@@ -348,23 +417,71 @@ func TestListScanSplitsAtMorsels(t *testing.T) {
 		if err != nil || b.ix.cells == nil {
 			t.Fatalf("morsel %d: cells %v, err %v", morsel, b.ix.cells, err)
 		}
-		ix := b.ix
-		if _, err := ix.listScan(nil, tab.NumRows(), morsel); err != nil {
+		rows, _, err := b.ReadEdges(nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := partRows(t, tab, q, opt); int64(len(ix.edges)) != want || !slices.IsSorted(ix.edges) {
-			t.Fatalf("morsel %d: %d edge rows listed (sorted %v); the parts hold %d", morsel, len(ix.edges), slices.IsSorted(ix.edges), want)
+		if want := edgeParts(t, tab, q, opt); !slices.Equal(rows, want.rows) || want.rest == 0 {
+			t.Fatalf("morsel %d: %d edge rows read; the parts hold %d inside the range, %d of them listed unread", morsel, len(rows), len(want.rows), want.rest)
 		}
-		morsels := storage.NumChunks(tab.NumRows(), morsel)
-		if len(ix.starts) != morsels+1 || ix.starts[morsels] != len(ix.edges) {
-			t.Fatalf("morsel %d: %d starts for %d morsels, the last %d of %d rows", morsel, len(ix.starts), morsels, ix.starts[len(ix.starts)-1], len(ix.edges))
+	}
+
+	// Two rows: an INT column of the row ids, at 2^15 rows a level of 8
+	// sub-buckets of 16 rows, and bounds on the last value of a sub-bucket
+	// and the first of another.
+	const rows = 1 << 15
+	ids, xs := make([]int64, rows), make([]float64, rows)
+	for r := range ids {
+		ids[r], xs[r] = int64(r), float64(r%7)
+	}
+	tab, err := storage.FromColumns("t", storage.Schema{{Name: "i", Type: storage.TInt}, {Name: "x", Type: storage.TFloat}},
+		[]storage.Column{storage.NewIntColumn(ids), storage.NewFloatColumn(xs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const morsel = 256
+	vi, _, err := tab.ValueIndex("i", morsel)
+	if err != nil || vi == nil {
+		t.Fatal("no index", err)
+	}
+	lows, _, _ := vi.SubRows(60, 3)
+	highs, _, _ := vi.SubRows(190, 4)
+	if len(lows) == 0 || len(highs) == 0 {
+		t.Fatal("empty sub-bucket")
+	}
+	q = Query{Select: []SelectItem{{Col: "x", Agg: AggSum}, {Col: "*", Agg: AggCount}},
+		Where: expr.And(expr.Cmp("i", expr.GE, storage.Int(int64(lows[len(lows)-1]))), expr.Cmp("i", expr.LE, storage.Int(int64(highs[0]))))}
+	want, err := Execute(tab, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	morsels := int64(storage.NumChunks(rows, morsel))
+	opt := ExecOptions{Parallelism: 2, MorselSize: morsel}
+	b, err := RangeBuckets(t.Context(), tab, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, _, err := b.ReadEdges(nil, nil)
+	if err != nil || len(sel) != 2 || b.ix.cells == nil {
+		t.Fatalf("edge rows %v, cells %v, err %v; want two rows beside cells", sel, b.ix.cells != nil, err)
+	}
+	for _, arm := range []struct {
+		what string
+		run  func(ExecOptions) (*storage.Table, error)
+	}{
+		{"exact", func(opt ExecOptions) (*storage.Table, error) { return ExecuteOpts(tab, q, opt) }},
+		{"cracked", func(opt ExecOptions) (*storage.Table, error) { return ExecuteSel(t.Context(), tab, b, sel, q, opt) }},
+	} {
+		var c Counters
+		opt.Counters = &c
+		got, err := arm.run(opt)
+		if err != nil {
+			t.Fatal(arm.what, err)
 		}
-		for m := 0; m < morsels; m++ {
-			for _, r := range ix.edges[ix.starts[m]:ix.starts[m+1]] {
-				if r < m*morsel || r >= (m+1)*morsel {
-					t.Fatalf("morsel %d: row %d in the share of morsel %d", morsel, r, m)
-				}
-			}
+		requireIdentical(t, arm.what, want, got)
+		if skipped := c.IndexSkipped.Load(); skipped < morsels-2 || c.IndexMorsels.Load() != morsels {
+			t.Fatalf("%s: %d of %d morsels skipped, %d served by the index; want all but two at most skipped, all served",
+				arm.what, skipped, morsels, c.IndexMorsels.Load())
 		}
 	}
 }

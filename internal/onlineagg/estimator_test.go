@@ -750,8 +750,10 @@ func TestLaneAtDoneIsExec(t *testing.T) {
 // different, mildly skewed measure distributions. The groups are appended
 // to g, an empty string column: a plain one, or a dictionary-coded one
 // (storage.EncodeDict(nil)), which holds no string per row, so a table of
-// millions of rows costs its codes and measures alone.
-func coverageTable(tb testing.TB, n int, seed int64, g storage.Column) *storage.Table {
+// many rows costs its codes and measures alone. With whole set, every
+// measure is rounded to an integer, so each value near a group's mode
+// repeats on thousands of rows.
+func coverageTable(tb testing.TB, n int, seed int64, g storage.Column, whole bool) *storage.Table {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	xv := make([]float64, n)
@@ -764,6 +766,9 @@ func coverageTable(tb testing.TB, n int, seed int64, g storage.Column) *storage.
 			group, xv[i] = "b", 40+rng.ExpFloat64()*20
 		default:
 			group, xv[i] = "c", 300+rng.NormFloat64()*60
+		}
+		if whole {
+			xv[i] = math.Round(xv[i])
 		}
 		if err := g.Append(storage.String_(group)); err != nil {
 			tb.Fatal(err)
@@ -817,9 +822,11 @@ const servedBatch = 4096
 // mixedRun is the two-strata feed of online mode's cells path over
 // table: exact mode's bucket cells for q (exec.RangeBuckets), with its
 // edges' covered sub-cells, folded as the exact stratum, and frac of its
-// edge candidates — the rows of the two sub-buckets holding the bounds —
-// read. It fails the test when the cells refuse q, or when the edge
-// stratum fits in one served batch, whose interval is never reported.
+// edge candidates — the rows of the two sub-buckets holding the bounds,
+// as the edge reader keeps them for online mode (Buckets.Edges), the
+// stratum core's online span reports as edge_rows — read. It fails the
+// test when the cells refuse q, or when the edge stratum fits in one
+// served batch, whose interval is never reported.
 func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac float64) ([]aqp.GroupEstimate, error) {
 	eq := exec.Query{Where: q.Where, Select: []exec.SelectItem{{Col: q.Col, Agg: q.Agg}}}
 	if q.GroupBy != "" {
@@ -854,9 +861,12 @@ func mixedRun(tb testing.TB, table *storage.Table, q aqp.Query, seed int64, frac
 // standard deviations at the trial count (the intervals of one trial are
 // not independent, so the trial count is the honest sample size). The
 // two-strata feed is stopped at those shares of its edge stratum, the
-// rows of the two sub-buckets its range's bounds fall in, which its
-// 5M-row table makes larger than a batch: a stratum of one batch or
-// less is read whole on the served path and reports no interval.
+// rows of the two sub-buckets its range's bounds fall in, which must be
+// larger than a batch: a stratum of one batch or less is read whole on
+// the served path and reports no interval. Its 600k-row table rounds the
+// measure to integers and its range starts on 80, a value of about 5 000
+// rows, all in the lower bound's sub-bucket, so the stratum holds about
+// 5 500 rows where the same table unrounded would need 5M.
 // The permutation is read twice: over rows drawn independently of their
 // position, and over rows whose measure and group follow their position,
 // where only a walk whose every prefix is spread over the whole table
@@ -867,9 +877,9 @@ func TestIntervalCoverageAtEveryStop(t *testing.T) {
 		trials = 200
 	)
 	floor := 0.95 - 3*math.Sqrt(0.95*0.05/trials)
-	tbl := coverageTable(t, n, 41, storage.NewStringColumn(nil))
-	big := coverageTable(t, 5_000_000, 43, storage.EncodeDict(nil))
-	span := expr.And(expr.Cmp("x", expr.GE, storage.Float(70)), expr.Cmp("x", expr.LT, storage.Float(260)))
+	tbl := coverageTable(t, n, 41, storage.NewStringColumn(nil), false)
+	big := coverageTable(t, 600_000, 43, storage.EncodeDict(nil), true)
+	span := expr.And(expr.Cmp("x", expr.GE, storage.Float(80)), expr.Cmp("x", expr.LT, storage.Float(260)))
 	xcol, err := tbl.ColumnByName("x")
 	if err != nil {
 		t.Fatal(err)
